@@ -28,6 +28,7 @@ use crate::node::{NodeConfig, Precision};
 use crate::power::PowerModel;
 use crate::tile::{CompHeavyConfig, MemHeavyConfig};
 use scaledeep_trace::json::{obj, Json};
+use scaledeep_trace::{fnv1a, FNV1A_OFFSET};
 use std::fmt;
 
 const KB: usize = 1024;
@@ -36,17 +37,6 @@ const GB: f64 = 1e9;
 /// Largest f64 that still holds integers exactly (2^53) — the same bound
 /// the zero-dep JSON writer uses to pick its integer rendering.
 const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte string — the workspace's standard fingerprint
-/// (the compiler uses the same constants for its cache keys).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME)
-    })
-}
 
 /// A point in the ScaleDeep design space: a [`NodeConfig`] promoted to
 /// data, with a canonical JSON rendering and a structural fingerprint.
@@ -194,7 +184,7 @@ impl DesignPoint {
     /// Two configurations fingerprint equal iff their knobs are equal —
     /// independent of how the Rust structs happen to `Debug`-format.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(self.to_json().render().as_bytes())
+        fnv1a(FNV1A_OFFSET, self.to_json().render().bytes())
     }
 }
 

@@ -6,10 +6,10 @@
 use scaledeep::dse::{self, DseConfig, DseReport, Expansion};
 use scaledeep::experiments::{run_by_id, EXPERIMENT_IDS};
 use scaledeep::report::Table;
-use scaledeep::{BenchReport, Session, TraceConfig};
+use scaledeep::{BenchReport, Observer, Session, TraceConfig};
 use scaledeep_arch::{DesignPoint, Knob, KnobValue, ParamSpace, ALL_KNOBS};
 use scaledeep_compiler::codegen::CompiledNetwork;
-use scaledeep_compiler::FailedTiles;
+use scaledeep_compiler::{CompileOptions, FailedTiles};
 use scaledeep_dnn::zoo;
 use scaledeep_dnn::Layer;
 use scaledeep_sim::fault::{FaultPlan, LinkFaults};
@@ -154,10 +154,11 @@ fn degraded_drill(name: &str, dead_cols: usize, shards: usize) -> Result<(), Str
     let net = zoo::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
     let session = Session::single_precision().with_shards(shards);
     let healthy = session.compile(&net).map_err(|e| e.to_string())?;
-    let failed = FailedTiles::from_columns(0..dead_cols);
+    let opts = CompileOptions::degraded(FailedTiles::from_columns(0..dead_cols));
     let degraded = session
-        .compile_degraded(&net, &failed)
-        .map_err(|e| e.to_string())?;
+        .compile_with(&net, &opts, Observer::Off)
+        .map_err(|e| e.to_string())?
+        .value;
     println!(
         "healthy:  {} cols on {} chip(s)",
         healthy.mapping().conv_cols_used(),

@@ -43,7 +43,7 @@ use crate::mapping::{
 use scaledeep_arch::{ChipConfig, DesignPoint, NodeConfig, Precision};
 use scaledeep_dnn::{Analysis, Layer, LayerId, Network, Step};
 use scaledeep_isa::LoweredProgram;
-use scaledeep_trace::{Payload, TraceSink, Tracer};
+use scaledeep_trace::{fnv1a, Payload, TraceSink, Tracer, FNV1A_OFFSET};
 
 /// The pipeline's phase names, in execution order (the `phase` field of
 /// the [`Payload::Phase`] spans [`compile_traced`] emits).
@@ -154,12 +154,7 @@ impl Provenance {
 /// FNV-1a over the `Debug` rendering: deterministic within a build, which
 /// is all an in-process cache key needs.
 fn fingerprint<T: std::fmt::Debug>(v: &T) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{v:?}").bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(FNV1A_OFFSET, format!("{v:?}").bytes())
 }
 
 /// The pipeline's terminal artifact: one compile, every view of it.

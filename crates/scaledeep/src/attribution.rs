@@ -638,7 +638,7 @@ mod tests {
         let session = Session::with_node(node);
         let net = tiny_training_net();
         let x = session.cross_check(&net).expect("tiny net cross-checks");
-        let tiles = functional_tile_attribution(&x.functional_metrics);
+        let tiles = functional_tile_attribution(&x.trace.metrics);
         assert!(!tiles.is_empty());
         for (tile, busy, _stalls) in &tiles {
             assert!(*busy > 0, "tile {tile} recorded busy cycles");

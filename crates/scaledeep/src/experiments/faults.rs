@@ -4,8 +4,8 @@
 //! but the natural robustness companion to Figure 16's throughput data.
 
 use crate::report::Table;
-use crate::Session;
-use scaledeep_compiler::FailedTiles;
+use crate::{Observer, Session};
+use scaledeep_compiler::{CompileOptions, FailedTiles};
 use scaledeep_dnn::zoo;
 use scaledeep_sim::fault::{FaultPlan, LinkFaults};
 use scaledeep_sim::perf::RunKind;
@@ -70,10 +70,11 @@ pub fn faults() -> (Vec<FaultRow>, Table) {
     // Permanent tile failures: condemn the first k columns of the first
     // rim chip and remap around them.
     for k in [0usize, 1, 2, 4, 8] {
-        let failed = FailedTiles::from_columns(0..k);
+        let opts = CompileOptions::degraded(FailedTiles::from_columns(0..k));
         let artifact = session
-            .compile_degraded(&net, &failed)
-            .expect("degraded remap fits");
+            .compile_with(&net, &opts, Observer::Off)
+            .expect("degraded remap fits")
+            .value;
         let r = session.run_mapped(&artifact, RunKind::Training);
         push(k, 0.0, r.images_per_sec, 0);
     }
@@ -87,7 +88,9 @@ pub fn faults() -> (Vec<FaultRow>, Table) {
             base_backoff: 2_000,
             max_retries: 4,
         });
-        let r = session.run_mapped_faulted(&artifact, RunKind::Training, &plan);
+        let r = session
+            .run_mapped_with(&artifact, RunKind::Training, &plan, Observer::Off)
+            .value;
         push(0, prob, r.images_per_sec, r.faults.link_retries);
     }
 

@@ -45,5 +45,6 @@ pub use report::{BenchReport, BENCH_SCHEMA_VERSION};
 pub use scaledeep_compiler::{CompileOptions, CompiledArtifact, FailedTiles, Provenance};
 pub use scaledeep_sim::{Error, Result};
 pub use session::{
-    CacheStats, CycleCrossCheck, ResilientRun, Session, Trace, TraceConfig, TracedRun,
+    CacheStats, CycleCrossCheck, Observed, Observer, ResilientRun, Session, Trace, TraceConfig,
+    TracedRun,
 };

@@ -131,8 +131,8 @@ pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
 }
 
 /// Version stamped into every BENCH JSON. Bump on any field change; the
-/// reader accepts the current version and every older one it can default
-/// forward (see [`BenchReport::from_json`]), rejecting the rest.
+/// reader ([`BenchReport::from_json`]) accepts the current version only —
+/// every committed BENCH document is at it.
 ///
 /// * v1 — perf-model attribution only.
 /// * v2 — adds the selected functional execution tier, the host
@@ -569,81 +569,60 @@ impl BenchReport {
     pub fn from_json(text: &str) -> std::result::Result<Self, String> {
         let v = json::parse(text)?;
         let version = req_num(&v, "schema_version")? as u64;
-        if version == 0 || version > BENCH_SCHEMA_VERSION {
+        if version != BENCH_SCHEMA_VERSION {
             return Err(format!(
-                "unsupported schema_version {version} (reader supports 1..={BENCH_SCHEMA_VERSION})"
+                "unsupported schema_version {version} (reader supports {BENCH_SCHEMA_VERSION})"
             ));
         }
-        // v1 predates tier/wall/functional; default them forward.
-        let (tier, wall, functional) = if version < 2 {
-            ("interpreter".to_string(), BenchWall::default(), None)
-        } else {
-            let wall_v = v.get("wall").ok_or("missing field `wall`")?;
-            let functional = match v.get("functional") {
-                None => return Err("missing field `functional`".to_string()),
-                Some(Json::Null) => None,
-                Some(f) => Some(BenchFunctional {
-                    cycles: req_num(f, "cycles")? as u64,
-                    instructions: req_num(f, "instructions")? as u64,
-                    stalls: req_num(f, "stalls")? as u64,
-                }),
-            };
-            (
-                req_str(&v, "tier")?,
-                BenchWall {
-                    compile_nanos: req_num(wall_v, "compile_nanos")? as u64,
-                    perf_nanos: req_num(wall_v, "perf_nanos")? as u64,
-                    functional_nanos: req_num(wall_v, "functional_nanos")? as u64,
-                },
-                functional,
-            )
+        let wall_v = v.get("wall").ok_or("missing field `wall`")?;
+        let wall = BenchWall {
+            compile_nanos: req_num(wall_v, "compile_nanos")? as u64,
+            perf_nanos: req_num(wall_v, "perf_nanos")? as u64,
+            functional_nanos: req_num(wall_v, "functional_nanos")? as u64,
         };
-        // v1/v2 predate the parallel node engine; default its group.
-        let par = if version < 3 {
-            BenchPar::default()
-        } else {
-            let par_v = v.get("par").ok_or("missing field `par`")?;
-            let scaling_v = par_v
-                .get("scaling")
-                .and_then(Json::as_arr)
-                .ok_or("missing or non-array field `par.scaling`")?;
-            let mut scaling = Vec::with_capacity(scaling_v.len());
-            for (i, s) in scaling_v.iter().enumerate() {
-                scaling.push(BenchShard {
-                    shards: req_num(s, "shards").map_err(|e| format!("par.scaling[{i}]: {e}"))?
-                        as u64,
-                    nanos: req_num(s, "nanos").map_err(|e| format!("par.scaling[{i}]: {e}"))?
-                        as u64,
-                    speedup: req_num(s, "speedup").map_err(|e| format!("par.scaling[{i}]: {e}"))?,
-                });
-            }
-            BenchPar {
-                shards: req_num(par_v, "shards")? as u64,
-                sequential_nanos: req_num(par_v, "sequential_nanos")? as u64,
-                scaling,
-            }
+        let functional = match v.get("functional") {
+            None => return Err("missing field `functional`".to_string()),
+            Some(Json::Null) => None,
+            Some(f) => Some(BenchFunctional {
+                cycles: req_num(f, "cycles")? as u64,
+                instructions: req_num(f, "instructions")? as u64,
+                stalls: req_num(f, "stalls")? as u64,
+            }),
         };
-        // v1–v3 predate the structural design group; default it absent.
-        let design = if version < 4 {
-            None
-        } else {
-            match v.get("design") {
-                None => return Err("missing field `design`".to_string()),
-                Some(Json::Null) => None,
-                Some(d) => {
-                    let fingerprint = req_str(d, "fingerprint")?;
-                    let point_v = d.get("point").ok_or("missing field `design.point`")?;
-                    let point = scaledeep_arch::DesignPoint::from_json(point_v)
-                        .map_err(|e| format!("design.point: {e}"))?;
-                    let derived = format!("{:016x}", point.fingerprint());
-                    if derived != fingerprint {
-                        return Err(format!(
-                            "design fingerprint `{fingerprint}` does not match \
-                             the design point (`{derived}`)"
-                        ));
-                    }
-                    Some(BenchDesign { fingerprint, point })
+        let par_v = v.get("par").ok_or("missing field `par`")?;
+        let scaling_v = par_v
+            .get("scaling")
+            .and_then(Json::as_arr)
+            .ok_or("missing or non-array field `par.scaling`")?;
+        let mut scaling = Vec::with_capacity(scaling_v.len());
+        for (i, s) in scaling_v.iter().enumerate() {
+            scaling.push(BenchShard {
+                shards: req_num(s, "shards").map_err(|e| format!("par.scaling[{i}]: {e}"))? as u64,
+                nanos: req_num(s, "nanos").map_err(|e| format!("par.scaling[{i}]: {e}"))? as u64,
+                speedup: req_num(s, "speedup").map_err(|e| format!("par.scaling[{i}]: {e}"))?,
+            });
+        }
+        let par = BenchPar {
+            shards: req_num(par_v, "shards")? as u64,
+            sequential_nanos: req_num(par_v, "sequential_nanos")? as u64,
+            scaling,
+        };
+        let design = match v.get("design") {
+            None => return Err("missing field `design`".to_string()),
+            Some(Json::Null) => None,
+            Some(d) => {
+                let fingerprint = req_str(d, "fingerprint")?;
+                let point_v = d.get("point").ok_or("missing field `design.point`")?;
+                let point = scaledeep_arch::DesignPoint::from_json(point_v)
+                    .map_err(|e| format!("design.point: {e}"))?;
+                let derived = format!("{:016x}", point.fingerprint());
+                if derived != fingerprint {
+                    return Err(format!(
+                        "design fingerprint `{fingerprint}` does not match \
+                         the design point (`{derived}`)"
+                    ));
                 }
+                Some(BenchDesign { fingerprint, point })
             }
         };
         let totals_v = v.get("totals").ok_or("missing field `totals`")?;
@@ -701,7 +680,7 @@ impl BenchReport {
             },
             cache_hits: req_num(cache_v, "hits")? as u64,
             cache_misses: req_num(cache_v, "misses")? as u64,
-            tier,
+            tier: req_str(&v, "tier")?,
             wall,
             functional,
             par,
@@ -1069,6 +1048,11 @@ mod tests {
             .replacen("\"schema_version\": 4", "\"schema_version\": 5", 1);
         let err = BenchReport::from_json(&future).unwrap_err();
         assert!(err.contains("schema_version"), "{err}");
+        let v3 = report
+            .to_json()
+            .replacen("\"schema_version\": 4", "\"schema_version\": 3", 1);
+        let err = BenchReport::from_json(&v3).unwrap_err();
+        assert!(err.contains("schema_version 3"), "{err}");
 
         let mut broken = report.clone();
         broken.layers[0].busy_cycles += 1;
@@ -1082,88 +1066,10 @@ mod tests {
     }
 
     #[test]
-    fn reader_accepts_v1_documents_with_defaults() {
-        // A v1 document has no tier/wall/functional/par fields; the
-        // reader defaults them forward instead of rejecting the file.
+    fn check_compares_designs_only_when_the_baseline_names_one() {
         let report = sample_report();
-        let Json::Obj(fields) = json::parse(&report.to_json()).unwrap() else {
-            panic!("report is an object");
-        };
-        let v1_fields: Vec<(String, Json)> = fields
-            .into_iter()
-            .map(|(k, v)| match k.as_str() {
-                "schema_version" => (k, Json::Num(1.0)),
-                _ => (k, v),
-            })
-            .filter(|(k, _)| {
-                !matches!(
-                    k.as_str(),
-                    "tier" | "wall" | "functional" | "par" | "design"
-                )
-            })
-            .collect();
-        let v1_text = Json::Obj(v1_fields).render_pretty();
-        let back = BenchReport::from_json(&v1_text).expect("v1 documents parse");
-        assert_eq!(back.schema_version, 1);
-        assert_eq!(back.tier, "interpreter");
-        assert_eq!(back.wall, BenchWall::default());
-        assert_eq!(back.functional, None);
-        assert_eq!(back.par, BenchPar::default());
-        assert_eq!(back.design, None);
-        assert_eq!(back.totals, report.totals);
-        assert_eq!(back.layers, report.layers);
-    }
-
-    #[test]
-    fn reader_accepts_v2_documents_without_the_par_group() {
-        // A v2 document carries tier/wall/functional but predates the
-        // parallel node engine's scaling group.
-        let report = sample_report();
-        let Json::Obj(fields) = json::parse(&report.to_json()).unwrap() else {
-            panic!("report is an object");
-        };
-        let v2_fields: Vec<(String, Json)> = fields
-            .into_iter()
-            .map(|(k, v)| match k.as_str() {
-                "schema_version" => (k, Json::Num(2.0)),
-                _ => (k, v),
-            })
-            .filter(|(k, _)| k != "par" && k != "design")
-            .collect();
-        let v2_text = Json::Obj(v2_fields).render_pretty();
-        let back = BenchReport::from_json(&v2_text).expect("v2 documents parse");
-        assert_eq!(back.schema_version, 2);
-        assert_eq!(back.tier, report.tier);
-        assert_eq!(back.wall, report.wall);
-        assert_eq!(back.par, BenchPar::default());
-        assert_eq!(back.design, None);
-        assert_eq!(back.layers, report.layers);
-    }
-
-    #[test]
-    fn reader_accepts_v3_documents_without_the_design_group() {
-        // A v3 document carries the par group but predates the structural
-        // design group.
-        let report = sample_report();
-        let Json::Obj(fields) = json::parse(&report.to_json()).unwrap() else {
-            panic!("report is an object");
-        };
-        let v3_fields: Vec<(String, Json)> = fields
-            .into_iter()
-            .map(|(k, v)| match k.as_str() {
-                "schema_version" => (k, Json::Num(3.0)),
-                _ => (k, v),
-            })
-            .filter(|(k, _)| k != "design")
-            .collect();
-        let v3_text = Json::Obj(v3_fields).render_pretty();
-        let back = BenchReport::from_json(&v3_text).expect("v3 documents parse");
-        assert_eq!(back.schema_version, 3);
-        assert_eq!(back.par, report.par);
-        assert_eq!(back.design, None);
-        assert_eq!(back.layers, report.layers);
-        // A baseline without the group constrains nothing, but a v4
-        // baseline with different knobs fails the identity check.
+        // A baseline without the group constrains nothing, but one with
+        // different knobs fails the identity check.
         let mut no_design = report.clone();
         no_design.design = None;
         assert!(!report

@@ -60,7 +60,7 @@ impl TraceConfig {
 /// The observability artifacts of one traced run: the recorded events,
 /// the track table naming their timelines, and the metrics registry every
 /// run counter was assembled from.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// All metrics the run recorded (counters, gauges, histograms).
     pub metrics: MetricsRegistry,
@@ -102,6 +102,68 @@ pub struct TracedRun {
     pub perf: PerfResult,
     /// The run's observability artifacts.
     pub trace: Trace,
+}
+
+/// What a session entry point ([`Session::compile_with`],
+/// [`Session::run_mapped_with`], [`Session::run_resilient_with`]) records
+/// while it runs. Observing never changes a result: every variant returns
+/// exactly what the unobserved run returns.
+#[derive(Debug, Clone, Copy)]
+pub enum Observer<'a> {
+    /// Record nothing.
+    Off,
+    /// Record a [`Trace`] per the config, returned in [`Observed::trace`].
+    Trace(TraceConfig),
+    /// Stream live, deterministic, cycle-stamped
+    /// [`scaledeep_trace::ProgressUpdate`]s through the sender.
+    Progress(&'a ProgressSender),
+}
+
+/// A session result plus what its [`Observer`] recorded.
+#[derive(Debug, Clone)]
+pub struct Observed<T> {
+    /// The result, identical under every observer.
+    pub value: T,
+    /// The recorded trace: `Some` exactly under [`Observer::Trace`].
+    pub trace: Option<Trace>,
+}
+
+impl<T> Observed<Result<T>> {
+    /// Lifts the result's error out; a failed run's trace is dropped.
+    fn transpose(self) -> Result<Observed<T>> {
+        let trace = self.trace;
+        self.value.map(|value| Observed { value, trace })
+    }
+}
+
+/// Matches an [`Observer`] once into one of the concrete [`Tracer`] types
+/// and evaluates `$body` with `$tracer: &mut Tracer<_>` and
+/// `$reg: &mut MetricsRegistry` bound, yielding an [`Observed`]. Each arm
+/// is monomorphic, so no `dyn` sink ever enters an engine loop.
+macro_rules! observe {
+    ($obs:expr, |$tracer:ident, $reg:ident| $body:expr) => {{
+        let mut registry = MetricsRegistry::new();
+        let $reg = &mut registry;
+        let (value, trace) = match $obs {
+            Observer::Off => {
+                let $tracer = &mut Tracer::disabled();
+                ($body, None)
+            }
+            Observer::Progress(tx) => {
+                let $tracer = &mut Tracer::new(ProgressSink::new(NullSink, tx.clone()));
+                ($body, None)
+            }
+            Observer::Trace(cfg) => {
+                let mut tracer = Tracer::new(session_sink(&cfg));
+                let value = {
+                    let $tracer = &mut tracer;
+                    $body
+                };
+                (value, Some(into_trace(tracer, registry)))
+            }
+        };
+        Observed { value, trace }
+    }};
 }
 
 /// Builds the sink every traced session entry point uses: a
@@ -153,16 +215,11 @@ pub struct CycleCrossCheck {
     /// pipeline stage's service time (the layer-sequential, single-image
     /// interpretation — the same quantity the A4 ablation uses).
     pub perf_per_image_cycles: u64,
-    /// The functional run's full metrics registry (instruction, stall,
-    /// per-tile busy counters, instruction-cost histogram).
-    pub functional_metrics: MetricsRegistry,
-    /// Flight-recorder tail of the functional run's trace: the most
-    /// recent events, oldest first.
-    pub trace_tail: Vec<Event>,
-    /// Track names for [`CycleCrossCheck::trace_tail`].
-    pub tracks: TrackTable,
-    /// Events the flight recorder evicted before the run ended.
-    pub dropped: u64,
+    /// The functional run's flight-recorder trace: its full metrics
+    /// registry (instruction, stall, per-tile busy counters,
+    /// instruction-cost histogram) and its most recent events, oldest
+    /// first.
+    pub trace: Trace,
 }
 
 impl CycleCrossCheck {
@@ -194,13 +251,13 @@ impl CycleCrossCheck {
         ));
         out.push_str(&format!(
             "\nfunctional metrics:\n{}",
-            self.functional_metrics.report()
+            self.trace.metrics_report()
         ));
         out.push_str(&format!(
             "\ntrace tail ({} retained, {} dropped):\n{}",
-            self.trace_tail.len(),
-            self.dropped,
-            cycle_csv(&self.trace_tail, &self.tracks)
+            self.trace.events.len(),
+            self.trace.dropped,
+            self.trace.cycle_csv()
         ));
         Some(out)
     }
@@ -419,37 +476,29 @@ impl Session {
     /// touching the pipeline; with an artifact directory configured
     /// ([`Session::with_artifact_dir`]), the store extends across
     /// processes — a repeat *session* loads the stored artifact and runs
-    /// zero pipeline phases.
+    /// zero pipeline phases. A degraded compile is just a compile whose
+    /// options carry a non-empty [`FailedTiles`]
+    /// ([`CompileOptions::degraded`]).
+    ///
+    /// `obs` sees the pipeline phases of a cache miss: under
+    /// [`Observer::Progress`] each phase entered becomes a
+    /// [`scaledeep_trace::ProgressKind::Phase`] update, under
+    /// [`Observer::Trace`] a phase span. Cache hits (memory or disk)
+    /// record nothing — observation reflects work actually done.
     ///
     /// # Errors
     ///
-    /// Propagates mapping-phase failures and artifact-store write
+    /// Propagates mapping-phase failures (including the degraded-specific
+    /// `NoCapacity` and `NoRoute` conditions) and artifact-store write
     /// failures. Errors are not cached; a failing compile re-runs (and
     /// re-counts as a miss) on retry.
     pub fn compile_with(
         &self,
         net: &Network,
         opts: &CompileOptions,
-    ) -> Result<Arc<CompiledArtifact>> {
-        self.compile_observed(net, opts, &mut Tracer::disabled())
-    }
-
-    /// [`Session::compile_with`] reporting pipeline phases through a
-    /// progress channel: on a cache miss, each phase entered becomes a
-    /// [`scaledeep_trace::ProgressKind::Phase`] update; cache hits (memory
-    /// or disk) emit nothing — progress reflects work actually done.
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::compile_with`].
-    pub fn compile_with_progress(
-        &self,
-        net: &Network,
-        opts: &CompileOptions,
-        progress: &ProgressSender,
-    ) -> Result<Arc<CompiledArtifact>> {
-        let mut tracer = Tracer::new(ProgressSink::new(NullSink, progress.clone()));
-        self.compile_observed(net, opts, &mut tracer)
+        obs: Observer<'_>,
+    ) -> Result<Observed<Arc<CompiledArtifact>>> {
+        observe!(obs, |tracer, _reg| self.compile_observed(net, opts, tracer)).transpose()
     }
 
     fn compile_observed<S: TraceSink>(
@@ -494,25 +543,9 @@ impl Session {
     ///
     /// Propagates mapping failures (network too large for the node, ...).
     pub fn compile(&self, net: &Network) -> Result<Arc<CompiledArtifact>> {
-        self.compile_with(net, &CompileOptions::default())
-    }
-
-    /// Compiles `net` around a set of failed tiles: the column allocation
-    /// excludes the condemned columns, the mapping carries the
-    /// logical→physical indirection, and the functional layout avoids the
-    /// condemned MemHeavy tiles. Same pipeline, same cache — a degraded
-    /// compile is just a compile whose [`FailedTiles`] input is non-empty.
-    ///
-    /// # Errors
-    ///
-    /// Propagates mapping failures, including the degraded-specific
-    /// `NoCapacity` and `NoRoute` conditions.
-    pub fn compile_degraded(
-        &self,
-        net: &Network,
-        failed: &FailedTiles,
-    ) -> Result<Arc<CompiledArtifact>> {
-        self.compile_with(net, &CompileOptions::degraded(failed.clone()))
+        Ok(self
+            .compile_with(net, &CompileOptions::default(), Observer::Off)?
+            .value)
     }
 
     /// The compile cache's aggregate statistics so far.
@@ -550,8 +583,7 @@ impl Session {
     ///
     /// Propagates mapping failures.
     pub fn train(&self, net: &Network) -> Result<PerfResult> {
-        let artifact = self.compile(net)?;
-        Ok(self.sim.run_mapped(artifact.mapping(), RunKind::Training))
+        Ok(self.run_mapped(&*self.compile(net)?, RunKind::Training))
     }
 
     /// Simulates evaluation (inference).
@@ -560,48 +592,37 @@ impl Session {
     ///
     /// Propagates mapping failures.
     pub fn evaluate(&self, net: &Network) -> Result<PerfResult> {
-        let artifact = self.compile(net)?;
-        Ok(self.sim.run_mapped(artifact.mapping(), RunKind::Evaluation))
+        Ok(self.run_mapped(&*self.compile(net)?, RunKind::Evaluation))
     }
 
     /// Simulates an already-compiled artifact.
     pub fn run_mapped(&self, artifact: &CompiledArtifact, kind: RunKind) -> PerfResult {
-        self.sim.run_mapped(artifact.mapping(), kind)
+        self.run_mapped_with(artifact, kind, &FaultPlan::none(), Observer::Off)
+            .value
     }
 
-    /// [`Session::run_mapped`] reporting live progress: the pipeline's
-    /// sync-window completions (and link retries) stream through
-    /// `progress` as deterministic, cycle-stamped updates. The result is
-    /// identical to the untraced run — progress is a tee over the
-    /// instrumentation, never a change to the model.
-    pub fn run_mapped_progress(
-        &self,
-        artifact: &CompiledArtifact,
-        kind: RunKind,
-        progress: &ProgressSender,
-    ) -> PerfResult {
-        let mut tracer = Tracer::new(ProgressSink::new(NullSink, progress.clone()));
-        let mut reg = MetricsRegistry::new();
-        self.sim.run_mapped_traced(
-            artifact.mapping(),
-            kind,
-            &FaultPlan::none(),
-            &mut tracer,
-            &mut reg,
-        )
-    }
-
-    /// Simulates an already-compiled artifact under a fault plan:
-    /// transient link errors charge retry/back-off latency, reported in
-    /// the result's fault statistics. The empty plan is bit-identical to
-    /// [`Session::run_mapped`].
-    pub fn run_mapped_faulted(
+    /// Simulates an already-compiled artifact under a fault plan, observed
+    /// by `obs`: transient link errors charge retry/back-off latency,
+    /// reported in the result's fault statistics, and the empty plan is
+    /// bit-identical to [`Session::run_mapped`]. [`Observer::Trace`]
+    /// records the pipeline's stage-occupancy spans, sync spans, and retry
+    /// instants, with every result scalar assembled from the trace's
+    /// [`MetricsRegistry`]; [`Observer::Progress`] streams sync-window
+    /// completions and link retries.
+    pub fn run_mapped_with(
         &self,
         artifact: &CompiledArtifact,
         kind: RunKind,
         plan: &FaultPlan,
-    ) -> PerfResult {
-        self.sim.run_mapped_faulted(artifact.mapping(), kind, plan)
+        obs: Observer<'_>,
+    ) -> Observed<PerfResult> {
+        observe!(obs, |tracer, reg| self.sim.run_mapped_traced(
+            artifact.mapping(),
+            kind,
+            plan,
+            tracer,
+            reg
+        ))
     }
 
     /// Runs the whole-node discrete-event model of an already-compiled
@@ -643,9 +664,9 @@ impl Session {
     ///
     /// The compile itself is served from the session cache and stays out
     /// of the run's trace (its spans would differ between a cache miss
-    /// and a hit, breaking byte-identical exports); use
-    /// [`scaledeep_compiler::pipeline::compile_traced`] to observe the
-    /// pipeline's phases, and [`Session::cache_stats`] for the
+    /// and a hit, breaking byte-identical exports); pass
+    /// [`Observer::Trace`] to [`Session::compile_with`] to observe the
+    /// pipeline's phases, and see [`Session::cache_stats`] for the
     /// hit/miss/wall-clock ledger.
     ///
     /// # Errors
@@ -653,18 +674,10 @@ impl Session {
     /// Propagates mapping failures.
     pub fn run_traced(&self, net: &Network, kind: RunKind, cfg: &TraceConfig) -> Result<TracedRun> {
         let artifact = self.compile(net)?;
-        let mut tracer = Tracer::new(session_sink(cfg));
-        let mut reg = MetricsRegistry::new();
-        let perf = self.sim.run_mapped_traced(
-            artifact.mapping(),
-            kind,
-            &FaultPlan::none(),
-            &mut tracer,
-            &mut reg,
-        );
+        let run = self.run_mapped_with(&artifact, kind, &FaultPlan::none(), Observer::Trace(*cfg));
         Ok(TracedRun {
-            perf,
-            trace: into_trace(tracer, reg),
+            perf: run.value,
+            trace: run.trace.unwrap_or_default(),
         })
     }
 
@@ -681,53 +694,30 @@ impl Session {
     /// (deadlock, watchdog), and degraded-recompile failures (e.g. every
     /// tile dead).
     pub fn run_resilient(&self, net: &Network, plan: &FaultPlan) -> Result<ResilientRun> {
-        let mut tracer = Tracer::disabled();
-        let mut reg = MetricsRegistry::new();
-        self.run_resilient_impl(net, plan, &mut tracer, &mut reg)
+        Ok(self.run_resilient_with(net, plan, Observer::Off)?.value)
     }
 
-    /// [`Session::run_resilient`] reporting live progress: the first
-    /// attempt's checkpoint, instruction retirement (subsampled), faults,
-    /// and — on a tile failure — the remap all stream through `progress`.
-    /// The degraded retry contributes counters only (its machine clock
-    /// restarts at 0), matching the traced variant's event discipline.
+    /// [`Session::run_resilient`] observed by `obs`. What is observed is
+    /// the *first* attempt — the one the faults hit — plus run-level
+    /// instants on the `session` track: [`Payload::Checkpoint`] when the
+    /// iteration state is snapshotted and [`Payload::Remap`] when a tile
+    /// failure forces the degraded recompile. The degraded retry
+    /// contributes its counters to the trace's metrics (they back the
+    /// returned stats) but not its events, so every track's timeline stays
+    /// monotone.
     ///
     /// # Errors
     ///
     /// See [`Session::run_resilient`].
-    pub fn run_resilient_progress(
+    pub fn run_resilient_with(
         &self,
         net: &Network,
         plan: &FaultPlan,
-        progress: &ProgressSender,
-    ) -> Result<ResilientRun> {
-        let mut tracer = Tracer::new(ProgressSink::new(NullSink, progress.clone()));
-        let mut reg = MetricsRegistry::new();
-        self.run_resilient_impl(net, plan, &mut tracer, &mut reg)
-    }
-
-    /// [`Session::run_resilient`] with observability. The trace is a
-    /// flight recording of the *first* attempt — the one the faults hit —
-    /// plus run-level instants on the `session` track:
-    /// [`Payload::Checkpoint`] when the iteration state is snapshotted and
-    /// [`Payload::Remap`] when a tile failure forces the degraded
-    /// recompile. The degraded retry contributes its counters to the
-    /// trace's metrics (they back the returned stats) but not its events,
-    /// so every track's timeline stays monotone.
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::run_resilient`].
-    pub fn run_resilient_traced(
-        &self,
-        net: &Network,
-        plan: &FaultPlan,
-        cfg: &TraceConfig,
-    ) -> Result<(ResilientRun, Trace)> {
-        let mut tracer = Tracer::new(session_sink(cfg));
-        let mut reg = MetricsRegistry::new();
-        let run = self.run_resilient_impl(net, plan, &mut tracer, &mut reg)?;
-        Ok((run, into_trace(tracer, reg)))
+        obs: Observer<'_>,
+    ) -> Result<Observed<ResilientRun>> {
+        observe!(obs, |tracer, reg| self
+            .run_resilient_impl(net, plan, tracer, reg))
+        .transpose()
     }
 
     fn run_resilient_impl<S: TraceSink>(
@@ -738,11 +728,7 @@ impl Session {
         reg: &mut MetricsRegistry,
     ) -> Result<ResilientRun> {
         let artifact = self.compile(net)?;
-        let reference = Executor::new(net, 0xC0FFEE)?;
-        let mut fsim = FuncSim::from_artifact(net, &artifact)?;
-        fsim.set_backend(self.exec_backend);
-        fsim.import_params(&reference)?;
-        let (image, golden) = iteration_io(net, artifact.functional()?)?;
+        let (mut fsim, image, golden) = seeded_iteration(net, &artifact, self.exec_backend)?;
         let session_track = if tracer.active() {
             tracer.track("session")
         } else {
@@ -765,12 +751,12 @@ impl Session {
                         dead_tiles: dead_tiles.len() as u16,
                     },
                 );
-                let degraded = self.compile_degraded(
-                    net,
-                    &FailedTiles::from_func_tiles(dead_tiles.iter().copied()),
-                )?;
-                let mut fsim = FuncSim::from_artifact(net, &degraded)?;
-                fsim.set_backend(self.exec_backend);
+                let failed = FailedTiles::from_func_tiles(dead_tiles.iter().copied());
+                let degraded = self
+                    .compile_with(net, &CompileOptions::degraded(failed), Observer::Off)?
+                    .value;
+                let mut fsim =
+                    FuncSim::from_artifact(net, &degraded)?.with_backend(self.exec_backend);
                 fsim.restore(&ckpt)?;
                 let retry_plan = plan.without_tile_failures();
                 // The retry restarts the machine clock at cycle 0; keep
@@ -808,11 +794,7 @@ impl Session {
     /// [`Error::Setup`] when the network has no loss head.
     pub fn cross_check(&self, net: &Network) -> Result<CycleCrossCheck> {
         let artifact = self.compile(net)?;
-        let reference = Executor::new(net, 0xC0FFEE)?;
-        let mut fsim = FuncSim::from_artifact(net, &artifact)?;
-        fsim.set_backend(ExecBackend::Interpreter);
-        fsim.import_params(&reference)?;
-        let (image, golden) = iteration_io(net, artifact.functional()?)?;
+        let (mut fsim, image, golden) = seeded_iteration(net, &artifact, ExecBackend::Interpreter)?;
         // A bounded flight recorder rides along so a divergence can be
         // diagnosed from the run's final events without re-running.
         let mut tracer = Tracer::new(session_sink(&TraceConfig::flight_recorder(
@@ -826,8 +808,7 @@ impl Session {
         // artifact, same deterministic parameter seed, same inputs. Both
         // tiers must agree bit for bit — on the statistics (cycles,
         // stalls, instruction counts) and on every word of result state.
-        let mut csim = FuncSim::from_artifact(net, &artifact)?.with_backend(ExecBackend::Compiled);
-        csim.import_params(&reference)?;
+        let (mut csim, ..) = seeded_iteration(net, &artifact, ExecBackend::Compiled)?;
         let compiled_tier = csim.run_iteration(&image, &golden)?;
         let bits =
             |v: Option<Vec<f32>>| v.map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
@@ -848,16 +829,12 @@ impl Session {
         });
         let result = perf.run_mapped(artifact.mapping(), RunKind::Training);
         let perf_per_image_cycles = result.stages.iter().map(|s| s.service_cycles.max(1)).sum();
-        let trace = into_trace(tracer, reg);
         Ok(CycleCrossCheck {
             functional,
             compiled_tier,
             tiers_identical,
             perf_per_image_cycles,
-            functional_metrics: trace.metrics,
-            trace_tail: trace.events,
-            tracks: trace.tracks,
-            dropped: trace.dropped,
+            trace: into_trace(tracer, reg),
         })
     }
 
@@ -884,12 +861,9 @@ impl Session {
         // compete on.
         let (functional, functional_nanos) = match artifact.functional() {
             Err(_) => (None, 0),
-            Ok(compiled) => {
-                let reference = Executor::new(net, 0xC0FFEE)?;
-                let mut fsim = FuncSim::from_artifact(net, &artifact)?;
-                fsim.set_backend(self.exec_backend);
-                fsim.import_params(&reference)?;
-                let (image, golden) = iteration_io(net, compiled)?;
+            Ok(_) => {
+                let (mut fsim, image, golden) =
+                    seeded_iteration(net, &artifact, self.exec_backend)?;
                 let drill_started = Instant::now();
                 let stats = fsim.run_iteration(&image, &golden)?;
                 let nanos = drill_started.elapsed().as_nanos() as u64;
@@ -979,6 +953,20 @@ impl Session {
 /// Flight-recorder depth for [`Session::cross_check`]'s mismatch tail.
 const CROSS_CHECK_TAIL_EVENTS: usize = 256;
 
+/// A functional simulator on `backend` set up for one session-driven
+/// training iteration: the artifact's layout, parameters from the
+/// deterministic reference seed, and [`iteration_io`]'s inputs.
+fn seeded_iteration(
+    net: &Network,
+    artifact: &CompiledArtifact,
+    backend: ExecBackend,
+) -> Result<(FuncSim, Vec<f32>, Vec<f32>)> {
+    let mut fsim = FuncSim::from_artifact(net, artifact)?.with_backend(backend);
+    fsim.import_params(&Executor::new(net, 0xC0FFEE)?)?;
+    let (image, golden) = iteration_io(net, artifact.functional()?)?;
+    Ok((fsim, image, golden))
+}
+
 /// The constant input image and golden vector session-driven iterations
 /// use (cycle counts and fault behaviour are data-independent; functional
 /// correctness is checked against the reference executor on the same
@@ -1051,9 +1039,8 @@ mod tests {
         let s = Session::single_precision();
         let net = zoo::alexnet();
         let healthy = s.compile(&net).unwrap();
-        let degraded = s
-            .compile_degraded(&net, &FailedTiles::from_columns([3]))
-            .unwrap();
+        let opts = CompileOptions::degraded(FailedTiles::from_columns([3]));
+        let degraded = s.compile_with(&net, &opts, Observer::Off).unwrap().value;
         assert!(degraded.is_degraded());
         assert_ne!(
             healthy.provenance().cache_key(),
@@ -1061,8 +1048,7 @@ mod tests {
         );
         // Repeating both compiles hits the cache each time.
         s.compile(&net).unwrap();
-        s.compile_degraded(&net, &FailedTiles::from_columns([3]))
-            .unwrap();
+        s.compile_with(&net, &opts, Observer::Off).unwrap();
         let stats = s.cache_stats();
         assert_eq!((stats.misses, stats.hits), (2, 2));
     }
@@ -1240,24 +1226,58 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_matches_untraced_result_and_exports() {
-        use scaledeep_sim::perf::RunKind;
+    fn every_observer_matches_the_unobserved_run() {
+        use scaledeep_sim::fault::{FaultKind, LinkFaults};
+        use scaledeep_trace::{progress_channel, validate_chrome_trace};
         let s = Session::single_precision();
-        let net = zoo::alexnet();
-        let traced = s
-            .run_traced(&net, RunKind::Training, &TraceConfig::default())
-            .unwrap();
-        let plain = s.train(&net).unwrap();
-        assert_eq!(traced.perf, plain, "tracing must not perturb the result");
-        assert!(!traced.trace.events.is_empty());
-        assert_eq!(traced.trace.dropped, 0);
-        let summary = scaledeep_trace::validate_chrome_trace(&traced.trace.chrome_trace()).unwrap();
-        assert!(summary.spans > 0);
-        // The registry backs the result: spot-check one scalar.
-        assert_eq!(
-            traced.trace.metrics.gauge_value("perf.images_per_sec"),
-            Some(plain.images_per_sec)
-        );
+        let artifact = s.compile(&zoo::alexnet()).unwrap();
+        let tiny = tiny_training_net();
+        // Link faults charge the performance run; the tile failure forces
+        // the resilient run's degraded retry.
+        let faulted = FaultPlan::seeded(7)
+            .with_link_faults(LinkFaults {
+                prob: 0.25,
+                base_backoff: 16,
+                max_retries: 4,
+            })
+            .with_fault(1, FaultKind::TileFailure { tile: 0 });
+        let (tx, rx) = progress_channel(1 << 16);
+        let observers = [
+            Observer::Off,
+            Observer::Trace(TraceConfig::default()),
+            Observer::Progress(&tx),
+        ];
+        for plan in [FaultPlan::none(), faulted] {
+            let faults_on = plan != FaultPlan::none();
+            let perf = s
+                .run_mapped_with(&artifact, RunKind::Training, &plan, Observer::Off)
+                .value;
+            let resilient = s.run_resilient(&tiny, &plan).unwrap();
+            assert_eq!(perf.faults.link_retries > 0, faults_on);
+            assert_eq!(resilient.retried, faults_on);
+            for obs in observers {
+                let run = s.run_mapped_with(&artifact, RunKind::Training, &plan, obs);
+                assert_eq!(run.value, perf, "{obs:?} perturbed {plan:?}");
+                let res = s.run_resilient_with(&tiny, &plan, obs).unwrap();
+                assert_eq!(
+                    res.value.stats, resilient.stats,
+                    "{obs:?} perturbed {plan:?}"
+                );
+                assert_eq!(res.value.dead_tiles, resilient.dead_tiles);
+                // A trace is recorded exactly under `Observer::Trace`; it
+                // exports cleanly and its registry backs the result.
+                assert_eq!(run.trace.is_some(), matches!(obs, Observer::Trace(_)));
+                assert_eq!(res.trace.is_some(), run.trace.is_some());
+                if let Some(trace) = run.trace {
+                    assert_eq!(trace.dropped, 0);
+                    assert!(validate_chrome_trace(&trace.chrome_trace()).unwrap().spans > 0);
+                    let ips = trace.metrics.gauge_value("perf.images_per_sec");
+                    assert_eq!(ips, Some(perf.images_per_sec));
+                }
+            }
+            // The progress observer streamed under either plan.
+            assert!(!rx.drain().is_empty());
+        }
     }
 
     #[test]
@@ -1267,10 +1287,10 @@ mod tests {
         let s = Session::single_precision();
         let net = tiny_training_net();
         let plan = FaultPlan::seeded(7).with_fault(1, FaultKind::TileFailure { tile: 0 });
-        let (run, trace) = s
-            .run_resilient_traced(&net, &plan, &TraceConfig::default())
-            .unwrap();
-        assert!(run.retried);
+        let obs = Observer::Trace(TraceConfig::default());
+        let run = s.run_resilient_with(&net, &plan, obs).unwrap();
+        let trace = run.trace.unwrap();
+        assert!(run.value.retried);
         let has = |want: fn(&Payload) -> bool| trace.events.iter().any(|e| want(&e.payload));
         assert!(has(|p| matches!(p, Payload::Checkpoint)));
         assert!(has(|p| matches!(p, Payload::Remap { dead_tiles: 1 })));
@@ -1280,69 +1300,74 @@ mod tests {
         // The metrics back the returned stats (successful attempt only).
         assert_eq!(
             trace.metrics.counter_value("func.instructions"),
-            Some(run.stats.instructions)
+            Some(run.value.stats.instructions)
         );
     }
 
     #[test]
-    fn progress_run_matches_untraced_result_and_streams_deterministically() {
-        use scaledeep_sim::perf::RunKind;
+    fn progress_run_streams_deterministically() {
         use scaledeep_trace::progress_channel;
         let s = Session::single_precision();
-        let net = zoo::alexnet();
-        let artifact = s.compile(&net).unwrap();
-        let (tx, rx) = progress_channel(4096);
-        let with = s.run_mapped_progress(&artifact, RunKind::Training, &tx);
-        let plain = s.run_mapped(&artifact, RunKind::Training);
-        assert_eq!(with, plain, "progress must not perturb the result");
-        let updates = rx.drain();
+        let artifact = s.compile(&zoo::alexnet()).unwrap();
+        let stream = || {
+            let (tx, rx) = progress_channel(4096);
+            let plan = FaultPlan::none();
+            s.run_mapped_with(&artifact, RunKind::Training, &plan, Observer::Progress(&tx));
+            assert_eq!(rx.dropped(), 0);
+            rx.drain()
+        };
+        let updates = stream();
         assert!(!updates.is_empty());
-        assert_eq!(rx.dropped(), 0);
         assert!(
             updates.windows(2).all(|w| w[0].seq < w[1].seq),
             "sequence numbers must be strictly monotonic"
         );
         assert!(updates.iter().any(|u| u.kind.name() == "sync"));
         // Same artifact, same kind, fresh channel: byte-identical stream.
-        let (tx2, rx2) = progress_channel(4096);
-        s.run_mapped_progress(&artifact, RunKind::Training, &tx2);
-        assert_eq!(updates, rx2.drain(), "progress must be seed-stable");
+        assert_eq!(updates, stream(), "progress must be seed-stable");
     }
 
     #[test]
-    fn progress_compile_reports_phases_only_on_miss() {
+    fn observed_compile_reports_phases_only_on_miss() {
         use scaledeep_trace::progress_channel;
         let s = Session::single_precision();
         let net = zoo::alexnet();
+        let opts = CompileOptions::default();
         let (tx, rx) = progress_channel(64);
-        s.compile_with_progress(&net, &CompileOptions::default(), &tx)
+        s.compile_with(&net, &opts, Observer::Progress(&tx))
             .unwrap();
         let phases: Vec<&str> = rx.drain().iter().filter_map(|u| u.kind.label()).collect();
         assert_eq!(phases, pipeline::PHASES);
         // A repeat compile is a cache hit: no phases run, none reported.
-        s.compile_with_progress(&net, &CompileOptions::default(), &tx)
+        s.compile_with(&net, &opts, Observer::Progress(&tx))
             .unwrap();
         assert!(rx.is_empty());
+        let traced = |s: &Session| {
+            let obs = Observer::Trace(TraceConfig::default());
+            s.compile_with(&net, &opts, obs).unwrap().trace.unwrap()
+        };
+        assert!(traced(&s).events.is_empty());
+        assert!(!traced(&Session::single_precision()).events.is_empty());
     }
 
     #[test]
-    fn resilient_progress_reports_remap_and_matches_plain() {
+    fn resilient_progress_reports_remap() {
         use scaledeep_sim::fault::FaultKind;
         use scaledeep_trace::progress_channel;
         let s = Session::single_precision();
         let net = tiny_training_net();
         let plan = FaultPlan::seeded(7).with_fault(1, FaultKind::TileFailure { tile: 0 });
         let (tx, rx) = progress_channel(1 << 16);
-        let run = s.run_resilient_progress(&net, &plan, &tx).unwrap();
-        assert!(run.retried);
+        let run = s
+            .run_resilient_with(&net, &plan, Observer::Progress(&tx))
+            .unwrap();
+        assert!(run.value.retried);
         let updates = rx.drain();
         let saw = |name: &str| updates.iter().any(|u| u.kind.name() == name);
         assert!(saw("checkpoint"));
         assert!(saw("remap"));
         assert!(saw("fault"));
         assert!(saw("cycles"));
-        let plain = s.run_resilient(&net, &plan).unwrap();
-        assert_eq!(run.stats, plain.stats);
     }
 
     #[test]
@@ -1528,8 +1553,8 @@ mod tests {
         let x = Session::with_node(node)
             .cross_check(&tiny_training_net())
             .unwrap();
-        assert!(!x.trace_tail.is_empty());
-        assert!(x.functional_metrics.counter_value("func.cycles").is_some());
+        assert!(!x.trace.events.is_empty());
+        assert!(x.trace.metrics.counter_value("func.cycles").is_some());
         if x.agrees() {
             assert!(x.mismatch_report().is_none());
         } else {

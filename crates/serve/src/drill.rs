@@ -27,7 +27,7 @@ use crate::server::{install_chaos_panic_hook, JobHandle, Server, ServerConfig};
 use scaledeep::{report::Table, CacheStats, Session};
 use scaledeep_sim::perf::RunKind;
 use scaledeep_trace::json::{obj, Json};
-use scaledeep_trace::{MetricsRegistry, ProgressUpdate};
+use scaledeep_trace::{fnv1a, MetricsRegistry, ProgressUpdate, FNV1A_OFFSET};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -135,17 +135,12 @@ pub struct ProgressProbe {
 impl ProgressProbe {
     /// Summarizes one drained stream.
     pub fn from_stream(ordinal: u64, updates: &[ProgressUpdate], dropped: u64) -> Self {
-        fn mix_bytes(digest: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
-            bytes.into_iter().fold(digest, |d, b| {
-                (d ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            })
-        }
-        let mix = |d: u64, v: u64| mix_bytes(d, v.to_le_bytes());
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mix = |d: u64, v: u64| fnv1a(d, v.to_le_bytes());
+        let mut digest = FNV1A_OFFSET;
         for u in updates {
             digest = mix(digest, u.seq);
             digest = mix(digest, u.cycle);
-            digest = mix_bytes(digest, u.kind.name().bytes());
+            digest = fnv1a(digest, u.kind.name().bytes());
             digest = mix(digest, u.kind.value().unwrap_or(u64::MAX));
             digest = mix(digest, u.syncs);
             digest = mix(digest, u.faults);

@@ -31,7 +31,7 @@ use crate::protocol::{
 use crate::queue::FairQueue;
 use crate::retry::RetryPolicy;
 use crate::singleflight::{Flight, Singleflight};
-use scaledeep::{CompileOptions, CompiledArtifact, Provenance, Session};
+use scaledeep::{CompileOptions, CompiledArtifact, Observer, Provenance, Session};
 use scaledeep_dnn::zoo;
 use scaledeep_sim::fault::{FaultKind, FaultPlan};
 use scaledeep_trace::{
@@ -742,11 +742,14 @@ fn run_attempts(shared: &Arc<Shared>, job: &mut Job) -> Option<JobResult> {
 /// latency decomposition (`serve.lat.compile_ns` / `serve.lat.run_ns`),
 /// and — when the request subscribed — progress-teed engine runs.
 fn execute(shared: &Arc<Shared>, job: &Job) -> JobResult {
-    let progress = job.progress.as_ref();
+    let obs = job
+        .progress
+        .as_ref()
+        .map_or(Observer::Off, Observer::Progress);
     match &job.request.kind {
         JobKind::Compile { network } => {
             let t0 = Instant::now();
-            let artifact = compile_deduped(shared, network, job.deadline, progress)?;
+            let artifact = compile_deduped(shared, network, job.deadline, obs)?;
             shared.observe("serve.lat.compile_ns", t0.elapsed().as_nanos() as f64);
             Ok(JobReply::Compiled {
                 provenance: artifact.provenance().cache_key(),
@@ -756,13 +759,13 @@ fn execute(shared: &Arc<Shared>, job: &Job) -> JobResult {
         }
         JobKind::Simulate { network, kind } => {
             let t0 = Instant::now();
-            let artifact = compile_deduped(shared, network, job.deadline, progress)?;
+            let artifact = compile_deduped(shared, network, job.deadline, obs)?;
             shared.observe("serve.lat.compile_ns", t0.elapsed().as_nanos() as f64);
             let t1 = Instant::now();
-            let r = match progress {
-                Some(tx) => shared.session.run_mapped_progress(&artifact, *kind, tx),
-                None => shared.session.run_mapped(&artifact, *kind),
-            };
+            let r = shared
+                .session
+                .run_mapped_with(&artifact, *kind, &FaultPlan::none(), obs)
+                .value;
             shared.observe("serve.lat.run_ns", t1.elapsed().as_nanos() as f64);
             Ok(JobReply::Simulated {
                 images_per_sec: r.images_per_sec,
@@ -780,10 +783,10 @@ fn execute(shared: &Arc<Shared>, job: &Job) -> JobResult {
                 plan = plan.with_fault(1, FaultKind::TileFailure { tile: *tile });
             }
             let t1 = Instant::now();
-            let run = match progress {
-                Some(tx) => shared.session.run_resilient_progress(&net, &plan, tx),
-                None => shared.session.run_resilient(&net, &plan),
-            };
+            let run = shared
+                .session
+                .run_resilient_with(&net, &plan, obs)
+                .map(|o| o.value);
             shared.observe("serve.lat.run_ns", t1.elapsed().as_nanos() as f64);
             match run {
                 Ok(r) => Ok(JobReply::Resilient {
@@ -814,20 +817,20 @@ fn compile_deduped(
     shared: &Arc<Shared>,
     network: &str,
     deadline: Instant,
-    progress: Option<&ProgressSender>,
+    obs: Observer<'_>,
 ) -> Result<Arc<CompiledArtifact>, ServeError> {
     let net = lookup(network)?;
     let opts = CompileOptions::default();
     let key = Provenance::new(shared.session.node(), &net, &opts).cache_key();
     match shared.flights.join(key, deadline) {
         Flight::Lead(guard) => {
-            let compiled = match progress {
-                Some(tx) => shared.session.compile_with_progress(&net, &opts, tx),
-                None => shared.session.compile_with(&net, &opts),
-            };
-            let result = compiled.map_err(|e| ServeError::Failed {
-                detail: e.to_string(),
-            });
+            let result = shared
+                .session
+                .compile_with(&net, &opts, obs)
+                .map(|o| o.value)
+                .map_err(|e| ServeError::Failed {
+                    detail: e.to_string(),
+                });
             guard.publish(result.clone());
             result
         }

@@ -349,7 +349,13 @@ impl FuncSim {
     /// Propagates machine faults ([`Error::Deadlock`],
     /// [`Error::OutOfBounds`], ...).
     pub fn run_iteration(&mut self, image: &[f32], golden: &[f32]) -> Result<RunStats> {
-        self.run_iteration_faulted(image, golden, &FaultPlan::none())
+        self.run_iteration_traced(
+            image,
+            golden,
+            &FaultPlan::none(),
+            &mut Tracer::disabled(),
+            &mut MetricsRegistry::new(),
+        )
     }
 
     /// Shared per-iteration setup: clears per-image state and loads the
@@ -378,26 +384,6 @@ impl FuncSim {
             .golden
             .expect("loss has golden buffer");
         self.write_buffer(golden_loc, golden)
-    }
-
-    /// [`FuncSim::run_iteration`] under a [`FaultPlan`] (see
-    /// [`Machine::run_faulted`] for the fault semantics). With the empty
-    /// plan this is bit-identical to `run_iteration`.
-    ///
-    /// # Errors
-    ///
-    /// See [`FuncSim::run_iteration`], plus
-    /// [`Error::TileFailed`](crate::Error::TileFailed) and
-    /// [`Error::Watchdog`](crate::Error::Watchdog) from injected faults.
-    pub fn run_iteration_faulted(
-        &mut self,
-        image: &[f32],
-        golden: &[f32],
-        plan: &FaultPlan,
-    ) -> Result<RunStats> {
-        let mut tracer = Tracer::disabled();
-        let mut reg = MetricsRegistry::new();
-        self.run_iteration_traced(image, golden, plan, &mut tracer, &mut reg)
     }
 
     /// Dispatches every compiled program through the selected
@@ -429,14 +415,17 @@ impl FuncSim {
         }
     }
 
-    /// [`FuncSim::run_iteration_faulted`] with observability: dispatches
-    /// through [`Machine::run_traced`], emitting retire/park/wake/fault
-    /// events into `tracer` and all run counters into `reg` (see
-    /// [`Machine::run_traced`] for the track layout and metric names).
+    /// [`FuncSim::run_iteration`] under a [`FaultPlan`] and with
+    /// observability: dispatches through [`Machine::run_traced`] (see it
+    /// for the fault semantics, the track layout and the metric names),
+    /// emitting retire/park/wake/fault events into `tracer` and all run
+    /// counters into `reg`. With the empty plan and a disabled tracer
+    /// this is bit-identical to `run_iteration`.
     ///
     /// # Errors
     ///
-    /// See [`FuncSim::run_iteration_faulted`].
+    /// See [`FuncSim::run_iteration`], plus [`Error::TileFailed`] and
+    /// [`Error::Watchdog`] from injected faults.
     pub fn run_iteration_traced<S: TraceSink>(
         &mut self,
         image: &[f32],
@@ -565,9 +554,11 @@ impl FuncSim {
             });
         }
         self.write_buffer(golden_loc, goldens)?;
-        let mut tracer = Tracer::disabled();
-        let mut reg = MetricsRegistry::new();
-        self.dispatch_all(&FaultPlan::none(), &mut tracer, &mut reg)
+        self.dispatch_all(
+            &FaultPlan::none(),
+            &mut Tracer::disabled(),
+            &mut MetricsRegistry::new(),
+        )
     }
 
     /// Runs forward propagation only (network evaluation): executes the FP

@@ -221,37 +221,40 @@ impl Machine {
     /// [`Error::ControlFault`] on fuel exhaustion or control-flow faults,
     /// and memory/tracker errors from instruction execution.
     pub fn run(&mut self, programs: &[Program], specs: &[TrackerSpec]) -> Result<RunStats> {
-        self.run_with_costs(programs, specs, &CycleCosts::default())
+        self.run_traced(
+            programs,
+            specs,
+            &CycleCosts::default(),
+            &FaultPlan::none(),
+            &mut Tracer::disabled(),
+            &mut MetricsRegistry::new(),
+        )
     }
 
-    /// Runs the given programs to completion, event-driven: trackers are
-    /// re-armed from `specs` (the host pre-arm; program MEMTRACK preambles
-    /// then re-execute as no-ops), every thread is seeded into the event
-    /// queue at cycle 0, and each executed instruction reschedules its
-    /// thread `costs.cost(inst)` cycles later. A thread whose operands
-    /// are not tracker-ready parks once and is re-dispatched only by the
-    /// tracker update that touches an awaited range.
+    /// Runs the given programs to completion, event-driven, under a
+    /// [`FaultPlan`] and with observability: trackers are re-armed from
+    /// `specs` (the host pre-arm; program MEMTRACK preambles then
+    /// re-execute as no-ops), every thread is seeded into the event queue
+    /// at cycle 0, and each executed instruction reschedules its thread
+    /// `costs.cost(inst)` cycles later. A thread whose operands are not
+    /// tracker-ready parks once and is re-dispatched only by the tracker
+    /// update that touches an awaited range.
     ///
-    /// # Errors
+    /// Every dispatch updates named counters in a per-run
+    /// [`MetricsRegistry`] (the single source the returned [`RunStats`] is
+    /// assembled from — merged into `reg` on success so retried attempts
+    /// never double-count), and `tracer` receives cycle-stamped events:
+    /// instruction-retire spans on per-tile tracks (their durations sum
+    /// exactly to the per-tile busy cycles), park/wake instants on
+    /// per-thread tracks, and fault instants on a `faults` track. With a
+    /// disabled tracer the event calls compile down to constant-false
+    /// branches; [`Machine::run`] delegates here with the empty plan and
+    /// a [`scaledeep_trace::NullSink`], so it is bit-identical to
+    /// pre-fault, pre-trace behavior by construction.
     ///
-    /// See [`Machine::run`].
-    pub fn run_with_costs(
-        &mut self,
-        programs: &[Program],
-        specs: &[TrackerSpec],
-        costs: &CycleCosts,
-    ) -> Result<RunStats> {
-        self.run_faulted(programs, specs, costs, &FaultPlan::none())
-    }
-
-    /// [`Machine::run_with_costs`] under a [`FaultPlan`]: scheduled
-    /// faults apply immediately before the first dispatch at or after
-    /// their cycle, and the plan's watchdog (if armed) bounds simulation
-    /// time. The fault-free entry points delegate here with the empty
-    /// plan, so an empty plan is bit-identical to pre-fault behavior by
-    /// construction.
-    ///
-    /// Fault semantics:
+    /// Scheduled faults apply immediately before the first dispatch at or
+    /// after their cycle, and the plan's watchdog (if armed) bounds
+    /// simulation time. Fault semantics:
     ///
     /// * [`FaultKind::TileFailure`] — the tile is marked dead; the next
     ///   instruction touching its scratchpad (or arming a tracker on it)
@@ -269,34 +272,6 @@ impl Machine {
     ///
     /// See [`Machine::run`], plus [`Error::TileFailed`] and
     /// [`Error::Watchdog`] as above.
-    pub fn run_faulted(
-        &mut self,
-        programs: &[Program],
-        specs: &[TrackerSpec],
-        costs: &CycleCosts,
-        plan: &FaultPlan,
-    ) -> Result<RunStats> {
-        let mut tracer = Tracer::disabled();
-        let mut reg = MetricsRegistry::new();
-        self.run_traced(programs, specs, costs, plan, &mut tracer, &mut reg)
-    }
-
-    /// [`Machine::run_faulted`] with observability: every dispatch updates
-    /// named counters in a per-run [`MetricsRegistry`] (the single source
-    /// the returned [`RunStats`] is assembled from — merged into `reg` on
-    /// success so retried attempts never double-count), and `tracer`
-    /// receives cycle-stamped events: instruction-retire spans on
-    /// per-tile tracks (their durations sum exactly to the per-tile busy
-    /// cycles), park/wake instants on per-thread tracks, and fault
-    /// instants on a `faults` track. With a disabled tracer the event
-    /// calls compile down to constant-false branches; the fault-free,
-    /// untraced entry points delegate here, so an empty plan plus a
-    /// [`scaledeep_trace::NullSink`] is bit-identical to pre-trace
-    /// behavior by construction.
-    ///
-    /// # Errors
-    ///
-    /// See [`Machine::run_faulted`].
     pub fn run_traced<S: TraceSink>(
         &mut self,
         programs: &[Program],
@@ -325,15 +300,13 @@ impl Machine {
         programs: &[LoweredProgram],
         specs: &[TrackerSpec],
     ) -> Result<RunStats> {
-        let mut tracer = Tracer::disabled();
-        let mut reg = MetricsRegistry::new();
         self.run_lowered_traced(
             programs,
             specs,
             &CycleCosts::default(),
             &FaultPlan::none(),
-            &mut tracer,
-            &mut reg,
+            &mut Tracer::disabled(),
+            &mut MetricsRegistry::new(),
         )
     }
 
@@ -343,7 +316,7 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// See [`Machine::run_faulted`].
+    /// See [`Machine::run_traced`].
     pub fn run_lowered_traced<S: TraceSink>(
         &mut self,
         programs: &[LoweredProgram],
@@ -1386,9 +1359,20 @@ mod tests {
         )
     }
 
+    /// An unobserved run under `plan` with the default cost table.
+    fn run_plan(
+        m: &mut Machine,
+        programs: &[Program],
+        specs: &[TrackerSpec],
+        plan: &FaultPlan,
+    ) -> Result<RunStats> {
+        let (mut tracer, mut reg) = (Tracer::disabled(), MetricsRegistry::new());
+        let costs = CycleCosts::default();
+        m.run_traced(programs, specs, &costs, plan, &mut tracer, &mut reg)
+    }
+
     #[test]
     fn empty_plan_matches_fault_free_run_exactly() {
-        let costs = CycleCosts::default();
         let mk = || {
             let mut m = Machine::new(1, 16);
             m.mem_mut(0)[0] = 3.0;
@@ -1397,9 +1381,13 @@ mod tests {
         let mut plain = mk();
         let a = plain.run(&[copy_prog("t", 0, 1)], &[]).unwrap();
         let mut faulted = mk();
-        let b = faulted
-            .run_faulted(&[copy_prog("t", 0, 1)], &[], &costs, &FaultPlan::none())
-            .unwrap();
+        let b = run_plan(
+            &mut faulted,
+            &[copy_prog("t", 0, 1)],
+            &[],
+            &FaultPlan::none(),
+        )
+        .unwrap();
         assert_eq!(a, b, "stats must be bit-identical");
         assert_eq!(plain.mem(0), faulted.mem(0), "memory image identical");
         assert_eq!(b.faults, 0);
@@ -1407,7 +1395,6 @@ mod tests {
 
     #[test]
     fn bit_flip_corrupts_exactly_one_bit() {
-        let costs = CycleCosts::default();
         let mut m = Machine::new(1, 16);
         m.mem_mut(0)[5] = 1.0;
         // Flip the top mantissa bit of M0:5 before the first dispatch.
@@ -1419,9 +1406,7 @@ mod tests {
                 bit: 22,
             },
         );
-        let stats = m
-            .run_faulted(&[copy_prog("t", 5, 6)], &[], &costs, &plan)
-            .unwrap();
+        let stats = run_plan(&mut m, &[copy_prog("t", 5, 6)], &[], &plan).unwrap();
         assert_eq!(stats.faults, 1);
         let expected = f32::from_bits(1.0f32.to_bits() ^ (1 << 22));
         assert_eq!(m.mem(0)[5], expected);
@@ -1430,12 +1415,9 @@ mod tests {
 
     #[test]
     fn tile_failure_faults_the_next_access() {
-        let costs = CycleCosts::default();
         let mut m = Machine::new(2, 16);
         let plan = FaultPlan::none().with_fault(0, FaultKind::TileFailure { tile: 0 });
-        let err = m
-            .run_faulted(&[copy_prog("t", 0, 1)], &[], &costs, &plan)
-            .unwrap_err();
+        let err = run_plan(&mut m, &[copy_prog("t", 0, 1)], &[], &plan).unwrap_err();
         match err {
             Error::TileFailed { program, tile, .. } => {
                 assert_eq!(program, "t");
@@ -1450,7 +1432,6 @@ mod tests {
         // Producer satisfies the tracker, but the wake broadcast is lost:
         // the parked consumer never reruns and the drain reports deadlock
         // even though the data is actually ready.
-        let costs = CycleCosts::default();
         let mut m = Machine::new(1, 16);
         m.mem_mut(0)[4] = 9.0;
         let producer = prog(
@@ -1474,9 +1455,7 @@ mod tests {
             num_reads: 1,
         }];
         let plan = FaultPlan::none().with_fault(0, FaultKind::DroppedWakeup { tile: 0 });
-        let err = m
-            .run_faulted(&[consumer, producer], &specs, &costs, &plan)
-            .unwrap_err();
+        let err = run_plan(&mut m, &[consumer, producer], &specs, &plan).unwrap_err();
         match err {
             Error::Deadlock { stuck, .. } => {
                 assert_eq!(stuck.len(), 1);
@@ -1495,7 +1474,6 @@ mod tests {
     fn watchdog_converts_hang_into_typed_error() {
         // Same lost-wakeup hang, but the producer keeps spinning so the
         // queue never drains — only the watchdog terminates the run.
-        let costs = CycleCosts::default();
         let mut m = Machine::new(1, 16);
         let spinner = prog("spinner", vec![Inst::Branch { offset: -1 }]);
         let consumer = copy_prog("consumer", 0, 8);
@@ -1507,9 +1485,7 @@ mod tests {
             num_reads: 1,
         }];
         let plan = FaultPlan::none().with_watchdog(500);
-        let err = m
-            .run_faulted(&[consumer, spinner], &specs, &costs, &plan)
-            .unwrap_err();
+        let err = run_plan(&mut m, &[consumer, spinner], &specs, &plan).unwrap_err();
         match err {
             Error::Watchdog { stuck, at } => {
                 assert!(at > 500, "fires strictly past the budget, got {at}");

@@ -48,6 +48,7 @@ use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::func::{CycleCosts, Machine, RunStats};
 use scaledeep_compiler::codegen::TrackerSpec;
 use scaledeep_isa::{Inst, Program, TileRef};
+use scaledeep_trace::{MetricsRegistry, Tracer};
 
 /// Union-find node index for one shareable resource: tile `t` maps to
 /// node `t`, external memory and all out-of-range tile references get
@@ -284,7 +285,7 @@ fn apply_leftover(machine: &mut Machine, e: &FaultEvent) {
     }
 }
 
-/// [`Machine::run_faulted`] split across `shards` OS threads by tile
+/// [`Machine::run_traced`] split across `shards` OS threads by tile
 /// connectivity — the functional half of the `par` subsystem.
 ///
 /// On success, `machine`'s scratchpads and external memory hold the
@@ -300,7 +301,7 @@ fn apply_leftover(machine: &mut Machine, e: &FaultEvent) {
 ///
 /// # Errors
 ///
-/// See [`Machine::run_faulted`]; the first failing shard (by index)
+/// See [`Machine::run_traced`]; the first failing shard (by index)
 /// wins, and a run whose shards together exceed the fuel budget fails
 /// with the sequential engine's fuel [`Error::ControlFault`].
 pub fn run_func_sharded(
@@ -311,8 +312,13 @@ pub fn run_func_sharded(
     plan: &FaultPlan,
     shards: usize,
 ) -> Result<RunStats> {
+    // The whole run, or one shard of it, on one unobserved machine.
+    let run = |m: &mut Machine, programs: &[Program], specs: &[TrackerSpec], plan: &FaultPlan| {
+        let (mut tracer, mut reg) = (Tracer::disabled(), MetricsRegistry::new());
+        m.run_traced(programs, specs, costs, plan, &mut tracer, &mut reg)
+    };
     if programs.is_empty() {
-        return machine.run_faulted(programs, specs, costs, plan);
+        return run(machine, programs, specs, plan);
     }
     let part = partition(machine, programs, specs, plan, shards);
     let plan_events = plan.events();
@@ -334,7 +340,7 @@ pub fn run_func_sharded(
             .map(|(progs, specs, plan)| {
                 let mut fork = machine.fork();
                 scope.spawn(move || {
-                    let stats = fork.run_faulted(progs, specs, costs, plan)?;
+                    let stats = run(&mut fork, progs, specs, plan)?;
                     Ok((fork, stats))
                 })
             })
@@ -413,6 +419,18 @@ mod tests {
     use super::*;
     use scaledeep_isa::MemRef;
 
+    /// The sequential oracle: one unobserved machine run.
+    fn sequential(
+        m: &mut Machine,
+        programs: &[Program],
+        specs: &[TrackerSpec],
+        costs: &CycleCosts,
+        plan: &FaultPlan,
+    ) -> Result<RunStats> {
+        let (mut tracer, mut reg) = (Tracer::disabled(), MetricsRegistry::new());
+        m.run_traced(programs, specs, costs, plan, &mut tracer, &mut reg)
+    }
+
     /// `count` disjoint producer/consumer pairs: pair `i` lives on tiles
     /// `2i` / `2i+1`, so the machine splits into `count` components.
     fn pair_workload(count: usize) -> (Vec<Program>, Vec<TrackerSpec>) {
@@ -490,9 +508,7 @@ mod tests {
         let (programs, specs) = pair_workload(6);
         let costs = CycleCosts::default();
         let mut seq = seeded_machine(12);
-        let want = seq
-            .run_faulted(&programs, &specs, &costs, &FaultPlan::none())
-            .unwrap();
+        let want = sequential(&mut seq, &programs, &specs, &costs, &FaultPlan::none()).unwrap();
         for shards in [1, 2, 4, 8] {
             let mut m = seeded_machine(12);
             let got = run_func_sharded(
@@ -543,7 +559,7 @@ mod tests {
                 },
             );
         let mut seq = seeded_machine(12);
-        let want = seq.run_faulted(&programs, &specs, &costs, &plan).unwrap();
+        let want = sequential(&mut seq, &programs, &specs, &costs, &plan).unwrap();
         assert_eq!(want.faults, 2, "the far-future flip never applies");
         for shards in [1, 2, 3] {
             let mut m = seeded_machine(12);
@@ -559,7 +575,7 @@ mod tests {
         let costs = CycleCosts::default();
         let plan = FaultPlan::none().with_fault(0, FaultKind::TileFailure { tile: 2 });
         let mut seq = seeded_machine(6);
-        assert!(seq.run_faulted(&programs, &specs, &costs, &plan).is_err());
+        assert!(sequential(&mut seq, &programs, &specs, &costs, &plan).is_err());
         let mut m = seeded_machine(6);
         assert!(run_func_sharded(&mut m, &programs, &specs, &costs, &plan, 3).is_err());
     }
@@ -588,9 +604,7 @@ mod tests {
         ));
         let costs = CycleCosts::default();
         let mut seq = seeded_machine(4);
-        let want = seq
-            .run_faulted(&programs, &[], &costs, &FaultPlan::none())
-            .unwrap();
+        let want = sequential(&mut seq, &programs, &[], &costs, &FaultPlan::none()).unwrap();
         let mut m = seeded_machine(4);
         let got = run_func_sharded(&mut m, &programs, &[], &costs, &FaultPlan::none(), 2).unwrap();
         assert_eq!(got, want);
@@ -605,9 +619,7 @@ mod tests {
         let costs = CycleCosts::default();
         let mut seq = seeded_machine(8);
         seq.set_fuel(5);
-        assert!(seq
-            .run_faulted(&programs, &specs, &costs, &FaultPlan::none())
-            .is_err());
+        assert!(sequential(&mut seq, &programs, &specs, &costs, &FaultPlan::none()).is_err());
         let mut m = seeded_machine(8);
         m.set_fuel(5);
         assert!(
@@ -644,9 +656,7 @@ mod tests {
         let costs = CycleCosts::default();
         let mut seq = seeded_machine(2);
         seq.set_ext_capacity(16);
-        let want = seq
-            .run_faulted(&programs, &[], &costs, &FaultPlan::none())
-            .unwrap();
+        let want = sequential(&mut seq, &programs, &[], &costs, &FaultPlan::none()).unwrap();
         let mut m = seeded_machine(2);
         m.set_ext_capacity(16);
         let got = run_func_sharded(&mut m, &programs, &[], &costs, &FaultPlan::none(), 2).unwrap();

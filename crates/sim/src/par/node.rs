@@ -218,7 +218,7 @@ enum NodeEvent {
 /// The sequential bit-identity oracle: all replicas interleave on one
 /// global event queue, exactly the single-heap shape of the classic
 /// engine. With `replicas == 1` it reproduces the classic
-/// [`run_pipeline_faulted`](crate::perf::run_pipeline_faulted) pipeline
+/// [`run_pipeline_traced`](crate::perf::run_pipeline_traced) pipeline
 /// dynamics on the same salts.
 ///
 /// # Panics
@@ -417,8 +417,9 @@ pub fn run_node_sharded(model: &NodeModel, shards: usize) -> NodeOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perf::run_pipeline_faulted;
+    use crate::perf::run_pipeline_traced;
     use scaledeep_dnn::LayerId;
+    use scaledeep_trace::{MetricsRegistry, Tracer};
 
     fn stage(cycles: u64) -> StageCost {
         StageCost {
@@ -510,7 +511,7 @@ mod tests {
         // same salts: window and fault stats line up exactly.
         let m = model(1, true, Some(faults()));
         let node = run_node_sequential(&m);
-        let (window, _, _, faults) = run_pipeline_faulted(
+        let (window, _, _, faults) = run_pipeline_traced(
             &m.stages,
             m.images,
             m.minibatch,
@@ -518,6 +519,8 @@ mod tests {
             true,
             m.seed,
             m.link.as_ref(),
+            &mut Tracer::disabled(),
+            &mut MetricsRegistry::new(),
         );
         assert_eq!(node.window, window);
         assert_eq!(node.faults, faults);

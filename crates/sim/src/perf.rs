@@ -31,7 +31,7 @@ pub(crate) mod replica;
 mod stage;
 
 pub use metrics::{FaultStats, LinkUtilization, PerfResult, StageStat};
-pub use pipeline::{run_pipeline, run_pipeline_faulted, run_pipeline_traced};
+pub use pipeline::{run_pipeline, run_pipeline_traced};
 pub use stage::{RunKind, StageCost};
 
 use crate::error::Result;
@@ -161,32 +161,27 @@ impl PerfSim {
 
     /// Simulates an already-mapped network.
     pub fn run_mapped(&self, mapping: &Mapping, kind: RunKind) -> PerfResult {
-        self.run_mapped_faulted(mapping, kind, &FaultPlan::none())
+        self.run_mapped_traced(
+            mapping,
+            kind,
+            &FaultPlan::none(),
+            &mut Tracer::disabled(),
+            &mut MetricsRegistry::new(),
+        )
     }
 
-    /// Simulates an already-mapped network under a [`FaultPlan`]: the
-    /// plan's [`LinkFaults`](crate::fault::LinkFaults) model charges
-    /// retry/back-off latency on stage hand-offs and minibatch syncs, and
-    /// the result's [`PerfResult::faults`] reports the toll. The empty
-    /// plan is bit-identical to [`PerfSim::run_mapped`].
-    pub fn run_mapped_faulted(
-        &self,
-        mapping: &Mapping,
-        kind: RunKind,
-        plan: &FaultPlan,
-    ) -> PerfResult {
-        let mut tracer = Tracer::disabled();
-        let mut reg = MetricsRegistry::new();
-        self.run_mapped_traced(mapping, kind, plan, &mut tracer, &mut reg)
-    }
-
-    /// [`PerfSim::run_mapped_faulted`] with observability: the pipeline
-    /// emits stage-occupancy spans, sync spans, and retry instants into
-    /// `tracer`, and every assembled scalar (utilizations, link
-    /// utilizations, throughput, power efficiency) plus the pipeline's
-    /// counters land in `reg` — the returned [`PerfResult`] is populated
-    /// from the registry. The untraced entry points delegate here with a
-    /// disabled tracer and a throwaway registry.
+    /// Simulates an already-mapped network under a [`FaultPlan`] and with
+    /// observability. The plan's [`LinkFaults`](crate::fault::LinkFaults)
+    /// model charges retry/back-off latency on stage hand-offs and
+    /// minibatch syncs, and the result's [`PerfResult::faults`] reports
+    /// the toll; the empty plan is bit-identical to
+    /// [`PerfSim::run_mapped`]. The pipeline emits stage-occupancy spans,
+    /// sync spans, and retry instants into `tracer`, and every assembled
+    /// scalar (utilizations, link utilizations, throughput, power
+    /// efficiency) plus the pipeline's counters land in `reg` — the
+    /// returned [`PerfResult`] is populated from the registry. The
+    /// untraced entry points delegate here with a disabled tracer and a
+    /// throwaway registry.
     pub fn run_mapped_traced<S: TraceSink>(
         &self,
         mapping: &Mapping,
@@ -214,7 +209,7 @@ impl PerfSim {
     /// and sync latency the single-replica engine simulates, replicated
     /// over every concurrent pipeline the mapping runs node-wide. The
     /// plan's seed and link-fault model carry over, so the `par` engines
-    /// reproduce [`PerfSim::run_mapped_faulted`]'s replica-0 dynamics
+    /// reproduce [`PerfSim::run_mapped_traced`]'s replica-0 dynamics
     /// salt for salt.
     pub fn node_model(
         &self,

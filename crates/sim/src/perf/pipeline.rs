@@ -39,58 +39,38 @@ pub fn run_pipeline(
     sync: Cycle,
     barrier: bool,
 ) -> (Cycle, usize, Vec<f64>) {
-    let (window, done, util, _) =
-        run_pipeline_faulted(stages, images, minibatch, sync, barrier, 0, None);
-    (window, done, util)
-}
-
-/// [`run_pipeline`] with a transient link-fault model: every stage
-/// hand-off (the grid/spoke transfer admitting an image into a stage) and
-/// every minibatch sync (wheel arcs + ring) independently suffers
-/// [`LinkFaults`]-drawn retries, each adding its exponential back-off to
-/// the transfer's completion time. Draws are keyed on
-/// `(seed, stage, image)` / `(seed, sync index)` — order-independent, so
-/// the same plan replays identically. `link: None` (the empty plan) takes
-/// the exact same code path with zero added latency.
-///
-/// The extra tuple element reports the retries and the total cycles they
-/// cost.
-///
-/// # Panics
-///
-/// Panics when `stages` is empty or `images == 0`.
-pub fn run_pipeline_faulted(
-    stages: &[StageCost],
-    images: usize,
-    minibatch: usize,
-    sync: Cycle,
-    barrier: bool,
-    seed: u64,
-    link: Option<&LinkFaults>,
-) -> (Cycle, usize, Vec<f64>, FaultStats) {
-    let mut tracer = Tracer::disabled();
-    let mut reg = MetricsRegistry::new();
-    run_pipeline_traced(
+    let (window, done, util, _) = run_pipeline_traced(
         stages,
         images,
         minibatch,
         sync,
         barrier,
-        seed,
-        link,
-        &mut tracer,
-        &mut reg,
-    )
+        0,
+        None,
+        &mut Tracer::disabled(),
+        &mut MetricsRegistry::new(),
+    );
+    (window, done, util)
 }
 
-/// [`run_pipeline_faulted`] with observability: every stage admission
-/// emits an occupancy span on that stage's track (span start/duration are
-/// the image's admission/service interval, so per-track timestamps are
-/// monotone by construction), minibatch syncs emit spans on a `sync`
-/// track, and link retries emit instants on a `link retries` track. All
-/// counters (per-stage busy cycles, sync cycles, retry counts/cycles,
-/// completions, and a per-visit stage-occupancy histogram)
-/// live in a per-run [`MetricsRegistry`] — the returned utilizations and
+/// [`run_pipeline`] with a transient link-fault model and observability.
+/// Every stage hand-off (the grid/spoke transfer admitting an image into a
+/// stage) and every minibatch sync (wheel arcs + ring) independently
+/// suffers [`LinkFaults`]-drawn retries, each adding its exponential
+/// back-off to the transfer's completion time. Draws are keyed on
+/// `(seed, stage, image)` / `(seed, sync index)` — order-independent, so
+/// the same plan replays identically. `link: None` (the empty plan) takes
+/// the exact same code path with zero added latency. The extra tuple
+/// element reports the retries and the total cycles they cost.
+///
+/// Every stage admission emits an occupancy span on that stage's track
+/// (span start/duration are the image's admission/service interval, so
+/// per-track timestamps are monotone by construction), minibatch syncs
+/// emit spans on a `sync` track, and link retries emit instants on a
+/// `link retries` track. All counters (per-stage busy cycles, sync
+/// cycles, retry counts/cycles, completions, and a per-visit
+/// stage-occupancy histogram) live in a per-run [`MetricsRegistry`] —
+/// the returned utilizations and
 /// [`FaultStats`] are read back out of it, and it is merged into `reg` at
 /// the end. A disabled tracer takes the identical timing path.
 ///
@@ -372,15 +352,17 @@ mod tests {
 
     #[test]
     fn empty_plan_path_is_identical_to_fault_free() {
+        let (mut t, mut r) = (Tracer::disabled(), MetricsRegistry::new());
         let stages = vec![stage(10), stage(30)];
         let plain = run_pipeline(&stages, 32, 8, 100, true);
-        let (w, d, u, f) = run_pipeline_faulted(&stages, 32, 8, 100, true, 7, None);
+        let (w, d, u, f) = run_pipeline_traced(&stages, 32, 8, 100, true, 7, None, &mut t, &mut r);
         assert_eq!(plain, (w, d, u));
         assert_eq!(f, FaultStats::default());
     }
 
     #[test]
     fn single_link_retry_latency_is_accounted_exactly() {
+        let (mut t, mut r) = (Tracer::disabled(), MetricsRegistry::new());
         // prob = 1.0 forces every transfer to exhaust its retry budget, so
         // the latency toll is fully predictable: every transfer of every
         // image (and every sync) pays base * (2^retries - 1).
@@ -393,9 +375,11 @@ mod tests {
         assert_eq!(per_transfer, 5);
         let stages = vec![stage(10)];
         let images = 4;
-        let (w_free, d, _, _) = run_pipeline_faulted(&stages, images, images, 0, false, 3, None);
+        let (w_free, d, _, _) =
+            run_pipeline_traced(&stages, images, images, 0, false, 3, None, &mut t, &mut r);
+        let link = Some(&lf);
         let (w_faulty, d2, _, f) =
-            run_pipeline_faulted(&stages, images, images, 0, false, 3, Some(&lf));
+            run_pipeline_traced(&stages, images, images, 0, false, 3, link, &mut t, &mut r);
         assert_eq!(d, d2);
         assert_eq!(f.link_retries, images as u64);
         assert_eq!(f.retry_cycles, per_transfer * images as u64);
@@ -406,16 +390,17 @@ mod tests {
 
     #[test]
     fn link_faults_slow_the_pipeline_deterministically() {
+        let (mut t, mut r) = (Tracer::disabled(), MetricsRegistry::new());
         let lf = LinkFaults {
             prob: 0.3,
             base_backoff: 8,
             max_retries: 4,
         };
         let stages = vec![stage(10), stage(25), stage(15)];
-        let a = run_pipeline_faulted(&stages, 48, 8, 200, true, 11, Some(&lf));
-        let b = run_pipeline_faulted(&stages, 48, 8, 200, true, 11, Some(&lf));
+        let a = run_pipeline_traced(&stages, 48, 8, 200, true, 11, Some(&lf), &mut t, &mut r);
+        let b = run_pipeline_traced(&stages, 48, 8, 200, true, 11, Some(&lf), &mut t, &mut r);
         assert_eq!(a, b, "same seed replays identically");
-        let (w_free, ..) = run_pipeline_faulted(&stages, 48, 8, 200, true, 11, None);
+        let (w_free, ..) = run_pipeline_traced(&stages, 48, 8, 200, true, 11, None, &mut t, &mut r);
         assert!(a.0 > w_free, "retries must cost wall-clock");
         assert!(a.3.link_retries > 0);
     }

@@ -29,6 +29,7 @@ use scaledeep_sim::fault::{FaultKind, FaultPlan, LinkFaults};
 use scaledeep_sim::func::{CycleCosts, Machine};
 use scaledeep_sim::par::{run_func_sharded, run_node_sequential, run_node_sharded, NodeModel};
 use scaledeep_sim::perf::StageCost;
+use scaledeep_trace::{MetricsRegistry, Tracer};
 
 const CAPACITY: u32 = 256;
 const EXT_CAPACITY: usize = 128;
@@ -262,7 +263,7 @@ proptest! {
         let costs = CycleCosts::default();
 
         let mut seq = seeded_machine(seed, tiles);
-        let want = seq.run_faulted(&programs, &specs, &costs, &plan);
+        let want = seq.run_traced(&programs, &specs, &costs, &plan, &mut Tracer::disabled(), &mut MetricsRegistry::new());
 
         for shards in [1usize, 2, 4, 8] {
             let mut m = seeded_machine(seed, tiles);

@@ -176,12 +176,13 @@ fn write_escaped(out: &mut String, s: &str) {
 ///
 /// # Errors
 ///
-/// Returns a byte-offset-annotated message on malformed input or trailing
-/// garbage.
+/// Returns a byte-offset-annotated message on malformed input, trailing
+/// garbage, or arrays/objects nested deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -192,9 +193,16 @@ pub fn parse(text: &str) -> Result<Json, String> {
     Ok(v)
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so the bound keeps hostile input (a wire line
+/// or artifact file of a million `[`) from overflowing the thread's stack;
+/// every document the system writes nests at most 6 levels.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -236,8 +244,22 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
@@ -391,6 +413,37 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_overflowing_the_stack() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        // A million unclosed brackets on a default-sized thread stack.
+        let hostile = "[".repeat(1_000_000);
+        let parsed = std::thread::spawn(move || parse(&hostile).is_err())
+            .join()
+            .expect("parse must not abort the thread");
+        assert!(parsed);
+    }
+
+    #[test]
+    fn committed_bench_documents_parse() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut parsed = 0;
+        for entry in std::fs::read_dir(root).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name.starts_with("BENCH_") && name.ends_with(".json") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+                parsed += 1;
+            }
+        }
+        assert!(parsed >= 5, "found only {parsed} BENCH documents");
     }
 
     #[test]

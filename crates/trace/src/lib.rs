@@ -31,12 +31,15 @@
 //!   histograms with a sorted text report; simulators register metrics
 //!   once, update via [`MetricId`] handles in hot loops, and merge
 //!   registries upward.
+//! - **Hashing** ([`fnv1a`]): the FNV-1a-64 content hash behind every
+//!   provenance key, design fingerprint and stream digest.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod csv;
 pub mod event;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod perfetto;
@@ -45,6 +48,7 @@ pub mod sink;
 
 pub use csv::{busy_cycles_per_track, cycle_csv, utilization_heatmap};
 pub use event::{Category, CategoryMask, Cycle, Event, Payload, TrackId, TrackTable};
+pub use hash::{fnv1a, FNV1A_OFFSET};
 pub use metrics::{Hist, MetricId, MetricsRegistry, Value};
 pub use perfetto::{chrome_trace, validate_chrome_trace, TraceSummary};
 pub use progress::{

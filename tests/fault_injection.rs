@@ -10,16 +10,17 @@
 //!   reference executor's outputs, errors, and gradients.
 
 use proptest::prelude::*;
-use scaledeep::Session;
+use scaledeep::{Observer, Session};
 use scaledeep_arch::presets;
 use scaledeep_compiler::codegen::{CompiledNetwork, FuncTargetOptions, LayerBuffers};
 use scaledeep_compiler::{pipeline, CompileOptions, FailedTiles};
 use scaledeep_dnn::{Activation, Conv, Fc, FeatureShape, Network, NetworkBuilder};
 use scaledeep_sim::fault::{FaultKind, FaultPlan, LinkFaults};
-use scaledeep_sim::func::FuncSim;
+use scaledeep_sim::func::{FuncSim, RunStats};
 use scaledeep_sim::perf::RunKind;
 use scaledeep_sim::Error;
 use scaledeep_tensor::{Executor, Tensor};
+use scaledeep_trace::{MetricsRegistry, Tracer};
 
 /// Functional compile through the phase pipeline (healthy layout).
 fn compile_functional(
@@ -122,6 +123,17 @@ fn buffer_locs(b: &LayerBuffers) -> Vec<scaledeep_compiler::codegen::BufferLoc> 
     .collect()
 }
 
+/// One unobserved functional iteration under `plan`.
+fn iterate(
+    sim: &mut FuncSim,
+    image: &[f32],
+    golden: &[f32],
+    plan: &FaultPlan,
+) -> Result<RunStats, Error> {
+    let (mut tracer, mut reg) = (Tracer::disabled(), MetricsRegistry::new());
+    sim.run_iteration_traced(image, golden, plan, &mut tracer, &mut reg)
+}
+
 // ---------- empty-plan bit-identity ----------
 
 proptest! {
@@ -147,9 +159,7 @@ proptest! {
 
         let mut faulted = FuncSim::new(&net, &compiled).unwrap();
         faulted.import_params(&reference).unwrap();
-        let faulted_stats = faulted
-            .run_iteration_faulted(&image, &golden, &FaultPlan::none())
-            .unwrap();
+        let faulted_stats = iterate(&mut faulted, &image, &golden, &FaultPlan::none()).unwrap();
 
         prop_assert_eq!(clean_stats, faulted_stats);
         for layer in &compiled.buffers {
@@ -174,7 +184,8 @@ proptest! {
         let session = Session::single_precision();
         let mapping = session.compile(&net).unwrap();
         let clean = session.run_mapped(&mapping, RunKind::Training);
-        let faulted = session.run_mapped_faulted(&mapping, RunKind::Training, &FaultPlan::none());
+        let plan = FaultPlan::none();
+        let faulted = session.run_mapped_with(&mapping, RunKind::Training, &plan, Observer::Off).value;
         prop_assert_eq!(clean, faulted);
     }
 }
@@ -198,9 +209,7 @@ fn watchdog_bounds_an_induced_hang() {
     let plan = FaultPlan::seeded(1).with_watchdog(budget);
     let mut sim = FuncSim::new(&net, &compiled).unwrap();
     sim.import_params(&reference).unwrap();
-    let err = sim
-        .run_iteration_faulted(&image, &golden, &plan)
-        .unwrap_err();
+    let err = iterate(&mut sim, &image, &golden, &plan).unwrap_err();
     match err {
         Error::Watchdog { stuck, at } => {
             assert!(at > budget, "fires strictly past the budget");
@@ -234,7 +243,7 @@ fn dropped_wakeup_hang_is_caught_by_the_watchdog() {
     }
     let mut sim = FuncSim::new(&net, &compiled).unwrap();
     sim.import_params(&reference).unwrap();
-    match sim.run_iteration_faulted(&image, &golden, &plan) {
+    match iterate(&mut sim, &image, &golden, &plan) {
         Err(Error::Watchdog { at, .. }) => assert!(at <= clean_cycles * 2 + 1),
         Err(Error::Deadlock { stuck, .. }) => assert!(!stuck.is_empty()),
         other => panic!("expected watchdog or deadlock, got {other:?}"),
@@ -258,7 +267,9 @@ fn link_retry_latency_is_accounted_exactly() {
         base_backoff,
         max_retries: 1,
     });
-    let faulted = session.run_mapped_faulted(&mapping, RunKind::Training, &plan);
+    let faulted = session
+        .run_mapped_with(&mapping, RunKind::Training, &plan, Observer::Off)
+        .value;
     assert!(faulted.faults.link_retries > 0);
     assert_eq!(
         faulted.faults.retry_cycles,

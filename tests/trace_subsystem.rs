@@ -3,11 +3,24 @@
 //! to exactly the stats' busy cycles), validator-clean Chrome traces,
 //! category filtering and sampling, and flight-recorder bounding.
 
-use scaledeep::{Session, TraceConfig};
+use scaledeep::{Observer, ResilientRun, Session, Trace, TraceConfig};
 use scaledeep_dnn::{zoo, Activation, Conv, Fc, FeatureShape, Network, NetworkBuilder};
 use scaledeep_sim::fault::FaultPlan;
 use scaledeep_sim::perf::RunKind;
 use scaledeep_trace::{validate_chrome_trace, Category, CategoryMask, Payload};
+
+/// A resilient run observed by a [`TraceConfig`] trace.
+fn resilient_traced(
+    s: &Session,
+    net: &Network,
+    plan: &FaultPlan,
+    cfg: &TraceConfig,
+) -> (ResilientRun, Trace) {
+    let run = s
+        .run_resilient_with(net, plan, Observer::Trace(*cfg))
+        .unwrap();
+    (run.value, run.trace.unwrap())
+}
 
 fn tiny_training_net() -> Network {
     let mut b = NetworkBuilder::new("traced", FeatureShape::new(1, 6, 6));
@@ -89,13 +102,12 @@ fn perf_trace_validates_and_spans_every_stage() {
 #[test]
 fn functional_busy_spans_sum_to_per_tile_stats() {
     let s = Session::single_precision();
-    let (run, trace) = s
-        .run_resilient_traced(
-            &tiny_training_net(),
-            &FaultPlan::none(),
-            &TraceConfig::default(),
-        )
-        .unwrap();
+    let (run, trace) = resilient_traced(
+        &s,
+        &tiny_training_net(),
+        &FaultPlan::none(),
+        &TraceConfig::default(),
+    );
     assert!(!run.retried);
     validate_chrome_trace(&trace.chrome_trace()).unwrap();
 
@@ -145,12 +157,8 @@ fn category_filter_drops_other_categories_without_changing_results() {
         filter: CategoryMask::just(Category::Instruction),
         ..TraceConfig::default()
     };
-    let (full_run, full) = s
-        .run_resilient_traced(&net, &FaultPlan::none(), &full_cfg)
-        .unwrap();
-    let (filtered_run, filtered) = s
-        .run_resilient_traced(&net, &FaultPlan::none(), &stage_only)
-        .unwrap();
+    let (full_run, full) = resilient_traced(&s, &net, &FaultPlan::none(), &full_cfg);
+    let (filtered_run, filtered) = resilient_traced(&s, &net, &FaultPlan::none(), &stage_only);
     assert_eq!(
         full_run.stats, filtered_run.stats,
         "filtering is observational"
@@ -175,16 +183,12 @@ fn category_filter_drops_other_categories_without_changing_results() {
 fn sampling_keeps_one_in_n_per_category() {
     let s = Session::single_precision();
     let net = tiny_training_net();
-    let (_, full) = s
-        .run_resilient_traced(&net, &FaultPlan::none(), &TraceConfig::default())
-        .unwrap();
+    let (_, full) = resilient_traced(&s, &net, &FaultPlan::none(), &TraceConfig::default());
     let sampled_cfg = TraceConfig {
         sample: 4,
         ..TraceConfig::default()
     };
-    let (_, sampled) = s
-        .run_resilient_traced(&net, &FaultPlan::none(), &sampled_cfg)
-        .unwrap();
+    let (_, sampled) = resilient_traced(&s, &net, &FaultPlan::none(), &sampled_cfg);
     let count = |events: &[scaledeep_trace::Event], cat: Category| {
         events
             .iter()
@@ -203,13 +207,12 @@ fn sampling_keeps_one_in_n_per_category() {
 #[test]
 fn flight_recorder_bounds_retention_and_counts_drops() {
     let s = Session::single_precision();
-    let (_, trace) = s
-        .run_resilient_traced(
-            &tiny_training_net(),
-            &FaultPlan::none(),
-            &TraceConfig::flight_recorder(16),
-        )
-        .unwrap();
+    let (_, trace) = resilient_traced(
+        &s,
+        &tiny_training_net(),
+        &FaultPlan::none(),
+        &TraceConfig::flight_recorder(16),
+    );
     assert_eq!(trace.events.len(), 16);
     assert!(trace.dropped > 0);
     // The retained tail is the *end* of the run: its last event must be
@@ -230,9 +233,7 @@ fn fault_events_appear_on_the_fault_track() {
             bit: 3,
         },
     );
-    let (run, trace) = s
-        .run_resilient_traced(&tiny_training_net(), &plan, &TraceConfig::default())
-        .unwrap();
+    let (run, trace) = resilient_traced(&s, &tiny_training_net(), &plan, &TraceConfig::default());
     assert!(run.stats.faults > 0);
     let faults: Vec<_> = trace
         .events
