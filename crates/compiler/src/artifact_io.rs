@@ -158,7 +158,13 @@ fn field<'j>(j: &'j Json, key: &str) -> Result<&'j Json> {
 }
 
 fn get_usize(j: &Json, key: &str) -> Result<usize> {
-    let n = field(j, key)?
+    index(field(j, key)?, key)
+}
+
+/// A JSON number that is an integer in `[0, 2^53)`: the range where
+/// `f64` holds every integer, and so every index this module writes.
+fn index(v: &Json, key: &str) -> Result<usize> {
+    let n = v
         .as_num()
         .ok_or_else(|| bad(format!("`{key}` is not a number")))?;
     if n.fract() != 0.0 || !(0.0..9.007_199_254_740_992e15).contains(&n) {
@@ -205,34 +211,34 @@ fn get_arr<'j>(j: &'j Json, key: &str) -> Result<&'j [Json]> {
 }
 
 fn usize_arr(j: &Json, key: &str) -> Result<Vec<usize>> {
-    get_arr(j, key)?
-        .iter()
-        .map(|v| {
-            let n = v
-                .as_num()
-                .ok_or_else(|| bad(format!("`{key}` holds a non-number")))?;
-            Ok(n as usize)
-        })
-        .collect()
+    get_arr(j, key)?.iter().map(|v| index(v, key)).collect()
 }
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
 fn hex_encode(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
     }
     out
 }
 
+/// Decodes byte pairs, never `str` slices: a non-ASCII character in a
+/// crafted file is a non-hex digit, not a slice across a char boundary.
 fn hex_decode(s: &str) -> Result<Vec<u8>> {
+    let s = s.as_bytes();
     if !s.len().is_multiple_of(2) {
         return Err(bad("odd-length hex program".into()));
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&s[i..i + 2], 16).map_err(|_| bad("non-hex program byte".into()))
-        })
+    let nibble = |d: u8| {
+        char::from(d)
+            .to_digit(16)
+            .ok_or_else(|| bad("non-hex program byte".into()))
+    };
+    s.chunks_exact(2)
+        .map(|pair| Ok((nibble(pair[0])? << 4 | nibble(pair[1])?) as u8))
         .collect()
 }
 
@@ -278,14 +284,9 @@ fn provenance_from_json(j: &Json) -> Result<Provenance> {
         other => return Err(bad(format!("unknown precision `{other}`"))),
     };
     let cols = usize_arr(j, "failed_cols")?;
-    let tiles: Vec<u16> = get_arr(j, "failed_func_tiles")?
-        .iter()
-        .map(|v| {
-            let n = v
-                .as_num()
-                .ok_or_else(|| bad("`failed_func_tiles` holds a non-number".into()))?;
-            u16::try_from(n as u64).map_err(|_| bad("failed func tile exceeds u16".into()))
-        })
+    let tiles: Vec<u16> = usize_arr(j, "failed_func_tiles")?
+        .into_iter()
+        .map(|n| u16::try_from(n).map_err(|_| bad("failed func tile exceeds u16".into())))
         .collect::<Result<_>>()?;
     let design = DesignPoint::from_json(field(j, "design")?)
         .map_err(|e| bad(format!("provenance design: {e}")))?;
@@ -419,10 +420,7 @@ fn plan_to_json(p: &LayerPlan) -> Json {
 fn plan_from_json(j: &Json) -> Result<LayerPlan> {
     let conv_kernel = match field(j, "conv_kernel")? {
         Json::Null => None,
-        v => Some(
-            v.as_num()
-                .ok_or_else(|| bad("`conv_kernel` is not a number".into()))? as usize,
-        ),
+        v => Some(index(v, "conv_kernel")?),
     };
     Ok(LayerPlan {
         id: LayerId::from_index(get_usize(j, "id")?),
@@ -718,18 +716,70 @@ mod tests {
 
     #[test]
     fn artifact_round_trips_through_disk() {
+        // alexnet-func's artifact is the largest in the zoo (~668 KB, most
+        // of it program hex): loading it must stay linear-time.
         let node = presets::single_precision();
-        let net = small_net();
-        let a = compile(&node, &net, &CompileOptions::default()).expect("compiles");
-        let dir = std::env::temp_dir().join("scaledeep-artifact-io-test");
+        let dir =
+            std::env::temp_dir().join(format!("scaledeep-artifact-io-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cnn-s.artifact.json");
-        save(&a, &path).expect("saves");
-        let b = load(&path).expect("loads");
-        std::fs::remove_file(&path).ok();
-        assert_eq!(a.mapping(), b.mapping());
-        assert_eq!(a.provenance(), b.provenance());
-        assert_eq!(a.lowered(), b.lowered());
+        for name in ["cnn-s", "alexnet-func"] {
+            let net = zoo::by_name(name).expect("zoo net");
+            let a = compile(&node, &net, &CompileOptions::default()).expect("compiles");
+            let path = dir.join(format!("{name}.artifact.json"));
+            save(&a, &path).expect("saves");
+            let text = std::fs::read_to_string(&path).unwrap();
+            let b = load(&path).expect("loads");
+            assert_eq!(a.mapping(), b.mapping());
+            assert_eq!(a.provenance(), b.provenance());
+            assert_eq!(a.lowered(), b.lowered());
+            // The reloaded artifact re-renders to the stored bytes.
+            assert_eq!(to_json(&b).render_pretty(), text, "{name}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The value at `key` of an object, for patching documents in place.
+    fn field_mut<'j>(j: &'j mut Json, key: &str) -> &'j mut Json {
+        match j {
+            Json::Obj(fields) => fields
+                .iter_mut()
+                .find_map(|(k, v)| (k == key).then_some(v))
+                .unwrap_or_else(|| panic!("document has no `{key}`")),
+            _ => panic!("`{key}`: not an object"),
+        }
+    }
+
+    #[test]
+    fn index_arrays_reject_non_indices() {
+        let node = presets::single_precision();
+        let a = compile(&node, &small_net(), &CompileOptions::default()).expect("compiles");
+        let doc = to_json(&a);
+        for (section, key) in [
+            ("mapping", "col_map"),
+            ("mapping", "failed_cols"),
+            ("provenance", "failed_cols"),
+            ("provenance", "failed_func_tiles"),
+        ] {
+            for n in [-1.0, 0.5, 1e300] {
+                let mut d = doc.clone();
+                *field_mut(field_mut(&mut d, section), key) = Json::Arr(vec![Json::Num(n)]);
+                let err = from_json(&d).expect_err("non-index must be rejected");
+                assert!(
+                    err.to_string().contains("is not a valid index"),
+                    "{section}.{key} = [{n}]: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hex_decode_rejects_without_panicking() {
+        assert_eq!(hex_decode("00ff7A").unwrap(), [0x00, 0xff, 0x7a]);
+        assert_eq!(hex_encode(&[0x00, 0xff, 0x7a]), "00ff7a");
+        // "aé0" is four bytes, so pairing by byte splits the `é`.
+        for bad in ["aé0", "é", "+a", "-1", "0x", "abc"] {
+            assert!(hex_decode(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]
@@ -806,13 +856,7 @@ mod tests {
         let net = small_net();
         let a = compile(&node, &net, &CompileOptions::default()).expect("compiles");
         let mut doc = to_json(&a);
-        if let Json::Obj(fields) = &mut doc {
-            for (k, v) in fields.iter_mut() {
-                if k == "format_version" {
-                    *v = Json::Num(999.0);
-                }
-            }
-        }
+        *field_mut(&mut doc, "format_version") = Json::Num(999.0);
         let err = from_json(&doc).expect_err("version 999 must be rejected");
         assert!(matches!(err, Error::Codegen { .. }), "{err:?}");
     }
@@ -827,24 +871,10 @@ mod tests {
         let net = small_net();
         let a = compile(&node, &net, &CompileOptions::default()).expect("compiles");
         let mut doc = to_json(&a);
-        let mut patched = false;
-        if let Json::Obj(fields) = &mut doc {
-            for (_, v) in fields.iter_mut().filter(|(k, _)| k == "provenance") {
-                if let Json::Obj(prov) = v {
-                    for (_, pv) in prov.iter_mut().filter(|(k, _)| k == "design") {
-                        if let Json::Obj(design) = pv {
-                            for (dk, dv) in design.iter_mut() {
-                                if dk == "clusters" {
-                                    *dv = Json::Num(2.0);
-                                    patched = true;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        assert!(patched, "document layout changed; test needs updating");
+        *field_mut(
+            field_mut(field_mut(&mut doc, "provenance"), "design"),
+            "clusters",
+        ) = Json::Num(2.0);
         let err = from_json(&doc).expect_err("tampered design must be rejected");
         assert!(
             err.to_string().contains("node_fingerprint"),

@@ -1467,50 +1467,64 @@ mod tests {
 
     #[test]
     fn corrupt_disk_artifact_is_quarantined_and_recompiled() {
-        let dir =
-            std::env::temp_dir().join(format!("scaledeep-corrupt-cache-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let net = zoo::alexnet_func();
+        // A torn write, and a crafted file whose first program's `hex`
+        // is four bytes of non-ASCII text (once a loader panic).
+        let corrupt = |label: &str, text: &str| match label {
+            "torn" => text[..text.len() / 3].to_string(),
+            _ => {
+                let start = text.find("\"hex\": \"").expect("artifact stores programs") + 8;
+                let end = start + text[start..].find('"').expect("closing quote");
+                format!("{}aé0{}", &text[..start], &text[end..])
+            }
+        };
+        for label in ["torn", "crafted-hex"] {
+            let dir = std::env::temp_dir().join(format!(
+                "scaledeep-corrupt-cache-{label}-{}",
+                std::process::id()
+            ));
+            std::fs::remove_dir_all(&dir).ok();
+            let net = zoo::alexnet_func();
 
-        // Seed the store with a valid artifact, then tear it.
-        let first = Session::single_precision().with_artifact_dir(&dir);
-        first.compile(&net).unwrap();
-        let stored: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|e| e == "json"))
-            .collect();
-        assert_eq!(stored.len(), 1);
-        let text = std::fs::read_to_string(&stored[0]).unwrap();
-        std::fs::write(&stored[0], &text[..text.len() / 3]).unwrap();
+            // Seed the store with a valid artifact, then corrupt it.
+            let first = Session::single_precision().with_artifact_dir(&dir);
+            first.compile(&net).unwrap();
+            let stored: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.extension().is_some_and(|e| e == "json"))
+                .collect();
+            assert_eq!(stored.len(), 1);
+            let text = std::fs::read_to_string(&stored[0]).unwrap();
+            std::fs::write(&stored[0], corrupt(label, &text)).unwrap();
 
-        // A fresh session must treat the torn file as a miss: quarantine
-        // it, count it, recompile, and republish a loadable artifact.
-        let second = Session::single_precision().with_artifact_dir(&dir);
-        second.compile(&net).unwrap();
-        let s = second.cache_stats();
-        assert_eq!(
-            (s.misses, s.disk_hits, s.corrupt),
-            (1, 0, 1),
-            "a torn artifact must recompile as a miss, got {s:?}"
-        );
-        let quarantined: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|e| e == "corrupt"))
-            .collect();
-        assert_eq!(quarantined.len(), 1, "torn file must be quarantined");
+            // A fresh session must treat the file as a miss: quarantine
+            // it, count it, recompile, and republish a loadable artifact.
+            let second = Session::single_precision().with_artifact_dir(&dir);
+            second.compile(&net).unwrap();
+            let s = second.cache_stats();
+            assert_eq!(
+                (s.misses, s.disk_hits, s.corrupt),
+                (1, 0, 1),
+                "a {label} artifact must recompile as a miss, got {s:?}"
+            );
+            let quarantined: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.to_string_lossy().ends_with(".json.corrupt"))
+                .collect();
+            assert_eq!(quarantined.len(), 1, "{label} file must be quarantined");
 
-        // The republished artifact serves the next session from disk.
-        let third = Session::single_precision().with_artifact_dir(&dir);
-        third.compile(&net).unwrap();
-        let s = third.cache_stats();
-        assert_eq!((s.misses, s.disk_hits, s.corrupt), (0, 1, 0));
+            // The republished artifact serves the next session from disk.
+            let third = Session::single_precision().with_artifact_dir(&dir);
+            third.compile(&net).unwrap();
+            let s = third.cache_stats();
+            assert_eq!((s.misses, s.disk_hits, s.corrupt), (0, 1, 0), "{label}");
 
-        let mut reg = MetricsRegistry::new();
-        second.record_cache_metrics(&mut reg);
-        assert_eq!(reg.counter_value("compile.cache.corrupt"), Some(1));
-        std::fs::remove_dir_all(&dir).ok();
+            let mut reg = MetricsRegistry::new();
+            second.record_cache_metrics(&mut reg);
+            assert_eq!(reg.counter_value("compile.cache.corrupt"), Some(1));
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

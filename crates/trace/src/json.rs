@@ -1,6 +1,24 @@
-//! A minimal recursive-descent JSON parser, used to validate exported
-//! Chrome traces without external dependencies. Not a general-purpose
-//! parser: numbers become `f64`, strings support the common escapes.
+//! The workspace's zero-dependency JSON layer: one value type ([`Json`]),
+//! a deterministic renderer ([`Json::render`], [`Json::render_pretty`])
+//! and a recursive-descent parser ([`parse`]).
+//!
+//! Every document the system writes or reads passes through it: exported
+//! Chrome traces, the on-disk artifact store, the serve wire protocol (one
+//! document per line) and the `BENCH_*.json` / `BENCH_dse-*.json` reports.
+//! Artifact files and wire lines arrive from outside the process, so the
+//! parser guarantees, for any input:
+//!
+//! * **linear time** — each input byte is examined a bounded number of
+//!   times; a string's runs of plain text are copied as whole slices, and
+//!   no step rescans the rest of the document, so a multi-megabyte
+//!   artifact or wire line costs time proportional to its length;
+//! * **bounded depth** — arrays/objects nested deeper than [`MAX_DEPTH`]
+//!   are an `Err`, never a stack overflow;
+//! * **no panic** — malformed input returns an `Err` naming a byte offset.
+//!
+//! Numbers become `f64` (callers that need every `u64` store decimal
+//! strings); strings accept every JSON escape, including UTF-16 surrogate
+//! pairs. Rendering is byte-stable: one value always yields the same text.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,14 +90,10 @@ impl Json {
     }
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_in) = match indent {
-            Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
-            None => ("", String::new(), String::new()),
-        };
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => out.push_str(&render_num(*n)),
+            Json::Num(n) => write_num(out, *n),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -91,12 +105,10 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
+                    newline(out, indent, depth + 1);
                     item.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
+                newline(out, indent, depth);
                 out.push(']');
             }
             Json::Obj(fields) => {
@@ -109,8 +121,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
+                    newline(out, indent, depth + 1);
                     write_escaped(out, k);
                     out.push(':');
                     if indent.is_some() {
@@ -118,8 +129,7 @@ impl Json {
                     }
                     v.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
+                newline(out, indent, depth);
                 out.push('}');
             }
         }
@@ -136,43 +146,70 @@ pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     )
 }
 
-/// Formats a number the way [`Json::render`] does: integral `f64`s in
+/// Pretty mode only: ends the line and indents to nesting level `depth`.
+fn newline(out: &mut String, indent: Option<usize>, depth: usize) {
+    if let Some(w) = indent {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', w * depth));
+    }
+}
+
+/// Writes a number the way [`Json::render`] does: integral `f64`s in
 /// the exactly-representable range print without a fractional part,
 /// everything else via shortest-round-trip `{:?}`; non-finite → `null`.
-fn render_num(n: f64) -> String {
+fn write_num(out: &mut String, n: f64) {
+    use std::fmt::Write;
     if !n.is_finite() {
-        return "null".to_string();
+        out.push_str("null");
+        return;
     }
     // 2^53: the largest range where every integer is exactly
     // representable, so printing without a fraction loses nothing.
-    if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
-        format!("{}", n as i64)
+    // Formatting into a `String` cannot fail.
+    let _ = if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
+        write!(out, "{}", n as i64)
     } else {
-        format!("{n:?}")
-    }
+        write!(out, "{n:?}")
+    };
 }
 
+/// Writes `s` as a quoted JSON string. Only ASCII bytes are ever escaped
+/// and each is a whole UTF-8 scalar, so the text between two of them is
+/// pushed as one slice.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = std::fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0..0x20 => "", // the other controls: `\u00XX` below
+            _ => continue,
+        };
+        out.push_str(&s[plain..i]);
+        if esc.is_empty() {
+            let _ = std::fmt::Write::write_fmt(out, format_args!("\\u{b:04x}"));
+        } else {
+            out.push_str(esc);
         }
+        plain = i + 1;
     }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
-/// Parses `text` into a [`Json`] value.
+/// Parses `text` into a [`Json`] value, in time linear in its length.
+///
+/// A `\uXXXX` escape takes exactly four hex digits. A high surrogate
+/// escape followed by a low surrogate escape decodes to the one
+/// supplementary-plane character they encode (`"\ud83d\ude00"` is 😀);
+/// a surrogate escape without its partner, which no `String` can hold,
+/// decodes to U+FFFD REPLACEMENT CHARACTER.
 ///
 /// # Errors
 ///
@@ -180,6 +217,7 @@ fn write_escaped(out: &mut String, s: &str) {
 /// garbage, or arrays/objects nested deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -199,7 +237,10 @@ pub fn parse(text: &str) -> Result<Json, String> {
 /// every document the system writes nests at most 6 levels.
 pub const MAX_DEPTH: usize = 64;
 
+/// Parser state over `text` and its bytes. `text` is only sliced between
+/// positions next to ASCII bytes, which are always char boundaries.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -269,50 +310,74 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let s = std::str::from_utf8(hex)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(s, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy a full UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let ch = s.chars().next().ok_or("unterminated string")?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+            // Everything up to the next `"` or `\` is literal text. Both
+            // delimiters are ASCII, so the run ends on a char boundary of
+            // the already-valid UTF-8 input and is copied as one slice.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b't') => out.push('\t'),
+                Some(b'r') => out.push('\r'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    self.pos += 1;
+                    out.push(self.unicode_escape()?);
+                    continue;
+                }
+                _ => return Err(format!("bad escape at byte {}", self.pos)),
+            }
+            self.pos += 1;
         }
+    }
+
+    /// Decodes the escape whose four hex digits start at `pos`, pairing a
+    /// high surrogate with an immediately following `\u` low surrogate;
+    /// an unpaired surrogate becomes U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let hi = self.hex4()?;
+        if (0xd800..0xdc00).contains(&hi) && self.bytes[self.pos..].starts_with(b"\\u") {
+            let after_hi = self.pos;
+            self.pos += 2;
+            let lo = self.hex4()?;
+            if (0xdc00..0xe000).contains(&lo) {
+                let code = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
+                return Ok(char::from_u32(code).unwrap_or('\u{fffd}'));
+            }
+            // Not a partner: leave that escape to be decoded on its own.
+            self.pos = after_hi;
+        }
+        Ok(char::from_u32(hi).unwrap_or('\u{fffd}'))
+    }
+
+    /// Reads exactly four hex digits (no sign, no shorter form).
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or("truncated \\u escape")?;
+        let mut code = 0;
+        for &d in digits {
+            let v = char::from(d)
+                .to_digit(16)
+                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+            code = code << 4 | v;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -326,9 +391,8 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "bad number".to_string())?;
-        s.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("bad number at byte {start}"))
     }
@@ -413,6 +477,13 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("\"unterminated").is_err());
+        // Every proper prefix of a document using each construct is an
+        // error, never a panic.
+        let doc = r#"{"a":[1,-2.5e3,true,false,null],"s":"x\"\\\/\n\u00e9\ud83d\ude00é😀","o":{}}"#;
+        for end in (0..doc.len()).filter(|&i| doc.is_char_boundary(i)) {
+            assert!(parse(&doc[..end]).is_err(), "prefix of {end} bytes parsed");
+        }
+        assert!(parse(doc).is_ok());
     }
 
     #[test]
@@ -448,7 +519,48 @@ mod tests {
 
     #[test]
     fn unicode_escapes() {
-        assert_eq!(parse("\"\\u0041\"").unwrap(), Json::Str("A".into()));
+        let str_of = |doc: &str| parse(doc).map(|v| v.as_str().map(str::to_string));
+        assert_eq!(str_of(r#""\u0041\u00e9\u00E9""#), Ok(Some("Aéé".into())));
+        // A surrogate pair is one supplementary-plane character.
+        assert_eq!(str_of(r#""\ud83d\ude00""#), Ok(Some("😀".into())));
+        assert_eq!(str_of(r#""\uD83D\uDE00!""#), Ok(Some("😀!".into())));
+        // A lone surrogate decodes to U+FFFD; a following escape that is
+        // not its partner decodes on its own.
+        assert_eq!(str_of(r#""\ud83d""#), Ok(Some("\u{fffd}".into())));
+        assert_eq!(str_of(r#""\ud83dx""#), Ok(Some("\u{fffd}x".into())));
+        assert_eq!(str_of(r#""\ude00""#), Ok(Some("\u{fffd}".into())));
+        assert_eq!(str_of(r#""\ud83d\u0041""#), Ok(Some("\u{fffd}A".into())));
+        assert_eq!(
+            str_of(r#""\ud83d\ud83d\ude00""#),
+            Ok(Some("\u{fffd}😀".into()))
+        );
+        // Exactly four hex digits: no sign, no short form, no junk partner.
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u004""#,
+            r#""\u00g1""#,
+            r#""\u00é""#,
+            r#""\ud83d\u+e00""#,
+            r#""\ud83d\u""#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn multi_megabyte_string_parses_in_linear_time() {
+        // A 4.2 MB string of multi-byte text between two escapes. Parsing
+        // once re-validated the rest of the document per character, which
+        // made this document take minutes.
+        let body = "é€😀a".repeat(420_000);
+        let doc = format!("[\"\\n{body}\\\"\"]");
+        assert!(doc.len() >= 4_000_000);
+        let v = parse(&doc).unwrap();
+        let s = v.as_arr().unwrap()[0].as_str().unwrap();
+        assert_eq!(s.len(), body.len() + 2);
+        assert!(s.starts_with('\n') && s.ends_with('"') && s[1..s.len() - 1] == body);
+        assert_eq!(v.render(), doc);
     }
 
     fn sample() -> Json {
