@@ -196,7 +196,8 @@ enum Outcome {
 }
 
 /// Evaluates one candidate: retargets the hub session onto the point,
-/// runs the traced performance model, and joins it with the attribution.
+/// runs the performance model observing metrics only (attribution reads
+/// no events), and joins it with the attribution.
 fn evaluate(hub: &Session, net: &Network, cfg: &DseConfig, candidate: &Candidate) -> Outcome {
     let point = match &candidate.point {
         Ok(p) => *p,
@@ -210,7 +211,7 @@ fn evaluate(hub: &Session, net: &Network, cfg: &DseConfig, candidate: &Candidate
     let node = point.node_config();
     let session = hub.retarget(node).with_shards(cfg.shards);
     let run = || -> crate::Result<DsePoint> {
-        let traced = session.run_traced(net, cfg.kind, &TraceConfig::default())?;
+        let traced = session.run_traced(net, cfg.kind, &TraceConfig::metrics_only())?;
         let artifact = session.compile(net)?;
         let attr = Attribution::build(&traced, &artifact, net, &node)?;
         let perf = &traced.perf;

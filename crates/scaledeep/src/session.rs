@@ -55,6 +55,19 @@ impl TraceConfig {
             ..Self::default()
         }
     }
+
+    /// Records no events, only the run's [`MetricsRegistry`]: every
+    /// category is filtered out. For callers that read a trace's metrics
+    /// and never its events (attribution, [`Session::bench_report`], the
+    /// design-space sweep); the performance model then skips the
+    /// event-ordered pipeline drive, and the result and metrics stay
+    /// identical to a fully recorded run.
+    pub fn metrics_only() -> Self {
+        Self {
+            filter: CategoryMask::none(),
+            ..Self::default()
+        }
+    }
 }
 
 /// The observability artifacts of one traced run: the recorded events,
@@ -838,8 +851,9 @@ impl Session {
         })
     }
 
-    /// Compiles `net`, runs it traced, and joins the trace with the
-    /// compile's provenance and the analytic per-layer costs into a
+    /// Compiles `net`, runs it observing metrics only
+    /// ([`TraceConfig::metrics_only`]), and joins the run's metrics with
+    /// the compile's provenance and the analytic per-layer costs into a
     /// versioned [`crate::report::BenchReport`] — the document
     /// `repro --bench-json` serializes and `repro --check` diffs.
     ///
@@ -851,7 +865,7 @@ impl Session {
     pub fn bench_report(&self, net: &Network, kind: RunKind) -> Result<crate::report::BenchReport> {
         let artifact = self.compile(net)?;
         let perf_started = Instant::now();
-        let traced = self.run_traced(net, kind, &TraceConfig::default())?;
+        let traced = self.run_traced(net, kind, &TraceConfig::metrics_only())?;
         let perf_nanos = perf_started.elapsed().as_nanos() as u64;
         let attr = crate::attribution::Attribution::build(&traced, &artifact, net, &self.node)?;
         // The functional drill: one training iteration on the session's
@@ -1277,6 +1291,39 @@ mod tests {
             }
             // The progress observer streamed under either plan.
             assert!(!rx.drain().is_empty());
+        }
+    }
+
+    #[test]
+    fn metrics_only_trace_matches_the_full_trace() {
+        use scaledeep_sim::fault::LinkFaults;
+        // Off and metrics-only take the image-major pipeline drive, a
+        // full trace the event-ordered one; nothing but the recorded
+        // events may differ.
+        let s = Session::single_precision();
+        let faulted = FaultPlan::seeded(7).with_link_faults(LinkFaults {
+            prob: 0.1,
+            base_backoff: 16,
+            max_retries: 4,
+        });
+        for net in [zoo::alexnet(), zoo::googlenet()] {
+            let artifact = s.compile(&net).unwrap();
+            for kind in [RunKind::Training, RunKind::Evaluation] {
+                for plan in [FaultPlan::none(), faulted.clone()] {
+                    let what = format!("{} {kind:?} {plan:?}", net.name());
+                    let run = |obs| s.run_mapped_with(&artifact, kind, &plan, obs);
+                    let off = run(Observer::Off);
+                    let full = run(Observer::Trace(TraceConfig::default()));
+                    let quiet = run(Observer::Trace(TraceConfig::metrics_only()));
+                    assert_eq!(off.value, full.value, "{what}");
+                    assert_eq!(quiet.value, full.value, "{what}");
+                    let (full, quiet) = (full.trace.unwrap(), quiet.trace.unwrap());
+                    assert!(!full.events.is_empty(), "{what}");
+                    assert!(quiet.events.is_empty(), "{what}");
+                    assert_eq!(quiet.metrics, full.metrics, "{what}");
+                    assert_eq!(quiet.tracks, full.tracks, "{what}");
+                }
+            }
         }
     }
 

@@ -8,8 +8,8 @@
 //!
 //! * [`node`] — the node-level performance engine. Each concurrent
 //!   pipeline replica (chip/cluster group) is an event shard built on
-//!   the same [`ReplicaCore`](crate::perf) state machine the classic
-//!   single-replica loop uses. Replicas couple **only** at minibatch
+//!   the same [`ReplicaCore`](crate::perf) state machine and the same
+//!   image-major walk the single-replica performance model uses. Replicas couple **only** at minibatch
 //!   weight syncs (wheel-arc + ring reductions, paper §3.3) whose fixed
 //!   latencies define the conservative lookahead window, so the engine
 //!   runs barrier-per-window: every shard drains one whole minibatch

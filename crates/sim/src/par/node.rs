@@ -306,44 +306,13 @@ pub fn run_node_sequential(model: &NodeModel) -> NodeOutcome {
 /// for the first epoch). Returns the latest minibatch close time seen.
 ///
 /// Within an epoch a shard's replicas share no state, so each core is
-/// driven image-major: admit an image, then walk it through every stage
-/// by feeding each completion straight back in. This visits the exact
-/// transitions the event-ordered oracle visits — stage backlog makes
-/// `fin` monotone per stage, so the image-major order computes the same
-/// `max(stage_free, arrival)` fixed point — with zero heap traffic.
+/// driven image-major by [`ReplicaCore::drain`], with zero heap traffic.
 fn drain_epoch(cores: &mut [ReplicaCore], resume: Cycle) -> Cycle {
-    let mut close: Cycle = 0;
-    for core in cores.iter_mut() {
-        loop {
-            match core.admit(resume) {
-                Step::Start(st) => {
-                    let mut stage = st.stage;
-                    let mut at = st.fin;
-                    let img = st.img;
-                    loop {
-                        match core.stage_done(at, stage, img) {
-                            Step::Start(next) => {
-                                stage = next.stage;
-                                at = next.fin;
-                            }
-                            Step::Done { batch_done } => {
-                                if batch_done.is_some() {
-                                    close = close.max(at);
-                                }
-                                break;
-                            }
-                            Step::Gated => unreachable!("stage_done never gates"),
-                        }
-                    }
-                }
-                // Images exhausted or parked on the next sync: this
-                // epoch is drained for this core.
-                Step::Gated => break,
-                Step::Done { .. } => unreachable!("admit never completes an image"),
-            }
-        }
-    }
-    close
+    cores
+        .iter_mut()
+        .map(|core| core.drain(resume))
+        .max()
+        .unwrap_or(0)
 }
 
 /// The sharded engine: replicas are split contiguously across

@@ -1,6 +1,5 @@
 //! Metric assembly: throughput, utilizations, link utilizations, power.
 
-use super::pipeline;
 use super::stage::{link_idx, RunKind, StageCost, N_LINK_CLASSES};
 use crate::engine::Cycle;
 use scaledeep_arch::{LinkClass, NodeConfig, PowerBreakdown, PowerModel, UtilizationProfile};
@@ -89,14 +88,12 @@ impl PerfResult {
 /// Counts the links of each class available to the mapped network.
 fn link_counts(mapping: &Mapping, node: &NodeConfig) -> [f64; N_LINK_CLASSES] {
     let conv = &node.cluster.conv_chip;
-    let fc = &node.cluster.fc_chip;
     let chips = mapping.chips_spanned() as f64;
     let clusters = node.clusters as f64;
     let mut n = [0.0; N_LINK_CLASSES];
     n[link_idx(LinkClass::CompMem)] = chips * (conv.comp_heavy_tiles() * 2) as f64;
     n[link_idx(LinkClass::MemMem)] = chips * (conv.mem_heavy_tiles() * 2) as f64;
     n[link_idx(LinkClass::ConvExtMem)] = chips;
-    let _ = fc;
     n[link_idx(LinkClass::FcExtMem)] = clusters;
     n[link_idx(LinkClass::Spoke)] = clusters * node.cluster.conv_chips as f64;
     n[link_idx(LinkClass::Arc)] = clusters * node.cluster.conv_chips as f64;
@@ -279,7 +276,6 @@ pub(super) fn assemble(
         })
         .collect();
 
-    let _ = pipeline::total_pipelines(mapping, node);
     PerfResult {
         network: mapping.network_name().to_string(),
         kind,

@@ -9,7 +9,7 @@ use crate::engine::{Cycle, EventQueue};
 use crate::fault::{FaultPlan, LinkFaults};
 use scaledeep_arch::{NodeConfig, PowerModel};
 use scaledeep_compiler::Mapping;
-use scaledeep_trace::{MetricsRegistry, Payload, TraceSink, Tracer, TrackId};
+use scaledeep_trace::{Category, MetricId, MetricsRegistry, Payload, TraceSink, Tracer, TrackId};
 
 /// Cycles spent aggregating weight gradients and distributing updated
 /// weights at a minibatch boundary: a reduce + broadcast of the CONV
@@ -72,7 +72,14 @@ pub fn run_pipeline(
 /// stage-occupancy histogram) live in a per-run [`MetricsRegistry`] —
 /// the returned utilizations and
 /// [`FaultStats`] are read back out of it, and it is merged into `reg` at
-/// the end. A disabled tracer takes the identical timing path.
+/// the end.
+///
+/// Two drives produce identical tuples and registries. When `tracer`
+/// records any of the pipeline's categories ([`Category::Stage`],
+/// [`Category::Session`], [`Category::Link`]), the run is event-ordered
+/// on a heap, because the exporters serialize events in emission order.
+/// Otherwise the replica is walked image-major ([`ReplicaCore::drain`]
+/// per minibatch epoch) and the counters are written in bulk.
 ///
 /// # Panics
 ///
@@ -89,50 +96,143 @@ pub fn run_pipeline_traced<S: TraceSink>(
     tracer: &mut Tracer<S>,
     reg: &mut MetricsRegistry,
 ) -> (Cycle, usize, Vec<f64>, FaultStats) {
-    let n = stages.len();
     let mut core = ReplicaCore::new(stages, images, minibatch, barrier, seed, link, 0);
     // All run counters live here; utilizations and fault stats are read
-    // back out at the end (no parallel bookkeeping). The core keeps its
-    // own accumulators for the node-level hosts; this host mirrors every
-    // draw into the registry so traced runs stay byte-identical to the
-    // pre-refactor loop.
+    // back out at the end (no parallel bookkeeping).
     let mut run = MetricsRegistry::new();
-    let m_retries = run.counter("perf.link.retries");
-    let m_retry_cycles = run.counter("perf.link.retry_cycles");
-    let m_completed = run.counter("perf.images.completed");
-    let m_syncs = run.counter("perf.syncs");
-    let m_sync_cycles = run.counter("perf.sync.cycles");
-    let m_occupancy = run.histogram("perf.stage.occupancy");
-    let stage_busy: Vec<_> = (0..n)
-        .map(|s| run.counter(&format!("perf.stage.{s:02}.busy")))
+    let m = RunMetrics {
+        retries: run.counter("perf.link.retries"),
+        retry_cycles: run.counter("perf.link.retry_cycles"),
+        completed: run.counter("perf.images.completed"),
+        syncs: run.counter("perf.syncs"),
+        sync_cycles: run.counter("perf.sync.cycles"),
+        occupancy: run.histogram("perf.stage.occupancy"),
+        stage_busy: (0..stages.len())
+            .map(|s| run.counter(&format!("perf.stage.{s:02}.busy")))
+            .collect(),
+    };
+    let tracks = if tracer.active() {
+        PipelineTracks {
+            stages: stages
+                .iter()
+                .enumerate()
+                .map(|(s, st)| tracer.track(&format!("stage {s:02} {}", st.name)))
+                .collect(),
+            sync: tracer.track("sync"),
+            retries: tracer.track("link retries"),
+        }
+    } else {
+        PipelineTracks {
+            stages: vec![0; stages.len()],
+            sync: 0,
+            retries: 0,
+        }
+    };
+    let records = [Category::Stage, Category::Session, Category::Link]
+        .into_iter()
+        .any(|cat| tracer.wants(cat));
+    if records {
+        drive_event_ordered(&mut core, sync, &m, &tracks, &mut run, tracer);
+    } else {
+        drive_image_major(&mut core, stages, sync, &m, &mut run);
+    }
+    debug_assert_eq!(core.completed(), images, "all images must drain");
+    run.add(m.completed, core.completed() as u64);
+    run.add(m.syncs, core.syncs_started());
+    let last_done = core.last_done();
+    let window = last_done.saturating_sub(core.first_done()).max(1);
+    let util = m
+        .stage_busy
+        .iter()
+        .map(|&id| run.counter_get(id) as f64 / last_done.max(1) as f64)
         .collect();
-    let (stage_tracks, sync_track, retry_track): (Vec<TrackId>, TrackId, TrackId) =
-        if tracer.active() {
-            (
-                stages
-                    .iter()
-                    .enumerate()
-                    .map(|(s, st)| tracer.track(&format!("stage {s:02} {}", st.name)))
-                    .collect(),
-                tracer.track("sync"),
-                tracer.track("link retries"),
-            )
-        } else {
-            (vec![0; n], 0, 0)
-        };
+    let faults = FaultStats {
+        link_retries: run.counter_get(m.retries),
+        retry_cycles: run.counter_get(m.retry_cycles),
+    };
+    reg.merge(&run);
+    (window, images - 1, util, faults)
+}
+
+/// Handles of one pipeline run's counters in its per-run registry.
+struct RunMetrics {
+    retries: MetricId,
+    retry_cycles: MetricId,
+    completed: MetricId,
+    syncs: MetricId,
+    sync_cycles: MetricId,
+    occupancy: MetricId,
+    stage_busy: Vec<MetricId>,
+}
+
+/// The tracks a recorded pipeline run emits on.
+struct PipelineTracks {
+    stages: Vec<TrackId>,
+    sync: TrackId,
+    retries: TrackId,
+}
+
+/// Walks the replica image-major, one minibatch epoch per
+/// [`ReplicaCore::drain`], pricing each sync between epochs. The pipeline
+/// is empty when a minibatch closes (admission gates on the sync), so
+/// resuming every epoch at `close + delay` is exact. Counters are written
+/// in bulk: service is constant per stage, so admissions × service is
+/// each stage's busy time, and one bulk observe per stage reproduces the
+/// per-visit occupancy histogram.
+fn drive_image_major(
+    core: &mut ReplicaCore,
+    stages: &[StageCost],
+    sync: Cycle,
+    m: &RunMetrics,
+    run: &mut MetricsRegistry,
+) {
+    let mut resume = 0;
+    let mut syncs = 0;
+    loop {
+        let close = core.drain(resume);
+        if core.syncs_started() == syncs {
+            break;
+        }
+        let (_, _, delay) = core.sync_penalty(syncs, sync);
+        syncs += 1;
+        run.add(m.sync_cycles, delay);
+        core.sync_completed();
+        resume = close + delay;
+    }
+    let busy = m.stage_busy.iter().zip(core.stage_admissions());
+    for ((&id, &admissions), st) in busy.zip(stages) {
+        let service = st.service_cycles.max(1);
+        run.add(id, admissions * service);
+        run.observe_n(m.occupancy, service as f64, admissions);
+    }
+    run.add(m.retries, core.retries());
+    run.add(m.retry_cycles, core.retry_cycles());
+}
+
+/// Pops every transition off an event queue in cycle order, emitting each
+/// stage span, sync span and retry instant as it happens and mirroring
+/// every draw into the registry.
+fn drive_event_ordered<S: TraceSink>(
+    core: &mut ReplicaCore,
+    sync: Cycle,
+    m: &RunMetrics,
+    tracks: &PipelineTracks,
+    run: &mut MetricsRegistry,
+    tracer: &mut Tracer<S>,
+) {
     // Mirrors one admission into the registry and tracer.
     let emit_start =
         |st: &StageStart, now: Cycle, run: &mut MetricsRegistry, tracer: &mut Tracer<S>| {
             if st.retries > 0 {
-                run.add(m_retries, u64::from(st.retries));
-                run.add(m_retry_cycles, st.toll);
+                run.add(m.retries, u64::from(st.retries));
+                run.add(m.retry_cycles, st.toll);
             }
-            run.add(stage_busy[st.stage], st.service);
-            run.observe(m_occupancy, st.service as f64);
+            run.add(m.stage_busy[st.stage], st.service);
+            run.observe(m.occupancy, st.service as f64);
             tracer.span(
                 st.start,
                 st.fin - st.start,
-                stage_tracks[st.stage],
+                tracks.stages[st.stage],
                 Payload::Stage {
                     stage: st.stage as u16,
                     image: st.img as u32,
@@ -141,7 +241,7 @@ pub fn run_pipeline_traced<S: TraceSink>(
             if st.retries > 0 {
                 tracer.instant(
                     now,
-                    retry_track,
+                    tracks.retries,
                     Payload::Retry {
                         retries: st.retries,
                         cost: st.toll,
@@ -155,7 +255,7 @@ pub fn run_pipeline_traced<S: TraceSink>(
         match ev {
             Event::Admit => {
                 if let Step::Start(st) = core.admit(now) {
-                    emit_start(&st, now, &mut run, tracer);
+                    emit_start(&st, now, run, tracer);
                     q.push(
                         st.fin,
                         Event::StageDone {
@@ -168,7 +268,7 @@ pub fn run_pipeline_traced<S: TraceSink>(
             }
             Event::StageDone { stage, img } => match core.stage_done(now, stage, img) {
                 Step::Start(st) => {
-                    emit_start(&st, now, &mut run, tracer);
+                    emit_start(&st, now, run, tracer);
                     q.push(
                         st.fin,
                         Event::StageDone {
@@ -181,14 +281,14 @@ pub fn run_pipeline_traced<S: TraceSink>(
                     if let Some(index) = batch_done {
                         let (retries, toll, delay) = core.sync_penalty(index, sync);
                         if retries > 0 {
-                            run.add(m_retries, u64::from(retries));
-                            run.add(m_retry_cycles, toll);
+                            run.add(m.retries, u64::from(retries));
+                            run.add(m.retry_cycles, toll);
                         }
-                        run.add(m_sync_cycles, delay);
+                        run.add(m.sync_cycles, delay);
                         tracer.span(
                             now,
                             delay,
-                            sync_track,
+                            tracks.sync,
                             Payload::Sync {
                                 index: index as u32,
                             },
@@ -196,7 +296,7 @@ pub fn run_pipeline_traced<S: TraceSink>(
                         if retries > 0 {
                             tracer.instant(
                                 now,
-                                retry_track,
+                                tracks.retries,
                                 Payload::Retry {
                                     retries,
                                     cost: toll,
@@ -215,21 +315,6 @@ pub fn run_pipeline_traced<S: TraceSink>(
             }
         }
     }
-    debug_assert_eq!(core.completed(), images, "all images must drain");
-    run.add(m_completed, core.completed() as u64);
-    run.add(m_syncs, core.syncs_started());
-    let last_done = core.last_done();
-    let window = last_done.saturating_sub(core.first_done()).max(1);
-    let util = stage_busy
-        .iter()
-        .map(|&id| run.counter_get(id) as f64 / last_done.max(1) as f64)
-        .collect();
-    let faults = FaultStats {
-        link_retries: run.counter_get(m_retries),
-        retry_cycles: run.counter_get(m_retry_cycles),
-    };
-    reg.merge(&run);
-    (window, images - 1, util, faults)
 }
 
 /// Full simulation entry: runs the pipeline under `plan`, assembles
@@ -255,16 +340,16 @@ pub(super) fn simulate<S: TraceSink>(
     } else {
         0
     };
-    let (window, done, _stage_util, faults) = if opts.layer_sequential {
+    let (window, done, faults) = if opts.layer_sequential {
         // Ablation A4: no inter-layer pipelining — each image traverses
         // every stage before the next is admitted. (The link-fault model
         // targets pipelined transfers and does not apply here.)
         let per_image: u64 = stages.iter().map(|s| s.service_cycles.max(1)).sum();
         let syncs = if barrier { images / minibatch } else { 0 };
         let total = per_image * images as u64 + sync * syncs as u64;
-        (total, images, Vec::new(), FaultStats::default())
+        (total, images, FaultStats::default())
     } else {
-        run_pipeline_traced(
+        let (window, done, _, faults) = run_pipeline_traced(
             stages,
             images,
             minibatch,
@@ -274,7 +359,8 @@ pub(super) fn simulate<S: TraceSink>(
             plan.link_faults(),
             tracer,
             reg,
-        )
+        );
+        (window, done, faults)
     };
 
     let pipelines = total_pipelines(mapping, node);

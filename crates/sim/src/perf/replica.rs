@@ -1,16 +1,26 @@
 //! The shard-embeddable pipeline replica core.
 //!
 //! [`ReplicaCore`] is the sequential heart of the inter-layer pipeline
-//! DES, extracted so one state machine serves three hosts: the classic
-//! single-replica traced loop in [`super::pipeline`], the node-level
-//! sequential oracle in [`crate::par`], and the sharded parallel engine
-//! in [`crate::par`]. The core owns all replica state — per-stage
-//! backlog, the minibatch admission gate, completion counters, and the
-//! salt-keyed link-retry draws — but performs no I/O of its own: hosts
-//! decide what to do with each [`Step`] (push queue events, emit trace
-//! spans, mirror registry counters), which is what lets the same
-//! dynamics run byte-identically under a tracer, inside a global event
-//! queue, or fast-forwarded image-major inside a shard.
+//! DES. The core owns all replica state — per-stage backlog, the
+//! minibatch admission gate, completion counters, and the salt-keyed
+//! link-retry draws — but performs no I/O of its own: hosts decide what
+//! to do with each [`Step`] (push queue events, emit trace spans, mirror
+//! registry counters). Two drives share it:
+//!
+//! * **Event-ordered**: every transition is popped off an
+//!   [`EventQueue`](crate::engine::EventQueue). The single-replica host
+//!   in [`super::pipeline`] uses it whenever pipeline events are recorded
+//!   (exporters write events in emission order), and the node-level
+//!   sequential oracle in [`crate::par`] interleaves all replicas on one
+//!   queue.
+//! * **Image-major**: [`ReplicaCore::drain`] walks each image through
+//!   every stage before admitting the next, with no queue at all. The
+//!   single-replica host uses it whenever no pipeline event is recorded,
+//!   and so does every shard of [`crate::par`]'s sharded engine.
+//!
+//! Both drives visit the same transitions with the same values, which is
+//! what lets the dynamics run byte-identically under a tracer, inside a
+//! global event queue, or fast-forwarded inside a shard.
 
 use super::stage::StageCost;
 use crate::engine::Cycle;
@@ -216,10 +226,43 @@ impl<'a> ReplicaCore<'a> {
         }
     }
 
+    /// Drains this replica to quiescence for the current epoch, admitting
+    /// at cycle `resume` (the post-sync release cycle, or 0 for the first
+    /// epoch). Returns the cycle the epoch's minibatch closed, or 0 when
+    /// no minibatch closed (evaluation, a partial tail, or no images left).
+    ///
+    /// The drive is image-major: admit an image, then walk it through
+    /// every stage by feeding each completion straight back in. Service
+    /// is at least one cycle, so each stage finishes images in admission
+    /// order at strictly increasing cycles; every stage therefore sees
+    /// the same arrivals in the same order as under the event-ordered
+    /// drive and computes the same `max(stage_free, arrival)` fixed
+    /// point, with zero queue traffic. Admission gates on the next sync,
+    /// so one epoch closes at most one minibatch.
+    pub(crate) fn drain(&mut self, resume: Cycle) -> Cycle {
+        let mut close: Cycle = 0;
+        while let Step::Start(st) = self.admit(resume) {
+            let (mut stage, mut at) = (st.stage, st.fin);
+            loop {
+                match self.stage_done(at, stage, st.img) {
+                    Step::Start(next) => (stage, at) = (next.stage, next.fin),
+                    Step::Done { batch_done } => {
+                        if batch_done.is_some() {
+                            close = at;
+                        }
+                        break;
+                    }
+                    Step::Gated => unreachable!("stage_done never gates"),
+                }
+            }
+        }
+        close
+    }
+
     /// Draws the retry penalty for sync `index` and prices its total
-    /// delay over the base `sync` cost. Only the classic single-replica
-    /// host uses this; node-level hosts draw one node-wide penalty per
-    /// barrier instead (see [`crate::par`]).
+    /// delay over the base `sync` cost. Only the single-replica host in
+    /// [`super::pipeline`] uses this; node-level hosts draw one node-wide
+    /// penalty per barrier instead (see [`crate::par`]).
     pub(crate) fn sync_penalty(&mut self, index: u64, sync: Cycle) -> (u32, Cycle, Cycle) {
         let (retries, toll) = self.penalty(SYNC_SALT | index);
         (retries, toll, sync.max(1) + toll)
@@ -259,8 +302,8 @@ impl<'a> ReplicaCore<'a> {
         &self.stage_admissions
     }
 
-    /// Total link retries drawn on stage hand-offs (plus classic-host
-    /// sync draws, when [`ReplicaCore::sync_penalty`] is used).
+    /// Total link retries drawn on stage hand-offs (plus the sync draws
+    /// of [`ReplicaCore::sync_penalty`], when a host uses it).
     pub(crate) fn retries(&self) -> u64 {
         self.retries
     }

@@ -50,10 +50,20 @@ impl Hist {
     }
 
     fn observe(&mut self, v: f64) {
+        self.observe_n(v, 1);
+    }
+
+    /// Records `n` samples of value `v` at once (no-op when `n == 0`).
+    /// Equals `n` calls to `observe(v)` whenever `v` is integer-valued and
+    /// the running sum stays below 2^53, where every partial sum is exact.
+    fn observe_n(&mut self, v: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let v = if v.is_finite() && v >= 0.0 { v } else { 0.0 };
-        self.buckets[Self::bucket(v)] += 1;
-        self.count += 1;
-        self.sum += v;
+        self.buckets[Self::bucket(v)] += n;
+        self.count += n;
+        self.sum += v * n as f64;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -216,6 +226,17 @@ impl MetricsRegistry {
         }
     }
 
+    /// Records `n` samples of value `v` in one step (no-op on
+    /// non-histograms and at `n == 0`). Sanitizes like
+    /// [`MetricsRegistry::observe`], and equals `n` calls to it for
+    /// integer-valued `v` while the histogram's sum stays below 2^53.
+    #[inline]
+    pub fn observe_n(&mut self, id: MetricId, v: f64, n: u64) {
+        if let Some(Value::Histogram(h)) = self.values.get_mut(id.0) {
+            h.observe_n(v, n);
+        }
+    }
+
     /// Current value of a counter id (`0` for non-counters).
     #[inline]
     pub fn counter_get(&self, id: MetricId) -> u64 {
@@ -348,6 +369,36 @@ mod tests {
         r.set(id, 1.5);
         r.set(id, 2.5);
         assert_eq!(r.gauge_value("g"), Some(2.5));
+    }
+
+    #[test]
+    fn bulk_observe_equals_the_loop() {
+        let samples = [
+            (0.0, 3),
+            (1.0, 1),
+            (7.0, 0),
+            (4096.0, 17),
+            (f64::NAN, 2),
+            (-5.0, 4),
+            (f64::INFINITY, 1),
+            (123_456.0, 1000),
+        ];
+        let (mut bulk, mut looped) = (Hist::default(), Hist::default());
+        for &(v, n) in &samples {
+            bulk.observe_n(v, n);
+            for _ in 0..n {
+                looped.observe(v);
+            }
+        }
+        assert_eq!(bulk, looped);
+        // n == 0 leaves an empty histogram untouched (min stays infinite).
+        let mut empty = Hist::default();
+        empty.observe_n(9.0, 0);
+        assert_eq!(empty, Hist::default());
+        let mut r = MetricsRegistry::new();
+        let id = r.histogram("h");
+        r.observe_n(id, 4096.0, 17);
+        assert_eq!(r.histogram_value("h").map(|h| h.count), Some(17));
     }
 
     #[test]
