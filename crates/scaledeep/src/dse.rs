@@ -58,8 +58,9 @@ pub struct DseConfig {
     /// Worker threads (0 = available cores). Never affects results —
     /// only wall-clock.
     pub workers: usize,
-    /// Parallel node-engine shards per candidate session (0 = available
-    /// cores). Never affects results.
+    /// Ignored: the node model runs single-threaded and nothing reads
+    /// this field. It stays only so existing struct literals keep
+    /// compiling, and will be removed in the next benchmark change.
     pub shards: usize,
 }
 
@@ -209,7 +210,7 @@ fn evaluate(hub: &Session, net: &Network, cfg: &DseConfig, candidate: &Candidate
         }
     };
     let node = point.node_config();
-    let session = hub.retarget(node).with_shards(cfg.shards);
+    let session = hub.retarget(node);
     let run = || -> crate::Result<DsePoint> {
         let traced = session.run_traced(net, cfg.kind, &TraceConfig::metrics_only())?;
         let artifact = session.compile(net)?;

@@ -144,22 +144,10 @@ pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
 ///   session ran on (the arch design layer's canonical document) plus
 ///   its fingerprint, so a report names its architecture as data rather
 ///   than only through the preset that happened to build it.
-pub const BENCH_SCHEMA_VERSION: u64 = 4;
-
-/// Host wall-clock split of the run behind a BENCH report, in
-/// nanoseconds. Host time is machine-dependent; these fields are
-/// informational and never enter [`BenchReport::check_against`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BenchWall {
-    /// Wall-clock spent inside the compile pipeline (0 on a cache hit —
-    /// the ledger a stored-artifact session proves itself with).
-    pub compile_nanos: u64,
-    /// Wall-clock of the traced performance-model run.
-    pub perf_nanos: u64,
-    /// Wall-clock of the functional drill (0 when the network has no
-    /// functional compile).
-    pub functional_nanos: u64,
-}
+/// * v5 — drops the host-time groups (`wall` and `par`): every field left
+///   is deterministic, so a fresh report renders byte-identically to its
+///   committed baseline.
+pub const BENCH_SCHEMA_VERSION: u64 = 5;
 
 /// Cycle-accurate statistics of the functional drill — one training
 /// iteration executed on the selected tier. Both execution tiers are
@@ -174,35 +162,6 @@ pub struct BenchFunctional {
     pub instructions: u64,
     /// Tracker-wait stalls.
     pub stalls: u64,
-}
-
-/// One row of the parallel node engine's measured wall-clock scaling:
-/// the whole-node model run at a fixed shard count. Every row's outcome
-/// was verified bit-identical to the sequential oracle before the report
-/// was assembled; the nanoseconds are host-dependent and informational,
-/// never entering [`BenchReport::check_against`]. (v3)
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BenchShard {
-    /// Shard count of this row.
-    pub shards: u64,
-    /// Wall-clock per run at this shard count, in nanoseconds.
-    pub nanos: u64,
-    /// Sequential-oracle wall-clock over this row's wall-clock.
-    pub speedup: f64,
-}
-
-/// The parallel node engine's measurement group of a BENCH report:
-/// the session's resolved shard count, the sequential oracle's
-/// wall-clock, and the per-shard-count scaling rows. Informational. (v3)
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct BenchPar {
-    /// The shard count the report's session resolves to (host cores when
-    /// configured as auto).
-    pub shards: u64,
-    /// Sequential-oracle wall-clock per run, in nanoseconds.
-    pub sequential_nanos: u64,
-    /// Measured scaling rows (shard counts 1/2/4/8).
-    pub scaling: Vec<BenchShard>,
 }
 
 /// The design point a BENCH report's session ran on, serialized
@@ -339,14 +298,9 @@ pub struct BenchReport {
     /// (`"interpreter"` / `"compiled"`). Informational: tiers are
     /// bit-identical, so it never fails a check. (v2)
     pub tier: String,
-    /// Host wall-clock split; informational. (v2)
-    pub wall: BenchWall,
     /// Functional drill statistics, when the network functionally
     /// compiles; cycle-accurate and checked. (v2)
     pub functional: Option<BenchFunctional>,
-    /// Parallel node engine shard count and measured wall-clock scaling;
-    /// informational. (v3)
-    pub par: BenchPar,
     /// The design point the session ran on; `None` only for pre-v4
     /// documents. Its fingerprint is an identity field in checks. (v4)
     pub design: Option<BenchDesign>,
@@ -365,9 +319,7 @@ impl BenchReport {
         provenance_key: u64,
         cache: CacheStats,
         tier: &str,
-        wall: BenchWall,
         functional: Option<BenchFunctional>,
-        par: BenchPar,
     ) -> Self {
         BenchReport {
             schema_version: BENCH_SCHEMA_VERSION,
@@ -405,9 +357,7 @@ impl BenchReport {
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             tier: tier.to_string(),
-            wall,
             functional,
-            par,
             design: Some(BenchDesign::describe(node)),
             layers: attr
                 .layers
@@ -501,17 +451,6 @@ impl BenchReport {
             ),
             ("tier", Json::Str(self.tier.clone())),
             (
-                "wall",
-                json::obj([
-                    ("compile_nanos", Json::Num(self.wall.compile_nanos as f64)),
-                    ("perf_nanos", Json::Num(self.wall.perf_nanos as f64)),
-                    (
-                        "functional_nanos",
-                        Json::Num(self.wall.functional_nanos as f64),
-                    ),
-                ]),
-            ),
-            (
                 "functional",
                 self.functional.map_or(Json::Null, |f| {
                     json::obj([
@@ -520,32 +459,6 @@ impl BenchReport {
                         ("stalls", Json::Num(f.stalls as f64)),
                     ])
                 }),
-            ),
-            (
-                "par",
-                json::obj([
-                    ("shards", Json::Num(self.par.shards as f64)),
-                    (
-                        "sequential_nanos",
-                        Json::Num(self.par.sequential_nanos as f64),
-                    ),
-                    (
-                        "scaling",
-                        Json::Arr(
-                            self.par
-                                .scaling
-                                .iter()
-                                .map(|s| {
-                                    json::obj([
-                                        ("shards", Json::Num(s.shards as f64)),
-                                        ("nanos", Json::Num(s.nanos as f64)),
-                                        ("speedup", Json::Num(s.speedup)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
             ),
             (
                 "design",
@@ -574,12 +487,6 @@ impl BenchReport {
                 "unsupported schema_version {version} (reader supports {BENCH_SCHEMA_VERSION})"
             ));
         }
-        let wall_v = v.get("wall").ok_or("missing field `wall`")?;
-        let wall = BenchWall {
-            compile_nanos: req_num(wall_v, "compile_nanos")? as u64,
-            perf_nanos: req_num(wall_v, "perf_nanos")? as u64,
-            functional_nanos: req_num(wall_v, "functional_nanos")? as u64,
-        };
         let functional = match v.get("functional") {
             None => return Err("missing field `functional`".to_string()),
             Some(Json::Null) => None,
@@ -588,24 +495,6 @@ impl BenchReport {
                 instructions: req_num(f, "instructions")? as u64,
                 stalls: req_num(f, "stalls")? as u64,
             }),
-        };
-        let par_v = v.get("par").ok_or("missing field `par`")?;
-        let scaling_v = par_v
-            .get("scaling")
-            .and_then(Json::as_arr)
-            .ok_or("missing or non-array field `par.scaling`")?;
-        let mut scaling = Vec::with_capacity(scaling_v.len());
-        for (i, s) in scaling_v.iter().enumerate() {
-            scaling.push(BenchShard {
-                shards: req_num(s, "shards").map_err(|e| format!("par.scaling[{i}]: {e}"))? as u64,
-                nanos: req_num(s, "nanos").map_err(|e| format!("par.scaling[{i}]: {e}"))? as u64,
-                speedup: req_num(s, "speedup").map_err(|e| format!("par.scaling[{i}]: {e}"))?,
-            });
-        }
-        let par = BenchPar {
-            shards: req_num(par_v, "shards")? as u64,
-            sequential_nanos: req_num(par_v, "sequential_nanos")? as u64,
-            scaling,
         };
         let design = match v.get("design") {
             None => return Err("missing field `design`".to_string()),
@@ -681,9 +570,7 @@ impl BenchReport {
             cache_hits: req_num(cache_v, "hits")? as u64,
             cache_misses: req_num(cache_v, "misses")? as u64,
             tier: req_str(&v, "tier")?,
-            wall,
             functional,
-            par,
             design,
             layers,
         };
@@ -804,8 +691,7 @@ impl BenchReport {
             check_num(&mut fails, tolerance, what, got, want);
         }
         // Functional drill statistics are cycle-accurate and diff exactly
-        // across execution tiers; the tier and wall-clock fields are
-        // informational. A baseline without a drill constrains nothing.
+        // across execution tiers; the tier field is informational. A baseline without a drill constrains nothing.
         if let (Some(got), Some(want)) = (&self.functional, &baseline.functional) {
             for (what, g, w) in [
                 ("functional.cycles", got.cycles, want.cycles),
@@ -1045,14 +931,14 @@ mod tests {
         let report = sample_report();
         let future = report
             .to_json()
-            .replacen("\"schema_version\": 4", "\"schema_version\": 5", 1);
+            .replacen("\"schema_version\": 5", "\"schema_version\": 6", 1);
         let err = BenchReport::from_json(&future).unwrap_err();
         assert!(err.contains("schema_version"), "{err}");
-        let v3 = report
+        let v4 = report
             .to_json()
-            .replacen("\"schema_version\": 4", "\"schema_version\": 3", 1);
-        let err = BenchReport::from_json(&v3).unwrap_err();
-        assert!(err.contains("schema_version 3"), "{err}");
+            .replacen("\"schema_version\": 5", "\"schema_version\": 4", 1);
+        let err = BenchReport::from_json(&v4).unwrap_err();
+        assert!(err.contains("schema_version 4"), "{err}");
 
         let mut broken = report.clone();
         broken.layers[0].busy_cycles += 1;
@@ -1084,20 +970,6 @@ mod tests {
             .check_against(&report, 0.5)
             .iter()
             .any(|f| f.contains("design fingerprint")));
-    }
-
-    #[test]
-    fn shard_scaling_is_informational_in_checks() {
-        // Host-dependent wall-clock numbers must never fail the gate.
-        let report = sample_report();
-        assert_eq!(report.par.scaling.len(), 4);
-        let mut other = report.clone();
-        other.par = BenchPar {
-            shards: report.par.shards + 7,
-            sequential_nanos: 1,
-            scaling: Vec::new(),
-        };
-        assert!(other.check_against(&report, 0.0).is_empty());
     }
 
     #[test]

@@ -15,8 +15,7 @@ use scaledeep_compiler::{CompileOptions, CompiledArtifact, FailedTiles};
 use scaledeep_dnn::{Layer, Network};
 use scaledeep_sim::fault::FaultPlan;
 use scaledeep_sim::func::{ExecBackend, FuncSim, RunStats};
-use scaledeep_sim::par::{self, NodeOutcome};
-use scaledeep_sim::perf::{PerfOptions, PerfResult, PerfSim, RunKind};
+use scaledeep_sim::perf::{self, NodeOutcome, PerfOptions, PerfResult, PerfSim, RunKind};
 use scaledeep_tensor::Executor;
 use scaledeep_trace::{
     chrome_trace, cycle_csv, utilization_heatmap, CategoryMask, Event, FilterSink, MetricsRegistry,
@@ -338,7 +337,6 @@ pub struct Session {
     stats: Arc<CacheStatsCells>,
     artifact_dir: Option<PathBuf>,
     exec_backend: ExecBackend,
-    shards: usize,
 }
 
 impl Session {
@@ -361,14 +359,13 @@ impl Session {
             stats: Arc::new(CacheStatsCells::default()),
             artifact_dir: None,
             exec_backend: ExecBackend::default(),
-            shards: 0,
         }
     }
 
     /// Re-targets this session onto a different node configuration while
     /// keeping every cache affinity: the in-memory artifact cache, its
-    /// statistics cells, the artifact directory, the execution tier and
-    /// the shard count all carry over. Because cache keys include the
+    /// statistics cells, the artifact directory and the execution tier
+    /// all carry over. Because cache keys include the
     /// node's structural fingerprint, one shared cache serves sessions on
     /// *different* design points correctly — the DSE driver uses this to
     /// give every point its own session while points sharing a compile
@@ -381,32 +378,6 @@ impl Session {
             stats: Arc::clone(&self.stats),
             artifact_dir: self.artifact_dir.clone(),
             exec_backend: self.exec_backend,
-            shards: self.shards,
-        }
-    }
-
-    /// Selects how many event shards the parallel node engine
-    /// ([`Session::node_outcome`]) partitions the simulated node into.
-    /// `0` (the default) resolves to the host's available cores at run
-    /// time. Shard count never changes results — every shard count is
-    /// bit-identical to the sequential oracle — only wall-clock.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// The configured shard count (`0` = auto).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard count runs actually use: the configured count, with `0`
-    /// resolved to the host's available cores.
-    pub fn resolved_shards(&self) -> usize {
-        if self.shards == 0 {
-            par::available_shards()
-        } else {
-            self.shards
         }
     }
 
@@ -638,34 +609,17 @@ impl Session {
         ))
     }
 
-    /// Runs the whole-node discrete-event model of an already-compiled
-    /// artifact on the sharded parallel engine, using the session's shard
-    /// count ([`Session::with_shards`]; `0` = available cores). The
-    /// outcome is bit-identical to [`Session::node_outcome_sequential`]
-    /// at every shard count — the conservative synchronization windows
-    /// are derived from the fixed minibatch-sync latency, which is exact,
-    /// not merely safe (see DESIGN.md §5h).
+    /// Runs the whole-node model of an already-compiled artifact: every
+    /// pipeline replica the mapping runs node-wide, walked image-major and
+    /// coupled at each minibatch weight sync by a node-wide max-reduce
+    /// (see DESIGN.md §5h).
     pub fn node_outcome(
         &self,
         artifact: &CompiledArtifact,
         kind: RunKind,
         plan: &FaultPlan,
     ) -> NodeOutcome {
-        let model = self.sim.node_model(artifact.mapping(), kind, plan);
-        par::run_node_sharded(&model, self.resolved_shards())
-    }
-
-    /// The sequential (single event queue) run of the same whole-node
-    /// model — the bit-identity oracle the sharded engine is checked
-    /// against.
-    pub fn node_outcome_sequential(
-        &self,
-        artifact: &CompiledArtifact,
-        kind: RunKind,
-        plan: &FaultPlan,
-    ) -> NodeOutcome {
-        let model = self.sim.node_model(artifact.mapping(), kind, plan);
-        par::run_node_sequential(&model)
+        perf::run_node(&self.sim.node_model(artifact.mapping(), kind, plan))
     }
 
     /// Compiles and simulates `net` with observability: the performance
@@ -864,79 +818,24 @@ impl Session {
     /// version skew).
     pub fn bench_report(&self, net: &Network, kind: RunKind) -> Result<crate::report::BenchReport> {
         let artifact = self.compile(net)?;
-        let perf_started = Instant::now();
         let traced = self.run_traced(net, kind, &TraceConfig::metrics_only())?;
-        let perf_nanos = perf_started.elapsed().as_nanos() as u64;
         let attr = crate::attribution::Attribution::build(&traced, &artifact, net, &self.node)?;
         // The functional drill: one training iteration on the session's
         // selected tier, when the functional target can express the
         // network. Its statistics are cycle-accurate (diffed at 0%
-        // tolerance across tiers); its wall-clock is the number the tiers
-        // compete on.
-        let (functional, functional_nanos) = match artifact.functional() {
-            Err(_) => (None, 0),
+        // tolerance across tiers).
+        let functional = match artifact.functional() {
+            Err(_) => None,
             Ok(_) => {
                 let (mut fsim, image, golden) =
                     seeded_iteration(net, &artifact, self.exec_backend)?;
-                let drill_started = Instant::now();
                 let stats = fsim.run_iteration(&image, &golden)?;
-                let nanos = drill_started.elapsed().as_nanos() as u64;
-                (
-                    Some(crate::report::BenchFunctional {
-                        cycles: stats.cycles,
-                        instructions: stats.instructions,
-                        stalls: stats.stalls,
-                    }),
-                    nanos,
-                )
+                Some(crate::report::BenchFunctional {
+                    cycles: stats.cycles,
+                    instructions: stats.instructions,
+                    stalls: stats.stalls,
+                })
             }
-        };
-        // The parallel node engine's wall-clock scaling: the same
-        // whole-node model run sequentially and at 1/2/4/8 shards, every
-        // sharded outcome verified bit-identical to the sequential
-        // oracle. The nanoseconds are informational (host-dependent);
-        // the identity check is not.
-        let model = self
-            .sim
-            .node_model(artifact.mapping(), kind, &FaultPlan::none());
-        const SCALING_REPS: u32 = 3;
-        let started = Instant::now();
-        let mut oracle = par::run_node_sequential(&model);
-        for _ in 1..SCALING_REPS {
-            oracle = par::run_node_sequential(&model);
-        }
-        let sequential_nanos = (started.elapsed().as_nanos() / u128::from(SCALING_REPS)) as u64;
-        let mut scaling = Vec::new();
-        for shards in [1usize, 2, 4, 8] {
-            let started = Instant::now();
-            let mut out = par::run_node_sharded(&model, shards);
-            for _ in 1..SCALING_REPS {
-                out = par::run_node_sharded(&model, shards);
-            }
-            let nanos = (started.elapsed().as_nanos() / u128::from(SCALING_REPS)) as u64;
-            if out != oracle {
-                return Err(Error::Setup {
-                    detail: format!(
-                        "parallel node engine diverged from the sequential oracle at {shards} shards"
-                    ),
-                });
-            }
-            scaling.push(crate::report::BenchShard {
-                shards: shards as u64,
-                nanos,
-                speedup: sequential_nanos as f64 / nanos.max(1) as f64,
-            });
-        }
-        let par_scaling = crate::report::BenchPar {
-            shards: self.resolved_shards() as u64,
-            sequential_nanos,
-            scaling,
-        };
-        let cache = self.cache_stats();
-        let wall = crate::report::BenchWall {
-            compile_nanos: cache.compile_nanos,
-            perf_nanos,
-            functional_nanos,
         };
         Ok(crate::report::BenchReport::new(
             &attr,
@@ -944,11 +843,9 @@ impl Session {
             &self.node,
             FaultPlan::none().seed(),
             artifact.provenance().cache_key(),
-            cache,
+            self.cache_stats(),
             self.exec_backend.name(),
-            wall,
             functional,
-            par_scaling,
         ))
     }
 
@@ -1184,53 +1081,43 @@ mod tests {
     }
 
     #[test]
-    fn node_outcome_is_shard_count_invariant() {
-        use scaledeep_sim::fault::LinkFaults;
-        let net = zoo::alexnet();
-        let base = Session::single_precision();
-        let artifact = base.compile(&net).unwrap();
-        let plans = [
-            FaultPlan::none(),
-            FaultPlan::seeded(11).with_link_faults(LinkFaults {
-                prob: 0.25,
-                base_backoff: 16,
-                max_retries: 4,
-            }),
-        ];
-        for plan in &plans {
+    fn fault_free_replicas_are_identical() {
+        // Under the empty plan every replica of the node walk runs the same
+        // dynamics, so the node outcome is the single-replica run scaled
+        // by the replica count: equal per-replica makespans, per-stage busy
+        // cycles of `replicas ×` the metrics-only run's stage counters,
+        // and no retries.
+        let s = Session::single_precision();
+        for name in ["alexnet", "cnn-s", "googlenet"] {
+            let net = zoo::by_name(name).unwrap();
+            let artifact = s.compile(&net).unwrap();
             for kind in [RunKind::Training, RunKind::Evaluation] {
-                let oracle = base.node_outcome_sequential(&artifact, kind, plan);
-                assert!(oracle.makespan > 0 && oracle.images_done > 0);
-                for shards in [0, 1, 2, 4] {
-                    let s = base.clone().with_shards(shards);
-                    assert_eq!(s.shards(), shards);
-                    assert!(s.resolved_shards() >= 1);
-                    let got = s.node_outcome(&artifact, kind, plan);
+                let node = s.node_outcome(&artifact, kind, &FaultPlan::none());
+                assert!(node.replicas > 1, "{name} {kind:?}");
+                let first = node.per_replica_makespan[0];
+                assert!(
+                    node.per_replica_makespan.iter().all(|&m| m == first),
+                    "{name} {kind:?}: replica makespans differ"
+                );
+                assert_eq!(node.faults.link_retries, 0, "{name} {kind:?}");
+                assert_eq!(node.faults.retry_cycles, 0, "{name} {kind:?}");
+                let one = s
+                    .run_traced(&net, kind, &TraceConfig::metrics_only())
+                    .unwrap();
+                for (i, &busy) in node.stage_busy.iter().enumerate() {
+                    let single = one
+                        .trace
+                        .metrics
+                        .counter_value(&format!("perf.stage.{i:02}.busy"))
+                        .unwrap_or_else(|| panic!("{name}: no stage {i} counter"));
                     assert_eq!(
-                        got, oracle,
-                        "sharded node outcome diverged at {shards} shards ({kind:?})"
+                        busy,
+                        node.replicas as u64 * single,
+                        "{name} {kind:?} stage {i}"
                     );
                 }
             }
         }
-    }
-
-    #[test]
-    fn bench_report_records_shard_scaling() {
-        let report = Session::single_precision()
-            .bench_report(&zoo::alexnet(), RunKind::Training)
-            .unwrap();
-        assert!(report.par.shards >= 1);
-        assert_eq!(
-            report
-                .par
-                .scaling
-                .iter()
-                .map(|s| s.shards)
-                .collect::<Vec<_>>(),
-            vec![1, 2, 4, 8]
-        );
-        assert!(report.par.scaling.iter().all(|s| s.speedup > 0.0));
     }
 
     #[test]

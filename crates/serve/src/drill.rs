@@ -41,6 +41,11 @@ const DEDUP_NET: &str = "alexnet";
 /// dead tile.
 const FUNC_NET: &str = "alexnet-func";
 
+/// Version stamped into the drill's BENCH JSON. The drill document has
+/// its own schema: it keeps its informational `wall` group, so it does
+/// not follow the per-network BENCH report's version.
+pub const DRILL_SCHEMA_VERSION: u64 = 4;
+
 /// Shape of the drill (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrillConfig {
@@ -448,7 +453,7 @@ impl DrillReport {
                 .collect(),
         );
         obj([
-            ("schema_version", n(scaledeep::BENCH_SCHEMA_VERSION)),
+            ("schema_version", n(DRILL_SCHEMA_VERSION)),
             ("suite", Json::Str("serve-drill".into())),
             ("seed", n(self.seed)),
             (
@@ -595,7 +600,6 @@ pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
         default_deadline_ms: 60_000,
         seed: cfg.seed,
         supervisor_poll_ms: 2,
-        shards: 0,
         progress_capacity: 1024,
     };
     let server = Server::start(Session::single_precision(), server_cfg);
@@ -880,7 +884,7 @@ mod tests {
         let parsed = scaledeep_trace::json::parse(&json).expect("valid JSON");
         assert_eq!(
             parsed.get("schema_version").and_then(Json::as_num),
-            Some(scaledeep::BENCH_SCHEMA_VERSION as f64)
+            Some(DRILL_SCHEMA_VERSION as f64)
         );
         assert!(parsed.get("jobs").is_some());
         assert!(parsed.get("wall").is_some());

@@ -39,7 +39,9 @@ pub mod retry;
 pub mod server;
 pub mod singleflight;
 
-pub use drill::{run_drill, DrillConfig, DrillReport, PhaseCounts, ProgressProbe};
+pub use drill::{
+    run_drill, DrillConfig, DrillReport, PhaseCounts, ProgressProbe, DRILL_SCHEMA_VERSION,
+};
 pub use protocol::{
     ChaosDirective, JobKind, JobReply, JobRequest, JobResult, ProgressEvent, Request, ServeError,
     ServerLine, StatValue, StatsSnapshot,

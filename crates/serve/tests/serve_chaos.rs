@@ -80,9 +80,7 @@ fn drill_bench_json_is_versioned_and_seed_stable() {
     let parsed = scaledeep_trace::json::parse(&json).expect("bench JSON parses");
     assert_eq!(
         parsed.get("schema_version").and_then(|v| v.as_num()),
-        Some(f64::from(
-            u32::try_from(scaledeep::BENCH_SCHEMA_VERSION).unwrap()
-        ))
+        Some(scaledeep_serve::DRILL_SCHEMA_VERSION as f64)
     );
     let jobs = parsed.get("jobs").expect("deterministic jobs group");
     assert_eq!(

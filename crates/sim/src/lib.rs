@@ -49,7 +49,6 @@ pub mod engine;
 mod error;
 pub mod fault;
 pub mod func;
-pub mod par;
 pub mod perf;
 
 pub use error::{Error, Result};

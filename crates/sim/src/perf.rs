@@ -26,11 +26,13 @@
 //! [`Mapping`]: scaledeep_compiler::Mapping
 
 mod metrics;
+mod node;
 mod pipeline;
 pub(crate) mod replica;
 mod stage;
 
 pub use metrics::{FaultStats, LinkUtilization, PerfResult, StageStat};
+pub use node::{run_node, NodeModel, NodeOutcome};
 pub use pipeline::{run_pipeline, run_pipeline_traced};
 pub use stage::{RunKind, StageCost};
 
@@ -204,22 +206,16 @@ impl PerfSim {
         )
     }
 
-    /// Builds the [`crate::par`] node-level model for an already-mapped
-    /// network: the same stage costs, image stream, minibatch structure
-    /// and sync latency the single-replica engine simulates, replicated
-    /// over every concurrent pipeline the mapping runs node-wide. The
-    /// plan's seed and link-fault model carry over, so the `par` engines
-    /// reproduce [`PerfSim::run_mapped_traced`]'s replica-0 dynamics
-    /// salt for salt.
-    pub fn node_model(
-        &self,
-        mapping: &Mapping,
-        kind: RunKind,
-        plan: &FaultPlan,
-    ) -> crate::par::NodeModel {
+    /// Builds the [`NodeModel`] for an already-mapped network: the same
+    /// stage costs, image stream, minibatch structure and sync latency the
+    /// single-replica engine simulates, replicated over every concurrent
+    /// pipeline the mapping runs node-wide. The plan's seed and link-fault
+    /// model carry over, so [`run_node`] reproduces
+    /// [`PerfSim::run_mapped_traced`]'s replica-0 dynamics salt for salt.
+    pub fn node_model(&self, mapping: &Mapping, kind: RunKind, plan: &FaultPlan) -> NodeModel {
         let barrier = kind == RunKind::Training;
         let minibatch = self.opts.minibatch.max(1);
-        crate::par::NodeModel {
+        NodeModel {
             stages: stage::build_stages(mapping, &self.node, &self.opts, kind),
             replicas: pipeline::total_pipelines(mapping, &self.node),
             images: minibatch * (self.opts.minibatches.max(1) + 1),

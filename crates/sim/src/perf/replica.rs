@@ -1,4 +1,4 @@
-//! The shard-embeddable pipeline replica core.
+//! The pipeline replica core.
 //!
 //! [`ReplicaCore`] is the sequential heart of the inter-layer pipeline
 //! DES. The core owns all replica state — per-stage backlog, the
@@ -11,16 +11,16 @@
 //!   [`EventQueue`](crate::engine::EventQueue). The single-replica host
 //!   in [`super::pipeline`] uses it whenever pipeline events are recorded
 //!   (exporters write events in emission order), and the node-level
-//!   sequential oracle in [`crate::par`] interleaves all replicas on one
+//!   oracle in the [`super::node`] tests interleaves all replicas on one
 //!   queue.
 //! * **Image-major**: [`ReplicaCore::drain`] walks each image through
 //!   every stage before admitting the next, with no queue at all. The
 //!   single-replica host uses it whenever no pipeline event is recorded,
-//!   and so does every shard of [`crate::par`]'s sharded engine.
+//!   and so does [`super::node::run_node`] for every replica.
 //!
 //! Both drives visit the same transitions with the same values, which is
 //! what lets the dynamics run byte-identically under a tracer, inside a
-//! global event queue, or fast-forwarded inside a shard.
+//! global event queue, or fast-forwarded replica by replica.
 
 use super::stage::StageCost;
 use crate::engine::Cycle;
@@ -262,7 +262,7 @@ impl<'a> ReplicaCore<'a> {
     /// Draws the retry penalty for sync `index` and prices its total
     /// delay over the base `sync` cost. Only the single-replica host in
     /// [`super::pipeline`] uses this; node-level hosts draw one node-wide
-    /// penalty per barrier instead (see [`crate::par`]).
+    /// penalty per barrier instead (see [`super::node`]).
     pub(crate) fn sync_penalty(&mut self, index: u64, sync: Cycle) -> (u32, Cycle, Cycle) {
         let (retries, toll) = self.penalty(SYNC_SALT | index);
         (retries, toll, sync.max(1) + toll)

@@ -11,19 +11,27 @@ use scaledeep_dnn::zoo;
 use scaledeep_sim::perf::RunKind;
 use scaledeep_trace::MetricsRegistry;
 
-/// Reads a committed baseline from the repository root.
-fn committed_baseline(network: &str) -> BenchReport {
+/// Reads a committed baseline's text from the repository root.
+fn committed_text(network: &str) -> String {
     let path = format!("{}/BENCH_{network}.json", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    BenchReport::from_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"))
+}
+
+/// Reads and parses a committed baseline.
+fn committed_baseline(network: &str) -> BenchReport {
+    BenchReport::from_json(&committed_text(network))
+        .unwrap_or_else(|e| panic!("BENCH_{network}.json: {e}"))
 }
 
 #[test]
 fn committed_baselines_reproduce_exactly() {
-    // The simulator is deterministic: a same-seed re-run of a committed
-    // baseline's network must land on the identical numbers, so the CI
-    // gate never flakes and any drift is a real model change.
-    for network in ["alexnet", "cnn-s"] {
+    // The simulator is deterministic and the report carries no host time:
+    // a fresh report of a committed baseline's network must render to the
+    // committed bytes, so the CI gate never flakes and any drift is a real
+    // model change. `alexnet-func` also carries the functional drill on
+    // the default (interpreter) tier.
+    for network in ["alexnet", "cnn-s", "alexnet-func"] {
+        let text = committed_text(network);
         let baseline = committed_baseline(network);
         assert_eq!(baseline.schema_version, BENCH_SCHEMA_VERSION);
         let session = Session::single_precision();
@@ -35,6 +43,10 @@ fn committed_baselines_reproduce_exactly() {
             .expect("benchmark simulates");
         let fails = fresh.check_against(&baseline, 1e-9);
         assert!(fails.is_empty(), "{network} drifted: {fails:#?}");
+        assert!(
+            fresh.to_json() == text,
+            "{network}: fresh report is not byte-identical to BENCH_{network}.json"
+        );
     }
 }
 
