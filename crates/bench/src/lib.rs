@@ -1,10 +1,4 @@
-//! Benchmark-harness support crate: the `repro` binary and the Criterion
-//! benches live here; each bench regenerates one paper figure's data
-//! (DESIGN.md carries the experiment index).
+//! Support crate for the `repro` binary, which regenerates every paper
+//! table and figure (DESIGN.md carries the experiment index).
 
 #![forbid(unsafe_code)]
-
-/// Criterion sample size used by the simulation-heavy benches — each
-/// iteration runs full pipeline simulations, so a small sample keeps
-/// `cargo bench` latency reasonable while still detecting regressions.
-pub const SIM_SAMPLE_SIZE: usize = 10;

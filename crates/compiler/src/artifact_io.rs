@@ -161,16 +161,16 @@ fn get_usize(j: &Json, key: &str) -> Result<usize> {
     index(field(j, key)?, key)
 }
 
-/// A JSON number that is an integer in `[0, 2^53)`: the range where
-/// `f64` holds every integer, and so every index this module writes.
+/// A JSON number that is an integer in `[0, 2^53)` ([`Json::as_u64`]):
+/// the range where `f64` holds every integer, and so every index this
+/// module writes.
 fn index(v: &Json, key: &str) -> Result<usize> {
     let n = v
         .as_num()
         .ok_or_else(|| bad(format!("`{key}` is not a number")))?;
-    if n.fract() != 0.0 || !(0.0..9.007_199_254_740_992e15).contains(&n) {
-        return Err(bad(format!("`{key}` = {n} is not a valid index")));
-    }
-    Ok(n as usize)
+    v.as_u64()
+        .map(|i| i as usize)
+        .ok_or_else(|| bad(format!("`{key}` = {n} is not a valid index")))
 }
 
 fn get_u32(j: &Json, key: &str) -> Result<u32> {

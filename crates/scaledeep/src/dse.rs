@@ -20,6 +20,7 @@
 //! same design point compile once.
 
 use crate::attribution::Attribution;
+use crate::report::{req_num, req_str, req_u64};
 use crate::session::{Session, TraceConfig};
 use scaledeep_arch::{Candidate, DesignPoint, Knob, KnobValue, ParamSpace, Precision};
 use scaledeep_dnn::Network;
@@ -436,7 +437,7 @@ impl DseReport {
     /// Returns a message naming the offending field.
     pub fn from_json(text: &str) -> std::result::Result<Self, String> {
         let v = json::parse(text)?;
-        let version = req_num(&v, "schema_version")? as u64;
+        let version = req_u64(&v, "schema_version")?;
         if version != DSE_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported schema_version {version} (reader supports {DSE_SCHEMA_VERSION})"
@@ -450,8 +451,8 @@ impl DseReport {
         let expansion = match req_str(exp_v, "mode")?.as_str() {
             "grid" => Expansion::Grid,
             "sample" => Expansion::Sample {
-                n: req_num(exp_v, "n")? as u64,
-                seed: req_num(exp_v, "seed")? as u64,
+                n: req_u64(exp_v, "n")?,
+                seed: req_u64(exp_v, "seed")?,
             },
             other => return Err(format!("unknown expansion mode `{other}`")),
         };
@@ -504,9 +505,8 @@ impl DseReport {
         let frontier: Vec<u64> = frontier_v
             .iter()
             .map(|f| {
-                f.as_num()
-                    .map(|n| n as u64)
-                    .ok_or("non-numeric frontier index".to_string())
+                f.as_u64()
+                    .ok_or("frontier index is not an integer in [0, 2^53)".to_string())
             })
             .collect::<std::result::Result<_, _>>()?;
         let recomputed = pareto_frontier(&points);
@@ -516,7 +516,7 @@ impl DseReport {
                  recomputed from the points ({recomputed:?})"
             ));
         }
-        let unique_compiles = req_num(&v, "unique_compiles")? as u64;
+        let unique_compiles = req_u64(&v, "unique_compiles")?;
         if unique_compiles != distinct_fingerprints(&points) {
             return Err(format!(
                 "unique_compiles {unique_compiles} does not match the {} distinct \
@@ -552,7 +552,7 @@ impl DsePoint {
             label: req_str(v, "label")?,
             fingerprint,
             precision: req_str(v, "precision")?,
-            total_tiles: req_num(v, "total_tiles")? as u64,
+            total_tiles: req_u64(v, "total_tiles")?,
             peak_flops: req_num(v, "peak_flops")?,
             peak_power_watts: req_num(v, "peak_power_watts")?,
             images_per_sec: req_num(v, "images_per_sec")?,
@@ -561,8 +561,8 @@ impl DsePoint {
             achieved_flops: req_num(v, "achieved_flops")?,
             gflops_per_watt: req_num(v, "gflops_per_watt")?,
             joules_per_image: req_num(v, "joules_per_image")?,
-            busy_cycles: req_num(v, "busy_cycles")? as u64,
-            sync_cycles: req_num(v, "sync_cycles")? as u64,
+            busy_cycles: req_u64(v, "busy_cycles")?,
+            sync_cycles: req_u64(v, "sync_cycles")?,
             compute_joules: req_num(v, "compute_joules")?,
             memory_joules: req_num(v, "memory_joules")?,
             interconnect_joules: req_num(v, "interconnect_joules")?,
@@ -623,22 +623,10 @@ fn diff_at(path: &str, a: &Json, b: &Json) -> Option<String> {
     }
 }
 
-fn req_num(v: &Json, key: &str) -> std::result::Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_num)
-        .ok_or_else(|| format!("missing or non-numeric field `{key}`"))
-}
-
-fn req_str(v: &Json, key: &str) -> std::result::Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string field `{key}`"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::with_field;
     use proptest::prelude::*;
     use scaledeep_dnn::zoo;
 
@@ -766,6 +754,19 @@ mod tests {
             .replacen("\"schema_version\": 1", "\"schema_version\": 2", 1);
         let err = DseReport::from_json(&future).unwrap_err();
         assert!(err.contains("schema_version"), "{err}");
+
+        // Counts must be exact non-negative integers, not truncated or
+        // saturated floats.
+        let text = report.to_json();
+        let version = with_field(&text, &["schema_version"], Json::Num(1.5));
+        let err = DseReport::from_json(&version).unwrap_err();
+        assert!(err.contains("`schema_version`"), "{err}");
+        let busy = with_field(&text, &["points", "0", "busy_cycles"], Json::Num(-1.0));
+        let err = DseReport::from_json(&busy).unwrap_err();
+        assert!(
+            err.contains("points[0]") && err.contains("`busy_cycles`"),
+            "{err}"
+        );
 
         assert!(DseReport::from_json("not json").is_err());
         assert!(DseReport::from_json("{}").is_err());

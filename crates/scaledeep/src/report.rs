@@ -301,9 +301,9 @@ pub struct BenchReport {
     /// Functional drill statistics, when the network functionally
     /// compiles; cycle-accurate and checked. (v2)
     pub functional: Option<BenchFunctional>,
-    /// The design point the session ran on; `None` only for pre-v4
-    /// documents. Its fingerprint is an identity field in checks. (v4)
-    pub design: Option<BenchDesign>,
+    /// The design point the session ran on. Its fingerprint is an
+    /// identity field in checks. (v4)
+    pub design: BenchDesign,
     /// Per-layer rows, pipeline order.
     pub layers: Vec<BenchLayer>,
 }
@@ -358,7 +358,7 @@ impl BenchReport {
             cache_misses: cache.misses,
             tier: tier.to_string(),
             functional,
-            design: Some(BenchDesign::describe(node)),
+            design: BenchDesign::describe(node),
             layers: attr
                 .layers
                 .iter()
@@ -462,12 +462,10 @@ impl BenchReport {
             ),
             (
                 "design",
-                self.design.as_ref().map_or(Json::Null, |d| {
-                    json::obj([
-                        ("fingerprint", Json::Str(d.fingerprint.clone())),
-                        ("point", d.point.to_json()),
-                    ])
-                }),
+                json::obj([
+                    ("fingerprint", Json::Str(self.design.fingerprint.clone())),
+                    ("point", self.design.point.to_json()),
+                ]),
             ),
             ("layers", Json::Arr(layers)),
         ])
@@ -481,7 +479,7 @@ impl BenchReport {
     /// a schema-version mismatch, or any missing/mistyped field.
     pub fn from_json(text: &str) -> std::result::Result<Self, String> {
         let v = json::parse(text)?;
-        let version = req_num(&v, "schema_version")? as u64;
+        let version = req_u64(&v, "schema_version")?;
         if version != BENCH_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported schema_version {version} (reader supports {BENCH_SCHEMA_VERSION})"
@@ -491,14 +489,13 @@ impl BenchReport {
             None => return Err("missing field `functional`".to_string()),
             Some(Json::Null) => None,
             Some(f) => Some(BenchFunctional {
-                cycles: req_num(f, "cycles")? as u64,
-                instructions: req_num(f, "instructions")? as u64,
-                stalls: req_num(f, "stalls")? as u64,
+                cycles: req_u64(f, "cycles")?,
+                instructions: req_u64(f, "instructions")?,
+                stalls: req_u64(f, "stalls")?,
             }),
         };
         let design = match v.get("design") {
-            None => return Err("missing field `design`".to_string()),
-            Some(Json::Null) => None,
+            None | Some(Json::Null) => return Err("missing field `design`".to_string()),
             Some(d) => {
                 let fingerprint = req_str(d, "fingerprint")?;
                 let point_v = d.get("point").ok_or("missing field `design.point`")?;
@@ -511,7 +508,7 @@ impl BenchReport {
                          the design point (`{derived}`)"
                     ));
                 }
-                Some(BenchDesign { fingerprint, point })
+                BenchDesign { fingerprint, point }
             }
         };
         let totals_v = v.get("totals").ok_or("missing field `totals`")?;
@@ -540,16 +537,16 @@ impl BenchReport {
             schema_version: version,
             network: req_str(&v, "network")?,
             kind,
-            seed: req_num(&v, "seed")? as u64,
+            seed: req_u64(&v, "seed")?,
             provenance,
             precision: req_str(&v, "precision")?,
-            clusters: req_num(&v, "clusters")? as u64,
+            clusters: req_u64(&v, "clusters")?,
             frequency_mhz: req_num(&v, "frequency_mhz")?,
             totals: BenchTotals {
-                window_cycles: req_num(totals_v, "window_cycles")? as u64,
-                busy_cycles: req_num(totals_v, "busy_cycles")? as u64,
-                sync_cycles: req_num(totals_v, "sync_cycles")? as u64,
-                images_done: req_num(totals_v, "images_done")? as u64,
+                window_cycles: req_u64(totals_v, "window_cycles")?,
+                busy_cycles: req_u64(totals_v, "busy_cycles")?,
+                sync_cycles: req_u64(totals_v, "sync_cycles")?,
+                images_done: req_u64(totals_v, "images_done")?,
                 images_per_sec: req_num(totals_v, "images_per_sec")?,
                 pe_utilization: req_num(totals_v, "pe_utilization")?,
                 sfu_utilization: req_num(totals_v, "sfu_utilization")?,
@@ -567,8 +564,8 @@ impl BenchReport {
                 p95: req_num(occ_v, "p95")?,
                 p99: req_num(occ_v, "p99")?,
             },
-            cache_hits: req_num(cache_v, "hits")? as u64,
-            cache_misses: req_num(cache_v, "misses")? as u64,
+            cache_hits: req_u64(cache_v, "hits")?,
+            cache_misses: req_u64(cache_v, "misses")?,
             tier: req_str(&v, "tier")?,
             functional,
             design,
@@ -608,15 +605,10 @@ impl BenchReport {
             }
         }
         // The design fingerprint is identity, not measurement: two runs on
-        // different knobs are not comparable. A pre-v4 baseline without
-        // the group constrains nothing.
-        if let (Some(got), Some(want)) = (&self.design, &baseline.design) {
-            if got.fingerprint != want.fingerprint {
-                fails.push(format!(
-                    "design fingerprint {} vs baseline {}",
-                    got.fingerprint, want.fingerprint
-                ));
-            }
+        // different knobs are not comparable.
+        let (got, want) = (&self.design.fingerprint, &baseline.design.fingerprint);
+        if got != want {
+            fails.push(format!("design fingerprint {got} vs baseline {want}"));
         }
         if !fails.is_empty() {
             return fails;
@@ -788,19 +780,19 @@ impl BenchLayer {
             return Err(format!("unknown roofline bound `{bound}`"));
         }
         let layer = BenchLayer {
-            stage: req_num(v, "stage")? as u64,
+            stage: req_u64(v, "stage")?,
             name: req_str(v, "name")?,
-            busy_cycles: req_num(v, "busy_cycles")? as u64,
-            service_cycles: req_num(v, "service_cycles")? as u64,
-            fp_cycles: req_num(v, "fp_cycles")? as u64,
-            bp_cycles: req_num(v, "bp_cycles")? as u64,
-            wg_cycles: req_num(v, "wg_cycles")? as u64,
-            comp_heavy_cycles: req_num(v, "comp_heavy_cycles")? as u64,
-            mem_heavy_cycles: req_num(v, "mem_heavy_cycles")? as u64,
+            busy_cycles: req_u64(v, "busy_cycles")?,
+            service_cycles: req_u64(v, "service_cycles")?,
+            fp_cycles: req_u64(v, "fp_cycles")?,
+            bp_cycles: req_u64(v, "bp_cycles")?,
+            wg_cycles: req_u64(v, "wg_cycles")?,
+            comp_heavy_cycles: req_u64(v, "comp_heavy_cycles")?,
+            mem_heavy_cycles: req_u64(v, "mem_heavy_cycles")?,
             grid_bytes: req_num(v, "grid_bytes")?,
             wheel_bytes: req_num(v, "wheel_bytes")?,
             ring_bytes: req_num(v, "ring_bytes")?,
-            flops: req_num(v, "flops")? as u64,
+            flops: req_u64(v, "flops")?,
             bytes_per_flop: req_num(v, "bytes_per_flop")?,
             bound,
             joules_per_image: req_num(v, "joules_per_image")?,
@@ -843,17 +835,45 @@ fn rel_delta(got: f64, want: f64) -> f64 {
     }
 }
 
-fn req_num(v: &Json, key: &str) -> std::result::Result<f64, String> {
+/// A required numeric field of a BENCH or DSE document.
+pub(crate) fn req_num(v: &Json, key: &str) -> std::result::Result<f64, String> {
     v.get(key)
         .and_then(Json::as_num)
         .ok_or_else(|| format!("missing or non-numeric field `{key}`"))
 }
 
-fn req_str(v: &Json, key: &str) -> std::result::Result<String, String> {
+/// A required count field: an integer in `[0, 2^53)` ([`Json::as_u64`]),
+/// never a truncated fraction or a saturated negative.
+pub(crate) fn req_u64(v: &Json, key: &str) -> std::result::Result<u64, String> {
+    v.get(key)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("missing field `{key}` or not an integer in [0, 2^53)"))
+}
+
+/// A required string field.
+pub(crate) fn req_str(v: &Json, key: &str) -> std::result::Result<String, String> {
     v.get(key)
         .and_then(Json::as_str)
         .map(str::to_string)
         .ok_or_else(|| format!("missing or non-string field `{key}`"))
+}
+
+/// `text` re-rendered with the value at `path` (object keys or array
+/// indices, outermost first) replaced by `value`.
+#[cfg(test)]
+pub(crate) fn with_field(text: &str, path: &[&str], value: Json) -> String {
+    let mut doc = json::parse(text).expect("test document parses");
+    let mut at = &mut doc;
+    for key in path {
+        at = match at {
+            Json::Obj(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            Json::Arr(items) => key.parse().ok().and_then(|i: usize| items.get_mut(i)),
+            _ => None,
+        }
+        .unwrap_or_else(|| panic!("no value at `{key}`"));
+    }
+    *at = value;
+    doc.render_pretty()
 }
 
 #[cfg(test)]
@@ -940,6 +960,16 @@ mod tests {
         let err = BenchReport::from_json(&v4).unwrap_err();
         assert!(err.contains("schema_version 4"), "{err}");
 
+        // Counts must be exact non-negative integers, not truncated or
+        // saturated floats.
+        let text = report.to_json();
+        let version = with_field(&text, &["schema_version"], Json::Num(5.5));
+        let err = BenchReport::from_json(&version).unwrap_err();
+        assert!(err.contains("`schema_version`"), "{err}");
+        let window = with_field(&text, &["totals", "window_cycles"], Json::Num(-1.0));
+        let err = BenchReport::from_json(&window).unwrap_err();
+        assert!(err.contains("`window_cycles`"), "{err}");
+
         let mut broken = report.clone();
         broken.layers[0].busy_cycles += 1;
         broken.layers[0].fp_cycles += 1;
@@ -952,24 +982,22 @@ mod tests {
     }
 
     #[test]
-    fn check_compares_designs_only_when_the_baseline_names_one() {
+    fn reader_rejects_a_null_design() {
+        let text = with_field(&sample_report().to_json(), &["design"], Json::Null);
+        let err = BenchReport::from_json(&text).unwrap_err();
+        assert!(err.contains("`design`"), "{err}");
+    }
+
+    #[test]
+    fn check_fails_a_different_design() {
         let report = sample_report();
-        // A baseline without the group constrains nothing, but one with
-        // different knobs fails the identity check.
-        let mut no_design = report.clone();
-        no_design.design = None;
-        assert!(!report
-            .check_against(&no_design, 0.5)
-            .iter()
-            .any(|f| f.contains("design fingerprint")));
         let mut other_knobs = report.clone();
-        other_knobs.design = Some(BenchDesign::describe(
-            &scaledeep_arch::presets::half_precision(),
-        ));
-        assert!(other_knobs
-            .check_against(&report, 0.5)
-            .iter()
-            .any(|f| f.contains("design fingerprint")));
+        other_knobs.design = BenchDesign::describe(&scaledeep_arch::presets::half_precision());
+        let fails = other_knobs.check_against(&report, 0.5);
+        assert!(
+            fails.iter().any(|f| f.contains("design fingerprint")),
+            "{fails:?}"
+        );
     }
 
     #[test]

@@ -33,14 +33,12 @@ mod stage;
 
 pub use metrics::{FaultStats, LinkUtilization, PerfResult, StageStat};
 pub use node::{run_node, NodeModel, NodeOutcome};
-pub use pipeline::{run_pipeline, run_pipeline_traced};
+pub use pipeline::run_pipeline_traced;
 pub use stage::{RunKind, StageCost};
 
-use crate::error::Result;
 use crate::fault::FaultPlan;
 use scaledeep_arch::{NodeConfig, PowerModel, Precision};
-use scaledeep_compiler::{Compiler, Mapping};
-use scaledeep_dnn::Network;
+use scaledeep_compiler::Mapping;
 use scaledeep_trace::{MetricsRegistry, TraceSink, Tracer};
 
 /// Tunable simulation parameters.
@@ -98,12 +96,14 @@ impl Default for PerfOptions {
 ///
 /// ```
 /// use scaledeep_arch::presets;
+/// use scaledeep_compiler::Compiler;
 /// use scaledeep_dnn::zoo;
-/// use scaledeep_sim::perf::PerfSim;
+/// use scaledeep_sim::perf::{PerfSim, RunKind};
 ///
 /// # fn main() -> Result<(), scaledeep_sim::Error> {
-/// let sim = PerfSim::new(&presets::single_precision());
-/// let result = sim.train(&zoo::alexnet())?;
+/// let node = presets::single_precision();
+/// let mapping = Compiler::new(&node).map(&zoo::alexnet())?;
+/// let result = PerfSim::new(&node).run_mapped(&mapping, RunKind::Training);
 /// assert!(result.images_per_sec > 1_000.0);
 /// # Ok(())
 /// # }
@@ -139,26 +139,6 @@ impl PerfSim {
     /// The bound node configuration.
     pub fn node(&self) -> &NodeConfig {
         &self.node
-    }
-
-    /// Maps and simulates a training run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates mapping failures.
-    pub fn train(&self, net: &Network) -> Result<PerfResult> {
-        let mapping = Compiler::new(&self.node).map(net)?;
-        Ok(self.run_mapped(&mapping, RunKind::Training))
-    }
-
-    /// Maps and simulates an evaluation (inference) run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates mapping failures.
-    pub fn evaluate(&self, net: &Network) -> Result<PerfResult> {
-        let mapping = Compiler::new(&self.node).map(net)?;
-        Ok(self.run_mapped(&mapping, RunKind::Evaluation))
     }
 
     /// Simulates an already-mapped network.
@@ -232,6 +212,19 @@ impl PerfSim {
     }
 }
 
+/// Maps `net` onto `sim`'s node and simulates one run of `kind`.
+#[cfg(test)]
+pub(crate) fn map_and_run(
+    sim: &PerfSim,
+    net: &scaledeep_dnn::Network,
+    kind: RunKind,
+) -> PerfResult {
+    let mapping = scaledeep_compiler::Compiler::new(&sim.node)
+        .map(net)
+        .expect("network maps");
+    sim.run_mapped(&mapping, kind)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,7 +237,7 @@ mod tests {
 
     #[test]
     fn alexnet_trains_at_thousands_of_images_per_second() {
-        let r = sim().train(&zoo::alexnet()).unwrap();
+        let r = map_and_run(&sim(), &zoo::alexnet(), RunKind::Training);
         assert!(
             r.images_per_sec > 2_000.0 && r.images_per_sec < 300_000.0,
             "got {}",
@@ -256,8 +249,8 @@ mod tests {
     fn evaluation_is_about_3x_training() {
         // Paper §6.1: "higher than training by a factor marginally over 3x".
         let s = sim();
-        let t = s.train(&zoo::alexnet()).unwrap();
-        let e = s.evaluate(&zoo::alexnet()).unwrap();
+        let t = map_and_run(&s, &zoo::alexnet(), RunKind::Training);
+        let e = map_and_run(&s, &zoo::alexnet(), RunKind::Evaluation);
         let ratio = e.images_per_sec / t.images_per_sec;
         assert!(ratio > 2.4 && ratio < 4.5, "eval/train ratio {ratio}");
     }
@@ -265,7 +258,7 @@ mod tests {
     #[test]
     fn utilization_is_in_paper_band() {
         // Paper: average 0.35 utilization, per-net 0.2-0.6.
-        let r = sim().train(&zoo::alexnet()).unwrap();
+        let r = map_and_run(&sim(), &zoo::alexnet(), RunKind::Training);
         assert!(
             r.pe_utilization > 0.10 && r.pe_utilization < 0.9,
             "got {}",
@@ -276,25 +269,27 @@ mod tests {
     #[test]
     fn vgg_is_slower_than_alexnet() {
         let s = sim();
-        let a = s.train(&zoo::alexnet()).unwrap();
-        let v = s.train(&zoo::vgg_d()).unwrap();
+        let a = map_and_run(&s, &zoo::alexnet(), RunKind::Training);
+        let v = map_and_run(&s, &zoo::vgg_d(), RunKind::Training);
         assert!(v.images_per_sec < a.images_per_sec / 3.0);
     }
 
     #[test]
     fn half_precision_speeds_up_training() {
         // Paper: 1.85x over single precision at iso-power.
-        let sp = sim().train(&zoo::vgg_a()).unwrap();
-        let hp = PerfSim::new(&presets::half_precision())
-            .train(&zoo::vgg_a())
-            .unwrap();
+        let sp = map_and_run(&sim(), &zoo::vgg_a(), RunKind::Training);
+        let hp = map_and_run(
+            &PerfSim::new(&presets::half_precision()),
+            &zoo::vgg_a(),
+            RunKind::Training,
+        );
         let speedup = hp.images_per_sec / sp.images_per_sec;
         assert!(speedup > 1.2 && speedup < 3.0, "HP speedup {speedup}");
     }
 
     #[test]
     fn power_stays_under_peak() {
-        let r = sim().train(&zoo::overfeat_fast()).unwrap();
+        let r = map_and_run(&sim(), &zoo::overfeat_fast(), RunKind::Training);
         assert!(r.avg_power.total() < 1400.0);
         assert!(r.avg_power.total() > 140.0); // leakage floor
         assert!(r.gflops_per_watt > 50.0 && r.gflops_per_watt < 490.0);
@@ -305,7 +300,7 @@ mod tests {
         let s = sim();
         for name in zoo::BENCHMARK_NAMES {
             let net = zoo::by_name(name).unwrap();
-            let r = s.train(&net).unwrap();
+            let r = map_and_run(&s, &net, RunKind::Training);
             assert!(r.images_per_sec > 50.0, "{name}: {}", r.images_per_sec);
             assert!(r.pe_utilization > 0.01, "{name}");
         }
@@ -314,7 +309,7 @@ mod tests {
     #[test]
     fn comp_mem_links_are_best_utilized_on_chip() {
         // Figure 21: Comp-Mem ~0.87, Mem-Mem lower.
-        let r = sim().train(&zoo::alexnet()).unwrap();
+        let r = map_and_run(&sim(), &zoo::alexnet(), RunKind::Training);
         let comp = r.link_utilization(scaledeep_arch::LinkClass::CompMem);
         let mem = r.link_utilization(scaledeep_arch::LinkClass::MemMem);
         assert!(comp > mem, "comp-mem {comp} vs mem-mem {mem}");
@@ -323,8 +318,8 @@ mod tests {
     #[test]
     fn ring_matters_only_for_multi_cluster_networks() {
         let s = sim();
-        let small = s.train(&zoo::alexnet()).unwrap();
-        let big = s.train(&zoo::vgg_e()).unwrap();
+        let small = map_and_run(&s, &zoo::alexnet(), RunKind::Training);
+        let big = map_and_run(&s, &zoo::vgg_e(), RunKind::Training);
         let ring_small = small.link_utilization(scaledeep_arch::LinkClass::Ring);
         let ring_big = big.link_utilization(scaledeep_arch::LinkClass::Ring);
         assert!(

@@ -296,17 +296,17 @@ pub(super) fn assemble(
 
 #[cfg(test)]
 mod tests {
-    #[allow(unused_imports)]
-    use super::*;
-    use crate::perf::{PerfSim, RunKind};
+    use crate::perf::{map_and_run, PerfSim, RunKind};
     use scaledeep_arch::presets;
     use scaledeep_dnn::zoo;
 
     #[test]
     fn result_reports_every_link_class() {
-        let r = PerfSim::new(&presets::single_precision())
-            .train(&zoo::alexnet())
-            .unwrap();
+        let r = map_and_run(
+            &PerfSim::new(&presets::single_precision()),
+            &zoo::alexnet(),
+            RunKind::Training,
+        );
         assert_eq!(r.links.len(), 7);
         for l in &r.links {
             assert!(l.utilization >= 0.0 && l.utilization <= 1.0);
@@ -315,18 +315,22 @@ mod tests {
 
     #[test]
     fn exactly_one_bottleneck_class_is_marked() {
-        let r = PerfSim::new(&presets::single_precision())
-            .train(&zoo::alexnet())
-            .unwrap();
+        let r = map_and_run(
+            &PerfSim::new(&presets::single_precision()),
+            &zoo::alexnet(),
+            RunKind::Training,
+        );
         assert!(r.stages.iter().any(|s| s.bottleneck));
         assert_eq!(r.kind, RunKind::Training);
     }
 
     #[test]
     fn energy_per_image_is_consistent() {
-        let r = PerfSim::new(&presets::single_precision())
-            .train(&zoo::alexnet())
-            .unwrap();
+        let r = map_and_run(
+            &PerfSim::new(&presets::single_precision()),
+            &zoo::alexnet(),
+            RunKind::Training,
+        );
         let implied = r.avg_power.total() / r.images_per_sec;
         assert!((implied - r.joules_per_image).abs() < 1e-9);
     }
@@ -334,7 +338,7 @@ mod tests {
     #[test]
     fn achieved_flops_below_peak() {
         let node = presets::single_precision();
-        let r = PerfSim::new(&node).train(&zoo::vgg_a()).unwrap();
+        let r = map_and_run(&PerfSim::new(&node), &zoo::vgg_a(), RunKind::Training);
         assert!(r.achieved_flops < node.peak_flops());
         assert!(r.achieved_flops > node.peak_flops() * 0.005);
     }

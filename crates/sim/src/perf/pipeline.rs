@@ -25,43 +25,19 @@ pub(super) fn sync_cycles(mapping: &Mapping, node: &NodeConfig) -> Cycle {
 }
 
 /// Runs the tandem-stage pipeline for `images` images with a barrier every
-/// `minibatch` images (when `barrier` is set). Returns
-/// `(steady-window cycles, images completed in the window, per-stage
-/// utilization over the whole run)`.
+/// `minibatch` images (when `barrier` is set), under a transient link-fault
+/// model and with observability. Returns `(steady-window cycles, images
+/// completed in the window, per-stage utilization over the whole run,
+/// fault toll)`.
 ///
-/// # Panics
-///
-/// Panics when `stages` is empty or `images == 0`.
-pub fn run_pipeline(
-    stages: &[StageCost],
-    images: usize,
-    minibatch: usize,
-    sync: Cycle,
-    barrier: bool,
-) -> (Cycle, usize, Vec<f64>) {
-    let (window, done, util, _) = run_pipeline_traced(
-        stages,
-        images,
-        minibatch,
-        sync,
-        barrier,
-        0,
-        None,
-        &mut Tracer::disabled(),
-        &mut MetricsRegistry::new(),
-    );
-    (window, done, util)
-}
-
-/// [`run_pipeline`] with a transient link-fault model and observability.
 /// Every stage hand-off (the grid/spoke transfer admitting an image into a
 /// stage) and every minibatch sync (wheel arcs + ring) independently
 /// suffers [`LinkFaults`]-drawn retries, each adding its exponential
 /// back-off to the transfer's completion time. Draws are keyed on
 /// `(seed, stage, image)` / `(seed, sync index)` — order-independent, so
 /// the same plan replays identically. `link: None` (the empty plan) takes
-/// the exact same code path with zero added latency. The extra tuple
-/// element reports the retries and the total cycles they cost.
+/// the exact same code path with zero added latency. The fault toll
+/// reports the retries and the total cycles they cost.
 ///
 /// Every stage admission emits an occupancy span on that stage's track
 /// (span start/duration are the image's admission/service interval, so
@@ -384,6 +360,21 @@ pub(super) fn total_pipelines(mapping: &Mapping, node: &NodeConfig) -> usize {
 mod tests {
     use super::*;
     use scaledeep_dnn::LayerId;
+
+    /// A fault-free, untraced run.
+    fn run_pipeline(
+        stages: &[StageCost],
+        images: usize,
+        minibatch: usize,
+        sync: Cycle,
+        barrier: bool,
+    ) -> (Cycle, usize, Vec<f64>) {
+        let (mut t, mut r) = (Tracer::disabled(), MetricsRegistry::new());
+        let (window, done, util, _) = run_pipeline_traced(
+            stages, images, minibatch, sync, barrier, 0, None, &mut t, &mut r,
+        );
+        (window, done, util)
+    }
 
     fn stage(cycles: u64) -> StageCost {
         StageCost {

@@ -62,6 +62,15 @@ impl Json {
         }
     }
 
+    /// The number, if this is an integer in `[0, 2^53)`: the range where
+    /// `f64` holds every integer exactly. A fractional, negative or larger
+    /// number is `None` rather than a silently truncated or saturated
+    /// count.
+    pub fn as_u64(&self) -> Option<u64> {
+        let n = self.as_num()?;
+        (n.fract() == 0.0 && (0.0..9.007_199_254_740_992e15).contains(&n)).then_some(n as u64)
+    }
+
     /// The string, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -452,6 +461,18 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn as_u64_accepts_only_exact_non_negative_integers() {
+        let n = |text: &str| parse(text).unwrap().as_u64();
+        assert_eq!(n("0"), Some(0));
+        assert_eq!(n("42"), Some(42));
+        assert_eq!(n("9007199254740991"), Some((1 << 53) - 1));
+        assert_eq!(n("9007199254740992"), None);
+        assert_eq!(n("5.5"), None);
+        assert_eq!(n("-1"), None);
+        assert_eq!(n("\"7\""), None);
+    }
 
     #[test]
     fn parses_scalars() {

@@ -8,7 +8,7 @@ use scaledeep_compiler::codegen::{CompiledNetwork, FuncTargetOptions};
 use scaledeep_compiler::{pipeline, CompileOptions};
 use scaledeep_dnn::zoo;
 use scaledeep_sim::func::FuncSim;
-use scaledeep_sim::perf::{PerfOptions, PerfSim};
+use scaledeep_sim::perf::PerfOptions;
 use scaledeep_tensor::{Executor, Tensor};
 
 /// Functional compile through the phase pipeline.
@@ -168,8 +168,8 @@ fn lstm_functional_equivalence() {
 #[test]
 fn winograd_speeds_up_3x3_networks_most() {
     let node = scaledeep_arch::presets::single_precision();
-    let base = PerfSim::new(&node);
-    let wino = PerfSim::new(&node).with_options(PerfOptions {
+    let base = Session::with_node(node);
+    let wino = Session::with_node(node).with_options(PerfOptions {
         winograd: true,
         ..PerfOptions::default()
     });

@@ -5,7 +5,7 @@
 use scaledeep::Session;
 use scaledeep_arch::presets;
 use scaledeep_dnn::zoo;
-use scaledeep_sim::perf::{PerfOptions, PerfSim};
+use scaledeep_sim::perf::PerfOptions;
 
 #[test]
 fn larger_minibatches_amortize_sync() {
@@ -13,14 +13,14 @@ fn larger_minibatches_amortize_sync() {
     // bigger batches amortize it (paper §3.3 motivates the aggregation).
     let node = presets::single_precision();
     let net = zoo::alexnet();
-    let small = PerfSim::new(&node)
+    let small = Session::with_node(node)
         .with_options(PerfOptions {
             minibatch: 8,
             ..PerfOptions::default()
         })
         .train(&net)
         .unwrap();
-    let large = PerfSim::new(&node)
+    let large = Session::with_node(node)
         .with_options(PerfOptions {
             minibatch: 256,
             ..PerfOptions::default()
@@ -117,8 +117,8 @@ fn sequential_ablation_matches_stage_sum() {
     // white-box check of the A4 ablation path.
     let node = presets::single_precision();
     let net = zoo::alexnet();
-    let piped = PerfSim::new(&node).train(&net).unwrap();
-    let seq = PerfSim::new(&node)
+    let piped = Session::with_node(node).train(&net).unwrap();
+    let seq = Session::with_node(node)
         .with_options(PerfOptions {
             layer_sequential: true,
             ideal_sync: true,

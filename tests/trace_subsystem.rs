@@ -1,13 +1,22 @@
 //! End-to-end checks of the `scaledeep-trace` observability subsystem:
 //! deterministic exports, trace/stats agreement (per-tile busy spans sum
 //! to exactly the stats' busy cycles), validator-clean Chrome traces,
-//! category filtering and sampling, and flight-recorder bounding.
+//! category filtering and sampling, flight-recorder bounding, and (in
+//! release builds) the zero cost of a disabled tracer.
 
 use scaledeep::{Observer, ResilientRun, Session, Trace, TraceConfig};
+use scaledeep_arch::presets;
+use scaledeep_compiler::pipeline::{compile, CompileOptions};
 use scaledeep_dnn::{zoo, Activation, Conv, Fc, FeatureShape, Network, NetworkBuilder};
 use scaledeep_sim::fault::FaultPlan;
+use scaledeep_sim::func::FuncSim;
 use scaledeep_sim::perf::RunKind;
-use scaledeep_trace::{validate_chrome_trace, Category, CategoryMask, Payload};
+use scaledeep_tensor::Executor;
+use scaledeep_trace::{
+    validate_chrome_trace, Category, CategoryMask, MetricsRegistry, Payload, Tracer,
+};
+use std::hint::black_box;
+use std::time::Instant;
 
 /// A resilient run observed by a [`TraceConfig`] trace.
 fn resilient_traced(
@@ -245,4 +254,58 @@ fn fault_events_appear_on_the_fault_track() {
         assert_eq!(trace.tracks.name(f.track), "faults");
     }
     validate_chrome_trace(&trace.chrome_trace()).unwrap();
+}
+
+/// Best-of-`n` wall-clock time of `f`, in nanoseconds.
+fn min_of_n(n: usize, mut f: impl FnMut()) -> u128 {
+    (0..n)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_nanos()
+        })
+        .min()
+        .unwrap_or(0)
+}
+
+/// A functional training iteration with a caller-built disabled tracer
+/// and registry must cost the same as the untraced entry point (min of
+/// 20 runs each, ratio under 1.5). `FuncSim::run_iteration` itself
+/// delegates to `run_iteration_traced` with `Tracer::disabled()`, so the
+/// gate fails if the observed entry point grows a cost the untraced one
+/// does not pay. Timing is only meaningful in an optimized build.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: release profile only")]
+fn null_sink_tracing_is_free() {
+    let net = tiny_training_net();
+    let artifact = compile(
+        &presets::single_precision(),
+        &net,
+        &CompileOptions::default(),
+    )
+    .unwrap();
+    let mut sim = FuncSim::from_artifact(&net, &artifact).unwrap();
+    sim.import_params(&Executor::new(&net, 1).unwrap()).unwrap();
+    let (image, golden) = (vec![0.5f32; 36], vec![0.25f32; 4]);
+    // Warm up before timing.
+    for _ in 0..3 {
+        sim.run_iteration(&image, &golden).unwrap();
+    }
+    let baseline = min_of_n(20, || {
+        black_box(sim.run_iteration(&image, &golden).unwrap());
+    });
+    let disabled = min_of_n(20, || {
+        let mut tracer = Tracer::disabled();
+        let mut reg = MetricsRegistry::new();
+        black_box(
+            sim.run_iteration_traced(&image, &golden, &FaultPlan::none(), &mut tracer, &mut reg)
+                .unwrap(),
+        );
+    });
+    let ratio = disabled as f64 / baseline.max(1) as f64;
+    println!("null-sink / baseline min-of-20 ratio: {ratio:.3}");
+    assert!(
+        ratio < 1.5,
+        "disabled tracing regressed the functional sim: {disabled} ns vs {baseline} ns"
+    );
 }
