@@ -43,7 +43,8 @@ use crate::mapping::{
 use scaledeep_arch::{ChipConfig, DesignPoint, NodeConfig, Precision};
 use scaledeep_dnn::{Analysis, Layer, LayerId, Network, Step};
 use scaledeep_isa::LoweredProgram;
-use scaledeep_trace::{fnv1a, Payload, TraceSink, Tracer, FNV1A_OFFSET};
+use scaledeep_trace::{Fnv1aWriter, Payload, TraceSink, Tracer};
+use std::fmt::Write as _;
 
 /// The pipeline's phase names, in execution order (the `phase` field of
 /// the [`Payload::Phase`] spans [`compile_traced`] emits).
@@ -98,7 +99,8 @@ impl CompileOptions {
 pub struct Provenance {
     /// The compiled network's name.
     pub network: String,
-    /// FNV-1a fingerprint of the network's full structure.
+    /// FNV-1a fingerprint of the network's full structure
+    /// ([`Network::fingerprint`]).
     pub net_fingerprint: u64,
     /// Structural FNV-1a fingerprint of the node configuration: hashed
     /// over the design point's canonical JSON rendering, so the key is
@@ -127,7 +129,7 @@ impl Provenance {
         let design = DesignPoint::describe(node);
         Self {
             network: net.name().to_string(),
-            net_fingerprint: fingerprint(net),
+            net_fingerprint: net.fingerprint(),
             node_fingerprint: design.fingerprint(),
             design,
             precision: node.precision,
@@ -151,10 +153,15 @@ impl Provenance {
     }
 }
 
-/// FNV-1a over the `Debug` rendering: deterministic within a build, which
-/// is all an in-process cache key needs.
+/// FNV-1a over the `Debug` rendering, streamed so nothing is allocated.
+/// The key outlives the process: it names stored artifact files and is
+/// the BENCH `provenance` field. So the `Debug` shape of every keyed input
+/// is part of the artifact-store format; changing one re-keys (orphans)
+/// every stored artifact, and the pin tests catch it first.
 fn fingerprint<T: std::fmt::Debug>(v: &T) -> u64 {
-    fnv1a(FNV1A_OFFSET, format!("{v:?}").bytes())
+    let mut h = Fnv1aWriter::new();
+    write!(h, "{v:?}").expect("hashing never fails");
+    h.finish()
 }
 
 /// The pipeline's terminal artifact: one compile, every view of it.
@@ -209,8 +216,9 @@ impl CompiledArtifact {
         !self.provenance.failed.is_empty()
     }
 
-    /// Reassembles an artifact from serialized parts
-    /// ([`crate::artifact_io`]). The caller re-derives `lowered` from the
+    /// Assembles an artifact from its parts: the phase outputs plus
+    /// their provenance stamp, or serialized parts
+    /// ([`crate::artifact_io`]). The caller derives `lowered` from the
     /// functional programs so the `Some`-iff-functional invariant holds.
     pub(crate) fn from_parts(
         mapping: Mapping,
@@ -507,6 +515,64 @@ pub fn compile_traced<S: TraceSink>(
     opts: &CompileOptions,
     tracer: &mut Tracer<S>,
 ) -> Result<CompiledArtifact> {
+    let (mapping, functional, lowered) =
+        run_phases(node, net, &opts.failed, &opts.func, opts.minibatch, tracer)?;
+    // Derived after the last phase span, so a phase clock charges none
+    // of it to a phase.
+    let provenance = Provenance::new(node, net, opts);
+    Ok(CompiledArtifact::from_parts(
+        mapping, functional, lowered, provenance,
+    ))
+}
+
+/// [`compile_traced`] for a caller that already derived the compile's
+/// provenance (to key a cache): the inputs are read off `provenance`
+/// (its design point is the node; its failed tiles, functional geometry
+/// and minibatch are the options), and that same value is stamped into
+/// the artifact, so it is derived once per compile. `provenance` must be
+/// `Provenance::new(node, net, opts)` for this `net`.
+///
+/// # Errors
+///
+/// See [`compile`].
+pub fn compile_stamped<S: TraceSink>(
+    net: &Network,
+    provenance: Provenance,
+    tracer: &mut Tracer<S>,
+) -> Result<CompiledArtifact> {
+    debug_assert_eq!(provenance.network, net.name());
+    debug_assert_eq!(provenance.net_fingerprint, net.fingerprint());
+    let (mapping, functional, lowered) = run_phases(
+        provenance.design.node(),
+        net,
+        &provenance.failed,
+        &provenance.func,
+        provenance.minibatch,
+        tracer,
+    )?;
+    Ok(CompiledArtifact::from_parts(
+        mapping, functional, lowered, provenance,
+    ))
+}
+
+/// What the six phases produce: the mapping, the codegen verdict and the
+/// lowered programs — an artifact short of its provenance stamp.
+type PhaseOutputs = (
+    Mapping,
+    std::result::Result<CompiledNetwork, Error>,
+    Option<Vec<LoweredProgram>>,
+);
+
+/// The pipeline's one phase body, shared by [`compile_traced`] and
+/// [`compile_stamped`].
+fn run_phases<S: TraceSink>(
+    node: &NodeConfig,
+    net: &Network,
+    failed: &FailedTiles,
+    func: &FuncTargetOptions,
+    minibatch: usize,
+    tracer: &mut Tracer<S>,
+) -> Result<PhaseOutputs> {
     let track = if tracer.active() {
         tracer.track("compile")
     } else {
@@ -524,27 +590,21 @@ pub fn compile_traced<S: TraceSink>(
     };
     let analyzed = analyze(node, net)?;
     done(tracer, 0);
-    let cols = allocate_columns(&analyzed, &opts.failed)?;
+    let cols = allocate_columns(&analyzed, failed)?;
     done(tracer, 1);
     let partition = partition_state(&analyzed, &cols);
     done(tracer, 2);
     let mapping = assign_compute(&analyzed, &cols, &partition)?;
     done(tracer, 3);
-    let dead_tiles: Vec<u16> = opts.failed.func_tiles().collect();
-    let functional =
-        codegen::compile_functional_degraded(net, &opts.func, opts.minibatch, &dead_tiles);
+    let dead_tiles: Vec<u16> = failed.func_tiles().collect();
+    let functional = codegen::compile_functional_degraded(net, func, minibatch, &dead_tiles);
     done(tracer, 4);
     let lowered = functional
         .as_ref()
         .ok()
         .map(|c| c.programs.iter().map(scaledeep_isa::micro::lower).collect());
     done(tracer, 5);
-    Ok(CompiledArtifact {
-        mapping,
-        functional,
-        lowered,
-        provenance: Provenance::new(node, net, opts),
-    })
+    Ok((mapping, functional, lowered))
 }
 
 #[cfg(test)]

@@ -3,7 +3,9 @@
 use crate::error::{Error, Result};
 use crate::layer::Layer;
 use crate::shape::FeatureShape;
-use std::fmt;
+use scaledeep_trace::Fnv1aWriter;
+use std::fmt::{self, Write as _};
+use std::sync::OnceLock;
 
 /// Identifier of a layer inside a [`Network`].
 ///
@@ -94,18 +96,56 @@ impl LayerNode {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A network is immutable once built, so its [`Network::fingerprint`] is
+/// computed on first use and memoized. The memo is invisible: `Debug`
+/// renders, and `==` compares, the name and the nodes only.
+#[derive(Clone)]
 pub struct Network {
     name: String,
     nodes: Vec<LayerNode>,
+    fingerprint: OnceLock<u64>,
 }
+
+impl fmt::Debug for Network {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Network")
+            .field("name", &self.name)
+            .field("nodes", &self.nodes)
+            .finish()
+    }
+}
+
+impl PartialEq for Network {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.nodes == other.nodes
+    }
+}
+
+impl Eq for Network {}
 
 impl Network {
     pub(crate) fn from_parts(name: String, nodes: Vec<LayerNode>) -> Result<Self> {
         if nodes.is_empty() {
             return Err(Error::Empty);
         }
-        Ok(Self { name, nodes })
+        Ok(Self {
+            name,
+            nodes,
+            fingerprint: OnceLock::new(),
+        })
+    }
+
+    /// FNV-1a-64 of the network's `Debug` rendering — the network half of
+    /// a compile's provenance key, and so part of every stored artifact's
+    /// file name. Hashed on the first call (streamed, never allocated)
+    /// and memoized; equal networks have equal fingerprints.
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let mut h = Fnv1aWriter::new();
+            write!(h, "{self:?}").expect("hashing never fails");
+            h.finish()
+        })
     }
 
     pub(crate) fn push_node(

@@ -21,9 +21,10 @@
 
 use crate::attribution::Attribution;
 use crate::report::{req_num, req_str, req_u64};
-use crate::session::{Session, TraceConfig};
+use crate::session::{Observer, Session, TraceConfig, TracedRun};
 use scaledeep_arch::{Candidate, DesignPoint, Knob, KnobValue, ParamSpace, Precision};
 use scaledeep_dnn::Network;
+use scaledeep_sim::fault::FaultPlan;
 use scaledeep_sim::perf::RunKind;
 use scaledeep_trace::json::{self, Json};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -198,8 +199,9 @@ enum Outcome {
 }
 
 /// Evaluates one candidate: retargets the hub session onto the point,
-/// runs the performance model observing metrics only (attribution reads
-/// no events), and joins it with the attribution.
+/// compiles once through the shared cache, runs the performance model on
+/// that artifact observing metrics only (attribution reads no events),
+/// and joins it with the attribution.
 fn evaluate(hub: &Session, net: &Network, cfg: &DseConfig, candidate: &Candidate) -> Outcome {
     let point = match &candidate.point {
         Ok(p) => *p,
@@ -213,13 +215,24 @@ fn evaluate(hub: &Session, net: &Network, cfg: &DseConfig, candidate: &Candidate
     let node = point.node_config();
     let session = hub.retarget(node);
     let run = || -> crate::Result<DsePoint> {
-        let traced = session.run_traced(net, cfg.kind, &TraceConfig::metrics_only())?;
         let artifact = session.compile(net)?;
+        let observed = session.run_mapped_with(
+            &artifact,
+            cfg.kind,
+            &FaultPlan::none(),
+            Observer::Trace(TraceConfig::metrics_only()),
+        );
+        let traced = TracedRun {
+            perf: observed.value,
+            trace: observed.trace.unwrap_or_default(),
+        };
         let attr = Attribution::build(&traced, &artifact, net, &node)?;
         let perf = &traced.perf;
         Ok(DsePoint {
             label: candidate.label.clone(),
-            fingerprint: format!("{:016x}", point.fingerprint()),
+            // The compile keyed on this very design point, so its stamp
+            // is `point.fingerprint()` without a second render.
+            fingerprint: format!("{:016x}", artifact.provenance().node_fingerprint),
             precision: match node.precision {
                 Precision::Single => "single".to_string(),
                 Precision::Half => "half".to_string(),
@@ -692,6 +705,30 @@ mod tests {
         };
         let rerun = run(&Session::single_precision(), &net, &rebuilt, &cfg);
         assert_eq!(rerun.to_json(), text);
+    }
+
+    #[test]
+    fn point_fingerprints_are_their_candidates_design_fingerprints() {
+        // `evaluate` reads the fingerprint off the compiled artifact's
+        // provenance stamp; it must be the candidate's own design
+        // fingerprint, computed fresh here. The space is the committed
+        // `BENCH_dse-smoke.json` sweep's.
+        let net = zoo::alexnet();
+        let space = smoke_space().axis(
+            Knob::Precision,
+            vec![
+                KnobValue::Prec(Precision::Single),
+                KnobValue::Prec(Precision::Half),
+            ],
+        );
+        let report = run(&Session::single_precision(), &net, &space, &smoke_cfg(0));
+        let candidates = space.grid();
+        assert_eq!(report.points.len(), candidates.len());
+        for (p, c) in report.points.iter().zip(&candidates) {
+            assert_eq!(p.label, c.label);
+            let point = c.point.as_ref().expect("smoke points are valid");
+            assert_eq!(p.fingerprint, format!("{:016x}", point.fingerprint()));
+        }
     }
 
     #[test]

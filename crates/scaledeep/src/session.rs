@@ -491,7 +491,8 @@ impl Session {
         opts: &CompileOptions,
         tracer: &mut Tracer<S>,
     ) -> Result<Arc<CompiledArtifact>> {
-        let key = Provenance::new(&self.node, net, opts).cache_key();
+        let provenance = Provenance::new(&self.node, net, opts);
+        let key = provenance.cache_key();
         if let Some(hit) = self.lock_cache().get(&key).cloned() {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit);
@@ -504,7 +505,7 @@ impl Session {
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
-        let compiled = pipeline::compile_traced(&self.node, net, opts, tracer);
+        let compiled = pipeline::compile_stamped(net, provenance, tracer);
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.stats.compile_nanos.fetch_add(nanos, Ordering::Relaxed);
         let artifact = Arc::new(compiled?);
@@ -962,6 +963,24 @@ mod tests {
         s.compile_with(&net, &opts, Observer::Off).unwrap();
         let stats = s.cache_stats();
         assert_eq!((stats.misses, stats.hits), (2, 2));
+    }
+
+    #[test]
+    fn session_stamps_the_provenance_it_keyed_on() {
+        // A miss hands its lookup provenance to the pipeline; the stamp
+        // must equal a fresh derivation and the standalone compile's.
+        let s = Session::single_precision();
+        let net = zoo::alexnet();
+        for opts in [
+            CompileOptions::default(),
+            CompileOptions::degraded(FailedTiles::from_columns([3])),
+        ] {
+            let art = s.compile_with(&net, &opts, Observer::Off).unwrap().value;
+            let want = Provenance::new(s.node(), &zoo::alexnet(), &opts);
+            assert_eq!(*art.provenance(), want);
+            let standalone = pipeline::compile(s.node(), &net, &opts).unwrap();
+            assert_eq!(*standalone.provenance(), want);
+        }
     }
 
     #[test]

@@ -922,6 +922,9 @@ fn recover_orphan(shared: &Arc<Shared>, job: &mut Job, now: Instant) {
 }
 
 fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
+    // Replies are whole lines written at once; never hold one back
+    // waiting for the client's ACK of the previous.
+    stream.set_nodelay(true).ok();
     let Ok(reader_half) = stream.try_clone() else {
         return;
     };
@@ -985,10 +988,15 @@ fn serve_job(shared: &Arc<Shared>, writer: &mut TcpStream, request: JobRequest) 
     write_line(writer, &crate::protocol::result_to_json(&result))
 }
 
-fn write_line(writer: &mut TcpStream, payload: &str) -> bool {
-    writeln!(writer, "{payload}")
-        .and_then(|()| writer.flush())
-        .is_ok()
+/// Sends `payload` plus its newline as one `write_all`: a `writeln!` then
+/// `flush` can leave the stream as two small segments, and on a
+/// non-`TCP_NODELAY` socket the second one waits out the peer's delayed
+/// ACK.
+fn write_line<W: Write>(writer: &mut W, payload: &str) -> bool {
+    let mut line = String::with_capacity(payload.len() + 1);
+    line.push_str(payload);
+    line.push('\n');
+    writer.write_all(line.as_bytes()).is_ok()
 }
 
 #[cfg(test)]
@@ -1384,5 +1392,39 @@ mod tests {
         assert_eq!(snap.counter("serve.tenant.watcher.submitted"), Some(1));
         assert_eq!(snap.hist_count("serve.lat.run_ns"), Some(1));
         server.shutdown();
+    }
+
+    /// A writer that keeps every `write` call apart.
+    #[derive(Default)]
+    struct RecordingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_sends_each_line_in_one_write() {
+        let mut w = RecordingWriter::default();
+        let lines = [
+            crate::protocol::stats_request_json(),
+            String::new(),
+            "x".repeat(64 * 1024),
+        ];
+        for line in &lines {
+            assert!(write_line(&mut w, line));
+        }
+        assert_eq!(w.writes.len(), lines.len());
+        for (sent, line) in w.writes.iter().zip(&lines) {
+            assert_eq!(*sent, format!("{line}\n").into_bytes());
+        }
     }
 }

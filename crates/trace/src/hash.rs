@@ -1,6 +1,10 @@
 //! FNV-1a-64, the workspace's one content hash: compile provenance keys,
 //! design fingerprints and progress-stream digests all fold their bytes
-//! through [`fnv1a`].
+//! through [`fnv1a`]. [`Fnv1aWriter`] is the same hash as a
+//! [`fmt::Write`] sink, so a value's formatted rendering can be hashed
+//! without allocating it.
+
+use std::fmt;
 
 /// The FNV-1a-64 offset basis: the state a fresh hash starts from.
 pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -16,6 +20,37 @@ pub fn fnv1a(state: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
         .fold(state, |h, b| (h ^ u64::from(b)).wrapping_mul(FNV1A_PRIME))
 }
 
+/// An [`fmt::Write`] sink that folds every byte written into an FNV-1a-64
+/// state: `write!(h, "{v:?}")` then [`Fnv1aWriter::finish`] equals
+/// `fnv1a(FNV1A_OFFSET, format!("{v:?}").bytes())`, without the string.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1aWriter(u64);
+
+impl Fnv1aWriter {
+    /// A fresh hash, starting from [`FNV1A_OFFSET`].
+    pub const fn new() -> Self {
+        Self(FNV1A_OFFSET)
+    }
+
+    /// The hash of every byte written so far.
+    pub const fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1aWriter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl fmt::Write for Fnv1aWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a(self.0, s.bytes());
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -27,5 +62,23 @@ mod tests {
         let foobar = fnv1a(FNV1A_OFFSET, *b"foobar");
         assert_eq!(foobar, 0x8594_4171_f739_67e8);
         assert_eq!(fnv1a(fnv1a(FNV1A_OFFSET, *b"foo"), *b"bar"), foobar);
+    }
+
+    #[test]
+    fn writer_hashes_the_formatted_bytes_in_any_chunking() {
+        use std::fmt::Write;
+        assert_eq!(Fnv1aWriter::new().finish(), FNV1A_OFFSET);
+        let mut a = Fnv1aWriter::default();
+        a.write_str("a").unwrap();
+        assert_eq!(a.finish(), 0xaf63_dc4c_8601_ec8c);
+        let mut foobar = Fnv1aWriter::new();
+        for chunk in ["f", "", "oo", "ba", "r"] {
+            foobar.write_str(chunk).unwrap();
+        }
+        assert_eq!(foobar.finish(), 0x8594_4171_f739_67e8);
+        let v = (1u64, "two", [3.5f64, -0.0], Some(FNV1A_OFFSET));
+        let mut h = Fnv1aWriter::new();
+        write!(h, "{v:?}").unwrap();
+        assert_eq!(h.finish(), fnv1a(FNV1A_OFFSET, format!("{v:?}").bytes()));
     }
 }
