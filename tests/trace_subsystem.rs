@@ -13,7 +13,8 @@ use scaledeep_sim::func::FuncSim;
 use scaledeep_sim::perf::RunKind;
 use scaledeep_tensor::Executor;
 use scaledeep_trace::{
-    validate_chrome_trace, Category, CategoryMask, MetricsRegistry, Payload, Tracer,
+    fnv1a, validate_chrome_trace, Category, CategoryMask, Fnv1aWriter, MetricsRegistry, Payload,
+    Tracer, FNV1A_OFFSET,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -254,6 +255,80 @@ fn fault_events_appear_on_the_fault_track() {
         assert_eq!(trace.tracks.name(f.track), "faults");
     }
     validate_chrome_trace(&trace.chrome_trace()).unwrap();
+}
+
+/// FNV-1a-64 of `text`'s bytes.
+fn hash(text: &str) -> u64 {
+    fnv1a(FNV1A_OFFSET, text.bytes())
+}
+
+/// The exported bytes of recorded performance runs, pinned: the Chrome
+/// JSON, the per-cycle CSV and the metrics report of an alexnet training
+/// run, fault-free and under seeded link faults (retry instants, sync
+/// spans with back-off), plus the progress stream of the faulted run. Any
+/// change to the event-ordered drive's emission order, timestamps,
+/// payloads or counters changes a hash. The fault-free JSON and CSV are
+/// the bytes `repro --trace a.json` writes.
+#[test]
+fn recorded_trace_bytes_are_pinned() {
+    use scaledeep_sim::fault::LinkFaults;
+    use scaledeep_trace::progress_channel;
+    use std::fmt::Write;
+    let s = Session::single_precision();
+    let artifact = s.compile(&zoo::alexnet()).unwrap();
+    let faulted = FaultPlan::seeded(7).with_link_faults(LinkFaults {
+        prob: 0.1,
+        base_backoff: 16,
+        max_retries: 4,
+    });
+    let pins = [
+        (
+            FaultPlan::none(),
+            [
+                0xf18e_7101_c6d2_c4c7,
+                0x81b8_527c_1cc6_d549,
+                0xd742_1e08_b18c_104b,
+            ],
+        ),
+        (
+            faulted.clone(),
+            [
+                0xb909_017e_fd5a_c01a,
+                0x55f9_a9cb_f783_a388,
+                0xb133_fb13_eb8c_281f,
+            ],
+        ),
+    ];
+    for (plan, [json, csv, metrics]) in pins {
+        let obs = Observer::Trace(TraceConfig::default());
+        let run = s.run_mapped_with(&artifact, RunKind::Training, &plan, obs);
+        let trace = run.trace.unwrap();
+        assert_eq!(trace.dropped, 0);
+        let got = [
+            hash(&trace.chrome_trace()),
+            hash(&trace.cycle_csv()),
+            hash(&trace.metrics_report()),
+        ];
+        assert_eq!(got, [json, csv, metrics], "{plan:?}: {got:#x?}");
+    }
+    let (tx, rx) = progress_channel(1 << 16);
+    s.run_mapped_with(
+        &artifact,
+        RunKind::Training,
+        &faulted,
+        Observer::Progress(&tx),
+    );
+    assert_eq!(rx.dropped(), 0);
+    let mut stream = Fnv1aWriter::new();
+    for update in rx.drain() {
+        writeln!(stream, "{update:?}").unwrap();
+    }
+    assert_eq!(
+        stream.finish(),
+        0xda4f_06d7_3145_6795,
+        "progress: {:#x}",
+        stream.finish()
+    );
 }
 
 /// Best-of-`n` wall-clock time of `f`, in nanoseconds.
