@@ -2,11 +2,13 @@
 //! a monotonic event queue, a park/wake table for threads blocked on
 //! address-range conditions, and busy-time resource accounting.
 //!
-//! The performance model ([`crate::perf`]) drives [`EventQueue`] directly
-//! from its pipeline loop; the functional simulator ([`crate::func`])
-//! layers [`WaitMap`] on top so that a thread blocked on a MEMTRACK
-//! tracker parks exactly once and is re-scheduled only by the tracker
-//! update that can satisfy it — no re-polling.
+//! The performance model ([`crate::perf`]) uses [`EventQueue`] only for
+//! recorded runs, whose trace events must come out in emission order;
+//! every other run walks its pipeline replicas image-major with no queue.
+//! The functional simulator ([`crate::func`]) layers [`WaitMap`] on top
+//! so that a thread blocked on a MEMTRACK tracker parks exactly once and
+//! is re-scheduled only by the tracker update that can satisfy it — no
+//! re-polling.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -28,7 +28,7 @@
 mod metrics;
 mod node;
 mod pipeline;
-pub(crate) mod replica;
+mod replica;
 mod stage;
 
 pub use metrics::{FaultStats, LinkUtilization, PerfResult, StageStat};
@@ -164,6 +164,12 @@ impl PerfSim {
     /// returned [`PerfResult`] is populated from the registry. The
     /// untraced entry points delegate here with a disabled tracer and a
     /// throwaway registry.
+    ///
+    /// The run is [`PerfSim::node_model`] with one replica (replica 0's
+    /// salts), faulted runs included; the node-wide replica count scales
+    /// the throughput. Without faults every replica is identical. Under
+    /// link faults the whole node ([`run_node`]) has a window and retry
+    /// count at least this run's (DESIGN.md §5b).
     pub fn run_mapped_traced<S: TraceSink>(
         &self,
         mapping: &Mapping,
@@ -172,26 +178,43 @@ impl PerfSim {
         tracer: &mut Tracer<S>,
         reg: &mut MetricsRegistry,
     ) -> PerfResult {
-        let stages = stage::build_stages(mapping, &self.node, &self.opts, kind);
-        pipeline::simulate(
+        let mut model = self.node_model(mapping, kind, plan);
+        let pipelines = std::mem::replace(&mut model.replicas, 1);
+        let (window, done, faults) = if self.opts.layer_sequential {
+            // Ablation A4: no inter-layer pipelining — each image traverses
+            // every stage before the next is admitted. (The link-fault model
+            // targets pipelined transfers and does not apply here.)
+            let per_image: u64 = model.stages.iter().map(|s| s.service_cycles.max(1)).sum();
+            let syncs = model.total_syncs();
+            let total = per_image * model.images as u64 + model.sync * syncs;
+            (total, model.images, FaultStats::default())
+        } else {
+            let out = run_pipeline_traced(&model, tracer, reg);
+            (out.window, model.images - 1, out.faults)
+        };
+        let mut result = metrics::assemble(
             mapping,
             &self.node,
             &self.power,
-            &self.opts,
             kind,
-            &stages,
-            plan,
-            tracer,
+            &model.stages,
+            window,
+            done,
+            pipelines,
             reg,
-        )
+        );
+        result.faults = faults;
+        result
     }
 
-    /// Builds the [`NodeModel`] for an already-mapped network: the same
-    /// stage costs, image stream, minibatch structure and sync latency the
-    /// single-replica engine simulates, replicated over every concurrent
-    /// pipeline the mapping runs node-wide. The plan's seed and link-fault
-    /// model carry over, so [`run_node`] reproduces
-    /// [`PerfSim::run_mapped_traced`]'s replica-0 dynamics salt for salt.
+    /// Builds the [`NodeModel`] of an already-mapped network, the one
+    /// description of a performance run: the stage costs, image stream,
+    /// minibatch structure and sync latency, replicated over every
+    /// concurrent pipeline the mapping runs node-wide, with the plan's
+    /// seed and link-fault model. [`PerfSim::run_mapped_traced`] simulates
+    /// it with one replica, which draws on replica 0's salts;
+    /// [`run_node`] on the whole model max-reduces every replica at each
+    /// sync (`Session::node_outcome`).
     pub fn node_model(&self, mapping: &Mapping, kind: RunKind, plan: &FaultPlan) -> NodeModel {
         let barrier = kind == RunKind::Training;
         let minibatch = self.opts.minibatch.max(1);

@@ -1,6 +1,6 @@
 //! Node-level performance model: every pipeline replica the mapping runs
-//! node-wide, walked image-major on one thread and coupled at minibatch
-//! weight syncs.
+//! node-wide, coupled at minibatch weight syncs, and the two drives that
+//! simulate it.
 //!
 //! # Model
 //!
@@ -15,22 +15,32 @@
 //! window is an *exact* lookahead (DESIGN §5h): draining each replica's
 //! whole epoch before looking at the next replica loses no precision.
 //!
-//! [`run_node`] is that walk: each replica's [`ReplicaCore`] is driven
-//! image-major by [`ReplicaCore::drain`] for one epoch, the close times
-//! are max-reduced, and the node-wide sync delay releases the next
-//! epoch. All link-retry draws are pure in `(seed, salt)`, so the walk
-//! reproduces the heap-ordered oracle (every replica's events on one
-//! global [`EventQueue`](crate::engine::EventQueue), kept with the tests)
-//! bit for bit.
+//! # Drives
+//!
+//! * [`run_node`] walks the model image-major: each replica's
+//!   [`ReplicaCore`] drains one epoch ([`ReplicaCore::drain`]), the close
+//!   times are max-reduced, and the node-wide sync delay releases the
+//!   next epoch. No queue at all.
+//! * [`run_node_event_ordered`] interleaves every replica's transitions
+//!   on one [`EventQueue`] and emits each stage span, sync span and
+//!   retry instant as it happens. Recorded runs take it: the exporters
+//!   write events in emission order, and the heap's FIFO tie-break on
+//!   same-cycle events cannot be rebuilt image-major without sorting
+//!   every event.
+//!
+//! All link-retry draws are pure in `(seed, salt)`, and both drives
+//! return their [`NodeOutcome`] through the one `merge`, so each drive
+//! is the other's oracle: the tests below compare whole outcomes.
 
-use super::replica::{replica_salt_base, ReplicaCore, SYNC_SALT};
+use super::replica::{ReplicaCore, Step, SYNC_SALT};
 use super::{FaultStats, StageCost};
-use crate::engine::Cycle;
+use crate::engine::{Cycle, EventQueue};
 use crate::fault::LinkFaults;
+use scaledeep_trace::{Payload, TraceSink, Tracer, TrackId};
 
-/// Everything the node walk needs: the per-stage costs shared by all
-/// replicas, the replica count, the per-replica image stream, and the
-/// sync/fault parameters.
+/// One performance run: the per-stage costs shared by all replicas, the
+/// replica count, the per-replica image stream, and the sync/fault
+/// parameters. Both drives simulate it.
 #[derive(Debug, Clone)]
 pub struct NodeModel {
     /// Per-stage service costs (identical across replicas).
@@ -53,7 +63,7 @@ pub struct NodeModel {
 
 impl NodeModel {
     /// Node-wide syncs the run will perform.
-    fn total_syncs(&self) -> u64 {
+    pub(super) fn total_syncs(&self) -> u64 {
         if self.barrier {
             (self.images / self.minibatch.max(1)) as u64
         } else {
@@ -63,8 +73,8 @@ impl NodeModel {
 }
 
 /// Merged result of a node run. Every field is simulation-domain (cycles
-/// and counts), so the node walk and the heap oracle must agree on all of
-/// it bit-for-bit — the oracle tests compare whole values.
+/// and counts), so the two drives must agree on all of it bit-for-bit —
+/// the oracle tests compare whole values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeOutcome {
     /// Replicas simulated.
@@ -90,10 +100,10 @@ pub struct NodeOutcome {
     pub per_replica_makespan: Vec<Cycle>,
 }
 
-/// The node-wide sync penalty for sync `index`: pure in `(seed, index)`,
-/// so the walk, the oracle and the final accounting all draw the same
-/// values independently.
-fn sync_penalty(model: &NodeModel, index: u64) -> (u64, u64, Cycle) {
+/// The node-wide sync penalty for sync `index`, as `(retries, back-off
+/// cycles, total delay)`: pure in `(seed, index)`, so both drives and the
+/// final accounting all draw the same values independently.
+fn sync_penalty(model: &NodeModel, index: u64) -> (u32, Cycle, Cycle) {
     let base = model.sync.max(1);
     let Some(lf) = model.link.as_ref() else {
         return (0, 0, base);
@@ -103,22 +113,12 @@ fn sync_penalty(model: &NodeModel, index: u64) -> (u64, u64, Cycle) {
         return (0, 0, base);
     }
     let cost = lf.backoff_cycles(retries);
-    (u64::from(retries), cost, base + cost)
+    (retries, cost, base + cost)
 }
 
 fn fresh_cores(model: &NodeModel) -> Vec<ReplicaCore<'_>> {
     (0..model.replicas)
-        .map(|r| {
-            ReplicaCore::new(
-                &model.stages,
-                model.images,
-                model.minibatch,
-                model.barrier,
-                model.seed,
-                model.link.as_ref(),
-                replica_salt_base(r),
-            )
-        })
+        .map(|r| ReplicaCore::new(model, r))
         .collect()
 }
 
@@ -130,7 +130,7 @@ fn merge(model: &NodeModel, cores: &[ReplicaCore], last_sync_end: Cycle) -> Node
     let (mut retries, mut retry_cycles, mut sync_cycles) = (0u64, 0u64, 0u64);
     for b in 0..total_syncs {
         let (r, rc, delay) = sync_penalty(model, b);
-        retries += r;
+        retries += u64::from(r);
         retry_cycles += rc;
         sync_cycles += delay;
     }
@@ -185,9 +185,9 @@ fn drain_epoch(cores: &mut [ReplicaCore], resume: Cycle) -> Cycle {
         .unwrap_or(0)
 }
 
-/// Runs the whole-node model: every replica drains its epoch image-major,
+/// Runs the whole-node model image-major: every replica drains its epoch,
 /// the close times are max-reduced, and each node-wide sync releases all
-/// replicas at the common post-sync cycle.
+/// replicas at the common post-sync cycle. Records nothing.
 ///
 /// # Panics
 ///
@@ -209,86 +209,141 @@ pub fn run_node(model: &NodeModel) -> NodeOutcome {
     merge(model, &cores, last_sync_end)
 }
 
-/// The heap-ordered oracle [`run_node`] is checked against: all replicas
-/// interleave on one global event queue, the general sequential engine
-/// shape. With `replicas == 1` it reproduces the classic
-/// [`run_pipeline_traced`](crate::perf::run_pipeline_traced) pipeline
-/// dynamics on the same salts.
-#[cfg(test)]
-pub(crate) fn run_node_sequential(model: &NodeModel) -> NodeOutcome {
-    use super::replica::{Event, Step};
-    use crate::engine::EventQueue;
+/// The trace tracks a recorded run emits on: one per stage, one for
+/// minibatch syncs, one for link retries.
+#[derive(Debug, Clone)]
+pub(super) struct PipelineTracks {
+    stages: Vec<TrackId>,
+    sync: TrackId,
+    retries: TrackId,
+}
 
-    /// One event of the oracle's global queue.
-    #[derive(Debug, Clone, Copy)]
-    enum NodeEvent {
-        /// A replica-local pipeline event.
-        Replica(u32, Event),
-        /// The node-wide minibatch sync completed.
-        SyncDone,
+impl PipelineTracks {
+    /// Interns the run's tracks in `tracer` (all track 0 when it is
+    /// inactive).
+    pub(super) fn intern<S: TraceSink>(stages: &[StageCost], tracer: &mut Tracer<S>) -> Self {
+        if !tracer.active() {
+            return Self {
+                stages: vec![0; stages.len()],
+                sync: 0,
+                retries: 0,
+            };
+        }
+        Self {
+            stages: stages
+                .iter()
+                .enumerate()
+                .map(|(s, st)| tracer.track(&format!("stage {s:02} {}", st.name)))
+                .collect(),
+            sync: tracer.track("sync"),
+            retries: tracer.track("link retries"),
+        }
     }
+}
 
+/// One event of the event-ordered drive's queue.
+#[derive(Debug, Clone, Copy)]
+enum NodeEvent {
+    /// Replica `r` tries to admit its next image into stage 0.
+    Admit(usize),
+    /// Replica `r`'s image `img` finished stage `stage`.
+    StageDone { r: usize, stage: usize, img: usize },
+    /// The node-wide minibatch sync completed.
+    SyncDone,
+}
+
+/// Runs the whole-node model event-ordered: every replica's transitions
+/// pop off one [`EventQueue`] in cycle order, same-cycle events in push
+/// order, and the node-wide sync starts when the last replica closes its
+/// minibatch. Each stage admission emits an occupancy span on its
+/// stage's track (start and duration are the image's service interval),
+/// each sync a span on the `sync` track, and each retried hand-off or
+/// sync an instant on the `link retries` track, in emission order. Every
+/// replica's spans land on the shared stage tracks, so only a
+/// one-replica recording keeps each track's timestamps monotone; the
+/// performance model records one replica.
+///
+/// # Panics
+///
+/// Panics when `model.stages` is empty, `model.images == 0`, or
+/// `model.replicas == 0`.
+pub(super) fn run_node_event_ordered<S: TraceSink>(
+    model: &NodeModel,
+    tracks: &PipelineTracks,
+    tracer: &mut Tracer<S>,
+) -> NodeOutcome {
     assert!(model.replicas > 0, "need at least one replica");
-    let r_total = model.replicas;
+    let retry_instant = |tracer: &mut Tracer<S>, at: Cycle, retries: u32, cost: Cycle| {
+        if retries > 0 {
+            tracer.instant(at, tracks.retries, Payload::Retry { retries, cost });
+        }
+    };
     let mut cores = fresh_cores(model);
     let mut q: EventQueue<NodeEvent> = EventQueue::new();
-    for r in 0..r_total {
-        q.push(0, NodeEvent::Replica(r as u32, Event::Admit));
+    for r in 0..model.replicas {
+        q.push(0, NodeEvent::Admit(r));
     }
     let mut closers = 0usize;
     let mut syncs = 0u64;
     let mut last_sync_end: Cycle = 0;
     while let Some((now, ev)) = q.pop() {
-        match ev {
-            NodeEvent::Replica(r, Event::Admit) => {
-                if let Step::Start(st) = cores[r as usize].admit(now) {
-                    let done = Event::StageDone {
-                        stage: 0,
-                        img: st.img,
-                    };
-                    q.push(st.fin, NodeEvent::Replica(r, done));
-                    q.push(st.fin, NodeEvent::Replica(r, Event::Admit));
-                }
-            }
-            NodeEvent::Replica(r, Event::StageDone { stage, img }) => {
-                match cores[r as usize].stage_done(now, stage, img) {
-                    Step::Start(st) => {
-                        let done = Event::StageDone {
-                            stage: st.stage,
-                            img,
-                        };
-                        q.push(st.fin, NodeEvent::Replica(r, done));
-                    }
-                    Step::Done {
-                        batch_done: Some(_),
-                    } => {
-                        closers += 1;
-                        if closers == r_total {
-                            // Every replica closed minibatch `syncs`: the
-                            // node-wide reduce starts now (the max over
-                            // close times) and releases all replicas
-                            // after the drawn delay.
-                            closers = 0;
-                            let (_, _, delay) = sync_penalty(model, syncs);
-                            syncs += 1;
-                            last_sync_end = now + delay;
-                            q.push(last_sync_end, NodeEvent::SyncDone);
-                        }
-                    }
-                    Step::Done { batch_done: None } => {}
-                    Step::Gated => unreachable!("stage_done never gates"),
-                }
-            }
+        let (r, step) = match ev {
+            NodeEvent::Admit(r) => (r, cores[r].admit(now)),
+            NodeEvent::StageDone { r, stage, img } => (r, cores[r].stage_done(now, stage, img)),
             NodeEvent::SyncDone => {
                 for (r, core) in cores.iter_mut().enumerate() {
                     if core.sync_completed() {
-                        q.push(now, NodeEvent::Replica(r as u32, Event::Admit));
+                        q.push(now, NodeEvent::Admit(r));
                     }
                 }
+                continue;
             }
-            NodeEvent::Replica(_, Event::SyncDone) => {
-                unreachable!("syncs are node-level events")
+        };
+        match step {
+            Step::Start(st) => {
+                tracer.span(
+                    st.start,
+                    st.fin - st.start,
+                    tracks.stages[st.stage],
+                    Payload::Stage {
+                        stage: st.stage as u16,
+                        image: st.img as u32,
+                    },
+                );
+                retry_instant(tracer, now, st.retries, st.toll);
+                let (stage, img) = (st.stage, st.img);
+                q.push(st.fin, NodeEvent::StageDone { r, stage, img });
+                if stage == 0 {
+                    q.push(st.fin, NodeEvent::Admit(r));
+                }
             }
+            Step::Done { closes_batch: true } => {
+                closers += 1;
+                if closers == model.replicas {
+                    // Every replica closed minibatch `syncs`: the
+                    // node-wide reduce starts now (the max over close
+                    // times) and releases all replicas after the drawn
+                    // delay.
+                    closers = 0;
+                    let (retries, toll, delay) = sync_penalty(model, syncs);
+                    tracer.span(
+                        now,
+                        delay,
+                        tracks.sync,
+                        Payload::Sync {
+                            index: syncs as u32,
+                        },
+                    );
+                    retry_instant(tracer, now, retries, toll);
+                    syncs += 1;
+                    last_sync_end = now + delay;
+                    q.push(last_sync_end, NodeEvent::SyncDone);
+                }
+            }
+            Step::Done {
+                closes_batch: false,
+            }
+            | Step::Gated => {}
         }
     }
     debug_assert_eq!(syncs, model.total_syncs(), "sync count is structural");
@@ -299,12 +354,18 @@ pub(crate) fn run_node_sequential(model: &NodeModel) -> NodeOutcome {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
-    use crate::perf::{run_pipeline_traced, PerfSim, RunKind};
+    use crate::perf::{PerfSim, RunKind};
     use proptest::prelude::*;
     use scaledeep_arch::presets;
     use scaledeep_compiler::Compiler;
     use scaledeep_dnn::{zoo, LayerId};
-    use scaledeep_trace::{MetricsRegistry, Tracer};
+
+    /// The event-ordered drive with nothing recorded: the walk's oracle.
+    fn event_ordered(model: &NodeModel) -> NodeOutcome {
+        let mut tracer = Tracer::disabled();
+        let tracks = PipelineTracks::intern(&model.stages, &mut tracer);
+        run_node_event_ordered(model, &tracks, &mut tracer)
+    }
 
     fn stage(cycles: u64) -> StageCost {
         StageCost {
@@ -347,7 +408,7 @@ mod tests {
                     let m = model(replicas, barrier, link);
                     assert_eq!(
                         run_node(&m),
-                        run_node_sequential(&m),
+                        event_ordered(&m),
                         "replicas={replicas} barrier={barrier} link={}",
                         link.is_some()
                     );
@@ -367,31 +428,9 @@ mod tests {
     fn partial_tail_minibatch_matches() {
         let mut m = model(4, true, Some(faults()));
         m.images = 21; // 2 full minibatches of 8, then a 5-image tail.
-        let oracle = run_node_sequential(&m);
+        let oracle = event_ordered(&m);
         assert_eq!(oracle.syncs, 2);
         assert_eq!(run_node(&m), oracle);
-    }
-
-    #[test]
-    fn single_replica_matches_classic_pipeline_engine() {
-        // The node oracle with one replica is the classic engine on the
-        // same salts: window and fault stats line up exactly.
-        let m = model(1, true, Some(faults()));
-        let node = run_node_sequential(&m);
-        let (window, _, _, faults) = run_pipeline_traced(
-            &m.stages,
-            m.images,
-            m.minibatch,
-            m.sync,
-            true,
-            m.seed,
-            m.link.as_ref(),
-            &mut Tracer::disabled(),
-            &mut MetricsRegistry::new(),
-        );
-        assert_eq!(node.window, window);
-        assert_eq!(node.faults, faults);
-        assert_eq!(node.images_done, m.images as u64);
     }
 
     #[test]
@@ -426,7 +465,7 @@ mod tests {
                     assert!(got.makespan > 0 && got.images_done > 0);
                     assert_eq!(
                         got,
-                        run_node_sequential(&m),
+                        event_ordered(&m),
                         "{name} {kind:?} link={}",
                         plan.link_faults().is_some()
                     );
@@ -493,7 +532,7 @@ mod tests {
         #[test]
         fn random_models_match_the_heap_oracle(seed in any::<u64>()) {
             let m = random_model(seed);
-            prop_assert_eq!(run_node(&m), run_node_sequential(&m));
+            prop_assert_eq!(run_node(&m), event_ordered(&m));
         }
     }
 }

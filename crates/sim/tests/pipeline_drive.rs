@@ -1,22 +1,26 @@
-//! The performance pipeline's two drives must agree exactly.
+//! The performance model's two drives must agree exactly.
 //!
-//! `run_pipeline_traced` walks the replica image-major whenever the tracer
-//! records none of the pipeline's categories, and pops events off a heap
-//! otherwise. Nothing a caller can read may tell the two apart: the
-//! returned `(window, done, utilization, faults)` tuple and the metrics
-//! registry must be `==`. The generators cover long pipelines, equal
+//! `run_pipeline_traced` simulates a `NodeModel` with the image-major
+//! walk (`perf::run_node`) whenever the tracer records none of the
+//! pipeline's categories, and with the event-ordered heap drive
+//! otherwise. Both return a `NodeOutcome` through the same merge, and the
+//! registry is written in bulk from it, so nothing a caller can read may
+//! tell the two apart: the outcome and the metrics registry must be `==`.
+//! The generators cover long pipelines, one to three replicas, equal
 //! service times (heap ties), partial tail minibatches, barrier on and
 //! off, and seeded transient link faults. A metrics-only tracer (active,
-//! every category filtered out) takes the image-major drive too, and must
-//! still intern the same tracks and record no event, while a tracer that
-//! records any single pipeline category keeps the event-ordered drive.
+//! every category filtered out) takes the walk too, and must still intern
+//! the same tracks and record no event, while a tracer that records any
+//! single pipeline category keeps the event-ordered drive.
 
 use proptest::prelude::*;
 use scaledeep_arch::presets;
 use scaledeep_compiler::Compiler;
 use scaledeep_dnn::{zoo, LayerId};
 use scaledeep_sim::fault::{FaultPlan, LinkFaults};
-use scaledeep_sim::perf::{run_pipeline_traced, FaultStats, PerfSim, RunKind, StageCost};
+use scaledeep_sim::perf::{
+    run_pipeline_traced, NodeModel, NodeOutcome, PerfSim, RunKind, StageCost,
+};
 use scaledeep_trace::{
     Category, CategoryMask, FilterSink, MetricsRegistry, TraceSink, Tracer, VecSink,
 };
@@ -42,21 +46,8 @@ impl Rng {
     }
 }
 
-/// `run_pipeline_traced`'s result tuple.
-type Outcome = (u64, usize, Vec<f64>, FaultStats);
-
-/// One random pipeline run's inputs.
-#[derive(Debug)]
-struct Case {
-    stages: Vec<StageCost>,
-    images: usize,
-    minibatch: usize,
-    sync: u64,
-    barrier: bool,
-    link: Option<LinkFaults>,
-}
-
-fn build_case(seed: u64) -> Case {
+/// One random run, its link-retry draws keyed on `fault_seed`.
+fn build_model(seed: u64, fault_seed: u64) -> NodeModel {
     let mut rng = Rng(seed.rotate_left(11) | 1);
     // A small palette makes equal service times (and so equal completion
     // cycles across stages) common rather than a one-in-10^4 accident.
@@ -79,12 +70,14 @@ fn build_case(seed: u64) -> Case {
     let minibatch = rng.range(1, 8) as usize;
     // Whole minibatches plus a (possibly empty) partial tail.
     let images = minibatch * rng.range(1, 5) as usize + rng.range(0, minibatch as u64 - 1) as usize;
-    Case {
+    NodeModel {
         stages,
+        replicas: rng.range(1, 3) as usize,
         images,
         minibatch,
         sync: rng.range(0, 2_000),
         barrier: !rng.chance(3),
+        seed: fault_seed,
         link: (!rng.chance(2)).then(|| LinkFaults {
             prob: [0.05, 0.3, 1.0][rng.range(0, 2) as usize],
             base_backoff: rng.range(1, 64),
@@ -93,47 +86,33 @@ fn build_case(seed: u64) -> Case {
     }
 }
 
-/// Runs `c` under `tracer`, returning the result tuple and the registry.
-fn run<S: TraceSink>(
-    c: &Case,
-    fault_seed: u64,
-    tracer: &mut Tracer<S>,
-) -> (Outcome, MetricsRegistry) {
+/// Runs `m` under `tracer`, returning the outcome and the registry.
+fn run<S: TraceSink>(m: &NodeModel, tracer: &mut Tracer<S>) -> (NodeOutcome, MetricsRegistry) {
     let mut reg = MetricsRegistry::new();
-    let out = run_pipeline_traced(
-        &c.stages,
-        c.images,
-        c.minibatch,
-        c.sync,
-        c.barrier,
-        fault_seed,
-        c.link.as_ref(),
-        tracer,
-        &mut reg,
-    );
+    let out = run_pipeline_traced(m, tracer, &mut reg);
     (out, reg)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The image-major and event-ordered drives return equal tuples and
-    /// equal registries on random pipelines.
+    /// The image-major and event-ordered drives return equal outcomes and
+    /// equal registries on random models.
     #[test]
     fn image_major_drive_matches_the_event_ordered_drive(seed in any::<u64>(), fault_seed in any::<u64>()) {
-        let c = build_case(seed);
-        let (fast, fast_reg) = run(&c, fault_seed, &mut Tracer::disabled());
+        let m = build_model(seed, fault_seed);
+        let (fast, fast_reg) = run(&m, &mut Tracer::disabled());
         let mut recorded = Tracer::new(VecSink::new());
-        let (slow, slow_reg) = run(&c, fault_seed, &mut recorded);
+        let (slow, slow_reg) = run(&m, &mut recorded);
         prop_assert!(
-            recorded.sink().events().len() >= c.images * c.stages.len(),
+            recorded.sink().events().len() >= m.replicas * m.images * m.stages.len(),
             "the recording tracer must take the event-ordered drive"
         );
         prop_assert_eq!(&fast, &slow);
         prop_assert_eq!(&fast_reg, &slow_reg);
 
         let mut metrics_only = Tracer::new(FilterSink::new(VecSink::new(), CategoryMask::none(), 1));
-        let (quiet, quiet_reg) = run(&c, fault_seed, &mut metrics_only);
+        let (quiet, quiet_reg) = run(&m, &mut metrics_only);
         prop_assert_eq!(&quiet, &slow);
         prop_assert_eq!(&quiet_reg, &slow_reg);
         prop_assert!(metrics_only.sink().inner().events().is_empty());
@@ -143,7 +122,7 @@ proptest! {
         // drive: the filtered run records exactly that category's events.
         for cat in [Category::Stage, Category::Session, Category::Link] {
             let mut one = Tracer::new(FilterSink::new(VecSink::new(), CategoryMask::just(cat), 1));
-            let (out, one_reg) = run(&c, fault_seed, &mut one);
+            let (out, one_reg) = run(&m, &mut one);
             prop_assert_eq!(&out, &slow);
             prop_assert_eq!(&one_reg, &slow_reg);
             let want: Vec<_> = recorded
