@@ -6,9 +6,11 @@
 //! classification of each layer (the paper's Figures 15, 19, and 20,
 //! measured instead of assumed).
 //!
-//! The *measured* quantities come from the run's [`MetricsRegistry`]
-//! (per-stage busy counters, tier-byte gauges, the stage-occupancy
-//! histogram); the *analytic* quantities (per-pass FLOP weights,
+//! The *measured* quantities come from the run's typed record,
+//! [`PerfResult`](scaledeep_sim::perf::PerfResult) (per-stage busy
+//! cycles and tier bytes, the window, the sync cycles, the
+//! stage-occupancy histogram), which a traced run's [`MetricsRegistry`]
+//! renders under the `perf.*` names; the *analytic* quantities (per-pass FLOP weights,
 //! Bytes/FLOP) come from the mapping's [`LayerPlan`]s and the
 //! [`scaledeep_dnn`] analysis. Cycles are split by apportioning each
 //! stage's measured busy total across analytic weights with a
@@ -21,6 +23,7 @@ use scaledeep_arch::{EnergyBreakdown, NodeConfig, PowerModel, Precision, Utiliza
 use scaledeep_compiler::{CompiledArtifact, Placement, Side};
 use scaledeep_dnn::{Network, Step};
 use scaledeep_sim::perf::RunKind;
+pub use scaledeep_sim::perf::TierBytes;
 use scaledeep_trace::MetricsRegistry;
 
 /// Which side of the roofline a layer lands on.
@@ -78,17 +81,6 @@ pub struct TileClassSplit {
     pub mem_heavy: u64,
 }
 
-/// Bytes moved per image across the three physical interconnect tiers.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct TierBytes {
-    /// On-chip grid links (Comp-Mem, Mem-Mem, external-memory ports).
-    pub grid: f64,
-    /// Intra-cluster wheel (spokes + arcs).
-    pub wheel: f64,
-    /// Inter-cluster ring.
-    pub ring: f64,
-}
-
 /// One pipeline stage's attribution: the layer group that
 /// time-multiplexes the stage's columns, with the measured cycles split
 /// down the hierarchy.
@@ -98,8 +90,9 @@ pub struct LayerAttribution {
     pub stage: usize,
     /// Stage name (member layer names joined with `+`).
     pub name: String,
-    /// Measured busy cycles over the whole run (from the
-    /// `perf.stage.NN.busy` counter).
+    /// Measured busy cycles over the whole run (the record's
+    /// [`StageStat::busy_cycles`](scaledeep_sim::perf::StageStat::busy_cycles),
+    /// rendered as `perf.stage.NN.busy`).
     pub busy_cycles: u64,
     /// Analytic per-image service cycles of the stage.
     pub service_cycles: u64,
@@ -155,19 +148,22 @@ pub struct Attribution {
     /// The node's ridge operational intensity (FLOPs/byte) separating
     /// compute- from bandwidth-bound layers.
     pub ridge_intensity: f64,
-    /// Percentiles of the `perf.stage.occupancy` histogram.
+    /// Percentiles of the run's stage-occupancy histogram
+    /// (`perf.stage.occupancy`).
     pub occupancy: OccupancyPercentiles,
 }
 
 impl Attribution {
-    /// Builds the attribution tree from a traced run, its compiled
-    /// artifact, and the network it simulated.
+    /// Builds the attribution tree from a run's record (`traced.perf`;
+    /// the trace itself is not read, so an unobserved run with an empty
+    /// [`crate::Trace`] gives the same tree), its compiled artifact, and
+    /// the network it simulated.
     ///
     /// # Errors
     ///
-    /// [`Error::Setup`] when the trace's stage structure does not match
-    /// the mapping (stage count or expected metrics missing) — a drift
-    /// between the stage builder and this module's grouping.
+    /// [`Error::Setup`] when the run's stage count does not match the
+    /// mapping's — a drift between the stage builder and this module's
+    /// grouping.
     pub fn build(
         traced: &TracedRun,
         artifact: &CompiledArtifact,
@@ -175,15 +171,15 @@ impl Attribution {
         node: &NodeConfig,
     ) -> Result<Attribution> {
         let mapping = artifact.mapping();
-        let kind = traced.perf.kind;
-        let reg = &traced.trace.metrics;
+        let perf = &traced.perf;
+        let kind = perf.kind;
         let groups = stage_groups(mapping);
-        if groups.len() != traced.perf.stages.len() {
+        if groups.len() != perf.stages.len() {
             return Err(Error::Setup {
                 detail: format!(
                     "attribution grouping found {} stages, run reported {}",
                     groups.len(),
-                    traced.perf.stages.len()
+                    perf.stages.len()
                 ),
             });
         }
@@ -210,16 +206,11 @@ impl Attribution {
             Precision::Single => PowerModel::paper_sp(),
             Precision::Half => PowerModel::paper_hp(),
         };
-        let profile = measured_profile(&traced.perf);
-        let seconds_per_image = 1.0 / traced.perf.images_per_sec.max(1e-9);
+        let profile = measured_profile(perf);
+        let seconds_per_image = 1.0 / perf.images_per_sec.max(1e-9);
         let energy_per_image = power.node_energy(profile, seconds_per_image);
 
-        let total_busy: u64 = (0..groups.len())
-            .map(|i| {
-                reg.counter_value(&format!("perf.stage.{i:02}.busy"))
-                    .unwrap_or(0)
-            })
-            .sum();
+        let total_busy: u64 = perf.stages.iter().map(|s| s.busy_cycles).sum();
 
         let steps: &[Step] = match kind {
             RunKind::Training => &Step::ALL,
@@ -227,13 +218,8 @@ impl Attribution {
         };
 
         let mut layers = Vec::with_capacity(groups.len());
-        for (i, group) in groups.iter().enumerate() {
-            let busy = reg
-                .counter_value(&format!("perf.stage.{i:02}.busy"))
-                .ok_or_else(|| Error::Setup {
-                    detail: format!("metric perf.stage.{i:02}.busy missing from the trace"),
-                })?;
-            let service_cycles = traced.perf.stages[i].service_cycles;
+        for (i, (group, stage)) in groups.iter().zip(&perf.stages).enumerate() {
+            let busy = stage.busy_cycles;
 
             // Pass weights: analytic FLOPs (array + SFU) per pass, summed
             // over the group's member layers.
@@ -274,16 +260,6 @@ impl Attribution {
                 mem_heavy: tc[1],
             };
 
-            let tier = |t: &str| {
-                reg.gauge_value(&format!("perf.stage.{i:02}.bytes.{t}"))
-                    .unwrap_or(0.0)
-            };
-            let tier_bytes = TierBytes {
-                grid: tier("grid"),
-                wheel: tier("wheel"),
-                ring: tier("ring"),
-            };
-
             // Analytic intensity from the DNN cost model, scoped to the
             // run kind's steps.
             let mut flops = 0u64;
@@ -321,10 +297,10 @@ impl Attribution {
                 stage: i,
                 name: group.name.clone(),
                 busy_cycles: busy,
-                service_cycles,
+                service_cycles: stage.service_cycles,
                 passes,
                 tile_classes,
-                tier_bytes,
+                tier_bytes: stage.tier_bytes,
                 flops,
                 bytes_per_flop,
                 bound,
@@ -332,22 +308,19 @@ impl Attribution {
             });
         }
 
-        let occupancy = reg
-            .histogram_value("perf.stage.occupancy")
-            .map(|h| OccupancyPercentiles {
-                p50: h.percentile(50.0),
-                p95: h.percentile(95.0),
-                p99: h.percentile(99.0),
-            })
-            .unwrap_or_default();
+        let occupancy = OccupancyPercentiles {
+            p50: perf.occupancy.percentile(50.0),
+            p95: perf.occupancy.percentile(95.0),
+            p99: perf.occupancy.percentile(99.0),
+        };
 
         Ok(Attribution {
-            network: traced.perf.network.clone(),
+            network: perf.network.clone(),
             kind,
             total_busy_cycles: total_busy,
-            window_cycles: reg.gauge_value("perf.window_cycles").unwrap_or(0.0) as u64,
-            images_done: reg.gauge_value("perf.images_done").unwrap_or(0.0) as u64,
-            sync_cycles: reg.counter_value("perf.sync.cycles").unwrap_or(0),
+            window_cycles: perf.window_cycles,
+            images_done: perf.images_done,
+            sync_cycles: perf.sync_cycles,
             layers,
             energy_per_image,
             ridge_intensity,

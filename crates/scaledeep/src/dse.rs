@@ -21,10 +21,9 @@
 
 use crate::attribution::Attribution;
 use crate::report::{req_num, req_str, req_u64};
-use crate::session::{Observer, Session, TraceConfig, TracedRun};
+use crate::session::{Session, Trace, TracedRun};
 use scaledeep_arch::{Candidate, DesignPoint, Knob, KnobValue, ParamSpace, Precision};
 use scaledeep_dnn::Network;
-use scaledeep_sim::fault::FaultPlan;
 use scaledeep_sim::perf::RunKind;
 use scaledeep_trace::json::{self, Json};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -200,8 +199,8 @@ enum Outcome {
 
 /// Evaluates one candidate: retargets the hub session onto the point,
 /// compiles once through the shared cache, runs the performance model on
-/// that artifact observing metrics only (attribution reads no events),
-/// and joins it with the attribution.
+/// that artifact unobserved (attribution reads the run record, no
+/// trace), and joins it with the attribution.
 fn evaluate(hub: &Session, net: &Network, cfg: &DseConfig, candidate: &Candidate) -> Outcome {
     let point = match &candidate.point {
         Ok(p) => *p,
@@ -216,15 +215,9 @@ fn evaluate(hub: &Session, net: &Network, cfg: &DseConfig, candidate: &Candidate
     let session = hub.retarget(node);
     let run = || -> crate::Result<DsePoint> {
         let artifact = session.compile(net)?;
-        let observed = session.run_mapped_with(
-            &artifact,
-            cfg.kind,
-            &FaultPlan::none(),
-            Observer::Trace(TraceConfig::metrics_only()),
-        );
         let traced = TracedRun {
-            perf: observed.value,
-            trace: observed.trace.unwrap_or_default(),
+            perf: session.run_mapped(&artifact, cfg.kind),
+            trace: Trace::default(),
         };
         let attr = Attribution::build(&traced, &artifact, net, &node)?;
         let perf = &traced.perf;

@@ -167,7 +167,6 @@ mod tests {
     /// when no link faults.
     #[test]
     fn node_outcome_bounds_the_replica_0_curve() {
-        use crate::TraceConfig;
         let session = Session::single_precision();
         for name in ["alexnet", "cnn-s"] {
             let artifact = session
@@ -176,11 +175,11 @@ mod tests {
             let plans =
                 std::iter::once(FaultPlan::none()).chain(LINK_FAULT_PROBS.map(link_fault_plan));
             for plan in plans {
-                let obs = Observer::Trace(TraceConfig::metrics_only());
-                let curve = session.run_mapped_with(&artifact, RunKind::Training, &plan, obs);
-                let metrics = curve.trace.expect("traced").metrics;
-                let window = metrics.gauge_value("perf.window_cycles").expect("window") as u64;
-                let retries = curve.value.faults.link_retries;
+                let curve = session
+                    .run_mapped_with(&artifact, RunKind::Training, &plan, Observer::Off)
+                    .value;
+                let window = curve.window_cycles;
+                let retries = curve.faults.link_retries;
                 let node = session.node_outcome(&artifact, RunKind::Training, &plan);
                 let prob = plan.link_faults().map_or(0.0, |lf| lf.prob);
                 let what = format!(

@@ -54,24 +54,11 @@ impl TraceConfig {
             ..Self::default()
         }
     }
-
-    /// Records no events, only the run's [`MetricsRegistry`]: every
-    /// category is filtered out. For callers that read a trace's metrics
-    /// and never its events (attribution, [`Session::bench_report`], the
-    /// design-space sweep); the performance model then skips the
-    /// event-ordered pipeline drive, and the result and metrics stay
-    /// identical to a fully recorded run.
-    pub fn metrics_only() -> Self {
-        Self {
-            filter: CategoryMask::none(),
-            ..Self::default()
-        }
-    }
 }
 
 /// The observability artifacts of one traced run: the recorded events,
-/// the track table naming their timelines, and the metrics registry every
-/// run counter was assembled from.
+/// the track table naming their timelines, and the metrics registry the
+/// run rendered its counters and results into.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// All metrics the run recorded (counters, gauges, histograms).
@@ -110,7 +97,8 @@ impl Trace {
 /// A performance-simulation run plus its trace ([`Session::run_traced`]).
 #[derive(Debug, Clone)]
 pub struct TracedRun {
-    /// The simulation result, assembled from `trace.metrics`.
+    /// The simulation result: the typed run record, which `trace.metrics`
+    /// renders under the `perf.*` names.
     pub perf: PerfResult,
     /// The run's observability artifacts.
     pub trace: Trace,
@@ -150,25 +138,29 @@ impl<T> Observed<Result<T>> {
 
 /// Matches an [`Observer`] once into one of the concrete [`Tracer`] types
 /// and evaluates `$body` with `$tracer: &mut Tracer<_>` and
-/// `$reg: &mut MetricsRegistry` bound, yielding an [`Observed`]. Each arm
-/// is monomorphic, so no `dyn` sink ever enters an engine loop.
+/// `$reg: Option<&mut MetricsRegistry>` bound, yielding an [`Observed`].
+/// Only [`Observer::Trace`] keeps a registry (`$reg` is `Some` exactly
+/// there). Each arm is monomorphic, so no `dyn` sink ever enters an
+/// engine loop.
 macro_rules! observe {
     ($obs:expr, |$tracer:ident, $reg:ident| $body:expr) => {{
-        let mut registry = MetricsRegistry::new();
-        let $reg = &mut registry;
         let (value, trace) = match $obs {
             Observer::Off => {
                 let $tracer = &mut Tracer::disabled();
+                let $reg: Option<&mut MetricsRegistry> = None;
                 ($body, None)
             }
             Observer::Progress(tx) => {
                 let $tracer = &mut Tracer::new(ProgressSink::new(NullSink, tx.clone()));
+                let $reg: Option<&mut MetricsRegistry> = None;
                 ($body, None)
             }
             Observer::Trace(cfg) => {
+                let mut registry = MetricsRegistry::new();
                 let mut tracer = Tracer::new(session_sink(&cfg));
                 let value = {
                     let $tracer = &mut tracer;
+                    let $reg = Some(&mut registry);
                     $body
                 };
                 (value, Some(into_trace(tracer, registry)))
@@ -364,8 +356,8 @@ impl Session {
 
     /// Re-targets this session onto a different node configuration while
     /// keeping every cache affinity: the in-memory artifact cache, its
-    /// statistics cells, the artifact directory and the execution tier
-    /// all carry over. Because cache keys include the
+    /// statistics cells, the artifact directory, the execution tier and
+    /// the simulator options all carry over. Because cache keys include the
     /// node's structural fingerprint, one shared cache serves sessions on
     /// *different* design points correctly — the DSE driver uses this to
     /// give every point its own session while points sharing a compile
@@ -373,7 +365,7 @@ impl Session {
     pub fn retarget(&self, node: NodeConfig) -> Self {
         Self {
             node,
-            sim: PerfSim::new(&node),
+            sim: PerfSim::new(&node).with_options(*self.sim.options()),
             cache: Arc::clone(&self.cache),
             stats: Arc::clone(&self.stats),
             artifact_dir: self.artifact_dir.clone(),
@@ -591,9 +583,10 @@ impl Session {
     /// reported in the result's fault statistics, and the empty plan is
     /// bit-identical to [`Session::run_mapped`]. [`Observer::Trace`]
     /// records the pipeline's stage-occupancy spans, sync spans, and retry
-    /// instants, with every result scalar assembled from the trace's
+    /// instants, and renders the result's every scalar into the trace's
     /// [`MetricsRegistry`]; [`Observer::Progress`] streams sync-window
-    /// completions and link retries.
+    /// completions and link retries. [`Observer::Off`] and
+    /// [`Observer::Progress`] write no registry.
     pub fn run_mapped_with(
         &self,
         artifact: &CompiledArtifact,
@@ -601,7 +594,7 @@ impl Session {
         plan: &FaultPlan,
         obs: Observer<'_>,
     ) -> Observed<PerfResult> {
-        observe!(obs, |tracer, reg| self.sim.run_mapped_traced(
+        observe!(obs, |tracer, reg| self.sim.run_mapped_observed(
             artifact.mapping(),
             kind,
             plan,
@@ -627,8 +620,8 @@ impl Session {
     /// pipeline's stage-occupancy spans, sync spans, and retry instants
     /// are recorded per `cfg`, and the returned [`TracedRun`] carries the
     /// trace (exportable to Chrome JSON / per-cycle CSV) alongside the
-    /// result — whose every scalar was assembled from the trace's
-    /// [`MetricsRegistry`].
+    /// result — whose every scalar the trace's [`MetricsRegistry`]
+    /// renders.
     ///
     /// The compile itself is served from the session cache and stays out
     /// of the run's trace (its spans would differ between a cache miss
@@ -693,8 +686,12 @@ impl Session {
         net: &Network,
         plan: &FaultPlan,
         tracer: &mut Tracer<S>,
-        reg: &mut MetricsRegistry,
+        reg: Option<&mut MetricsRegistry>,
     ) -> Result<ResilientRun> {
+        // The functional machine assembles its `RunStats` from a registry,
+        // so an unobserved run keeps a throwaway one.
+        let mut scratch = MetricsRegistry::new();
+        let reg = reg.unwrap_or(&mut scratch);
         let artifact = self.compile(net)?;
         let (mut fsim, image, golden) = seeded_iteration(net, &artifact, self.exec_backend)?;
         let session_track = if tracer.active() {
@@ -806,8 +803,7 @@ impl Session {
         })
     }
 
-    /// Compiles `net`, runs it observing metrics only
-    /// ([`TraceConfig::metrics_only`]), and joins the run's metrics with
+    /// Compiles `net`, runs it unobserved, and joins the run record with
     /// the compile's provenance and the analytic per-layer costs into a
     /// versioned [`crate::report::BenchReport`] — the document
     /// `repro --bench-json` serializes and `repro --check` diffs.
@@ -815,11 +811,16 @@ impl Session {
     /// # Errors
     ///
     /// Propagates mapping failures, and [`Error::Setup`] when the run's
-    /// metrics do not cover the mapping's stages (a simulator/attribution
-    /// version skew).
+    /// stages do not match the mapping's (a simulator/attribution version
+    /// skew).
     pub fn bench_report(&self, net: &Network, kind: RunKind) -> Result<crate::report::BenchReport> {
         let artifact = self.compile(net)?;
-        let traced = self.run_traced(net, kind, &TraceConfig::metrics_only())?;
+        // The run compiles through the cache a second time, like
+        // `train`/`evaluate`: the report's cache ledger counts that hit.
+        let traced = TracedRun {
+            perf: self.run_mapped(&*self.compile(net)?, kind),
+            trace: Trace::default(),
+        };
         let attr = crate::attribution::Attribution::build(&traced, &artifact, net, &self.node)?;
         // The functional drill: one training iteration on the session's
         // selected tier, when the functional target can express the
@@ -1120,9 +1121,11 @@ mod tests {
                 );
                 assert_eq!(node.faults.link_retries, 0, "{name} {kind:?}");
                 assert_eq!(node.faults.retry_cycles, 0, "{name} {kind:?}");
-                let one = s
-                    .run_traced(&net, kind, &TraceConfig::metrics_only())
-                    .unwrap();
+                let metrics_only = TraceConfig {
+                    filter: CategoryMask::none(),
+                    ..Default::default()
+                };
+                let one = s.run_traced(&net, kind, &metrics_only).unwrap();
                 for (i, &busy) in node.stage_busy.iter().enumerate() {
                     let single = one
                         .trace
@@ -1136,6 +1139,29 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn retarget_keeps_the_simulator_options() {
+        // The DSE driver retargets its hub onto every point: a Winograd
+        // hub must sweep Winograd, not the default options.
+        let opts = PerfOptions {
+            winograd: true,
+            ..PerfOptions::default()
+        };
+        let node = presets::half_precision();
+        let retargeted = Session::single_precision()
+            .with_options(opts)
+            .retarget(node);
+        let fresh = Session::with_node(node).with_options(opts);
+        let default = Session::with_node(node);
+        let net = zoo::alexnet();
+        for kind in [RunKind::Training, RunKind::Evaluation] {
+            let run = |s: &Session| s.run_mapped(&s.compile(&net).unwrap(), kind);
+            let got = run(&retargeted);
+            assert_eq!(got, run(&fresh), "{kind:?}");
+            assert_ne!(got, run(&default), "{kind:?}: Winograd changes nothing");
         }
     }
 
@@ -1220,7 +1246,10 @@ mod tests {
                     let run = |obs| s.run_mapped_with(&artifact, kind, &plan, obs);
                     let off = run(Observer::Off);
                     let full = run(Observer::Trace(TraceConfig::default()));
-                    let quiet = run(Observer::Trace(TraceConfig::metrics_only()));
+                    let quiet = run(Observer::Trace(TraceConfig {
+                        filter: CategoryMask::none(),
+                        ..Default::default()
+                    }));
                     assert_eq!(off.value, full.value, "{what}");
                     assert_eq!(quiet.value, full.value, "{what}");
                     let (full, quiet) = (full.trace.unwrap(), quiet.trace.unwrap());

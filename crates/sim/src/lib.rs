@@ -30,9 +30,11 @@
 //! ([`func::Machine::run_traced`], [`perf::PerfSim::run_mapped_traced`])
 //! accept a `Tracer` (cycle-stamped spans/instants on named tracks,
 //! exportable to Chrome/Perfetto JSON or per-cycle CSV) and a
-//! `MetricsRegistry` — the single source all run counters ([`RunStats`],
-//! [`PerfResult`] scalars, fault statistics) are assembled from. The
-//! untraced entry points delegate with a statically-free `NullSink`.
+//! `MetricsRegistry`. The functional model assembles its [`RunStats`]
+//! from that registry; the performance model returns the typed run
+//! record [`PerfResult`] and renders it into the registry, and its
+//! unobserved runs touch no registry. The untraced entry points delegate
+//! with a statically-free `NullSink`.
 //!
 //! [`RunStats`]: func::RunStats
 //! [`PerfResult`]: perf::PerfResult

@@ -31,7 +31,7 @@ mod pipeline;
 mod replica;
 mod stage;
 
-pub use metrics::{FaultStats, LinkUtilization, PerfResult, StageStat};
+pub use metrics::{FaultStats, LinkUtilization, PerfResult, StageStat, TierBytes};
 pub use node::{run_node, NodeModel, NodeOutcome};
 pub use pipeline::run_pipeline_traced;
 pub use stage::{RunKind, StageCost};
@@ -141,35 +141,27 @@ impl PerfSim {
         &self.node
     }
 
+    /// The simulation options.
+    pub fn options(&self) -> &PerfOptions {
+        &self.opts
+    }
+
     /// Simulates an already-mapped network.
     pub fn run_mapped(&self, mapping: &Mapping, kind: RunKind) -> PerfResult {
-        self.run_mapped_traced(
+        self.run_mapped_observed(
             mapping,
             kind,
             &FaultPlan::none(),
             &mut Tracer::disabled(),
-            &mut MetricsRegistry::new(),
+            None,
         )
     }
 
     /// Simulates an already-mapped network under a [`FaultPlan`] and with
-    /// observability. The plan's [`LinkFaults`](crate::fault::LinkFaults)
-    /// model charges retry/back-off latency on stage hand-offs and
-    /// minibatch syncs, and the result's [`PerfResult::faults`] reports
-    /// the toll; the empty plan is bit-identical to
-    /// [`PerfSim::run_mapped`]. The pipeline emits stage-occupancy spans,
-    /// sync spans, and retry instants into `tracer`, and every assembled
-    /// scalar (utilizations, link utilizations, throughput, power
-    /// efficiency) plus the pipeline's counters land in `reg` — the
-    /// returned [`PerfResult`] is populated from the registry. The
-    /// untraced entry points delegate here with a disabled tracer and a
-    /// throwaway registry.
-    ///
-    /// The run is [`PerfSim::node_model`] with one replica (replica 0's
-    /// salts), faulted runs included; the node-wide replica count scales
-    /// the throughput. Without faults every replica is identical. Under
-    /// link faults the whole node ([`run_node`]) has a window and retry
-    /// count at least this run's (DESIGN.md §5b).
+    /// observability, rendering the result into `reg`: this is
+    /// [`PerfSim::run_mapped_observed`] with `Some(reg)`. Every scalar
+    /// of the returned [`PerfResult`] (the typed run record), plus the
+    /// pipeline's counters, lands in `reg` under its `perf.*` name.
     pub fn run_mapped_traced<S: TraceSink>(
         &self,
         mapping: &Mapping,
@@ -178,32 +170,54 @@ impl PerfSim {
         tracer: &mut Tracer<S>,
         reg: &mut MetricsRegistry,
     ) -> PerfResult {
+        self.run_mapped_observed(mapping, kind, plan, tracer, Some(reg))
+    }
+
+    /// The one performance run: simulates an already-mapped network under
+    /// a [`FaultPlan`], observed by `tracer`, and returns the typed run
+    /// record. The plan's [`LinkFaults`](crate::fault::LinkFaults) model
+    /// charges retry/back-off latency on stage hand-offs and minibatch
+    /// syncs, and the result's [`PerfResult::faults`] reports the toll;
+    /// the empty plan is bit-identical to [`PerfSim::run_mapped`]. The
+    /// pipeline emits stage-occupancy spans, sync spans, and retry
+    /// instants into `tracer`. With `reg: Some`, the record is then
+    /// rendered into the registry (same names, values and registration
+    /// order for any tracer; counters add to any already there); with
+    /// `None` the run touches no registry at all.
+    ///
+    /// The run is [`PerfSim::node_model`] with one replica (replica 0's
+    /// salts), faulted runs included; the node-wide replica count scales
+    /// the throughput. Without faults every replica is identical. Under
+    /// link faults the whole node ([`run_node`]) has a window and retry
+    /// count at least this run's (DESIGN.md §5b).
+    pub fn run_mapped_observed<S: TraceSink>(
+        &self,
+        mapping: &Mapping,
+        kind: RunKind,
+        plan: &FaultPlan,
+        tracer: &mut Tracer<S>,
+        reg: Option<&mut MetricsRegistry>,
+    ) -> PerfResult {
         let mut model = self.node_model(mapping, kind, plan);
         let pipelines = std::mem::replace(&mut model.replicas, 1);
-        let (window, done, faults) = if self.opts.layer_sequential {
-            // Ablation A4: no inter-layer pipelining — each image traverses
-            // every stage before the next is admitted. (The link-fault model
-            // targets pipelined transfers and does not apply here.)
-            let per_image: u64 = model.stages.iter().map(|s| s.service_cycles.max(1)).sum();
-            let syncs = model.total_syncs();
-            let total = per_image * model.images as u64 + model.sync * syncs;
-            (total, model.images, FaultStats::default())
+        let (out, done) = if self.opts.layer_sequential {
+            (node::run_layer_sequential(&model), model.images)
         } else {
-            let out = run_pipeline_traced(&model, tracer, reg);
-            (out.window, model.images - 1, out.faults)
+            (pipeline::drive(&model, tracer), model.images - 1)
         };
-        let mut result = metrics::assemble(
+        let result = metrics::assemble(
             mapping,
             &self.node,
             &self.power,
             kind,
             &model.stages,
-            window,
+            &out,
             done,
             pipelines,
-            reg,
         );
-        result.faults = faults;
+        if let Some(reg) = reg {
+            metrics::write_metrics(&result, reg);
+        }
         result
     }
 
@@ -211,7 +225,7 @@ impl PerfSim {
     /// description of a performance run: the stage costs, image stream,
     /// minibatch structure and sync latency, replicated over every
     /// concurrent pipeline the mapping runs node-wide, with the plan's
-    /// seed and link-fault model. [`PerfSim::run_mapped_traced`] simulates
+    /// seed and link-fault model. [`PerfSim::run_mapped_observed`] simulates
     /// it with one replica, which draws on replica 0's salts;
     /// [`run_node`] on the whole model max-reduces every replica at each
     /// sync (`Session::node_outcome`).

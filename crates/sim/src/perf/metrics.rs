@@ -1,10 +1,14 @@
-//! Metric assembly: throughput, utilizations, link utilizations, power.
+//! Metric assembly: throughput, utilizations, link utilizations, power —
+//! the typed run record [`PerfResult`] — and its rendering into a
+//! [`MetricsRegistry`] for observed runs.
 
+use super::node::NodeOutcome;
+use super::pipeline;
 use super::stage::{link_idx, RunKind, StageCost, N_LINK_CLASSES};
 use crate::engine::Cycle;
 use scaledeep_arch::{LinkClass, NodeConfig, PowerBreakdown, PowerModel, UtilizationProfile};
 use scaledeep_compiler::Mapping;
-use scaledeep_trace::MetricsRegistry;
+use scaledeep_trace::{Hist, MetricsRegistry};
 
 /// Transient link-fault accounting for one run (all zeros on the
 /// fault-free path, keeping [`PerfResult`] equality exact under an empty
@@ -29,6 +33,17 @@ pub struct LinkUtilization {
     pub bytes_per_image: f64,
 }
 
+/// Bytes moved per image across the three physical interconnect tiers.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct TierBytes {
+    /// On-chip grid links (Comp-Mem, Mem-Mem, external-memory ports).
+    pub grid: f64,
+    /// Intra-cluster wheel (spokes + arcs).
+    pub wheel: f64,
+    /// Inter-cluster ring.
+    pub ring: f64,
+}
+
 /// Per-stage statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageStat {
@@ -38,9 +53,18 @@ pub struct StageStat {
     pub service_cycles: u64,
     /// Whether this stage is the pipeline bottleneck.
     pub bottleneck: bool,
+    /// Busy cycles over the whole run: admissions × service
+    /// (`perf.stage.NN.busy`).
+    pub busy_cycles: u64,
+    /// Bytes per image over the grid/wheel/ring tiers
+    /// (`perf.stage.NN.bytes.{grid,wheel,ring}`).
+    pub tier_bytes: TierBytes,
 }
 
-/// The result of one performance-simulation run.
+/// The result of one performance-simulation run: the typed run record.
+/// Every quantity an observed run renders into its [`MetricsRegistry`]
+/// is a field here (the metric each one renders as is named in its
+/// doc), so readers such as per-layer attribution need no registry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfResult {
     /// The simulated network.
@@ -70,8 +94,25 @@ pub struct PerfResult {
     pub pipelines: usize,
     /// Per-stage detail.
     pub stages: Vec<StageStat>,
-    /// Transient link-fault accounting (all zeros without a fault plan).
+    /// Transient link-fault accounting (all zeros without a fault plan;
+    /// `perf.link.retries`, `perf.link.retry_cycles`).
     pub faults: FaultStats,
+    /// Steady-state measurement window in cycles (`perf.window_cycles`).
+    pub window_cycles: Cycle,
+    /// Images completed inside the window, at least 1
+    /// (`perf.images_done`).
+    pub images_done: u64,
+    /// Images the simulated pipeline completed over the whole run
+    /// (`perf.images.completed`).
+    pub images_completed: u64,
+    /// Minibatch weight syncs performed (`perf.syncs`).
+    pub syncs: u64,
+    /// Cycles spent in minibatch syncs, retry back-off included
+    /// (`perf.sync.cycles`).
+    pub sync_cycles: u64,
+    /// Per-visit stage occupancy: each stage's service cycles, once per
+    /// admission (`perf.stage.occupancy`).
+    pub occupancy: Hist,
 }
 
 impl PerfResult {
@@ -101,15 +142,6 @@ fn link_counts(mapping: &Mapping, node: &NodeConfig) -> [f64; N_LINK_CLASSES] {
     n
 }
 
-/// Publishes `value` as the gauge `name` and reads it back — the
-/// registry, not a local, is the value [`PerfResult`] carries, making it
-/// the single source for every assembled scalar.
-fn publish(reg: &mut MetricsRegistry, name: &str, value: f64) -> f64 {
-    let id = reg.gauge(name);
-    reg.set(id, value);
-    reg.gauge_value(name).unwrap_or(value)
-}
-
 #[allow(clippy::too_many_arguments)]
 pub(super) fn assemble(
     mapping: &Mapping,
@@ -117,20 +149,15 @@ pub(super) fn assemble(
     power: &PowerModel,
     kind: RunKind,
     stages: &[StageCost],
-    window: Cycle,
+    out: &NodeOutcome,
     done: usize,
     pipelines: usize,
-    reg: &mut MetricsRegistry,
 ) -> PerfResult {
     let freq = node.frequency_hz();
-    let window = publish(reg, "perf.window_cycles", window as f64) as Cycle;
-    let done = publish(reg, "perf.images_done", done.max(1) as f64) as usize;
-    let cycles_per_image = window as f64 / done.max(1) as f64;
-    let images_per_sec = publish(
-        reg,
-        "perf.images_per_sec",
-        pipelines as f64 * freq / cycles_per_image,
-    );
+    let window = out.window;
+    let done = done.max(1);
+    let cycles_per_image = window as f64 / done as f64;
+    let images_per_sec = pipelines as f64 * freq / cycles_per_image;
 
     // --- utilization over the spanned compute resources ---
     // One pipeline's useful lane-cycles per image vs. the lanes of the
@@ -142,21 +169,13 @@ pub(super) fn assemble(
         (mapping.chips_spanned() * conv.comp_heavy_tiles() * conv.comp_heavy.total_lanes()) as f64
             + (fc.comp_heavy_tiles() * fc.comp_heavy.total_lanes()) as f64;
     let useful_lanes: f64 = stages.iter().map(|s| s.useful_lane_cycles).sum();
-    let pe_utilization = publish(
-        reg,
-        "perf.pe_utilization",
-        (useful_lanes / cycles_per_image / span_lanes).min(1.0),
-    );
+    let pe_utilization = (useful_lanes / cycles_per_image / span_lanes).min(1.0);
 
     let span_sfus = (mapping.chips_spanned() * conv.mem_heavy_tiles() * conv.mem_heavy.num_sfu)
         as f64
         + (fc.mem_heavy_tiles() * fc.mem_heavy.num_sfu) as f64;
     let useful_sfu: f64 = stages.iter().map(|s| s.useful_sfu_cycles).sum();
-    let sfu_utilization = publish(
-        reg,
-        "perf.sfu_utilization",
-        (useful_sfu / cycles_per_image / span_sfus).min(1.0),
-    );
+    let sfu_utilization = (useful_sfu / cycles_per_image / span_sfus).min(1.0);
 
     // --- link utilizations ---
     // On-chip classes (Comp-Mem, Mem-Mem) are point-to-point links owned
@@ -182,24 +201,15 @@ pub(super) fn assemble(
         } else {
             counts[i] * bw / freq * cycles_per_image
         };
-        let utilization = publish(
-            reg,
-            &format!("perf.link.{class:?}.utilization"),
-            if capacity_bytes > 0.0 {
-                (bytes / capacity_bytes).min(1.0)
-            } else {
-                0.0
-            },
-        );
-        let bytes_per_image = publish(
-            reg,
-            &format!("perf.link.{class:?}.bytes_per_image"),
-            bytes * pipelines as f64,
-        );
+        let utilization = if capacity_bytes > 0.0 {
+            (bytes / capacity_bytes).min(1.0)
+        } else {
+            0.0
+        };
         links.push(LinkUtilization {
             class,
             utilization,
-            bytes_per_image,
+            bytes_per_image: bytes * pipelines as f64,
         });
     }
 
@@ -208,7 +218,7 @@ pub(super) fn assemble(
         .iter()
         .map(|s| s.useful_lane_cycles * 2.0 + s.useful_sfu_cycles)
         .sum();
-    let achieved_flops = publish(reg, "perf.achieved_flops", flops_per_image * images_per_sec);
+    let achieved_flops = flops_per_image * images_per_sec;
     let interconnect_util = {
         let on_chip = [LinkClass::CompMem, LinkClass::MemMem, LinkClass::ConvExtMem];
         let sum: f64 = links
@@ -226,53 +236,38 @@ pub(super) fn assemble(
         interconnect: interconnect_util,
     };
     let avg_power = power.average_node_power(profile);
-    let gflops_per_watt = publish(
-        reg,
-        "perf.gflops_per_watt",
-        achieved_flops / avg_power.total() / 1e9,
-    );
-    let joules_per_image = publish(
-        reg,
-        "perf.joules_per_image",
-        avg_power.total() / images_per_sec,
-    );
+    let gflops_per_watt = achieved_flops / avg_power.total() / 1e9;
+    let joules_per_image = avg_power.total() / images_per_sec;
 
     let bottleneck = stages.iter().map(|s| s.service_cycles).max().unwrap_or(0);
     // Per-stage interconnect-tier traffic (bytes per image), folded from
     // the seven link classes into the paper's three physical tiers: the
     // on-chip grid, the intra-cluster wheel (spokes + arcs), and the
-    // inter-cluster ring. The attribution layer reads these back.
-    let tier_classes: [(&str, &[LinkClass]); 3] = [
-        (
-            "grid",
-            &[
-                LinkClass::CompMem,
-                LinkClass::MemMem,
-                LinkClass::ConvExtMem,
-                LinkClass::FcExtMem,
-            ],
-        ),
-        ("wheel", &[LinkClass::Spoke, LinkClass::Arc]),
-        ("ring", &[LinkClass::Ring]),
-    ];
+    // inter-cluster ring. The attribution layer reads these.
+    let tier = |s: &StageCost, classes: &[LinkClass]| -> f64 {
+        classes.iter().map(|&c| s.traffic[link_idx(c)]).sum()
+    };
     let stage_stats = stages
         .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let service_cycles = publish(
-                reg,
-                &format!("perf.stage.{i:02}.service_cycles"),
-                s.service_cycles as f64,
-            ) as u64;
-            for (tier, classes) in tier_classes {
-                let bytes: f64 = classes.iter().map(|&c| s.traffic[link_idx(c)]).sum();
-                publish(reg, &format!("perf.stage.{i:02}.bytes.{tier}"), bytes);
-            }
-            StageStat {
-                name: s.name.clone(),
-                service_cycles,
-                bottleneck: s.service_cycles == bottleneck,
-            }
+        .zip(&out.stage_busy)
+        .map(|(s, &busy_cycles)| StageStat {
+            name: s.name.clone(),
+            service_cycles: s.service_cycles,
+            bottleneck: s.service_cycles == bottleneck,
+            busy_cycles,
+            tier_bytes: TierBytes {
+                grid: tier(
+                    s,
+                    &[
+                        LinkClass::CompMem,
+                        LinkClass::MemMem,
+                        LinkClass::ConvExtMem,
+                        LinkClass::FcExtMem,
+                    ],
+                ),
+                wheel: tier(s, &[LinkClass::Spoke, LinkClass::Arc]),
+                ring: tier(s, &[LinkClass::Ring]),
+            },
         })
         .collect();
 
@@ -290,7 +285,61 @@ pub(super) fn assemble(
         conv_cols: mapping.conv_cols_used(),
         pipelines,
         stages: stage_stats,
-        faults: FaultStats::default(),
+        faults: out.faults,
+        window_cycles: window,
+        images_done: done as u64,
+        images_completed: out.images_done,
+        syncs: out.syncs,
+        sync_cycles: out.sync_cycles,
+        occupancy: pipeline::occupancy(stages, &out.stage_admissions),
+    }
+}
+
+/// Renders `r` into `reg`: the pipeline's counters (merged, so they add
+/// to any already there), then every assembled scalar as a gauge, in
+/// this fixed registration order.
+pub(super) fn write_metrics(r: &PerfResult, reg: &mut MetricsRegistry) {
+    pipeline::write_counters(
+        reg,
+        [
+            r.faults.link_retries,
+            r.faults.retry_cycles,
+            r.images_completed,
+            r.syncs,
+            r.sync_cycles,
+        ],
+        r.stages.iter().map(|s| s.busy_cycles),
+        &r.occupancy,
+    );
+    let mut gauge = |name: &str, value: f64| {
+        let id = reg.gauge(name);
+        reg.set(id, value);
+    };
+    gauge("perf.window_cycles", r.window_cycles as f64);
+    gauge("perf.images_done", r.images_done as f64);
+    gauge("perf.images_per_sec", r.images_per_sec);
+    gauge("perf.pe_utilization", r.pe_utilization);
+    gauge("perf.sfu_utilization", r.sfu_utilization);
+    for l in &r.links {
+        let class = l.class;
+        gauge(&format!("perf.link.{class:?}.utilization"), l.utilization);
+        gauge(
+            &format!("perf.link.{class:?}.bytes_per_image"),
+            l.bytes_per_image,
+        );
+    }
+    gauge("perf.achieved_flops", r.achieved_flops);
+    gauge("perf.gflops_per_watt", r.gflops_per_watt);
+    gauge("perf.joules_per_image", r.joules_per_image);
+    for (i, s) in r.stages.iter().enumerate() {
+        gauge(
+            &format!("perf.stage.{i:02}.service_cycles"),
+            s.service_cycles as f64,
+        );
+        let t = &s.tier_bytes;
+        for (tier, bytes) in [("grid", t.grid), ("wheel", t.wheel), ("ring", t.ring)] {
+            gauge(&format!("perf.stage.{i:02}.bytes.{tier}"), bytes);
+        }
     }
 }
 

@@ -209,6 +209,36 @@ pub fn run_node(model: &NodeModel) -> NodeOutcome {
     merge(model, &cores, last_sync_end)
 }
 
+/// Ablation A4's outcome for one replica: no inter-layer pipelining, so
+/// each image traverses every stage before the next is admitted, and each
+/// minibatch sync adds its base latency. Every stage admits every image
+/// once (busy = images × service); the window spans the whole run. The
+/// link-fault model targets pipelined transfers and does not apply.
+/// Records nothing.
+pub(super) fn run_layer_sequential(model: &NodeModel) -> NodeOutcome {
+    let images = model.images as u64;
+    let stage_busy: Vec<u64> = model
+        .stages
+        .iter()
+        .map(|st| images * st.service_cycles.max(1))
+        .collect();
+    let syncs = model.total_syncs();
+    let sync_cycles = model.sync * syncs;
+    let window = stage_busy.iter().sum::<u64>() + sync_cycles;
+    NodeOutcome {
+        replicas: 1,
+        window,
+        makespan: window,
+        images_done: images,
+        syncs,
+        sync_cycles,
+        stage_admissions: vec![images; model.stages.len()],
+        stage_busy,
+        faults: FaultStats::default(),
+        per_replica_makespan: vec![window],
+    }
+}
+
 /// The trace tracks a recorded run emits on: one per stage, one for
 /// minibatch syncs, one for link retries.
 #[derive(Debug, Clone)]

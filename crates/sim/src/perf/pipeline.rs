@@ -2,10 +2,11 @@
 //! pipeline stalls at minibatch boundaries for gradient aggregation.
 
 use super::node::{self, NodeModel, NodeOutcome, PipelineTracks};
+use super::StageCost;
 use crate::engine::Cycle;
 use scaledeep_arch::NodeConfig;
 use scaledeep_compiler::Mapping;
-use scaledeep_trace::{Category, MetricsRegistry, TraceSink, Tracer};
+use scaledeep_trace::{Category, Hist, MetricsRegistry, TraceSink, Tracer};
 
 /// Cycles spent aggregating weight gradients and distributing updated
 /// weights at a minibatch boundary: a reduce + broadcast of the CONV
@@ -52,38 +53,77 @@ pub fn run_pipeline_traced<S: TraceSink>(
     tracer: &mut Tracer<S>,
     reg: &mut MetricsRegistry,
 ) -> NodeOutcome {
+    let out = drive(model, tracer);
+    write_counters(
+        reg,
+        [
+            out.faults.link_retries,
+            out.faults.retry_cycles,
+            out.images_done,
+            out.syncs,
+            out.sync_cycles,
+        ],
+        out.stage_busy.iter().copied(),
+        &occupancy(&model.stages, &out.stage_admissions),
+    );
+    out
+}
+
+/// Simulates `model` with the drive `tracer` calls for (see
+/// [`run_pipeline_traced`]), interning the pipeline's tracks; writes no
+/// registry.
+pub(super) fn drive<S: TraceSink>(model: &NodeModel, tracer: &mut Tracer<S>) -> NodeOutcome {
     let tracks = PipelineTracks::intern(&model.stages, tracer);
     let records = [Category::Stage, Category::Session, Category::Link]
         .into_iter()
         .any(|cat| tracer.wants(cat));
-    let out = if records {
+    if records {
         node::run_node_event_ordered(model, &tracks, tracer)
     } else {
         node::run_node(model)
-    };
-    let mut run = MetricsRegistry::new();
-    let totals = [
-        ("perf.link.retries", out.faults.link_retries),
-        ("perf.link.retry_cycles", out.faults.retry_cycles),
-        ("perf.images.completed", out.images_done),
-        ("perf.syncs", out.syncs),
-        ("perf.sync.cycles", out.sync_cycles),
+    }
+}
+
+/// The per-visit stage-occupancy histogram: each stage's service cycles,
+/// observed once per admission. Service is constant per stage, so one
+/// bulk observe per stage reproduces the per-visit distribution.
+pub(super) fn occupancy(stages: &[StageCost], admissions: &[u64]) -> Hist {
+    let mut hist = Hist::default();
+    for (st, &n) in stages.iter().zip(admissions) {
+        hist.observe_n(st.service_cycles.max(1) as f64, n);
+    }
+    hist
+}
+
+/// Writes the pipeline's counters into `reg` through one merge of a
+/// per-run registry: `totals` are the link retries, retry cycles, images
+/// completed, syncs and sync cycles, `busy` each stage's busy cycles in
+/// pipeline order.
+pub(super) fn write_counters(
+    reg: &mut MetricsRegistry,
+    totals: [u64; 5],
+    busy: impl Iterator<Item = u64>,
+    occupancy: &Hist,
+) {
+    const TOTALS: [&str; 5] = [
+        "perf.link.retries",
+        "perf.link.retry_cycles",
+        "perf.images.completed",
+        "perf.syncs",
+        "perf.sync.cycles",
     ];
-    for (name, value) in totals {
+    let mut run = MetricsRegistry::new();
+    for (name, value) in TOTALS.into_iter().zip(totals) {
         let id = run.counter(name);
         run.add(id, value);
     }
-    // Service is constant per stage, so one bulk observe per stage
-    // reproduces the per-visit occupancy histogram.
-    let occupancy = run.histogram("perf.stage.occupancy");
-    let per_stage = out.stage_admissions.iter().zip(&out.stage_busy);
-    for (s, (st, (&admissions, &busy))) in model.stages.iter().zip(per_stage).enumerate() {
+    let hist = run.histogram("perf.stage.occupancy");
+    run.observe_hist(hist, occupancy);
+    for (s, busy) in busy.enumerate() {
         let id = run.counter(&format!("perf.stage.{s:02}.busy"));
         run.add(id, busy);
-        run.observe_n(occupancy, st.service_cycles.max(1) as f64, admissions);
     }
     reg.merge(&run);
-    out
 }
 
 /// Concurrent pipeline replicas across the node: rim chips not consumed by

@@ -56,7 +56,7 @@ impl Hist {
     /// Records `n` samples of value `v` at once (no-op when `n == 0`).
     /// Equals `n` calls to `observe(v)` whenever `v` is integer-valued and
     /// the running sum stays below 2^53, where every partial sum is exact.
-    fn observe_n(&mut self, v: f64, n: u64) {
+    pub fn observe_n(&mut self, v: f64, n: u64) {
         if n == 0 {
             return;
         }
@@ -237,6 +237,16 @@ impl MetricsRegistry {
         }
     }
 
+    /// Folds every sample of `h` into a histogram (no-op on
+    /// non-histograms): the bucket counts, count and sum add, min and max
+    /// widen, so folding into an empty histogram reproduces `h` exactly.
+    #[inline]
+    pub fn observe_hist(&mut self, id: MetricId, h: &Hist) {
+        if let Some(Value::Histogram(mine)) = self.values.get_mut(id.0) {
+            mine.merge(h);
+        }
+    }
+
     /// Current value of a counter id (`0` for non-counters).
     #[inline]
     pub fn counter_get(&self, id: MetricId) -> u64 {
@@ -399,6 +409,19 @@ mod tests {
         let id = r.histogram("h");
         r.observe_n(id, 4096.0, 17);
         assert_eq!(r.histogram_value("h").map(|h| h.count), Some(17));
+    }
+
+    #[test]
+    fn folding_a_histogram_into_an_empty_one_reproduces_it() {
+        let mut h = Hist::default();
+        h.observe_n(3.0, 5);
+        h.observe_n(70_000.0, 2);
+        let mut r = MetricsRegistry::new();
+        let id = r.histogram("h");
+        r.observe_hist(id, &h);
+        assert_eq!(r.histogram_value("h"), Some(&h));
+        r.observe_hist(id, &Hist::default());
+        assert_eq!(r.histogram_value("h"), Some(&h), "an empty fold is a no-op");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use scaledeep::{BenchReport, Session, TraceConfig, BENCH_SCHEMA_VERSION};
 use scaledeep_dnn::zoo;
-use scaledeep_sim::perf::RunKind;
+use scaledeep_sim::perf::{PerfOptions, RunKind};
 use scaledeep_trace::MetricsRegistry;
 
 /// Reads a committed baseline's text from the repository root.
@@ -79,6 +79,39 @@ fn attribution_sums_to_measured_stage_busy_cycles() {
     assert_eq!(report.totals.busy_cycles, measured);
     let layer_sum: u64 = report.layers.iter().map(|l| l.busy_cycles).sum();
     assert_eq!(layer_sum, measured);
+}
+
+#[test]
+fn layer_sequential_bench_report_attributes_every_stage() {
+    // Ablation A4 runs no inter-layer pipeline, yet its run record still
+    // carries every stage's busy cycles (each image once per stage), so
+    // the report builds and its per-layer cycles sum to the total: the
+    // busy cycles plus the syncs fill the whole window.
+    let session = Session::single_precision().with_options(PerfOptions {
+        layer_sequential: true,
+        ..PerfOptions::default()
+    });
+    for kind in [RunKind::Training, RunKind::Evaluation] {
+        let report = session
+            .bench_report(&zoo::alexnet(), kind)
+            .unwrap_or_else(|e| panic!("A4 {kind:?} bench report: {e}"));
+        let layer_sum: u64 = report.layers.iter().map(|l| l.busy_cycles).sum();
+        assert!(layer_sum > 0, "{kind:?}");
+        assert_eq!(layer_sum, report.totals.busy_cycles, "{kind:?}");
+        assert_eq!(
+            report.totals.busy_cycles + report.totals.sync_cycles,
+            report.totals.window_cycles,
+            "{kind:?}"
+        );
+        for l in &report.layers {
+            assert_eq!(
+                l.busy_cycles,
+                report.totals.images_done * l.service_cycles.max(1),
+                "{kind:?} {}",
+                l.name
+            );
+        }
+    }
 }
 
 #[test]
