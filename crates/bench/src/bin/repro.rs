@@ -66,11 +66,6 @@ Job server:
                              `repro serve`, stream their progress lines, and
                              finish with a server stats snapshot
 
-Global flags:
-  --tier interpreter|compiled  functional execution tier for --sweep,
-                               --bench-json, and --check (tiers are
-                               bit-identical; wall-clock only)
-
 Any other `--` flag is rejected.
 ";
 
@@ -100,7 +95,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "--suite",
     "--summary",
     "--sweep",
-    "--tier",
     "--tolerance",
     "--trace",
     "--trace-filter",
@@ -249,11 +243,11 @@ fn degraded_drill(name: &str, dead_cols: usize) -> Result<(), String> {
 /// the provenance-keyed cache the whole sweep compiles the network
 /// exactly once. Ends with the functional drill: the same training
 /// iteration on both execution tiers, wall-clocked head to head.
-fn sweep(name: &str, tier: ExecBackend) -> Result<(), String> {
+fn sweep(name: &str) -> Result<(), String> {
     use std::time::Instant;
     type RunFn<'a> = &'a dyn Fn() -> Result<f64, String>;
     let net = zoo::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
-    let session = Session::single_precision().with_exec_backend(tier);
+    let session = Session::single_precision();
     let runs: [(&str, RunFn); 3] = [
         ("train", &|| {
             session
@@ -878,10 +872,10 @@ fn session_for_precision(precision: &str) -> Result<Session, String> {
 /// `--bench-json`: runs `name` traced, joins the trace with the compile's
 /// provenance and the analytic costs into the versioned BENCH report, and
 /// writes it to `out` (validating it through the schema reader first).
-fn bench_json(name: &str, kind_str: &str, out: &str, tier: ExecBackend) -> Result<(), String> {
+fn bench_json(name: &str, kind_str: &str, out: &str) -> Result<(), String> {
     let net = zoo::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
     let kind = parse_kind(kind_str)?;
-    let session = Session::single_precision().with_exec_backend(tier);
+    let session = Session::single_precision();
     let report = session
         .bench_report(&net, kind)
         .map_err(|e| e.to_string())?;
@@ -916,18 +910,14 @@ fn bench_json(name: &str, kind_str: &str, out: &str, tier: ExecBackend) -> Resul
 /// `--check`: re-runs the baseline's network/kind/precision on this tree
 /// and diffs the fresh report against the baseline with a relative
 /// tolerance. Returns the regression messages (empty = gate passes).
-fn bench_check(
-    baseline_path: &str,
-    tolerance: f64,
-    tier: ExecBackend,
-) -> Result<Vec<String>, String> {
+fn bench_check(baseline_path: &str, tolerance: f64) -> Result<Vec<String>, String> {
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("reading {baseline_path}: {e}"))?;
     let baseline = BenchReport::from_json(&text).map_err(|e| format!("{baseline_path}: {e}"))?;
     let net = zoo::by_name(&baseline.network)
         .ok_or_else(|| format!("{baseline_path}: unknown benchmark `{}`", baseline.network))?;
     let kind = parse_kind(&baseline.kind)?;
-    let session = session_for_precision(&baseline.precision)?.with_exec_backend(tier);
+    let session = session_for_precision(&baseline.precision)?;
     let fresh = session
         .bench_report(&net, kind)
         .map_err(|e| e.to_string())?;
@@ -951,7 +941,7 @@ fn bench_check(
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{USAGE}");
         return;
@@ -960,21 +950,6 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(1);
     }
-    let tier = match args.iter().position(|a| a == "--tier") {
-        Some(pos) => {
-            let Some(name) = args.get(pos + 1) else {
-                eprintln!("--tier requires interpreter|compiled");
-                std::process::exit(1);
-            };
-            let Some(tier) = ExecBackend::parse(name) else {
-                eprintln!("unknown tier `{name}` (expected interpreter|compiled)");
-                std::process::exit(1);
-            };
-            args.drain(pos..pos + 2);
-            tier
-        }
-        None => ExecBackend::Interpreter,
-    };
     if args.iter().any(|a| a == "--list") {
         for id in EXPERIMENT_IDS {
             println!("{id}");
@@ -1065,7 +1040,7 @@ fn main() {
             .and_then(|p| args.get(p + 1))
             .map(String::as_str)
             .unwrap_or("training");
-        if let Err(e) = bench_json(name, kind, out, tier) {
+        if let Err(e) = bench_json(name, kind, out) {
             eprintln!("{e}");
             std::process::exit(1);
         }
@@ -1090,7 +1065,7 @@ fn main() {
             },
             None => 0.05,
         };
-        match bench_check(baseline, tolerance, tier) {
+        match bench_check(baseline, tolerance) {
             Ok(fails) if fails.is_empty() => {}
             Ok(fails) => {
                 for f in &fails {
@@ -1139,7 +1114,7 @@ fn main() {
     }
     if let Some(pos) = args.iter().position(|a| a == "--sweep") {
         let name = args.get(pos + 1).map(String::as_str).unwrap_or("alexnet");
-        if let Err(e) = sweep(name, tier) {
+        if let Err(e) = sweep(name) {
             eprintln!("{e}");
             std::process::exit(1);
         }
@@ -1241,7 +1216,7 @@ mod tests {
         let err = check_flags(&args(&["--sweep", "alexnet", "--shards", "4"])).unwrap_err();
         assert!(err.contains("`--shards`"), "{err}");
         assert!(check_flags(&args(&["--degraded", "alexnet", "2", "--bogus", "1"])).is_err());
-        assert!(check_flags(&args(&["--sweep", "alexnet", "--tier", "compiled"])).is_ok());
+        assert!(check_flags(&args(&["--sweep", "alexnet"])).is_ok());
         assert!(check_flags(&args(&["fig16", "fig18"])).is_ok());
     }
 }

@@ -147,13 +147,14 @@ pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
 /// * v5 — drops the host-time groups (`wall` and `par`): every field left
 ///   is deterministic, so a fresh report renders byte-identically to its
 ///   committed baseline.
-pub const BENCH_SCHEMA_VERSION: u64 = 5;
+/// * v6 — drops the informational `tier` field: every functional drill
+///   runs the compiled tier.
+pub const BENCH_SCHEMA_VERSION: u64 = 6;
 
 /// Cycle-accurate statistics of the functional drill — one training
-/// iteration executed on the selected tier. Both execution tiers are
-/// bit-identical by construction, so these fields diff at 0% tolerance
-/// across tiers; `None` when the functional target cannot express the
-/// network.
+/// iteration on the compiled tier (bit-identical to the interpreter
+/// oracle by construction), diffed at 0% tolerance; `None` when the
+/// functional target cannot express the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BenchFunctional {
     /// Simulated cycles of the iteration.
@@ -294,10 +295,6 @@ pub struct BenchReport {
     pub cache_hits: u64,
     /// Compile-cache misses at report time.
     pub cache_misses: u64,
-    /// The functional execution tier the report's session selects
-    /// (`"interpreter"` / `"compiled"`). Informational: tiers are
-    /// bit-identical, so it never fails a check. (v2)
-    pub tier: String,
     /// Functional drill statistics, when the network functionally
     /// compiles; cycle-accurate and checked. (v2)
     pub functional: Option<BenchFunctional>,
@@ -318,7 +315,6 @@ impl BenchReport {
         seed: u64,
         provenance_key: u64,
         cache: CacheStats,
-        tier: &str,
         functional: Option<BenchFunctional>,
     ) -> Self {
         BenchReport {
@@ -356,7 +352,6 @@ impl BenchReport {
             occupancy: attr.occupancy,
             cache_hits: cache.hits,
             cache_misses: cache.misses,
-            tier: tier.to_string(),
             functional,
             design: BenchDesign::describe(node),
             layers: attr
@@ -449,7 +444,6 @@ impl BenchReport {
                     ("misses", Json::Num(self.cache_misses as f64)),
                 ]),
             ),
-            ("tier", Json::Str(self.tier.clone())),
             (
                 "functional",
                 self.functional.map_or(Json::Null, |f| {
@@ -566,7 +560,6 @@ impl BenchReport {
             },
             cache_hits: req_u64(cache_v, "hits")?,
             cache_misses: req_u64(cache_v, "misses")?,
-            tier: req_str(&v, "tier")?,
             functional,
             design,
             layers,
@@ -682,8 +675,8 @@ impl BenchReport {
         for (what, got, want) in scalars {
             check_num(&mut fails, tolerance, what, got, want);
         }
-        // Functional drill statistics are cycle-accurate and diff exactly
-        // across execution tiers; the tier field is informational. A baseline without a drill constrains nothing.
+        // Functional drill statistics are cycle-accurate and diff exactly.
+        // A baseline without a drill constrains nothing.
         if let (Some(got), Some(want)) = (&self.functional, &baseline.functional) {
             for (what, g, w) in [
                 ("functional.cycles", got.cycles, want.cycles),
@@ -951,14 +944,14 @@ mod tests {
         let report = sample_report();
         let future = report
             .to_json()
-            .replacen("\"schema_version\": 5", "\"schema_version\": 6", 1);
+            .replacen("\"schema_version\": 6", "\"schema_version\": 7", 1);
         let err = BenchReport::from_json(&future).unwrap_err();
         assert!(err.contains("schema_version"), "{err}");
-        let v4 = report
+        let v5 = report
             .to_json()
-            .replacen("\"schema_version\": 5", "\"schema_version\": 4", 1);
-        let err = BenchReport::from_json(&v4).unwrap_err();
-        assert!(err.contains("schema_version 4"), "{err}");
+            .replacen("\"schema_version\": 6", "\"schema_version\": 5", 1);
+        let err = BenchReport::from_json(&v5).unwrap_err();
+        assert!(err.contains("schema_version 5"), "{err}");
 
         // Counts must be exact non-negative integers, not truncated or
         // saturated floats.

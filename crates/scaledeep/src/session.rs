@@ -328,7 +328,6 @@ pub struct Session {
     cache: Arc<Mutex<HashMap<u64, Arc<CompiledArtifact>>>>,
     stats: Arc<CacheStatsCells>,
     artifact_dir: Option<PathBuf>,
-    exec_backend: ExecBackend,
 }
 
 impl Session {
@@ -350,18 +349,17 @@ impl Session {
             cache: Arc::new(Mutex::new(HashMap::new())),
             stats: Arc::new(CacheStatsCells::default()),
             artifact_dir: None,
-            exec_backend: ExecBackend::default(),
         }
     }
 
     /// Re-targets this session onto a different node configuration while
     /// keeping every cache affinity: the in-memory artifact cache, its
-    /// statistics cells, the artifact directory, the execution tier and
-    /// the simulator options all carry over. Because cache keys include the
-    /// node's structural fingerprint, one shared cache serves sessions on
-    /// *different* design points correctly — the DSE driver uses this to
-    /// give every point its own session while points sharing a compile
-    /// (same knobs, same network) reuse one artifact.
+    /// statistics cells, the artifact directory and the simulator options
+    /// all carry over. Because cache keys include the node's structural
+    /// fingerprint, one shared cache serves sessions on *different*
+    /// design points correctly — the DSE driver uses this to give every
+    /// point its own session while points sharing a compile (same knobs,
+    /// same network) reuse one artifact.
     pub fn retarget(&self, node: NodeConfig) -> Self {
         Self {
             node,
@@ -369,7 +367,6 @@ impl Session {
             cache: Arc::clone(&self.cache),
             stats: Arc::clone(&self.stats),
             artifact_dir: self.artifact_dir.clone(),
-            exec_backend: self.exec_backend,
         }
     }
 
@@ -383,18 +380,12 @@ impl Session {
         self
     }
 
-    /// Selects the execution tier every functional run of this session
-    /// uses ([`ExecBackend::Interpreter`] decodes instructions per step;
-    /// [`ExecBackend::Compiled`] executes the artifact's pre-decoded
-    /// micro-op streams — bit-identical results, lower dispatch cost).
-    pub fn with_exec_backend(mut self, backend: ExecBackend) -> Self {
-        self.exec_backend = backend;
-        self
-    }
-
-    /// The execution tier this session's functional runs use.
+    /// The execution tier this session's functional runs use: always
+    /// [`ExecBackend::Compiled`], the artifact's pre-decoded micro-op
+    /// streams. The interpreter is bit-identical and survives only as
+    /// the oracle [`Session::cross_check`] and the tests name explicitly.
     pub fn exec_backend(&self) -> ExecBackend {
-        self.exec_backend
+        ExecBackend::Compiled
     }
 
     /// Overrides the simulator options (minibatch, ablation knobs, ...).
@@ -686,14 +677,10 @@ impl Session {
         net: &Network,
         plan: &FaultPlan,
         tracer: &mut Tracer<S>,
-        reg: Option<&mut MetricsRegistry>,
+        mut reg: Option<&mut MetricsRegistry>,
     ) -> Result<ResilientRun> {
-        // The functional machine assembles its `RunStats` from a registry,
-        // so an unobserved run keeps a throwaway one.
-        let mut scratch = MetricsRegistry::new();
-        let reg = reg.unwrap_or(&mut scratch);
         let artifact = self.compile(net)?;
-        let (mut fsim, image, golden) = seeded_iteration(net, &artifact, self.exec_backend)?;
+        let (mut fsim, image, golden) = seeded_iteration(net, &artifact)?;
         let session_track = if tracer.active() {
             tracer.track("session")
         } else {
@@ -701,7 +688,7 @@ impl Session {
         };
         let ckpt = fsim.checkpoint();
         tracer.instant(0, session_track, Payload::Checkpoint);
-        match fsim.run_iteration_traced(&image, &golden, plan, tracer, reg) {
+        match fsim.run_iteration_traced(&image, &golden, plan, tracer, reg.as_deref_mut()) {
             Ok(stats) => Ok(ResilientRun {
                 stats,
                 retried: false,
@@ -720,8 +707,7 @@ impl Session {
                 let degraded = self
                     .compile_with(net, &CompileOptions::degraded(failed), Observer::Off)?
                     .value;
-                let mut fsim =
-                    FuncSim::from_artifact(net, &degraded)?.with_backend(self.exec_backend);
+                let mut fsim = FuncSim::from_artifact(net, &degraded)?;
                 fsim.restore(&ckpt)?;
                 let retry_plan = plan.without_tile_failures();
                 // The retry restarts the machine clock at cycle 0; keep
@@ -759,21 +745,27 @@ impl Session {
     /// [`Error::Setup`] when the network has no loss head.
     pub fn cross_check(&self, net: &Network) -> Result<CycleCrossCheck> {
         let artifact = self.compile(net)?;
-        let (mut fsim, image, golden) = seeded_iteration(net, &artifact, ExecBackend::Interpreter)?;
+        let (mut fsim, image, golden) = seeded_iteration(net, &artifact)?;
+        fsim.set_backend(ExecBackend::Interpreter);
         // A bounded flight recorder rides along so a divergence can be
         // diagnosed from the run's final events without re-running.
         let mut tracer = Tracer::new(session_sink(&TraceConfig::flight_recorder(
             CROSS_CHECK_TAIL_EVENTS,
         )));
         let mut reg = MetricsRegistry::new();
-        let functional =
-            fsim.run_iteration_traced(&image, &golden, &FaultPlan::none(), &mut tracer, &mut reg)?;
+        let functional = fsim.run_iteration_traced(
+            &image,
+            &golden,
+            &FaultPlan::none(),
+            &mut tracer,
+            Some(&mut reg),
+        )?;
 
         // The same iteration on the compiled micro-op tier: same
         // artifact, same deterministic parameter seed, same inputs. Both
         // tiers must agree bit for bit — on the statistics (cycles,
         // stalls, instruction counts) and on every word of result state.
-        let (mut csim, ..) = seeded_iteration(net, &artifact, ExecBackend::Compiled)?;
+        let (mut csim, ..) = seeded_iteration(net, &artifact)?;
         let compiled_tier = csim.run_iteration(&image, &golden)?;
         let bits =
             |v: Option<Vec<f32>>| v.map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
@@ -822,15 +814,13 @@ impl Session {
             trace: Trace::default(),
         };
         let attr = crate::attribution::Attribution::build(&traced, &artifact, net, &self.node)?;
-        // The functional drill: one training iteration on the session's
-        // selected tier, when the functional target can express the
-        // network. Its statistics are cycle-accurate (diffed at 0%
-        // tolerance across tiers).
+        // The functional drill: one training iteration, when the
+        // functional target can express the network. Its statistics are
+        // cycle-accurate (diffed at 0% tolerance).
         let functional = match artifact.functional() {
             Err(_) => None,
             Ok(_) => {
-                let (mut fsim, image, golden) =
-                    seeded_iteration(net, &artifact, self.exec_backend)?;
+                let (mut fsim, image, golden) = seeded_iteration(net, &artifact)?;
                 let stats = fsim.run_iteration(&image, &golden)?;
                 Some(crate::report::BenchFunctional {
                     cycles: stats.cycles,
@@ -846,7 +836,6 @@ impl Session {
             FaultPlan::none().seed(),
             artifact.provenance().cache_key(),
             self.cache_stats(),
-            self.exec_backend.name(),
             functional,
         ))
     }
@@ -866,15 +855,14 @@ impl Session {
 /// Flight-recorder depth for [`Session::cross_check`]'s mismatch tail.
 const CROSS_CHECK_TAIL_EVENTS: usize = 256;
 
-/// A functional simulator on `backend` set up for one session-driven
-/// training iteration: the artifact's layout, parameters from the
-/// deterministic reference seed, and [`iteration_io`]'s inputs.
+/// A functional simulator set up for one session-driven training
+/// iteration: the artifact's layout, parameters from the deterministic
+/// reference seed, and [`iteration_io`]'s inputs.
 fn seeded_iteration(
     net: &Network,
     artifact: &CompiledArtifact,
-    backend: ExecBackend,
 ) -> Result<(FuncSim, Vec<f32>, Vec<f32>)> {
-    let mut fsim = FuncSim::from_artifact(net, artifact)?.with_backend(backend);
+    let mut fsim = FuncSim::from_artifact(net, artifact)?;
     fsim.import_params(&Executor::new(net, 0xC0FFEE)?)?;
     let (image, golden) = iteration_io(net, artifact.functional()?)?;
     Ok((fsim, image, golden))
@@ -1527,19 +1515,38 @@ mod tests {
     #[test]
     fn compiled_backend_session_runs_resilient_paths() {
         use scaledeep_sim::fault::FaultKind;
-        let interp = Session::single_precision();
-        let comp = Session::single_precision().with_exec_backend(ExecBackend::Compiled);
-        assert_eq!(comp.exec_backend(), ExecBackend::Compiled);
+        let session = Session::single_precision();
+        assert_eq!(session.exec_backend(), ExecBackend::Compiled);
         let net = tiny_training_net();
-        let a = interp.run_resilient(&net, &FaultPlan::none()).unwrap();
-        let b = comp.run_resilient(&net, &FaultPlan::none()).unwrap();
-        assert_eq!(a.stats, b.stats, "clean runs must agree across tiers");
-        // The degraded-retry path also honours the tier selection.
+        // The interpreter oracle: the session's seeded iteration on
+        // `artifact`, driven on the reference tier under `plan`.
+        let oracle = |artifact: &CompiledArtifact, plan: &FaultPlan| {
+            let (mut fsim, image, golden) = seeded_iteration(&net, artifact).unwrap();
+            fsim.set_backend(ExecBackend::Interpreter);
+            fsim.run_iteration_traced(&image, &golden, plan, &mut Tracer::disabled(), None)
+                .unwrap()
+        };
+        let clean = session.run_resilient(&net, &FaultPlan::none()).unwrap();
+        let healthy = session.compile(&net).unwrap();
+        assert_eq!(
+            clean.stats,
+            oracle(&healthy, &FaultPlan::none()),
+            "clean runs must agree with the interpreter"
+        );
+        // The degraded retry runs the degraded artifact with the tile
+        // failure mapped around; the oracle drives that same iteration.
         let plan = FaultPlan::seeded(7).with_fault(1, FaultKind::TileFailure { tile: 0 });
-        let ra = interp.run_resilient(&net, &plan).unwrap();
-        let rb = comp.run_resilient(&net, &plan).unwrap();
-        assert!(ra.retried && rb.retried);
-        assert_eq!(ra.stats, rb.stats);
+        let retried = session.run_resilient(&net, &plan).unwrap();
+        assert!(retried.retried);
+        let failed = FailedTiles::from_func_tiles(plan.condemned_tiles());
+        let degraded = session
+            .compile_with(&net, &CompileOptions::degraded(failed), Observer::Off)
+            .unwrap()
+            .value;
+        assert_eq!(
+            retried.stats,
+            oracle(&degraded, &plan.without_tile_failures())
+        );
     }
 
     #[test]

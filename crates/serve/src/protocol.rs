@@ -310,15 +310,14 @@ fn get_u64(j: &Json, key: &str) -> Result<u64, String> {
         .map_err(|_| format!("`{key}` is not a decimal u64"))
 }
 
-fn get_usize(j: &Json, key: &str) -> Result<usize, String> {
+/// A wire count: an exact integer in `[0, 2^53)` that fits `T`. A count
+/// outside `T` is an error, never a wrapped or saturated value.
+fn get_count<T: TryFrom<u64>>(j: &Json, key: &str) -> Result<T, String> {
     let n = j
         .get(key)
-        .and_then(Json::as_num)
-        .ok_or_else(|| format!("missing or non-number `{key}`"))?;
-    if n.fract() != 0.0 || n < 0.0 {
-        return Err(format!("`{key}` = {n} is not a valid index"));
-    }
-    Ok(n as usize)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("missing or non-count `{key}`"))?;
+    T::try_from(n).map_err(|_| format!("`{key}` = {n} exceeds {}", std::any::type_name::<T>()))
 }
 
 /// Parses one request line.
@@ -346,10 +345,7 @@ pub fn request_from_json(line: &str) -> Result<JobRequest, String> {
             plan_seed: get_u64(&doc, "plan_seed")?,
             kill_tile: match doc.get("kill_tile") {
                 None | Some(Json::Null) => None,
-                Some(_) => Some(
-                    u16::try_from(get_usize(&doc, "kill_tile")?)
-                        .map_err(|_| "`kill_tile` exceeds u16".to_string())?,
-                ),
+                Some(_) => Some(get_count(&doc, "kill_tile")?),
             },
         },
         other => return Err(format!("unknown op `{other}`")),
@@ -361,8 +357,8 @@ pub fn request_from_json(line: &str) -> Result<JobRequest, String> {
     let chaos = match doc.get("chaos") {
         None | Some(Json::Null) => None,
         Some(c) => Some(ChaosDirective {
-            panic_attempts: get_usize(c, "panic_attempts")? as u32,
-            fail_attempts: get_usize(c, "fail_attempts")? as u32,
+            panic_attempts: get_count(c, "panic_attempts")?,
+            fail_attempts: get_count(c, "fail_attempts")?,
             stall_ms: get_u64(c, "stall_ms")?,
         }),
     };
@@ -485,7 +481,7 @@ pub fn result_from_json(line: &str) -> Result<JobResult, String> {
         return Ok(Ok(match get_str(ok, "op")? {
             "compile" => JobReply::Compiled {
                 provenance: get_u64(ok, "provenance")?,
-                conv_cols: get_usize(ok, "conv_cols")?,
+                conv_cols: get_count(ok, "conv_cols")?,
                 degraded: matches!(ok.get("degraded"), Some(Json::Bool(true))),
             },
             "simulate" => JobReply::Simulated {
@@ -493,12 +489,12 @@ pub fn result_from_json(line: &str) -> Result<JobResult, String> {
                     .get("images_per_sec")
                     .and_then(Json::as_num)
                     .ok_or("missing `images_per_sec`")?,
-                stages: get_usize(ok, "stages")?,
+                stages: get_count(ok, "stages")?,
             },
             "resilient" => JobReply::Resilient {
                 cycles: get_u64(ok, "cycles")?,
                 retried: matches!(ok.get("retried"), Some(Json::Bool(true))),
-                dead_tiles: get_usize(ok, "dead_tiles")?,
+                dead_tiles: get_count(ok, "dead_tiles")?,
             },
             other => return Err(format!("unknown reply op `{other}`")),
         }));
@@ -508,15 +504,15 @@ pub fn result_from_json(line: &str) -> Result<JobResult, String> {
         .ok_or("response has neither `ok` nor `err`")?;
     Ok(Err(match get_str(err, "kind")? {
         "overloaded" => ServeError::Overloaded {
-            queued: get_usize(err, "queued")?,
-            capacity: get_usize(err, "capacity")?,
+            queued: get_count(err, "queued")?,
+            capacity: get_count(err, "capacity")?,
         },
         "deadline_exceeded" => ServeError::DeadlineExceeded {
             waited_ms: get_u64(err, "waited_ms")?,
         },
         "cancelled" => ServeError::Cancelled,
         "worker_lost" => ServeError::WorkerLost {
-            attempts: get_usize(err, "attempts")? as u32,
+            attempts: get_count(err, "attempts")?,
         },
         "rejected" => ServeError::Rejected {
             detail: get_str(err, "detail")?.to_string(),
@@ -947,6 +943,48 @@ mod tests {
                 .contains("unknown op")
         );
         assert!(result_from_json("{\"err\": {\"kind\": \"mystery\"}}").is_err());
+    }
+
+    #[test]
+    fn out_of_range_wire_counts_are_rejected_not_wrapped() {
+        let chaos = |panics: &str| {
+            request_from_json(&format!(
+                "{{\"tenant\": \"a\", \"op\": \"compile\", \"network\": \"cnn-s\", \
+                 \"chaos\": {{\"panic_attempts\": {panics}, \"fail_attempts\": 0, \
+                 \"stall_ms\": \"0\"}}}}"
+            ))
+        };
+        assert_eq!(
+            chaos("4294967295").unwrap().chaos.unwrap().panic_attempts,
+            u32::MAX
+        );
+        let err = chaos("4294967296").unwrap_err();
+        assert!(
+            err.contains("`panic_attempts` = 4294967296 exceeds u32"),
+            "{err}"
+        );
+        for bad in ["-1", "1.5", "9007199254740992", "\"3\""] {
+            let err = chaos(bad).unwrap_err();
+            assert!(err.contains("`panic_attempts`"), "{bad}: {err}");
+        }
+        let kill = |tile: &str| {
+            request_from_json(&format!(
+                "{{\"tenant\": \"a\", \"op\": \"resilient\", \"network\": \"cnn-s\", \
+                 \"plan_seed\": \"1\", \"kill_tile\": {tile}}}"
+            ))
+        };
+        assert_eq!(
+            kill("65535").unwrap().kind,
+            JobKind::Resilient {
+                network: "cnn-s".into(),
+                plan_seed: 1,
+                kill_tile: Some(u16::MAX),
+            }
+        );
+        assert!(kill("65536").unwrap_err().contains("exceeds u16"));
+        let attempts =
+            result_from_json("{\"err\": {\"kind\": \"worker_lost\", \"attempts\": 4294967296}}");
+        assert!(attempts.unwrap_err().contains("`attempts`"));
     }
 
     #[test]

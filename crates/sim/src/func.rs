@@ -40,35 +40,27 @@ use scaledeep_tensor::Executor;
 /// Both tiers share the event-driven scheduler, the tracker semantics and
 /// the arithmetic kernels, so results, [`RunStats`] and trace events are
 /// bit-identical; they differ only in per-dispatch decode work. The
-/// interpreter is the oracle the compiled tier is cross-checked against.
+/// compiled tier is the one every production path runs; the interpreter
+/// is the oracle it is cross-checked against, reached only by naming it
+/// through [`FuncSim::with_backend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecBackend {
     /// Re-decode each [`scaledeep_isa::Inst`] on every dispatch (the
     /// original tier; bit-identity oracle).
-    #[default]
     Interpreter,
     /// Dispatch pre-lowered micro-op streams
     /// ([`scaledeep_isa::LoweredProgram`]) produced by the compiler's
     /// `lower` phase.
+    #[default]
     Compiled,
 }
 
 impl ExecBackend {
-    /// Stable lowercase name (`"interpreter"` / `"compiled"`), used in
-    /// CLI flags and BENCH JSON.
+    /// Stable lowercase name (`"interpreter"` / `"compiled"`).
     pub fn name(self) -> &'static str {
         match self {
             ExecBackend::Interpreter => "interpreter",
             ExecBackend::Compiled => "compiled",
-        }
-    }
-
-    /// Parses [`ExecBackend::name`] output.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "interpreter" => Some(ExecBackend::Interpreter),
-            "compiled" => Some(ExecBackend::Compiled),
-            _ => None,
         }
     }
 }
@@ -219,7 +211,10 @@ impl FuncSim {
         Ok(sim)
     }
 
-    /// Selects the execution tier for subsequent runs.
+    /// Selects the execution tier for subsequent runs. Every simulator
+    /// starts on [`ExecBackend::Compiled`]; naming
+    /// [`ExecBackend::Interpreter`] here is how oracle checks reach the
+    /// reference tier.
     pub fn set_backend(&mut self, backend: ExecBackend) {
         self.backend = backend;
     }
@@ -354,7 +349,7 @@ impl FuncSim {
             golden,
             &FaultPlan::none(),
             &mut Tracer::disabled(),
-            &mut MetricsRegistry::new(),
+            None,
         )
     }
 
@@ -392,7 +387,7 @@ impl FuncSim {
         &mut self,
         plan: &FaultPlan,
         tracer: &mut Tracer<S>,
-        reg: &mut MetricsRegistry,
+        reg: Option<&mut MetricsRegistry>,
     ) -> Result<RunStats> {
         let costs = CycleCosts::default();
         match self.backend {
@@ -418,9 +413,10 @@ impl FuncSim {
     /// [`FuncSim::run_iteration`] under a [`FaultPlan`] and with
     /// observability: dispatches through [`Machine::run_traced`] (see it
     /// for the fault semantics, the track layout and the metric names),
-    /// emitting retire/park/wake/fault events into `tracer` and all run
-    /// counters into `reg`. With the empty plan and a disabled tracer
-    /// this is bit-identical to `run_iteration`.
+    /// emitting retire/park/wake/fault events into `tracer` and, when
+    /// `reg` is given, rendering the run's [`RunStats`] into it. With the
+    /// empty plan, a disabled tracer and no registry this is
+    /// `run_iteration`.
     ///
     /// # Errors
     ///
@@ -432,7 +428,7 @@ impl FuncSim {
         golden: &[f32],
         plan: &FaultPlan,
         tracer: &mut Tracer<S>,
-        reg: &mut MetricsRegistry,
+        reg: Option<&mut MetricsRegistry>,
     ) -> Result<RunStats> {
         self.prepare_iteration(image, golden)?;
         self.dispatch_all(plan, tracer, reg)
@@ -554,11 +550,7 @@ impl FuncSim {
             });
         }
         self.write_buffer(golden_loc, goldens)?;
-        self.dispatch_all(
-            &FaultPlan::none(),
-            &mut Tracer::disabled(),
-            &mut MetricsRegistry::new(),
-        )
+        self.dispatch_all(&FaultPlan::none(), &mut Tracer::disabled(), None)
     }
 
     /// Runs forward propagation only (network evaluation): executes the FP

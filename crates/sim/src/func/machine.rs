@@ -19,7 +19,7 @@ use crate::fault::{FaultKind, FaultPlan};
 use scaledeep_compiler::codegen::TrackerSpec;
 use scaledeep_isa::micro::CostClass;
 use scaledeep_isa::{Inst, InstGroup, Loc, LoweredProgram, MicroOp, Program, NUM_REGS};
-use scaledeep_trace::{MetricId, MetricsRegistry, Payload, TraceSink, Tracer, TrackId};
+use scaledeep_trace::{Hist, MetricsRegistry, Payload, TraceSink, Tracer, TrackId};
 
 /// Default instruction budget per [`Machine::run`] call — a backstop
 /// against runaway control flow, far above any compiled program's needs.
@@ -35,8 +35,10 @@ pub struct TileStats {
     pub stalls: u64,
 }
 
-/// Statistics from one machine run.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Statistics from one machine run: the typed run record, accumulated
+/// directly by the run loop. [`RunStats::write_metrics`] renders it into
+/// a [`MetricsRegistry`] when the caller observes the run.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunStats {
     /// Instructions executed (completed, not counting blocked attempts).
     pub instructions: u64,
@@ -56,13 +58,15 @@ pub struct RunStats {
     /// Fault events applied from the run's [`FaultPlan`] (always 0 on the
     /// fault-free path, so stats stay bit-identical under an empty plan).
     pub faults: u64,
+    /// Distribution of the [`CycleCosts`] price of every executed
+    /// instruction (empty in the round-robin oracle).
+    pub instruction_cost: Hist,
 }
 
 impl RunStats {
     /// Utilization of `tile` over the run window: busy cycles over total
     /// cycles, 0 for unknown tiles or an empty window. Comparable to the
-    /// performance simulator's per-resource utilizations — both sides
-    /// accumulate busy time into `MetricsRegistry` counters.
+    /// performance simulator's per-resource utilizations.
     pub fn tile_utilization(&self, tile: u16) -> f64 {
         let busy = self.per_tile.get(tile as usize).map_or(0, |t| t.busy);
         if self.cycles == 0 {
@@ -70,6 +74,34 @@ impl RunStats {
         } else {
             busy as f64 / self.cycles as f64
         }
+    }
+
+    /// Renders the record into `reg` as the `func.*` counters, the
+    /// `func.instruction_cost` histogram and one `func.tile.NNNN.busy` /
+    /// `.stalls` counter pair per tile. Counters add and the histogram
+    /// merges, so a retried run's record folds into the first attempt's
+    /// registry.
+    pub fn write_metrics(&self, reg: &mut MetricsRegistry) {
+        let mut run = MetricsRegistry::new();
+        for (name, v) in [
+            ("func.instructions", self.instructions),
+            ("func.rounds", self.rounds),
+            ("func.stalls", self.stalls),
+            ("func.faults", self.faults),
+            ("func.cycles", self.cycles),
+        ] {
+            let id = run.counter(name);
+            run.add(id, v);
+        }
+        let cost = run.histogram("func.instruction_cost");
+        run.observe_hist(cost, &self.instruction_cost);
+        for (i, t) in self.per_tile.iter().enumerate() {
+            let busy = run.counter(&format!("func.tile.{i:04}.busy"));
+            run.add(busy, t.busy);
+            let stalls = run.counter(&format!("func.tile.{i:04}.stalls"));
+            run.add(stalls, t.stalls);
+        }
+        reg.merge(&run);
     }
 }
 
@@ -209,7 +241,7 @@ impl Machine {
             &CycleCosts::default(),
             &FaultPlan::none(),
             &mut Tracer::disabled(),
-            &mut MetricsRegistry::new(),
+            None,
         )
     }
 
@@ -222,10 +254,11 @@ impl Machine {
     /// tracker-ready parks once and is re-dispatched only by the tracker
     /// update that touches an awaited range.
     ///
-    /// Every dispatch updates named counters in a per-run
-    /// [`MetricsRegistry`] (the single source the returned [`RunStats`] is
-    /// assembled from — merged into `reg` on success so retried attempts
-    /// never double-count), and `tracer` receives cycle-stamped events:
+    /// Every dispatch accumulates into the returned [`RunStats`] record.
+    /// When `reg` is given, a successful run renders that record into it
+    /// ([`RunStats::write_metrics`]; a failed attempt renders nothing, so
+    /// retries never double-count), and `tracer` receives cycle-stamped
+    /// events:
     /// instruction-retire spans on per-tile tracks (their durations sum
     /// exactly to the per-tile busy cycles), park/wake instants on
     /// per-thread tracks, and fault instants on a `faults` track. With a
@@ -261,7 +294,7 @@ impl Machine {
         costs: &CycleCosts,
         plan: &FaultPlan,
         tracer: &mut Tracer<S>,
-        reg: &mut MetricsRegistry,
+        reg: Option<&mut MetricsRegistry>,
     ) -> Result<RunStats> {
         self.run_generic(programs, specs, costs, plan, tracer, reg)
     }
@@ -288,7 +321,7 @@ impl Machine {
             &CycleCosts::default(),
             &FaultPlan::none(),
             &mut Tracer::disabled(),
-            &mut MetricsRegistry::new(),
+            None,
         )
     }
 
@@ -306,7 +339,7 @@ impl Machine {
         costs: &CycleCosts,
         plan: &FaultPlan,
         tracer: &mut Tracer<S>,
-        reg: &mut MetricsRegistry,
+        reg: Option<&mut MetricsRegistry>,
     ) -> Result<RunStats> {
         self.run_generic(programs, specs, costs, plan, tracer, reg)
     }
@@ -319,27 +352,14 @@ impl Machine {
         costs: &CycleCosts,
         plan: &FaultPlan,
         tracer: &mut Tracer<S>,
-        reg: &mut MetricsRegistry,
+        reg: Option<&mut MetricsRegistry>,
     ) -> Result<RunStats> {
         self.arm_from_specs(specs)?;
         let mut threads: Vec<Thread<C>> = programs.iter().cloned().map(Thread::new).collect();
-        // Every run counter lives in this per-run registry; RunStats is
-        // read back out of it at the end (no parallel bookkeeping).
-        let mut run = MetricsRegistry::new();
-        let m_insts = run.counter("func.instructions");
-        let m_rounds = run.counter("func.rounds");
-        let m_stalls = run.counter("func.stalls");
-        let m_faults = run.counter("func.faults");
-        let m_cycles = run.counter("func.cycles");
-        let m_cost = run.histogram("func.instruction_cost");
-        let tile_metrics: Vec<(MetricId, MetricId)> = (0..self.mems.len())
-            .map(|i| {
-                (
-                    run.counter(&format!("func.tile.{i:04}.busy")),
-                    run.counter(&format!("func.tile.{i:04}.stalls")),
-                )
-            })
-            .collect();
+        let mut stats = RunStats {
+            per_tile: vec![TileStats::default(); self.mems.len()],
+            ..RunStats::default()
+        };
         // Track interning is skipped wholesale (names never formatted)
         // when the tracer records nothing.
         let (tile_tracks, thread_tracks, fault_track): (Vec<TrackId>, Vec<TrackId>, TrackId) =
@@ -409,10 +429,10 @@ impl Machine {
                         tile: fault_kind_tile(&e.kind),
                     },
                 );
-                run.add(m_faults, 1);
+                stats.faults += 1;
                 next_fault += 1;
             }
-            run.add(m_rounds, 1);
+            stats.rounds += 1;
             let t = &mut threads[tid];
             match C::step(
                 t,
@@ -429,16 +449,16 @@ impl Machine {
                     busy_tile,
                     touched,
                 } => {
-                    run.add(m_insts, 1);
-                    if run.counter_get(m_insts) > self.fuel {
+                    stats.instructions += 1;
+                    if stats.instructions > self.fuel {
                         return Err(Error::ControlFault {
                             program: t.code.name().to_string(),
                             detail: format!("fuel exhausted after {} instructions", self.fuel),
                         });
                     }
-                    run.observe(m_cost, cost as f64);
+                    stats.instruction_cost.observe_n(cost as f64, 1);
                     if let Some(tile) = busy_tile {
-                        run.add(tile_metrics[tile as usize].0, cost);
+                        stats.per_tile[tile as usize].busy += cost;
                         tracer.span(
                             now,
                             cost,
@@ -475,10 +495,10 @@ impl Machine {
                     }
                 }
                 StepOutcome::Blocked { awaited } => {
-                    run.add(m_stalls, 1);
+                    stats.stalls += 1;
                     if let Some(&(tile, addr, len)) = awaited.first() {
-                        if let Some(&(_, stall_id)) = tile_metrics.get(tile as usize) {
-                            run.add(stall_id, 1);
+                        if let Some(t) = stats.per_tile.get_mut(tile as usize) {
+                            t.stalls += 1;
                         }
                         tracer.instant(
                             now,
@@ -496,23 +516,11 @@ impl Machine {
                 StepOutcome::Halted => {}
             }
         }
-        run.add(m_cycles, queue.now());
-        let stats = RunStats {
-            instructions: run.counter_get(m_insts),
-            rounds: run.counter_get(m_rounds),
-            stalls: run.counter_get(m_stalls),
-            cycles: queue.now(),
-            per_tile: tile_metrics
-                .iter()
-                .map(|&(busy_id, stall_id)| TileStats {
-                    busy: run.counter_get(busy_id),
-                    stalls: run.counter_get(stall_id),
-                })
-                .collect(),
-            faults: run.counter_get(m_faults),
-        };
+        stats.cycles = queue.now();
         if threads.iter().all(|t| t.halted) {
-            reg.merge(&run);
+            if let Some(reg) = reg {
+                stats.write_metrics(reg);
+            }
             Ok(stats)
         } else {
             Err(Error::Deadlock {
@@ -1348,9 +1356,8 @@ mod tests {
         specs: &[TrackerSpec],
         plan: &FaultPlan,
     ) -> Result<RunStats> {
-        let (mut tracer, mut reg) = (Tracer::disabled(), MetricsRegistry::new());
         let costs = CycleCosts::default();
-        m.run_traced(programs, specs, &costs, plan, &mut tracer, &mut reg)
+        m.run_traced(programs, specs, &costs, plan, &mut Tracer::disabled(), None)
     }
 
     #[test]

@@ -30,11 +30,10 @@
 //! ([`func::Machine::run_traced`], [`perf::PerfSim::run_mapped_traced`])
 //! accept a `Tracer` (cycle-stamped spans/instants on named tracks,
 //! exportable to Chrome/Perfetto JSON or per-cycle CSV) and a
-//! `MetricsRegistry`. The functional model assembles its [`RunStats`]
-//! from that registry; the performance model returns the typed run
-//! record [`PerfResult`] and renders it into the registry, and its
-//! unobserved runs touch no registry. The untraced entry points delegate
-//! with a statically-free `NullSink`.
+//! `MetricsRegistry`. Both models return a typed run record
+//! ([`RunStats`], [`PerfResult`]) and render it into the registry only
+//! when the run is observed; unobserved runs touch no registry. The
+//! untraced entry points delegate with a statically-free `NullSink`.
 //!
 //! [`RunStats`]: func::RunStats
 //! [`PerfResult`]: perf::PerfResult

@@ -1,7 +1,8 @@
 //! The measured-attribution benchmark layer, end to end: the committed
 //! `BENCH_<network>.json` baselines stay reproducible from this tree, the
 //! per-layer cycle attribution sums to the trace's measured busy cycles,
-//! and the regression differ catches perturbed baselines. Property tests
+//! the interpreter oracle reproduces the committed functional drill, and
+//! the regression differ catches perturbed baselines. Property tests
 //! pin the `Hist::percentile` estimator and `MetricsRegistry::merge`
 //! invariants the reports are built on.
 
@@ -28,8 +29,8 @@ fn committed_baselines_reproduce_exactly() {
     // The simulator is deterministic and the report carries no host time:
     // a fresh report of a committed baseline's network must render to the
     // committed bytes, so the CI gate never flakes and any drift is a real
-    // model change. `alexnet-func` also carries the functional drill on
-    // the default (interpreter) tier.
+    // model change. `alexnet-func` also carries the functional drill, run
+    // on the compiled tier.
     for network in ["alexnet", "cnn-s", "alexnet-func"] {
         let text = committed_text(network);
         let baseline = committed_baseline(network);
@@ -48,6 +49,33 @@ fn committed_baselines_reproduce_exactly() {
             "{network}: fresh report is not byte-identical to BENCH_{network}.json"
         );
     }
+}
+
+#[test]
+fn alexnet_func_tiers_match_the_committed_drill() {
+    // The interpreter oracle over a whole network, on the unmodified
+    // preset node: the same seeded training iteration on both tiers must
+    // give equal statistics and bit-equal learning state, activations
+    // and errors, and those statistics are the committed drill's.
+    let x = Session::single_precision()
+        .cross_check(&zoo::alexnet_func())
+        .expect("alexnet-func cross-checks");
+    assert_eq!(
+        x.functional, x.compiled_tier,
+        "RunStats differ across tiers"
+    );
+    assert!(x.tiers_identical, "tier state diverged");
+    let drill = committed_baseline("alexnet-func")
+        .functional
+        .expect("BENCH_alexnet-func.json carries a functional drill");
+    assert_eq!(
+        (
+            x.functional.cycles,
+            x.functional.instructions,
+            x.functional.stalls
+        ),
+        (drill.cycles, drill.instructions, drill.stalls)
+    );
 }
 
 #[test]

@@ -20,7 +20,7 @@ use scaledeep_sim::func::{FuncSim, RunStats};
 use scaledeep_sim::perf::RunKind;
 use scaledeep_sim::Error;
 use scaledeep_tensor::{Executor, Tensor};
-use scaledeep_trace::{MetricsRegistry, Tracer};
+use scaledeep_trace::Tracer;
 
 /// Functional compile through the phase pipeline (healthy layout).
 fn compile_functional(
@@ -130,8 +130,7 @@ fn iterate(
     golden: &[f32],
     plan: &FaultPlan,
 ) -> Result<RunStats, Error> {
-    let (mut tracer, mut reg) = (Tracer::disabled(), MetricsRegistry::new());
-    sim.run_iteration_traced(image, golden, plan, &mut tracer, &mut reg)
+    sim.run_iteration_traced(image, golden, plan, &mut Tracer::disabled(), None)
 }
 
 // ---------- empty-plan bit-identity ----------

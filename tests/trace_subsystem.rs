@@ -1,20 +1,21 @@
 //! End-to-end checks of the `scaledeep-trace` observability subsystem:
 //! deterministic exports, trace/stats agreement (per-tile busy spans sum
 //! to exactly the stats' busy cycles), validator-clean Chrome traces,
-//! category filtering and sampling, flight-recorder bounding, and (in
-//! release builds) the zero cost of a disabled tracer.
+//! category filtering and sampling, flight-recorder bounding, the
+//! functional registry as a rendering of its run record, and the zero
+//! cost of a disabled tracer (timed in release builds only).
 
 use scaledeep::{Observer, ResilientRun, Session, Trace, TraceConfig};
 use scaledeep_arch::presets;
 use scaledeep_compiler::pipeline::{compile, CompileOptions};
 use scaledeep_dnn::{zoo, Activation, Conv, Fc, FeatureShape, Network, NetworkBuilder};
-use scaledeep_sim::fault::FaultPlan;
+use scaledeep_sim::fault::{FaultKind, FaultPlan};
 use scaledeep_sim::func::FuncSim;
 use scaledeep_sim::perf::RunKind;
 use scaledeep_tensor::Executor;
 use scaledeep_trace::{
-    fnv1a, validate_chrome_trace, Category, CategoryMask, Fnv1aWriter, MetricsRegistry, Payload,
-    Tracer, FNV1A_OFFSET,
+    fnv1a, validate_chrome_trace, Category, CategoryMask, Event, Fnv1aWriter, MetricsRegistry,
+    Payload, TraceSink, Tracer, FNV1A_OFFSET,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -343,14 +344,35 @@ fn min_of_n(n: usize, mut f: impl FnMut()) -> u128 {
         .unwrap_or(0)
 }
 
-/// A functional training iteration with a caller-built disabled tracer
-/// and registry must cost the same as the untraced entry point (min of
-/// 20 runs each, ratio under 1.5). `FuncSim::run_iteration` itself
-/// delegates to `run_iteration_traced` with `Tracer::disabled()`, so the
-/// gate fails if the observed entry point grows a cost the untraced one
-/// does not pay. Timing is only meaningful in an optimized build.
+/// A sink that is off through a runtime flag — so, unlike `NullSink`,
+/// the compiler cannot fold the instrumentation's guards away — and that
+/// fails the test if anything is ever recorded into it.
+struct TrippingSink {
+    on: bool,
+}
+
+impl TraceSink for TrippingSink {
+    fn is_active(&self) -> bool {
+        self.on
+    }
+
+    fn wants(&self, _cat: Category) -> bool {
+        self.on
+    }
+
+    fn emit(&mut self, ev: Event) {
+        panic!("a disabled tracer recorded {ev:?}");
+    }
+}
+
+/// A disabled tracer costs nothing. Structurally: a functional training
+/// iteration under a switched-off [`TrippingSink`] records no event and
+/// interns no track, and returns the untraced run's statistics. In time
+/// (release builds only): that iteration, whose every instrumentation
+/// guard is a runtime branch, costs under 1.5x the untraced
+/// `run_iteration`, where `NullSink` folds the guards to constants (min
+/// of 20 runs each).
 #[test]
-#[cfg_attr(debug_assertions, ignore = "timing gate: release profile only")]
 fn null_sink_tracing_is_free() {
     let net = tiny_training_net();
     let artifact = compile(
@@ -362,6 +384,24 @@ fn null_sink_tracing_is_free() {
     let mut sim = FuncSim::from_artifact(&net, &artifact).unwrap();
     sim.import_params(&Executor::new(&net, 1).unwrap()).unwrap();
     let (image, golden) = (vec![0.5f32; 36], vec![0.25f32; 4]);
+    let off = || {
+        Tracer::new(TrippingSink {
+            on: black_box(false),
+        })
+    };
+    let mut tracer = off();
+    let stats = sim
+        .run_iteration_traced(&image, &golden, &FaultPlan::none(), &mut tracer, None)
+        .unwrap();
+    assert!(
+        tracer.tracks().is_empty(),
+        "a disabled tracer interned tracks"
+    );
+    assert_eq!(stats, sim.run_iteration(&image, &golden).unwrap());
+    if cfg!(debug_assertions) {
+        return;
+    }
+
     // Warm up before timing.
     for _ in 0..3 {
         sim.run_iteration(&image, &golden).unwrap();
@@ -370,17 +410,60 @@ fn null_sink_tracing_is_free() {
         black_box(sim.run_iteration(&image, &golden).unwrap());
     });
     let disabled = min_of_n(20, || {
-        let mut tracer = Tracer::disabled();
-        let mut reg = MetricsRegistry::new();
         black_box(
-            sim.run_iteration_traced(&image, &golden, &FaultPlan::none(), &mut tracer, &mut reg)
+            sim.run_iteration_traced(&image, &golden, &FaultPlan::none(), &mut off(), None)
                 .unwrap(),
         );
     });
     let ratio = disabled as f64 / baseline.max(1) as f64;
-    println!("null-sink / baseline min-of-20 ratio: {ratio:.3}");
+    println!("disabled-tracer / baseline min-of-20 ratio: {ratio:.3}");
     assert!(
         ratio < 1.5,
         "disabled tracing regressed the functional sim: {disabled} ns vs {baseline} ns"
     );
+}
+
+/// An observed functional run's registry is the rendering of its typed
+/// record: the `func.*` counters and the `func.instruction_cost`
+/// histogram, registered in name order, carry exactly the record's
+/// values — on a clean run, and on a degraded retry, whose failed first
+/// attempt renders nothing.
+#[test]
+fn functional_registry_renders_the_run_record() {
+    let s = Session::single_precision();
+    let net = tiny_training_net();
+    let kill = FaultPlan::seeded(7).with_fault(1, FaultKind::TileFailure { tile: 0 });
+    for (plan, retried) in [(FaultPlan::none(), false), (kill, true)] {
+        let (run, trace) = resilient_traced(&s, &net, &plan, &TraceConfig::default());
+        assert_eq!(run.retried, retried);
+        let mut rendered = MetricsRegistry::new();
+        run.stats.write_metrics(&mut rendered);
+        assert_eq!(trace.metrics, rendered);
+
+        let stats = &run.stats;
+        let mut expected = MetricsRegistry::new();
+        for (name, v) in [("func.cycles", stats.cycles), ("func.faults", stats.faults)] {
+            let id = expected.counter(name);
+            expected.add(id, v);
+        }
+        let cost = expected.histogram("func.instruction_cost");
+        expected.observe_hist(cost, &stats.instruction_cost);
+        for (name, v) in [
+            ("func.instructions", stats.instructions),
+            ("func.rounds", stats.rounds),
+            ("func.stalls", stats.stalls),
+        ] {
+            let id = expected.counter(name);
+            expected.add(id, v);
+        }
+        for (i, t) in stats.per_tile.iter().enumerate() {
+            let busy = expected.counter(&format!("func.tile.{i:04}.busy"));
+            expected.add(busy, t.busy);
+            let stalls = expected.counter(&format!("func.tile.{i:04}.stalls"));
+            expected.add(stalls, t.stalls);
+        }
+        assert_eq!(trace.metrics, expected, "names, values or order moved");
+        assert_eq!(stats.instruction_cost.count, stats.instructions);
+        assert!(stats.instructions > 0 && !stats.per_tile.is_empty());
+    }
 }
