@@ -27,16 +27,12 @@ use crate::error::{Error, Result};
 use crate::node::{NodeConfig, Precision};
 use crate::power::PowerModel;
 use crate::tile::{CompHeavyConfig, MemHeavyConfig};
-use scaledeep_trace::json::{obj, Json};
+use scaledeep_trace::json::{exact_u64, obj, Json};
 use scaledeep_trace::{fnv1a, FNV1A_OFFSET};
 use std::fmt;
 
 const KB: usize = 1024;
 const GB: f64 = 1e9;
-
-/// Largest f64 that still holds integers exactly (2^53) — the same bound
-/// the zero-dep JSON writer uses to pick its integer rendering.
-const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
 
 /// A point in the ScaleDeep design space: a [`NodeConfig`] promoted to
 /// data, with a canonical JSON rendering and a structural fingerprint.
@@ -138,13 +134,13 @@ impl DesignPoint {
         let n = &self.node;
         obj([
             ("precision", Json::Str(n.precision.to_string())),
-            ("clusters", num_usize(n.clusters)),
+            ("clusters", Json::count(n.clusters)),
             ("frequency_mhz", Json::Num(n.frequency_mhz)),
             ("ring_bw", Json::Num(n.ring_bw)),
             (
                 "cluster",
                 obj([
-                    ("conv_chips", num_usize(n.cluster.conv_chips)),
+                    ("conv_chips", Json::count(n.cluster.conv_chips)),
                     ("spoke_bw", Json::Num(n.cluster.spoke_bw)),
                     ("arc_bw", Json::Num(n.cluster.arc_bw)),
                     ("conv_chip", chip_to_json(&n.cluster.conv_chip)),
@@ -162,20 +158,7 @@ impl DesignPoint {
     /// wrong type, or when the decoded configuration fails
     /// [`NodeConfig::validate`].
     pub fn from_json(v: &Json) -> Result<Self> {
-        let cluster = get(v, "cluster")?;
-        let node = NodeConfig {
-            clusters: get_usize(v, "clusters")?,
-            cluster: ClusterConfig {
-                conv_chips: get_usize(cluster, "conv_chips")?,
-                conv_chip: chip_from_json(get(cluster, "conv_chip")?)?,
-                fc_chip: chip_from_json(get(cluster, "fc_chip")?)?,
-                spoke_bw: get_num(cluster, "spoke_bw")?,
-                arc_bw: get_num(cluster, "arc_bw")?,
-            },
-            ring_bw: get_num(v, "ring_bw")?,
-            frequency_mhz: get_num(v, "frequency_mhz")?,
-            precision: parse_precision(get_str(v, "precision")?)?,
-        };
+        let node = node_from_json(v).map_err(bad)?;
         node.validate()?;
         Ok(Self { node })
     }
@@ -188,34 +171,33 @@ impl DesignPoint {
     }
 }
 
-fn num_usize(v: usize) -> Json {
-    Json::Num(v as f64)
-}
-
 fn chip_to_json(c: &ChipConfig) -> Json {
     obj([
         ("kind", Json::Str(c.kind.to_string())),
-        ("rows", num_usize(c.rows)),
-        ("cols", num_usize(c.cols)),
+        ("rows", Json::count(c.rows)),
+        ("cols", Json::count(c.cols)),
         (
             "comp_heavy",
             obj([
-                ("array_rows", num_usize(c.comp_heavy.array_rows)),
-                ("array_cols", num_usize(c.comp_heavy.array_cols)),
-                ("lanes", num_usize(c.comp_heavy.lanes)),
-                ("acc_units", num_usize(c.comp_heavy.acc_units)),
-                ("left_mem_bytes", num_usize(c.comp_heavy.left_mem_bytes)),
-                ("top_mem_bytes", num_usize(c.comp_heavy.top_mem_bytes)),
-                ("bottom_mem_bytes", num_usize(c.comp_heavy.bottom_mem_bytes)),
-                ("scratch_bytes", num_usize(c.comp_heavy.scratch_bytes)),
+                ("array_rows", Json::count(c.comp_heavy.array_rows)),
+                ("array_cols", Json::count(c.comp_heavy.array_cols)),
+                ("lanes", Json::count(c.comp_heavy.lanes)),
+                ("acc_units", Json::count(c.comp_heavy.acc_units)),
+                ("left_mem_bytes", Json::count(c.comp_heavy.left_mem_bytes)),
+                ("top_mem_bytes", Json::count(c.comp_heavy.top_mem_bytes)),
+                (
+                    "bottom_mem_bytes",
+                    Json::count(c.comp_heavy.bottom_mem_bytes),
+                ),
+                ("scratch_bytes", Json::count(c.comp_heavy.scratch_bytes)),
             ]),
         ),
         (
             "mem_heavy",
             obj([
-                ("capacity_bytes", num_usize(c.mem_heavy.capacity_bytes)),
-                ("num_sfu", num_usize(c.mem_heavy.num_sfu)),
-                ("num_trackers", num_usize(c.mem_heavy.num_trackers)),
+                ("capacity_bytes", Json::count(c.mem_heavy.capacity_bytes)),
+                ("num_sfu", Json::count(c.mem_heavy.num_sfu)),
+                ("num_trackers", Json::count(c.mem_heavy.num_trackers)),
             ]),
         ),
         ("ext_mem_bw", Json::Num(c.ext_mem_bw)),
@@ -224,31 +206,56 @@ fn chip_to_json(c: &ChipConfig) -> Json {
     ])
 }
 
-fn chip_from_json(v: &Json) -> Result<ChipConfig> {
-    let comp = get(v, "comp_heavy")?;
-    let mem = get(v, "mem_heavy")?;
+fn node_from_json(v: &Json) -> std::result::Result<NodeConfig, String> {
+    let cluster = v.field("cluster")?;
+    Ok(NodeConfig {
+        clusters: v.count_field("clusters")?,
+        cluster: ClusterConfig {
+            conv_chips: cluster.count_field("conv_chips")?,
+            conv_chip: chip_from_json(cluster.field("conv_chip")?)?,
+            fc_chip: chip_from_json(cluster.field("fc_chip")?)?,
+            spoke_bw: cluster.num_field("spoke_bw")?,
+            arc_bw: cluster.num_field("arc_bw")?,
+        },
+        ring_bw: v.num_field("ring_bw")?,
+        frequency_mhz: v.num_field("frequency_mhz")?,
+        precision: match v.str_field("precision")? {
+            "single" => Precision::Single,
+            "half" => Precision::Half,
+            other => return Err(format!("unknown precision {other:?}")),
+        },
+    })
+}
+
+fn chip_from_json(v: &Json) -> std::result::Result<ChipConfig, String> {
+    let comp = v.field("comp_heavy")?;
+    let mem = v.field("mem_heavy")?;
     Ok(ChipConfig {
-        kind: parse_kind(get_str(v, "kind")?)?,
-        rows: get_usize(v, "rows")?,
-        cols: get_usize(v, "cols")?,
+        kind: match v.str_field("kind")? {
+            "ConvLayer" => ChipKind::ConvLayer,
+            "FcLayer" => ChipKind::FcLayer,
+            other => return Err(format!("unknown chip kind {other:?}")),
+        },
+        rows: v.count_field("rows")?,
+        cols: v.count_field("cols")?,
         comp_heavy: CompHeavyConfig {
-            array_rows: get_usize(comp, "array_rows")?,
-            array_cols: get_usize(comp, "array_cols")?,
-            lanes: get_usize(comp, "lanes")?,
-            acc_units: get_usize(comp, "acc_units")?,
-            left_mem_bytes: get_usize(comp, "left_mem_bytes")?,
-            top_mem_bytes: get_usize(comp, "top_mem_bytes")?,
-            bottom_mem_bytes: get_usize(comp, "bottom_mem_bytes")?,
-            scratch_bytes: get_usize(comp, "scratch_bytes")?,
+            array_rows: comp.count_field("array_rows")?,
+            array_cols: comp.count_field("array_cols")?,
+            lanes: comp.count_field("lanes")?,
+            acc_units: comp.count_field("acc_units")?,
+            left_mem_bytes: comp.count_field("left_mem_bytes")?,
+            top_mem_bytes: comp.count_field("top_mem_bytes")?,
+            bottom_mem_bytes: comp.count_field("bottom_mem_bytes")?,
+            scratch_bytes: comp.count_field("scratch_bytes")?,
         },
         mem_heavy: MemHeavyConfig {
-            capacity_bytes: get_usize(mem, "capacity_bytes")?,
-            num_sfu: get_usize(mem, "num_sfu")?,
-            num_trackers: get_usize(mem, "num_trackers")?,
+            capacity_bytes: mem.count_field("capacity_bytes")?,
+            num_sfu: mem.count_field("num_sfu")?,
+            num_trackers: mem.count_field("num_trackers")?,
         },
-        ext_mem_bw: get_num(v, "ext_mem_bw")?,
-        comp_mem_bw: get_num(v, "comp_mem_bw")?,
-        mem_mem_bw: get_num(v, "mem_mem_bw")?,
+        ext_mem_bw: v.num_field("ext_mem_bw")?,
+        comp_mem_bw: v.num_field("comp_mem_bw")?,
+        mem_mem_bw: v.num_field("mem_mem_bw")?,
     })
 }
 
@@ -256,49 +263,6 @@ fn bad(detail: String) -> Error {
     Error::InvalidConfig {
         component: "design",
         detail,
-    }
-}
-
-fn get<'a>(v: &'a Json, key: &str) -> Result<&'a Json> {
-    v.get(key)
-        .ok_or_else(|| bad(format!("missing field {key:?}")))
-}
-
-fn get_num(v: &Json, key: &str) -> Result<f64> {
-    get(v, key)?
-        .as_num()
-        .ok_or_else(|| bad(format!("field {key:?} must be a number")))
-}
-
-fn get_usize(v: &Json, key: &str) -> Result<usize> {
-    let n = get_num(v, key)?;
-    if n < 0.0 || n.fract() != 0.0 || n >= MAX_EXACT_INT {
-        return Err(bad(format!(
-            "field {key:?} must be a non-negative integer, got {n}"
-        )));
-    }
-    Ok(n as usize)
-}
-
-fn get_str<'a>(v: &'a Json, key: &str) -> Result<&'a str> {
-    get(v, key)?
-        .as_str()
-        .ok_or_else(|| bad(format!("field {key:?} must be a string")))
-}
-
-fn parse_precision(s: &str) -> Result<Precision> {
-    match s {
-        "single" => Ok(Precision::Single),
-        "half" => Ok(Precision::Half),
-        other => Err(bad(format!("unknown precision {other:?}"))),
-    }
-}
-
-fn parse_kind(s: &str) -> Result<ChipKind> {
-    match s {
-        "ConvLayer" => Ok(ChipKind::ConvLayer),
-        "FcLayer" => Ok(ChipKind::FcLayer),
-        other => Err(bad(format!("unknown chip kind {other:?}"))),
     }
 }
 
@@ -689,13 +653,14 @@ impl Knob {
 
     fn integral(self, value: KnobValue) -> Result<usize> {
         let n = self.numeric(value)?;
-        if !n.is_finite() || n < 0.0 || n.fract() != 0.0 || n >= MAX_EXACT_INT {
-            return Err(bad(format!(
-                "knob {:?} takes a non-negative integer, got {n}",
-                self.name()
-            )));
-        }
-        Ok(n as usize)
+        exact_u64(n)
+            .and_then(|i| usize::try_from(i).ok())
+            .ok_or_else(|| {
+                bad(format!(
+                    "knob {:?} takes a non-negative integer, got {n}",
+                    self.name()
+                ))
+            })
     }
 }
 
@@ -748,8 +713,8 @@ impl fmt::Display for KnobValue {
 /// Formats a number the way labels and JSON do: integral values without a
 /// trailing `.0`, everything else via the shortest round-trip rendering.
 fn fmt_num(n: f64) -> String {
-    if n.is_finite() && n.fract() == 0.0 && n.abs() < MAX_EXACT_INT {
-        format!("{}", n as i64)
+    if n.is_finite() {
+        Json::Num(n).render()
     } else {
         format!("{n:?}")
     }

@@ -7,8 +7,8 @@
 //! round-trips every field **exactly**:
 //!
 //! * `u64` values (fingerprints, FLOP and byte counts) are stored as
-//!   decimal *strings* — the zero-dependency JSON layer models numbers as
-//!   `f64`, which cannot represent all of `u64`.
+//!   decimal *strings* ([`Json::decimal`]) — the zero-dependency JSON
+//!   layer models numbers as `f64`, which cannot represent all of `u64`.
 //! * `f64` utilization factors are stored as decimal strings of their IEEE
 //!   bit pattern ([`f64::to_bits`]) so reload is bit-identical.
 //! * Programs are stored as hex of their canonical [`Program::encode`]
@@ -19,7 +19,9 @@
 //!   immune to drift between the stored stream and the lowering rules.
 //!
 //! Everything else (`u32`/`u16`/`usize` fields) fits `f64` exactly and is
-//! stored as a plain JSON number.
+//! stored as a plain JSON number ([`Json::count`]). Every field decodes
+//! through the shared accessors of [`scaledeep_trace::json`]; [`from_json`]
+//! wraps their message in [`Error::Codegen`] once.
 
 use crate::codegen::{BufferLoc, CompiledNetwork, FuncTargetOptions, LayerBuffers, TrackerSpec};
 use crate::mapping::{ArrayPlan, FailedTiles, LayerPlan, Mapping, Placement};
@@ -48,7 +50,10 @@ pub fn to_json(artifact: &CompiledArtifact) -> Json {
         Err(e) => obj([("err", error_to_json(&e))]),
     };
     obj([
-        ("format_version", num(ARTIFACT_FORMAT_VERSION as usize)),
+        (
+            "format_version",
+            Json::count(ARTIFACT_FORMAT_VERSION as usize),
+        ),
         ("provenance", provenance_to_json(artifact.provenance())),
         ("mapping", mapping_to_json(artifact.mapping())),
         ("functional", functional),
@@ -63,21 +68,25 @@ pub fn to_json(artifact: &CompiledArtifact) -> Json {
 /// Returns [`Error::Codegen`] on a malformed document or a format-version
 /// mismatch.
 pub fn from_json(doc: &Json) -> Result<CompiledArtifact> {
-    let version = get_usize(doc, "format_version")?;
-    if version != ARTIFACT_FORMAT_VERSION as usize {
-        return Err(bad(format!(
+    artifact_from_json(doc).map_err(bad)
+}
+
+fn artifact_from_json(doc: &Json) -> Decoded<CompiledArtifact> {
+    let version: u64 = doc.count_field("format_version")?;
+    if version != u64::from(ARTIFACT_FORMAT_VERSION) {
+        return Err(format!(
             "artifact format version {version} (this build reads {ARTIFACT_FORMAT_VERSION})"
-        )));
+        ));
     }
-    let provenance = provenance_from_json(field(doc, "provenance")?)?;
-    let mapping = mapping_from_json(field(doc, "mapping")?)?;
-    let f = field(doc, "functional")?;
+    let provenance = provenance_from_json(doc.field("provenance")?)?;
+    let mapping = mapping_from_json(doc.field("mapping")?)?;
+    let f = doc.field("functional")?;
     let functional = if let Some(ok) = f.get("ok") {
         Ok(network_from_json(ok)?)
     } else if let Some(err) = f.get("err") {
         Err(error_from_json(err)?)
     } else {
-        return Err(bad("`functional` has neither `ok` nor `err`".into()));
+        return Err("`functional` has neither `ok` nor `err`".into());
     };
     let lowered = functional.as_ref().ok().map(|net: &CompiledNetwork| {
         net.programs
@@ -141,77 +150,20 @@ fn bad(detail: String) -> Error {
     }
 }
 
-fn num(v: usize) -> Json {
-    Json::Num(v as f64)
-}
-
-fn u64s(v: u64) -> Json {
-    Json::Str(v.to_string())
-}
+/// A decode result: the message names the offending field.
+type Decoded<T> = std::result::Result<T, String>;
 
 fn f64s(v: f64) -> Json {
-    Json::Str(v.to_bits().to_string())
+    Json::decimal(v.to_bits())
 }
 
-fn field<'j>(j: &'j Json, key: &str) -> Result<&'j Json> {
-    j.get(key).ok_or_else(|| bad(format!("missing `{key}`")))
+fn f64_bits_field(j: &Json, key: &str) -> Decoded<f64> {
+    j.decimal_field(key).map(f64::from_bits)
 }
 
-fn get_usize(j: &Json, key: &str) -> Result<usize> {
-    index(field(j, key)?, key)
-}
-
-/// A JSON number that is an integer in `[0, 2^53)` ([`Json::as_u64`]):
-/// the range where `f64` holds every integer, and so every index this
-/// module writes.
-fn index(v: &Json, key: &str) -> Result<usize> {
-    let n = v
-        .as_num()
-        .ok_or_else(|| bad(format!("`{key}` is not a number")))?;
-    v.as_u64()
-        .map(|i| i as usize)
-        .ok_or_else(|| bad(format!("`{key}` = {n} is not a valid index")))
-}
-
-fn get_u32(j: &Json, key: &str) -> Result<u32> {
-    u32::try_from(get_usize(j, key)?).map_err(|_| bad(format!("`{key}` exceeds u32")))
-}
-
-fn get_u16(j: &Json, key: &str) -> Result<u16> {
-    u16::try_from(get_usize(j, key)?).map_err(|_| bad(format!("`{key}` exceeds u16")))
-}
-
-fn get_str<'j>(j: &'j Json, key: &str) -> Result<&'j str> {
-    field(j, key)?
-        .as_str()
-        .ok_or_else(|| bad(format!("`{key}` is not a string")))
-}
-
-fn get_bool(j: &Json, key: &str) -> Result<bool> {
-    match field(j, key)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(bad(format!("`{key}` is not a bool"))),
-    }
-}
-
-fn get_u64(j: &Json, key: &str) -> Result<u64> {
-    get_str(j, key)?
-        .parse()
-        .map_err(|_| bad(format!("`{key}` is not a decimal u64")))
-}
-
-fn get_f64_bits(j: &Json, key: &str) -> Result<f64> {
-    Ok(f64::from_bits(get_u64(j, key)?))
-}
-
-fn get_arr<'j>(j: &'j Json, key: &str) -> Result<&'j [Json]> {
-    field(j, key)?
-        .as_arr()
-        .ok_or_else(|| bad(format!("`{key}` is not an array")))
-}
-
-fn usize_arr(j: &Json, key: &str) -> Result<Vec<usize>> {
-    get_arr(j, key)?.iter().map(|v| index(v, key)).collect()
+/// An array of indices: counts that fit `T`.
+fn index_arr<T: TryFrom<u64>>(j: &Json, key: &str) -> Decoded<Vec<T>> {
+    j.arr_field(key)?.iter().map(|v| v.to_count(key)).collect()
 }
 
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
@@ -227,15 +179,15 @@ fn hex_encode(bytes: &[u8]) -> String {
 
 /// Decodes byte pairs, never `str` slices: a non-ASCII character in a
 /// crafted file is a non-hex digit, not a slice across a char boundary.
-fn hex_decode(s: &str) -> Result<Vec<u8>> {
+fn hex_decode(s: &str) -> Decoded<Vec<u8>> {
     let s = s.as_bytes();
     if !s.len().is_multiple_of(2) {
-        return Err(bad("odd-length hex program".into()));
+        return Err("odd-length hex program".into());
     }
     let nibble = |d: u8| {
         char::from(d)
             .to_digit(16)
-            .ok_or_else(|| bad("non-hex program byte".into()))
+            .ok_or_else(|| "non-hex program byte".to_string())
     };
     s.chunks_exact(2)
         .map(|pair| Ok((nibble(pair[0])? << 4 | nibble(pair[1])?) as u8))
@@ -247,8 +199,8 @@ fn hex_decode(s: &str) -> Result<Vec<u8>> {
 fn provenance_to_json(p: &Provenance) -> Json {
     obj([
         ("network", Json::Str(p.network.clone())),
-        ("net_fingerprint", u64s(p.net_fingerprint)),
-        ("node_fingerprint", u64s(p.node_fingerprint)),
+        ("net_fingerprint", Json::decimal(p.net_fingerprint)),
+        ("node_fingerprint", Json::decimal(p.node_fingerprint)),
         ("design", p.design.to_json()),
         (
             "precision",
@@ -262,57 +214,59 @@ fn provenance_to_json(p: &Provenance) -> Json {
         ),
         (
             "failed_cols",
-            Json::Arr(p.failed.columns().map(num).collect()),
+            Json::Arr(p.failed.columns().map(Json::count).collect()),
         ),
         (
             "failed_func_tiles",
-            Json::Arr(p.failed.func_tiles().map(|t| num(t as usize)).collect()),
+            Json::Arr(
+                p.failed
+                    .func_tiles()
+                    .map(|t| Json::count(t as usize))
+                    .collect(),
+            ),
         ),
-        ("func_mem_tiles", num(p.func.mem_tiles)),
+        ("func_mem_tiles", Json::count(p.func.mem_tiles)),
         (
             "func_tile_capacity_elems",
-            num(p.func.tile_capacity_elems as usize),
+            Json::count(p.func.tile_capacity_elems as usize),
         ),
-        ("minibatch", num(p.minibatch)),
+        ("minibatch", Json::count(p.minibatch)),
     ])
 }
 
-fn provenance_from_json(j: &Json) -> Result<Provenance> {
-    let precision = match get_str(j, "precision")? {
+fn provenance_from_json(j: &Json) -> Decoded<Provenance> {
+    let precision = match j.str_field("precision")? {
         "single" => Precision::Single,
         "half" => Precision::Half,
-        other => return Err(bad(format!("unknown precision `{other}`"))),
+        other => return Err(format!("unknown precision `{other}`")),
     };
-    let cols = usize_arr(j, "failed_cols")?;
-    let tiles: Vec<u16> = usize_arr(j, "failed_func_tiles")?
-        .into_iter()
-        .map(|n| u16::try_from(n).map_err(|_| bad("failed func tile exceeds u16".into())))
-        .collect::<Result<_>>()?;
-    let design = DesignPoint::from_json(field(j, "design")?)
-        .map_err(|e| bad(format!("provenance design: {e}")))?;
-    let node_fingerprint = get_u64(j, "node_fingerprint")?;
+    let cols = index_arr(j, "failed_cols")?;
+    let tiles = index_arr(j, "failed_func_tiles")?;
+    let design = DesignPoint::from_json(j.field("design")?)
+        .map_err(|e| format!("provenance design: {e}"))?;
+    let node_fingerprint = j.decimal_field("node_fingerprint")?;
     // The fingerprint is derivable from the design document; a stored
     // value that disagrees means the file was edited or corrupted, and
     // trusting it would poison every cache keyed on it.
     if design.fingerprint() != node_fingerprint {
-        return Err(bad(format!(
+        return Err(format!(
             "stored node_fingerprint {node_fingerprint:016x} does not match \
              the design document ({:016x})",
             design.fingerprint()
-        )));
+        ));
     }
     Ok(Provenance {
-        network: get_str(j, "network")?.to_string(),
-        net_fingerprint: get_u64(j, "net_fingerprint")?,
+        network: j.str_field("network")?.to_string(),
+        net_fingerprint: j.decimal_field("net_fingerprint")?,
         node_fingerprint,
         design,
         precision,
         failed: FailedTiles::from_sets(cols, tiles),
         func: FuncTargetOptions {
-            mem_tiles: get_usize(j, "func_mem_tiles")?,
-            tile_capacity_elems: get_u32(j, "func_tile_capacity_elems")?,
+            mem_tiles: j.count_field("func_mem_tiles")?,
+            tile_capacity_elems: j.count_field("func_tile_capacity_elems")?,
         },
-        minibatch: get_usize(j, "minibatch")?,
+        minibatch: j.count_field("minibatch")?,
     })
 }
 
@@ -322,122 +276,119 @@ fn placement_to_json(p: Placement) -> Json {
     match p {
         Placement::Conv { first_col, cols } => obj([
             ("kind", Json::Str("conv".into())),
-            ("first_col", num(first_col)),
-            ("cols", num(cols)),
+            ("first_col", Json::count(first_col)),
+            ("cols", Json::count(cols)),
         ]),
         Placement::Fc { first_col, cols } => obj([
             ("kind", Json::Str("fc".into())),
-            ("first_col", num(first_col)),
-            ("cols", num(cols)),
+            ("first_col", Json::count(first_col)),
+            ("cols", Json::count(cols)),
         ]),
         Placement::Inline => obj([("kind", Json::Str("inline".into()))]),
     }
 }
 
-fn placement_from_json(j: &Json) -> Result<Placement> {
-    match get_str(j, "kind")? {
+fn placement_from_json(j: &Json) -> Decoded<Placement> {
+    match j.str_field("kind")? {
         "conv" => Ok(Placement::Conv {
-            first_col: get_usize(j, "first_col")?,
-            cols: get_usize(j, "cols")?,
+            first_col: j.count_field("first_col")?,
+            cols: j.count_field("cols")?,
         }),
         "fc" => Ok(Placement::Fc {
-            first_col: get_usize(j, "first_col")?,
-            cols: get_usize(j, "cols")?,
+            first_col: j.count_field("first_col")?,
+            cols: j.count_field("cols")?,
         }),
         "inline" => Ok(Placement::Inline),
-        other => Err(bad(format!("unknown placement `{other}`"))),
+        other => Err(format!("unknown placement `{other}`")),
     }
 }
 
 fn array_to_json(a: &ArrayPlan) -> Json {
     obj([
-        ("cols", num(a.cols)),
-        ("lanes", num(a.lanes)),
+        ("cols", Json::count(a.cols)),
+        ("lanes", Json::count(a.lanes)),
         ("row_split", Json::Bool(a.row_split)),
         ("util_rows", f64s(a.util_rows)),
         ("util_kernel", f64s(a.util_kernel)),
         ("util_lanes", f64s(a.util_lanes)),
-        ("batches_per_image", num(a.batches_per_image)),
+        ("batches_per_image", Json::count(a.batches_per_image)),
         ("streaming_fits", Json::Bool(a.streaming_fits)),
     ])
 }
 
-fn array_from_json(j: &Json) -> Result<ArrayPlan> {
+fn array_from_json(j: &Json) -> Decoded<ArrayPlan> {
     Ok(ArrayPlan {
-        cols: get_usize(j, "cols")?,
-        lanes: get_usize(j, "lanes")?,
-        row_split: get_bool(j, "row_split")?,
-        util_rows: get_f64_bits(j, "util_rows")?,
-        util_kernel: get_f64_bits(j, "util_kernel")?,
-        util_lanes: get_f64_bits(j, "util_lanes")?,
-        batches_per_image: get_usize(j, "batches_per_image")?,
-        streaming_fits: get_bool(j, "streaming_fits")?,
+        cols: j.count_field("cols")?,
+        lanes: j.count_field("lanes")?,
+        row_split: j.bool_field("row_split")?,
+        util_rows: f64_bits_field(j, "util_rows")?,
+        util_kernel: f64_bits_field(j, "util_kernel")?,
+        util_lanes: f64_bits_field(j, "util_lanes")?,
+        batches_per_image: j.count_field("batches_per_image")?,
+        streaming_fits: j.bool_field("streaming_fits")?,
     })
 }
 
-fn u64_triple(j: &Json, key: &str) -> Result<[u64; 3]> {
-    let arr = get_arr(j, key)?;
+fn u64_triple(j: &Json, key: &str) -> Decoded<[u64; 3]> {
+    let arr = j.arr_field(key)?;
     if arr.len() != 3 {
-        return Err(bad(format!("`{key}` is not a 3-array")));
+        return Err(format!("`{key}` is not a 3-array"));
     }
     let mut out = [0u64; 3];
     for (o, v) in out.iter_mut().zip(arr) {
-        *o = v
-            .as_str()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| bad(format!("`{key}` holds a non-u64-string")))?;
+        *o = v.to_decimal(key)?;
     }
     Ok(out)
 }
 
 fn plan_to_json(p: &LayerPlan) -> Json {
     obj([
-        ("id", num(p.id.index())),
+        ("id", Json::count(p.id.index())),
         ("name", Json::Str(p.name.clone())),
         ("placement", placement_to_json(p.placement)),
         (
             "comp_flops",
-            Json::Arr(p.comp_flops.iter().map(|&f| u64s(f)).collect()),
+            Json::Arr(p.comp_flops.iter().map(|&f| Json::decimal(f)).collect()),
         ),
         (
             "mem_flops",
-            Json::Arr(p.mem_flops.iter().map(|&f| u64s(f)).collect()),
+            Json::Arr(p.mem_flops.iter().map(|&f| Json::decimal(f)).collect()),
         ),
-        ("state_bytes", u64s(p.state_bytes)),
-        ("weight_bytes", u64s(p.weight_bytes)),
+        ("state_bytes", Json::decimal(p.state_bytes)),
+        ("weight_bytes", Json::decimal(p.weight_bytes)),
         ("weights_on_chip", Json::Bool(p.weights_on_chip)),
-        ("tiles_total", num(p.tiles_total)),
-        ("tiles_used", num(p.tiles_used)),
-        ("out_features", num(p.out_features)),
-        ("feature_elems", num(p.feature_elems)),
-        ("in_bytes", u64s(p.in_bytes)),
-        ("out_bytes", u64s(p.out_bytes)),
+        ("tiles_total", Json::count(p.tiles_total)),
+        ("tiles_used", Json::count(p.tiles_used)),
+        ("out_features", Json::count(p.out_features)),
+        ("feature_elems", Json::count(p.feature_elems)),
+        ("in_bytes", Json::decimal(p.in_bytes)),
+        ("out_bytes", Json::decimal(p.out_bytes)),
         ("array", array_to_json(&p.array)),
-        ("conv_kernel", p.conv_kernel.map_or(Json::Null, num)),
+        ("conv_kernel", p.conv_kernel.map_or(Json::Null, Json::count)),
     ])
 }
 
-fn plan_from_json(j: &Json) -> Result<LayerPlan> {
-    let conv_kernel = match field(j, "conv_kernel")? {
+fn plan_from_json(j: &Json) -> Decoded<LayerPlan> {
+    let conv_kernel = match j.field("conv_kernel")? {
         Json::Null => None,
-        v => Some(index(v, "conv_kernel")?),
+        v => Some(v.to_count("conv_kernel")?),
     };
     Ok(LayerPlan {
-        id: LayerId::from_index(get_usize(j, "id")?),
-        name: get_str(j, "name")?.to_string(),
-        placement: placement_from_json(field(j, "placement")?)?,
+        id: LayerId::from_index(j.count_field("id")?),
+        name: j.str_field("name")?.to_string(),
+        placement: placement_from_json(j.field("placement")?)?,
         comp_flops: u64_triple(j, "comp_flops")?,
         mem_flops: u64_triple(j, "mem_flops")?,
-        state_bytes: get_u64(j, "state_bytes")?,
-        weight_bytes: get_u64(j, "weight_bytes")?,
-        weights_on_chip: get_bool(j, "weights_on_chip")?,
-        tiles_total: get_usize(j, "tiles_total")?,
-        tiles_used: get_usize(j, "tiles_used")?,
-        out_features: get_usize(j, "out_features")?,
-        feature_elems: get_usize(j, "feature_elems")?,
-        in_bytes: get_u64(j, "in_bytes")?,
-        out_bytes: get_u64(j, "out_bytes")?,
-        array: array_from_json(field(j, "array")?)?,
+        state_bytes: j.decimal_field("state_bytes")?,
+        weight_bytes: j.decimal_field("weight_bytes")?,
+        weights_on_chip: j.bool_field("weights_on_chip")?,
+        tiles_total: j.count_field("tiles_total")?,
+        tiles_used: j.count_field("tiles_used")?,
+        out_features: j.count_field("out_features")?,
+        feature_elems: j.count_field("feature_elems")?,
+        in_bytes: j.decimal_field("in_bytes")?,
+        out_bytes: j.decimal_field("out_bytes")?,
+        array: array_from_json(j.field("array")?)?,
         conv_kernel,
     })
 }
@@ -449,40 +400,41 @@ fn mapping_to_json(m: &Mapping) -> Json {
             "plans",
             Json::Arr(m.plans.iter().map(plan_to_json).collect()),
         ),
-        ("conv_cols_used", num(m.conv_cols_used)),
-        ("fc_cols_used", num(m.fc_cols_used)),
-        ("chips_spanned", num(m.chips_spanned)),
-        ("clusters_spanned", num(m.clusters_spanned)),
-        ("conv_cols_per_chip", num(m.conv_cols_per_chip)),
-        ("wheel_batch", num(m.wheel_batch)),
-        ("elem_bytes", u64s(m.elem_bytes)),
+        ("conv_cols_used", Json::count(m.conv_cols_used)),
+        ("fc_cols_used", Json::count(m.fc_cols_used)),
+        ("chips_spanned", Json::count(m.chips_spanned)),
+        ("clusters_spanned", Json::count(m.clusters_spanned)),
+        ("conv_cols_per_chip", Json::count(m.conv_cols_per_chip)),
+        ("wheel_batch", Json::count(m.wheel_batch)),
+        ("elem_bytes", Json::decimal(m.elem_bytes)),
         (
             "col_map",
-            Json::Arr(m.col_map.iter().map(|&c| num(c)).collect()),
+            Json::Arr(m.col_map.iter().map(|&c| Json::count(c)).collect()),
         ),
         (
             "failed_cols",
-            Json::Arr(m.failed_cols.iter().map(|&c| num(c)).collect()),
+            Json::Arr(m.failed_cols.iter().map(|&c| Json::count(c)).collect()),
         ),
     ])
 }
 
-fn mapping_from_json(j: &Json) -> Result<Mapping> {
+fn mapping_from_json(j: &Json) -> Decoded<Mapping> {
     Ok(Mapping {
-        net_name: get_str(j, "net_name")?.to_string(),
-        plans: get_arr(j, "plans")?
+        net_name: j.str_field("net_name")?.to_string(),
+        plans: j
+            .arr_field("plans")?
             .iter()
             .map(plan_from_json)
-            .collect::<Result<_>>()?,
-        conv_cols_used: get_usize(j, "conv_cols_used")?,
-        fc_cols_used: get_usize(j, "fc_cols_used")?,
-        chips_spanned: get_usize(j, "chips_spanned")?,
-        clusters_spanned: get_usize(j, "clusters_spanned")?,
-        conv_cols_per_chip: get_usize(j, "conv_cols_per_chip")?,
-        wheel_batch: get_usize(j, "wheel_batch")?,
-        elem_bytes: get_u64(j, "elem_bytes")?,
-        col_map: usize_arr(j, "col_map")?,
-        failed_cols: usize_arr(j, "failed_cols")?,
+            .collect::<Decoded<_>>()?,
+        conv_cols_used: j.count_field("conv_cols_used")?,
+        fc_cols_used: j.count_field("fc_cols_used")?,
+        chips_spanned: j.count_field("chips_spanned")?,
+        clusters_spanned: j.count_field("clusters_spanned")?,
+        conv_cols_per_chip: j.count_field("conv_cols_per_chip")?,
+        wheel_batch: j.count_field("wheel_batch")?,
+        elem_bytes: j.decimal_field("elem_bytes")?,
+        col_map: index_arr(j, "col_map")?,
+        failed_cols: index_arr(j, "failed_cols")?,
     })
 }
 
@@ -490,17 +442,17 @@ fn mapping_from_json(j: &Json) -> Result<Mapping> {
 
 fn loc_to_json(l: &BufferLoc) -> Json {
     obj([
-        ("tile", num(l.tile as usize)),
-        ("offset", num(l.offset as usize)),
-        ("len", num(l.len as usize)),
+        ("tile", Json::count(l.tile as usize)),
+        ("offset", Json::count(l.offset as usize)),
+        ("len", Json::count(l.len as usize)),
     ])
 }
 
-fn loc_from_json(j: &Json) -> Result<BufferLoc> {
+fn loc_from_json(j: &Json) -> Decoded<BufferLoc> {
     Ok(BufferLoc {
-        tile: get_u16(j, "tile")?,
-        offset: get_u32(j, "offset")?,
-        len: get_u32(j, "len")?,
+        tile: j.count_field("tile")?,
+        offset: j.count_field("offset")?,
+        len: j.count_field("len")?,
     })
 }
 
@@ -508,7 +460,7 @@ fn opt_loc_to_json(l: &Option<BufferLoc>) -> Json {
     l.as_ref().map_or(Json::Null, loc_to_json)
 }
 
-fn opt_loc_from_json(j: &Json) -> Result<Option<BufferLoc>> {
+fn opt_loc_from_json(j: &Json) -> Decoded<Option<BufferLoc>> {
     match j {
         Json::Null => Ok(None),
         v => Ok(Some(loc_from_json(v)?)),
@@ -528,16 +480,16 @@ fn buffers_to_json(b: &LayerBuffers) -> Json {
     ])
 }
 
-fn buffers_from_json(j: &Json) -> Result<LayerBuffers> {
+fn buffers_from_json(j: &Json) -> Decoded<LayerBuffers> {
     Ok(LayerBuffers {
-        output: opt_loc_from_json(field(j, "output")?)?,
-        pre: opt_loc_from_json(field(j, "pre")?)?,
-        err: opt_loc_from_json(field(j, "err")?)?,
-        dz: opt_loc_from_json(field(j, "dz")?)?,
-        weights: opt_loc_from_json(field(j, "weights")?)?,
-        weights_t: opt_loc_from_json(field(j, "weights_t")?)?,
-        wgrad: opt_loc_from_json(field(j, "wgrad")?)?,
-        golden: opt_loc_from_json(field(j, "golden")?)?,
+        output: opt_loc_from_json(j.field("output")?)?,
+        pre: opt_loc_from_json(j.field("pre")?)?,
+        err: opt_loc_from_json(j.field("err")?)?,
+        dz: opt_loc_from_json(j.field("dz")?)?,
+        weights: opt_loc_from_json(j.field("weights")?)?,
+        weights_t: opt_loc_from_json(j.field("weights_t")?)?,
+        wgrad: opt_loc_from_json(j.field("wgrad")?)?,
+        golden: opt_loc_from_json(j.field("golden")?)?,
     })
 }
 
@@ -569,59 +521,61 @@ fn network_to_json(net: &CompiledNetwork) -> Json {
                     .iter()
                     .map(|t| {
                         obj([
-                            ("tile", num(t.tile as usize)),
-                            ("addr", num(t.addr as usize)),
-                            ("len", num(t.len as usize)),
-                            ("num_updates", num(t.num_updates as usize)),
-                            ("num_reads", num(t.num_reads as usize)),
+                            ("tile", Json::count(t.tile as usize)),
+                            ("addr", Json::count(t.addr as usize)),
+                            ("len", Json::count(t.len as usize)),
+                            ("num_updates", Json::count(t.num_updates as usize)),
+                            ("num_reads", Json::count(t.num_reads as usize)),
                         ])
                     })
                     .collect(),
             ),
         ),
-        ("mem_tiles", num(net.mem_tiles)),
+        ("mem_tiles", Json::count(net.mem_tiles)),
         ("const_neg_one", loc_to_json(&net.const_neg_one)),
-        ("dropped_biases", num(net.dropped_biases)),
-        ("minibatch", num(net.minibatch)),
+        ("dropped_biases", Json::count(net.dropped_biases)),
+        ("minibatch", Json::count(net.minibatch)),
         ("zeros", opt_loc_to_json(&net.zeros)),
     ])
 }
 
-fn network_from_json(j: &Json) -> Result<CompiledNetwork> {
-    let programs = get_arr(j, "programs")?
+fn network_from_json(j: &Json) -> Decoded<CompiledNetwork> {
+    let programs = j
+        .arr_field("programs")?
         .iter()
         .map(|p| {
-            let name = get_str(p, "name")?;
-            let bytes = hex_decode(get_str(p, "hex")?)?;
-            Program::decode(name, &bytes)
-                .map_err(|e| bad(format!("decoding program `{name}`: {e}")))
+            let name = p.str_field("name")?;
+            let bytes = hex_decode(p.str_field("hex")?)?;
+            Program::decode(name, &bytes).map_err(|e| format!("decoding program `{name}`: {e}"))
         })
-        .collect::<Result<Vec<_>>>()?;
-    let trackers = get_arr(j, "trackers")?
+        .collect::<Decoded<Vec<_>>>()?;
+    let trackers = j
+        .arr_field("trackers")?
         .iter()
         .map(|t| {
             Ok(TrackerSpec {
-                tile: get_u16(t, "tile")?,
-                addr: get_u32(t, "addr")?,
-                len: get_u32(t, "len")?,
-                num_updates: get_u16(t, "num_updates")?,
-                num_reads: get_u16(t, "num_reads")?,
+                tile: t.count_field("tile")?,
+                addr: t.count_field("addr")?,
+                len: t.count_field("len")?,
+                num_updates: t.count_field("num_updates")?,
+                num_reads: t.count_field("num_reads")?,
             })
         })
-        .collect::<Result<Vec<_>>>()?;
+        .collect::<Decoded<Vec<_>>>()?;
     Ok(CompiledNetwork {
-        net_name: get_str(j, "net_name")?.to_string(),
-        buffers: get_arr(j, "buffers")?
+        net_name: j.str_field("net_name")?.to_string(),
+        buffers: j
+            .arr_field("buffers")?
             .iter()
             .map(buffers_from_json)
-            .collect::<Result<_>>()?,
+            .collect::<Decoded<_>>()?,
         programs,
         trackers,
-        mem_tiles: get_usize(j, "mem_tiles")?,
-        const_neg_one: loc_from_json(field(j, "const_neg_one")?)?,
-        dropped_biases: get_usize(j, "dropped_biases")?,
-        minibatch: get_usize(j, "minibatch")?,
-        zeros: opt_loc_from_json(field(j, "zeros")?)?,
+        mem_tiles: j.count_field("mem_tiles")?,
+        const_neg_one: loc_from_json(j.field("const_neg_one")?)?,
+        dropped_biases: j.count_field("dropped_biases")?,
+        minibatch: j.count_field("minibatch")?,
+        zeros: opt_loc_from_json(j.field("zeros")?)?,
     })
 }
 
@@ -634,8 +588,8 @@ fn error_to_json(e: &Error) -> Json {
             available_cols,
         } => obj([
             ("kind", Json::Str("does_not_fit".into())),
-            ("required_cols", num(*required_cols)),
-            ("available_cols", num(*available_cols)),
+            ("required_cols", Json::count(*required_cols)),
+            ("available_cols", Json::count(*available_cols)),
         ]),
         Error::NoCapacity {
             required_cols,
@@ -643,13 +597,14 @@ fn error_to_json(e: &Error) -> Json {
             failed_cols,
         } => obj([
             ("kind", Json::Str("no_capacity".into())),
-            ("required_cols", num(*required_cols)),
-            ("live_cols", num(*live_cols)),
-            ("failed_cols", num(*failed_cols)),
+            ("required_cols", Json::count(*required_cols)),
+            ("live_cols", Json::count(*live_cols)),
+            ("failed_cols", Json::count(*failed_cols)),
         ]),
-        Error::NoRoute { chip } => {
-            obj([("kind", Json::Str("no_route".into())), ("chip", num(*chip))])
-        }
+        Error::NoRoute { chip } => obj([
+            ("kind", Json::Str("no_route".into())),
+            ("chip", Json::count(*chip)),
+        ]),
         Error::Codegen { detail } => obj([
             ("kind", Json::Str("codegen".into())),
             ("detail", Json::Str(detail.clone())),
@@ -663,24 +618,24 @@ fn error_to_json(e: &Error) -> Json {
     }
 }
 
-fn error_from_json(j: &Json) -> Result<Error> {
-    match get_str(j, "kind")? {
+fn error_from_json(j: &Json) -> Decoded<Error> {
+    match j.str_field("kind")? {
         "does_not_fit" => Ok(Error::DoesNotFit {
-            required_cols: get_usize(j, "required_cols")?,
-            available_cols: get_usize(j, "available_cols")?,
+            required_cols: j.count_field("required_cols")?,
+            available_cols: j.count_field("available_cols")?,
         }),
         "no_capacity" => Ok(Error::NoCapacity {
-            required_cols: get_usize(j, "required_cols")?,
-            live_cols: get_usize(j, "live_cols")?,
-            failed_cols: get_usize(j, "failed_cols")?,
+            required_cols: j.count_field("required_cols")?,
+            live_cols: j.count_field("live_cols")?,
+            failed_cols: j.count_field("failed_cols")?,
         }),
         "no_route" => Ok(Error::NoRoute {
-            chip: get_usize(j, "chip")?,
+            chip: j.count_field("chip")?,
         }),
         "codegen" => Ok(Error::Codegen {
-            detail: get_str(j, "detail")?.to_string(),
+            detail: j.str_field("detail")?.to_string(),
         }),
-        other => Err(bad(format!("unknown error kind `{other}`"))),
+        other => Err(format!("unknown error kind `{other}`")),
     }
 }
 

@@ -9,7 +9,7 @@
 //! The *measured* quantities come from the run's typed record,
 //! [`PerfResult`](scaledeep_sim::perf::PerfResult) (per-stage busy
 //! cycles and tier bytes, the window, the sync cycles, the
-//! stage-occupancy histogram), which a traced run's [`MetricsRegistry`]
+//! stage-occupancy histogram), which a traced run's [`MetricsRegistry`](scaledeep_trace::MetricsRegistry)
 //! renders under the `perf.*` names; the *analytic* quantities (per-pass FLOP weights,
 //! Bytes/FLOP) come from the mapping's [`LayerPlan`]s and the
 //! [`scaledeep_dnn`] analysis. Cycles are split by apportioning each
@@ -24,7 +24,6 @@ use scaledeep_compiler::{CompiledArtifact, Placement, Side};
 use scaledeep_dnn::{Network, Step};
 use scaledeep_sim::perf::RunKind;
 pub use scaledeep_sim::perf::TierBytes;
-use scaledeep_trace::MetricsRegistry;
 
 /// Which side of the roofline a layer lands on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -347,36 +346,6 @@ pub fn measured_profile(perf: &scaledeep_sim::perf::PerfResult) -> UtilizationPr
     }
 }
 
-/// Per-tile busy/stall readback from a *functional* simulator run's
-/// metrics (`func.tile.NNNN.busy` / `.stalls` counters): the
-/// functional-side counterpart to the perf pipeline's stage counters,
-/// used by cross-check diagnostics. Returns `(tile, busy, stalls)`
-/// sorted by tile index; tiles that never ran are absent.
-pub fn functional_tile_attribution(metrics: &MetricsRegistry) -> Vec<(usize, u64, u64)> {
-    let mut out = Vec::new();
-    for (name, value) in metrics.iter() {
-        let Some(rest) = name.strip_prefix("func.tile.") else {
-            continue;
-        };
-        let Some(idx) = rest.strip_suffix(".busy") else {
-            continue;
-        };
-        let Ok(tile) = idx.parse::<usize>() else {
-            continue;
-        };
-        let busy = match value {
-            scaledeep_trace::Value::Counter(c) => *c,
-            _ => continue,
-        };
-        let stalls = metrics
-            .counter_value(&format!("func.tile.{idx}.stalls"))
-            .unwrap_or(0);
-        out.push((tile, busy, stalls));
-    }
-    out.sort_unstable_by_key(|&(tile, ..)| tile);
-    out
-}
-
 /// One pipeline stage's layer group.
 struct StageGroup {
     name: String,
@@ -571,54 +540,5 @@ mod tests {
         assert!(a.window_cycles > 0);
         assert!(a.images_done > 0);
         assert!(a.sync_cycles > 0, "training syncs every minibatch");
-    }
-
-    fn tiny_training_net() -> Network {
-        use scaledeep_dnn::{Activation, Conv, Fc, FeatureShape, NetworkBuilder};
-        let mut b = NetworkBuilder::new("attrib", FeatureShape::new(1, 6, 6));
-        let c = b
-            .conv(
-                "c",
-                Conv {
-                    out_features: 2,
-                    kernel: 3,
-                    stride: 1,
-                    pad: 1,
-                    groups: 1,
-                    bias: false,
-                    activation: Activation::Relu,
-                },
-            )
-            .unwrap();
-        let f = b
-            .fc_from(
-                "f",
-                c,
-                Fc {
-                    out_neurons: 4,
-                    bias: false,
-                    activation: Activation::None,
-                },
-            )
-            .unwrap();
-        b.finish_with_loss(f).unwrap()
-    }
-
-    #[test]
-    fn functional_readback_reports_tiles() {
-        let mut node = scaledeep_arch::presets::single_precision();
-        node.cluster.spoke_bw = node.cluster.arc_bw;
-        let session = Session::with_node(node);
-        let net = tiny_training_net();
-        let x = session.cross_check(&net).expect("tiny net cross-checks");
-        let tiles = functional_tile_attribution(&x.trace.metrics);
-        assert!(!tiles.is_empty());
-        for (tile, busy, _stalls) in &tiles {
-            assert!(*busy > 0, "tile {tile} recorded busy cycles");
-        }
-        // Sorted ascending by tile index.
-        for pair in tiles.windows(2) {
-            assert!(pair[0].0 < pair[1].0);
-        }
     }
 }

@@ -20,7 +20,6 @@
 //! same design point compile once.
 
 use crate::attribution::Attribution;
-use crate::report::{req_num, req_str, req_u64};
 use crate::session::{Session, Trace, TracedRun};
 use scaledeep_arch::{Candidate, DesignPoint, Knob, KnobValue, ParamSpace, Precision};
 use scaledeep_dnn::Network;
@@ -443,39 +442,34 @@ impl DseReport {
     /// Returns a message naming the offending field.
     pub fn from_json(text: &str) -> std::result::Result<Self, String> {
         let v = json::parse(text)?;
-        let version = req_u64(&v, "schema_version")?;
+        let version = v.count_field("schema_version")?;
         if version != DSE_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported schema_version {version} (reader supports {DSE_SCHEMA_VERSION})"
             ));
         }
-        let kind = req_str(&v, "kind")?;
+        let kind = v.str_field("kind")?.to_string();
         if kind != "training" && kind != "evaluation" {
             return Err(format!("unknown run kind `{kind}`"));
         }
-        let exp_v = v.get("expansion").ok_or("missing field `expansion`")?;
-        let expansion = match req_str(exp_v, "mode")?.as_str() {
+        let exp_v = v.field("expansion")?;
+        let expansion = match exp_v.str_field("mode")? {
             "grid" => Expansion::Grid,
             "sample" => Expansion::Sample {
-                n: req_u64(exp_v, "n")?,
-                seed: req_u64(exp_v, "seed")?,
+                n: exp_v.count_field("n")?,
+                seed: exp_v.count_field("seed")?,
             },
             other => return Err(format!("unknown expansion mode `{other}`")),
         };
-        let base = DesignPoint::from_json(v.get("base").ok_or("missing field `base`")?)
-            .map_err(|e| format!("base: {e}"))?;
-        let axes_v = v
-            .get("axes")
-            .and_then(Json::as_arr)
-            .ok_or("missing or non-array field `axes`")?;
+        let base = DesignPoint::from_json(v.field("base")?).map_err(|e| format!("base: {e}"))?;
+        let axes_v = v.arr_field("axes")?;
         let mut axes = Vec::with_capacity(axes_v.len());
         for (i, a) in axes_v.iter().enumerate() {
-            let knob = Knob::parse(&req_str(a, "knob").map_err(|e| format!("axes[{i}]: {e}"))?)
+            let knob = Knob::parse(a.str_field("knob").map_err(|e| format!("axes[{i}]: {e}"))?)
                 .map_err(|e| format!("axes[{i}]: {e}"))?;
             let values_v = a
-                .get("values")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("axes[{i}]: missing or non-array field `values`"))?;
+                .arr_field("values")
+                .map_err(|e| format!("axes[{i}]: {e}"))?;
             let mut values = Vec::with_capacity(values_v.len());
             for (j, value) in values_v.iter().enumerate() {
                 values.push(
@@ -485,35 +479,28 @@ impl DseReport {
             }
             axes.push((knob, values));
         }
-        let points_v = v
-            .get("points")
-            .and_then(Json::as_arr)
-            .ok_or("missing or non-array field `points`")?;
+        let points_v = v.arr_field("points")?;
         let mut points = Vec::with_capacity(points_v.len());
         for (i, p) in points_v.iter().enumerate() {
             points.push(DsePoint::from_json(p).map_err(|e| format!("points[{i}]: {e}"))?);
         }
-        let infeasible_v = v
-            .get("infeasible")
-            .and_then(Json::as_arr)
-            .ok_or("missing or non-array field `infeasible`")?;
+        let infeasible_v = v.arr_field("infeasible")?;
         let mut infeasible = Vec::with_capacity(infeasible_v.len());
         for (i, f) in infeasible_v.iter().enumerate() {
+            let text = |key| {
+                f.str_field(key)
+                    .map(str::to_string)
+                    .map_err(|e| format!("infeasible[{i}]: {e}"))
+            };
             infeasible.push(DseInfeasible {
-                label: req_str(f, "label").map_err(|e| format!("infeasible[{i}]: {e}"))?,
-                error: req_str(f, "error").map_err(|e| format!("infeasible[{i}]: {e}"))?,
+                label: text("label")?,
+                error: text("error")?,
             });
         }
-        let frontier_v = v
-            .get("frontier")
-            .and_then(Json::as_arr)
-            .ok_or("missing or non-array field `frontier`")?;
-        let frontier: Vec<u64> = frontier_v
+        let frontier: Vec<u64> = v
+            .arr_field("frontier")?
             .iter()
-            .map(|f| {
-                f.as_u64()
-                    .ok_or("frontier index is not an integer in [0, 2^53)".to_string())
-            })
+            .map(|f| f.to_count("frontier"))
             .collect::<std::result::Result<_, _>>()?;
         let recomputed = pareto_frontier(&points);
         if frontier != recomputed {
@@ -522,7 +509,7 @@ impl DseReport {
                  recomputed from the points ({recomputed:?})"
             ));
         }
-        let unique_compiles = req_u64(&v, "unique_compiles")?;
+        let unique_compiles = v.count_field("unique_compiles")?;
         if unique_compiles != distinct_fingerprints(&points) {
             return Err(format!(
                 "unique_compiles {unique_compiles} does not match the {} distinct \
@@ -532,8 +519,8 @@ impl DseReport {
         }
         Ok(DseReport {
             schema_version: version,
-            suite: req_str(&v, "suite")?,
-            network: req_str(&v, "network")?,
+            suite: v.str_field("suite")?.to_string(),
+            network: v.str_field("network")?.to_string(),
             kind,
             expansion,
             base,
@@ -548,30 +535,30 @@ impl DseReport {
 
 impl DsePoint {
     fn from_json(v: &Json) -> std::result::Result<Self, String> {
-        let fingerprint = req_str(v, "fingerprint")?;
+        let fingerprint = v.str_field("fingerprint")?.to_string();
         if fingerprint.len() != 16 || !fingerprint.bytes().all(|b| b.is_ascii_hexdigit()) {
             return Err(format!(
                 "fingerprint `{fingerprint}` is not a 16-hex-digit fingerprint"
             ));
         }
         Ok(DsePoint {
-            label: req_str(v, "label")?,
+            label: v.str_field("label")?.to_string(),
             fingerprint,
-            precision: req_str(v, "precision")?,
-            total_tiles: req_u64(v, "total_tiles")?,
-            peak_flops: req_num(v, "peak_flops")?,
-            peak_power_watts: req_num(v, "peak_power_watts")?,
-            images_per_sec: req_num(v, "images_per_sec")?,
-            pe_utilization: req_num(v, "pe_utilization")?,
-            sfu_utilization: req_num(v, "sfu_utilization")?,
-            achieved_flops: req_num(v, "achieved_flops")?,
-            gflops_per_watt: req_num(v, "gflops_per_watt")?,
-            joules_per_image: req_num(v, "joules_per_image")?,
-            busy_cycles: req_u64(v, "busy_cycles")?,
-            sync_cycles: req_u64(v, "sync_cycles")?,
-            compute_joules: req_num(v, "compute_joules")?,
-            memory_joules: req_num(v, "memory_joules")?,
-            interconnect_joules: req_num(v, "interconnect_joules")?,
+            precision: v.str_field("precision")?.to_string(),
+            total_tiles: v.count_field("total_tiles")?,
+            peak_flops: v.num_field("peak_flops")?,
+            peak_power_watts: v.num_field("peak_power_watts")?,
+            images_per_sec: v.num_field("images_per_sec")?,
+            pe_utilization: v.num_field("pe_utilization")?,
+            sfu_utilization: v.num_field("sfu_utilization")?,
+            achieved_flops: v.num_field("achieved_flops")?,
+            gflops_per_watt: v.num_field("gflops_per_watt")?,
+            joules_per_image: v.num_field("joules_per_image")?,
+            busy_cycles: v.count_field("busy_cycles")?,
+            sync_cycles: v.count_field("sync_cycles")?,
+            compute_joules: v.num_field("compute_joules")?,
+            memory_joules: v.num_field("memory_joules")?,
+            interconnect_joules: v.num_field("interconnect_joules")?,
         })
     }
 }

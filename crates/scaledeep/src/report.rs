@@ -473,93 +473,90 @@ impl BenchReport {
     /// a schema-version mismatch, or any missing/mistyped field.
     pub fn from_json(text: &str) -> std::result::Result<Self, String> {
         let v = json::parse(text)?;
-        let version = req_u64(&v, "schema_version")?;
+        let version = v.count_field("schema_version")?;
         if version != BENCH_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported schema_version {version} (reader supports {BENCH_SCHEMA_VERSION})"
             ));
         }
-        let functional = match v.get("functional") {
-            None => return Err("missing field `functional`".to_string()),
-            Some(Json::Null) => None,
-            Some(f) => Some(BenchFunctional {
-                cycles: req_u64(f, "cycles")?,
-                instructions: req_u64(f, "instructions")?,
-                stalls: req_u64(f, "stalls")?,
+        // A run without a functional drill writes `null`; the key itself
+        // is required.
+        let functional = match v.field("functional")? {
+            Json::Null => None,
+            f => Some(BenchFunctional {
+                cycles: f.count_field("cycles")?,
+                instructions: f.count_field("instructions")?,
+                stalls: f.count_field("stalls")?,
             }),
         };
-        let design = match v.get("design") {
-            None | Some(Json::Null) => return Err("missing field `design`".to_string()),
-            Some(d) => {
-                let fingerprint = req_str(d, "fingerprint")?;
-                let point_v = d.get("point").ok_or("missing field `design.point`")?;
-                let point = scaledeep_arch::DesignPoint::from_json(point_v)
-                    .map_err(|e| format!("design.point: {e}"))?;
-                let derived = format!("{:016x}", point.fingerprint());
-                if derived != fingerprint {
-                    return Err(format!(
-                        "design fingerprint `{fingerprint}` does not match \
-                         the design point (`{derived}`)"
-                    ));
-                }
-                BenchDesign { fingerprint, point }
+        let design = {
+            let d = v
+                .optional("design", Json::field)?
+                .ok_or("missing field `design`")?;
+            let fingerprint = d.str_field("fingerprint")?.to_string();
+            let point = scaledeep_arch::DesignPoint::from_json(d.field("point")?)
+                .map_err(|e| format!("design.point: {e}"))?;
+            let derived = format!("{:016x}", point.fingerprint());
+            if derived != fingerprint {
+                return Err(format!(
+                    "design fingerprint `{fingerprint}` does not match \
+                     the design point (`{derived}`)"
+                ));
             }
+            BenchDesign { fingerprint, point }
         };
-        let totals_v = v.get("totals").ok_or("missing field `totals`")?;
-        let energy_v = v.get("energy").ok_or("missing field `energy`")?;
-        let occ_v = v.get("occupancy").ok_or("missing field `occupancy`")?;
-        let cache_v = v.get("cache").ok_or("missing field `cache`")?;
-        let layers_v = v
-            .get("layers")
-            .and_then(Json::as_arr)
-            .ok_or("missing or non-array field `layers`")?;
+        let totals_v = v.field("totals")?;
+        let energy_v = v.field("energy")?;
+        let occ_v = v.field("occupancy")?;
+        let cache_v = v.field("cache")?;
+        let layers_v = v.arr_field("layers")?;
         let mut layers = Vec::with_capacity(layers_v.len());
         for (i, l) in layers_v.iter().enumerate() {
             layers.push(BenchLayer::from_json(l).map_err(|e| format!("layers[{i}]: {e}"))?);
         }
-        let provenance = req_str(&v, "provenance")?;
+        let provenance = v.str_field("provenance")?.to_string();
         if provenance.len() != 16 || !provenance.bytes().all(|b| b.is_ascii_hexdigit()) {
             return Err(format!(
                 "provenance `{provenance}` is not a 16-hex-digit fingerprint"
             ));
         }
-        let kind = req_str(&v, "kind")?;
+        let kind = v.str_field("kind")?.to_string();
         if kind != "training" && kind != "evaluation" {
             return Err(format!("unknown run kind `{kind}`"));
         }
         let bench = BenchReport {
             schema_version: version,
-            network: req_str(&v, "network")?,
+            network: v.str_field("network")?.to_string(),
             kind,
-            seed: req_u64(&v, "seed")?,
+            seed: v.count_field("seed")?,
             provenance,
-            precision: req_str(&v, "precision")?,
-            clusters: req_u64(&v, "clusters")?,
-            frequency_mhz: req_num(&v, "frequency_mhz")?,
+            precision: v.str_field("precision")?.to_string(),
+            clusters: v.count_field("clusters")?,
+            frequency_mhz: v.num_field("frequency_mhz")?,
             totals: BenchTotals {
-                window_cycles: req_u64(totals_v, "window_cycles")?,
-                busy_cycles: req_u64(totals_v, "busy_cycles")?,
-                sync_cycles: req_u64(totals_v, "sync_cycles")?,
-                images_done: req_u64(totals_v, "images_done")?,
-                images_per_sec: req_num(totals_v, "images_per_sec")?,
-                pe_utilization: req_num(totals_v, "pe_utilization")?,
-                sfu_utilization: req_num(totals_v, "sfu_utilization")?,
-                achieved_flops: req_num(totals_v, "achieved_flops")?,
-                gflops_per_watt: req_num(totals_v, "gflops_per_watt")?,
-                joules_per_image: req_num(totals_v, "joules_per_image")?,
+                window_cycles: totals_v.count_field("window_cycles")?,
+                busy_cycles: totals_v.count_field("busy_cycles")?,
+                sync_cycles: totals_v.count_field("sync_cycles")?,
+                images_done: totals_v.count_field("images_done")?,
+                images_per_sec: totals_v.num_field("images_per_sec")?,
+                pe_utilization: totals_v.num_field("pe_utilization")?,
+                sfu_utilization: totals_v.num_field("sfu_utilization")?,
+                achieved_flops: totals_v.num_field("achieved_flops")?,
+                gflops_per_watt: totals_v.num_field("gflops_per_watt")?,
+                joules_per_image: totals_v.num_field("joules_per_image")?,
             },
             energy: BenchEnergy {
-                compute_joules: req_num(energy_v, "compute_joules")?,
-                memory_joules: req_num(energy_v, "memory_joules")?,
-                interconnect_joules: req_num(energy_v, "interconnect_joules")?,
+                compute_joules: energy_v.num_field("compute_joules")?,
+                memory_joules: energy_v.num_field("memory_joules")?,
+                interconnect_joules: energy_v.num_field("interconnect_joules")?,
             },
             occupancy: OccupancyPercentiles {
-                p50: req_num(occ_v, "p50")?,
-                p95: req_num(occ_v, "p95")?,
-                p99: req_num(occ_v, "p99")?,
+                p50: occ_v.num_field("p50")?,
+                p95: occ_v.num_field("p95")?,
+                p99: occ_v.num_field("p99")?,
             },
-            cache_hits: req_u64(cache_v, "hits")?,
-            cache_misses: req_u64(cache_v, "misses")?,
+            cache_hits: cache_v.count_field("hits")?,
+            cache_misses: cache_v.count_field("misses")?,
             functional,
             design,
             layers,
@@ -768,27 +765,27 @@ impl BenchLayer {
     }
 
     fn from_json(v: &Json) -> std::result::Result<Self, String> {
-        let bound = req_str(v, "bound")?;
+        let bound = v.str_field("bound")?.to_string();
         if RooflineBound::parse(&bound).is_none() {
             return Err(format!("unknown roofline bound `{bound}`"));
         }
         let layer = BenchLayer {
-            stage: req_u64(v, "stage")?,
-            name: req_str(v, "name")?,
-            busy_cycles: req_u64(v, "busy_cycles")?,
-            service_cycles: req_u64(v, "service_cycles")?,
-            fp_cycles: req_u64(v, "fp_cycles")?,
-            bp_cycles: req_u64(v, "bp_cycles")?,
-            wg_cycles: req_u64(v, "wg_cycles")?,
-            comp_heavy_cycles: req_u64(v, "comp_heavy_cycles")?,
-            mem_heavy_cycles: req_u64(v, "mem_heavy_cycles")?,
-            grid_bytes: req_num(v, "grid_bytes")?,
-            wheel_bytes: req_num(v, "wheel_bytes")?,
-            ring_bytes: req_num(v, "ring_bytes")?,
-            flops: req_u64(v, "flops")?,
-            bytes_per_flop: req_num(v, "bytes_per_flop")?,
+            stage: v.count_field("stage")?,
+            name: v.str_field("name")?.to_string(),
+            busy_cycles: v.count_field("busy_cycles")?,
+            service_cycles: v.count_field("service_cycles")?,
+            fp_cycles: v.count_field("fp_cycles")?,
+            bp_cycles: v.count_field("bp_cycles")?,
+            wg_cycles: v.count_field("wg_cycles")?,
+            comp_heavy_cycles: v.count_field("comp_heavy_cycles")?,
+            mem_heavy_cycles: v.count_field("mem_heavy_cycles")?,
+            grid_bytes: v.num_field("grid_bytes")?,
+            wheel_bytes: v.num_field("wheel_bytes")?,
+            ring_bytes: v.num_field("ring_bytes")?,
+            flops: v.count_field("flops")?,
+            bytes_per_flop: v.num_field("bytes_per_flop")?,
             bound,
-            joules_per_image: req_num(v, "joules_per_image")?,
+            joules_per_image: v.num_field("joules_per_image")?,
         };
         if layer.fp_cycles + layer.bp_cycles + layer.wg_cycles != layer.busy_cycles {
             return Err(format!(
@@ -826,29 +823,6 @@ fn rel_delta(got: f64, want: f64) -> f64 {
     } else {
         d / want.abs()
     }
-}
-
-/// A required numeric field of a BENCH or DSE document.
-pub(crate) fn req_num(v: &Json, key: &str) -> std::result::Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_num)
-        .ok_or_else(|| format!("missing or non-numeric field `{key}`"))
-}
-
-/// A required count field: an integer in `[0, 2^53)` ([`Json::as_u64`]),
-/// never a truncated fraction or a saturated negative.
-pub(crate) fn req_u64(v: &Json, key: &str) -> std::result::Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing field `{key}` or not an integer in [0, 2^53)"))
-}
-
-/// A required string field.
-pub(crate) fn req_str(v: &Json, key: &str) -> std::result::Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string field `{key}`"))
 }
 
 /// `text` re-rendered with the value at `path` (object keys or array

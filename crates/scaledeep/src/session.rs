@@ -1558,6 +1558,11 @@ mod tests {
             .unwrap();
         assert!(!x.trace.events.is_empty());
         assert!(x.trace.metrics.counter_value("func.cycles").is_some());
+        // Every tile of the functional run did work.
+        assert!(!x.functional.per_tile.is_empty());
+        for (tile, t) in x.functional.per_tile.iter().enumerate() {
+            assert!(t.busy > 0, "tile {tile} recorded no busy cycles");
+        }
         if x.agrees() {
             assert!(x.mismatch_report().is_none());
         } else {

@@ -237,14 +237,6 @@ pub type JobResult = Result<JobReply, ServeError>;
 
 // ------------------------------------------------------------- encoding
 
-fn u64s(v: u64) -> Json {
-    Json::Str(v.to_string())
-}
-
-fn num(v: usize) -> Json {
-    Json::Num(v as f64)
-}
-
 fn run_kind_name(kind: RunKind) -> &'static str {
     match kind {
         RunKind::Training => "training",
@@ -272,23 +264,23 @@ pub fn request_to_json(req: &JobRequest) -> String {
         } => {
             fields.push(("op", Json::Str("resilient".into())));
             fields.push(("network", Json::Str(network.clone())));
-            fields.push(("plan_seed", u64s(*plan_seed)));
+            fields.push(("plan_seed", Json::decimal(*plan_seed)));
             fields.push((
                 "kill_tile",
-                kill_tile.map_or(Json::Null, |t| num(t as usize)),
+                kill_tile.map_or(Json::Null, |t| Json::count(t as usize)),
             ));
         }
     }
     if let Some(ms) = req.deadline_ms {
-        fields.push(("deadline_ms", u64s(ms)));
+        fields.push(("deadline_ms", Json::decimal(ms)));
     }
     if let Some(c) = req.chaos {
         fields.push((
             "chaos",
             obj([
-                ("panic_attempts", num(c.panic_attempts as usize)),
-                ("fail_attempts", num(c.fail_attempts as usize)),
-                ("stall_ms", u64s(c.stall_ms)),
+                ("panic_attempts", Json::count(c.panic_attempts as usize)),
+                ("fail_attempts", Json::count(c.fail_attempts as usize)),
+                ("stall_ms", Json::decimal(c.stall_ms)),
             ]),
         ));
     }
@@ -296,28 +288,6 @@ pub fn request_to_json(req: &JobRequest) -> String {
         fields.push(("progress", Json::Bool(true)));
     }
     obj(fields).render()
-}
-
-fn get_str<'j>(j: &'j Json, key: &str) -> Result<&'j str, String> {
-    j.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing or non-string `{key}`"))
-}
-
-fn get_u64(j: &Json, key: &str) -> Result<u64, String> {
-    get_str(j, key)?
-        .parse()
-        .map_err(|_| format!("`{key}` is not a decimal u64"))
-}
-
-/// A wire count: an exact integer in `[0, 2^53)` that fits `T`. A count
-/// outside `T` is an error, never a wrapped or saturated value.
-fn get_count<T: TryFrom<u64>>(j: &Json, key: &str) -> Result<T, String> {
-    let n = j
-        .get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-count `{key}`"))?;
-    T::try_from(n).map_err(|_| format!("`{key}` = {n} exceeds {}", std::any::type_name::<T>()))
 }
 
 /// Parses one request line.
@@ -328,13 +298,13 @@ fn get_count<T: TryFrom<u64>>(j: &Json, key: &str) -> Result<T, String> {
 /// server answers such lines with [`ServeError::Rejected`].
 pub fn request_from_json(line: &str) -> Result<JobRequest, String> {
     let doc = json::parse(line)?;
-    let tenant = get_str(&doc, "tenant")?.to_string();
-    let network = get_str(&doc, "network")?.to_string();
-    let kind = match get_str(&doc, "op")? {
+    let tenant = doc.str_field("tenant")?.to_string();
+    let network = doc.str_field("network")?.to_string();
+    let kind = match doc.str_field("op")? {
         "compile" => JobKind::Compile { network },
         "simulate" => JobKind::Simulate {
             network,
-            kind: match get_str(&doc, "kind")? {
+            kind: match doc.str_field("kind")? {
                 "training" => RunKind::Training,
                 "evaluation" => RunKind::Evaluation,
                 other => return Err(format!("unknown run kind `{other}`")),
@@ -342,31 +312,21 @@ pub fn request_from_json(line: &str) -> Result<JobRequest, String> {
         },
         "resilient" => JobKind::Resilient {
             network,
-            plan_seed: get_u64(&doc, "plan_seed")?,
-            kill_tile: match doc.get("kill_tile") {
-                None | Some(Json::Null) => None,
-                Some(_) => Some(get_count(&doc, "kill_tile")?),
-            },
+            plan_seed: doc.decimal_field("plan_seed")?,
+            kill_tile: doc.optional("kill_tile", Json::count_field)?,
         },
         other => return Err(format!("unknown op `{other}`")),
     };
-    let deadline_ms = match doc.get("deadline_ms") {
-        None | Some(Json::Null) => None,
-        Some(_) => Some(get_u64(&doc, "deadline_ms")?),
-    };
-    let chaos = match doc.get("chaos") {
-        None | Some(Json::Null) => None,
+    let deadline_ms = doc.optional("deadline_ms", Json::decimal_field)?;
+    let chaos = match doc.optional("chaos", Json::field)? {
+        None => None,
         Some(c) => Some(ChaosDirective {
-            panic_attempts: get_count(c, "panic_attempts")?,
-            fail_attempts: get_count(c, "fail_attempts")?,
-            stall_ms: get_u64(c, "stall_ms")?,
+            panic_attempts: c.count_field("panic_attempts")?,
+            fail_attempts: c.count_field("fail_attempts")?,
+            stall_ms: c.decimal_field("stall_ms")?,
         }),
     };
-    let progress = match doc.get("progress") {
-        None | Some(Json::Null) | Some(Json::Bool(false)) => false,
-        Some(Json::Bool(true)) => true,
-        Some(_) => return Err("`progress` is not a boolean".to_string()),
-    };
+    let progress = doc.optional("progress", Json::bool_field)?.unwrap_or(false);
     Ok(JobRequest {
         tenant,
         kind,
@@ -417,8 +377,8 @@ pub fn result_to_json(result: &JobResult) -> String {
             "ok",
             obj([
                 ("op", Json::Str("compile".into())),
-                ("provenance", u64s(*provenance)),
-                ("conv_cols", num(*conv_cols)),
+                ("provenance", Json::decimal(*provenance)),
+                ("conv_cols", Json::count(*conv_cols)),
                 ("degraded", Json::Bool(*degraded)),
             ]),
         )]),
@@ -430,7 +390,7 @@ pub fn result_to_json(result: &JobResult) -> String {
             obj([
                 ("op", Json::Str("simulate".into())),
                 ("images_per_sec", Json::Num(*images_per_sec)),
-                ("stages", num(*stages)),
+                ("stages", Json::count(*stages)),
             ]),
         )]),
         Ok(JobReply::Resilient {
@@ -441,23 +401,23 @@ pub fn result_to_json(result: &JobResult) -> String {
             "ok",
             obj([
                 ("op", Json::Str("resilient".into())),
-                ("cycles", u64s(*cycles)),
+                ("cycles", Json::decimal(*cycles)),
                 ("retried", Json::Bool(*retried)),
-                ("dead_tiles", num(*dead_tiles)),
+                ("dead_tiles", Json::count(*dead_tiles)),
             ]),
         )]),
         Err(e) => {
             let mut fields: Vec<(&'static str, Json)> = vec![("kind", Json::Str(e.kind().into()))];
             match e {
                 ServeError::Overloaded { queued, capacity } => {
-                    fields.push(("queued", num(*queued)));
-                    fields.push(("capacity", num(*capacity)));
+                    fields.push(("queued", Json::count(*queued)));
+                    fields.push(("capacity", Json::count(*capacity)));
                 }
                 ServeError::DeadlineExceeded { waited_ms } => {
-                    fields.push(("waited_ms", u64s(*waited_ms)));
+                    fields.push(("waited_ms", Json::decimal(*waited_ms)));
                 }
                 ServeError::WorkerLost { attempts } => {
-                    fields.push(("attempts", num(*attempts as usize)));
+                    fields.push(("attempts", Json::count(*attempts as usize)));
                 }
                 ServeError::Rejected { detail } | ServeError::Failed { detail } => {
                     fields.push(("detail", Json::Str(detail.clone())));
@@ -478,23 +438,20 @@ pub fn result_to_json(result: &JobResult) -> String {
 pub fn result_from_json(line: &str) -> Result<JobResult, String> {
     let doc = json::parse(line)?;
     if let Some(ok) = doc.get("ok") {
-        return Ok(Ok(match get_str(ok, "op")? {
+        return Ok(Ok(match ok.str_field("op")? {
             "compile" => JobReply::Compiled {
-                provenance: get_u64(ok, "provenance")?,
-                conv_cols: get_count(ok, "conv_cols")?,
-                degraded: matches!(ok.get("degraded"), Some(Json::Bool(true))),
+                provenance: ok.decimal_field("provenance")?,
+                conv_cols: ok.count_field("conv_cols")?,
+                degraded: ok.bool_field("degraded")?,
             },
             "simulate" => JobReply::Simulated {
-                images_per_sec: ok
-                    .get("images_per_sec")
-                    .and_then(Json::as_num)
-                    .ok_or("missing `images_per_sec`")?,
-                stages: get_count(ok, "stages")?,
+                images_per_sec: ok.num_field("images_per_sec")?,
+                stages: ok.count_field("stages")?,
             },
             "resilient" => JobReply::Resilient {
-                cycles: get_u64(ok, "cycles")?,
-                retried: matches!(ok.get("retried"), Some(Json::Bool(true))),
-                dead_tiles: get_count(ok, "dead_tiles")?,
+                cycles: ok.decimal_field("cycles")?,
+                retried: ok.bool_field("retried")?,
+                dead_tiles: ok.count_field("dead_tiles")?,
             },
             other => return Err(format!("unknown reply op `{other}`")),
         }));
@@ -502,23 +459,23 @@ pub fn result_from_json(line: &str) -> Result<JobResult, String> {
     let err = doc
         .get("err")
         .ok_or("response has neither `ok` nor `err`")?;
-    Ok(Err(match get_str(err, "kind")? {
+    Ok(Err(match err.str_field("kind")? {
         "overloaded" => ServeError::Overloaded {
-            queued: get_count(err, "queued")?,
-            capacity: get_count(err, "capacity")?,
+            queued: err.count_field("queued")?,
+            capacity: err.count_field("capacity")?,
         },
         "deadline_exceeded" => ServeError::DeadlineExceeded {
-            waited_ms: get_u64(err, "waited_ms")?,
+            waited_ms: err.decimal_field("waited_ms")?,
         },
         "cancelled" => ServeError::Cancelled,
         "worker_lost" => ServeError::WorkerLost {
-            attempts: get_count(err, "attempts")?,
+            attempts: err.count_field("attempts")?,
         },
         "rejected" => ServeError::Rejected {
-            detail: get_str(err, "detail")?.to_string(),
+            detail: err.str_field("detail")?.to_string(),
         },
         "failed" => ServeError::Failed {
-            detail: get_str(err, "detail")?.to_string(),
+            detail: err.str_field("detail")?.to_string(),
         },
         other => return Err(format!("unknown error kind `{other}`")),
     }))
@@ -591,22 +548,22 @@ pub fn progress_to_json(ev: &ProgressEvent) -> String {
     obj([(
         "progress",
         obj([
-            ("job", u64s(ev.job)),
+            ("job", Json::decimal(ev.job)),
             ("tenant", Json::Str(ev.tenant.clone())),
-            ("seq", u64s(ev.seq)),
+            ("seq", Json::decimal(ev.seq)),
             ("kind", Json::Str(ev.kind.clone())),
-            ("cycle", u64s(ev.cycle)),
-            ("value", ev.value.map_or(Json::Null, u64s)),
+            ("cycle", Json::decimal(ev.cycle)),
+            ("value", ev.value.map_or(Json::Null, Json::decimal)),
             (
                 "label",
                 ev.label
                     .as_ref()
                     .map_or(Json::Null, |l| Json::Str(l.clone())),
             ),
-            ("syncs", u64s(ev.syncs)),
-            ("faults", u64s(ev.faults)),
-            ("retries", u64s(ev.retries)),
-            ("dropped", u64s(ev.dropped)),
+            ("syncs", Json::decimal(ev.syncs)),
+            ("faults", Json::decimal(ev.faults)),
+            ("retries", Json::decimal(ev.retries)),
+            ("dropped", Json::decimal(ev.dropped)),
         ]),
     )])
     .render()
@@ -621,23 +578,17 @@ pub fn progress_from_json(line: &str) -> Result<ProgressEvent, String> {
     let doc = json::parse(line)?;
     let p = doc.get("progress").ok_or("line has no `progress` object")?;
     Ok(ProgressEvent {
-        job: get_u64(p, "job")?,
-        tenant: get_str(p, "tenant")?.to_string(),
-        seq: get_u64(p, "seq")?,
-        kind: get_str(p, "kind")?.to_string(),
-        cycle: get_u64(p, "cycle")?,
-        value: match p.get("value") {
-            None | Some(Json::Null) => None,
-            Some(_) => Some(get_u64(p, "value")?),
-        },
-        label: match p.get("label") {
-            None | Some(Json::Null) => None,
-            Some(_) => Some(get_str(p, "label")?.to_string()),
-        },
-        syncs: get_u64(p, "syncs")?,
-        faults: get_u64(p, "faults")?,
-        retries: get_u64(p, "retries")?,
-        dropped: get_u64(p, "dropped")?,
+        job: p.decimal_field("job")?,
+        tenant: p.str_field("tenant")?.to_string(),
+        seq: p.decimal_field("seq")?,
+        kind: p.str_field("kind")?.to_string(),
+        cycle: p.decimal_field("cycle")?,
+        value: p.optional("value", Json::decimal_field)?,
+        label: p.optional("label", Json::str_field)?.map(str::to_string),
+        syncs: p.decimal_field("syncs")?,
+        faults: p.decimal_field("faults")?,
+        retries: p.decimal_field("retries")?,
+        dropped: p.decimal_field("dropped")?,
     })
 }
 
@@ -740,7 +691,7 @@ pub fn stats_to_json(snapshot: &StatsSnapshot) -> String {
         .iter()
         .map(|(name, v)| {
             let j = match v {
-                StatValue::Counter(c) => u64s(*c),
+                StatValue::Counter(c) => Json::decimal(*c),
                 StatValue::Gauge(g) => Json::Num(*g),
                 StatValue::Hist {
                     count,
@@ -751,7 +702,7 @@ pub fn stats_to_json(snapshot: &StatsSnapshot) -> String {
                     p50,
                     p99,
                 } => obj([
-                    ("count", u64s(*count)),
+                    ("count", Json::decimal(*count)),
                     ("sum", Json::Num(*sum)),
                     ("min", Json::Num(*min)),
                     ("max", Json::Num(*max)),
@@ -773,12 +724,6 @@ pub fn stats_to_json(snapshot: &StatsSnapshot) -> String {
     .render()
 }
 
-fn get_num(j: &Json, key: &str) -> Result<f64, String> {
-    j.get(key)
-        .and_then(Json::as_num)
-        .ok_or_else(|| format!("missing or non-number `{key}`"))
-}
-
 /// Parses one stats response line.
 ///
 /// # Errors
@@ -787,7 +732,7 @@ fn get_num(j: &Json, key: &str) -> Result<f64, String> {
 pub fn stats_from_json(line: &str) -> Result<StatsSnapshot, String> {
     let doc = json::parse(line)?;
     let ok = doc.get("ok").ok_or("line has no `ok` object")?;
-    if get_str(ok, "op")? != "stats" {
+    if ok.str_field("op")? != "stats" {
         return Err("`ok.op` is not `stats`".to_string());
     }
     let entries = match ok.get("metrics") {
@@ -797,19 +742,16 @@ pub fn stats_from_json(line: &str) -> Result<StatsSnapshot, String> {
     let mut metrics = Vec::with_capacity(entries.len());
     for (name, j) in entries {
         let v = match j {
-            Json::Str(s) => StatValue::Counter(
-                s.parse()
-                    .map_err(|_| format!("counter `{name}` is not a decimal u64"))?,
-            ),
+            Json::Str(_) => StatValue::Counter(j.to_decimal(name)?),
             Json::Num(n) => StatValue::Gauge(*n),
             Json::Obj(_) => StatValue::Hist {
-                count: get_u64(j, "count")?,
-                sum: get_num(j, "sum")?,
-                min: get_num(j, "min")?,
-                max: get_num(j, "max")?,
-                mean: get_num(j, "mean")?,
-                p50: get_num(j, "p50")?,
-                p99: get_num(j, "p99")?,
+                count: j.decimal_field("count")?,
+                sum: j.num_field("sum")?,
+                min: j.num_field("min")?,
+                max: j.num_field("max")?,
+                mean: j.num_field("mean")?,
+                p50: j.num_field("p50")?,
+                p99: j.num_field("p99")?,
             },
             other => return Err(format!("metric `{name}` has unexpected shape {other:?}")),
         };
@@ -943,6 +885,36 @@ mod tests {
                 .contains("unknown op")
         );
         assert!(result_from_json("{\"err\": {\"kind\": \"mystery\"}}").is_err());
+        // A reply flag that is missing or not a bool is an error, never a
+        // silent `false`.
+        for (op, rest, flag) in [
+            (
+                "compile",
+                "\"provenance\": \"1\", \"conv_cols\": 2",
+                "degraded",
+            ),
+            (
+                "resilient",
+                "\"cycles\": \"1\", \"dead_tiles\": 0",
+                "retried",
+            ),
+        ] {
+            for value in [
+                "",
+                ", \"FLAG\": 1",
+                ", \"FLAG\": \"true\"",
+                ", \"FLAG\": null",
+            ] {
+                let line = format!(
+                    "{{\"ok\": {{\"op\": \"{op}\", {rest}{}}}}}",
+                    value.replace("FLAG", flag)
+                );
+                let err = result_from_json(&line).expect_err(&line);
+                assert!(err.contains(&format!("`{flag}`")), "{line}: {err}");
+            }
+            let line = format!("{{\"ok\": {{\"op\": \"{op}\", {rest}, \"{flag}\": false}}}}");
+            assert!(result_from_json(&line).is_ok(), "{line}");
+        }
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! model uses — so a drill replayed under the same seed backs off at
 //! exactly the same points, independent of thread interleaving.
 
+use scaledeep_trace::splitmix64;
+
 /// Retry policy for jobs that die to transient faults or lost workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -41,7 +43,7 @@ impl RetryPolicy {
         let factor = 1u64 << u64::from((attempt - 1).min(63));
         let ladder = self.base_ms.saturating_mul(factor).min(self.max_backoff_ms);
         let jitter = if self.base_ms > 0 {
-            hash64(seed ^ job_id.rotate_left(23), u64::from(attempt)) % self.base_ms
+            splitmix64(seed ^ job_id.rotate_left(23), u64::from(attempt)) % self.base_ms
         } else {
             0
         };
@@ -56,17 +58,6 @@ impl RetryPolicy {
             .map(|a| self.backoff_ms(seed, job_id, a))
             .collect()
     }
-}
-
-/// SplitMix64-style counter hash (same construction as the fault plan's
-/// link-error draws): deterministic, order-independent.
-pub(crate) fn hash64(seed: u64, counter: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(counter.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

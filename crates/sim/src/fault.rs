@@ -24,6 +24,7 @@
 //! (property-tested in `tests/fault_injection.rs`).
 
 use crate::engine::Cycle;
+use scaledeep_trace::splitmix64;
 
 /// One scheduled fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,7 +95,7 @@ impl LinkFaults {
         }
         let mut retries = 0;
         while retries < self.max_retries {
-            let draw = hash64(seed ^ salt.rotate_left(17), u64::from(retries));
+            let draw = splitmix64(seed ^ salt.rotate_left(17), u64::from(retries));
             // Top 53 bits -> uniform [0, 1).
             let u = (draw >> 11) as f64 / (1u64 << 53) as f64;
             if u >= self.prob {
@@ -116,16 +117,6 @@ impl LinkFaults {
             .map_or(u64::MAX, |p| p.saturating_sub(1));
         self.base_backoff.saturating_mul(ladder)
     }
-}
-
-/// SplitMix64-style counter hash: deterministic, order-independent draws.
-fn hash64(seed: u64, counter: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(counter.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A complete, seeded fault schedule for one simulation run.

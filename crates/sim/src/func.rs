@@ -130,14 +130,29 @@ pub struct FuncSim {
 }
 
 impl FuncSim {
-    /// Builds the simulator for a compiled network, sizing scratchpads to
-    /// fit the compiled layout.
+    /// Builds the simulator for a compiled network, lowering every
+    /// program for the compiled tier and sizing scratchpads to fit the
+    /// compiled layout.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Setup`] when the compiled layout is inconsistent
     /// with the network.
     pub fn new(net: &Network, compiled: &CompiledNetwork) -> Result<Self> {
+        let lowered = compiled
+            .programs
+            .iter()
+            .map(scaledeep_isa::micro::lower)
+            .collect();
+        Self::with_lowered(net, compiled, lowered)
+    }
+
+    /// [`FuncSim::new`] over already-lowered streams, one per program.
+    fn with_lowered(
+        net: &Network,
+        compiled: &CompiledNetwork,
+        lowered: Vec<LoweredProgram>,
+    ) -> Result<Self> {
         if compiled.buffers.len() != net.len() {
             return Err(Error::Setup {
                 detail: format!(
@@ -171,14 +186,6 @@ impl FuncSim {
         // on every tile keeps them in range regardless of rotation.
         capacity += 2;
         let machine = Machine::new(compiled.mem_tiles, capacity);
-        // Lower eagerly: one mechanical pass per program, so tier
-        // switches never recompile and the compiled tier is always
-        // available.
-        let lowered = compiled
-            .programs
-            .iter()
-            .map(scaledeep_isa::micro::lower)
-            .collect();
         let mut sim = Self {
             net: net.clone(),
             compiled: compiled.clone(),
@@ -193,9 +200,9 @@ impl FuncSim {
 
     /// Builds the simulator from a pipeline [`CompiledArtifact`] — the
     /// preferred construction path: sessions compile once and every
-    /// consumer (perf, functional, traced) reads the same artifact. When
-    /// the artifact carries the lower phase's micro-op streams they are
-    /// used directly instead of re-lowering.
+    /// consumer (perf, functional, traced) reads the same artifact. The
+    /// artifact's own lower-phase micro-op streams are executed; nothing
+    /// is lowered again.
     ///
     /// # Errors
     ///
@@ -204,11 +211,10 @@ impl FuncSim {
     /// [`FuncSim::new`]'s setup errors.
     pub fn from_artifact(net: &Network, artifact: &CompiledArtifact) -> Result<Self> {
         let compiled = artifact.functional().map_err(Error::Compiler)?;
-        let mut sim = Self::new(net, compiled)?;
-        if let Some(lowered) = artifact.lowered() {
-            sim.lowered = lowered.to_vec();
-        }
-        Ok(sim)
+        let lowered = artifact.lowered().ok_or_else(|| Error::Setup {
+            detail: "artifact has a functional network but no lowered streams".into(),
+        })?;
+        Self::with_lowered(net, compiled, lowered.to_vec())
     }
 
     /// Selects the execution tier for subsequent runs. Every simulator

@@ -1,8 +1,12 @@
-//! FNV-1a-64, the workspace's one content hash: compile provenance keys,
-//! design fingerprints and progress-stream digests all fold their bytes
-//! through [`fnv1a`]. [`Fnv1aWriter`] is the same hash as a
-//! [`fmt::Write`] sink, so a value's formatted rendering can be hashed
-//! without allocating it.
+//! The workspace's two hashes.
+//!
+//! * FNV-1a-64, the one content hash: compile provenance keys, design
+//!   fingerprints and progress-stream digests all fold their bytes through
+//!   [`fnv1a`]. [`Fnv1aWriter`] is the same hash as a [`fmt::Write`] sink,
+//!   so a value's formatted rendering can be hashed without allocating it.
+//! * [`splitmix64`], the one counter hash: seeded draws that depend only
+//!   on `(seed, counter)`, never on call order — the fault plan's link
+//!   errors and the job server's retry jitter.
 
 use std::fmt;
 
@@ -51,9 +55,30 @@ impl fmt::Write for Fnv1aWriter {
     }
 }
 
+/// The SplitMix64 output for `counter` under `seed`: the `counter + 1`-th
+/// value of a SplitMix64 generator seeded with `seed`. A pure function of
+/// its inputs, so seeded draws replay exactly whatever order they are
+/// made in.
+pub fn splitmix64(seed: u64, counter: u64) -> u64 {
+    let mut z = seed
+        .wrapping_add(counter.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix64_matches_the_reference_sequence() {
+        // The first outputs of SplitMix64 seeded with 0.
+        assert_eq!(splitmix64(0, 0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(0, 1), 0x6e78_9e6a_a1b9_65f4);
+        assert_eq!(splitmix64(0, 2), 0x06c4_5d18_8009_454f);
+    }
 
     #[test]
     fn matches_the_reference_vectors_and_continues() {

@@ -19,6 +19,17 @@
 //! Numbers become `f64` (callers that need every `u64` store decimal
 //! strings); strings accept every JSON escape, including UTF-16 surrogate
 //! pairs. Rendering is byte-stable: one value always yields the same text.
+//!
+//! Every reader also decodes its fields here, so the rule for a field is
+//! written once: the required-field accessors ([`Json::field`],
+//! [`Json::num_field`], [`Json::count_field`], [`Json::decimal_field`],
+//! [`Json::str_field`], [`Json::bool_field`], [`Json::arr_field`]) and
+//! [`Json::optional`] for an absent-or-`null` field. Integers travel in
+//! one of two wire forms: a *count* is a JSON number holding an exact
+//! integer in `[0, 2^53)` ([`Json::count`], [`exact_u64`]), narrowed with
+//! `try_from` to the reader's type; any other `u64` is a *decimal*
+//! string ([`Json::decimal`]). A rejected field comes back as a message
+//! naming it, built only on failure.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,13 +73,9 @@ impl Json {
         }
     }
 
-    /// The number, if this is an integer in `[0, 2^53)`: the range where
-    /// `f64` holds every integer exactly. A fractional, negative or larger
-    /// number is `None` rather than a silently truncated or saturated
-    /// count.
+    /// The number, if it is an exact count ([`exact_u64`]).
     pub fn as_u64(&self) -> Option<u64> {
-        let n = self.as_num()?;
-        (n.fract() == 0.0 && (0.0..9.007_199_254_740_992e15).contains(&n)).then_some(n as u64)
+        self.as_num().and_then(exact_u64)
     }
 
     /// The string, if this is a string.
@@ -77,6 +84,137 @@ impl Json {
             Json::Str(s) => Some(s),
             _ => None,
         }
+    }
+
+    /// A count: [`Json::Num`] of `n`, the wire form [`Json::to_count`]
+    /// decodes.
+    pub fn count(n: usize) -> Json {
+        Json::Num(n as f64)
+    }
+
+    /// A `u64` as a decimal string, the wire form [`Json::to_decimal`]
+    /// decodes: `f64` numbers cannot carry every `u64`.
+    pub fn decimal(n: u64) -> Json {
+        Json::Str(n.to_string())
+    }
+
+    /// This value as a count narrowed to `T`: an exact integer in
+    /// `[0, 2^53)` that `T` holds. `what` names the value in the message.
+    ///
+    /// # Errors
+    ///
+    /// A non-number, a fractional, negative or too-large number, or one
+    /// `T` cannot hold.
+    pub fn to_count<T: TryFrom<u64>>(&self, what: &str) -> Result<T, String> {
+        let n = self
+            .as_num()
+            .ok_or_else(|| format!("`{what}` is not a number"))?;
+        let exact = exact_u64(n).ok_or_else(|| {
+            format!("`{what}` = {n} is not a valid index or count (an integer in [0, 2^53))")
+        })?;
+        T::try_from(exact)
+            .map_err(|_| format!("`{what}` = {exact} exceeds {}", std::any::type_name::<T>()))
+    }
+
+    /// This value as a `u64` carried as a decimal string.
+    ///
+    /// # Errors
+    ///
+    /// Anything but a string of decimal digits that fits `u64`.
+    pub fn to_decimal(&self, what: &str) -> Result<u64, String> {
+        self.as_str()
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| format!("`{what}` is not a decimal u64 string"))
+    }
+
+    /// The required object field `key`; `null` is a present value.
+    ///
+    /// # Errors
+    ///
+    /// The field is absent (or `self` is not an object).
+    pub fn field(&self, key: &str) -> Result<&Json, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing field `{key}`"))
+    }
+
+    /// An optional field: `Ok(None)` when `key` is absent or `null`,
+    /// otherwise `decode(self, key)` — one of the `*_field` accessors.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `decode` rejects.
+    pub fn optional<'j, T>(
+        &'j self,
+        key: &str,
+        decode: impl FnOnce(&'j Json, &str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        match self.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(_) => decode(self, key).map(Some),
+        }
+    }
+
+    /// The required number field `key`.
+    ///
+    /// # Errors
+    ///
+    /// The field is absent or not a number.
+    pub fn num_field(&self, key: &str) -> Result<f64, String> {
+        self.field(key)?
+            .as_num()
+            .ok_or_else(|| format!("`{key}` is not a number"))
+    }
+
+    /// The required count field `key`, narrowed to `T` ([`Json::to_count`]).
+    ///
+    /// # Errors
+    ///
+    /// The field is absent or not a count that `T` holds.
+    pub fn count_field<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        self.field(key)?.to_count(key)
+    }
+
+    /// The required decimal-string `u64` field `key` ([`Json::to_decimal`]).
+    ///
+    /// # Errors
+    ///
+    /// The field is absent or not a decimal `u64` string.
+    pub fn decimal_field(&self, key: &str) -> Result<u64, String> {
+        self.field(key)?.to_decimal(key)
+    }
+
+    /// The required string field `key`.
+    ///
+    /// # Errors
+    ///
+    /// The field is absent or not a string.
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+        self.field(key)?
+            .as_str()
+            .ok_or_else(|| format!("`{key}` is not a string"))
+    }
+
+    /// The required boolean field `key`.
+    ///
+    /// # Errors
+    ///
+    /// The field is absent or not `true`/`false`.
+    pub fn bool_field(&self, key: &str) -> Result<bool, String> {
+        match self.field(key)? {
+            Json::Bool(b) => Ok(*b),
+            _ => Err(format!("`{key}` is not a bool")),
+        }
+    }
+
+    /// The required array field `key`.
+    ///
+    /// # Errors
+    ///
+    /// The field is absent or not an array.
+    pub fn arr_field(&self, key: &str) -> Result<&[Json], String> {
+        self.field(key)?
+            .as_arr()
+            .ok_or_else(|| format!("`{key}` is not an array"))
     }
 
     /// Renders compact JSON text. Deterministic for a fixed value:
@@ -145,6 +283,17 @@ impl Json {
     }
 }
 
+/// 2^53: below it `f64` holds every integer exactly.
+const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
+
+/// `n` as an exact count: an integer in `[0, 2^53)`, the range where
+/// `f64` holds every integer exactly. A fractional, negative, larger or
+/// non-finite number is `None` rather than a silently truncated or
+/// saturated count. Every count the system reads passes this one rule.
+pub fn exact_u64(n: f64) -> Option<u64> {
+    (n.fract() == 0.0 && (0.0..EXACT_INT_LIMIT).contains(&n)).then_some(n as u64)
+}
+
 /// Builds a [`Json::Obj`] from `(key, value)` pairs, preserving order.
 pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     Json::Obj(
@@ -172,10 +321,10 @@ fn write_num(out: &mut String, n: f64) {
         out.push_str("null");
         return;
     }
-    // 2^53: the largest range where every integer is exactly
-    // representable, so printing without a fraction loses nothing.
-    // Formatting into a `String` cannot fail.
-    let _ = if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
+    // Below 2^53 every integer is exactly representable, so printing
+    // without a fraction loses nothing. Formatting into a `String`
+    // cannot fail.
+    let _ = if n.fract() == 0.0 && n.abs() < EXACT_INT_LIMIT {
         write!(out, "{}", n as i64)
     } else {
         write!(out, "{n:?}")
@@ -520,6 +669,57 @@ mod tests {
             .join()
             .expect("parse must not abort the thread");
         assert!(parsed);
+    }
+
+    #[test]
+    fn field_accessors_decode_and_name_what_they_reject() {
+        let doc = parse(
+            r#"{"n":2.5,"c":65536,"top":9007199254740991,"big":9007199254740992,
+                "neg":-1,"d":"18446744073709551615","s":"x","b":true,"a":[1],"z":null}"#,
+        )
+        .unwrap();
+        assert_eq!(doc.num_field("n"), Ok(2.5));
+        assert_eq!(doc.count_field::<u32>("c"), Ok(65_536));
+        assert_eq!(doc.count_field::<u64>("top"), Ok((1 << 53) - 1));
+        assert_eq!(doc.decimal_field("d"), Ok(u64::MAX));
+        assert_eq!(doc.str_field("s"), Ok("x"));
+        assert_eq!(doc.bool_field("b"), Ok(true));
+        assert_eq!(doc.arr_field("a").map(<[Json]>::len), Ok(1));
+        assert_eq!(doc.field("z"), Ok(&Json::Null));
+        assert_eq!(doc.optional("z", Json::count_field::<u8>), Ok(None));
+        assert_eq!(doc.optional("gone", Json::str_field), Ok(None));
+        assert_eq!(doc.optional("s", Json::str_field), Ok(Some("x")));
+
+        let err = |r: Result<u64, String>| r.unwrap_err();
+        assert_eq!(err(doc.count_field("gone")), "missing field `gone`");
+        assert_eq!(err(doc.count_field("s")), "`s` is not a number");
+        for key in ["n", "big", "neg"] {
+            let e = err(doc.count_field(key));
+            assert!(e.starts_with(&format!("`{key}` = ")), "{e}");
+            assert!(e.ends_with("is not a valid index or count (an integer in [0, 2^53))"));
+        }
+        assert_eq!(
+            doc.count_field::<u16>("c").unwrap_err(),
+            "`c` = 65536 exceeds u16"
+        );
+        assert_eq!(
+            err(doc.decimal_field("c")),
+            "`c` is not a decimal u64 string"
+        );
+        assert_eq!(doc.str_field("b").unwrap_err(), "`b` is not a string");
+        assert_eq!(doc.bool_field("z").unwrap_err(), "`z` is not a bool");
+        assert_eq!(doc.arr_field("s").unwrap_err(), "`s` is not an array");
+        assert_eq!(
+            doc.optional("s", Json::bool_field).unwrap_err(),
+            "`s` is not a bool"
+        );
+        // A non-object has no fields.
+        assert!(Json::Num(1.0).field("n").is_err());
+        assert_eq!(exact_u64(f64::NAN), None);
+        assert_eq!(exact_u64(f64::INFINITY), None);
+        // The two integer wire forms.
+        assert_eq!(Json::count(42).render(), "42");
+        assert_eq!(Json::decimal(u64::MAX).render(), "\"18446744073709551615\"");
     }
 
     #[test]

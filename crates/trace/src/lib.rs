@@ -31,8 +31,10 @@
 //!   histograms with a sorted text report; simulators register metrics
 //!   once, update via [`MetricId`] handles in hot loops, and merge
 //!   registries upward.
-//! - **Hashing** ([`fnv1a`], [`Fnv1aWriter`]): the FNV-1a-64 content hash
-//!   behind every provenance key, design fingerprint and stream digest.
+//! - **Hashing** ([`fnv1a`], [`Fnv1aWriter`], [`splitmix64`]): the
+//!   FNV-1a-64 content hash behind every provenance key, design
+//!   fingerprint and stream digest, and the SplitMix64 counter hash behind
+//!   every seeded fault and retry-jitter draw.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +50,7 @@ pub mod sink;
 
 pub use csv::{busy_cycles_per_track, cycle_csv, utilization_heatmap};
 pub use event::{Category, CategoryMask, Cycle, Event, Payload, TrackId, TrackTable};
-pub use hash::{fnv1a, Fnv1aWriter, FNV1A_OFFSET};
+pub use hash::{fnv1a, splitmix64, Fnv1aWriter, FNV1A_OFFSET};
 pub use metrics::{Hist, MetricId, MetricsRegistry, Value};
 pub use perfetto::{chrome_trace, validate_chrome_trace, TraceSummary};
 pub use progress::{

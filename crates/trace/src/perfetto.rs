@@ -130,19 +130,16 @@ pub struct TraceSummary {
 }
 
 /// Parses `text` as Chrome trace JSON and checks structural invariants:
-/// a `traceEvents` array exists, every event has integer `ts` (and `dur`
-/// for spans), and per-`tid` start timestamps are monotonically
-/// non-decreasing in document order.
+/// a `traceEvents` array exists, every event's `tid` and `ts` (and a
+/// span's `dur`) are counts (integers in `[0, 2^53)`), and per-`tid`
+/// start timestamps are monotonically non-decreasing in document order.
 ///
 /// # Errors
 ///
 /// Returns a description of the first violated invariant.
 pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     let doc = json::parse(text)?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(json::Json::as_arr)
-        .ok_or("missing traceEvents array")?;
+    let events = doc.arr_field("traceEvents")?;
     let mut summary = TraceSummary {
         tracks: 0,
         spans: 0,
@@ -151,10 +148,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     // tid -> last seen ts.
     let mut last_ts: Vec<(u64, u64)> = Vec::new();
     for (i, ev) in events.iter().enumerate() {
-        let ph = ev
-            .get("ph")
-            .and_then(json::Json::as_str)
-            .ok_or_else(|| format!("event {i}: missing ph"))?;
+        let ph = ev.str_field("ph").map_err(|e| format!("event {i}: {e}"))?;
         match ph {
             "M" => {
                 summary.tracks += 1;
@@ -164,27 +158,14 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
             "i" => summary.instants += 1,
             other => return Err(format!("event {i}: unexpected ph `{other}`")),
         }
-        let ts = ev
-            .get("ts")
-            .and_then(json::Json::as_num)
-            .ok_or_else(|| format!("event {i}: missing ts"))?;
-        if ts < 0.0 || ts.fract() != 0.0 {
-            return Err(format!("event {i}: non-integer ts {ts}"));
-        }
+        let count = |key| -> Result<u64, String> {
+            ev.count_field(key).map_err(|e| format!("event {i}: {e}"))
+        };
+        let ts = count("ts")?;
         if ph == "X" {
-            let dur = ev
-                .get("dur")
-                .and_then(json::Json::as_num)
-                .ok_or_else(|| format!("event {i}: span missing dur"))?;
-            if dur < 0.0 || dur.fract() != 0.0 {
-                return Err(format!("event {i}: non-integer dur {dur}"));
-            }
+            count("dur")?;
         }
-        let tid = ev
-            .get("tid")
-            .and_then(json::Json::as_num)
-            .ok_or_else(|| format!("event {i}: missing tid"))? as u64;
-        let ts = ts as u64;
+        let tid = count("tid")?;
         match last_ts.iter_mut().find(|(t, _)| *t == tid) {
             Some((_, last)) => {
                 if ts < *last {
@@ -267,6 +248,26 @@ mod tests {
         let events = vec![Event::instant(0, t, Payload::Checkpoint)];
         let json = chrome_trace(&events, &tracks);
         assert!(validate_chrome_trace(&json).is_ok());
+    }
+
+    #[test]
+    fn validator_rejects_non_count_fields() {
+        let (events, tracks) = sample();
+        let json = chrome_trace(&events, &tracks);
+        // A negative or fractional `tid` would alias track 0 and a huge
+        // `ts`/`dur` would saturate: each is rejected, naming its field.
+        for (field, good, rest) in [
+            ("tid", "\"tid\":1,\"ts\":2", ",\"ts\":2"),
+            ("ts", "\"ts\":4", ""),
+            ("dur", "\"dur\":2", ""),
+        ] {
+            assert!(json.contains(good), "{json}");
+            for bad in ["-1", "0.5", "1e300"] {
+                let text = json.replacen(good, &format!("\"{field}\":{bad}{rest}"), 1);
+                let err = validate_chrome_trace(&text).expect_err(&text);
+                assert!(err.contains(&format!("`{field}`")), "{field}={bad}: {err}");
+            }
+        }
     }
 
     #[test]

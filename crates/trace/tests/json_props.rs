@@ -2,7 +2,8 @@
 //! render → parse unchanged, and the renderer's bytes match a reference
 //! renderer that escapes character by character and formats through
 //! temporary strings — the straightforward form the optimized writer
-//! must stay byte-identical to.
+//! must stay byte-identical to. The field decoder never panics on any
+//! value or key, and its count rule is exactly `as_u64` plus `try_from`.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -166,6 +167,42 @@ fn reference(v: &Json, indent: Option<usize>) -> String {
     out
 }
 
+/// Checks every field accessor on `doc` at `key`: none panics, a
+/// rejection names the key, and a count decodes exactly when `as_u64`
+/// followed by `try_from` does.
+fn check_field_accessors(doc: &Json, key: &str) {
+    let named = |r: Result<(), String>| {
+        if let Err(e) = r {
+            assert!(e.contains(&format!("`{key}`")), "{key:?}: {e}");
+        }
+    };
+    named(doc.field(key).map(drop));
+    named(doc.num_field(key).map(drop));
+    named(doc.str_field(key).map(drop));
+    named(doc.bool_field(key).map(drop));
+    named(doc.arr_field(key).map(drop));
+    named(doc.decimal_field(key).map(drop));
+    named(doc.optional(key, Json::num_field).map(drop));
+    let present = !matches!(doc.get(key), None | Some(Json::Null));
+    assert_eq!(doc.optional(key, Json::field).unwrap().is_some(), present);
+
+    let exact = doc.get(key).and_then(Json::as_u64);
+    assert_eq!(doc.count_field::<u64>(key).ok(), exact);
+    assert_eq!(
+        doc.count_field::<u32>(key).ok(),
+        exact.and_then(|n| u32::try_from(n).ok())
+    );
+    assert_eq!(
+        doc.count_field::<u16>(key).ok(),
+        exact.and_then(|n| u16::try_from(n).ok())
+    );
+    assert_eq!(
+        doc.count_field::<usize>(key).ok(),
+        exact.and_then(|n| usize::try_from(n).ok())
+    );
+    named(doc.count_field::<u8>(key).map(drop));
+}
+
 /// `s` with every UTF-16 code unit written as an upper-case `\uXXXX`
 /// escape, so characters outside the BMP become surrogate pairs.
 fn utf16_escaped(s: &str) -> String {
@@ -189,6 +226,26 @@ proptest! {
         prop_assert_eq!(&pretty, &reference(&v, Some(2)));
         prop_assert_eq!(parse(&compact).unwrap(), v.clone());
         prop_assert_eq!(parse(&pretty).unwrap(), v);
+    }
+
+    /// The field decoder, on a random value, on an object holding it under
+    /// a random key, and at each of the value's own keys.
+    #[test]
+    fn field_accessors_never_panic_and_counts_follow_as_u64(
+        v in AnyJson { depth: 3 },
+        key in AnyStr,
+    ) {
+        let wrapped = Json::Obj(vec![(key.clone(), v.clone())]);
+        check_field_accessors(&v, &key);
+        check_field_accessors(&wrapped, &key);
+        if let Json::Obj(fields) = &v {
+            for (k, _) in fields {
+                check_field_accessors(&v, k);
+            }
+        }
+        let n = v.to_count::<u16>("v").ok();
+        prop_assert_eq!(n, v.as_u64().and_then(|n| u16::try_from(n).ok()));
+        prop_assert_eq!(v.to_decimal("v").ok(), v.as_str().and_then(|s| s.parse().ok()));
     }
 
     /// A string spelled entirely in `\u` escapes, surrogate pairs
