@@ -7,9 +7,8 @@
 //! measured instead of assumed).
 //!
 //! The *measured* quantities come from the run's typed record,
-//! [`PerfResult`](scaledeep_sim::perf::PerfResult) (per-stage busy
-//! cycles and tier bytes, the window, the sync cycles, the
-//! stage-occupancy histogram), which a traced run's [`MetricsRegistry`](scaledeep_trace::MetricsRegistry)
+//! [`PerfResult`] (per-stage busy cycles and tier bytes, the window, the
+//! sync cycles, the stage-occupancy histogram), which a traced run's [`MetricsRegistry`](scaledeep_trace::MetricsRegistry)
 //! renders under the `perf.*` names; the *analytic* quantities (per-pass FLOP weights,
 //! Bytes/FLOP) come from the mapping's [`LayerPlan`]s and the
 //! [`scaledeep_dnn`] analysis. Cycles are split by apportioning each
@@ -22,8 +21,8 @@ use crate::{Error, Result};
 use scaledeep_arch::{EnergyBreakdown, NodeConfig, PowerModel, Precision, UtilizationProfile};
 use scaledeep_compiler::{CompiledArtifact, Placement, Side};
 use scaledeep_dnn::{Network, Step};
-use scaledeep_sim::perf::RunKind;
 pub use scaledeep_sim::perf::TierBytes;
+use scaledeep_sim::perf::{PerfResult, RunKind};
 
 /// Which side of the roofline a layer lands on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,14 +199,7 @@ impl Attribution {
                 + chip_stream_bw(&cluster.fc_chip));
         let ridge_intensity = node.peak_flops() / stream_bw.max(1e-9);
 
-        // Node energy per image at the measured utilization profile.
-        let power = match node.precision {
-            Precision::Single => PowerModel::paper_sp(),
-            Precision::Half => PowerModel::paper_hp(),
-        };
-        let profile = measured_profile(perf);
-        let seconds_per_image = 1.0 / perf.images_per_sec.max(1e-9);
-        let energy_per_image = power.node_energy(profile, seconds_per_image);
+        let energy_per_image = measured_energy_per_image(perf, node);
 
         let total_busy: u64 = perf.stages.iter().map(|s| s.busy_cycles).sum();
 
@@ -332,7 +324,7 @@ impl Attribution {
 /// same way the simulator's power assembly blends it: 2D-PE and SFU
 /// activity weighted by their peak-FLOP shares, interconnect as the mean
 /// of the on-chip link classes.
-pub fn measured_profile(perf: &scaledeep_sim::perf::PerfResult) -> UtilizationProfile {
+pub fn measured_profile(perf: &PerfResult) -> UtilizationProfile {
     use scaledeep_arch::LinkClass;
     let on_chip = [LinkClass::CompMem, LinkClass::MemMem, LinkClass::ConvExtMem];
     let interconnect = on_chip
@@ -344,6 +336,19 @@ pub fn measured_profile(perf: &scaledeep_sim::perf::PerfResult) -> UtilizationPr
         compute: 0.9 * perf.pe_utilization + 0.1 * perf.sfu_utilization,
         interconnect,
     }
+}
+
+/// Node energy per image at the run's measured utilization profile
+/// ([`measured_profile`]), under the power model of the node's precision:
+/// the [`Attribution::energy_per_image`] of the run, and what a DSE point
+/// reports without building the tree.
+pub fn measured_energy_per_image(perf: &PerfResult, node: &NodeConfig) -> EnergyBreakdown {
+    let power = match node.precision {
+        Precision::Single => PowerModel::paper_sp(),
+        Precision::Half => PowerModel::paper_hp(),
+    };
+    let seconds_per_image = 1.0 / perf.images_per_sec.max(1e-9);
+    power.node_energy(measured_profile(perf), seconds_per_image)
 }
 
 /// One pipeline stage's layer group.

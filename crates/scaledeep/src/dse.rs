@@ -1,10 +1,18 @@
 //! Design-space exploration driver: expands a [`ParamSpace`] into
-//! candidate design points, evaluates every feasible point with the
-//! measured attribution pipeline on an independent [`Session`], and
-//! reports the sample plus its Pareto frontier over the paper's three
-//! headline objectives — images/second, GFLOPs/W, and joules/image
-//! (§6's sensitivity studies, run as one sweep instead of one preset at
-//! a time).
+//! candidate design points, runs every feasible point unobserved on an
+//! independent [`Session`], and reports the sample plus its Pareto
+//! frontier over the paper's three headline objectives — images/second,
+//! GFLOPs/W, and joules/image (§6's sensitivity studies, run as one sweep
+//! instead of one preset at a time).
+//!
+//! A point reads only the run's typed record
+//! ([`PerfResult`](scaledeep_sim::perf::PerfResult)): its busy and sync
+//! cycles are the record's own totals, and its energy split comes from
+//! [`measured_energy_per_image`], the formula the per-layer
+//! [`Attribution`](crate::Attribution) tree uses too. The tree is not
+//! built per point; the tests check that every point's attribution
+//! fields equal [`Attribution::build`](crate::Attribution::build) on the
+//! same artifact and run.
 //!
 //! Determinism is the contract: every metric in a [`DseReport`] comes
 //! from the deterministic performance model, never from host wall-clock,
@@ -19,8 +27,8 @@
 //! provenance-keyed compile cache: two candidates that collapse onto the
 //! same design point compile once.
 
-use crate::attribution::Attribution;
-use crate::session::{Session, Trace, TracedRun};
+use crate::attribution::measured_energy_per_image;
+use crate::session::Session;
 use scaledeep_arch::{Candidate, DesignPoint, Knob, KnobValue, ParamSpace, Precision};
 use scaledeep_dnn::Network;
 use scaledeep_sim::perf::RunKind;
@@ -105,15 +113,19 @@ pub struct DsePoint {
     pub gflops_per_watt: f64,
     /// Measured energy per image (objective 3).
     pub joules_per_image: f64,
-    /// Attribution: sum of every stage's busy cycles.
+    /// Sum of every stage's busy cycles in the run record (the
+    /// attribution tree's `total_busy_cycles`).
     pub busy_cycles: u64,
-    /// Attribution: minibatch gradient-sync cycles.
+    /// The run record's minibatch gradient-sync cycles (the attribution
+    /// tree's `sync_cycles`).
     pub sync_cycles: u64,
-    /// Attribution: compute-logic joules per image.
+    /// Compute-logic joules per image from
+    /// [`measured_energy_per_image`] (the attribution tree's
+    /// `energy_per_image`).
     pub compute_joules: f64,
-    /// Attribution: memory joules per image.
+    /// Memory joules per image, as [`DsePoint::compute_joules`].
     pub memory_joules: f64,
-    /// Attribution: interconnect joules per image.
+    /// Interconnect joules per image, as [`DsePoint::compute_joules`].
     pub interconnect_joules: f64,
 }
 
@@ -198,8 +210,7 @@ enum Outcome {
 
 /// Evaluates one candidate: retargets the hub session onto the point,
 /// compiles once through the shared cache, runs the performance model on
-/// that artifact unobserved (attribution reads the run record, no
-/// trace), and joins it with the attribution.
+/// that artifact unobserved, and reads the point off the run record.
 fn evaluate(hub: &Session, net: &Network, cfg: &DseConfig, candidate: &Candidate) -> Outcome {
     let point = match &candidate.point {
         Ok(p) => *p,
@@ -214,12 +225,8 @@ fn evaluate(hub: &Session, net: &Network, cfg: &DseConfig, candidate: &Candidate
     let session = hub.retarget(node);
     let run = || -> crate::Result<DsePoint> {
         let artifact = session.compile(net)?;
-        let traced = TracedRun {
-            perf: session.run_mapped(&artifact, cfg.kind),
-            trace: Trace::default(),
-        };
-        let attr = Attribution::build(&traced, &artifact, net, &node)?;
-        let perf = &traced.perf;
+        let perf = session.run_mapped(&artifact, cfg.kind);
+        let energy = measured_energy_per_image(&perf, &node);
         Ok(DsePoint {
             label: candidate.label.clone(),
             // The compile keyed on this very design point, so its stamp
@@ -238,11 +245,11 @@ fn evaluate(hub: &Session, net: &Network, cfg: &DseConfig, candidate: &Candidate
             achieved_flops: perf.achieved_flops,
             gflops_per_watt: perf.gflops_per_watt,
             joules_per_image: perf.joules_per_image,
-            busy_cycles: attr.total_busy_cycles,
-            sync_cycles: attr.sync_cycles,
-            compute_joules: attr.energy_per_image.compute_joules,
-            memory_joules: attr.energy_per_image.memory_joules,
-            interconnect_joules: attr.energy_per_image.interconnect_joules,
+            busy_cycles: perf.stages.iter().map(|s| s.busy_cycles).sum(),
+            sync_cycles: perf.sync_cycles,
+            compute_joules: energy.compute_joules,
+            memory_joules: energy.memory_joules,
+            interconnect_joules: energy.interconnect_joules,
         })
     };
     match run() {
@@ -619,7 +626,9 @@ fn diff_at(path: &str, a: &Json, b: &Json) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attribution::Attribution;
     use crate::report::with_field;
+    use crate::session::{Trace, TracedRun};
     use proptest::prelude::*;
     use scaledeep_dnn::zoo;
 
@@ -640,6 +649,89 @@ mod tests {
             suite: "test".to_string(),
             workers,
             ..DseConfig::default()
+        }
+    }
+
+    /// The committed `BENCH_dse-smoke.json` sweep's space.
+    fn committed_smoke_space() -> ParamSpace {
+        smoke_space().axis(
+            Knob::Precision,
+            vec![
+                KnobValue::Prec(Precision::Single),
+                KnobValue::Prec(Precision::Half),
+            ],
+        )
+    }
+
+    /// Sweeps `space` per `cfg` and checks every point's attribution
+    /// fields against [`Attribution::build`] on the same artifact and run:
+    /// the tree stays the reference for what a point reads off the run
+    /// record. Returns the number of points checked.
+    fn points_match_the_attribution_tree(
+        net: &Network,
+        space: &ParamSpace,
+        cfg: &DseConfig,
+    ) -> usize {
+        let hub = Session::single_precision();
+        let report = run(&hub, net, space, cfg);
+        let candidates = match cfg.expansion {
+            Expansion::Grid => space.grid(),
+            Expansion::Sample { n, seed } => space.sample(n as usize, seed),
+        };
+        for p in &report.points {
+            let candidate = candidates
+                .iter()
+                .find(|c| c.label == p.label)
+                .expect("every point is a candidate");
+            let node = candidate.point.as_ref().expect("a point ran").node_config();
+            let session = hub.retarget(node);
+            let artifact = session.compile(net).expect("the point compiled once");
+            let traced = TracedRun {
+                perf: session.run_mapped(&artifact, cfg.kind),
+                trace: Trace::default(),
+            };
+            let attr = Attribution::build(&traced, &artifact, net, &node).expect("tree builds");
+            let what = format!("{} {:?} {}", net.name(), cfg.kind, p.label);
+            assert_eq!(p.busy_cycles, attr.total_busy_cycles, "{what}");
+            assert_eq!(p.sync_cycles, attr.sync_cycles, "{what}");
+            let energy = &attr.energy_per_image;
+            assert_eq!(p.compute_joules, energy.compute_joules, "{what}");
+            assert_eq!(p.memory_joules, energy.memory_joules, "{what}");
+            assert_eq!(p.interconnect_joules, energy.interconnect_joules, "{what}");
+        }
+        report.points.len()
+    }
+
+    #[test]
+    fn points_equal_the_attribution_tree() {
+        let checked = points_match_the_attribution_tree(
+            &zoo::alexnet(),
+            &committed_smoke_space(),
+            &smoke_cfg(0),
+        );
+        assert_eq!(checked, 8, "the smoke sweep runs every point");
+
+        // A seeded sample over seven knobs on a deeper net, both kinds.
+        let nums = |values: &[f64]| values.iter().map(|&v| KnobValue::Num(v)).collect();
+        let space = committed_smoke_space()
+            .axis(Knob::ConvChips, nums(&[2.0, 4.0, 6.0]))
+            .axis(Knob::ConvCols, nums(&[4.0, 8.0, 12.0, 16.0]))
+            .axis(
+                Knob::ConvMemCapacityBytes,
+                nums(&[131_072.0, 262_144.0, 524_288.0]),
+            )
+            .axis(Knob::RingBw, nums(&[6e9, 12e9, 24e9]));
+        for kind in [RunKind::Training, RunKind::Evaluation] {
+            let cfg = DseConfig {
+                kind,
+                expansion: Expansion::Sample { n: 32, seed: 23 },
+                ..smoke_cfg(0)
+            };
+            let checked = points_match_the_attribution_tree(&zoo::googlenet(), &space, &cfg);
+            assert!(
+                checked >= 16,
+                "{kind:?}: only {checked} of 32 sampled points ran"
+            );
         }
     }
 
@@ -694,13 +786,7 @@ mod tests {
         // fingerprint, computed fresh here. The space is the committed
         // `BENCH_dse-smoke.json` sweep's.
         let net = zoo::alexnet();
-        let space = smoke_space().axis(
-            Knob::Precision,
-            vec![
-                KnobValue::Prec(Precision::Single),
-                KnobValue::Prec(Precision::Half),
-            ],
-        );
+        let space = committed_smoke_space();
         let report = run(&Session::single_precision(), &net, &space, &smoke_cfg(0));
         let candidates = space.grid();
         assert_eq!(report.points.len(), candidates.len());

@@ -595,8 +595,8 @@ impl Session {
     }
 
     /// Runs the whole-node model of an already-compiled artifact: every
-    /// pipeline replica the mapping runs node-wide, walked image-major and
-    /// coupled at each minibatch weight sync by a node-wide max-reduce
+    /// pipeline replica the mapping runs node-wide, run an epoch at a time
+    /// and coupled at each minibatch weight sync by a node-wide max-reduce
     /// (see DESIGN.md §5h).
     pub fn node_outcome(
         &self,
@@ -1217,7 +1217,7 @@ mod tests {
     #[test]
     fn metrics_only_trace_matches_the_full_trace() {
         use scaledeep_sim::fault::LinkFaults;
-        // Off and metrics-only take the image-major pipeline drive, a
+        // Off and metrics-only take the epoch pipeline drive, a
         // full trace the event-ordered one; nothing but the recorded
         // events may differ.
         let s = Session::single_precision();

@@ -4,7 +4,8 @@
 //!
 //! The performance model ([`crate::perf`]) uses [`EventQueue`] only for
 //! recorded runs, whose trace events must come out in emission order;
-//! every other run walks its pipeline replicas image-major with no queue.
+//! every other run settles its pipeline replicas an epoch at a time with
+//! no queue.
 //! The functional simulator ([`crate::func`]) layers [`WaitMap`] on top
 //! so that a thread blocked on a MEMTRACK tracker parks exactly once and
 //! is re-scheduled only by the tracker update that can satisfy it — no

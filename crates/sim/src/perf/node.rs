@@ -17,10 +17,11 @@
 //!
 //! # Drives
 //!
-//! * [`run_node`] walks the model image-major: each replica's
-//!   [`ReplicaCore`] drains one epoch ([`ReplicaCore::drain`]), the close
-//!   times are max-reduced, and the node-wide sync delay releases the
-//!   next epoch. No queue at all.
+//! * [`run_node`] runs the model an epoch at a time: each replica's
+//!   [`ReplicaCore`] drains one epoch ([`ReplicaCore::drain`]: closed
+//!   form when fault-free, an image-major walk under link faults), the
+//!   close times are max-reduced, and the node-wide sync delay releases
+//!   the next epoch. No queue at all.
 //! * [`run_node_event_ordered`] interleaves every replica's transitions
 //!   on one [`EventQueue`] and emits each stage span, sync span and
 //!   retry instant as it happens. Recorded runs take it: the exporters
@@ -185,7 +186,8 @@ fn drain_epoch(cores: &mut [ReplicaCore], resume: Cycle) -> Cycle {
         .unwrap_or(0)
 }
 
-/// Runs the whole-node model image-major: every replica drains its epoch,
+/// Runs the whole-node model an epoch at a time: every replica drains its
+/// epoch (in closed form when fault-free, image-major under link faults),
 /// the close times are max-reduced, and each node-wide sync releases all
 /// replicas at the common post-sync cycle. Records nothing.
 ///
@@ -390,7 +392,8 @@ mod tests {
     use scaledeep_compiler::Compiler;
     use scaledeep_dnn::{zoo, LayerId};
 
-    /// The event-ordered drive with nothing recorded: the walk's oracle.
+    /// The event-ordered drive with nothing recorded: the epoch drive's
+    /// oracle.
     fn event_ordered(model: &NodeModel) -> NodeOutcome {
         let mut tracer = Tracer::disabled();
         let tracks = PipelineTracks::intern(&model.stages, &mut tracer);

@@ -38,7 +38,7 @@ pub(super) fn sync_cycles(mapping: &Mapping, node: &NodeConfig) -> Cycle {
 /// ([`Category::Stage`], [`Category::Session`], [`Category::Link`]), the
 /// run takes the event-ordered drive, which emits every stage-occupancy
 /// span, sync span and retry instant in emission order. Otherwise it
-/// takes the image-major [`run_node`](super::run_node) walk. The tracks
+/// takes the epoch drive [`run_node`](super::run_node). The tracks
 /// are interned either way. After either drive the counters (per-stage
 /// busy cycles, sync cycles, retry counts and cycles, completions, and
 /// the per-visit stage-occupancy histogram) are written in bulk from the

@@ -7,18 +7,23 @@
 //! [`super::node`] decide what to do with each [`Step`]. Both run every
 //! replica of a [`NodeModel`]:
 //!
-//! * **Image-major** ([`super::node::run_node`]): [`ReplicaCore::drain`]
-//!   walks each image through every stage before admitting the next,
-//!   with no queue at all, one minibatch epoch per call.
+//! * **Epoch at a time** ([`super::node::run_node`]): [`ReplicaCore::drain`]
+//!   settles one minibatch epoch per call, with no queue at all. A
+//!   fault-free epoch is a tandem line with constant service times, so
+//!   its whole state follows in closed form from one pass over the
+//!   stages (image `i` leaves stage `k` at `r + S_k + i·M_k`; see
+//!   `closed_form_epoch`). Under link faults every hand-off draws its own
+//!   toll, and the epoch is walked image by image instead: each image
+//!   through every stage before the next is admitted.
 //! * **Event-ordered** ([`super::node::run_node_event_ordered`]): every
 //!   transition of every replica is popped off one
 //!   [`EventQueue`](crate::engine::EventQueue), and each stage admission
 //!   becomes a trace span. Recorded runs take it, because the exporters
 //!   write events in emission order.
 //!
-//! Both drives visit the same transitions with the same values, so each
-//! is the other's oracle. Minibatch syncs are node-wide and priced by the
-//! drives, not by the core.
+//! Both drives leave the same replica state, so the event-ordered drive
+//! is the oracle of the closed form and of the walk alike. Minibatch
+//! syncs are node-wide and priced by the drives, not by the core.
 
 use super::node::NodeModel;
 use crate::engine::Cycle;
@@ -190,15 +195,89 @@ impl<'a> ReplicaCore<'a> {
     /// epoch). Returns the cycle the epoch's minibatch closed, or 0 when
     /// no minibatch closed (evaluation, a partial tail, or no images left).
     ///
-    /// The drive is image-major: admit an image, then walk it through
+    /// A fault-free epoch is computed in closed form in one pass over the
+    /// stages ([`ReplicaCore::closed_form_epoch`]); under link faults each
+    /// hand-off draws its own toll, and the epoch is walked image by image
+    /// ([`ReplicaCore::walk_epoch`]). Admission gates on the next sync, so
+    /// one epoch closes at most one minibatch.
+    pub(crate) fn drain(&mut self, resume: Cycle) -> Cycle {
+        if self.model.link.is_some() {
+            self.walk_epoch(resume)
+        } else {
+            self.closed_form_epoch(resume)
+        }
+    }
+
+    /// The fault-free epoch in closed form. The epoch admits `B` images at
+    /// cycle `r` into an empty pipeline (every `stage_free ≤ r`). Image
+    /// `i` leaves stage `k` at `C(i, k) = max(C(i, k−1), C(i−1, k)) + s_k`
+    /// with `s_k = max(service_cycles, 1)`: `r` plus the heaviest monotone
+    /// lattice path from `(0, 0)` to `(i, k)`. Every such path visits each
+    /// stage up to `k` and makes `i` extra visits; the heaviest makes them
+    /// all on the slowest stage, so `C(i, k) = r + S_k + i·M_k`, where `S_k`
+    /// and `M_k` are the prefix sum and prefix max of `s`. The method leaves exactly the state
+    /// [`ReplicaCore::walk_epoch`] would.
+    ///
+    /// The pipeline is empty at every epoch start: the first epoch starts
+    /// at 0 on a fresh core, and each later one at the sync release
+    /// `G_b = S_b + delay ≥ S_b + 1`, after every replica's last image
+    /// left its last stage.
+    fn closed_form_epoch(&mut self, r: Cycle) -> Cycle {
+        debug_assert!(
+            self.stage_free.iter().all(|&free| free <= r),
+            "an epoch starts on an empty pipeline"
+        );
+        let images = self.model.images;
+        let admissible = if self.model.barrier {
+            images.min(self.minibatch * (self.syncs_completed + 1))
+        } else {
+            images
+        };
+        let batch = admissible.saturating_sub(self.next_admit);
+        self.next_admit += batch;
+        // The walk's next admit parks on the sync gate unless the images
+        // are exhausted.
+        self.waiting_for_sync = self.model.barrier && self.next_admit < images;
+        if batch == 0 {
+            return 0;
+        }
+        let extra = batch as Cycle - 1;
+        let (mut sum, mut max) = (r, 0);
+        for ((free, admissions), st) in self
+            .stage_free
+            .iter_mut()
+            .zip(&mut self.stage_admissions)
+            .zip(&self.model.stages)
+        {
+            let service = st.service_cycles.max(1);
+            sum += service;
+            max = max.max(service);
+            *free = sum + extra * max;
+            *admissions += batch as u64;
+        }
+        let before = self.completed;
+        self.completed += batch;
+        if before == 0 {
+            self.first_done = sum;
+        }
+        self.last_done = sum + extra * max;
+        // The last minibatch boundary this epoch crossed, if any.
+        let boundary = self.completed / self.minibatch * self.minibatch;
+        if self.model.barrier && boundary > before {
+            sum + (boundary - before - 1) as Cycle * max
+        } else {
+            0
+        }
+    }
+
+    /// The image-major epoch walk: admit an image, then walk it through
     /// every stage by feeding each completion straight back in. Service
     /// is at least one cycle, so each stage finishes images in admission
     /// order at strictly increasing cycles; every stage therefore sees
     /// the same arrivals in the same order as under the event-ordered
     /// drive and computes the same `max(stage_free, arrival)` fixed
-    /// point, with zero queue traffic. Admission gates on the next sync,
-    /// so one epoch closes at most one minibatch.
-    pub(crate) fn drain(&mut self, resume: Cycle) -> Cycle {
+    /// point, with zero queue traffic.
+    fn walk_epoch(&mut self, resume: Cycle) -> Cycle {
         let mut close: Cycle = 0;
         while let Step::Start(st) = self.admit(resume) {
             let (mut stage, mut at) = (st.stage, st.fin);
