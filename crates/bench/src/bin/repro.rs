@@ -14,7 +14,7 @@ use scaledeep_dnn::zoo;
 use scaledeep_dnn::Layer;
 use scaledeep_sim::fault::{FaultPlan, LinkFaults};
 use scaledeep_sim::func::{ExecBackend, FuncSim};
-use scaledeep_trace::{validate_chrome_trace, CategoryMask};
+use scaledeep_trace::{json, validate_chrome_trace, CategoryMask};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -40,8 +40,9 @@ Drills:
 Benchmark reports and gates (CI):
   repro --bench-json out.json --bench-net alexnet [--bench-kind training]
                              write the measured BENCH report
-  repro --check BENCH_alexnet.json [--tolerance 0.05]
-                             regression gate: re-run and diff vs the baseline
+  repro --check BENCH_alexnet.json
+                             gate: re-run the baseline's network, kind and
+                             precision and require a byte-identical document
   repro serve-drill --seed 42 [--write-bench BENCH_serve-drill.json] [--summary]
                     [--stats-json stats.json]
                              seeded chaos drill (gate: exits nonzero on violation);
@@ -53,7 +54,7 @@ Design-space exploration:
             [--workers N] [--out BENCH_dse-<suite>.json]
                              sweep a parameter grid (or seeded sample) and
                              report the sample + its Pareto frontier
-  repro dse --check BENCH_dse-smoke.json
+  repro dse --check BENCH_dse-smoke.json [--workers N]
                              gate: re-run the baseline's embedded sweep and
                              require a byte-identical document
   repro dse --knobs          list sweepable knob names
@@ -66,7 +67,8 @@ Job server:
                              `repro serve`, stream their progress lines, and
                              finish with a server stats snapshot
 
-Any other `--` flag is rejected.
+Any other `--` flag is rejected. A gate's baseline embeds every input of
+its run, so `--check` takes no other flag, and `dse --check` only --workers.
 ";
 
 /// Every `--` flag any mode accepts. Arguments starting with `--` that
@@ -95,7 +97,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "--suite",
     "--summary",
     "--sweep",
-    "--tolerance",
     "--trace",
     "--trace-filter",
     "--trace-net",
@@ -103,15 +104,31 @@ const KNOWN_FLAGS: &[&str] = &[
     "--write-bench",
 ];
 
-/// Rejects the first `--` argument not in [`KNOWN_FLAGS`].
+/// Rejects the first `--` argument not in [`KNOWN_FLAGS`], and in a gate
+/// mode every flag the gate would ignore: the baseline embeds every input
+/// of its run, so `--check` takes no other flag and `dse --check` only
+/// `--workers`.
 fn check_flags(args: &[String]) -> Result<(), String> {
-    match args
-        .iter()
-        .find(|a| a.starts_with("--") && !KNOWN_FLAGS.contains(&a.as_str()))
-    {
-        Some(flag) => Err(format!("unknown flag `{flag}` (see --help)")),
-        None => Ok(()),
+    let first_outside = |allowed: &[&str]| {
+        args.iter()
+            .find(|a| a.starts_with("--") && !allowed.contains(&a.as_str()))
+    };
+    if let Some(flag) = first_outside(KNOWN_FLAGS) {
+        return Err(format!("unknown flag `{flag}` (see --help)"));
     }
+    if args.iter().any(|a| a == "--check") {
+        let (mode, allowed): (&str, &[&str]) = if args.first().map(String::as_str) == Some("dse") {
+            ("dse --check", &["--check", "--workers"])
+        } else {
+            ("--check", &["--check"])
+        };
+        if let Some(flag) = first_outside(allowed) {
+            return Err(format!(
+                "`{flag}` has no effect on `{mode}`: the baseline embeds every input (see --help)"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Runs every experiment in `ids` across a scoped worker pool. Each
@@ -188,6 +205,14 @@ fn drill_into(name: &str) -> Result<(), String> {
         r.gflops_per_watt
     );
     Ok(())
+}
+
+/// The dead-column count of `--degraded <net> [count]`: 1 when absent.
+fn degraded_count(arg: Option<&String>) -> Result<usize, String> {
+    arg.map_or(Ok(1), |s| {
+        s.parse()
+            .map_err(|_| format!("--degraded count must be a non-negative integer, got `{s}`"))
+    })
 }
 
 fn degraded_drill(name: &str, dead_cols: usize) -> Result<(), String> {
@@ -814,8 +839,8 @@ fn print_dse(report: &DseReport) {
 
 /// `repro dse --check`: re-runs the baseline's embedded sweep (base
 /// point, axes, expansion — no side channel) and requires the fresh
-/// document to be byte-identical. On mismatch, prints the first
-/// differing field and fails.
+/// document to be byte-identical. On mismatch, fails naming the first
+/// differing field.
 fn dse_check(path: &str, workers: usize) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let baseline = DseReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -829,25 +854,14 @@ fn dse_check(path: &str, workers: usize) -> Result<(), String> {
         ..DseConfig::default()
     };
     let fresh = dse::run(&Session::single_precision(), &net, &baseline.space(), &cfg);
-    let fresh_text = fresh.to_json();
-    if fresh_text == text {
-        println!(
-            "{}: byte-identical to {path} ({} point(s), frontier of {})",
-            baseline.suite,
-            baseline.points.len(),
-            baseline.frontier.len()
-        );
-        return Ok(());
-    }
-    let a = scaledeep_trace::json::parse(&fresh_text).map_err(|e| e.to_string())?;
-    let b = scaledeep_trace::json::parse(&text).map_err(|e| e.to_string())?;
-    match dse::first_difference(&a, &b) {
-        Some(diff) => Err(format!("{path}: re-run diverged — {diff}")),
-        None => Err(format!(
-            "{path}: re-run is semantically equal but not byte-identical \
-             (formatting drift in the renderer?)"
-        )),
-    }
+    json::check_document(&text, &fresh.to_json()).map_err(|e| format!("{path}: {e}"))?;
+    println!(
+        "{}: byte-identical to {path} ({} point(s), frontier of {})",
+        baseline.suite,
+        baseline.points.len(),
+        baseline.frontier.len()
+    );
+    Ok(())
 }
 
 fn parse_kind(s: &str) -> Result<scaledeep_sim::perf::RunKind, String> {
@@ -907,37 +921,24 @@ fn bench_json(name: &str, kind_str: &str, out: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `--check`: re-runs the baseline's network/kind/precision on this tree
-/// and diffs the fresh report against the baseline with a relative
-/// tolerance. Returns the regression messages (empty = gate passes).
-fn bench_check(baseline_path: &str, tolerance: f64) -> Result<Vec<String>, String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("reading {baseline_path}: {e}"))?;
-    let baseline = BenchReport::from_json(&text).map_err(|e| format!("{baseline_path}: {e}"))?;
+/// `--check`: validates a committed BENCH report, re-runs its network,
+/// kind and precision on this tree, and requires the fresh document to be
+/// byte-identical. On mismatch, fails naming the first differing field.
+fn bench_check(path: &str) -> Result<(), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let baseline = BenchReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
     let net = zoo::by_name(&baseline.network)
-        .ok_or_else(|| format!("{baseline_path}: unknown benchmark `{}`", baseline.network))?;
-    let kind = parse_kind(&baseline.kind)?;
-    let session = session_for_precision(&baseline.precision)?;
-    let fresh = session
-        .bench_report(&net, kind)
+        .ok_or_else(|| format!("{path}: unknown benchmark `{}`", baseline.network))?;
+    let fresh = session_for_precision(&baseline.precision)?
+        .bench_report(&net, parse_kind(&baseline.kind)?)
         .map_err(|e| e.to_string())?;
-    if fresh.provenance != baseline.provenance {
-        println!(
-            "note: provenance {} vs baseline {} — the compile inputs changed",
-            fresh.provenance, baseline.provenance
-        );
-    }
-    let fails = fresh.check_against(&baseline, tolerance);
-    if fails.is_empty() {
-        println!(
-            "{}: within {:.1}% of {baseline_path} ({} metrics checked across {} layers)",
-            baseline.network,
-            100.0 * tolerance,
-            15 + 2 * baseline.layers.len(),
-            baseline.layers.len()
-        );
-    }
-    Ok(fails)
+    json::check_document(&text, &fresh.to_json()).map_err(|e| format!("{path}: {e}"))?;
+    println!(
+        "{}: byte-identical to {path} ({} layers)",
+        baseline.network,
+        baseline.layers.len()
+    );
+    Ok(())
 }
 
 fn main() {
@@ -1051,33 +1052,9 @@ fn main() {
             eprintln!("--check requires a baseline BENCH json path");
             std::process::exit(1);
         };
-        let tolerance = match args
-            .iter()
-            .position(|a| a == "--tolerance")
-            .and_then(|p| args.get(p + 1))
-        {
-            Some(s) => match s.parse::<f64>() {
-                Ok(t) if t >= 0.0 => t,
-                _ => {
-                    eprintln!("--tolerance requires a non-negative number, got `{s}`");
-                    std::process::exit(1);
-                }
-            },
-            None => 0.05,
-        };
-        match bench_check(baseline, tolerance) {
-            Ok(fails) if fails.is_empty() => {}
-            Ok(fails) => {
-                for f in &fails {
-                    eprintln!("regression: {f}");
-                }
-                eprintln!("{} regression(s) vs {baseline}", fails.len());
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
+        if let Err(e) = bench_check(baseline) {
+            eprintln!("{e}");
+            std::process::exit(1);
         }
         return;
     }
@@ -1122,10 +1099,10 @@ fn main() {
     }
     if let Some(pos) = args.iter().position(|a| a == "--degraded") {
         let name = args.get(pos + 1).map(String::as_str).unwrap_or("alexnet");
-        let dead = args
-            .get(pos + 2)
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or(1);
+        let dead = degraded_count(args.get(pos + 2)).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1);
+        });
         if let Err(e) = degraded_drill(name, dead) {
             eprintln!("{e}");
             std::process::exit(1);
@@ -1218,5 +1195,48 @@ mod tests {
         assert!(check_flags(&args(&["--degraded", "alexnet", "2", "--bogus", "1"])).is_err());
         assert!(check_flags(&args(&["--sweep", "alexnet"])).is_ok());
         assert!(check_flags(&args(&["fig16", "fig18"])).is_ok());
+    }
+
+    #[test]
+    fn gate_modes_reject_the_flags_they_ignore() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let dse = |extra: &[&str]| {
+            let mut a = args(&["dse", "--check", "BENCH_dse-smoke.json"]);
+            a.extend(args(extra));
+            check_flags(&a)
+        };
+        assert!(dse(&[]).is_ok());
+        assert!(dse(&["--workers", "1"]).is_ok());
+        for flag in ["--seed", "--net", "--kind", "--axis", "--sample", "--out"] {
+            let err = dse(&[flag, "5"]).unwrap_err();
+            assert!(err.contains(&format!("`{flag}`")), "{err}");
+            assert!(err.contains("`dse --check`"), "{err}");
+        }
+        let bench = |extra: &[&str]| {
+            let mut a = args(&["--check", "BENCH_cnn-s.json"]);
+            a.extend(args(extra));
+            check_flags(&a)
+        };
+        assert!(bench(&[]).is_ok());
+        for flag in ["--workers", "--bench-net", "--bench-kind", "--bench-json"] {
+            let err = bench(&[flag, "vgg-e"]).unwrap_err();
+            assert!(err.contains(&format!("`{flag}`")), "{err}");
+        }
+        // An unknown flag is still named as unknown.
+        let err = bench(&["--tolerance", "0"]).unwrap_err();
+        assert!(err.contains("unknown flag `--tolerance`"), "{err}");
+        // Outside the gates the flags keep their meaning.
+        assert!(check_flags(&args(&["dse", "--seed", "5", "--sample", "4"])).is_ok());
+    }
+
+    #[test]
+    fn degraded_count_defaults_to_one_and_rejects_garbage() {
+        assert_eq!(degraded_count(None), Ok(1));
+        assert_eq!(degraded_count(Some(&"0".to_string())), Ok(0));
+        assert_eq!(degraded_count(Some(&"3".to_string())), Ok(3));
+        for bad in ["banana", "-1", "2.5", ""] {
+            let err = degraded_count(Some(&bad.to_string())).unwrap_err();
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+        }
     }
 }

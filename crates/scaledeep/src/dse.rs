@@ -590,39 +590,6 @@ fn knob_value_from_json(v: &Json) -> std::result::Result<KnobValue, String> {
     }
 }
 
-/// Walks two JSON documents in parallel and returns the path and values
-/// of the first structural difference (`None` when identical) — the
-/// diagnostic `repro dse --check` prints when a re-run is not
-/// byte-identical to its baseline.
-pub fn first_difference(a: &Json, b: &Json) -> Option<String> {
-    diff_at("$", a, b)
-}
-
-fn diff_at(path: &str, a: &Json, b: &Json) -> Option<String> {
-    match (a, b) {
-        (Json::Obj(x), Json::Obj(y)) => {
-            for ((ka, va), (kb, vb)) in x.iter().zip(y) {
-                if ka != kb {
-                    return Some(format!("{path}: key `{ka}` vs `{kb}`"));
-                }
-                if let Some(d) = diff_at(&format!("{path}.{ka}"), va, vb) {
-                    return Some(d);
-                }
-            }
-            (x.len() != y.len()).then(|| format!("{path}: {} field(s) vs {}", x.len(), y.len()))
-        }
-        (Json::Arr(x), Json::Arr(y)) => {
-            for (i, (va, vb)) in x.iter().zip(y).enumerate() {
-                if let Some(d) = diff_at(&format!("{path}[{i}]"), va, vb) {
-                    return Some(d);
-                }
-            }
-            (x.len() != y.len()).then(|| format!("{path}: {} element(s) vs {}", x.len(), y.len()))
-        }
-        _ => (a != b).then(|| format!("{path}: {} vs {}", a.render(), b.render())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -876,20 +843,19 @@ mod tests {
     }
 
     #[test]
-    fn first_difference_names_the_leaf_path() {
+    fn check_document_names_the_leaf_path() {
         let report = run(
             &Session::single_precision(),
             &zoo::alexnet(),
             &smoke_space(),
             &smoke_cfg(0),
         );
-        let a = json::parse(&report.to_json()).expect("parses");
-        assert_eq!(first_difference(&a, &a), None);
+        let text = report.to_json();
+        assert_eq!(json::check_document(&text, &text), Ok(()));
         let mut drifted = report;
         drifted.points[2].images_per_sec += 1.0;
-        let b = json::parse(&drifted.to_json()).expect("parses");
-        let diff = first_difference(&a, &b).expect("documents differ");
-        assert!(diff.contains("points[2].images_per_sec"), "{diff}");
+        let diff = json::check_document(&text, &drifted.to_json()).unwrap_err();
+        assert!(diff.contains("$.points[2].images_per_sec"), "{diff}");
     }
 
     /// Deterministic metric triples from a seed (proptest drives only

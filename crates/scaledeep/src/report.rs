@@ -1,8 +1,11 @@
 //! Plain-text table rendering shared by the experiment drivers
 //! (the `repro` binary prints these; EXPERIMENTS.md embeds them), plus
 //! the versioned `BENCH_<network>.json` benchmark report: the
-//! machine-readable serialization of a run's measured attribution that
-//! every future performance PR is diffed against.
+//! machine-readable serialization of a run's measured attribution. A
+//! committed report is its own regression gate: `repro --check` re-runs
+//! the report's network, kind and precision and requires the fresh
+//! document to match the committed bytes
+//! ([`check_document`](scaledeep_trace::json::check_document)).
 
 use crate::attribution::{
     Attribution, LayerAttribution, OccupancyPercentiles, PassSplit, RooflineBound, TierBytes,
@@ -153,8 +156,8 @@ pub const BENCH_SCHEMA_VERSION: u64 = 6;
 
 /// Cycle-accurate statistics of the functional drill — one training
 /// iteration on the compiled tier (bit-identical to the interpreter
-/// oracle by construction), diffed at 0% tolerance; `None` when the
-/// functional target cannot express the network.
+/// oracle by construction), gated byte for byte like every field;
+/// `None` when the functional target cannot express the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BenchFunctional {
     /// Simulated cycles of the iteration.
@@ -290,16 +293,16 @@ pub struct BenchReport {
     pub energy: BenchEnergy,
     /// Stage-occupancy percentiles (cycles per stage visit).
     pub occupancy: OccupancyPercentiles,
-    /// Compile-cache hits at report time (session-history dependent;
-    /// excluded from regression checks).
+    /// Compile-cache hits at report time (session-history dependent; a
+    /// fresh session's report, the one the gate re-runs, reads 1 hit
+    /// after 1 miss).
     pub cache_hits: u64,
     /// Compile-cache misses at report time.
     pub cache_misses: u64,
     /// Functional drill statistics, when the network functionally
-    /// compiles; cycle-accurate and checked. (v2)
+    /// compiles; cycle-accurate. (v2)
     pub functional: Option<BenchFunctional>,
-    /// The design point the session ran on. Its fingerprint is an
-    /// identity field in checks. (v4)
+    /// The design point the session ran on. (v4)
     pub design: BenchDesign,
     /// Per-layer rows, pipeline order.
     pub layers: Vec<BenchLayer>,
@@ -570,159 +573,6 @@ impl BenchReport {
         }
         Ok(bench)
     }
-
-    /// Compares `self` (a fresh run) against `baseline` with a per-metric
-    /// relative tolerance, returning one message per regression (empty
-    /// when the run is within tolerance). Identity fields (network, kind,
-    /// schema) must match exactly; cache statistics and the provenance
-    /// fingerprint are informational and never fail the check.
-    pub fn check_against(&self, baseline: &BenchReport, tolerance: f64) -> Vec<String> {
-        let mut fails = Vec::new();
-        if self.schema_version != baseline.schema_version {
-            fails.push(format!(
-                "schema_version {} vs baseline {}",
-                self.schema_version, baseline.schema_version
-            ));
-            return fails;
-        }
-        for (what, a, b) in [
-            ("network", &self.network, &baseline.network),
-            ("kind", &self.kind, &baseline.kind),
-            ("precision", &self.precision, &baseline.precision),
-        ] {
-            if a != b {
-                fails.push(format!("{what} `{a}` vs baseline `{b}`"));
-            }
-        }
-        // The design fingerprint is identity, not measurement: two runs on
-        // different knobs are not comparable.
-        let (got, want) = (&self.design.fingerprint, &baseline.design.fingerprint);
-        if got != want {
-            fails.push(format!("design fingerprint {got} vs baseline {want}"));
-        }
-        if !fails.is_empty() {
-            return fails;
-        }
-        let t = (&self.totals, &baseline.totals);
-        let scalars = [
-            (
-                "totals.window_cycles",
-                t.0.window_cycles as f64,
-                t.1.window_cycles as f64,
-            ),
-            (
-                "totals.busy_cycles",
-                t.0.busy_cycles as f64,
-                t.1.busy_cycles as f64,
-            ),
-            (
-                "totals.sync_cycles",
-                t.0.sync_cycles as f64,
-                t.1.sync_cycles as f64,
-            ),
-            (
-                "totals.images_per_sec",
-                t.0.images_per_sec,
-                t.1.images_per_sec,
-            ),
-            (
-                "totals.pe_utilization",
-                t.0.pe_utilization,
-                t.1.pe_utilization,
-            ),
-            (
-                "totals.sfu_utilization",
-                t.0.sfu_utilization,
-                t.1.sfu_utilization,
-            ),
-            (
-                "totals.achieved_flops",
-                t.0.achieved_flops,
-                t.1.achieved_flops,
-            ),
-            (
-                "totals.gflops_per_watt",
-                t.0.gflops_per_watt,
-                t.1.gflops_per_watt,
-            ),
-            (
-                "totals.joules_per_image",
-                t.0.joules_per_image,
-                t.1.joules_per_image,
-            ),
-            (
-                "energy.compute_joules",
-                self.energy.compute_joules,
-                baseline.energy.compute_joules,
-            ),
-            (
-                "energy.memory_joules",
-                self.energy.memory_joules,
-                baseline.energy.memory_joules,
-            ),
-            (
-                "energy.interconnect_joules",
-                self.energy.interconnect_joules,
-                baseline.energy.interconnect_joules,
-            ),
-            ("occupancy.p50", self.occupancy.p50, baseline.occupancy.p50),
-            ("occupancy.p95", self.occupancy.p95, baseline.occupancy.p95),
-            ("occupancy.p99", self.occupancy.p99, baseline.occupancy.p99),
-        ];
-        for (what, got, want) in scalars {
-            check_num(&mut fails, tolerance, what, got, want);
-        }
-        // Functional drill statistics are cycle-accurate and diff exactly.
-        // A baseline without a drill constrains nothing.
-        if let (Some(got), Some(want)) = (&self.functional, &baseline.functional) {
-            for (what, g, w) in [
-                ("functional.cycles", got.cycles, want.cycles),
-                (
-                    "functional.instructions",
-                    got.instructions,
-                    want.instructions,
-                ),
-                ("functional.stalls", got.stalls, want.stalls),
-            ] {
-                check_num(&mut fails, tolerance, what, g as f64, w as f64);
-            }
-        } else if baseline.functional.is_some() {
-            fails.push("functional drill missing from the run".to_string());
-        }
-        for want in &baseline.layers {
-            match self.layers.iter().find(|l| l.name == want.name) {
-                None => fails.push(format!("layer `{}` missing from the run", want.name)),
-                Some(got) => {
-                    check_num(
-                        &mut fails,
-                        tolerance,
-                        &format!("layer `{}` busy_cycles", want.name),
-                        got.busy_cycles as f64,
-                        want.busy_cycles as f64,
-                    );
-                    check_num(
-                        &mut fails,
-                        tolerance,
-                        &format!("layer `{}` service_cycles", want.name),
-                        got.service_cycles as f64,
-                        want.service_cycles as f64,
-                    );
-                    if got.bound != want.bound {
-                        fails.push(format!(
-                            "layer `{}` roofline bound `{}` vs baseline `{}`",
-                            want.name, got.bound, want.bound
-                        ));
-                    }
-                }
-            }
-        }
-        for got in &self.layers {
-            if !baseline.layers.iter().any(|l| l.name == got.name) {
-                fails.push(format!("layer `{}` absent from the baseline", got.name));
-            }
-        }
-        fails
-    }
 }
 
 impl BenchLayer {
@@ -800,28 +650,6 @@ impl BenchLayer {
             ));
         }
         Ok(layer)
-    }
-}
-
-/// Appends a regression message when `got` strays from `want` by more
-/// than the relative `tolerance`.
-fn check_num(fails: &mut Vec<String>, tolerance: f64, what: &str, got: f64, want: f64) {
-    if rel_delta(got, want) > tolerance {
-        fails.push(format!(
-            "{what}: {got} vs baseline {want} ({:+.1}%, tolerance {:.1}%)",
-            100.0 * (got - want) / want.abs().max(f64::MIN_POSITIVE),
-            100.0 * tolerance
-        ));
-    }
-}
-
-/// Relative delta of `got` against `want` (absolute when `want` is 0).
-fn rel_delta(got: f64, want: f64) -> f64 {
-    let d = (got - want).abs();
-    if want.abs() < f64::MIN_POSITIVE {
-        d
-    } else {
-        d / want.abs()
     }
 }
 
@@ -953,73 +781,5 @@ mod tests {
         let text = with_field(&sample_report().to_json(), &["design"], Json::Null);
         let err = BenchReport::from_json(&text).unwrap_err();
         assert!(err.contains("`design`"), "{err}");
-    }
-
-    #[test]
-    fn check_fails_a_different_design() {
-        let report = sample_report();
-        let mut other_knobs = report.clone();
-        other_knobs.design = BenchDesign::describe(&scaledeep_arch::presets::half_precision());
-        let fails = other_knobs.check_against(&report, 0.5);
-        assert!(
-            fails.iter().any(|f| f.contains("design fingerprint")),
-            "{fails:?}"
-        );
-    }
-
-    #[test]
-    fn check_flags_functional_drift_exactly() {
-        let mut report = sample_report();
-        // Full-scale AlexNet has no functional compile; graft drill stats
-        // on so the comparison path is exercised either way.
-        report.functional = Some(BenchFunctional {
-            cycles: 1000,
-            instructions: 900,
-            stalls: 10,
-        });
-        let mut drift = report.clone();
-        drift.functional.as_mut().unwrap().cycles += 1;
-        let fails = drift.check_against(&report, 0.0);
-        assert_eq!(fails.len(), 1, "{fails:?}");
-        assert!(fails[0].contains("functional.cycles"), "{fails:?}");
-
-        let mut none = report.clone();
-        none.functional = None;
-        let fails = none.check_against(&report, 0.0);
-        assert!(
-            fails.iter().any(|f| f.contains("functional drill missing")),
-            "{fails:?}"
-        );
-        // The reverse direction constrains nothing.
-        assert!(report.check_against(&none, 0.0).is_empty());
-    }
-
-    #[test]
-    fn check_passes_self_and_flags_perturbation() {
-        let report = sample_report();
-        assert!(report.check_against(&report, 0.0).is_empty());
-
-        let mut slow = report.clone();
-        slow.totals.images_per_sec *= 0.8;
-        let fails = slow.check_against(&report, 0.05);
-        assert_eq!(fails.len(), 1, "{fails:?}");
-        assert!(fails[0].contains("images_per_sec"), "{fails:?}");
-        // A generous tolerance absorbs the same drift.
-        assert!(slow.check_against(&report, 0.25).is_empty());
-    }
-
-    #[test]
-    fn check_flags_layer_set_changes_and_identity_mismatch() {
-        let report = sample_report();
-        let mut fewer = report.clone();
-        let dropped = fewer.layers.pop().expect("report has layers");
-        let fails = fewer.check_against(&report, 0.5);
-        assert!(fails.iter().any(|f| f.contains(&dropped.name)), "{fails:?}");
-
-        let mut other = report.clone();
-        other.network = "vgg".into();
-        let fails = other.check_against(&report, 0.5);
-        assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("network"));
     }
 }

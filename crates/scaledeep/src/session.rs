@@ -816,7 +816,7 @@ impl Session {
         let attr = crate::attribution::Attribution::build(&traced, &artifact, net, &self.node)?;
         // The functional drill: one training iteration, when the
         // functional target can express the network. Its statistics are
-        // cycle-accurate (diffed at 0% tolerance).
+        // cycle-accurate, so the BENCH gate pins them byte for byte.
         let functional = match artifact.functional() {
             Err(_) => None,
             Ok(_) => {

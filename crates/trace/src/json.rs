@@ -304,6 +304,60 @@ pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     )
 }
 
+/// The regression gate of every committed document (`BENCH_<net>.json`
+/// and `BENCH_dse-<suite>.json` alike): determinism is the gate, so a
+/// fresh render must equal the `baseline` text byte for byte. On a
+/// mismatch the message names the first differing JSON path with both
+/// values, the re-run's first.
+///
+/// # Errors
+///
+/// Returns the first difference, a parse error of either document, or
+/// renderer drift when both parse to equal values.
+pub fn check_document(baseline: &str, fresh: &str) -> Result<(), String> {
+    if baseline == fresh {
+        return Ok(());
+    }
+    match first_difference(&parse(fresh)?, &parse(baseline)?) {
+        Some(diff) => Err(format!("re-run diverged — {diff}")),
+        None => Err("re-run is semantically equal but not byte-identical \
+             (formatting drift in the renderer?)"
+            .to_string()),
+    }
+}
+
+/// Walks two JSON documents in parallel and returns the path and values
+/// of the first structural difference (`None` when identical) — the
+/// diagnostic [`check_document`] reports.
+pub fn first_difference(a: &Json, b: &Json) -> Option<String> {
+    diff_at("$", a, b)
+}
+
+fn diff_at(path: &str, a: &Json, b: &Json) -> Option<String> {
+    match (a, b) {
+        (Json::Obj(x), Json::Obj(y)) => {
+            for ((ka, va), (kb, vb)) in x.iter().zip(y) {
+                if ka != kb {
+                    return Some(format!("{path}: key `{ka}` vs `{kb}`"));
+                }
+                if let Some(d) = diff_at(&format!("{path}.{ka}"), va, vb) {
+                    return Some(d);
+                }
+            }
+            (x.len() != y.len()).then(|| format!("{path}: {} field(s) vs {}", x.len(), y.len()))
+        }
+        (Json::Arr(x), Json::Arr(y)) => {
+            for (i, (va, vb)) in x.iter().zip(y).enumerate() {
+                if let Some(d) = diff_at(&format!("{path}[{i}]"), va, vb) {
+                    return Some(d);
+                }
+            }
+            (x.len() != y.len()).then(|| format!("{path}: {} element(s) vs {}", x.len(), y.len()))
+        }
+        _ => (a != b).then(|| format!("{path}: {} vs {}", a.render(), b.render())),
+    }
+}
+
 /// Pretty mode only: ends the line and indents to nesting level `depth`.
 fn newline(out: &mut String, indent: Option<usize>, depth: usize) {
     if let Some(w) = indent {
@@ -835,5 +889,25 @@ mod tests {
         let text = sample().render_pretty();
         assert!(text.contains("\n  \"i\": 42"), "{text}");
         assert!(text.ends_with('}'));
+    }
+
+    #[test]
+    fn check_document_requires_byte_identity() {
+        let base = sample().render_pretty();
+        assert_eq!(check_document(&base, &base), Ok(()));
+        // Equal values in other bytes are renderer drift, not a pass.
+        let err = check_document(&base, &sample().render()).unwrap_err();
+        assert!(err.contains("formatting drift"), "{err}");
+        // A leaf, a key, a missing element and a missing field each
+        // name their path, the re-run's value first.
+        let leaf = check_document(r#"{"a":[1,{"b":2}]}"#, r#"{"a":[1,{"b":3}]}"#).unwrap_err();
+        assert!(leaf.contains("$.a[1].b: 3 vs 2"), "{leaf}");
+        let key = check_document(r#"{"a":1}"#, r#"{"c":1}"#).unwrap_err();
+        assert!(key.contains("$: key `c` vs `a`"), "{key}");
+        let short = check_document("[1,2]", "[1]").unwrap_err();
+        assert!(short.contains("$: 1 element(s) vs 2"), "{short}");
+        let fewer = check_document(r#"{"a":1,"b":2}"#, r#"{"a":1}"#).unwrap_err();
+        assert!(fewer.contains("$: 1 field(s) vs 2"), "{fewer}");
+        assert!(check_document("{}", "not json").is_err());
     }
 }

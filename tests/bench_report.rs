@@ -2,14 +2,18 @@
 //! `BENCH_<network>.json` baselines stay reproducible from this tree, the
 //! per-layer cycle attribution sums to the trace's measured busy cycles,
 //! the interpreter oracle reproduces the committed functional drill, and
-//! the regression differ catches perturbed baselines. Property tests
+//! the byte gate fails perturbed baselines, naming the leaf each moved.
+//! Property tests
 //! pin the `Hist::percentile` estimator and `MetricsRegistry::merge`
 //! invariants the reports are built on.
 
 use proptest::prelude::*;
+use scaledeep::report::{BenchDesign, BenchFunctional};
 use scaledeep::{BenchReport, Session, TraceConfig, BENCH_SCHEMA_VERSION};
+use scaledeep_arch::presets;
 use scaledeep_dnn::zoo;
 use scaledeep_sim::perf::{PerfOptions, RunKind};
+use scaledeep_trace::json::check_document;
 use scaledeep_trace::MetricsRegistry;
 
 /// Reads a committed baseline's text from the repository root.
@@ -42,8 +46,6 @@ fn committed_baselines_reproduce_exactly() {
                 RunKind::Training,
             )
             .expect("benchmark simulates");
-        let fails = fresh.check_against(&baseline, 1e-9);
-        assert!(fails.is_empty(), "{network} drifted: {fails:#?}");
         assert!(
             fresh.to_json() == text,
             "{network}: fresh report is not byte-identical to BENCH_{network}.json"
@@ -142,26 +144,68 @@ fn layer_sequential_bench_report_attributes_every_stage() {
     }
 }
 
-#[test]
-fn differ_flags_a_perturbed_baseline() {
-    let baseline = committed_baseline("alexnet");
-    let session = Session::single_precision();
-    let fresh = session
-        .bench_report(&zoo::alexnet(), RunKind::Training)
-        .expect("alexnet benches");
+/// An edit to a typed report, before it is rendered.
+type Mutation = fn(&mut BenchReport);
 
-    let mut perturbed = baseline.clone();
-    perturbed.totals.images_per_sec *= 1.5;
-    perturbed.occupancy.p95 *= 3.0;
-    let fails = fresh.check_against(&perturbed, 0.05);
-    assert!(
-        fails.iter().any(|f| f.contains("images_per_sec")),
-        "{fails:?}"
-    );
-    assert!(
-        fails.iter().any(|f| f.contains("occupancy.p95")),
-        "{fails:?}"
-    );
+#[test]
+fn gate_fails_every_perturbed_leaf_and_names_its_path() {
+    // `repro --check` reads the baseline through the schema reader, then
+    // requires a fresh report to render to its exact bytes. Every
+    // mutation below passes the reader, so only the byte gate can catch
+    // it; each must fail, naming the path the mutation moved.
+    let text = committed_text("alexnet");
+    let baseline = committed_baseline("alexnet");
+    let fresh = Session::single_precision()
+        .bench_report(&zoo::alexnet(), RunKind::Training)
+        .expect("alexnet benches")
+        .to_json();
+    assert_eq!(check_document(&text, &fresh), Ok(()));
+
+    let cases: [(&str, Mutation); 10] = [
+        ("$.layers[0].fp_cycles", |r| {
+            // Sums kept: the reader's pass invariant still holds.
+            let c1 = &mut r.layers[0];
+            std::mem::swap(&mut c1.fp_cycles, &mut c1.bp_cycles);
+        }),
+        ("$.layers[0].grid_bytes", |r| r.layers[0].grid_bytes *= 10.0),
+        ("$.layers[0].flops", |r| r.layers[0].flops *= 2),
+        ("$.layers[0].joules_per_image", |r| {
+            r.layers[0].joules_per_image *= 5.0;
+        }),
+        ("$.provenance", |r| r.provenance = "0123456789abcdef".into()),
+        ("$.design.fingerprint", |r| {
+            r.design = BenchDesign::describe(&presets::half_precision());
+        }),
+        ("$.functional", |r| {
+            // Full-scale AlexNet has no functional compile; a drill grafted
+            // on is a drift all the same.
+            r.functional = Some(BenchFunctional {
+                cycles: 1000,
+                instructions: 900,
+                stalls: 10,
+            });
+        }),
+        ("$.totals.busy_cycles", |r| {
+            // The reader requires the layers to sum to the totals, which
+            // come first in the document.
+            let dropped = r.layers.pop().expect("report has layers");
+            r.totals.busy_cycles -= dropped.busy_cycles;
+        }),
+        ("$.totals.images_per_sec", |r| {
+            r.totals.images_per_sec *= 1.5
+        }),
+        ("$.occupancy.p95", |r| r.occupancy.p95 *= 3.0),
+    ];
+    for (path, mutate) in cases {
+        let mut perturbed = baseline.clone();
+        mutate(&mut perturbed);
+        let perturbed = perturbed.to_json();
+        BenchReport::from_json(&perturbed)
+            .unwrap_or_else(|e| panic!("{path}: the reader must accept the mutation: {e}"));
+        let err = check_document(&perturbed, &fresh)
+            .expect_err(&format!("{path}: the gate passed a perturbed baseline"));
+        assert!(err.contains(&format!("{path}:")), "{path}: {err}");
+    }
 }
 
 #[test]
