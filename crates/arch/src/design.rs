@@ -770,14 +770,23 @@ impl ParamSpace {
     }
 
     /// Number of points in the full grid (product of axis lengths; 1 for
-    /// an axis-free space, 0 if any axis is empty).
-    pub fn grid_len(&self) -> usize {
-        self.axes.iter().map(|(_, v)| v.len()).product()
+    /// an axis-free space, 0 if any axis is empty), or `None` when the
+    /// product overflows `usize`.
+    pub fn grid_len(&self) -> Option<usize> {
+        self.axes
+            .iter()
+            .try_fold(1usize, |len, (_, v)| len.checked_mul(v.len()))
     }
 
     /// Expands the full cartesian grid, last axis fastest.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`ParamSpace::grid_len`] overflows; callers that take
+    /// the space from outside bound it first (the DSE driver's candidate
+    /// limit).
     pub fn grid(&self) -> Vec<Candidate> {
-        let len = self.grid_len();
+        let len = self.grid_len().expect("grid size overflows usize");
         let mut out = Vec::with_capacity(len);
         for flat in 0..len {
             // Decompose the flat index with the last axis fastest.
@@ -794,8 +803,12 @@ impl ParamSpace {
 
     /// Draws `n` candidates with an xorshift64* generator seeded by
     /// `seed`: deterministic for a given (space, n, seed), independent of
-    /// how the DSE driver later schedules the points.
+    /// how the DSE driver later schedules the points. A space with an
+    /// empty axis has no candidates, as in [`ParamSpace::grid`].
     pub fn sample(&self, n: usize, seed: u64) -> Vec<Candidate> {
+        if self.axes.iter().any(|(_, values)| values.is_empty()) {
+            return Vec::new();
+        }
         // xorshift64* needs a non-zero state; fold seed 0 onto a fixed
         // odd constant rather than rejecting it.
         let mut state = if seed == 0 {
@@ -970,7 +983,7 @@ mod tests {
                 Knob::FrequencyMhz,
                 vec![KnobValue::Num(450.0), KnobValue::Num(600.0)],
             );
-        assert_eq!(space.grid_len(), 4);
+        assert_eq!(space.grid_len(), Some(4));
         let grid = space.grid();
         let labels: Vec<&str> = grid.iter().map(|c| c.label.as_str()).collect();
         assert_eq!(

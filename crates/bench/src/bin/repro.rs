@@ -5,9 +5,9 @@
 
 use scaledeep::dse::{self, DseConfig, DseReport, Expansion};
 use scaledeep::experiments::{run_by_id, EXPERIMENT_IDS};
-use scaledeep::report::Table;
-use scaledeep::{BenchReport, Observer, Session, TraceConfig};
-use scaledeep_arch::{DesignPoint, Knob, KnobValue, ParamSpace, ALL_KNOBS};
+use scaledeep::report::{bench_inputs, Table};
+use scaledeep::{Observer, Session, TraceConfig, BENCH_SCHEMA_VERSION};
+use scaledeep_arch::{DesignPoint, Knob, KnobValue, ParamSpace, Precision, ALL_KNOBS};
 use scaledeep_compiler::codegen::CompiledNetwork;
 use scaledeep_compiler::{CompileOptions, FailedTiles};
 use scaledeep_dnn::zoo;
@@ -783,6 +783,7 @@ fn dse_cmd(args: &[String]) -> Result<(), String> {
         }
         None => Expansion::Grid,
     };
+    dse::check_candidates(&space, expansion)?;
     let cfg = DseConfig {
         suite: suite.to_string(),
         kind,
@@ -874,18 +875,9 @@ fn parse_kind(s: &str) -> Result<scaledeep_sim::perf::RunKind, String> {
     }
 }
 
-/// Builds a session matching a report's stated precision.
-fn session_for_precision(precision: &str) -> Result<Session, String> {
-    match precision {
-        "single" => Ok(Session::single_precision()),
-        "half" => Ok(Session::half_precision()),
-        other => Err(format!("unknown precision `{other}`")),
-    }
-}
-
-/// `--bench-json`: runs `name` traced, joins the trace with the compile's
-/// provenance and the analytic costs into the versioned BENCH report, and
-/// writes it to `out` (validating it through the schema reader first).
+/// `--bench-json`: runs `name` unobserved, joins the run record with the
+/// compile's provenance and the analytic costs into the versioned BENCH
+/// report, and writes it to `out`.
 fn bench_json(name: &str, kind_str: &str, out: &str) -> Result<(), String> {
     let net = zoo::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
     let kind = parse_kind(kind_str)?;
@@ -893,50 +885,54 @@ fn bench_json(name: &str, kind_str: &str, out: &str) -> Result<(), String> {
     let report = session
         .bench_report(&net, kind)
         .map_err(|e| e.to_string())?;
-    let text = report.to_json();
-    BenchReport::from_json(&text)
-        .map_err(|e| format!("generated report failed validation: {e}"))?;
-    std::fs::write(out, &text).map_err(|e| format!("writing {out}: {e}"))?;
+    std::fs::write(out, report.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
 
+    let attr = &report.attribution;
     println!(
         "{name} ({kind_str}): {} busy cycles over {} stages, {:.0} images/s, {:.3} J/image",
-        report.totals.busy_cycles,
-        report.layers.len(),
-        report.totals.images_per_sec,
-        report.totals.joules_per_image
+        attr.total_busy_cycles,
+        attr.layers.len(),
+        report.perf.images_per_sec,
+        report.perf.joules_per_image
     );
-    for l in &report.layers {
+    for l in &attr.layers {
+        let share = |cycles: u64| 100.0 * cycles as f64 / l.busy_cycles.max(1) as f64;
         println!(
             "  {:24} {:>12} cycles  fp/bp/wg {:>3.0}/{:>2.0}/{:>2.0}%  {:9}-bound  {:.4} J",
             l.name,
             l.busy_cycles,
-            100.0 * l.fp_cycles as f64 / l.busy_cycles.max(1) as f64,
-            100.0 * l.bp_cycles as f64 / l.busy_cycles.max(1) as f64,
-            100.0 * l.wg_cycles as f64 / l.busy_cycles.max(1) as f64,
-            l.bound,
+            share(l.passes.fp),
+            share(l.passes.bp),
+            share(l.passes.wg),
+            l.bound.name(),
             l.joules_per_image
         );
     }
-    println!("wrote {out} (schema v{})", report.schema_version);
+    println!("wrote {out} (schema v{BENCH_SCHEMA_VERSION})");
     Ok(())
 }
 
-/// `--check`: validates a committed BENCH report, re-runs its network,
-/// kind and precision on this tree, and requires the fresh document to be
-/// byte-identical. On mismatch, fails naming the first differing field.
+/// `--check`: reads a committed BENCH report's header, re-runs its
+/// network, kind and precision on this tree, and requires the fresh
+/// document to be byte-identical. On mismatch, fails naming the first
+/// differing field.
 fn bench_check(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let baseline = BenchReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    let net = zoo::by_name(&baseline.network)
-        .ok_or_else(|| format!("{path}: unknown benchmark `{}`", baseline.network))?;
-    let fresh = session_for_precision(&baseline.precision)?
-        .bench_report(&net, parse_kind(&baseline.kind)?)
+    let inputs = bench_inputs(&text).map_err(|e| format!("{path}: {e}"))?;
+    let net = zoo::by_name(&inputs.network)
+        .ok_or_else(|| format!("{path}: unknown benchmark `{}`", inputs.network))?;
+    let session = match inputs.precision {
+        Precision::Single => Session::single_precision(),
+        Precision::Half => Session::half_precision(),
+    };
+    let fresh = session
+        .bench_report(&net, inputs.kind)
         .map_err(|e| e.to_string())?;
     json::check_document(&text, &fresh.to_json()).map_err(|e| format!("{path}: {e}"))?;
     println!(
         "{}: byte-identical to {path} ({} layers)",
-        baseline.network,
-        baseline.layers.len()
+        inputs.network,
+        fresh.attribution.layers.len()
     );
     Ok(())
 }
@@ -1170,6 +1166,14 @@ mod tests {
         assert!(parse_axis("clusters").is_err());
         assert!(parse_axis("no-such-knob=1").is_err());
         assert!(parse_axis("clusters=abc").is_err());
+    }
+
+    #[test]
+    fn dse_refuses_a_sweep_beyond_the_candidate_limit() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let huge = args(&["--sample", "1000000000000000", "--axis", "clusters=2,4"]);
+        let err = dse_cmd(&huge).unwrap_err();
+        assert!(err.contains("1000000000000000 candidates"), "{err}");
     }
 
     #[test]

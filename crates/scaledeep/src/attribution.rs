@@ -14,7 +14,7 @@
 //! [`scaledeep_dnn`] analysis. Cycles are split by apportioning each
 //! stage's measured busy total across analytic weights with a
 //! largest-remainder rule, so every split sums back to the measured
-//! total exactly — the invariant the BENCH schema's checker relies on.
+//! total exactly (`layer_cycles_sum_to_total_busy` pins it).
 
 use crate::session::TracedRun;
 use crate::{Error, Result};
@@ -39,15 +39,6 @@ impl RooflineBound {
         match self {
             RooflineBound::Compute => "compute",
             RooflineBound::Bandwidth => "bandwidth",
-        }
-    }
-
-    /// Parses [`RooflineBound::name`] back.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "compute" => Some(RooflineBound::Compute),
-            "bandwidth" => Some(RooflineBound::Bandwidth),
-            _ => None,
         }
     }
 }

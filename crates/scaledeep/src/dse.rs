@@ -40,6 +40,33 @@ use std::sync::Mutex;
 /// change; [`DseReport::from_json`] rejects versions it does not know.
 pub const DSE_SCHEMA_VERSION: u64 = 1;
 
+/// The most candidates one sweep may expand to: far above every committed
+/// and benchmarked sweep (8 points in `BENCH_dse-smoke.json`, 32 in
+/// perfbench's dse-sweep), far below what would exhaust memory. The DSE
+/// reader and `repro dse` both refuse a larger sweep through
+/// [`check_candidates`].
+pub const MAX_CANDIDATES: u64 = 1 << 16;
+
+/// Checks that expanding `space` per `expansion` stays within
+/// [`MAX_CANDIDATES`].
+///
+/// # Errors
+///
+/// Names the sweep's candidate count and the limit.
+pub fn check_candidates(space: &ParamSpace, expansion: Expansion) -> Result<(), String> {
+    let count = match expansion {
+        Expansion::Grid => space.grid_len().and_then(|n| u64::try_from(n).ok()),
+        Expansion::Sample { n, .. } => Some(n),
+    };
+    match count {
+        Some(n) if n <= MAX_CANDIDATES => Ok(()),
+        _ => Err(format!(
+            "the sweep expands to {} candidates, more than the limit of {MAX_CANDIDATES}",
+            count.map_or("2^64 or more".to_string(), |n| n.to_string())
+        )),
+    }
+}
+
 /// How a [`ParamSpace`] is expanded into candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Expansion {
@@ -442,7 +469,8 @@ impl DseReport {
     /// the reader recomputes the Pareto frontier and the distinct-
     /// fingerprint count from the stored points and rejects a document
     /// whose stored values disagree — a tampered or hand-edited frontier
-    /// cannot pass the gate.
+    /// cannot pass the gate — and refuses a sweep of more than
+    /// [`MAX_CANDIDATES`] candidates, which the gate would re-run.
     ///
     /// # Errors
     ///
@@ -469,9 +497,8 @@ impl DseReport {
             other => return Err(format!("unknown expansion mode `{other}`")),
         };
         let base = DesignPoint::from_json(v.field("base")?).map_err(|e| format!("base: {e}"))?;
-        let axes_v = v.arr_field("axes")?;
-        let mut axes = Vec::with_capacity(axes_v.len());
-        for (i, a) in axes_v.iter().enumerate() {
+        let mut space = ParamSpace::new(base);
+        for (i, a) in v.arr_field("axes")?.iter().enumerate() {
             let knob = Knob::parse(a.str_field("knob").map_err(|e| format!("axes[{i}]: {e}"))?)
                 .map_err(|e| format!("axes[{i}]: {e}"))?;
             let values_v = a
@@ -484,8 +511,9 @@ impl DseReport {
                         .map_err(|e| format!("axes[{i}].values[{j}]: {e}"))?,
                 );
             }
-            axes.push((knob, values));
+            space = space.axis(knob, values);
         }
+        check_candidates(&space, expansion)?;
         let points_v = v.arr_field("points")?;
         let mut points = Vec::with_capacity(points_v.len());
         for (i, p) in points_v.iter().enumerate() {
@@ -531,7 +559,7 @@ impl DseReport {
             kind,
             expansion,
             base,
-            axes,
+            axes: space.axes().to_vec(),
             unique_compiles,
             points,
             infeasible,
@@ -840,6 +868,92 @@ mod tests {
 
         assert!(DseReport::from_json("not json").is_err());
         assert!(DseReport::from_json("{}").is_err());
+    }
+
+    /// The committed smoke sweep's document.
+    const SMOKE: &str = include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_dse-smoke.json"
+    ));
+
+    /// A `{"mode": "sample"}` expansion object.
+    fn sample_expansion(n: f64) -> Json {
+        json::obj([
+            ("mode", Json::Str("sample".to_string())),
+            ("n", Json::Num(n)),
+            ("seed", Json::Num(0.0)),
+        ])
+    }
+
+    /// `axes` repeats of a `clusters: [2, 4]` axis.
+    fn cluster_axes(axes: usize) -> Json {
+        let axis = json::obj([
+            ("knob", Json::Str("clusters".to_string())),
+            ("values", Json::Arr(vec![Json::Num(2.0), Json::Num(4.0)])),
+        ]);
+        Json::Arr(vec![axis; axes])
+    }
+
+    #[test]
+    fn sample_over_an_empty_axis_has_no_candidates() {
+        let text = with_field(SMOKE, &["axes", "0", "values"], Json::Arr(Vec::new()));
+        let text = with_field(&text, &["expansion"], sample_expansion(1.0));
+        let baseline = DseReport::from_json(&text).expect("an empty axis is a valid space");
+        assert!(baseline.space().sample(1, 0).is_empty());
+        // `dse --check` re-runs the sweep: no candidates, so the re-run
+        // fails the byte gate instead of dividing by the empty axis.
+        let cfg = DseConfig {
+            expansion: baseline.expansion,
+            ..smoke_cfg(1)
+        };
+        let fresh = run(
+            &Session::single_precision(),
+            &zoo::alexnet(),
+            &baseline.space(),
+            &cfg,
+        );
+        assert!(fresh.points.is_empty() && fresh.infeasible.is_empty());
+        assert!(json::check_document(&text, &fresh.to_json()).is_err());
+    }
+
+    #[test]
+    fn reader_refuses_a_sample_beyond_the_candidate_limit() {
+        let at_limit = with_field(
+            SMOKE,
+            &["expansion"],
+            sample_expansion(MAX_CANDIDATES as f64),
+        );
+        assert!(DseReport::from_json(&at_limit).is_ok());
+        let huge = with_field(SMOKE, &["expansion"], sample_expansion(1e15));
+        let err = DseReport::from_json(&huge).unwrap_err();
+        assert!(err.contains("1000000000000000 candidates"), "{err}");
+    }
+
+    #[test]
+    fn reader_refuses_a_grid_beyond_the_candidate_limit() {
+        let err =
+            DseReport::from_json(&with_field(SMOKE, &["axes"], cluster_axes(40))).unwrap_err();
+        assert!(err.contains("1099511627776 candidates"), "{err}");
+        // 2^70 overflows the checked product itself.
+        let err =
+            DseReport::from_json(&with_field(SMOKE, &["axes"], cluster_axes(70))).unwrap_err();
+        assert!(err.contains("2^64 or more candidates"), "{err}");
+    }
+
+    #[test]
+    fn cli_sample_beyond_the_candidate_limit_is_refused() {
+        // `repro dse --sample 1000000000000000 --axis clusters=2,4`.
+        let space = ParamSpace::new(DesignPoint::figure14_sp()).axis(
+            Knob::Clusters,
+            vec![KnobValue::Num(2.0), KnobValue::Num(4.0)],
+        );
+        let huge = Expansion::Sample {
+            n: 1_000_000_000_000_000,
+            seed: 0,
+        };
+        let err = check_candidates(&space, huge).unwrap_err();
+        assert!(err.contains(&format!("limit of {MAX_CANDIDATES}")), "{err}");
+        assert_eq!(check_candidates(&space, Expansion::Grid), Ok(()));
     }
 
     #[test]

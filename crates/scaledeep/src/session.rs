@@ -813,7 +813,8 @@ impl Session {
             perf: self.run_mapped(&*self.compile(net)?, kind),
             trace: Trace::default(),
         };
-        let attr = crate::attribution::Attribution::build(&traced, &artifact, net, &self.node)?;
+        let attribution =
+            crate::attribution::Attribution::build(&traced, &artifact, net, &self.node)?;
         // The functional drill: one training iteration, when the
         // functional target can express the network. Its statistics are
         // cycle-accurate, so the BENCH gate pins them byte for byte.
@@ -821,23 +822,18 @@ impl Session {
             Err(_) => None,
             Ok(_) => {
                 let (mut fsim, image, golden) = seeded_iteration(net, &artifact)?;
-                let stats = fsim.run_iteration(&image, &golden)?;
-                Some(crate::report::BenchFunctional {
-                    cycles: stats.cycles,
-                    instructions: stats.instructions,
-                    stalls: stats.stalls,
-                })
+                Some(fsim.run_iteration(&image, &golden)?)
             }
         };
-        Ok(crate::report::BenchReport::new(
-            &attr,
-            &traced.perf,
-            &self.node,
-            FaultPlan::none().seed(),
-            artifact.provenance().cache_key(),
-            self.cache_stats(),
+        Ok(crate::report::BenchReport {
+            attribution,
+            perf: traced.perf,
+            design: scaledeep_arch::DesignPoint::describe(&self.node),
+            seed: FaultPlan::none().seed(),
+            provenance_key: artifact.provenance().cache_key(),
+            cache: self.cache_stats(),
             functional,
-        ))
+        })
     }
 
     /// Training throughput of a single chip cluster (the iso-power unit the

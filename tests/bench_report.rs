@@ -8,24 +8,18 @@
 //! invariants the reports are built on.
 
 use proptest::prelude::*;
-use scaledeep::report::{BenchDesign, BenchFunctional};
-use scaledeep::{BenchReport, Session, TraceConfig, BENCH_SCHEMA_VERSION};
-use scaledeep_arch::presets;
+use scaledeep::report::bench_inputs;
+use scaledeep::{Session, TraceConfig};
+use scaledeep_arch::{presets, DesignPoint, Precision};
 use scaledeep_dnn::zoo;
 use scaledeep_sim::perf::{PerfOptions, RunKind};
-use scaledeep_trace::json::check_document;
+use scaledeep_trace::json::{self, check_document, Json};
 use scaledeep_trace::MetricsRegistry;
 
 /// Reads a committed baseline's text from the repository root.
 fn committed_text(network: &str) -> String {
     let path = format!("{}/BENCH_{network}.json", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"))
-}
-
-/// Reads and parses a committed baseline.
-fn committed_baseline(network: &str) -> BenchReport {
-    BenchReport::from_json(&committed_text(network))
-        .unwrap_or_else(|e| panic!("BENCH_{network}.json: {e}"))
 }
 
 #[test]
@@ -37,8 +31,11 @@ fn committed_baselines_reproduce_exactly() {
     // on the compiled tier.
     for network in ["alexnet", "cnn-s", "alexnet-func"] {
         let text = committed_text(network);
-        let baseline = committed_baseline(network);
-        assert_eq!(baseline.schema_version, BENCH_SCHEMA_VERSION);
+        let inputs = bench_inputs(&text).unwrap_or_else(|e| panic!("BENCH_{network}.json: {e}"));
+        assert_eq!(
+            (inputs.network.as_str(), inputs.kind, inputs.precision),
+            (network, RunKind::Training, Precision::Single)
+        );
         let session = Session::single_precision();
         let fresh = session
             .bench_report(
@@ -67,16 +64,22 @@ fn alexnet_func_tiers_match_the_committed_drill() {
         "RunStats differ across tiers"
     );
     assert!(x.tiers_identical, "tier state diverged");
-    let drill = committed_baseline("alexnet-func")
-        .functional
-        .expect("BENCH_alexnet-func.json carries a functional drill");
+    let doc = json::parse(&committed_text("alexnet-func")).expect("the baseline parses");
+    let drill = doc
+        .field("functional")
+        .expect("the baseline has a drill key");
+    let count = |key| {
+        drill
+            .count_field::<u64>(key)
+            .unwrap_or_else(|e| panic!("$.functional: {e}"))
+    };
     assert_eq!(
         (
             x.functional.cycles,
             x.functional.instructions,
             x.functional.stalls
         ),
-        (drill.cycles, drill.instructions, drill.stalls)
+        (count("cycles"), count("instructions"), count("stalls"))
     );
 }
 
@@ -90,9 +93,10 @@ fn attribution_sums_to_measured_stage_busy_cycles() {
     let traced = session
         .run_traced(&net, RunKind::Training, &TraceConfig::default())
         .expect("alexnet simulates");
-    let report = session
+    let attr = session
         .bench_report(&net, RunKind::Training)
-        .expect("alexnet benches");
+        .expect("alexnet benches")
+        .attribution;
 
     let mut measured = 0u64;
     for i in 0.. {
@@ -106,8 +110,8 @@ fn attribution_sums_to_measured_stage_busy_cycles() {
         }
     }
     assert!(measured > 0);
-    assert_eq!(report.totals.busy_cycles, measured);
-    let layer_sum: u64 = report.layers.iter().map(|l| l.busy_cycles).sum();
+    assert_eq!(attr.total_busy_cycles, measured);
+    let layer_sum: u64 = attr.layers.iter().map(|l| l.busy_cycles).sum();
     assert_eq!(layer_sum, measured);
 }
 
@@ -122,21 +126,22 @@ fn layer_sequential_bench_report_attributes_every_stage() {
         ..PerfOptions::default()
     });
     for kind in [RunKind::Training, RunKind::Evaluation] {
-        let report = session
+        let attr = session
             .bench_report(&zoo::alexnet(), kind)
-            .unwrap_or_else(|e| panic!("A4 {kind:?} bench report: {e}"));
-        let layer_sum: u64 = report.layers.iter().map(|l| l.busy_cycles).sum();
+            .unwrap_or_else(|e| panic!("A4 {kind:?} bench report: {e}"))
+            .attribution;
+        let layer_sum: u64 = attr.layers.iter().map(|l| l.busy_cycles).sum();
         assert!(layer_sum > 0, "{kind:?}");
-        assert_eq!(layer_sum, report.totals.busy_cycles, "{kind:?}");
+        assert_eq!(layer_sum, attr.total_busy_cycles, "{kind:?}");
         assert_eq!(
-            report.totals.busy_cycles + report.totals.sync_cycles,
-            report.totals.window_cycles,
+            attr.total_busy_cycles + attr.sync_cycles,
+            attr.window_cycles,
             "{kind:?}"
         );
-        for l in &report.layers {
+        for l in &attr.layers {
             assert_eq!(
                 l.busy_cycles,
-                report.totals.images_done * l.service_cycles.max(1),
+                attr.images_done * l.service_cycles.max(1),
                 "{kind:?} {}",
                 l.name
             );
@@ -144,76 +149,120 @@ fn layer_sequential_bench_report_attributes_every_stage() {
     }
 }
 
-/// An edit to a typed report, before it is rendered.
-type Mutation = fn(&mut BenchReport);
+/// The value at `path` (object keys or array indices, outermost first).
+fn at<'a>(doc: &'a mut Json, path: &[&str]) -> &'a mut Json {
+    path.iter().fold(doc, |at, key| {
+        match at {
+            Json::Obj(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            Json::Arr(items) => key.parse().ok().and_then(|i: usize| items.get_mut(i)),
+            _ => None,
+        }
+        .unwrap_or_else(|| panic!("no value at `{key}`"))
+    })
+}
+
+/// Adds `delta` to the number at `path`, or multiplies it by `factor`.
+fn nudge(doc: &mut Json, path: &[&str], factor: f64, delta: f64) {
+    match at(doc, path) {
+        Json::Num(n) => *n = *n * factor + delta,
+        other => panic!("{other:?} is not a number"),
+    }
+}
+
+/// An edit to a parsed baseline document.
+type Edit = fn(&mut Json);
 
 #[test]
 fn gate_fails_every_perturbed_leaf_and_names_its_path() {
-    // `repro --check` reads the baseline through the schema reader, then
-    // requires a fresh report to render to its exact bytes. Every
-    // mutation below passes the reader, so only the byte gate can catch
-    // it; each must fail, naming the path the mutation moved.
+    // `repro --check` reads only the baseline's header, then requires a
+    // fresh report to render to its exact bytes. Every edit below keeps
+    // the header, so only the byte gate can catch it; each must fail,
+    // naming the path the edit moved.
     let text = committed_text("alexnet");
-    let baseline = committed_baseline("alexnet");
     let fresh = Session::single_precision()
         .bench_report(&zoo::alexnet(), RunKind::Training)
         .expect("alexnet benches")
         .to_json();
     assert_eq!(check_document(&text, &fresh), Ok(()));
 
-    let cases: [(&str, Mutation); 10] = [
-        ("$.layers[0].fp_cycles", |r| {
-            // Sums kept: the reader's pass invariant still holds.
-            let c1 = &mut r.layers[0];
-            std::mem::swap(&mut c1.fp_cycles, &mut c1.bp_cycles);
+    let cases: [(&str, Edit); 13] = [
+        ("$.layers[0].fp_cycles", |d| {
+            // Sums kept: the pass split still adds up to busy_cycles.
+            let c1 = at(d, &["layers", "0"]);
+            let fp = at(c1, &["fp_cycles"]).clone();
+            let bp = std::mem::replace(at(c1, &["bp_cycles"]), fp);
+            *at(c1, &["fp_cycles"]) = bp;
         }),
-        ("$.layers[0].grid_bytes", |r| r.layers[0].grid_bytes *= 10.0),
-        ("$.layers[0].flops", |r| r.layers[0].flops *= 2),
-        ("$.layers[0].joules_per_image", |r| {
-            r.layers[0].joules_per_image *= 5.0;
+        ("$.layers[0].grid_bytes", |d| {
+            nudge(d, &["layers", "0", "grid_bytes"], 10.0, 0.0);
         }),
-        ("$.provenance", |r| r.provenance = "0123456789abcdef".into()),
-        ("$.design.fingerprint", |r| {
-            r.design = BenchDesign::describe(&presets::half_precision());
+        ("$.layers[0].flops", |d| {
+            nudge(d, &["layers", "0", "flops"], 2.0, 0.0);
         }),
-        ("$.functional", |r| {
+        ("$.layers[0].joules_per_image", |d| {
+            nudge(d, &["layers", "0", "joules_per_image"], 5.0, 0.0);
+        }),
+        ("$.provenance", |d| {
+            *at(d, &["provenance"]) = Json::Str("0123456789abcdef".into());
+        }),
+        ("$.design.fingerprint", |d| {
+            let half = DesignPoint::describe(&presets::half_precision());
+            *at(d, &["design"]) = json::obj([
+                (
+                    "fingerprint",
+                    Json::Str(format!("{:016x}", half.fingerprint())),
+                ),
+                ("point", half.to_json()),
+            ]);
+        }),
+        ("$.functional", |d| {
             // Full-scale AlexNet has no functional compile; a drill grafted
             // on is a drift all the same.
-            r.functional = Some(BenchFunctional {
-                cycles: 1000,
-                instructions: 900,
-                stalls: 10,
-            });
+            *at(d, &["functional"]) = json::obj([
+                ("cycles", Json::Num(1000.0)),
+                ("instructions", Json::Num(900.0)),
+                ("stalls", Json::Num(10.0)),
+            ]);
         }),
-        ("$.totals.busy_cycles", |r| {
-            // The reader requires the layers to sum to the totals, which
-            // come first in the document.
-            let dropped = r.layers.pop().expect("report has layers");
-            r.totals.busy_cycles -= dropped.busy_cycles;
+        ("$.totals.busy_cycles", |d| {
+            // A dropped layer with the totals kept consistent: they come
+            // first in the document.
+            let Json::Arr(layers) = at(d, &["layers"]) else {
+                panic!("layers is an array");
+            };
+            let mut dropped = layers.pop().expect("report has layers");
+            let busy = at(&mut dropped, &["busy_cycles"])
+                .as_num()
+                .expect("a count");
+            nudge(d, &["totals", "busy_cycles"], 1.0, -busy);
         }),
-        ("$.totals.images_per_sec", |r| {
-            r.totals.images_per_sec *= 1.5
+        ("$.totals.images_per_sec", |d| {
+            nudge(d, &["totals", "images_per_sec"], 1.5, 0.0);
         }),
-        ("$.occupancy.p95", |r| r.occupancy.p95 *= 3.0),
+        ("$.occupancy.p95", |d| {
+            nudge(d, &["occupancy", "p95"], 3.0, 0.0);
+        }),
+        ("$.layers[0].busy_cycles", |d| {
+            // The layers no longer sum to the totals, while each layer's
+            // pass and tile-class splits still add up.
+            for field in ["busy_cycles", "fp_cycles", "comp_heavy_cycles"] {
+                nudge(d, &["layers", "0", field], 1.0, 1.0);
+            }
+        }),
+        ("$.design", |d| *at(d, &["design"]) = Json::Null),
+        ("$.totals.window_cycles", |d| {
+            *at(d, &["totals", "window_cycles"]) = Json::Num(-1.0);
+        }),
     ];
-    for (path, mutate) in cases {
-        let mut perturbed = baseline.clone();
-        mutate(&mut perturbed);
-        let perturbed = perturbed.to_json();
-        BenchReport::from_json(&perturbed)
-            .unwrap_or_else(|e| panic!("{path}: the reader must accept the mutation: {e}"));
+    for (path, edit) in cases {
+        let mut doc = json::parse(&text).expect("the baseline parses");
+        edit(&mut doc);
+        let perturbed = doc.render_pretty() + "\n";
+        bench_inputs(&perturbed)
+            .unwrap_or_else(|e| panic!("{path}: the header reader must accept the edit: {e}"));
         let err = check_document(&perturbed, &fresh)
             .expect_err(&format!("{path}: the gate passed a perturbed baseline"));
         assert!(err.contains(&format!("{path}:")), "{path}: {err}");
-    }
-}
-
-#[test]
-fn bench_json_round_trips_for_both_networks() {
-    for network in ["alexnet", "cnn-s"] {
-        let baseline = committed_baseline(network);
-        let back = BenchReport::from_json(&baseline.to_json()).expect("re-render parses");
-        assert_eq!(back, baseline);
     }
 }
 
