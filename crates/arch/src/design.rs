@@ -28,7 +28,7 @@ use crate::node::{NodeConfig, Precision};
 use crate::power::PowerModel;
 use crate::tile::{CompHeavyConfig, MemHeavyConfig};
 use scaledeep_trace::json::{exact_u64, obj, Json};
-use scaledeep_trace::{fnv1a, FNV1A_OFFSET};
+use scaledeep_trace::Fnv1aWriter;
 use std::fmt;
 
 const KB: usize = 1024;
@@ -163,11 +163,16 @@ impl DesignPoint {
         Ok(Self { node })
     }
 
-    /// Structural fingerprint: FNV-1a over the canonical JSON rendering.
-    /// Two configurations fingerprint equal iff their knobs are equal —
-    /// independent of how the Rust structs happen to `Debug`-format.
+    /// Structural fingerprint: FNV-1a over the canonical JSON rendering,
+    /// hashed as it is rendered (no text is built). Two configurations
+    /// fingerprint equal iff their knobs are equal — independent of how
+    /// the Rust structs happen to `Debug`-format.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(FNV1A_OFFSET, self.to_json().render().bytes())
+        let mut h = Fnv1aWriter::new();
+        self.to_json()
+            .render_into(&mut h)
+            .expect("hashing never fails");
+        h.finish()
     }
 }
 
@@ -905,6 +910,16 @@ mod tests {
             .build()
             .expect("2 clusters is valid");
         assert_ne!(sp.fingerprint(), tweaked.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_hashes_the_rendered_text() {
+        use scaledeep_trace::{fnv1a, FNV1A_OFFSET};
+        let sp = DesignPoint::figure14_sp();
+        for point in [sp, sp.derive_half_precision()] {
+            let text = point.to_json().render();
+            assert_eq!(point.fingerprint(), fnv1a(FNV1A_OFFSET, text.bytes()));
+        }
     }
 
     #[test]

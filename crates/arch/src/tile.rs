@@ -58,14 +58,14 @@ impl CompHeavyConfig {
         Ok(())
     }
 
-    /// The runtime array reconfigurations of §3.1.1: returns the legal
-    /// (columns, lanes) redistributions with `cols * lanes` constant.
-    pub fn column_lane_configs(&self) -> Vec<(usize, usize)> {
+    /// The runtime array reconfigurations of §3.1.1: the legal
+    /// (columns, lanes) redistributions with `cols * lanes` constant, in
+    /// increasing column order.
+    pub fn column_lane_configs(&self) -> impl Iterator<Item = (usize, usize)> {
         let product = self.array_cols * self.lanes;
         (1..=product)
-            .filter(|c| product.is_multiple_of(*c))
-            .map(|c| (c, product / c))
-            .collect()
+            .filter(move |c| product.is_multiple_of(*c))
+            .map(move |c| (c, product / c))
     }
 }
 
@@ -140,7 +140,7 @@ mod tests {
             assert_eq!(c * l, t.array_cols * t.lanes);
         }
         // 3 cols x 4 lanes = 12: divisors 1,2,3,4,6,12.
-        assert_eq!(t.column_lane_configs().len(), 6);
+        assert_eq!(t.column_lane_configs().count(), 6);
     }
 
     #[test]

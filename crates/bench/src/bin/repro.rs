@@ -5,6 +5,7 @@
 
 use scaledeep::dse::{self, DseConfig, DseReport, Expansion};
 use scaledeep::experiments::{run_by_id, EXPERIMENT_IDS};
+use scaledeep::pool;
 use scaledeep::report::{bench_inputs, Table};
 use scaledeep::{Observer, Session, TraceConfig, BENCH_SCHEMA_VERSION};
 use scaledeep_arch::{DesignPoint, Knob, KnobValue, ParamSpace, Precision, ALL_KNOBS};
@@ -15,8 +16,6 @@ use scaledeep_dnn::Layer;
 use scaledeep_sim::fault::{FaultPlan, LinkFaults};
 use scaledeep_sim::func::{ExecBackend, FuncSim};
 use scaledeep_trace::{json, validate_chrome_trace, CategoryMask};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The full usage text, printed by `--help`. Every subcommand and every
 /// CI gate the binary implements is enumerated here — when a new mode is
@@ -131,39 +130,25 @@ fn check_flags(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs every experiment in `ids` across a scoped worker pool. Each
-/// experiment's tables are rendered into a private buffer and printed in
-/// the original order once all workers join, so the output is
-/// byte-identical to a sequential run. Returns `false` when any id is
-/// unknown.
+/// Runs every experiment in `ids` across the scoped worker pool
+/// ([`pool::map_ordered`]). Each experiment's tables are rendered into a
+/// private buffer and printed in the original order once all workers
+/// join, so the output is byte-identical to a sequential run. Returns
+/// `false` when any id is unknown.
 fn run_experiments(ids: &[&str]) -> bool {
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(ids.len().max(1));
-    let next = AtomicUsize::new(0);
-    let outputs: Vec<Mutex<Option<String>>> = ids.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                use std::fmt::Write;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(id) = ids.get(i) else { break };
-                    if let Some(tables) = run_by_id(id) {
-                        let mut buf = String::new();
-                        for t in tables {
-                            writeln!(buf, "{t}").expect("write to String cannot fail");
-                        }
-                        *outputs[i].lock().expect("no panics hold this lock") = Some(buf);
-                    }
-                }
-            });
-        }
+    let outputs = pool::map_ordered(ids, 0, |id| {
+        use std::fmt::Write;
+        run_by_id(id).map(|tables| {
+            let mut buf = String::new();
+            for t in tables {
+                writeln!(buf, "{t}").expect("write to String cannot fail");
+            }
+            buf
+        })
     });
     let mut ok = true;
-    for (id, slot) in ids.iter().zip(outputs) {
-        match slot.into_inner().expect("workers joined") {
+    for (id, output) in ids.iter().zip(outputs) {
+        match output {
             Some(buf) => print!("{buf}"),
             None => {
                 eprintln!("unknown experiment `{id}` (try --list)");

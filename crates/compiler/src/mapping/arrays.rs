@@ -84,6 +84,7 @@ pub(crate) fn configure(
             // Output features handled per column.
             let feats_per_col = out.features.div_ceil(cols.max(1));
             let base = &chip.comp_heavy;
+            let in_width = net.node(node.inputs()[0]).output_shape().width;
             let mut best = ArrayPlan::unit();
             let mut best_u = -1.0f64;
             for (acols, lanes) in base.column_lane_configs() {
@@ -106,9 +107,8 @@ pub(crate) fn configure(
                         // the left SM holds one input row per array row;
                         // the top+bottom SMs hold the kernels of the
                         // active lanes.
-                        let in_shape = net.input_shapes(node.id())[0];
                         let elem = 4; // SP sizing; HP halves both sides
-                        let left_need = rows_eff * in_shape.width * elem;
+                        let left_need = rows_eff * in_width * elem;
                         let kernel_need = lane_cap * c.kernel * c.kernel * elem;
                         let streaming_fits = left_need <= base.left_mem_bytes
                             && kernel_need <= base.top_mem_bytes + base.bottom_mem_bytes;

@@ -44,7 +44,6 @@ fn balance(cols: &mut [usize], flops: &[u64], budget: usize) {
         return;
     }
     while used < budget {
-        let total_cols: usize = cols.iter().sum();
         // With `total_flops > 0` some layer carries FLOPs, but stay
         // graceful regardless: leftover budget is preferable to a panic
         // inside a degraded remap.
@@ -54,7 +53,7 @@ fn balance(cols: &mut [usize], flops: &[u64], budget: usize) {
             .filter(|&(i, _)| flops[i] > 0)
             .map(|(i, &c)| {
                 let norm_ops = flops[i] as f64 / total_flops as f64;
-                let norm_cols = c as f64 / total_cols as f64;
+                let norm_cols = c as f64 / used as f64;
                 (i, norm_ops / norm_cols)
             })
             .max_by(|a, b| a.1.total_cmp(&b.1))

@@ -130,8 +130,8 @@ mod tests {
         let chip = node.cluster.conv_chip;
         let c1 = net.node_by_name("c1").unwrap().id();
         let c3 = net.node_by_name("c3").unwrap().id();
-        let b1 = state_budget(&net, &a, c1, &chip, 4);
-        let b3 = state_budget(&net, &a, c3, &chip, 4);
+        let b1 = state_budget(&net, a, c1, &chip, 4);
+        let b3 = state_budget(&net, a, c3, &chip, 4);
         // C1: 96 x 56x56 floats = 1.2MB of features -> ~4.8MB state.
         assert!(b1.state_bytes > 4 * 1024 * 1024);
         assert!(b1.state_bytes > b3.state_bytes);
@@ -145,7 +145,7 @@ mod tests {
         let a = net.analyze();
         let chip = node.cluster.conv_chip;
         let input = net.input().id();
-        let b = state_budget(&net, &a, input, &chip, 4);
+        let b = state_budget(&net, a, input, &chip, 4);
         assert_eq!(b.min_cols, 0);
         assert_eq!(b.state_bytes, 0);
     }

@@ -3,10 +3,11 @@
 //! Compilation is one explicit pipeline of six phases, each consuming and
 //! producing a typed intermediate artifact:
 //!
-//! 1. **analyze** — validate the node, run the network's FLOP/byte
-//!    analysis at the target precision, classify each layer to a chip
-//!    family (STEP 1–2) and compute the per-layer memory floor (STEP 3a),
-//!    yielding an [`AnalyzedNetwork`];
+//! 1. **analyze** — validate the node, borrow the network's FLOP/byte
+//!    analysis at the target precision (computed once per network and
+//!    element size, [`Network::analyze_with_elem_bytes`]), classify each
+//!    layer to a chip family (STEP 1–2) and compute the per-layer memory
+//!    floor (STEP 3a), yielding an [`AnalyzedNetwork`];
 //! 2. **allocate-columns** — memory floor + load balancing over the
 //!    surviving chip columns (STEP 3), yielding a [`ColumnPlan`];
 //! 3. **partition-state** — distribute each layer's features over its
@@ -241,7 +242,7 @@ pub struct AnalyzedNetwork<'n> {
     net: &'n Network,
     node: NodeConfig,
     elem_bytes: u64,
-    analysis: Analysis,
+    analysis: &'n Analysis,
     sides: Vec<Side>,
     budgets: Vec<StateBudget>,
     conv_ids: Vec<LayerId>,
@@ -300,8 +301,9 @@ struct LayerState {
     weights_on_chip: bool,
 }
 
-/// Phase 1: validate the node, analyze the network at the target
-/// precision, classify layers (STEP 1–2), compute memory floors (STEP 3a).
+/// Phase 1: validate the node, borrow the network's memoized analysis at
+/// the target precision, classify layers (STEP 1–2), compute memory
+/// floors (STEP 3a).
 ///
 /// # Errors
 ///
@@ -314,7 +316,7 @@ pub fn analyze<'n>(node: &NodeConfig, net: &'n Network) -> Result<AnalyzedNetwor
     let conv_chip = &node.cluster.conv_chip;
     let budgets: Vec<StateBudget> = net
         .layers()
-        .map(|n| state::state_budget(net, &analysis, n.id(), conv_chip, elem_bytes))
+        .map(|n| state::state_budget(net, analysis, n.id(), conv_chip, elem_bytes))
         .collect();
     let conv_ids: Vec<LayerId> = net
         .layers()
@@ -355,7 +357,7 @@ pub fn allocate_columns(
         &analyzed.conv_ids,
         &analyzed.fc_ids,
         &analyzed.budgets,
-        &analyzed.analysis,
+        analyzed.analysis,
         &node.cluster.conv_chip,
         &node.cluster.fc_chip,
         node.cluster.conv_chips,

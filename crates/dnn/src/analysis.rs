@@ -12,6 +12,7 @@ use crate::graph::{LayerId, Network};
 use crate::layer::Layer;
 use std::fmt;
 use std::ops::{Add, AddAssign};
+use std::sync::OnceLock;
 
 /// Bytes per element at single precision (FP32).
 pub const BYTES_PER_ELEM_SP: u64 = 4;
@@ -310,21 +311,58 @@ impl Analysis {
 
 impl Network {
     /// Analyzes the network at single precision (4 bytes/element).
-    pub fn analyze(&self) -> Analysis {
+    pub fn analyze(&self) -> &Analysis {
         self.analyze_with_elem_bytes(BYTES_PER_ELEM_SP)
     }
 
     /// Analyzes the network with an explicit element size in bytes
     /// (use [`BYTES_PER_ELEM_HP`] for the half-precision design point).
-    pub fn analyze_with_elem_bytes(&self, elem_bytes: u64) -> Analysis {
-        let costs = self
-            .layers()
-            .map(|n| flops::layer_cost(self, n, elem_bytes))
-            .collect();
-        Analysis {
+    ///
+    /// The analysis depends only on the network and the element size, so
+    /// it is computed on the first call per size and memoized, like
+    /// [`Network::fingerprint`]: every later compile borrows it. The memo
+    /// is invisible to `Debug`, `==` and the fingerprint.
+    pub fn analyze_with_elem_bytes(&self, elem_bytes: u64) -> &Analysis {
+        self.analyses().get_or_init(elem_bytes, || Analysis {
             name: self.name().to_string(),
             elem_bytes,
-            costs,
+            costs: self
+                .layers()
+                .map(|n| flops::layer_cost(self, n, elem_bytes))
+                .collect(),
+        })
+    }
+}
+
+/// A network's memoized analyses, one per element size asked for: an
+/// append-only chain of set-once cells. Any size must work (a stored
+/// artifact's mapping names its own), so there is no fixed slot per
+/// precision. A lookup walks the chain (one or two links in practice); a
+/// miss fills the first empty cell, and a caller that loses the race for
+/// that cell to another size moves on to the next.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AnalysisMemo(OnceLock<Box<MemoLink>>);
+
+#[derive(Debug, Clone)]
+struct MemoLink {
+    analysis: Analysis,
+    next: AnalysisMemo,
+}
+
+impl AnalysisMemo {
+    fn get_or_init(&self, elem_bytes: u64, compute: impl Fn() -> Analysis) -> &Analysis {
+        let mut cell = self;
+        loop {
+            let link = cell.0.get_or_init(|| {
+                Box::new(MemoLink {
+                    analysis: compute(),
+                    next: AnalysisMemo::default(),
+                })
+            });
+            if link.analysis.elem_bytes == elem_bytes {
+                return &link.analysis;
+            }
+            cell = &link.next;
         }
     }
 }
@@ -364,7 +402,8 @@ mod tests {
 
     #[test]
     fn training_flops_exceed_fp_flops() {
-        let a = tiny().analyze();
+        let net = tiny();
+        let a = net.analyze();
         assert!(a.training_flops() > 2 * a.total_flops(Step::Fp));
     }
 

@@ -153,7 +153,7 @@ mod tests {
     fn overfeat_classes_match_paper_split() {
         let net = zoo::overfeat_fast();
         let a = net.analyze();
-        let rows = layer_class_breakdown(&net, &a);
+        let rows = layer_class_breakdown(&net, a);
         let initial = rows
             .iter()
             .find(|r| r.class == LayerClass::InitialConv)
@@ -174,7 +174,7 @@ mod tests {
     fn fc_class_has_bf_near_two() {
         let net = zoo::overfeat_fast();
         let a = net.analyze();
-        let rows = layer_class_breakdown(&net, &a);
+        let rows = layer_class_breakdown(&net, a);
         let fc = rows
             .iter()
             .find(|r| r.class == LayerClass::FullyConnected)
@@ -191,7 +191,7 @@ mod tests {
     fn sampling_class_has_no_weights() {
         let net = zoo::overfeat_fast();
         let a = net.analyze();
-        let rows = layer_class_breakdown(&net, &a);
+        let rows = layer_class_breakdown(&net, a);
         let samp = rows
             .iter()
             .find(|r| r.class == LayerClass::Sampling)
@@ -204,7 +204,7 @@ mod tests {
     fn conv_classes_dominated_by_convolution() {
         let net = zoo::overfeat_fast();
         let a = net.analyze();
-        for row in layer_class_breakdown(&net, &a) {
+        for row in layer_class_breakdown(&net, a) {
             if matches!(row.class, LayerClass::InitialConv | LayerClass::MidConv) {
                 let conv_share = row
                     .op_split

@@ -1,5 +1,6 @@
 //! The network graph: a DAG of layers with inferred shapes.
 
+use crate::analysis::AnalysisMemo;
 use crate::error::{Error, Result};
 use crate::layer::Layer;
 use crate::shape::FeatureShape;
@@ -97,14 +98,25 @@ impl LayerNode {
 /// # }
 /// ```
 ///
-/// A network is immutable once built, so its [`Network::fingerprint`] is
-/// computed on first use and memoized. The memo is invisible: `Debug`
-/// renders, and `==` compares, the name and the nodes only.
+/// A network is immutable once built, so its [`Network::fingerprint`]
+/// and its analyses ([`Network::analyze_with_elem_bytes`]) are computed on
+/// first use and memoized. The memos are invisible: `Debug` renders, and
+/// `==` compares, the name and the nodes only.
 #[derive(Clone)]
 pub struct Network {
     name: String,
     nodes: Vec<LayerNode>,
+    memo: OnceLock<Box<Memo>>,
+}
+
+/// What a network derives from its structure, each part on first use.
+/// Boxed, and the box itself made on first use, so a network that is
+/// never fingerprinted or analyzed is no larger than its name, its nodes
+/// and one empty cell.
+#[derive(Debug, Clone, Default)]
+struct Memo {
     fingerprint: OnceLock<u64>,
+    analyses: AnalysisMemo,
 }
 
 impl fmt::Debug for Network {
@@ -132,20 +144,29 @@ impl Network {
         Ok(Self {
             name,
             nodes,
-            fingerprint: OnceLock::new(),
+            memo: OnceLock::new(),
         })
     }
 
     /// FNV-1a-64 of the network's `Debug` rendering — the network half of
     /// a compile's provenance key, and so part of every stored artifact's
-    /// file name. Hashed on the first call (streamed, never allocated)
+    /// file name. Hashed on the first call (streamed: no string is built)
     /// and memoized; equal networks have equal fingerprints.
     pub fn fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| {
+        *self.memo().fingerprint.get_or_init(|| {
             let mut h = Fnv1aWriter::new();
             write!(h, "{self:?}").expect("hashing never fails");
             h.finish()
         })
+    }
+
+    fn memo(&self) -> &Memo {
+        self.memo.get_or_init(Box::default)
+    }
+
+    /// The memoized analyses ([`Network::analyze_with_elem_bytes`]).
+    pub(crate) fn analyses(&self) -> &AnalysisMemo {
+        &self.memo().analyses
     }
 
     pub(crate) fn push_node(
@@ -227,7 +248,11 @@ impl Network {
     /// Total input feature elements of a node (sum over all inputs). For FC
     /// layers this is the flattened fan-in.
     pub fn fan_in_elems(&self, id: LayerId) -> usize {
-        self.input_shapes(id).iter().map(|s| s.elems()).sum()
+        self.node(id)
+            .inputs()
+            .iter()
+            .map(|&i| self.node(i).output_shape().elems())
+            .sum()
     }
 
     /// Counts of (CONV, FC, SAMP) layers, the paper's Figure 15 convention.

@@ -48,14 +48,16 @@ mod tests {
 
     #[test]
     fn weights_are_60_9m() {
-        let a = alexnet().analyze();
+        let net = alexnet();
+        let a = net.analyze();
         let m = a.weights() as f64 / 1e6;
         assert!((m - 60.9).abs() < 0.3, "got {m}M");
     }
 
     #[test]
     fn evaluation_costs_about_1_5_gflops() {
-        let a = alexnet().analyze();
+        let net = alexnet();
+        let a = net.analyze();
         let g = a.total_flops(crate::Step::Fp) as f64 / 1e9;
         assert!(g > 1.0 && g < 2.0, "got {g} GFLOPs");
     }

@@ -74,7 +74,8 @@ mod tests {
         // Paper §1: ~3.3 giga-operations to evaluate one 231x231 image
         // (counting MACs as 2 ops gives ~5.4 GFLOPs; the paper's 3.3 counts
         // multiply-accumulates once in some tallies — assert the bracket).
-        let a = overfeat_fast().analyze();
+        let net = overfeat_fast();
+        let a = net.analyze();
         let gops = a.connections() as f64 / 1e9;
         assert!(gops > 2.4 && gops < 3.2, "got {gops} G-MACs");
     }
@@ -88,8 +89,8 @@ mod tests {
     #[test]
     fn accurate_has_more_flops_than_fast() {
         // Figure 15: 5.22B vs 2.66B connections.
-        let fast = overfeat_fast().analyze();
-        let acc = overfeat_accurate().analyze();
+        let (fast_net, acc_net) = (overfeat_fast(), overfeat_accurate());
+        let (fast, acc) = (fast_net.analyze(), acc_net.analyze());
         assert!(acc.total_flops(Step::Fp) > 3 * fast.total_flops(Step::Fp) / 2);
     }
 }

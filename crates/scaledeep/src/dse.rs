@@ -28,13 +28,12 @@
 //! same design point compile once.
 
 use crate::attribution::measured_energy_per_image;
+use crate::pool;
 use crate::session::Session;
 use scaledeep_arch::{Candidate, DesignPoint, Knob, KnobValue, ParamSpace, Precision};
 use scaledeep_dnn::Network;
 use scaledeep_sim::perf::RunKind;
 use scaledeep_trace::json::{self, Json};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Version stamped into every DSE JSON document. Bump on any field
 /// change; [`DseReport::from_json`] rejects versions it does not know.
@@ -90,8 +89,9 @@ pub struct DseConfig {
     pub kind: RunKind,
     /// Grid or seeded sample.
     pub expansion: Expansion,
-    /// Worker threads (0 = available cores). Never affects results —
-    /// only wall-clock.
+    /// Worker threads, the calling thread included (0 = available
+    /// cores): `workers - 1` threads are spawned, so 1 runs the sweep on
+    /// the caller alone. Never affects results — only wall-clock.
     pub workers: usize,
     /// Ignored: the node model runs single-threaded and nothing reads
     /// this field. It stays only so existing struct literals keep
@@ -289,8 +289,9 @@ fn evaluate(hub: &Session, net: &Network, cfg: &DseConfig, candidate: &Candidate
 }
 
 /// Runs the sweep: expands `space` per `cfg.expansion`, evaluates every
-/// candidate across a scoped worker pool (each on an independent session
-/// retargeted from `hub`, all sharing the hub's compile cache), and
+/// candidate across the scoped worker pool ([`pool::map_ordered`]; the
+/// calling thread is one of its workers), each on an independent session
+/// retargeted from `hub`, all sharing the hub's compile cache, and
 /// assembles the deterministic report. Worker and shard counts never
 /// change the result — candidates write into per-index slots collected
 /// in candidate order.
@@ -299,35 +300,15 @@ pub fn run(hub: &Session, net: &Network, space: &ParamSpace, cfg: &DseConfig) ->
         Expansion::Grid => space.grid(),
         Expansion::Sample { n, seed } => space.sample(n as usize, seed),
     };
-    let workers = if cfg.workers == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        cfg.workers
-    }
-    .min(candidates.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Outcome>>> = candidates.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(candidate) = candidates.get(i) else {
-                    break;
-                };
-                let outcome = evaluate(hub, net, cfg, candidate);
-                *slots[i].lock().expect("no panics hold this lock") = Some(outcome);
-            });
-        }
+    let outcomes = pool::map_ordered(&candidates, cfg.workers, |candidate| {
+        evaluate(hub, net, cfg, candidate)
     });
     let mut points = Vec::new();
     let mut infeasible = Vec::new();
-    for slot in slots {
-        match slot.into_inner().expect("workers joined") {
-            Some(Outcome::Feasible(p)) => points.push(p),
-            Some(Outcome::Infeasible(i)) => infeasible.push(i),
-            None => unreachable!("every candidate slot is filled before the scope ends"),
+    for outcome in outcomes {
+        match outcome {
+            Outcome::Feasible(p) => points.push(p),
+            Outcome::Infeasible(i) => infeasible.push(i),
         }
     }
     let frontier = pareto_frontier(&points);

@@ -41,7 +41,7 @@ pub fn fig1() -> Table {
 pub fn fig4() -> Table {
     let net = zoo::overfeat_fast();
     let a = net.analyze();
-    let rows = layer_class_breakdown(&net, &a);
+    let rows = layer_class_breakdown(&net, a);
     let mut t = Table::new("Figure 4: OverFeat layer-class breakdown").headers([
         "class",
         "layers",

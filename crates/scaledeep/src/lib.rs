@@ -36,6 +36,7 @@
 pub mod attribution;
 pub mod dse;
 pub mod experiments;
+pub mod pool;
 pub mod report;
 mod session;
 

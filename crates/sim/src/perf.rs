@@ -210,7 +210,7 @@ impl PerfSim {
             &self.node,
             &self.power,
             kind,
-            &model.stages,
+            model.stages,
             &out,
             done,
             pipelines,

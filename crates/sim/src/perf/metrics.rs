@@ -148,11 +148,12 @@ pub(super) fn assemble(
     node: &NodeConfig,
     power: &PowerModel,
     kind: RunKind,
-    stages: &[StageCost],
+    stages: Vec<StageCost>,
     out: &NodeOutcome,
     done: usize,
     pipelines: usize,
 ) -> PerfResult {
+    let occupancy = pipeline::occupancy(&stages, &out.stage_admissions);
     let freq = node.frequency_hz();
     let window = out.window;
     let done = done.max(1);
@@ -248,16 +249,12 @@ pub(super) fn assemble(
         classes.iter().map(|&c| s.traffic[link_idx(c)]).sum()
     };
     let stage_stats = stages
-        .iter()
+        .into_iter()
         .zip(&out.stage_busy)
-        .map(|(s, &busy_cycles)| StageStat {
-            name: s.name.clone(),
-            service_cycles: s.service_cycles,
-            bottleneck: s.service_cycles == bottleneck,
-            busy_cycles,
-            tier_bytes: TierBytes {
+        .map(|(s, &busy_cycles)| {
+            let tier_bytes = TierBytes {
                 grid: tier(
-                    s,
+                    &s,
                     &[
                         LinkClass::CompMem,
                         LinkClass::MemMem,
@@ -265,9 +262,16 @@ pub(super) fn assemble(
                         LinkClass::FcExtMem,
                     ],
                 ),
-                wheel: tier(s, &[LinkClass::Spoke, LinkClass::Arc]),
-                ring: tier(s, &[LinkClass::Ring]),
-            },
+                wheel: tier(&s, &[LinkClass::Spoke, LinkClass::Arc]),
+                ring: tier(&s, &[LinkClass::Ring]),
+            };
+            StageStat {
+                name: s.name,
+                service_cycles: s.service_cycles,
+                bottleneck: s.service_cycles == bottleneck,
+                busy_cycles,
+                tier_bytes,
+            }
         })
         .collect();
 
@@ -291,7 +295,7 @@ pub(super) fn assemble(
         images_completed: out.images_done,
         syncs: out.syncs,
         sync_cycles: out.sync_cycles,
-        occupancy: pipeline::occupancy(stages, &out.stage_admissions),
+        occupancy,
     }
 }
 

@@ -1,5 +1,6 @@
 //! The workspace's zero-dependency JSON layer: one value type ([`Json`]),
-//! a deterministic renderer ([`Json::render`], [`Json::render_pretty`])
+//! a deterministic renderer ([`Json::render`], [`Json::render_pretty`],
+//! and [`Json::render_into`] for any `fmt::Write` sink)
 //! and a recursive-descent parser ([`parse`]).
 //!
 //! Every document the system writes or reads passes through it: exported
@@ -30,6 +31,8 @@
 //! `try_from` to the reader's type; any other `u64` is a *decimal*
 //! string ([`Json::decimal`]). A rejected field comes back as a message
 //! naming it, built only on failure.
+
+use std::fmt;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -224,60 +227,77 @@ impl Json {
     /// as `null`.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write(&mut out, None, 0)
+            .expect("writing to a String cannot fail");
         out
+    }
+
+    /// [`Json::render`] into any [`fmt::Write`] sink: the same bytes,
+    /// without building the `String` (an
+    /// [`Fnv1aWriter`](crate::Fnv1aWriter) hashes the rendering as it is
+    /// written).
+    ///
+    /// # Errors
+    ///
+    /// Only what the sink returns.
+    pub fn render_into<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        self.write(out, None, 0)
     }
 
     /// Renders indented JSON text (two spaces per level); same value
     /// conventions as [`Json::render`].
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        self.write(&mut out, Some(2), 0)
+            .expect("writing to a String cannot fail");
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    fn write<W: fmt::Write>(
+        &self,
+        out: &mut W,
+        indent: Option<usize>,
+        depth: usize,
+    ) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
             Json::Num(n) => write_num(out, *n),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
-                    out.push_str("[]");
-                    return;
+                    return out.write_str("[]");
                 }
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    newline(out, indent, depth + 1);
-                    item.write(out, indent, depth + 1);
+                    newline(out, indent, depth + 1)?;
+                    item.write(out, indent, depth + 1)?;
                 }
-                newline(out, indent, depth);
-                out.push(']');
+                newline(out, indent, depth)?;
+                out.write_char(']')
             }
             Json::Obj(fields) => {
                 if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
+                    return out.write_str("{}");
                 }
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    newline(out, indent, depth + 1);
-                    write_escaped(out, k);
-                    out.push(':');
+                    newline(out, indent, depth + 1)?;
+                    write_escaped(out, k)?;
+                    out.write_char(':')?;
                     if indent.is_some() {
-                        out.push(' ');
+                        out.write_char(' ')?;
                     }
-                    v.write(out, indent, depth + 1);
+                    v.write(out, indent, depth + 1)?;
                 }
-                newline(out, indent, depth);
-                out.push('}');
+                newline(out, indent, depth)?;
+                out.write_char('}')
             }
         }
     }
@@ -359,37 +379,41 @@ fn diff_at(path: &str, a: &Json, b: &Json) -> Option<String> {
 }
 
 /// Pretty mode only: ends the line and indents to nesting level `depth`.
-fn newline(out: &mut String, indent: Option<usize>, depth: usize) {
+fn newline<W: fmt::Write>(out: &mut W, indent: Option<usize>, depth: usize) -> fmt::Result {
     if let Some(w) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', w * depth));
+        const SPACES: &str = "                                ";
+        out.write_char('\n')?;
+        let mut left = w * depth;
+        while left > 0 {
+            let run = left.min(SPACES.len());
+            out.write_str(&SPACES[..run])?;
+            left -= run;
+        }
     }
+    Ok(())
 }
 
 /// Writes a number the way [`Json::render`] does: integral `f64`s in
 /// the exactly-representable range print without a fractional part,
 /// everything else via shortest-round-trip `{:?}`; non-finite → `null`.
-fn write_num(out: &mut String, n: f64) {
-    use std::fmt::Write;
+fn write_num<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
     if !n.is_finite() {
-        out.push_str("null");
-        return;
+        return out.write_str("null");
     }
     // Below 2^53 every integer is exactly representable, so printing
-    // without a fraction loses nothing. Formatting into a `String`
-    // cannot fail.
-    let _ = if n.fract() == 0.0 && n.abs() < EXACT_INT_LIMIT {
+    // without a fraction loses nothing.
+    if n.fract() == 0.0 && n.abs() < EXACT_INT_LIMIT {
         write!(out, "{}", n as i64)
     } else {
         write!(out, "{n:?}")
-    };
+    }
 }
 
 /// Writes `s` as a quoted JSON string. Only ASCII bytes are ever escaped
 /// and each is a whole UTF-8 scalar, so the text between two of them is
-/// pushed as one slice.
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
+/// written as one slice.
+fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     let mut plain = 0;
     for (i, b) in s.bytes().enumerate() {
         let esc = match b {
@@ -403,16 +427,16 @@ fn write_escaped(out: &mut String, s: &str) {
             0..0x20 => "", // the other controls: `\u00XX` below
             _ => continue,
         };
-        out.push_str(&s[plain..i]);
+        out.write_str(&s[plain..i])?;
         if esc.is_empty() {
-            let _ = std::fmt::Write::write_fmt(out, format_args!("\\u{b:04x}"));
+            write!(out, "\\u{b:04x}")?;
         } else {
-            out.push_str(esc);
+            out.write_str(esc)?;
         }
         plain = i + 1;
     }
-    out.push_str(&s[plain..]);
-    out.push('"');
+    out.write_str(&s[plain..])?;
+    out.write_char('"')
 }
 
 /// Parses `text` into a [`Json`] value, in time linear in its length.

@@ -2,12 +2,15 @@
 //! render → parse unchanged, and the renderer's bytes match a reference
 //! renderer that escapes character by character and formats through
 //! temporary strings — the straightforward form the optimized writer
-//! must stay byte-identical to. The field decoder never panics on any
+//! must stay byte-identical to. Rendering into any sink is rendering:
+//! a `String` sink gets the same text, an FNV-1a sink the text's hash.
+//! The field decoder never panics on any
 //! value or key, and its count rule is exactly `as_u64` plus `try_from`.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use scaledeep_trace::json::{parse, Json};
+use scaledeep_trace::{fnv1a, Fnv1aWriter, FNV1A_OFFSET};
 use std::fmt::Write;
 
 /// Strings mixing every escaped character, other control characters,
@@ -226,6 +229,19 @@ proptest! {
         prop_assert_eq!(&pretty, &reference(&v, Some(2)));
         prop_assert_eq!(parse(&compact).unwrap(), v.clone());
         prop_assert_eq!(parse(&pretty).unwrap(), v);
+    }
+
+    /// `render_into` writes exactly `render()`'s bytes: into a `String`
+    /// the same text, into an `Fnv1aWriter` the hash of that text.
+    #[test]
+    fn render_into_a_sink_is_render(v in AnyJson { depth: 4 }) {
+        let text = v.render();
+        let mut into = String::new();
+        v.render_into(&mut into).unwrap();
+        prop_assert_eq!(&into, &text);
+        let mut h = Fnv1aWriter::new();
+        v.render_into(&mut h).unwrap();
+        prop_assert_eq!(h.finish(), fnv1a(FNV1A_OFFSET, text.bytes()));
     }
 
     /// The field decoder, on a random value, on an object holding it under
