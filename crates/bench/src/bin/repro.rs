@@ -1,7 +1,7 @@
 //! `repro` — regenerates every table and figure of the ScaleDeep paper.
 //!
 //! Run `repro --help` (or see [`USAGE`]) for the full subcommand and
-//! gate listing.
+//! gate listing; [`MODES`] is the one table of what each mode reads.
 
 use scaledeep::dse::{self, DseConfig, DseReport, Expansion};
 use scaledeep::experiments::{run_by_id, EXPERIMENT_IDS};
@@ -11,11 +11,15 @@ use scaledeep::{Observer, Session, TraceConfig, BENCH_SCHEMA_VERSION};
 use scaledeep_arch::{DesignPoint, Knob, KnobValue, ParamSpace, Precision, ALL_KNOBS};
 use scaledeep_compiler::codegen::CompiledNetwork;
 use scaledeep_compiler::{CompileOptions, FailedTiles};
-use scaledeep_dnn::zoo;
-use scaledeep_dnn::Layer;
+use scaledeep_dnn::{zoo, Layer, Network};
+use scaledeep_serve::DrillReport;
 use scaledeep_sim::fault::{FaultPlan, LinkFaults};
 use scaledeep_sim::func::{ExecBackend, FuncSim};
+use scaledeep_sim::perf::RunKind;
 use scaledeep_trace::{json, validate_chrome_trace, CategoryMask};
+use std::io::{self, Write};
+use std::process::ExitCode;
+use std::str::FromStr;
 
 /// The full usage text, printed by `--help`. Every subcommand and every
 /// CI gate the binary implements is enumerated here — when a new mode is
@@ -49,7 +53,7 @@ Benchmark reports and gates (CI):
 
 Design-space exploration:
   repro dse [--net alexnet] [--kind training] [--suite dse]
-            [--axis knob=v1,v2]... [--sample N --seed S]
+            [--axis knob=v1,v2]... [--sample N [--seed S]]
             [--workers N] [--out BENCH_dse-<suite>.json]
                              sweep a parameter grid (or seeded sample) and
                              report the sample + its Pareto frontier
@@ -66,76 +70,329 @@ Job server:
                              `repro serve`, stream their progress lines, and
                              finish with a server stats snapshot
 
-Any other `--` flag is rejected. A gate's baseline embeds every input of
-its run, so `--check` takes no other flag, and `dse --check` only --workers.
+Each line above is one mode, reading only the flags shown with it. Anything
+else exits 1 before any work: a flag the mode would ignore, a flag without
+its value or given twice (only --axis repeats), an extra argument, or a zero
+--workers, --queue or --jobs for serve and watch (dse --workers 0 uses every
+core). A gate's baseline embeds every input of its run, so `--check` takes no
+other flag, and `dse --check` only --workers.
 ";
 
-/// Every `--` flag any mode accepts. Arguments starting with `--` that
-/// are not listed here make `repro` exit 1 before doing any work, so a
-/// stale or mistyped flag fails loudly instead of being ignored.
-const KNOWN_FLAGS: &[&str] = &[
-    "--axis",
-    "--bench-json",
-    "--bench-kind",
-    "--bench-net",
-    "--check",
-    "--degraded",
-    "--help",
-    "--host",
-    "--jobs",
-    "--kind",
-    "--knobs",
-    "--list",
-    "--net",
-    "--out",
-    "--port",
-    "--queue",
-    "--sample",
-    "--seed",
-    "--stats-json",
-    "--suite",
-    "--summary",
-    "--sweep",
-    "--trace",
-    "--trace-filter",
-    "--trace-net",
-    "--workers",
-    "--write-bench",
+/// One row of [`MODES`].
+struct Mode {
+    sub: &'static str,
+    selector: &'static str,
+    flags: &'static str,
+    positionals: usize,
+    build: for<'a> fn(&Args<'a>) -> Result<Command<'a>, String>,
+}
+
+/// A [`MODES`] row, its fields in declaration order.
+const fn row(
+    sub: &'static str,
+    selector: &'static str,
+    flags: &'static str,
+    positionals: usize,
+    build: for<'a> fn(&Args<'a>) -> Result<Command<'a>, String>,
+) -> Mode {
+    Mode {
+        sub,
+        selector,
+        flags,
+        positionals,
+        build,
+    }
+}
+
+/// Every mode `repro` has, one row each: the leading subcommand that
+/// picks its group of rows, the flag that selects it within the group
+/// (the row without one runs when none is given), the other flags it
+/// reads, how many positional arguments it takes, and how its values are
+/// typed. An empty string means none. The rows' flags are all the flags
+/// there are, and USAGE lists exactly them.
+const MODES: &[Mode] = &[
+    row("", "", "", usize::MAX, |a| {
+        Ok(Command::Experiments(a.positionals.clone()))
+    }),
+    row("", "--list", "", 0, |_| Ok(Command::List)),
+    row("", "--net", "", 0, |a| Ok(Command::Net(a.selected))),
+    row("", "--degraded", "", 1, |a| {
+        let count = a.positionals.first().copied().unwrap_or("1");
+        let bad = |_| format!("--degraded count must be a non-negative integer, got `{count}`");
+        Ok(Command::Degraded(a.selected, count.parse().map_err(bad)?))
+    }),
+    row("", "--trace", "--trace-net --trace-filter", 0, |a| {
+        let filter = CategoryMask::parse_list(a.get("--trace-filter", "all"));
+        let filter = filter.map_err(|e| format!("--trace-filter: {e}"))?;
+        let net = a.get("--trace-net", "alexnet");
+        Ok(Command::Trace(net, a.selected, filter))
+    }),
+    row("", "--sweep", "", 0, |a| Ok(Command::Sweep(a.selected))),
+    row("", "--bench-json", "--bench-net --bench-kind", 0, |a| {
+        let (net, kind) = (a.get("--bench-net", "alexnet"), a.kind("--bench-kind")?);
+        Ok(Command::BenchJson(net, kind, a.selected))
+    }),
+    row("", "--check", "", 0, |a| Ok(Command::Check(a.selected))),
+    row(
+        "serve-drill",
+        "",
+        "--seed --write-bench --stats-json --summary",
+        0,
+        |a| {
+            let (seed, summary) = (a.number("--seed", 0)?, a.value("--summary").is_some());
+            let (bench, stats) = (a.value("--write-bench"), a.value("--stats-json"));
+            Ok(Command::ServeDrill(seed, bench, stats, summary))
+        },
+    ),
+    row(
+        "dse",
+        "",
+        "--net --kind --suite --axis --sample --seed --workers --out",
+        0,
+        |a| {
+            let expansion = match a.value("--sample") {
+                Some(_) => Expansion::Sample {
+                    n: a.number("--sample", 0)?,
+                    seed: a.number("--seed", 0)?,
+                },
+                None if a.value("--seed").is_some() => {
+                    return Err("`--seed` has no effect on `dse` without --sample".into())
+                }
+                None => Expansion::Grid,
+            };
+            let mut space = ParamSpace::new(DesignPoint::figure14_sp());
+            for spec in a.values("--axis") {
+                let (knob, values) = parse_axis(spec)?;
+                space = space.axis(knob, values);
+            }
+            dse::check_candidates(&space, expansion)?;
+            let cfg = DseConfig {
+                suite: a.get("--suite", "dse").to_string(),
+                kind: a.kind("--kind")?,
+                expansion,
+                workers: a.number("--workers", 0)?,
+                ..DseConfig::default()
+            };
+            let (net, path) = (a.get("--net", "alexnet"), a.value("--out"));
+            Ok(Command::Dse(net, Box::new(space), cfg, path))
+        },
+    ),
+    row("dse", "--check", "--workers", 0, |a| {
+        Ok(Command::DseCheck(a.selected, a.number("--workers", 0)?))
+    }),
+    row("dse", "--knobs", "", 0, |_| Ok(Command::Knobs)),
+    row("serve", "", "--port --workers --queue", 0, |a| {
+        let (workers, queue) = (a.positive("--workers", 4)?, a.positive("--queue", 16)?);
+        Ok(Command::Serve(a.number("--port", 7878)?, workers, queue))
+    }),
+    row("watch", "", "--port --host --net --jobs", 0, |a| {
+        let (host, net) = (a.get("--host", "127.0.0.1"), a.get("--net", "cnn-s"));
+        let jobs = a.positive("--jobs", 3)?;
+        Ok(Command::Watch(host, a.number("--port", 7878)?, net, jobs))
+    }),
 ];
 
-/// Rejects the first `--` argument not in [`KNOWN_FLAGS`], and in a gate
-/// mode every flag the gate would ignore: the baseline embeds every input
-/// of its run, so `--check` takes no other flag and `dse --check` only
-/// `--workers`.
-fn check_flags(args: &[String]) -> Result<(), String> {
-    let first_outside = |allowed: &[&str]| {
-        args.iter()
-            .find(|a| a.starts_with("--") && !allowed.contains(&a.as_str()))
-    };
-    if let Some(flag) = first_outside(KNOWN_FLAGS) {
-        return Err(format!("unknown flag `{flag}` (see --help)"));
+/// The flags that take no value; every other flag takes exactly one.
+const SWITCHES: [&str; 3] = ["--list", "--knobs", "--summary"];
+
+impl Mode {
+    fn reads(&self, flag: &str) -> bool {
+        flag == self.selector || self.flags.split(' ').any(|f| f == flag)
     }
-    if args.iter().any(|a| a == "--check") {
-        let (mode, allowed): (&str, &[&str]) = if args.first().map(String::as_str) == Some("dse") {
-            ("dse --check", &["--check", "--workers"])
-        } else {
-            ("--check", &["--check"])
-        };
-        if let Some(flag) = first_outside(allowed) {
-            return Err(format!(
-                "`{flag}` has no effect on `{mode}`: the baseline embeds every input (see --help)"
-            ));
+
+    /// The mode as its messages name it.
+    fn name(&self) -> String {
+        match (self.sub, self.selector) {
+            ("", "") => "experiment ids".to_string(),
+            (name, "") | ("", name) => name.to_string(),
+            (sub, flag) => format!("{sub} {flag}"),
         }
     }
-    Ok(())
+
+    /// Picks the one mode `argv` selects and checks every argument
+    /// against its row, or names the first argument that breaks a rule.
+    fn select(argv: &[String]) -> Result<(&'static Mode, Args<'_>), String> {
+        let sub = match argv.first() {
+            Some(a) if MODES.iter().any(|m| !a.is_empty() && m.sub == a) => a.as_str(),
+            _ => "",
+        };
+        let rest = &argv[usize::from(!sub.is_empty())..];
+        let rows = || MODES.iter().filter(|m| m.sub == sub);
+        let mut mode = rows().find(|m| m.selector.is_empty()).expect("default row");
+        let selected = rest.iter().filter(|a| a.starts_with("--"));
+        for row in selected.filter_map(|a| rows().find(|m| m.selector == a)) {
+            if !mode.selector.is_empty() && mode.selector != row.selector {
+                let (prev, next) = (mode.selector, row.selector);
+                return Err(format!("`{prev}` and `{next}` select different modes"));
+            }
+            mode = row;
+        }
+        let mut args = Args::default();
+        let mut tokens = rest.iter().map(String::as_str).peekable();
+        while let Some(arg) = tokens.next() {
+            let name = mode.name();
+            if !arg.starts_with("--") {
+                if args.positionals.len() == mode.positionals {
+                    return Err(format!("unexpected argument `{arg}` to `{name}`"));
+                }
+                args.positionals.push(arg);
+            } else if !mode.reads(arg) {
+                return Err(if MODES.iter().any(|m| m.reads(arg)) {
+                    format!("`{arg}` has no effect on `{name}`")
+                } else {
+                    format!("unknown flag `{arg}`")
+                });
+            } else if arg != "--axis" && args.flags.iter().any(|&(f, _)| f == arg) {
+                return Err(format!("`{arg}` is given twice"));
+            } else if SWITCHES.contains(&arg) {
+                args.flags.push((arg, ""));
+            } else {
+                let value = tokens.next_if(|v| !v.starts_with("--"));
+                let value = value.ok_or_else(|| format!("`{arg}` requires a value"))?;
+                args.flags.push((arg, value));
+                if arg == mode.selector {
+                    args.selected = value;
+                }
+            }
+        }
+        Ok((mode, args))
+    }
 }
+
+/// The arguments of one mode, checked against its row: each flag given
+/// with its value (empty for a switch), the selector's value, and the
+/// positional arguments.
+#[derive(Default)]
+struct Args<'a> {
+    flags: Vec<(&'a str, &'a str)>,
+    selected: &'a str,
+    positionals: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    /// Every value of `flag`, in order (only `--axis` may have several).
+    fn values<'s>(&'s self, flag: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        self.flags.iter().filter(move |f| f.0 == flag).map(|f| f.1)
+    }
+
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.values(flag).next()
+    }
+
+    fn get(&self, flag: &str, default: &'a str) -> &'a str {
+        self.value(flag).unwrap_or(default)
+    }
+
+    /// An unsigned integer value: `--port` must fit in 16 bits, a count
+    /// or seed in 64.
+    fn number<T: FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
+        let bits = 8 * std::mem::size_of::<T>();
+        self.value(flag).map_or(Ok(default), |s| {
+            s.parse().map_err(|_| {
+                format!("{flag} requires a non-negative integer of at most {bits} bits, got `{s}`")
+            })
+        })
+    }
+
+    /// A count the mode cannot run with at zero, so zero is refused
+    /// rather than silently raised to one.
+    fn positive(&self, flag: &str, default: usize) -> Result<usize, String> {
+        match self.number(flag, default)? {
+            0 => Err(format!("{flag} must be at least 1, got `0`")),
+            n => Ok(n),
+        }
+    }
+
+    fn kind(&self, flag: &str) -> Result<RunKind, String> {
+        let name = self.get(flag, "training");
+        let kind = RUN_KINDS.iter().find(|&&(n, _)| n == name).map(|k| k.1);
+        kind.ok_or_else(|| format!("unknown run kind `{name}` (expected training|evaluation)"))
+    }
+}
+
+/// The run kinds `--kind` and `--bench-kind` name.
+const RUN_KINDS: [(&str, RunKind); 2] = [
+    ("training", RunKind::Training),
+    ("evaluation", RunKind::Evaluation),
+];
+
+/// One invocation: its mode and that mode's typed inputs, in the order
+/// its handler takes them.
+#[derive(Debug)]
+enum Command<'a> {
+    Help,
+    /// Experiment ids: none runs every experiment.
+    Experiments(Vec<&'a str>),
+    List,
+    Net(&'a str),
+    /// `--degraded`: the benchmark and its dead columns.
+    Degraded(&'a str, usize),
+    /// `--trace`: the benchmark, the output path and the categories.
+    Trace(&'a str, &'a str, CategoryMask),
+    Sweep(&'a str),
+    /// `--bench-json`: the benchmark, the run kind and the output path.
+    BenchJson(&'a str, RunKind, &'a str),
+    Check(&'a str),
+    /// `serve-drill`: the seed, `--write-bench`, `--stats-json`, `--summary`.
+    ServeDrill(u64, Option<&'a str>, Option<&'a str>, bool),
+    /// `dse`: the benchmark, the design space, the sweep and the output
+    /// path.
+    Dse(&'a str, Box<ParamSpace>, DseConfig, Option<&'a str>),
+    /// `dse --check`: the baseline and the workers.
+    DseCheck(&'a str, usize),
+    Knobs,
+    /// `serve`: the port, the workers and the queue capacity.
+    Serve(u16, usize, usize),
+    /// `watch`: the host, the port, the benchmark and the jobs.
+    Watch(&'a str, u16, &'a str, usize),
+}
+
+impl<'a> Command<'a> {
+    /// Turns argv into one command, or into one error naming the flag or
+    /// argument at fault. `--help` or `-h` anywhere asks for the usage.
+    fn parse(argv: &'a [String]) -> Result<Self, String> {
+        if argv.iter().any(|a| a == "--help" || a == "-h") {
+            return Ok(Command::Help);
+        }
+        let (mode, args) = Mode::select(argv)?;
+        (mode.build)(&args)
+    }
+
+    fn run(self, out: &mut dyn Write) -> Outcome {
+        match self {
+            Command::Help => Ok(out.write_all(USAGE.as_bytes())?),
+            Command::Experiments(ids) if ids.is_empty() => run_experiments(&EXPERIMENT_IDS, out),
+            Command::Experiments(ids) => run_experiments(&ids, out),
+            Command::List => Ok(writeln!(out, "{}", EXPERIMENT_IDS.join("\n"))?),
+            Command::Net(net) => drill_into(net, out),
+            Command::Degraded(net, dead_cols) => degraded_drill(net, dead_cols, out),
+            Command::Trace(net, path, filter) => trace_run(net, path, filter, out),
+            Command::Sweep(net) => sweep(net, out),
+            Command::BenchJson(net, kind, path) => bench_json(net, kind, path, out),
+            Command::Check(path) => bench_check(path, out),
+            Command::ServeDrill(seed, bench, stats, summary) => {
+                serve_drill(seed, bench, stats, summary, out)
+            }
+            Command::Dse(net, space, cfg, path) => dse_sweep(net, &space, &cfg, path, out),
+            Command::DseCheck(path, workers) => dse_check(path, workers, out),
+            Command::Knobs => Ok(ALL_KNOBS.iter().try_for_each(|k| writeln!(out, "{k}"))?),
+            Command::Serve(port, workers, queue) => serve(port, workers, queue, out),
+            Command::Watch(host, port, net, jobs) => watch(host, port, net, jobs, out),
+        }
+    }
+}
+
+/// What a mode handler returns. Each handler turns its own failures into
+/// messages where they happen, so an [`io::Error`] that reaches `main` is
+/// a failed write to stdout.
+type Outcome = Result<(), Box<dyn std::error::Error>>;
 
 /// Runs every experiment in `ids` across the scoped worker pool
 /// ([`pool::map_ordered`]). Each experiment's tables are rendered into a
-/// private buffer and printed in the original order once all workers
-/// join, so the output is byte-identical to a sequential run. Returns
-/// `false` when any id is unknown.
-fn run_experiments(ids: &[&str]) -> bool {
+/// private buffer and written in the original order once all workers
+/// join, so the output is byte-identical to a sequential run. Fails
+/// naming every unknown id.
+fn run_experiments(ids: &[&str], out: &mut dyn Write) -> Outcome {
     let outputs = pool::map_ordered(ids, 0, |id| {
         use std::fmt::Write;
         run_by_id(id).map(|tables| {
@@ -146,88 +403,83 @@ fn run_experiments(ids: &[&str]) -> bool {
             buf
         })
     });
-    let mut ok = true;
+    let mut unknown = Vec::new();
     for (id, output) in ids.iter().zip(outputs) {
         match output {
-            Some(buf) => print!("{buf}"),
-            None => {
-                eprintln!("unknown experiment `{id}` (try --list)");
-                ok = false;
-            }
+            Some(buf) => out.write_all(buf.as_bytes())?,
+            None => unknown.push(format!("unknown experiment `{id}` (try --list)")),
         }
     }
-    ok
+    if unknown.is_empty() {
+        Ok(())
+    } else {
+        Err(unknown.join("\n").into())
+    }
 }
 
-fn drill_into(name: &str) -> Result<(), String> {
+fn drill_into(name: &str, out: &mut dyn Write) -> Outcome {
     let net = zoo::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
-    println!("{net}");
+    writeln!(out, "{net}")?;
     let session = Session::single_precision();
-    let artifact = session.compile(&net).map_err(|e| e.to_string())?;
+    let artifact = session.compile(&net)?;
     let mapping = artifact.mapping();
-    println!(
+    writeln!(
+        out,
         "mapping: {} ConvLayer cols on {} chip(s) / {} cluster(s); {} FcLayer cols\n",
         mapping.conv_cols_used(),
         mapping.chips_spanned(),
         mapping.clusters_spanned(),
         mapping.fc_cols_used()
-    );
-    let r = session.train(&net).map_err(|e| e.to_string())?;
-    println!("training pipeline ({} replicas):", r.pipelines);
+    )?;
+    let r = session.train(&net)?;
+    writeln!(out, "training pipeline ({} replicas):", r.pipelines)?;
     for s in &r.stages {
-        println!(
+        writeln!(
+            out,
             "  {:24} {:>10} cycles/image{}",
             s.name,
             s.service_cycles,
             if s.bottleneck { "  <- bottleneck" } else { "" }
-        );
+        )?;
     }
-    println!(
+    Ok(writeln!(
+        out,
         "\n{:.0} images/s, utilization {:.2}, {:.0} W, {:.1} GFLOPs/W",
         r.images_per_sec,
         r.pe_utilization,
         r.avg_power.total(),
         r.gflops_per_watt
-    );
-    Ok(())
+    )?)
 }
 
-/// The dead-column count of `--degraded <net> [count]`: 1 when absent.
-fn degraded_count(arg: Option<&String>) -> Result<usize, String> {
-    arg.map_or(Ok(1), |s| {
-        s.parse()
-            .map_err(|_| format!("--degraded count must be a non-negative integer, got `{s}`"))
-    })
-}
-
-fn degraded_drill(name: &str, dead_cols: usize) -> Result<(), String> {
+fn degraded_drill(name: &str, dead_cols: usize, out: &mut dyn Write) -> Outcome {
     let net = zoo::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
     let session = Session::single_precision();
-    let healthy = session.compile(&net).map_err(|e| e.to_string())?;
+    let healthy = session.compile(&net)?;
     let opts = CompileOptions::degraded(FailedTiles::from_columns(0..dead_cols));
-    let degraded = session
-        .compile_with(&net, &opts, Observer::Off)
-        .map_err(|e| e.to_string())?
-        .value;
-    println!(
+    let degraded = session.compile_with(&net, &opts, Observer::Off)?.value;
+    writeln!(
+        out,
         "healthy:  {} cols on {} chip(s)",
         healthy.mapping().conv_cols_used(),
         healthy.mapping().chips_spanned()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "degraded: {} cols on {} chip(s), routing around {:?}",
         degraded.mapping().conv_cols_used(),
         degraded.mapping().chips_spanned(),
         degraded.mapping().failed_cols()
-    );
-    let base = session.run_mapped(&healthy, scaledeep_sim::perf::RunKind::Training);
-    let deg = session.run_mapped(&degraded, scaledeep_sim::perf::RunKind::Training);
-    println!(
+    )?;
+    let base = session.run_mapped(&healthy, RunKind::Training);
+    let deg = session.run_mapped(&degraded, RunKind::Training);
+    writeln!(
+        out,
         "throughput: {:.0} -> {:.0} images/s ({:.1}% retained)",
         base.images_per_sec,
         deg.images_per_sec,
         100.0 * deg.images_per_sec / base.images_per_sec
-    );
+    )?;
     // The faulted node drill: both layouts' whole-node models under
     // transient link faults.
     let plan = FaultPlan::seeded(42).with_link_faults(LinkFaults {
@@ -235,13 +487,13 @@ fn degraded_drill(name: &str, dead_cols: usize) -> Result<(), String> {
         base_backoff: 16,
         max_retries: 4,
     });
-    let kind = scaledeep_sim::perf::RunKind::Training;
     for (label, artifact) in [("healthy", &healthy), ("degraded", &degraded)] {
-        let got = session.node_outcome(artifact, kind, &plan);
-        println!(
+        let got = session.node_outcome(artifact, RunKind::Training, &plan);
+        writeln!(
+            out,
             "{label} fault drill: {} link retries, {} retry cycles",
             got.faults.link_retries, got.faults.retry_cycles
-        );
+        )?;
     }
     Ok(())
 }
@@ -253,33 +505,19 @@ fn degraded_drill(name: &str, dead_cols: usize) -> Result<(), String> {
 /// the provenance-keyed cache the whole sweep compiles the network
 /// exactly once. Ends with the functional drill: the same training
 /// iteration on both execution tiers, wall-clocked head to head.
-fn sweep(name: &str) -> Result<(), String> {
+fn sweep(name: &str, out: &mut dyn Write) -> Outcome {
     use std::time::Instant;
-    type RunFn<'a> = &'a dyn Fn() -> Result<f64, String>;
+    type RunFn<'a> = &'a dyn Fn() -> scaledeep::Result<f64>;
     let net = zoo::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
     let session = Session::single_precision();
     let runs: [(&str, RunFn); 3] = [
-        ("train", &|| {
-            session
-                .train(&net)
-                .map(|r| r.images_per_sec)
-                .map_err(|e| e.to_string())
-        }),
+        ("train", &|| session.train(&net).map(|r| r.images_per_sec)),
         ("evaluate", &|| {
-            session
-                .evaluate(&net)
-                .map(|r| r.images_per_sec)
-                .map_err(|e| e.to_string())
+            session.evaluate(&net).map(|r| r.images_per_sec)
         }),
         ("train (traced)", &|| {
-            session
-                .run_traced(
-                    &net,
-                    scaledeep_sim::perf::RunKind::Training,
-                    &TraceConfig::default(),
-                )
-                .map(|t| t.perf.images_per_sec)
-                .map_err(|e| e.to_string())
+            let traced = session.run_traced(&net, RunKind::Training, &TraceConfig::default());
+            traced.map(|t| t.perf.images_per_sec)
         }),
     ];
     let mut total_nanos = 0u64;
@@ -288,31 +526,36 @@ fn sweep(name: &str) -> Result<(), String> {
         let images_per_sec = run()?;
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         total_nanos += nanos;
-        println!("{name}: {kind:<15} {images_per_sec:>10.0} images/s  ({nanos} ns wall)");
+        writeln!(
+            out,
+            "{name}: {kind:<15} {images_per_sec:>10.0} images/s  ({nanos} ns wall)"
+        )?;
     }
     let stats = session.cache_stats();
     let simulate_nanos = total_nanos.saturating_sub(stats.compile_nanos);
-    println!(
+    writeln!(
+        out,
         "wall-clock split: compile {} ns ({:.1}%), simulate {} ns ({:.1}%)",
         stats.compile_nanos,
         100.0 * stats.compile_nanos as f64 / total_nanos.max(1) as f64,
         simulate_nanos,
         100.0 * simulate_nanos as f64 / total_nanos.max(1) as f64,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "compile cache: {} miss(es), {} hit(s) — {} run kinds, 1 pipeline run",
         stats.misses, stats.hits, 3
-    );
+    )?;
 
     // The whole-node model rides along on every sweep: every replica of
     // the training pipeline, coupled at each minibatch sync.
-    let artifact = session.compile(&net).map_err(|e| e.to_string())?;
-    let kind = scaledeep_sim::perf::RunKind::Training;
-    let node = session.node_outcome(&artifact, kind, &FaultPlan::none());
-    println!(
+    let artifact = session.compile(&net)?;
+    let node = session.node_outcome(&artifact, RunKind::Training, &FaultPlan::none());
+    writeln!(
+        out,
         "node model ({} replicas): makespan {} cycles, {} images, {} syncs",
         node.replicas, node.makespan, node.images_done, node.syncs
-    );
+    )?;
 
     // The functional drill: the same training iteration on the
     // interpreter tier and on the pre-decoded micro-op tier. Full-scale
@@ -323,11 +566,11 @@ fn sweep(name: &str) -> Result<(), String> {
         _ => zoo::by_name(&format!("{name}-func")),
     };
     match func_net {
-        Some(func_net) => functional_drill(&func_net),
-        None => {
-            println!("functional drill: skipped (no functional compile, no `{name}-func` proxy)");
-            Ok(())
-        }
+        Some(func_net) => functional_drill(&func_net, out),
+        None => Ok(writeln!(
+            out,
+            "functional drill: skipped (no functional compile, no `{name}-func` proxy)"
+        )?),
     }
 }
 
@@ -342,11 +585,11 @@ const DRILL_ITERATIONS: u64 = 5;
 /// of `net` on each execution tier, verifies the tiers' statistics are
 /// identical, and reports the per-tier wall-clock and the resulting
 /// speedup.
-fn functional_drill(net: &scaledeep_dnn::Network) -> Result<(), String> {
+fn functional_drill(net: &Network, out: &mut dyn Write) -> Outcome {
     use std::time::Instant;
     let session = Session::single_precision();
-    let artifact = session.compile(net).map_err(|e| e.to_string())?;
-    let compiled = artifact.functional().map_err(|e| e.to_string())?;
+    let artifact = session.compile(net)?;
+    let compiled = artifact.functional()?;
     let (image, golden) = drill_io(net, compiled)?;
     let reference = scaledeep_tensor::Executor::new(net, 0xC0FFEE).map_err(|e| format!("{e:?}"))?;
     let mut walls = [0u64; 2];
@@ -355,24 +598,16 @@ fn functional_drill(net: &scaledeep_dnn::Network) -> Result<(), String> {
         .into_iter()
         .enumerate()
     {
-        let mut fsim = FuncSim::from_artifact(net, &artifact)
-            .map_err(|e| e.to_string())?
-            .with_backend(tier);
-        fsim.import_params(&reference).map_err(|e| e.to_string())?;
-        let mut stats = Vec::new();
-        stats.push(
-            fsim.run_iteration(&image, &golden)
-                .map_err(|e| e.to_string())?,
-        );
+        let mut fsim = FuncSim::from_artifact(net, &artifact)?.with_backend(tier);
+        fsim.import_params(&reference)?;
+        let mut stats = vec![fsim.run_iteration(&image, &golden)?];
         let started = Instant::now();
         for _ in 0..DRILL_ITERATIONS {
-            stats.push(
-                fsim.run_iteration(&image, &golden)
-                    .map_err(|e| e.to_string())?,
-            );
+            stats.push(fsim.run_iteration(&image, &golden)?);
         }
         walls[i] = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        println!(
+        writeln!(
+            out,
             "{}: functional ({:<11}) {:>9} insts  {:>9} cycles  {:>6} stalls  ({} ns wall, {DRILL_ITERATIONS} iterations)",
             net.name(),
             tier.name(),
@@ -380,27 +615,24 @@ fn functional_drill(net: &scaledeep_dnn::Network) -> Result<(), String> {
             stats[0].cycles,
             stats[0].stalls,
             walls[i],
-        );
+        )?;
         runs.push(stats);
     }
     if runs[0] != runs[1] {
-        return Err("execution tiers DIVERGED: per-iteration statistics differ".to_string());
+        return Err("execution tiers DIVERGED: per-iteration statistics differ".into());
     }
-    println!(
+    Ok(writeln!(
+        out,
         "tiers bit-identical across {DRILL_ITERATIONS} iterations; compiled tier speedup {:.2}x",
         walls[0] as f64 / walls[1].max(1) as f64
-    );
-    Ok(())
+    )?)
 }
 
 /// The constant iteration inputs the drill feeds both tiers: sized from
 /// the compiled layout's input and golden buffers (mirrors the session's
 /// internal convention; values are arbitrary — cycle counts are
 /// data-independent and both tiers see the same words).
-fn drill_io(
-    net: &scaledeep_dnn::Network,
-    compiled: &CompiledNetwork,
-) -> Result<(Vec<f32>, Vec<f32>), String> {
+fn drill_io(net: &Network, compiled: &CompiledNetwork) -> Result<(Vec<f32>, Vec<f32>), String> {
     let input_len = compiled.buffers[net.input().id().index()]
         .output
         .map(|loc| loc.len as usize)
@@ -417,16 +649,14 @@ fn drill_io(
 /// Traces a training run of `name` through the performance pipeline,
 /// writing the Chrome/Perfetto JSON to `path` and the per-cycle CSV next
 /// to it, then self-validates the JSON and prints the metrics report.
-fn trace_run(name: &str, path: &str, filter: CategoryMask) -> Result<(), String> {
+fn trace_run(name: &str, path: &str, filter: CategoryMask, out: &mut dyn Write) -> Outcome {
     let net = zoo::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
     let cfg = TraceConfig {
         filter,
         ..TraceConfig::default()
     };
     let session = Session::single_precision();
-    let traced = session
-        .run_traced(&net, scaledeep_sim::perf::RunKind::Training, &cfg)
-        .map_err(|e| e.to_string())?;
+    let traced = session.run_traced(&net, RunKind::Training, &cfg)?;
 
     let json = traced.trace.chrome_trace();
     let summary = validate_chrome_trace(&json)
@@ -436,17 +666,17 @@ fn trace_run(name: &str, path: &str, filter: CategoryMask) -> Result<(), String>
     std::fs::write(&csv_path, traced.trace.cycle_csv())
         .map_err(|e| format!("writing {csv_path}: {e}"))?;
 
-    println!(
+    writeln!(
+        out,
         "{name}: {} events on {} tracks ({} spans, {} instants, {} dropped)",
         traced.trace.events.len(),
         summary.tracks,
         summary.spans,
         summary.instants,
         traced.trace.dropped
-    );
-    println!("wrote {path} (chrome://tracing) and {csv_path}\n");
-    println!("{}", traced.trace.metrics_report());
-    Ok(())
+    )?;
+    writeln!(out, "wrote {path} (chrome://tracing) and {csv_path}\n")?;
+    Ok(writeln!(out, "{}", traced.trace.metrics_report())?)
 }
 
 /// The per-cycle CSV always rides next to a `--trace` JSON output:
@@ -462,7 +692,7 @@ fn csv_sidecar_path(path: &str) -> String {
 /// port and serves the line-delimited JSON protocol until killed. One
 /// request object per line in, one typed reply/error object per line
 /// out, in order, per connection.
-fn serve(port: u16, workers: usize, queue_capacity: usize) -> Result<(), String> {
+fn serve(port: u16, workers: usize, queue_capacity: usize, out: &mut dyn Write) -> Outcome {
     use scaledeep_serve::{Server, ServerConfig};
     let cfg = ServerConfig {
         workers,
@@ -473,12 +703,16 @@ fn serve(port: u16, workers: usize, queue_capacity: usize) -> Result<(), String>
         .map_err(|e| format!("binding 127.0.0.1:{port}: {e}"))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
     let server = Server::start(Session::single_precision(), cfg);
-    println!(
+    writeln!(
+        out,
         "serving on {addr} ({} workers, queue capacity {}, default deadline {} ms)",
         cfg.workers, cfg.queue_capacity, cfg.default_deadline_ms
-    );
-    println!(r#"example: {{"tenant":"t0","op":"simulate","network":"alexnet","kind":"training"}}"#);
-    server.serve_tcp(&listener).map_err(|e| e.to_string())
+    )?;
+    writeln!(
+        out,
+        r#"example: {{"tenant":"t0","op":"simulate","network":"alexnet","kind":"training"}}"#
+    )?;
+    Ok(server.serve_tcp(&listener).map_err(|e| e.to_string())?)
 }
 
 /// `repro watch`: the live telemetry client. Connects to a running
@@ -486,10 +720,10 @@ fn serve(port: u16, workers: usize, queue_capacity: usize) -> Result<(), String>
 /// tenant each from a fixed rotation) plus a final `stats` request, then
 /// renders the interleaved per-job progress lines as they arrive, a
 /// per-job summary table, and the server-wide stats snapshot.
-fn watch(host: &str, port: u16, net: &str, jobs: usize) -> Result<(), String> {
+fn watch(host: &str, port: u16, net: &str, jobs: usize, out: &mut dyn Write) -> Outcome {
     use scaledeep_serve::protocol::{self, ServerLine};
     use scaledeep_serve::{JobKind, JobRequest, StatValue};
-    use std::io::{BufRead, BufReader, Write as _};
+    use std::io::{BufRead, BufReader};
     let tenants = ["alpha", "beta", "gamma"];
     let addr = format!("{host}:{port}");
     let stream = std::net::TcpStream::connect(&addr)
@@ -500,7 +734,7 @@ fn watch(host: &str, port: u16, net: &str, jobs: usize) -> Result<(), String> {
             tenants[i % tenants.len()],
             JobKind::Simulate {
                 network: net.into(),
-                kind: scaledeep_sim::perf::RunKind::Training,
+                kind: RunKind::Training,
             },
         )
         .with_progress();
@@ -508,7 +742,7 @@ fn watch(host: &str, port: u16, net: &str, jobs: usize) -> Result<(), String> {
     }
     writeln!(writer, "{}", protocol::stats_request_json()).map_err(|e| e.to_string())?;
     writer.flush().map_err(|e| e.to_string())?;
-    println!("watching {addr}: {jobs} `{net}` job(s) + stats");
+    writeln!(out, "watching {addr}: {jobs} `{net}` job(s) + stats")?;
 
     // One row per job id, in arrival order.
     let mut table_rows: Vec<WatchRow> = Vec::new();
@@ -523,7 +757,8 @@ fn watch(host: &str, port: u16, net: &str, jobs: usize) -> Result<(), String> {
                     (None, Some(v)) => format!("{} {v}", ev.kind),
                     (None, None) => ev.kind.clone(),
                 };
-                println!(
+                writeln!(
+                    out,
                     "  job {} ({:<6}) seq {:>3}  cycle {:>10}  {:<24} syncs={} faults={} retries={}{}",
                     ev.job,
                     ev.tenant,
@@ -538,7 +773,7 @@ fn watch(host: &str, port: u16, net: &str, jobs: usize) -> Result<(), String> {
                     } else {
                         String::new()
                     }
-                );
+                )?;
                 let row = match table_rows.iter_mut().find(|r| r.job == ev.job) {
                     Some(row) => row,
                     None => {
@@ -599,15 +834,13 @@ fn watch(host: &str, port: u16, net: &str, jobs: usize) -> Result<(), String> {
                         ]),
                     };
                 }
-                print_watch_summary(&table_rows);
-                print!("{t}");
+                write_watch_summary(&table_rows, out)?;
+                write!(out, "{t}")?;
                 return Ok(());
             }
         }
     }
-    Err(format!(
-        "{addr} closed after {finished} of {jobs} job(s) without answering stats"
-    ))
+    Err(format!("{addr} closed after {finished} of {jobs} job(s) without answering stats").into())
 }
 
 /// One `repro watch` summary row: the running progress totals and final
@@ -639,7 +872,7 @@ impl WatchRow {
 }
 
 /// The per-job half of the `repro watch` output.
-fn print_watch_summary(rows: &[WatchRow]) {
+fn write_watch_summary(rows: &[WatchRow], out: &mut dyn Write) -> io::Result<()> {
     let mut t = Table::new("watched jobs").headers([
         "job", "tenant", "updates", "dropped", "syncs", "faults", "retries", "outcome",
     ]);
@@ -655,7 +888,7 @@ fn print_watch_summary(rows: &[WatchRow]) {
             r.outcome.clone(),
         ]);
     }
-    print!("{t}");
+    write!(out, "{t}")
 }
 
 /// `repro serve-drill`: runs the seeded chaos drill, prints the
@@ -667,32 +900,34 @@ fn serve_drill(
     write_bench: Option<&str>,
     stats_json: Option<&str>,
     summary_only: bool,
-) -> Result<(), String> {
+    out: &mut dyn Write,
+) -> Outcome {
     let cfg = scaledeep_serve::DrillConfig {
         seed,
         ..scaledeep_serve::DrillConfig::default()
     };
     let report = scaledeep_serve::run_drill(&cfg);
-    if summary_only {
-        print!("{}", report.deterministic_summary());
+    let text = if summary_only {
+        report.deterministic_summary()
     } else {
-        print!("{}", report.render());
-    }
-    if let Some(path) = write_bench {
-        let json = report.to_bench_json();
-        std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    if let Some(path) = stats_json {
-        let json = report.stats_json();
-        std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
+        report.render()
+    };
+    write!(out, "{text}")?;
+    let documents = [
+        (write_bench, DrillReport::to_bench_json as fn(&_) -> _),
+        (stats_json, DrillReport::stats_json),
+    ];
+    for (path, render) in documents {
+        if let Some(path) = path {
+            std::fs::write(path, render(&report)).map_err(|e| format!("writing {path}: {e}"))?;
+            writeln!(out, "wrote {path}")?;
+        }
     }
     let violated = report.invariants();
     if violated.is_empty() {
         Ok(())
     } else {
-        Err(format!("{} drill invariant(s) violated", violated.len()))
+        Err(format!("{} drill invariant(s) violated", violated.len()).into())
     }
 }
 
@@ -703,93 +938,39 @@ fn parse_axis(spec: &str) -> Result<(Knob, Vec<KnobValue>), String> {
         .split_once('=')
         .ok_or_else(|| format!("--axis expects knob=v1,v2,..., got `{spec}`"))?;
     let knob = Knob::parse(name).map_err(|e| e.to_string())?;
-    let parsed: Result<Vec<KnobValue>, String> = values
+    let values = values
         .split(',')
-        .map(|v| KnobValue::parse(v).map_err(|e| e.to_string()))
-        .collect();
-    let parsed = parsed?;
-    if parsed.is_empty() {
-        return Err(format!("--axis {name} needs at least one value"));
-    }
-    Ok((knob, parsed))
+        .map(KnobValue::parse)
+        .collect::<Result<_, _>>();
+    Ok((knob, values.map_err(|e| e.to_string())?))
 }
 
 /// `repro dse`: expands the requested parameter space around the paper's
 /// Figure 14 base point, evaluates every candidate in parallel, prints
 /// the sample with its Pareto frontier, and optionally writes the
 /// deterministic `BENCH_dse-<suite>.json` document.
-fn dse_cmd(args: &[String]) -> Result<(), String> {
-    if args.iter().any(|a| a == "--knobs") {
-        for knob in ALL_KNOBS {
-            println!("{knob}");
-        }
-        return Ok(());
-    }
-    let flag = |name: &str| -> Option<&String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|p| args.get(p + 1))
-    };
-    let workers = match flag("--workers") {
-        Some(s) => s
-            .parse::<usize>()
-            .map_err(|_| format!("--workers requires a non-negative integer, got `{s}`"))?,
-        None => 0,
-    };
-    if let Some(baseline) = flag("--check") {
-        return dse_check(baseline, workers);
-    }
-    let net_name = flag("--net").map(String::as_str).unwrap_or("alexnet");
-    let net = zoo::by_name(net_name).ok_or_else(|| format!("unknown benchmark `{net_name}`"))?;
-    let kind = parse_kind(flag("--kind").map(String::as_str).unwrap_or("training"))?;
-    let suite = flag("--suite").map(String::as_str).unwrap_or("dse");
-    let mut space = ParamSpace::new(DesignPoint::figure14_sp());
-    for (i, arg) in args.iter().enumerate() {
-        if arg == "--axis" {
-            let spec = args
-                .get(i + 1)
-                .ok_or("--axis requires a knob=v1,v2,... spec")?;
-            let (knob, values) = parse_axis(spec)?;
-            space = space.axis(knob, values);
-        }
-    }
-    let expansion = match flag("--sample") {
-        Some(s) => {
-            let n = s
-                .parse::<u64>()
-                .map_err(|_| format!("--sample requires a non-negative integer, got `{s}`"))?;
-            let seed = match flag("--seed") {
-                Some(s) => s
-                    .parse::<u64>()
-                    .map_err(|_| format!("--seed requires a non-negative integer, got `{s}`"))?,
-                None => 0,
-            };
-            Expansion::Sample { n, seed }
-        }
-        None => Expansion::Grid,
-    };
-    dse::check_candidates(&space, expansion)?;
-    let cfg = DseConfig {
-        suite: suite.to_string(),
-        kind,
-        expansion,
-        workers,
-        ..DseConfig::default()
-    };
-    let report = dse::run(&Session::single_precision(), &net, &space, &cfg);
-    print_dse(&report);
-    if let Some(out) = flag("--out") {
+fn dse_sweep(
+    name: &str,
+    space: &ParamSpace,
+    cfg: &DseConfig,
+    path: Option<&str>,
+    out: &mut dyn Write,
+) -> Outcome {
+    let net = zoo::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
+    let report = dse::run(&Session::single_precision(), &net, space, cfg);
+    write_dse(&report, out)?;
+    if let Some(path) = path {
         let text = report.to_json();
         DseReport::from_json(&text)
             .map_err(|e| format!("generated report failed validation: {e}"))?;
-        std::fs::write(out, &text).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("wrote {out} (schema v{})", report.schema_version);
+        std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
+        writeln!(out, "wrote {path} (schema v{})", report.schema_version)?;
     }
     Ok(())
 }
 
 /// Renders a DSE report as the summary table plus the frontier line.
-fn print_dse(report: &DseReport) {
+fn write_dse(report: &DseReport, out: &mut dyn Write) -> io::Result<()> {
     let mut t = Table::new(format!(
         "dse {} ({}, {}): {} point(s), {} unique compile(s)",
         report.suite,
@@ -812,22 +993,23 @@ fn print_dse(report: &DseReport) {
             },
         ]);
     }
-    print!("{t}");
+    write!(out, "{t}")?;
     for inf in &report.infeasible {
-        println!("infeasible: {} — {}", inf.label, inf.error);
+        writeln!(out, "infeasible: {} — {}", inf.label, inf.error)?;
     }
-    println!(
+    writeln!(
+        out,
         "frontier: {} of {} point(s) non-dominated",
         report.frontier.len(),
         report.points.len()
-    );
+    )
 }
 
 /// `repro dse --check`: re-runs the baseline's embedded sweep (base
 /// point, axes, expansion — no side channel) and requires the fresh
 /// document to be byte-identical. On mismatch, fails naming the first
 /// differing field.
-fn dse_check(path: &str, workers: usize) -> Result<(), String> {
+fn dse_check(path: &str, workers: usize, out: &mut dyn Write) -> Outcome {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let baseline = DseReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
     let net = zoo::by_name(&baseline.network)
@@ -841,48 +1023,41 @@ fn dse_check(path: &str, workers: usize) -> Result<(), String> {
     };
     let fresh = dse::run(&Session::single_precision(), &net, &baseline.space(), &cfg);
     json::check_document(&text, &fresh.to_json()).map_err(|e| format!("{path}: {e}"))?;
-    println!(
+    Ok(writeln!(
+        out,
         "{}: byte-identical to {path} ({} point(s), frontier of {})",
         baseline.suite,
         baseline.points.len(),
         baseline.frontier.len()
-    );
-    Ok(())
-}
-
-fn parse_kind(s: &str) -> Result<scaledeep_sim::perf::RunKind, String> {
-    match s {
-        "training" => Ok(scaledeep_sim::perf::RunKind::Training),
-        "evaluation" => Ok(scaledeep_sim::perf::RunKind::Evaluation),
-        other => Err(format!(
-            "unknown run kind `{other}` (expected training|evaluation)"
-        )),
-    }
+    )?)
 }
 
 /// `--bench-json`: runs `name` unobserved, joins the run record with the
 /// compile's provenance and the analytic costs into the versioned BENCH
-/// report, and writes it to `out`.
-fn bench_json(name: &str, kind_str: &str, out: &str) -> Result<(), String> {
+/// report, and writes it to `path`.
+fn bench_json(name: &str, kind: RunKind, path: &str, out: &mut dyn Write) -> Outcome {
     let net = zoo::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
-    let kind = parse_kind(kind_str)?;
     let session = Session::single_precision();
-    let report = session
-        .bench_report(&net, kind)
-        .map_err(|e| e.to_string())?;
-    std::fs::write(out, report.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
+    let report = session.bench_report(&net, kind)?;
+    std::fs::write(path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
 
     let attr = &report.attribution;
-    println!(
-        "{name} ({kind_str}): {} busy cycles over {} stages, {:.0} images/s, {:.3} J/image",
+    let kind_name = RUN_KINDS
+        .iter()
+        .find(|&&(_, k)| k == kind)
+        .map_or("", |k| k.0);
+    writeln!(
+        out,
+        "{name} ({kind_name}): {} busy cycles over {} stages, {:.0} images/s, {:.3} J/image",
         attr.total_busy_cycles,
         attr.layers.len(),
         report.perf.images_per_sec,
         report.perf.joules_per_image
-    );
+    )?;
     for l in &attr.layers {
         let share = |cycles: u64| 100.0 * cycles as f64 / l.busy_cycles.max(1) as f64;
-        println!(
+        writeln!(
+            out,
             "  {:24} {:>12} cycles  fp/bp/wg {:>3.0}/{:>2.0}/{:>2.0}%  {:9}-bound  {:.4} J",
             l.name,
             l.busy_cycles,
@@ -891,17 +1066,19 @@ fn bench_json(name: &str, kind_str: &str, out: &str) -> Result<(), String> {
             share(l.passes.wg),
             l.bound.name(),
             l.joules_per_image
-        );
+        )?;
     }
-    println!("wrote {out} (schema v{BENCH_SCHEMA_VERSION})");
-    Ok(())
+    Ok(writeln!(
+        out,
+        "wrote {path} (schema v{BENCH_SCHEMA_VERSION})"
+    )?)
 }
 
 /// `--check`: reads a committed BENCH report's header, re-runs its
 /// network, kind and precision on this tree, and requires the fresh
 /// document to be byte-identical. On mismatch, fails naming the first
 /// differing field.
-fn bench_check(path: &str) -> Result<(), String> {
+fn bench_check(path: &str, out: &mut dyn Write) -> Outcome {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let inputs = bench_inputs(&text).map_err(|e| format!("{path}: {e}"))?;
     let net = zoo::by_name(&inputs.network)
@@ -910,214 +1087,68 @@ fn bench_check(path: &str) -> Result<(), String> {
         Precision::Single => Session::single_precision(),
         Precision::Half => Session::half_precision(),
     };
-    let fresh = session
-        .bench_report(&net, inputs.kind)
-        .map_err(|e| e.to_string())?;
+    let fresh = session.bench_report(&net, inputs.kind)?;
     json::check_document(&text, &fresh.to_json()).map_err(|e| format!("{path}: {e}"))?;
-    println!(
+    Ok(writeln!(
+        out,
         "{}: byte-identical to {path} ({} layers)",
         inputs.network,
         fresh.attribution.layers.len()
-    );
-    Ok(())
+    )?)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
-        return;
-    }
-    if let Err(e) = check_flags(&args) {
-        eprintln!("{e}");
-        std::process::exit(1);
-    }
-    if args.iter().any(|a| a == "--list") {
-        for id in EXPERIMENT_IDS {
-            println!("{id}");
-        }
-        return;
-    }
-    let flag_value = |args: &[String], flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|p| args.get(p + 1))
-            .cloned()
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = io::stdout().lock();
+    let outcome = match Command::parse(&argv) {
+        Ok(command) => command.run(&mut out).and_then(|()| Ok(out.flush()?)),
+        Err(e) => Err(format!("{e} (see --help)").into()),
     };
-    let parse_or_die = |value: Option<String>, flag: &str, default: u64| -> u64 {
-        match value {
-            None => default,
-            Some(s) => s.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} requires a non-negative integer, got `{s}`");
-                std::process::exit(1);
-            }),
-        }
+    let Err(e) = outcome else {
+        return ExitCode::SUCCESS;
     };
-    if args.first().map(String::as_str) == Some("serve") {
-        let port = parse_or_die(flag_value(&args, "--port"), "--port", 7878);
-        let Ok(port) = u16::try_from(port) else {
-            eprintln!("--port must fit in 16 bits, got {port}");
-            std::process::exit(1);
-        };
-        let workers = parse_or_die(flag_value(&args, "--workers"), "--workers", 4) as usize;
-        let queue = parse_or_die(flag_value(&args, "--queue"), "--queue", 16) as usize;
-        if let Err(e) = serve(port, workers.max(1), queue.max(1)) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        return;
+    // The reader went away (`repro | head`): nothing is left to say.
+    if e.downcast_ref::<io::Error>().map(io::Error::kind) == Some(io::ErrorKind::BrokenPipe) {
+        return ExitCode::SUCCESS;
     }
-    if args.first().map(String::as_str) == Some("watch") {
-        let port = parse_or_die(flag_value(&args, "--port"), "--port", 7878);
-        let Ok(port) = u16::try_from(port) else {
-            eprintln!("--port must fit in 16 bits, got {port}");
-            std::process::exit(1);
-        };
-        let host = flag_value(&args, "--host").unwrap_or_else(|| "127.0.0.1".into());
-        let net = flag_value(&args, "--net").unwrap_or_else(|| "cnn-s".into());
-        let jobs = parse_or_die(flag_value(&args, "--jobs"), "--jobs", 3) as usize;
-        if let Err(e) = watch(&host, port, &net, jobs.max(1)) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("dse") {
-        if let Err(e) = dse_cmd(&args[1..]) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("serve-drill") {
-        let seed = parse_or_die(flag_value(&args, "--seed"), "--seed", 0);
-        let write_bench = flag_value(&args, "--write-bench");
-        let stats_json = flag_value(&args, "--stats-json");
-        let summary_only = args.iter().any(|a| a == "--summary");
-        if let Err(e) = serve_drill(
-            seed,
-            write_bench.as_deref(),
-            stats_json.as_deref(),
-            summary_only,
-        ) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--bench-json") {
-        let Some(out) = args.get(pos + 1) else {
-            eprintln!("--bench-json requires an output path");
-            std::process::exit(1);
-        };
-        let name = args
-            .iter()
-            .position(|a| a == "--bench-net")
-            .and_then(|p| args.get(p + 1))
-            .map(String::as_str)
-            .unwrap_or("alexnet");
-        let kind = args
-            .iter()
-            .position(|a| a == "--bench-kind")
-            .and_then(|p| args.get(p + 1))
-            .map(String::as_str)
-            .unwrap_or("training");
-        if let Err(e) = bench_json(name, kind, out) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--check") {
-        let Some(baseline) = args.get(pos + 1) else {
-            eprintln!("--check requires a baseline BENCH json path");
-            std::process::exit(1);
-        };
-        if let Err(e) = bench_check(baseline) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--trace") {
-        let Some(path) = args.get(pos + 1) else {
-            eprintln!("--trace requires an output path");
-            std::process::exit(1);
-        };
-        let name = args
-            .iter()
-            .position(|a| a == "--trace-net")
-            .and_then(|p| args.get(p + 1))
-            .map(String::as_str)
-            .unwrap_or("alexnet");
-        let filter = match args
-            .iter()
-            .position(|a| a == "--trace-filter")
-            .and_then(|p| args.get(p + 1))
-        {
-            Some(spec) => match CategoryMask::parse_list(spec) {
-                Ok(mask) => mask,
-                Err(e) => {
-                    eprintln!("--trace-filter: {e}");
-                    std::process::exit(1);
-                }
-            },
-            None => CategoryMask::all(),
-        };
-        if let Err(e) = trace_run(name, path, filter) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--sweep") {
-        let name = args.get(pos + 1).map(String::as_str).unwrap_or("alexnet");
-        if let Err(e) = sweep(name) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--degraded") {
-        let name = args.get(pos + 1).map(String::as_str).unwrap_or("alexnet");
-        let dead = degraded_count(args.get(pos + 2)).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(1);
-        });
-        if let Err(e) = degraded_drill(name, dead) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--net") {
-        match args.get(pos + 1) {
-            Some(name) => {
-                if let Err(e) = drill_into(name) {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                }
-            }
-            None => {
-                eprintln!("--net requires a benchmark name");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let ids: Vec<&str> = if args.is_empty() {
-        EXPERIMENT_IDS.to_vec()
-    } else {
-        args.iter().map(String::as_str).collect()
-    };
-    if !run_experiments(&ids) {
-        std::process::exit(1);
-    }
+    eprintln!("{e}");
+    ExitCode::FAILURE
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn argv(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Parses `a`, or returns the parser's one error.
+    fn parse(a: &[&str]) -> Result<String, String> {
+        Command::parse(&argv(a)).map(|c| format!("{c:?}"))
+    }
+
+    /// The Figure 14 point swept along `axes`, each knob over numbers.
+    fn space(axes: &[(Knob, &[f64])]) -> ParamSpace {
+        let base = ParamSpace::new(DesignPoint::figure14_sp());
+        axes.iter().fold(base, |space, &(knob, values)| {
+            space.axis(knob, values.iter().map(|&v| KnobValue::Num(v)).collect())
+        })
+    }
+
+    /// Every flag of the mode table.
+    fn table_flags() -> Vec<&'static str> {
+        let mut flags: Vec<&str> = MODES
+            .iter()
+            .flat_map(|m| [m.selector, m.flags])
+            .flat_map(|f| f.split(' '))
+            .filter(|f| !f.is_empty())
+            .collect();
+        flags.sort_unstable();
+        flags.dedup();
+        flags
+    }
 
     #[test]
     fn csv_sidecar_replaces_json_extension() {
@@ -1135,9 +1166,11 @@ mod tests {
 
     #[test]
     fn run_kinds_parse() {
-        assert!(parse_kind("training").is_ok());
-        assert!(parse_kind("evaluation").is_ok());
-        assert!(parse_kind("Training").is_err());
+        let kind = |k: &str| parse(&["--bench-json", "x.json", "--bench-kind", k]);
+        assert!(kind("training").is_ok());
+        assert!(kind("evaluation").is_ok());
+        assert!(kind("Training").is_err());
+        assert!(parse(&["dse", "--kind", "Training"]).is_err());
     }
 
     #[test]
@@ -1155,9 +1188,14 @@ mod tests {
 
     #[test]
     fn dse_refuses_a_sweep_beyond_the_candidate_limit() {
-        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let huge = args(&["--sample", "1000000000000000", "--axis", "clusters=2,4"]);
-        let err = dse_cmd(&huge).unwrap_err();
+        let huge = [
+            "dse",
+            "--sample",
+            "1000000000000000",
+            "--axis",
+            "clusters=2,4",
+        ];
+        let err = parse(&huge).unwrap_err();
         assert!(err.contains("1000000000000000 candidates"), "{err}");
     }
 
@@ -1166,34 +1204,32 @@ mod tests {
         for needle in ["serve", "serve-drill", "watch", "dse"] {
             assert!(USAGE.contains(needle), "usage text lacks `{needle}`");
         }
-        // The flag table and the usage text name the same flags.
+        // The mode table and the usage text name the same flags.
         let mut in_usage: Vec<&str> = USAGE
             .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
             .filter(|w| w.starts_with("--") && w.len() > 2)
             .collect();
         in_usage.sort_unstable();
         in_usage.dedup();
-        assert_eq!(in_usage, KNOWN_FLAGS, "usage text and KNOWN_FLAGS disagree");
+        let mut flags = table_flags();
+        flags.push("--help");
+        flags.sort_unstable();
+        assert_eq!(in_usage, flags, "usage text and the mode table disagree");
     }
 
     #[test]
     fn unknown_flags_are_rejected() {
-        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let err = check_flags(&args(&["--sweep", "alexnet", "--shards", "4"])).unwrap_err();
+        let err = parse(&["--sweep", "alexnet", "--shards", "4"]).unwrap_err();
         assert!(err.contains("`--shards`"), "{err}");
-        assert!(check_flags(&args(&["--degraded", "alexnet", "2", "--bogus", "1"])).is_err());
-        assert!(check_flags(&args(&["--sweep", "alexnet"])).is_ok());
-        assert!(check_flags(&args(&["fig16", "fig18"])).is_ok());
+        assert!(parse(&["--degraded", "alexnet", "2", "--bogus", "1"]).is_err());
+        assert!(parse(&["--sweep", "alexnet"]).is_ok());
+        assert!(parse(&["fig16", "fig18"]).is_ok());
     }
 
     #[test]
     fn gate_modes_reject_the_flags_they_ignore() {
-        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let dse = |extra: &[&str]| {
-            let mut a = args(&["dse", "--check", "BENCH_dse-smoke.json"]);
-            a.extend(args(extra));
-            check_flags(&a)
-        };
+        let dse =
+            |extra: &[&str]| parse(&[&["dse", "--check", "BENCH_dse-smoke.json"], extra].concat());
         assert!(dse(&[]).is_ok());
         assert!(dse(&["--workers", "1"]).is_ok());
         for flag in ["--seed", "--net", "--kind", "--axis", "--sample", "--out"] {
@@ -1201,11 +1237,7 @@ mod tests {
             assert!(err.contains(&format!("`{flag}`")), "{err}");
             assert!(err.contains("`dse --check`"), "{err}");
         }
-        let bench = |extra: &[&str]| {
-            let mut a = args(&["--check", "BENCH_cnn-s.json"]);
-            a.extend(args(extra));
-            check_flags(&a)
-        };
+        let bench = |extra: &[&str]| parse(&[&["--check", "BENCH_cnn-s.json"], extra].concat());
         assert!(bench(&[]).is_ok());
         for flag in ["--workers", "--bench-net", "--bench-kind", "--bench-json"] {
             let err = bench(&[flag, "vgg-e"]).unwrap_err();
@@ -1215,17 +1247,412 @@ mod tests {
         let err = bench(&["--tolerance", "0"]).unwrap_err();
         assert!(err.contains("unknown flag `--tolerance`"), "{err}");
         // Outside the gates the flags keep their meaning.
-        assert!(check_flags(&args(&["dse", "--seed", "5", "--sample", "4"])).is_ok());
+        assert!(parse(&["dse", "--seed", "5", "--sample", "4"]).is_ok());
     }
 
     #[test]
     fn degraded_count_defaults_to_one_and_rejects_garbage() {
-        assert_eq!(degraded_count(None), Ok(1));
-        assert_eq!(degraded_count(Some(&"0".to_string())), Ok(0));
-        assert_eq!(degraded_count(Some(&"3".to_string())), Ok(3));
+        let dead = |extra: &[&str]| {
+            let a = argv(&[&["--degraded", "alexnet"], extra].concat());
+            match Command::parse(&a) {
+                Ok(Command::Degraded("alexnet", dead_cols)) => Ok(dead_cols),
+                other => Err(format!("{other:?}")),
+            }
+        };
+        assert_eq!(dead(&[]), Ok(1));
+        assert_eq!(dead(&["0"]), Ok(0));
+        assert_eq!(dead(&["3"]), Ok(3));
         for bad in ["banana", "-1", "2.5", ""] {
-            let err = degraded_count(Some(&bad.to_string())).unwrap_err();
+            let err = dead(&[bad]).unwrap_err();
             assert!(err.contains(&format!("`{bad}`")), "{err}");
+        }
+    }
+
+    /// Each argv used to run while ignoring part of itself, or to clamp a
+    /// count; each must now fail naming the flag or argument at fault.
+    #[test]
+    fn malformed_invocations_fail_naming_the_offender() {
+        let cases: &[(&[&str], &str)] = &[
+            (&["--trace", "t.json", "--kind", "evaluation"], "`--kind`"),
+            (&["--sweep", "alexnet", "--trace", "t.json"], "`--trace`"),
+            (&["--sweep", "alexnet", "--net", "vgg-a"], "`--net`"),
+            (&["fig16", "--net", "cnn-s"], "`fig16`"),
+            (&["--list", "--net", "x"], "`--net`"),
+            (&["--net", "alexnet", "--port", "5"], "`--port`"),
+            (&["--degraded", "alexnet", "1", "--seed", "99"], "`--seed`"),
+            (&["--degraded", "alexnet", "1", "2"], "`2`"),
+            (
+                &[
+                    "--bench-json",
+                    "b.json",
+                    "--bench-net",
+                    "cnn-s",
+                    "--trace-net",
+                    "vgg-a",
+                ],
+                "`--trace-net`",
+            ),
+            (
+                &["serve-drill", "--seed", "1", "--workers", "9", "--summary"],
+                "`--workers`",
+            ),
+            (&["dse", "--workers"], "`--workers`"),
+            (&["dse", "--workers", "--sample", "1"], "`--workers`"),
+            (&["dse", "--seed", "5"], "`--seed`"),
+            (
+                &["dse", "--net", "cnn-s", "--net", "vgg-a", "--sample", "1"],
+                "`--net`",
+            ),
+            (
+                &[
+                    "dse",
+                    "--check",
+                    "BENCH_dse-smoke.json",
+                    "--workers",
+                    "1",
+                    "--workers",
+                    "3",
+                ],
+                "`--workers`",
+            ),
+            (&["serve", "--workers", "0"], "--workers"),
+            (&["serve", "--queue", "0"], "--queue"),
+            (&["watch", "--jobs", "0"], "--jobs"),
+            (&["serve", "7878"], "`7878`"),
+            (&["serve", "--port", "70000"], "--port"),
+            (&["--net"], "`--net`"),
+            (&["--check"], "`--check`"),
+            (&["dse", "--knobs", "--net", "vgg-a"], "`--net`"),
+            (&["--"], "`--`"),
+        ];
+        for (a, needle) in cases {
+            let err = parse(a).expect_err(&format!("{a:?} must be refused"));
+            assert!(
+                err.contains(needle),
+                "{a:?}: `{err}` does not name {needle}"
+            );
+            assert!(!err.contains('\n'), "{a:?}: one line, got `{err}`");
+        }
+    }
+
+    /// Every invocation that CI, README.md, EXPERIMENTS.md, USAGE and the
+    /// verification notes spell out, with the mode and values it selects.
+    #[test]
+    fn documented_invocations_parse_to_their_mode_and_values() {
+        use Command::*;
+        let (training, evaluation) = (RunKind::Training, RunKind::Evaluation);
+        let sweep = |suite: &str, expansion, workers| DseConfig {
+            suite: suite.to_string(),
+            kind: training,
+            expansion,
+            workers,
+            ..DseConfig::default()
+        };
+        let smoke_space = space(&[
+            (Knob::Clusters, &[2.0, 4.0]),
+            (Knob::FrequencyMhz, &[450.0, 600.0]),
+        ])
+        .axis(
+            Knob::Precision,
+            vec![
+                KnobValue::Prec(Precision::Single),
+                KnobValue::Prec(Precision::Half),
+            ],
+        );
+        const SMOKE: &str = "BENCH_dse-smoke.json";
+        let cases: Vec<(&[&str], Command)> = vec![
+            (&[], Experiments(vec![])),
+            (&["faults"], Experiments(vec!["faults"])),
+            (&["fig16", "fig18"], Experiments(vec!["fig16", "fig18"])),
+            (
+                &["fig16", "bogus", "fig18"],
+                Experiments(vec!["fig16", "bogus", "fig18"]),
+            ),
+            (&["training-time"], Experiments(vec!["training-time"])),
+            (&["--list"], List),
+            (&["--help"], Help),
+            (&["dse", "-h"], Help),
+            (&["--net", "alexnet"], Net("alexnet")),
+            (&["--net", "vgg-d"], Net("vgg-d")),
+            (&["--net", "nosuchnet"], Net("nosuchnet")),
+            (&["--degraded", "alexnet", "2"], Degraded("alexnet", 2)),
+            (
+                &["--trace", "a.json"],
+                Trace("alexnet", "a.json", CategoryMask::all()),
+            ),
+            (
+                &[
+                    "--trace",
+                    "out.json",
+                    "--trace-net",
+                    "vgg_a",
+                    "--trace-filter",
+                    "stage,fault",
+                ],
+                Trace(
+                    "vgg_a",
+                    "out.json",
+                    CategoryMask::parse_list("stage,fault").expect("categories"),
+                ),
+            ),
+            (&["--sweep", "alexnet"], Sweep("alexnet")),
+            (
+                &[
+                    "--bench-json",
+                    "bench_alexnet.json",
+                    "--bench-net",
+                    "alexnet",
+                ],
+                BenchJson("alexnet", training, "bench_alexnet.json"),
+            ),
+            (
+                &["--bench-json", "bench_cnn-s.json", "--bench-net", "cnn-s"],
+                BenchJson("cnn-s", training, "bench_cnn-s.json"),
+            ),
+            (
+                &["--bench-json", "x.json", "--bench-net", "alexnet-func"],
+                BenchJson("alexnet-func", training, "x.json"),
+            ),
+            (
+                &[
+                    "--bench-json",
+                    "out.json",
+                    "--bench-net",
+                    "alexnet",
+                    "--bench-kind",
+                    "training",
+                ],
+                BenchJson("alexnet", training, "out.json"),
+            ),
+            (
+                &[
+                    "--bench-json",
+                    "e.json",
+                    "--bench-net",
+                    "cnn-s",
+                    "--bench-kind",
+                    "evaluation",
+                ],
+                BenchJson("cnn-s", evaluation, "e.json"),
+            ),
+            (
+                &["--check", "BENCH_alexnet.json"],
+                Check("BENCH_alexnet.json"),
+            ),
+            (&["--check", "BENCH_cnn-s.json"], Check("BENCH_cnn-s.json")),
+            (
+                &["--check", "BENCH_alexnet-func.json"],
+                Check("BENCH_alexnet-func.json"),
+            ),
+            (
+                &[
+                    "serve-drill",
+                    "--seed",
+                    "42",
+                    "--stats-json",
+                    "serve_stats.json",
+                ],
+                ServeDrill(42, None, Some("serve_stats.json"), false),
+            ),
+            (
+                &["serve-drill", "--seed", "7", "--summary"],
+                ServeDrill(7, None, None, true),
+            ),
+            (
+                &["serve-drill", "--seed", "42"],
+                ServeDrill(42, None, None, false),
+            ),
+            (
+                &["serve-drill", "--write-bench", "BENCH_serve-drill.json"],
+                ServeDrill(0, Some("BENCH_serve-drill.json"), None, false),
+            ),
+            (
+                &[
+                    "serve-drill",
+                    "--seed",
+                    "42",
+                    "--write-bench",
+                    "BENCH_serve-drill.json",
+                    "--summary",
+                    "--stats-json",
+                    "stats.json",
+                ],
+                ServeDrill(42, Some("BENCH_serve-drill.json"), Some("stats.json"), true),
+            ),
+            (
+                &[
+                    "dse",
+                    "--net",
+                    "alexnet",
+                    "--suite",
+                    "smoke",
+                    "--axis",
+                    "clusters=2,4",
+                    "--axis",
+                    "frequency-mhz=450,600",
+                    "--axis",
+                    "precision=single,half",
+                    "--out",
+                    "dse_smoke.json",
+                ],
+                Dse(
+                    "alexnet",
+                    Box::new(smoke_space),
+                    sweep("smoke", Expansion::Grid, 0),
+                    Some("dse_smoke.json"),
+                ),
+            ),
+            (&["dse", "--check", SMOKE], DseCheck(SMOKE, 0)),
+            (
+                &["dse", "--check", SMOKE, "--workers", "1"],
+                DseCheck(SMOKE, 1),
+            ),
+            (
+                &["dse", "--check", SMOKE, "--workers", "3"],
+                DseCheck(SMOKE, 3),
+            ),
+            (&["dse", "--knobs"], Knobs),
+            (
+                &["dse", "--axis", "conv-cols=8,12,16,24"],
+                Dse(
+                    "alexnet",
+                    Box::new(space(&[(Knob::ConvCols, &[8.0, 12.0, 16.0, 24.0])])),
+                    sweep("dse", Expansion::Grid, 0),
+                    None,
+                ),
+            ),
+            (
+                &[
+                    "dse",
+                    "--axis",
+                    "clusters=2,4",
+                    "--sample",
+                    "6",
+                    "--seed",
+                    "7",
+                ],
+                Dse(
+                    "alexnet",
+                    Box::new(space(&[(Knob::Clusters, &[2.0, 4.0])])),
+                    sweep("dse", Expansion::Sample { n: 6, seed: 7 }, 0),
+                    None,
+                ),
+            ),
+            (
+                &[
+                    "dse",
+                    "--net",
+                    "vgg-a",
+                    "--kind",
+                    "evaluation",
+                    "--workers",
+                    "2",
+                ],
+                Dse(
+                    "vgg-a",
+                    Box::new(space(&[])),
+                    DseConfig {
+                        kind: evaluation,
+                        ..sweep("dse", Expansion::Grid, 2)
+                    },
+                    None,
+                ),
+            ),
+            (&["serve"], Serve(7878, 4, 16)),
+            (
+                &["serve", "--port", "7913", "--workers", "2", "--queue", "8"],
+                Serve(7913, 2, 8),
+            ),
+            (
+                &["watch", "--port", "7913", "--jobs", "3"],
+                Watch("127.0.0.1", 7913, "cnn-s", 3),
+            ),
+            (
+                &[
+                    "watch",
+                    "--host",
+                    "localhost",
+                    "--net",
+                    "alexnet",
+                    "--jobs",
+                    "1",
+                ],
+                Watch("localhost", 7878, "alexnet", 1),
+            ),
+        ];
+        for (a, expected) in cases {
+            assert_eq!(parse(a), Ok(format!("{expected:?}")), "{a:?}");
+        }
+    }
+
+    /// A writer whose reader has gone away, like stdout piped into `head`.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_stdout_is_an_error_not_a_panic() {
+        for command in [
+            Command::Help,
+            Command::List,
+            Command::Knobs,
+            Command::Experiments(vec!["fig16"]),
+            Command::Net("cnn-s"),
+        ] {
+            let shown = format!("{command:?}");
+            let err = command.run(&mut ClosedPipe).expect_err(&shown);
+            let kind = err.downcast_ref::<io::Error>().map(io::Error::kind);
+            assert_eq!(kind, Some(io::ErrorKind::BrokenPipe), "{shown}: {err}");
+        }
+    }
+
+    /// Tokens the property test draws argv from: every subcommand and
+    /// flag, experiment ids, and junk.
+    fn tokens() -> Vec<&'static str> {
+        let mut tokens = table_flags();
+        tokens.extend(["serve", "watch", "dse", "serve-drill", "--help", "-h"]);
+        tokens.extend([
+            "fig16",
+            "faults",
+            "alexnet",
+            "cnn-s",
+            "a.json",
+            "clusters=2,4",
+        ]);
+        tokens.extend([
+            "0", "1", "-1", "70000", "training", "stage", "", "-", "--", "--bogus",
+        ]);
+        tokens
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn parser_never_panics_and_accepts_only_its_modes_flags(
+            picks in prop::collection::vec(0..tokens().len(), 0..8)
+        ) {
+            let pool = tokens();
+            let a: Vec<String> = picks.iter().map(|&i| pool[i].to_string()).collect();
+            let parsed = Command::parse(&a);
+            if let Ok((mode, args)) = Mode::select(&a) {
+                let rest = &a[usize::from(!mode.sub.is_empty())..];
+                for flag in rest.iter().filter(|t| t.starts_with("--")) {
+                    prop_assert!(mode.reads(flag), "{a:?}: `{flag}` accepted by `{}`", mode.name());
+                }
+                prop_assert!(args.positionals.len() <= mode.positionals, "{a:?}");
+                prop_assert!(args.flags.iter().all(|&(f, _)| mode.reads(f)), "{a:?}");
+                let help = a.iter().any(|t| t == "--help" || t == "-h");
+                prop_assert!(help || parsed.is_ok() == (mode.build)(&args).is_ok(), "{a:?}");
+            }
         }
     }
 }

@@ -26,14 +26,16 @@
 //!   cross-checkable against [`perf`].
 //!
 //! Both simulators are instrumented with the `scaledeep-trace`
-//! observability subsystem: the `*_traced` entry points
-//! ([`func::Machine::run_traced`], [`perf::PerfSim::run_mapped_traced`])
+//! observability subsystem: their full entry points
+//! ([`func::Machine::run_traced`] and
+//! [`perf::PerfSim::run_mapped_observed`], the one performance run)
 //! accept a `Tracer` (cycle-stamped spans/instants on named tracks,
 //! exportable to Chrome/Perfetto JSON or per-cycle CSV) and a
-//! `MetricsRegistry`. Both models return a typed run record
-//! ([`RunStats`], [`PerfResult`]) and render it into the registry only
-//! when the run is observed; unobserved runs touch no registry. The
-//! untraced entry points delegate with a statically-free `NullSink`.
+//! `MetricsRegistry` (optional for the performance run). Both models
+//! return a typed run record ([`RunStats`], [`PerfResult`]) and render it
+//! into the registry only when the run is observed; unobserved runs touch
+//! no registry. The untraced entry points delegate with a
+//! statically-free `NullSink`.
 //!
 //! [`RunStats`]: func::RunStats
 //! [`PerfResult`]: perf::PerfResult
