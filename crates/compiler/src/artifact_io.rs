@@ -14,14 +14,24 @@
 //! * Programs are stored as hex of their canonical [`Program::encode`]
 //!   wire form, which already round-trips all 28 instruction forms.
 //! * The lower phase's micro-op streams are **not** stored: lowering is a
-//!   pure function of the programs, so [`load`] re-derives them with
+//!   pure function of the programs, so [`decode`] re-derives them with
 //!   [`scaledeep_isa::micro::lower`] — cheaper than parsing them and
 //!   immune to drift between the stored stream and the lowering rules.
 //!
 //! Everything else (`u32`/`u16`/`usize` fields) fits `f64` exactly and is
-//! stored as a plain JSON number ([`Json::count`]). Every field decodes
-//! through the shared accessors of [`scaledeep_trace::json`]; [`from_json`]
-//! wraps their message in [`Error::Codegen`] once.
+//! stored as a plain JSON number ([`Json::count`]).
+//!
+//! [`to_json`] builds the document and [`save`] writes it pretty-printed.
+//! [`decode`] (and [`load`], which reads a file and decodes it) reads that
+//! text back with a [`Reader`], in place and in [`to_json`]'s field order,
+//! without building a tree; only the `design` sub-document becomes a
+//! [`Json`] value, for [`DesignPoint::from_json`]. So a stored file is
+//! trusted only if it is exactly what [`save`] writes, give or take
+//! whitespace: a field missing, reordered, repeated or added fails the
+//! decode like a malformed value, and a session quarantines the file and
+//! recompiles. Every value goes through the shared rules of
+//! [`scaledeep_trace::json`]; [`decode`] wraps their message in
+//! [`Error::Codegen`] once.
 
 use crate::codegen::{BufferLoc, CompiledNetwork, FuncTargetOptions, LayerBuffers, TrackerSpec};
 use crate::mapping::{ArrayPlan, FailedTiles, LayerPlan, Mapping, Placement};
@@ -30,7 +40,7 @@ use crate::{Error, Result};
 use scaledeep_arch::{DesignPoint, Precision};
 use scaledeep_dnn::LayerId;
 use scaledeep_isa::Program;
-use scaledeep_trace::json::{self, obj, Json};
+use scaledeep_trace::json::{obj, Json, Reader};
 use std::path::Path;
 
 /// On-disk format version. Bumped on any schema change; [`load`] rejects
@@ -60,34 +70,39 @@ pub fn to_json(artifact: &CompiledArtifact) -> Json {
     ])
 }
 
-/// Deserializes an artifact from its JSON document form, re-deriving the
-/// lowered micro-op streams.
+/// Decodes an artifact from the text [`save`] writes, re-deriving the
+/// lowered micro-op streams. The text is read in place, in [`to_json`]'s
+/// field order, with no tree: a document with a field missing, reordered,
+/// repeated or added is rejected, like one with a malformed value.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Codegen`] on a malformed document or a format-version
-/// mismatch.
-pub fn from_json(doc: &Json) -> Result<CompiledArtifact> {
-    artifact_from_json(doc).map_err(bad)
+/// Returns [`Error::Codegen`] on malformed text, a document that is not
+/// [`to_json`]'s shape, or a format-version mismatch.
+pub fn decode(text: &str) -> Result<CompiledArtifact> {
+    let mut r = Reader::new(text);
+    let artifact = r.object(artifact).map_err(bad)?;
+    r.finish().map_err(bad)?;
+    Ok(artifact)
 }
 
-fn artifact_from_json(doc: &Json) -> Decoded<CompiledArtifact> {
-    let version: u64 = doc.count_field("format_version")?;
+/// Reads the members of the artifact object. Each reader below likewise
+/// reads the members of the object its caller opened, except [`loc`],
+/// which reads a whole object because it also stands as a nullable value.
+fn artifact(r: &mut Reader) -> Decoded<CompiledArtifact> {
+    let version: u64 = r.field("format_version")?.count()?;
     if version != u64::from(ARTIFACT_FORMAT_VERSION) {
         return Err(format!(
             "artifact format version {version} (this build reads {ARTIFACT_FORMAT_VERSION})"
         ));
     }
-    let provenance = provenance_from_json(doc.field("provenance")?)?;
-    let mapping = mapping_from_json(doc.field("mapping")?)?;
-    let f = doc.field("functional")?;
-    let functional = if let Some(ok) = f.get("ok") {
-        Ok(network_from_json(ok)?)
-    } else if let Some(err) = f.get("err") {
-        Err(error_from_json(err)?)
-    } else {
-        return Err("`functional` has neither `ok` nor `err`".into());
-    };
+    let provenance = r.field("provenance")?.object(provenance)?;
+    let mapping = r.field("mapping")?.object(mapping)?;
+    let functional = r.field("functional")?.object(|r| match r.key()? {
+        Some("ok") => Ok(Ok(r.object(network)?)),
+        Some("err") => Ok(Err(r.object(error)?)),
+        _ => Err("`functional` has neither `ok` nor `err`".to_string()),
+    })?;
     let lowered = functional.as_ref().ok().map(|net: &CompiledNetwork| {
         net.programs
             .iter()
@@ -128,18 +143,16 @@ pub fn save(artifact: &CompiledArtifact, path: &Path) -> Result<()> {
     })
 }
 
-/// Reads an artifact previously written by [`save`].
+/// Reads an artifact previously written by [`save`] and [`decode`]s it.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Codegen`] on I/O failure, malformed JSON, or a
-/// format-version mismatch.
+/// Returns [`Error::Codegen`] on I/O failure or whatever [`decode`]
+/// rejects.
 pub fn load(path: &Path) -> Result<CompiledArtifact> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| bad(format!("reading artifact {}: {e}", path.display())))?;
-    let doc =
-        json::parse(&text).map_err(|e| bad(format!("parsing artifact {}: {e}", path.display())))?;
-    from_json(&doc)
+    decode(&text)
 }
 
 // ---------------------------------------------------------------- helpers
@@ -155,15 +168,6 @@ type Decoded<T> = std::result::Result<T, String>;
 
 fn f64s(v: f64) -> Json {
     Json::decimal(v.to_bits())
-}
-
-fn f64_bits_field(j: &Json, key: &str) -> Decoded<f64> {
-    j.decimal_field(key).map(f64::from_bits)
-}
-
-/// An array of indices: counts that fit `T`.
-fn index_arr<T: TryFrom<u64>>(j: &Json, key: &str) -> Decoded<Vec<T>> {
-    j.arr_field(key)?.iter().map(|v| v.to_count(key)).collect()
 }
 
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
@@ -234,17 +238,18 @@ fn provenance_to_json(p: &Provenance) -> Json {
     ])
 }
 
-fn provenance_from_json(j: &Json) -> Decoded<Provenance> {
-    let precision = match j.str_field("precision")? {
-        "single" => Precision::Single,
-        "half" => Precision::Half,
-        other => return Err(format!("unknown precision `{other}`")),
-    };
-    let cols = index_arr(j, "failed_cols")?;
-    let tiles = index_arr(j, "failed_func_tiles")?;
-    let design = DesignPoint::from_json(j.field("design")?)
-        .map_err(|e| format!("provenance design: {e}"))?;
-    let node_fingerprint = j.decimal_field("node_fingerprint")?;
+fn provenance(r: &mut Reader) -> Decoded<Provenance> {
+    let network = r.field("network")?.str()?.into_owned();
+    let net_fingerprint = r.field("net_fingerprint")?.decimal()?;
+    let node_fingerprint = r.field("node_fingerprint")?.decimal()?;
+    let stored_design = r.field("design")?.value()?;
+    let design =
+        DesignPoint::from_json(&stored_design).map_err(|e| format!("provenance design: {e}"))?;
+    // The one sub-document read as a tree is held to the same contract as
+    // the rest: exactly the fields `to_json` writes, in its order.
+    if design.to_json() != stored_design {
+        return Err("provenance design is not in its canonical form".into());
+    }
     // The fingerprint is derivable from the design document; a stored
     // value that disagrees means the file was edited or corrupted, and
     // trusting it would poison every cache keyed on it.
@@ -255,18 +260,25 @@ fn provenance_from_json(j: &Json) -> Decoded<Provenance> {
             design.fingerprint()
         ));
     }
+    let precision = match &*r.field("precision")?.str()? {
+        "single" => Precision::Single,
+        "half" => Precision::Half,
+        other => return Err(format!("unknown precision `{other}`")),
+    };
+    let cols = r.field("failed_cols")?.array(Reader::count)?;
+    let tiles = r.field("failed_func_tiles")?.array(Reader::count)?;
     Ok(Provenance {
-        network: j.str_field("network")?.to_string(),
-        net_fingerprint: j.decimal_field("net_fingerprint")?,
+        network,
+        net_fingerprint,
         node_fingerprint,
         design,
         precision,
         failed: FailedTiles::from_sets(cols, tiles),
         func: FuncTargetOptions {
-            mem_tiles: j.count_field("func_mem_tiles")?,
-            tile_capacity_elems: j.count_field("func_tile_capacity_elems")?,
+            mem_tiles: r.field("func_mem_tiles")?.count()?,
+            tile_capacity_elems: r.field("func_tile_capacity_elems")?.count()?,
         },
-        minibatch: j.count_field("minibatch")?,
+        minibatch: r.field("minibatch")?.count()?,
     })
 }
 
@@ -288,15 +300,15 @@ fn placement_to_json(p: Placement) -> Json {
     }
 }
 
-fn placement_from_json(j: &Json) -> Decoded<Placement> {
-    match j.str_field("kind")? {
+fn placement(r: &mut Reader) -> Decoded<Placement> {
+    match &*r.field("kind")?.str()? {
         "conv" => Ok(Placement::Conv {
-            first_col: j.count_field("first_col")?,
-            cols: j.count_field("cols")?,
+            first_col: r.field("first_col")?.count()?,
+            cols: r.field("cols")?.count()?,
         }),
         "fc" => Ok(Placement::Fc {
-            first_col: j.count_field("first_col")?,
-            cols: j.count_field("cols")?,
+            first_col: r.field("first_col")?.count()?,
+            cols: r.field("cols")?.count()?,
         }),
         "inline" => Ok(Placement::Inline),
         other => Err(format!("unknown placement `{other}`")),
@@ -316,29 +328,36 @@ fn array_to_json(a: &ArrayPlan) -> Json {
     ])
 }
 
-fn array_from_json(j: &Json) -> Decoded<ArrayPlan> {
+fn array(r: &mut Reader) -> Decoded<ArrayPlan> {
     Ok(ArrayPlan {
-        cols: j.count_field("cols")?,
-        lanes: j.count_field("lanes")?,
-        row_split: j.bool_field("row_split")?,
-        util_rows: f64_bits_field(j, "util_rows")?,
-        util_kernel: f64_bits_field(j, "util_kernel")?,
-        util_lanes: f64_bits_field(j, "util_lanes")?,
-        batches_per_image: j.count_field("batches_per_image")?,
-        streaming_fits: j.bool_field("streaming_fits")?,
+        cols: r.field("cols")?.count()?,
+        lanes: r.field("lanes")?.count()?,
+        row_split: r.field("row_split")?.bool()?,
+        util_rows: f64::from_bits(r.field("util_rows")?.decimal()?),
+        util_kernel: f64::from_bits(r.field("util_kernel")?.decimal()?),
+        util_lanes: f64::from_bits(r.field("util_lanes")?.decimal()?),
+        batches_per_image: r.field("batches_per_image")?.count()?,
+        streaming_fits: r.field("streaming_fits")?.bool()?,
     })
 }
 
-fn u64_triple(j: &Json, key: &str) -> Decoded<[u64; 3]> {
-    let arr = j.arr_field(key)?;
-    if arr.len() != 3 {
-        return Err(format!("`{key}` is not a 3-array"));
-    }
+/// The field `key`: exactly three decimal `u64`s.
+fn u64_triple(r: &mut Reader, key: &str) -> Decoded<[u64; 3]> {
     let mut out = [0u64; 3];
-    for (o, v) in out.iter_mut().zip(arr) {
-        *o = v.to_decimal(key)?;
+    let mut n = 0;
+    r.field(key)?.elements(|r| {
+        let v = r.decimal()?;
+        if let Some(slot) = out.get_mut(n) {
+            *slot = v;
+        }
+        n += 1;
+        Ok(())
+    })?;
+    if n == 3 {
+        Ok(out)
+    } else {
+        Err(format!("`{key}` is not a 3-array"))
     }
-    Ok(out)
 }
 
 fn plan_to_json(p: &LayerPlan) -> Json {
@@ -368,28 +387,24 @@ fn plan_to_json(p: &LayerPlan) -> Json {
     ])
 }
 
-fn plan_from_json(j: &Json) -> Decoded<LayerPlan> {
-    let conv_kernel = match j.field("conv_kernel")? {
-        Json::Null => None,
-        v => Some(v.to_count("conv_kernel")?),
-    };
+fn plan(r: &mut Reader) -> Decoded<LayerPlan> {
     Ok(LayerPlan {
-        id: LayerId::from_index(j.count_field("id")?),
-        name: j.str_field("name")?.to_string(),
-        placement: placement_from_json(j.field("placement")?)?,
-        comp_flops: u64_triple(j, "comp_flops")?,
-        mem_flops: u64_triple(j, "mem_flops")?,
-        state_bytes: j.decimal_field("state_bytes")?,
-        weight_bytes: j.decimal_field("weight_bytes")?,
-        weights_on_chip: j.bool_field("weights_on_chip")?,
-        tiles_total: j.count_field("tiles_total")?,
-        tiles_used: j.count_field("tiles_used")?,
-        out_features: j.count_field("out_features")?,
-        feature_elems: j.count_field("feature_elems")?,
-        in_bytes: j.decimal_field("in_bytes")?,
-        out_bytes: j.decimal_field("out_bytes")?,
-        array: array_from_json(j.field("array")?)?,
-        conv_kernel,
+        id: LayerId::from_index(r.field("id")?.count()?),
+        name: r.field("name")?.str()?.into_owned(),
+        placement: r.field("placement")?.object(placement)?,
+        comp_flops: u64_triple(r, "comp_flops")?,
+        mem_flops: u64_triple(r, "mem_flops")?,
+        state_bytes: r.field("state_bytes")?.decimal()?,
+        weight_bytes: r.field("weight_bytes")?.decimal()?,
+        weights_on_chip: r.field("weights_on_chip")?.bool()?,
+        tiles_total: r.field("tiles_total")?.count()?,
+        tiles_used: r.field("tiles_used")?.count()?,
+        out_features: r.field("out_features")?.count()?,
+        feature_elems: r.field("feature_elems")?.count()?,
+        in_bytes: r.field("in_bytes")?.decimal()?,
+        out_bytes: r.field("out_bytes")?.decimal()?,
+        array: r.field("array")?.object(array)?,
+        conv_kernel: r.field("conv_kernel")?.nullable(Reader::count)?,
     })
 }
 
@@ -418,23 +433,19 @@ fn mapping_to_json(m: &Mapping) -> Json {
     ])
 }
 
-fn mapping_from_json(j: &Json) -> Decoded<Mapping> {
+fn mapping(r: &mut Reader) -> Decoded<Mapping> {
     Ok(Mapping {
-        net_name: j.str_field("net_name")?.to_string(),
-        plans: j
-            .arr_field("plans")?
-            .iter()
-            .map(plan_from_json)
-            .collect::<Decoded<_>>()?,
-        conv_cols_used: j.count_field("conv_cols_used")?,
-        fc_cols_used: j.count_field("fc_cols_used")?,
-        chips_spanned: j.count_field("chips_spanned")?,
-        clusters_spanned: j.count_field("clusters_spanned")?,
-        conv_cols_per_chip: j.count_field("conv_cols_per_chip")?,
-        wheel_batch: j.count_field("wheel_batch")?,
-        elem_bytes: j.decimal_field("elem_bytes")?,
-        col_map: index_arr(j, "col_map")?,
-        failed_cols: index_arr(j, "failed_cols")?,
+        net_name: r.field("net_name")?.str()?.into_owned(),
+        plans: r.field("plans")?.array(|r| r.object(plan))?,
+        conv_cols_used: r.field("conv_cols_used")?.count()?,
+        fc_cols_used: r.field("fc_cols_used")?.count()?,
+        chips_spanned: r.field("chips_spanned")?.count()?,
+        clusters_spanned: r.field("clusters_spanned")?.count()?,
+        conv_cols_per_chip: r.field("conv_cols_per_chip")?.count()?,
+        wheel_batch: r.field("wheel_batch")?.count()?,
+        elem_bytes: r.field("elem_bytes")?.decimal()?,
+        col_map: r.field("col_map")?.array(Reader::count)?,
+        failed_cols: r.field("failed_cols")?.array(Reader::count)?,
     })
 }
 
@@ -448,23 +459,18 @@ fn loc_to_json(l: &BufferLoc) -> Json {
     ])
 }
 
-fn loc_from_json(j: &Json) -> Decoded<BufferLoc> {
-    Ok(BufferLoc {
-        tile: j.count_field("tile")?,
-        offset: j.count_field("offset")?,
-        len: j.count_field("len")?,
+fn loc(r: &mut Reader) -> Decoded<BufferLoc> {
+    r.object(|r| {
+        Ok(BufferLoc {
+            tile: r.field("tile")?.count()?,
+            offset: r.field("offset")?.count()?,
+            len: r.field("len")?.count()?,
+        })
     })
 }
 
 fn opt_loc_to_json(l: &Option<BufferLoc>) -> Json {
     l.as_ref().map_or(Json::Null, loc_to_json)
-}
-
-fn opt_loc_from_json(j: &Json) -> Decoded<Option<BufferLoc>> {
-    match j {
-        Json::Null => Ok(None),
-        v => Ok(Some(loc_from_json(v)?)),
-    }
 }
 
 fn buffers_to_json(b: &LayerBuffers) -> Json {
@@ -480,16 +486,16 @@ fn buffers_to_json(b: &LayerBuffers) -> Json {
     ])
 }
 
-fn buffers_from_json(j: &Json) -> Decoded<LayerBuffers> {
+fn buffers(r: &mut Reader) -> Decoded<LayerBuffers> {
     Ok(LayerBuffers {
-        output: opt_loc_from_json(j.field("output")?)?,
-        pre: opt_loc_from_json(j.field("pre")?)?,
-        err: opt_loc_from_json(j.field("err")?)?,
-        dz: opt_loc_from_json(j.field("dz")?)?,
-        weights: opt_loc_from_json(j.field("weights")?)?,
-        weights_t: opt_loc_from_json(j.field("weights_t")?)?,
-        wgrad: opt_loc_from_json(j.field("wgrad")?)?,
-        golden: opt_loc_from_json(j.field("golden")?)?,
+        output: r.field("output")?.nullable(loc)?,
+        pre: r.field("pre")?.nullable(loc)?,
+        err: r.field("err")?.nullable(loc)?,
+        dz: r.field("dz")?.nullable(loc)?,
+        weights: r.field("weights")?.nullable(loc)?,
+        weights_t: r.field("weights_t")?.nullable(loc)?,
+        wgrad: r.field("wgrad")?.nullable(loc)?,
+        golden: r.field("golden")?.nullable(loc)?,
     })
 }
 
@@ -539,43 +545,33 @@ fn network_to_json(net: &CompiledNetwork) -> Json {
     ])
 }
 
-fn network_from_json(j: &Json) -> Decoded<CompiledNetwork> {
-    let programs = j
-        .arr_field("programs")?
-        .iter()
-        .map(|p| {
-            let name = p.str_field("name")?;
-            let bytes = hex_decode(p.str_field("hex")?)?;
-            Program::decode(name, &bytes).map_err(|e| format!("decoding program `{name}`: {e}"))
-        })
-        .collect::<Decoded<Vec<_>>>()?;
-    let trackers = j
-        .arr_field("trackers")?
-        .iter()
-        .map(|t| {
-            Ok(TrackerSpec {
-                tile: t.count_field("tile")?,
-                addr: t.count_field("addr")?,
-                len: t.count_field("len")?,
-                num_updates: t.count_field("num_updates")?,
-                num_reads: t.count_field("num_reads")?,
-            })
-        })
-        .collect::<Decoded<Vec<_>>>()?;
+fn network(r: &mut Reader) -> Decoded<CompiledNetwork> {
     Ok(CompiledNetwork {
-        net_name: j.str_field("net_name")?.to_string(),
-        buffers: j
-            .arr_field("buffers")?
-            .iter()
-            .map(buffers_from_json)
-            .collect::<Decoded<_>>()?,
-        programs,
-        trackers,
-        mem_tiles: j.count_field("mem_tiles")?,
-        const_neg_one: loc_from_json(j.field("const_neg_one")?)?,
-        dropped_biases: j.count_field("dropped_biases")?,
-        minibatch: j.count_field("minibatch")?,
-        zeros: opt_loc_from_json(j.field("zeros")?)?,
+        net_name: r.field("net_name")?.str()?.into_owned(),
+        buffers: r.field("buffers")?.array(|r| r.object(buffers))?,
+        programs: r.field("programs")?.array(|r| r.object(program))?,
+        trackers: r.field("trackers")?.array(|r| r.object(tracker))?,
+        mem_tiles: r.field("mem_tiles")?.count()?,
+        const_neg_one: loc(r.field("const_neg_one")?)?,
+        dropped_biases: r.field("dropped_biases")?.count()?,
+        minibatch: r.field("minibatch")?.count()?,
+        zeros: r.field("zeros")?.nullable(loc)?,
+    })
+}
+
+fn program(r: &mut Reader) -> Decoded<Program> {
+    let name = r.field("name")?.str()?;
+    let bytes = hex_decode(&r.field("hex")?.str()?)?;
+    Program::decode(&*name, &bytes).map_err(|e| format!("decoding program `{name}`: {e}"))
+}
+
+fn tracker(r: &mut Reader) -> Decoded<TrackerSpec> {
+    Ok(TrackerSpec {
+        tile: r.field("tile")?.count()?,
+        addr: r.field("addr")?.count()?,
+        len: r.field("len")?.count()?,
+        num_updates: r.field("num_updates")?.count()?,
+        num_reads: r.field("num_reads")?.count()?,
     })
 }
 
@@ -618,22 +614,22 @@ fn error_to_json(e: &Error) -> Json {
     }
 }
 
-fn error_from_json(j: &Json) -> Decoded<Error> {
-    match j.str_field("kind")? {
+fn error(r: &mut Reader) -> Decoded<Error> {
+    match &*r.field("kind")?.str()? {
         "does_not_fit" => Ok(Error::DoesNotFit {
-            required_cols: j.count_field("required_cols")?,
-            available_cols: j.count_field("available_cols")?,
+            required_cols: r.field("required_cols")?.count()?,
+            available_cols: r.field("available_cols")?.count()?,
         }),
         "no_capacity" => Ok(Error::NoCapacity {
-            required_cols: j.count_field("required_cols")?,
-            live_cols: j.count_field("live_cols")?,
-            failed_cols: j.count_field("failed_cols")?,
+            required_cols: r.field("required_cols")?.count()?,
+            live_cols: r.field("live_cols")?.count()?,
+            failed_cols: r.field("failed_cols")?.count()?,
         }),
         "no_route" => Ok(Error::NoRoute {
-            chip: j.count_field("chip")?,
+            chip: r.field("chip")?.count()?,
         }),
         "codegen" => Ok(Error::Codegen {
-            detail: j.str_field("detail")?.to_string(),
+            detail: r.field("detail")?.str()?.into_owned(),
         }),
         other => Err(format!("unknown error kind `{other}`")),
     }
@@ -656,8 +652,7 @@ mod tests {
         let node = presets::single_precision();
         let net = small_net();
         let a = compile(&node, &net, &CompileOptions::default()).expect("compiles");
-        let doc = to_json(&a);
-        let b = from_json(&doc).expect("parses back");
+        let b = decode(&to_json(&a).render_pretty()).expect("parses back");
         assert_eq!(a.mapping(), b.mapping());
         assert_eq!(a.provenance(), b.provenance());
         match (a.functional(), b.functional()) {
@@ -718,7 +713,7 @@ mod tests {
             for n in [-1.0, 0.5, 1e300] {
                 let mut d = doc.clone();
                 *field_mut(field_mut(&mut d, section), key) = Json::Arr(vec![Json::Num(n)]);
-                let err = from_json(&d).expect_err("non-index must be rejected");
+                let err = decode(&d.render_pretty()).expect_err("non-index must be rejected");
                 assert!(
                     err.to_string().contains("is not a valid index"),
                     "{section}.{key} = [{n}]: {err}"
@@ -753,7 +748,7 @@ mod tests {
             ..CompileOptions::default()
         };
         let a = compile(&node, &net, &opts).expect("degraded compile succeeds");
-        let b = from_json(&to_json(&a)).expect("parses back");
+        let b = decode(&to_json(&a).render_pretty()).expect("parses back");
         assert!(b.is_degraded());
         assert_eq!(a.provenance(), b.provenance());
         assert_eq!(
@@ -812,7 +807,7 @@ mod tests {
         let a = compile(&node, &net, &CompileOptions::default()).expect("compiles");
         let mut doc = to_json(&a);
         *field_mut(&mut doc, "format_version") = Json::Num(999.0);
-        let err = from_json(&doc).expect_err("version 999 must be rejected");
+        let err = decode(&doc.render_pretty()).expect_err("version 999 must be rejected");
         assert!(matches!(err, Error::Codegen { .. }), "{err:?}");
     }
 
@@ -830,10 +825,62 @@ mod tests {
             field_mut(field_mut(&mut doc, "provenance"), "design"),
             "clusters",
         ) = Json::Num(2.0);
-        let err = from_json(&doc).expect_err("tampered design must be rejected");
+        let err = decode(&doc.render_pretty()).expect_err("tampered design must be rejected");
         assert!(
             err.to_string().contains("node_fingerprint"),
             "unexpected error: {err}"
+        );
+    }
+
+    #[test]
+    fn only_the_saved_shape_is_trusted() {
+        // Whitespace is free, so the compact rendering decodes; a
+        // reordered, extended or duplicate-keyed document does not, each
+        // failing on the field it names.
+        let node = presets::single_precision();
+        let a = compile(&node, &small_net(), &CompileOptions::default()).expect("compiles");
+        let doc = to_json(&a);
+        let b = decode(&doc.render()).expect("compact text decodes");
+        assert_eq!(to_json(&b).render_pretty(), doc.render_pretty());
+
+        // Edits the members of the object at `path`, and returns why the
+        // edited document is rejected.
+        let reject = |path: &[&str], edit: fn(&mut Vec<(String, Json)>)| {
+            let mut d = doc.clone();
+            let Json::Obj(fields) = path.iter().fold(&mut d, |j, key| field_mut(j, key)) else {
+                panic!("{path:?} is an object")
+            };
+            edit(fields);
+            decode(&d.render_pretty())
+                .expect_err("only the saved shape decodes")
+                .to_string()
+        };
+        let swapped = reject(&["provenance"], |f| f.swap(0, 1));
+        assert!(
+            swapped.contains("expected field `network`, found `net_fingerprint`"),
+            "{swapped}"
+        );
+        let extended = reject(&["provenance"], |f| f.push(("extra".into(), Json::Null)));
+        assert!(extended.contains("unexpected field `extra`"), "{extended}");
+        let repeated = reject(&["provenance"], |f| f.insert(1, f[0].clone()));
+        assert!(
+            repeated.contains("expected field `net_fingerprint`, found `network`"),
+            "{repeated}"
+        );
+        let dropped = reject(&["provenance"], |f| {
+            f.pop();
+        });
+        assert!(dropped.contains("missing field `minibatch`"), "{dropped}");
+        // The design sub-document too, though it is read as a tree.
+        let reordered = reject(&["provenance", "design"], |f| f.swap(0, 1));
+        assert!(
+            reordered.contains("not in its canonical form"),
+            "{reordered}"
+        );
+        let trailing = decode(&format!("{} {{}}", doc.render())).expect_err("one document");
+        assert!(
+            trailing.to_string().contains("trailing garbage"),
+            "{trailing}"
         );
     }
 
@@ -842,7 +889,7 @@ mod tests {
         let node = presets::single_precision();
         let net = small_net();
         let a = compile(&node, &net, &CompileOptions::default()).expect("compiles");
-        let b = from_json(&to_json(&a)).expect("parses back");
+        let b = decode(&to_json(&a).render_pretty()).expect("parses back");
         for (x, y) in a.mapping().plans().iter().zip(b.mapping().plans()) {
             assert_eq!(x.comp_flops, y.comp_flops);
             assert_eq!(x.state_bytes, y.state_bytes);

@@ -413,20 +413,24 @@ impl Session {
             .map(|d| d.join(format!("{key:016x}.artifact.json")))
     }
 
-    /// Tries the on-disk artifact store. A stored artifact is trusted
-    /// only when its provenance re-derives the key it was filed under; a
-    /// file that exists but is unreadable, malformed, or mismatched is
-    /// **corrupt** — it is quarantined (renamed aside for post-mortem),
-    /// counted, and treated as a plain miss, so a torn write can degrade
-    /// a session's cache but never its correctness.
+    /// Tries the on-disk artifact store with one read: no file is a plain
+    /// miss. A stored artifact is trusted only when it decodes
+    /// ([`artifact_io::decode`]) and its provenance re-derives the key it
+    /// was filed under; anything else at the path (unreadable, malformed,
+    /// mismatched, a directory) is **corrupt** — it is quarantined
+    /// (renamed aside for post-mortem), counted, and treated as a plain
+    /// miss, so a torn write can degrade a session's cache but never its
+    /// correctness.
     fn load_from_disk(&self, key: u64) -> Option<CompiledArtifact> {
         let path = self.artifact_path(key)?;
-        if !path.exists() {
-            return None;
-        }
-        match artifact_io::load(&path) {
-            Ok(artifact) if artifact.provenance().cache_key() == key => Some(artifact),
-            Ok(_) | Err(_) => {
+        let decoded = match std::fs::read_to_string(&path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+            Err(_) => None,
+            Ok(text) => artifact_io::decode(&text).ok(),
+        };
+        match decoded {
+            Some(artifact) if artifact.provenance().cache_key() == key => Some(artifact),
+            _ => {
                 self.stats.corrupt.fetch_add(1, Ordering::Relaxed);
                 let quarantine = path.with_extension("json.corrupt");
                 std::fs::rename(&path, &quarantine).ok();
@@ -1491,6 +1495,39 @@ mod tests {
             assert_eq!(reg.counter_value("compile.cache.corrupt"), Some(1));
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    #[test]
+    fn a_missing_file_is_a_miss_and_a_directory_is_corrupt() {
+        let dir =
+            std::env::temp_dir().join(format!("scaledeep-store-lookup-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let net = zoo::by_name("cnn-s").expect("zoo has cnn-s");
+        let stats = |s: &Session| {
+            let c = s.cache_stats();
+            (c.misses, c.disk_hits, c.corrupt)
+        };
+        // No store directory yet, so no file: a plain miss, not corrupt.
+        let first = Session::single_precision().with_artifact_dir(&dir);
+        first.compile(&net).unwrap();
+        assert_eq!(stats(&first), (1, 0, 0));
+
+        // A directory where the artifact belongs cannot be read: corrupt,
+        // quarantined, recompiled and republished as a file.
+        let key = Provenance::new(first.node(), &net, &CompileOptions::default()).cache_key();
+        let path = first.artifact_path(key).expect("the session has a store");
+        std::fs::remove_file(&path).unwrap();
+        std::fs::create_dir(&path).unwrap();
+        let second = Session::single_precision().with_artifact_dir(&dir);
+        second.compile(&net).unwrap();
+        assert_eq!(stats(&second), (1, 0, 1));
+        assert!(path.is_file(), "the artifact is republished");
+        assert!(path.with_extension("json.corrupt").is_dir());
+
+        let third = Session::single_precision().with_artifact_dir(&dir);
+        third.compile(&net).unwrap();
+        assert_eq!(stats(&third), (0, 1, 0));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The workspace's zero-dependency JSON layer: one value type ([`Json`]),
 //! a deterministic renderer ([`Json::render`], [`Json::render_pretty`],
-//! and [`Json::render_into`] for any `fmt::Write` sink)
-//! and a recursive-descent parser ([`parse`]).
+//! and [`Json::render_into`] for any `fmt::Write` sink),
+//! a pull [`Reader`] over JSON text (the one lexer and grammar), and
+//! [`parse`], which builds a tree with it.
 //!
 //! Every document the system writes or reads passes through it: exported
 //! Chrome traces, the on-disk artifact store, the serve wire protocol (one
@@ -31,7 +32,14 @@
 //! `try_from` to the reader's type; any other `u64` is a *decimal*
 //! string ([`Json::decimal`]). A rejected field comes back as a message
 //! naming it, built only on failure.
+//!
+//! A reader that knows its document's shape can skip the tree: the
+//! [`Reader`] reads members in a fixed order ([`Reader::field`]) and
+//! decodes each value in place with the same rules and messages
+//! ([`Reader::count`], [`Reader::decimal`], [`Reader::str`], ...). The
+//! artifact store decodes its files this way.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parsed JSON value.
@@ -109,14 +117,7 @@ impl Json {
     /// A non-number, a fractional, negative or too-large number, or one
     /// `T` cannot hold.
     pub fn to_count<T: TryFrom<u64>>(&self, what: &str) -> Result<T, String> {
-        let n = self
-            .as_num()
-            .ok_or_else(|| format!("`{what}` is not a number"))?;
-        let exact = exact_u64(n).ok_or_else(|| {
-            format!("`{what}` = {n} is not a valid index or count (an integer in [0, 2^53))")
-        })?;
-        T::try_from(exact)
-            .map_err(|_| format!("`{what}` = {exact} exceeds {}", std::any::type_name::<T>()))
+        count_of(self.as_num(), what)
     }
 
     /// This value as a `u64` carried as a decimal string.
@@ -125,9 +126,7 @@ impl Json {
     ///
     /// Anything but a string of decimal digits that fits `u64`.
     pub fn to_decimal(&self, what: &str) -> Result<u64, String> {
-        self.as_str()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("`{what}` is not a decimal u64 string"))
+        decimal_of(self.as_str(), what)
     }
 
     /// The required object field `key`; `null` is a present value.
@@ -314,6 +313,24 @@ pub fn exact_u64(n: f64) -> Option<u64> {
     (n.fract() == 0.0 && (0.0..EXACT_INT_LIMIT).contains(&n)).then_some(n as u64)
 }
 
+/// The count rule of [`Json::to_count`] and [`Reader::count`], over a
+/// number (`None`: the value was not one).
+fn count_of<T: TryFrom<u64>>(n: Option<f64>, what: &str) -> Result<T, String> {
+    let n = n.ok_or_else(|| format!("`{what}` is not a number"))?;
+    let exact = exact_u64(n).ok_or_else(|| {
+        format!("`{what}` = {n} is not a valid index or count (an integer in [0, 2^53))")
+    })?;
+    T::try_from(exact)
+        .map_err(|_| format!("`{what}` = {exact} exceeds {}", std::any::type_name::<T>()))
+}
+
+/// The decimal rule of [`Json::to_decimal`] and [`Reader::decimal`], over
+/// a string (`None`: the value was not one).
+fn decimal_of(s: Option<&str>, what: &str) -> Result<u64, String> {
+    s.and_then(|s| s.parse().ok())
+        .ok_or_else(|| format!("`{what}` is not a decimal u64 string"))
+}
+
 /// Builds a [`Json::Obj`] from `(key, value)` pairs, preserving order.
 pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     Json::Obj(
@@ -439,7 +456,8 @@ fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
     out.write_char('"')
 }
 
-/// Parses `text` into a [`Json`] value, in time linear in its length.
+/// Parses `text` into a [`Json`] value, in time linear in its length:
+/// a [`Reader`] reads one [`Reader::value`] and then the end of input.
 ///
 /// A `\uXXXX` escape takes exactly four hex digits. A high surrogate
 /// escape followed by a low surrogate escape decodes to the one
@@ -452,37 +470,270 @@ fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
 /// Returns a byte-offset-annotated message on malformed input, trailing
 /// garbage, or arrays/objects nested deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        text,
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
+    let mut r = Reader::new(text);
+    let v = r.value()?;
+    r.finish()?;
     Ok(v)
 }
 
-/// The deepest array/object nesting [`parse`] accepts. The parser
+/// The deepest array/object nesting a [`Reader`] accepts. The reader
 /// recurses once per level, so the bound keeps hostile input (a wire line
 /// or artifact file of a million `[`) from overflowing the thread's stack;
 /// every document the system writes nests at most 6 levels.
 pub const MAX_DEPTH: usize = 64;
 
-/// Parser state over `text` and its bytes. `text` is only sliced between
-/// positions next to ASCII bytes, which are always char boundaries.
-struct Parser<'a> {
+/// A pull reader over JSON text: the one lexer and grammar of this layer.
+///
+/// [`parse`] builds a tree with [`Reader::value`]. A decoder that knows its
+/// document's shape reads it in place instead, with no tree: it opens
+/// objects and arrays with closures ([`Reader::object`], [`Reader::array`],
+/// [`Reader::elements`]), names each member in document order
+/// ([`Reader::field`], or [`Reader::key`] for a tagged variant), and reads
+/// scalars with the same rules and messages as the tree accessors
+/// ([`Reader::count`], [`Reader::decimal`], [`Reader::str`],
+/// [`Reader::bool`], [`Reader::nullable`]). A value reader's message names
+/// the last member key read. Every reader skips the whitespace before its
+/// token. After an error the reader's position is unspecified: drop it.
+///
+/// `text` is only sliced between positions next to ASCII bytes, which are
+/// always char boundaries.
+pub struct Reader<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    /// The innermost open object has read no member yet.
+    first: bool,
+    /// The last member key read: the name in a value reader's message.
+    key: Cow<'a, str>,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            first: true,
+            key: Cow::Borrowed("$"),
+        }
+    }
+
+    /// Ends the document: only whitespace may follow what was read.
+    ///
+    /// # Errors
+    ///
+    /// Anything else left in the text.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing garbage at byte {}", self.pos))
+        }
+    }
+
+    /// The next value as a [`Json`] tree, whatever its type.
+    ///
+    /// # Errors
+    ///
+    /// Malformed text or nesting deeper than [`MAX_DEPTH`].
+    pub fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'n') => self.literal("null").map(|()| Json::Null),
+            Some(b't' | b'f') => self.bool().map(Json::Bool),
+            Some(b'"') => self.string().map(|s| Json::Str(s.into_owned())),
+            Some(b'[') => self.array(Self::value).map(Json::Arr),
+            Some(b'{') => self.object(|r| {
+                let mut fields = Vec::new();
+                while let Some(key) = r.next_key()? {
+                    fields.push((key.into_owned(), r.value()?));
+                }
+                Ok(Json::Obj(fields))
+            }),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Json::Num),
+            _ => Err(format!("unexpected byte at {}", self.pos)),
+        }
+    }
+
+    /// Reads an object: `members` reads its members in order (through
+    /// [`Reader::field`] or [`Reader::key`]), and the object must end
+    /// after them.
+    ///
+    /// # Errors
+    ///
+    /// A non-object, what `members` rejects, or a member left unread.
+    pub fn object<T>(
+        &mut self,
+        members: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<T, String> {
+        self.open(b'{', "an object")?;
+        let outer = std::mem::replace(&mut self.first, true);
+        let value = members(self)?;
+        if let Some(extra) = self.next_key()? {
+            return Err(format!(
+                "unexpected field `{extra}` before byte {}",
+                self.pos
+            ));
+        }
+        self.close();
+        self.first = outer;
+        Ok(value)
+    }
+
+    /// Reads the next member's key, which must be `key`, and its `:`; the
+    /// caller then reads the value.
+    ///
+    /// # Errors
+    ///
+    /// Another key in its place, or the object's end.
+    pub fn field(&mut self, key: &str) -> Result<&mut Self, String> {
+        match self.next_key()? {
+            Some(found) if found == key => {
+                self.key = found;
+                Ok(self)
+            }
+            Some(found) => Err(format!("expected field `{key}`, found `{found}`")),
+            None => Err(format!("missing field `{key}`")),
+        }
+    }
+
+    /// Reads the next member's key, whatever it is, and its `:`: the tag
+    /// of a variant. `None` at the object's end.
+    ///
+    /// # Errors
+    ///
+    /// Malformed text.
+    pub fn key(&mut self) -> Result<Option<&str>, String> {
+        Ok(match self.next_key()? {
+            Some(found) => {
+                self.key = found;
+                Some(&self.key)
+            }
+            None => None,
+        })
+    }
+
+    /// Reads an array, one element per call of `item`.
+    ///
+    /// # Errors
+    ///
+    /// A non-array, or what `item` rejects.
+    pub fn array<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let mut out = Vec::new();
+        self.elements(|r| {
+            out.push(item(r)?);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Reads an array without collecting it: `item` reads each element.
+    ///
+    /// # Errors
+    ///
+    /// A non-array, or what `item` rejects.
+    pub fn elements(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.open(b'[', "an array")?;
+        self.skip_ws();
+        if self.peek() != Some(b']') {
+            loop {
+                item(self)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => break,
+                    _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
+                }
+            }
+        }
+        self.close();
+        Ok(())
+    }
+
+    /// A count narrowed to `T`, by [`Json::to_count`]'s rule and message.
+    ///
+    /// # Errors
+    ///
+    /// A non-number, or a number that is not a count `T` holds.
+    pub fn count<T: TryFrom<u64>>(&mut self) -> Result<T, String> {
+        self.skip_ws();
+        let n = match self.peek() {
+            Some(b'-' | b'0'..=b'9') => Some(self.number()?),
+            _ => None,
+        };
+        count_of(n, &self.key)
+    }
+
+    /// A `u64` carried as a decimal string, by [`Json::to_decimal`]'s rule
+    /// and message.
+    ///
+    /// # Errors
+    ///
+    /// Anything but a string of decimal digits that fits `u64`.
+    pub fn decimal(&mut self) -> Result<u64, String> {
+        self.skip_ws();
+        let s = match self.peek() {
+            Some(b'"') => Some(self.string()?),
+            _ => None,
+        };
+        decimal_of(s.as_deref(), &self.key)
+    }
+
+    /// A string, borrowed from the text when it has no escape.
+    ///
+    /// # Errors
+    ///
+    /// A non-string.
+    pub fn str(&mut self) -> Result<Cow<'a, str>, String> {
+        self.skip_ws();
+        if self.peek() == Some(b'"') {
+            self.string()
+        } else {
+            Err(format!("`{}` is not a string", self.key))
+        }
+    }
+
+    /// `true` or `false`.
+    ///
+    /// # Errors
+    ///
+    /// Anything else.
+    pub fn bool(&mut self) -> Result<bool, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b't') => self.literal("true").map(|()| true),
+            Some(b'f') => self.literal("false").map(|()| false),
+            _ => Err(format!("`{}` is not a bool", self.key)),
+        }
+    }
+
+    /// `None` for `null`, otherwise what `value` reads.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `value` rejects.
+    pub fn nullable<T>(
+        &mut self,
+        value: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.skip_ws();
+        if self.peek() == Some(b'n') {
+            self.literal("null").map(|()| None)
+        } else {
+            value(self).map(Some)
+        }
+    }
+
     fn skip_ws(&mut self) {
         while let Some(b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -506,59 +757,85 @@ impl Parser<'_> {
         }
     }
 
-    fn eat_lit(&mut self, lit: &str, v: Json) -> Result<Json, String> {
+    fn literal(&mut self, lit: &str) -> Result<(), String> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(v)
+            Ok(())
         } else {
             Err(format!("bad literal at byte {}", self.pos))
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'n') => self.eat_lit("null", Json::Null),
-            Some(b't') => self.eat_lit("true", Json::Bool(true)),
-            Some(b'f') => self.eat_lit("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(open @ (b'[' | b'{')) => {
-                if self.depth == MAX_DEPTH {
-                    return Err(format!(
-                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
-                        self.pos
-                    ));
-                }
-                self.depth += 1;
-                let v = if open == b'[' {
-                    self.array()
-                } else {
-                    self.object()
-                };
-                self.depth -= 1;
-                v
-            }
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected byte at {}", self.pos)),
+    /// Enters an array or object at its `bracket`, one level deeper.
+    fn open(&mut self, bracket: u8, what: &str) -> Result<(), String> {
+        self.skip_ws();
+        if self.peek() != Some(bracket) {
+            return Err(format!("`{}` is not {what}", self.key));
         }
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.pos += 1;
+        self.depth += 1;
+        Ok(())
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Leaves an array or object at its closing bracket.
+    fn close(&mut self) {
+        self.pos += 1;
+        self.depth -= 1;
+    }
+
+    /// The next member's key and its `:`, after the `,` that separates it
+    /// from the one before; `None` at the object's closing `}`, which is
+    /// left for [`Reader::object`].
+    fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'}') => return Ok(None),
+            _ if self.first => self.first = false,
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+            }
+            _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // Built only once an escape shows up; until then the string is a
+        // slice of the text.
+        let mut owned: Option<String> = None;
         loop {
             // Everything up to the next `"` or `\` is literal text. Both
             // delimiters are ASCII, so the run ends on a char boundary of
-            // the already-valid UTF-8 input and is copied as one slice.
+            // the already-valid UTF-8 input and is taken as one slice.
             let run = self.bytes[self.pos..]
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\')
                 .ok_or("unterminated string")?;
-            out.push_str(&self.text[self.pos..self.pos + run]);
+            let plain = &self.text[self.pos..self.pos + run];
             self.pos += run;
             if self.bytes[self.pos] == b'"' {
                 self.pos += 1;
-                return Ok(out);
+                return Ok(match owned {
+                    None => Cow::Borrowed(plain),
+                    Some(mut out) => {
+                        out.push_str(plain);
+                        Cow::Owned(out)
+                    }
+                });
             }
+            let out = owned.get_or_insert_with(String::new);
+            out.push_str(plain);
             self.pos += 1;
             match self.peek() {
                 Some(b'"') => out.push('"'),
@@ -616,7 +893,7 @@ impl Parser<'_> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<f64, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -629,59 +906,7 @@ impl Parser<'_> {
         }
         self.text[start..self.pos]
             .parse::<f64>()
-            .map(Json::Num)
             .map_err(|_| format!("bad number at byte {start}"))
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(out));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            out.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(out));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
     }
 }
 
@@ -798,6 +1023,116 @@ mod tests {
         // The two integer wire forms.
         assert_eq!(Json::count(42).render(), "42");
         assert_eq!(Json::decimal(u64::MAX).render(), "\"18446744073709551615\"");
+    }
+
+    #[test]
+    fn reader_reads_fields_in_order_and_names_what_it_rejects() {
+        let text = r#" { "c" : 7 , "d":"18446744073709551615", "s":"plain", "e":"a\nb",
+            "b":false, "z":null, "o":{"t":1}, "a":[1, 2], "tag":{"ok":[]} } "#;
+        let mut r = Reader::new(text);
+        let read = r
+            .object(|r| {
+                let c: u8 = r.field("c")?.count()?;
+                let d = r.field("d")?.decimal()?;
+                let s = r.field("s")?.str()?;
+                assert!(matches!(s, Cow::Borrowed("plain")), "no escape, no copy");
+                let e = r.field("e")?.str()?.into_owned();
+                let b = r.field("b")?.bool()?;
+                let z = r.field("z")?.nullable(Reader::count::<u8>)?;
+                let o = r
+                    .field("o")?
+                    .nullable(|r| r.object(|r| r.field("t")?.count::<u8>()))?;
+                let a = r.field("a")?.array(Reader::count::<u16>)?;
+                let tag = r.field("tag")?.object(|r| {
+                    let ok = r.key()? == Some("ok");
+                    r.elements(|_| Ok(()))?;
+                    Ok(ok)
+                })?;
+                Ok((c, d, s, e, b, z, o, a, tag))
+            })
+            .unwrap();
+        r.finish().unwrap();
+        assert_eq!(
+            read,
+            (
+                7,
+                u64::MAX,
+                Cow::Borrowed("plain"),
+                "a\nb".to_string(),
+                false,
+                None,
+                Some(1),
+                vec![1, 2],
+                true
+            )
+        );
+
+        // Members are read in order: each reader names the expected and the
+        // found key, and a member left unread is an error too.
+        let fail = |text: &str, read: fn(&mut Reader) -> Result<u64, String>| {
+            let mut r = Reader::new(text);
+            r.object(read).and_then(|v| r.finish().map(|()| v))
+        };
+        let c = |r: &mut Reader| r.field("c")?.count();
+        assert_eq!(fail(r#"{"c":1}"#, c), Ok(1));
+        assert_eq!(
+            fail(r#"{"d":1}"#, c),
+            Err("expected field `c`, found `d`".into())
+        );
+        assert_eq!(fail("{}", c), Err("missing field `c`".into()));
+        let extra = fail(r#"{"c":1,"x":2}"#, c).unwrap_err();
+        assert!(extra.starts_with("unexpected field `x`"), "{extra}");
+        assert!(fail(r#"{"c":1} 2"#, c)
+            .unwrap_err()
+            .contains("trailing garbage"));
+        assert!(fail("[]", c).unwrap_err().contains("`$` is not an object"));
+        // The value readers keep the tree accessors' messages, naming the
+        // last key read.
+        let text = r#"{"n":2.5,"s":"x","c":65536}"#;
+        let doc = parse(text).unwrap();
+        let at = |key: &str, read: fn(&mut Reader) -> Result<(), String>| {
+            let mut r = Reader::new(text);
+            r.object(|r| {
+                for k in ["n", "s", "c"] {
+                    r.field(k)?;
+                    if k == key {
+                        return read(r);
+                    }
+                    r.value()?;
+                }
+                Ok(())
+            })
+            .unwrap_err()
+        };
+        let err = |r: Result<u64, String>| r.unwrap_err();
+        assert_eq!(
+            at("n", |r| r.count::<u64>().map(drop)),
+            err(doc.count_field("n"))
+        );
+        assert_eq!(
+            at("s", |r| r.count::<u64>().map(drop)),
+            err(doc.count_field("s"))
+        );
+        assert_eq!(
+            at("c", |r| r.count::<u16>().map(drop)),
+            doc.count_field::<u16>("c").unwrap_err()
+        );
+        assert_eq!(
+            at("c", |r| r.decimal().map(drop)),
+            err(doc.decimal_field("c"))
+        );
+        assert_eq!(
+            at("c", |r| r.str().map(drop)),
+            doc.str_field("c").unwrap_err()
+        );
+        assert_eq!(
+            at("c", |r| r.bool().map(drop)),
+            doc.bool_field("c").unwrap_err()
+        );
+        assert_eq!(
+            at("c", |r| r.array(Reader::value).map(drop)),
+            doc.arr_field("c").unwrap_err()
+        );
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! An allocation budget for one design-space candidate. A counting
-//! global allocator counts the heap allocations (and reallocations) the
-//! calling thread makes while it compiles googlenet and resnet34 at the
-//! Figure-14 point, after a warm-up compile of the same network, and
-//! while it runs one googlenet training pass of the performance model.
+//! Allocation budgets for one design-space candidate and for one warm
+//! artifact load. A counting global allocator counts the heap allocations
+//! (and reallocations) the calling thread makes while it compiles
+//! googlenet and resnet34 at the Figure-14 point, after a warm-up compile
+//! of the same network, while it runs one googlenet training pass of the
+//! performance model, and while it loads googlenet's stored artifact.
 //! The counts are deterministic, so a per-layer scratch `Vec` put back
-//! into a compile phase, or an analysis recomputed per compile, fails
-//! the budget.
+//! into a compile phase, an analysis recomputed per compile, or a load
+//! that decodes through a JSON tree fails its budget.
 
 use scaledeep_arch::DesignPoint;
-use scaledeep_compiler::pipeline;
 use scaledeep_compiler::CompileOptions;
+use scaledeep_compiler::{artifact_io, pipeline};
 use scaledeep_dnn::zoo;
 use scaledeep_sim::perf::{PerfSim, RunKind};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -83,4 +84,31 @@ fn candidate_path_allocation_budget() {
             );
         }
     }
+}
+
+#[test]
+fn warm_load_allocation_budget() {
+    let node = DesignPoint::figure14_sp().node_config();
+    let net = zoo::by_name("googlenet").expect("zoo network");
+    let artifact = pipeline::compile(&node, &net, &CompileOptions::default()).expect("compiles");
+    let dir = std::env::temp_dir().join(format!("scaledeep-load-budget-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("googlenet.artifact.json");
+    artifact_io::save(&artifact, &path).expect("saves");
+    artifact_io::load(&path).expect("warm-up load");
+    let (loaded, allocs) = counted(|| artifact_io::load(&path));
+    std::fs::remove_dir_all(&dir).ok();
+    let loaded = loaded.expect("loads");
+    assert_eq!(
+        artifact_io::to_json(&loaded).render_pretty(),
+        artifact_io::to_json(&artifact).render_pretty()
+    );
+    // The tree-free decoder makes 222 in a release build and 281 in a
+    // debug build; decoding through a `Json` tree made 4,406 (a key
+    // `String` per field, a value `String` per string, a `Vec` per
+    // container).
+    assert!(
+        allocs <= 300,
+        "googlenet: a warm load made {allocs} allocations, over its budget of 300"
+    );
 }
