@@ -109,10 +109,7 @@ impl DesignPoint {
     /// Derived quantity: the calibrated power model matching this point's
     /// precision (Figure 14 SP table, or its iso-power FP16 scaling).
     pub fn power_model(&self) -> PowerModel {
-        match self.node.precision {
-            Precision::Single => PowerModel::paper_sp(),
-            Precision::Half => PowerModel::paper_hp(),
-        }
+        self.node.power_model()
     }
 
     /// Derived quantity: the node power envelope in watts.
@@ -393,59 +390,6 @@ impl DesignPointBuilder {
     /// Sets the arc (rim → rim) bandwidth, bytes/second.
     pub fn arc_bw(mut self, bw: f64) -> Self {
         self.node.cluster.arc_bw = bw;
-        self
-    }
-
-    /// Sets the ConvLayer chip grid dimensions.
-    pub fn conv_grid(mut self, rows: usize, cols: usize) -> Self {
-        self.node.cluster.conv_chip.rows = rows;
-        self.node.cluster.conv_chip.cols = cols;
-        self
-    }
-
-    /// Sets the FcLayer chip grid dimensions.
-    pub fn fc_grid(mut self, rows: usize, cols: usize) -> Self {
-        self.node.cluster.fc_chip.rows = rows;
-        self.node.cluster.fc_chip.cols = cols;
-        self
-    }
-
-    /// Sets the ConvLayer CompHeavy 2D-array shape (rows × cols × lanes).
-    pub fn conv_array(mut self, rows: usize, cols: usize, lanes: usize) -> Self {
-        let t = &mut self.node.cluster.conv_chip.comp_heavy;
-        t.array_rows = rows;
-        t.array_cols = cols;
-        t.lanes = lanes;
-        self
-    }
-
-    /// Sets the ConvLayer CompHeavy scratchpad size, bytes.
-    pub fn conv_scratch_bytes(mut self, bytes: usize) -> Self {
-        self.node.cluster.conv_chip.comp_heavy.scratch_bytes = bytes;
-        self
-    }
-
-    /// Sets the ConvLayer MemHeavy scratchpad capacity, bytes.
-    pub fn conv_mem_capacity_bytes(mut self, bytes: usize) -> Self {
-        self.node.cluster.conv_chip.mem_heavy.capacity_bytes = bytes;
-        self
-    }
-
-    /// Sets the FcLayer MemHeavy scratchpad capacity, bytes.
-    pub fn fc_mem_capacity_bytes(mut self, bytes: usize) -> Self {
-        self.node.cluster.fc_chip.mem_heavy.capacity_bytes = bytes;
-        self
-    }
-
-    /// Sets the ConvLayer external-memory bandwidth, bytes/second.
-    pub fn conv_ext_mem_bw(mut self, bw: f64) -> Self {
-        self.node.cluster.conv_chip.ext_mem_bw = bw;
-        self
-    }
-
-    /// Sets the FcLayer external-memory bandwidth, bytes/second.
-    pub fn fc_ext_mem_bw(mut self, bw: f64) -> Self {
-        self.node.cluster.fc_chip.ext_mem_bw = bw;
         self
     }
 

@@ -2,6 +2,7 @@
 
 use crate::cluster::ClusterConfig;
 use crate::error::Result;
+use crate::power::PowerModel;
 use std::fmt;
 
 /// Numeric precision of the datapath (paper §6.1 evaluates both).
@@ -72,6 +73,15 @@ impl NodeConfig {
     /// Peak FLOPs of the node.
     pub fn peak_flops(&self) -> f64 {
         self.clusters as f64 * self.cluster.peak_flops(self.frequency_hz())
+    }
+
+    /// The calibrated power model of this node's precision: Figure 14's
+    /// single-precision table, or its iso-power FP16 scaling.
+    pub fn power_model(&self) -> PowerModel {
+        match self.precision {
+            Precision::Single => PowerModel::paper_sp(),
+            Precision::Half => PowerModel::paper_hp(),
+        }
     }
 
     /// Validates the whole configuration tree.

@@ -196,19 +196,6 @@ impl PowerModel {
         }
     }
 
-    /// Average power of one chip cluster (used for the iso-power GPU
-    /// comparison of Figure 18, where one cluster ≈ one 320 W GPU card).
-    pub fn average_cluster_power(&self, util: UtilizationProfile) -> PowerBreakdown {
-        let p = self.cluster;
-        PowerBreakdown {
-            compute_watts: p.peak_watts * p.frac_logic * util.compute.clamp(0.0, 1.0),
-            memory_watts: p.peak_watts * p.frac_mem,
-            interconnect_watts: p.peak_watts
-                * p.frac_interconnect
-                * util.interconnect.clamp(0.0, 1.0),
-        }
-    }
-
     /// Processing efficiency in FLOPs/W for an achieved FLOP rate and
     /// utilization profile, at node scope.
     pub fn node_efficiency(&self, achieved_flops_per_s: f64, util: UtilizationProfile) -> f64 {

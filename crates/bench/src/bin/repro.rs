@@ -14,7 +14,7 @@ use scaledeep_compiler::{CompileOptions, FailedTiles};
 use scaledeep_dnn::{zoo, Layer, Network};
 use scaledeep_serve::DrillReport;
 use scaledeep_sim::fault::{FaultPlan, LinkFaults};
-use scaledeep_sim::func::{ExecBackend, FuncSim};
+use scaledeep_sim::func::FuncSim;
 use scaledeep_sim::perf::RunKind;
 use scaledeep_trace::{json, validate_chrome_trace, CategoryMask};
 use std::io::{self, Write};
@@ -503,8 +503,8 @@ fn degraded_drill(name: &str, dead_cols: usize, out: &mut dyn Write) -> Outcome 
 /// the wall-clock went: compile time (the phase pipeline, first run only)
 /// versus simulate time, plus the session's compile-cache ledger. With
 /// the provenance-keyed cache the whole sweep compiles the network
-/// exactly once. Ends with the functional drill: the same training
-/// iteration on both execution tiers, wall-clocked head to head.
+/// exactly once. Ends with the functional drill: training iterations on
+/// the compiled tier, wall-clocked.
 fn sweep(name: &str, out: &mut dyn Write) -> Outcome {
     use std::time::Instant;
     type RunFn<'a> = &'a dyn Fn() -> scaledeep::Result<f64>;
@@ -557,10 +557,10 @@ fn sweep(name: &str, out: &mut dyn Write) -> Outcome {
         node.replicas, node.makespan, node.images_done, node.syncs
     )?;
 
-    // The functional drill: the same training iteration on the
-    // interpreter tier and on the pre-decoded micro-op tier. Full-scale
-    // benchmarks that exceed the functional target fall back to their
-    // `-func` proxy (same layer cadence at functional scale).
+    // The functional drill: training iterations on the compiled
+    // micro-op tier. Full-scale benchmarks that exceed the functional
+    // target fall back to their `-func` proxy (same layer cadence at
+    // functional scale).
     let func_net = match session.compile(&net) {
         Ok(a) if a.functional().is_ok() => Some(net),
         _ => zoo::by_name(&format!("{name}-func")),
@@ -574,64 +574,43 @@ fn sweep(name: &str, out: &mut dyn Write) -> Outcome {
     }
 }
 
-/// Timed iterations per tier in the functional drill — enough that the
-/// iteration loop, not simulator setup, dominates the wall-clock. Each
-/// tier additionally runs one untimed warm-up iteration first (caches,
-/// branch predictors, lazily-grown scratch), which still participates in
-/// the cross-tier identity check.
+/// Timed iterations in the functional drill — enough that the iteration
+/// loop, not simulator setup, dominates the wall-clock. One untimed
+/// warm-up iteration runs first (caches, branch predictors,
+/// lazily-grown scratch).
 const DRILL_ITERATIONS: u64 = 5;
 
 /// Runs one warm-up plus [`DRILL_ITERATIONS`] timed training iterations
-/// of `net` on each execution tier, verifies the tiers' statistics are
-/// identical, and reports the per-tier wall-clock and the resulting
-/// speedup.
+/// of `net` on the compiled tier and reports the warm-up's statistics
+/// with the timed loop's wall-clock.
 fn functional_drill(net: &Network, out: &mut dyn Write) -> Outcome {
     use std::time::Instant;
     let session = Session::single_precision();
     let artifact = session.compile(net)?;
-    let compiled = artifact.functional()?;
-    let (image, golden) = drill_io(net, compiled)?;
+    let (image, golden) = drill_io(net, artifact.functional()?)?;
     let reference = scaledeep_tensor::Executor::new(net, 0xC0FFEE).map_err(|e| format!("{e:?}"))?;
-    let mut walls = [0u64; 2];
-    let mut runs = Vec::new();
-    for (i, tier) in [ExecBackend::Interpreter, ExecBackend::Compiled]
-        .into_iter()
-        .enumerate()
-    {
-        let mut fsim = FuncSim::from_artifact(net, &artifact)?.with_backend(tier);
-        fsim.import_params(&reference)?;
-        let mut stats = vec![fsim.run_iteration(&image, &golden)?];
-        let started = Instant::now();
-        for _ in 0..DRILL_ITERATIONS {
-            stats.push(fsim.run_iteration(&image, &golden)?);
-        }
-        walls[i] = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        writeln!(
-            out,
-            "{}: functional ({:<11}) {:>9} insts  {:>9} cycles  {:>6} stalls  ({} ns wall, {DRILL_ITERATIONS} iterations)",
-            net.name(),
-            tier.name(),
-            stats[0].instructions,
-            stats[0].cycles,
-            stats[0].stalls,
-            walls[i],
-        )?;
-        runs.push(stats);
+    let mut fsim = FuncSim::from_artifact(net, &artifact)?;
+    fsim.import_params(&reference)?;
+    let stats = fsim.run_iteration(&image, &golden)?;
+    let started = Instant::now();
+    for _ in 0..DRILL_ITERATIONS {
+        fsim.run_iteration(&image, &golden)?;
     }
-    if runs[0] != runs[1] {
-        return Err("execution tiers DIVERGED: per-iteration statistics differ".into());
-    }
+    let wall = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     Ok(writeln!(
         out,
-        "tiers bit-identical across {DRILL_ITERATIONS} iterations; compiled tier speedup {:.2}x",
-        walls[0] as f64 / walls[1].max(1) as f64
+        "{}: functional (compiled) {:>9} insts  {:>9} cycles  {:>6} stalls  ({wall} ns wall, {DRILL_ITERATIONS} iterations)",
+        net.name(),
+        stats.instructions,
+        stats.cycles,
+        stats.stalls,
     )?)
 }
 
-/// The constant iteration inputs the drill feeds both tiers: sized from
-/// the compiled layout's input and golden buffers (mirrors the session's
-/// internal convention; values are arbitrary — cycle counts are
-/// data-independent and both tiers see the same words).
+/// The constant iteration inputs the drill feeds the simulator: sized
+/// from the compiled layout's input and golden buffers (mirrors the
+/// session's internal convention; values are arbitrary — cycle counts are
+/// data-independent).
 fn drill_io(net: &Network, compiled: &CompiledNetwork) -> Result<(Vec<f32>, Vec<f32>), String> {
     let input_len = compiled.buffers[net.input().id().index()]
         .output

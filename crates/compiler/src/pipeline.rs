@@ -194,11 +194,6 @@ impl CompiledArtifact {
         self.functional.as_ref().map_err(Clone::clone)
     }
 
-    /// Whether the codegen phase produced a functional network.
-    pub fn has_functional(&self) -> bool {
-        self.functional.is_ok()
-    }
-
     /// The lower phase's micro-op streams — the compiled execution tier's
     /// pre-decoded form of [`CompiledNetwork::programs`], in the same
     /// order. `None` exactly when the artifact has no functional network.

@@ -261,11 +261,6 @@ impl Analysis {
         &self.costs[id.index()]
     }
 
-    /// Iterates over per-layer costs in topological order.
-    pub fn layer_costs(&self) -> impl ExactSizeIterator<Item = &LayerCost> + '_ {
-        self.costs.iter()
-    }
-
     /// Total FLOPs of one step across all layers.
     pub fn total_flops(&self, step: Step) -> u64 {
         self.costs.iter().map(|c| c.flops(step)).sum()

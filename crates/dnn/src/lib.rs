@@ -37,7 +37,6 @@ mod builder;
 mod error;
 mod graph;
 mod layer;
-pub mod schedule;
 mod shape;
 pub mod zoo;
 

@@ -18,7 +18,7 @@
 
 use crate::session::TracedRun;
 use crate::{Error, Result};
-use scaledeep_arch::{EnergyBreakdown, NodeConfig, PowerModel, Precision, UtilizationProfile};
+use scaledeep_arch::{EnergyBreakdown, NodeConfig, UtilizationProfile};
 use scaledeep_compiler::{CompiledArtifact, Placement, Side};
 use scaledeep_dnn::{Network, Step};
 pub use scaledeep_sim::perf::TierBytes;
@@ -334,12 +334,9 @@ pub fn measured_profile(perf: &PerfResult) -> UtilizationProfile {
 /// the [`Attribution::energy_per_image`] of the run, and what a DSE point
 /// reports without building the tree.
 pub fn measured_energy_per_image(perf: &PerfResult, node: &NodeConfig) -> EnergyBreakdown {
-    let power = match node.precision {
-        Precision::Single => PowerModel::paper_sp(),
-        Precision::Half => PowerModel::paper_hp(),
-    };
     let seconds_per_image = 1.0 / perf.images_per_sec.max(1e-9);
-    power.node_energy(measured_profile(perf), seconds_per_image)
+    node.power_model()
+        .node_energy(measured_profile(perf), seconds_per_image)
 }
 
 /// One pipeline stage's layer group.

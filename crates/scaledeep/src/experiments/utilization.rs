@@ -5,7 +5,6 @@
 use crate::attribution::measured_profile;
 use crate::report::{geomean, Table};
 use crate::{Session, TraceConfig};
-use scaledeep_arch::{PowerModel, Precision};
 use scaledeep_compiler::MappingReport;
 use scaledeep_dnn::zoo;
 use scaledeep_sim::perf::RunKind;
@@ -161,8 +160,8 @@ pub struct UtilizationTrace {
     /// Cycles the traced window covers.
     pub window: u64,
     /// Achieved processing efficiency at the *measured* utilization
-    /// profile ([`PowerModel::node_efficiency`] fed the profile the trace
-    /// observed, not the paper's assumed one).
+    /// profile ([`scaledeep_arch::PowerModel::node_efficiency`] fed the
+    /// profile the trace observed, not the paper's assumed one).
     pub gflops_per_watt: f64,
 }
 
@@ -197,10 +196,7 @@ pub fn utilization_trace() -> (UtilizationTrace, Vec<Table>) {
 
     // Achieved efficiency at the profile the trace measured — the
     // honest counterpart to Figure 20's assumed-utilization GFLOPS/W.
-    let power = match session.node().precision {
-        Precision::Single => PowerModel::paper_sp(),
-        Precision::Half => PowerModel::paper_hp(),
-    };
+    let power = session.node().power_model();
     let profile = measured_profile(&traced.perf);
     let gflops_per_watt = power.node_efficiency(traced.perf.achieved_flops, profile) / 1e9;
     t1.row([

@@ -203,18 +203,9 @@ fn into_trace(tracer: Tracer<FilterSink<RingSink>>, metrics: MetricsRegistry) ->
 #[derive(Debug, Clone)]
 pub struct CycleCrossCheck {
     /// Statistics from the functional simulator's event-driven run of one
-    /// full training iteration (FP + BP + WG, single image), executed on
-    /// the interpreter tier (the bit-identity oracle).
+    /// full training iteration (FP + BP + WG, single image) on the
+    /// compiled tier.
     pub functional: RunStats,
-    /// The same iteration — same artifact, parameters, and inputs — run
-    /// on the compiled micro-op tier.
-    pub compiled_tier: RunStats,
-    /// Whether the two tiers produced identical [`RunStats`] *and*
-    /// bit-identical final state (learning state plus every layer's
-    /// activations and errors). The compiled tier shares the
-    /// interpreter's arithmetic kernels, so anything but `true` is a
-    /// tiering regression.
-    pub tiers_identical: bool,
     /// The performance model's per-image service cycles: the sum of every
     /// pipeline stage's service time (the layer-sequential, single-image
     /// interpretation — the same quantity the A4 ablation uses).
@@ -382,8 +373,9 @@ impl Session {
 
     /// The execution tier this session's functional runs use: always
     /// [`ExecBackend::Compiled`], the artifact's pre-decoded micro-op
-    /// streams. The interpreter is bit-identical and survives only as
-    /// the oracle [`Session::cross_check`] and the tests name explicitly.
+    /// streams. Kept for perfbench, which selects its tier through it; the
+    /// bit-identical interpreter is reached only by the tests and
+    /// perfbench.
     pub fn exec_backend(&self) -> ExecBackend {
         ExecBackend::Compiled
     }
@@ -549,7 +541,8 @@ impl Session {
         reg.add(nanos, s.compile_nanos);
     }
 
-    /// Simulates training.
+    /// Simulates training. A plain form of [`Session::run_mapped_with`],
+    /// kept for perfbench, which calls it by name.
     ///
     /// # Errors
     ///
@@ -558,7 +551,9 @@ impl Session {
         Ok(self.run_mapped(&*self.compile(net)?, RunKind::Training))
     }
 
-    /// Simulates evaluation (inference).
+    /// Simulates evaluation (inference). A plain form of
+    /// [`Session::run_mapped_with`], kept for perfbench, which calls it by
+    /// name.
     ///
     /// # Errors
     ///
@@ -567,7 +562,9 @@ impl Session {
         Ok(self.run_mapped(&*self.compile(net)?, RunKind::Evaluation))
     }
 
-    /// Simulates an already-compiled artifact.
+    /// Simulates an already-compiled artifact. A plain form of
+    /// [`Session::run_mapped_with`], kept for perfbench, which calls it by
+    /// name.
     pub fn run_mapped(&self, artifact: &CompiledArtifact, kind: RunKind) -> PerfResult {
         self.run_mapped_with(artifact, kind, &FaultPlan::none(), Observer::Off)
             .value
@@ -589,7 +586,7 @@ impl Session {
         plan: &FaultPlan,
         obs: Observer<'_>,
     ) -> Observed<PerfResult> {
-        observe!(obs, |tracer, reg| self.sim.run_mapped_observed(
+        observe!(obs, |tracer, reg| self.sim.run(
             artifact.mapping(),
             kind,
             plan,
@@ -623,7 +620,9 @@ impl Session {
     /// and a hit, breaking byte-identical exports); pass
     /// [`Observer::Trace`] to [`Session::compile_with`] to observe the
     /// pipeline's phases, and see [`Session::cache_stats`] for the
-    /// hit/miss/wall-clock ledger.
+    /// hit/miss/wall-clock ledger. A plain form of
+    /// [`Session::run_mapped_with`], kept for perfbench, which calls it by
+    /// name.
     ///
     /// # Errors
     ///
@@ -642,7 +641,9 @@ impl Session {
     /// if a permanent tile failure faults the run, the network is
     /// recompiled around the dead tiles, the checkpoint restored into the
     /// degraded layout, and the iteration retried with the permanent
-    /// failures dropped from the plan (they are now mapped around).
+    /// failures dropped from the plan (they are now mapped around). A
+    /// plain form of [`Session::run_resilient_with`], kept for perfbench,
+    /// which calls it by name.
     ///
     /// # Errors
     ///
@@ -736,12 +737,12 @@ impl Session {
 
     /// Runs `net` through both simulators and returns their cycle counts
     /// for one training image: the functional simulator executes the
-    /// compiled ISA programs event-driven (bit-accurate, cycle-grounded
-    /// by the §3.2 cost table), while the performance model prices the
-    /// same layers analytically. Both views come from one
-    /// [`CompiledArtifact`] — the network is compiled once. Parameters
-    /// are seeded deterministically; the input image is an arbitrary
-    /// constant (cycle counts are data-independent).
+    /// compiled micro-op streams event-driven (bit-accurate,
+    /// cycle-grounded by the §3.2 cost table), while the performance
+    /// model prices the same layers analytically. Both views come from
+    /// one [`CompiledArtifact`] — the network is compiled once.
+    /// Parameters are seeded deterministically; the input image is an
+    /// arbitrary constant (cycle counts are data-independent).
     ///
     /// # Errors
     ///
@@ -750,35 +751,15 @@ impl Session {
     pub fn cross_check(&self, net: &Network) -> Result<CycleCrossCheck> {
         let artifact = self.compile(net)?;
         let (mut fsim, image, golden) = seeded_iteration(net, &artifact)?;
-        fsim.set_backend(ExecBackend::Interpreter);
         // A bounded flight recorder rides along so a divergence can be
         // diagnosed from the run's final events without re-running.
         let mut tracer = Tracer::new(session_sink(&TraceConfig::flight_recorder(
             CROSS_CHECK_TAIL_EVENTS,
         )));
         let mut reg = MetricsRegistry::new();
-        let functional = fsim.run_iteration_traced(
-            &image,
-            &golden,
-            &FaultPlan::none(),
-            &mut tracer,
-            Some(&mut reg),
-        )?;
-
-        // The same iteration on the compiled micro-op tier: same
-        // artifact, same deterministic parameter seed, same inputs. Both
-        // tiers must agree bit for bit — on the statistics (cycles,
-        // stalls, instruction counts) and on every word of result state.
-        let (mut csim, ..) = seeded_iteration(net, &artifact)?;
-        let compiled_tier = csim.run_iteration(&image, &golden)?;
-        let bits =
-            |v: Option<Vec<f32>>| v.map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
-        let state_identical = fsim.checkpoint() == csim.checkpoint()
-            && net.layers().all(|n| {
-                bits(fsim.layer_output(n.id())) == bits(csim.layer_output(n.id()))
-                    && bits(fsim.layer_error(n.id())) == bits(csim.layer_error(n.id()))
-            });
-        let tiers_identical = functional == compiled_tier && state_identical;
+        let plan = FaultPlan::none();
+        let functional =
+            fsim.run_iteration_traced(&image, &golden, &plan, &mut tracer, Some(&mut reg))?;
 
         // Per-image service cycles at minibatch 1, so neither batching
         // efficiency nor the pipeline overlap distorts the comparison.
@@ -788,12 +769,16 @@ impl Session {
             minibatch: 1,
             ..PerfOptions::default()
         });
-        let result = perf.run_mapped(artifact.mapping(), RunKind::Training);
+        let result = perf.run(
+            artifact.mapping(),
+            RunKind::Training,
+            &plan,
+            &mut Tracer::disabled(),
+            None,
+        );
         let perf_per_image_cycles = result.stages.iter().map(|s| s.service_cycles.max(1)).sum();
         Ok(CycleCrossCheck {
             functional,
-            compiled_tier,
-            tiers_identical,
             perf_per_image_cycles,
             trace: into_trace(tracer, reg),
         })
@@ -1528,21 +1513,6 @@ mod tests {
         third.compile(&net).unwrap();
         assert_eq!(stats(&third), (0, 1, 0));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn cross_check_tiers_are_bit_identical() {
-        let mut node = presets::single_precision();
-        node.cluster.spoke_bw = node.cluster.arc_bw;
-        let x = Session::with_node(node)
-            .cross_check(&zoo::alexnet_func())
-            .unwrap();
-        assert_eq!(
-            x.functional, x.compiled_tier,
-            "same-seed runs must report identical RunStats across tiers"
-        );
-        assert!(x.tiers_identical, "tier state diverged");
-        assert!(x.functional.cycles > 0);
     }
 
     #[test]

@@ -739,7 +739,7 @@ fn execute(shared: &Arc<Shared>, job: &Job) -> JobResult {
     match &job.request.kind {
         JobKind::Compile { network } => {
             let t0 = Instant::now();
-            let artifact = compile_deduped(shared, network, job.deadline, obs)?;
+            let artifact = compile_deduped(shared, network, job, obs)?;
             shared.observe("serve.lat.compile_ns", t0.elapsed().as_nanos() as f64);
             Ok(JobReply::Compiled {
                 provenance: artifact.provenance().cache_key(),
@@ -749,7 +749,7 @@ fn execute(shared: &Arc<Shared>, job: &Job) -> JobResult {
         }
         JobKind::Simulate { network, kind } => {
             let t0 = Instant::now();
-            let artifact = compile_deduped(shared, network, job.deadline, obs)?;
+            let artifact = compile_deduped(shared, network, job, obs)?;
             shared.observe("serve.lat.compile_ns", t0.elapsed().as_nanos() as f64);
             let t1 = Instant::now();
             let r = shared
@@ -800,19 +800,20 @@ fn lookup(network: &str) -> Result<scaledeep_dnn::Network, ServeError> {
 
 /// Compiles through the session cache with concurrent identical misses
 /// collapsed: the flight leader runs the pipeline, waiters share its
-/// artifact (bounded by their own deadline). A subscribed flight leader
-/// streams per-phase progress; waiters and cache hits stream nothing —
-/// progress reports work actually done, not work shared.
+/// artifact (bounded by `job`'s own deadline, and a waiter that times out
+/// reports `job`'s own wait). A subscribed flight leader streams
+/// per-phase progress; waiters and cache hits stream nothing — progress
+/// reports work actually done, not work shared.
 fn compile_deduped(
     shared: &Arc<Shared>,
     network: &str,
-    deadline: Instant,
+    job: &Job,
     obs: Observer<'_>,
 ) -> Result<Arc<CompiledArtifact>, ServeError> {
     let net = lookup(network)?;
     let opts = CompileOptions::default();
     let key = Provenance::new(shared.session.node(), &net, &opts).cache_key();
-    match shared.flights.join(key, deadline) {
+    match shared.flights.join(key, job.deadline) {
         Flight::Lead(guard) => {
             let result = shared
                 .session
@@ -825,9 +826,7 @@ fn compile_deduped(
             result
         }
         Flight::Shared(result) => result,
-        Flight::TimedOut => Err(ServeError::DeadlineExceeded {
-            waited_ms: shared.cfg.default_deadline_ms,
-        }),
+        Flight::TimedOut => Err(job.deadline_error()),
     }
 }
 
@@ -1148,6 +1147,45 @@ mod tests {
         assert!(
             started.elapsed() < Duration::from_secs(5),
             "wait must be bounded"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_flight_waiter_past_its_deadline_reports_its_own_wait() {
+        // The supervisor polls slowly, so the worker's own singleflight
+        // timeout resolves the job, not the supervisor's deadline sweep.
+        let server = quick_server(ServerConfig {
+            workers: 1,
+            supervisor_poll_ms: 500,
+            ..small_cfg()
+        });
+        let net = zoo::by_name("cnn-s").expect("zoo network");
+        let key =
+            Provenance::new(server.session().node(), &net, &CompileOptions::default()).cache_key();
+        let far = Instant::now() + Duration::from_secs(60);
+        let Flight::Lead(lead) = server.shared.flights.join(key, far) else {
+            panic!("the first join leads");
+        };
+        let r = server
+            .submit(
+                JobRequest::new(
+                    "a",
+                    JobKind::Compile {
+                        network: "cnn-s".into(),
+                    },
+                )
+                .with_deadline_ms(50),
+            )
+            .wait();
+        drop(lead);
+        let Err(ServeError::DeadlineExceeded { waited_ms }) = r else {
+            panic!("a waiter past its deadline must resolve DeadlineExceeded: {r:?}");
+        };
+        assert!(
+            waited_ms < 5_000,
+            "a 50 ms job reported {waited_ms} ms (default deadline {} ms)",
+            small_cfg().default_deadline_ms
         );
         server.shutdown();
     }

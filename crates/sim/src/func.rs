@@ -25,6 +25,7 @@ pub use tracker::{Tracker, TrackerTable};
 use crate::error::{Error, Result};
 use crate::fault::FaultPlan;
 use scaledeep_trace::{MetricsRegistry, TraceSink, Tracer};
+use std::borrow::Cow;
 
 use scaledeep_compiler::codegen::{
     conv_grads_to_output_major, conv_weights_to_input_major, fc_weights_transpose, BufferLoc,
@@ -40,9 +41,10 @@ use scaledeep_tensor::Executor;
 /// Both tiers share the event-driven scheduler, the tracker semantics and
 /// the arithmetic kernels, so results, [`RunStats`] and trace events are
 /// bit-identical; they differ only in per-dispatch decode work. The
-/// compiled tier is the one every production path runs; the interpreter
-/// is the oracle it is cross-checked against, reached only by naming it
-/// through [`FuncSim::with_backend`].
+/// compiled tier is the one every library path runs; the interpreter is
+/// the oracle it is checked against, reached only by the tests and
+/// perfbench naming it through [`FuncSim::with_backend`] or
+/// [`FuncSim::set_backend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecBackend {
     /// Re-decode each [`scaledeep_isa::Inst`] on every dispatch (the
@@ -219,13 +221,15 @@ impl FuncSim {
 
     /// Selects the execution tier for subsequent runs. Every simulator
     /// starts on [`ExecBackend::Compiled`]; naming
-    /// [`ExecBackend::Interpreter`] here is how oracle checks reach the
-    /// reference tier.
+    /// [`ExecBackend::Interpreter`] here is how the tests' oracle checks
+    /// and perfbench reach the reference tier. No library path does.
+    /// Kept for perfbench, which calls it by name.
     pub fn set_backend(&mut self, backend: ExecBackend) {
         self.backend = backend;
     }
 
-    /// Builder-style [`FuncSim::set_backend`].
+    /// Builder-style [`FuncSim::set_backend`]: how the whole-network tier
+    /// test drives both tiers. Kept for perfbench, which calls it by name.
     #[must_use]
     pub fn with_backend(mut self, backend: ExecBackend) -> Self {
         self.backend = backend;
@@ -343,7 +347,9 @@ impl FuncSim {
     /// Runs one full training iteration (FP + BP + WG) for one image:
     /// loads the image and golden output, arms the data-flow trackers,
     /// launches every compiled program concurrently and runs to
-    /// completion. Weight gradients accumulate across calls.
+    /// completion. Weight gradients accumulate across calls. A plain form
+    /// of [`FuncSim::run_iteration_traced`], kept for perfbench, which
+    /// calls it by name.
     ///
     /// # Errors
     ///
@@ -387,38 +393,36 @@ impl FuncSim {
         self.write_buffer(golden_loc, golden)
     }
 
-    /// Dispatches every compiled program through the selected
-    /// [`ExecBackend`].
+    /// Dispatches the compiled programs through the selected
+    /// [`ExecBackend`]: every program, or with `fp_only` just the
+    /// forward (`.FP`) ones.
     fn dispatch_all<S: TraceSink>(
         &mut self,
+        fp_only: bool,
         plan: &FaultPlan,
         tracer: &mut Tracer<S>,
         reg: Option<&mut MetricsRegistry>,
     ) -> Result<RunStats> {
         let costs = CycleCosts::default();
+        let specs = &self.compiled.trackers;
         match self.backend {
-            ExecBackend::Interpreter => self.machine.run_traced(
-                &self.compiled.programs,
-                &self.compiled.trackers,
-                &costs,
-                plan,
-                tracer,
-                reg,
-            ),
-            ExecBackend::Compiled => self.machine.run_lowered_traced(
-                &self.lowered,
-                &self.compiled.trackers,
-                &costs,
-                plan,
-                tracer,
-                reg,
-            ),
+            ExecBackend::Interpreter => {
+                let programs = select(&self.compiled.programs, fp_only, |p| p.name());
+                self.machine
+                    .run_traced(&programs, specs, &costs, plan, tracer, reg)
+            }
+            ExecBackend::Compiled => {
+                let programs = select(&self.lowered, fp_only, |p| p.name());
+                self.machine
+                    .run_lowered(&programs, specs, &costs, plan, tracer, reg)
+            }
         }
     }
 
     /// [`FuncSim::run_iteration`] under a [`FaultPlan`] and with
-    /// observability: dispatches through [`Machine::run_traced`] (see it
-    /// for the fault semantics, the track layout and the metric names),
+    /// observability: dispatches through [`Machine::run_lowered`] on the
+    /// compiled tier (see [`Machine::run_traced`] for the fault
+    /// semantics, the track layout and the metric names),
     /// emitting retire/park/wake/fault events into `tracer` and, when
     /// `reg` is given, rendering the run's [`RunStats`] into it. With the
     /// empty plan, a disabled tracer and no registry this is
@@ -437,7 +441,7 @@ impl FuncSim {
         reg: Option<&mut MetricsRegistry>,
     ) -> Result<RunStats> {
         self.prepare_iteration(image, golden)?;
-        self.dispatch_all(plan, tracer, reg)
+        self.dispatch_all(false, plan, tracer, reg)
     }
 
     /// Snapshots the learning state (weights, FC transposes, gradient
@@ -556,7 +560,7 @@ impl FuncSim {
             });
         }
         self.write_buffer(golden_loc, goldens)?;
-        self.dispatch_all(&FaultPlan::none(), &mut Tracer::disabled(), None)
+        self.dispatch_all(false, &FaultPlan::none(), &mut Tracer::disabled(), None)
     }
 
     /// Runs forward propagation only (network evaluation): executes the FP
@@ -577,28 +581,7 @@ impl FuncSim {
         // become ready once all updates land, and within a single image no
         // buffer needs the (never-arriving) BP/WG reads before being
         // rewritten.
-        match self.backend {
-            ExecBackend::Interpreter => {
-                let fp_programs: Vec<_> = self
-                    .compiled
-                    .programs
-                    .iter()
-                    .filter(|p| p.name().ends_with(".FP"))
-                    .cloned()
-                    .collect();
-                self.machine.run(&fp_programs, &self.compiled.trackers)
-            }
-            ExecBackend::Compiled => {
-                let fp_programs: Vec<_> = self
-                    .lowered
-                    .iter()
-                    .filter(|p| p.name().ends_with(".FP"))
-                    .cloned()
-                    .collect();
-                self.machine
-                    .run_lowered(&fp_programs, &self.compiled.trackers)
-            }
-        }
+        self.dispatch_all(true, &FaultPlan::none(), &mut Tracer::disabled(), None)
     }
 
     /// The post-activation output of a layer after a run.
@@ -667,5 +650,22 @@ impl FuncSim {
         }
         self.clear_gradients();
         Ok(())
+    }
+}
+
+/// `programs`, or with `fp_only` just its forward (`.FP`) programs.
+fn select<'a, P: Clone>(
+    programs: &'a [P],
+    fp_only: bool,
+    name: impl Fn(&P) -> &str,
+) -> Cow<'a, [P]> {
+    if fp_only {
+        programs
+            .iter()
+            .filter(|p| name(p).ends_with(".FP"))
+            .cloned()
+            .collect()
+    } else {
+        Cow::Borrowed(programs)
     }
 }

@@ -299,9 +299,10 @@ impl Machine {
         self.run_generic(programs, specs, costs, plan, tracer, reg)
     }
 
-    /// Runs pre-lowered micro-op streams (the compiled execution tier)
-    /// with the default cost table. Same scheduling, tracker semantics
-    /// and arithmetic as [`Machine::run`] — the lowered form removes
+    /// The compiled tier's one run: [`Machine::run_traced`] over
+    /// pre-lowered micro-op streams, with full fault-plan and
+    /// observability support. Same scheduling, tracker semantics and
+    /// arithmetic as the interpreter — the lowered form removes
     /// per-dispatch decode work and swaps in a restructured (but
     /// FP-order-preserving) convolution kernel — so results, [`RunStats`]
     /// and trace events are bit-identical to interpreting the source
@@ -309,30 +310,8 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// See [`Machine::run`].
-    pub fn run_lowered(
-        &mut self,
-        programs: &[LoweredProgram],
-        specs: &[TrackerSpec],
-    ) -> Result<RunStats> {
-        self.run_lowered_traced(
-            programs,
-            specs,
-            &CycleCosts::default(),
-            &FaultPlan::none(),
-            &mut Tracer::disabled(),
-            None,
-        )
-    }
-
-    /// [`Machine::run_traced`] over pre-lowered micro-op streams (the
-    /// compiled execution tier), with full fault-plan and observability
-    /// support.
-    ///
-    /// # Errors
-    ///
     /// See [`Machine::run_traced`].
-    pub fn run_lowered_traced<S: TraceSink>(
+    pub fn run_lowered<S: TraceSink>(
         &mut self,
         programs: &[LoweredProgram],
         specs: &[TrackerSpec],
@@ -1317,7 +1296,16 @@ mod tests {
             programs.iter().map(scaledeep_isa::micro::lower).collect();
         let mut compiled = Machine::new(2, 16);
         compiled.mem_mut(0)[8..12].copy_from_slice(&init);
-        let b = compiled.run_lowered(&lowered, &specs).unwrap();
+        let b = compiled
+            .run_lowered(
+                &lowered,
+                &specs,
+                &CycleCosts::default(),
+                &FaultPlan::none(),
+                &mut Tracer::disabled(),
+                None,
+            )
+            .unwrap();
 
         assert_eq!(a, b, "RunStats must be bit-identical across tiers");
         assert_eq!(interp.mem(0), compiled.mem(0));

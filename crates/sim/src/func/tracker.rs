@@ -152,15 +152,6 @@ impl TrackerTable {
         Ok(())
     }
 
-    /// Resets every tracker's counters (between images).
-    pub fn reset_counters(&mut self) {
-        for tile in &mut self.per_tile {
-            for t in tile {
-                t.reset();
-            }
-        }
-    }
-
     fn overlapping(&self, tile: u16, addr: u32, len: u32) -> impl Iterator<Item = &Tracker> {
         self.per_tile
             .get(tile as usize)

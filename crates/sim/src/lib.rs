@@ -26,16 +26,14 @@
 //!   cross-checkable against [`perf`].
 //!
 //! Both simulators are instrumented with the `scaledeep-trace`
-//! observability subsystem: their full entry points
-//! ([`func::Machine::run_traced`] and
-//! [`perf::PerfSim::run_mapped_observed`], the one performance run)
-//! accept a `Tracer` (cycle-stamped spans/instants on named tracks,
-//! exportable to Chrome/Perfetto JSON or per-cycle CSV) and a
-//! `MetricsRegistry` (optional for the performance run). Both models
-//! return a typed run record ([`RunStats`], [`PerfResult`]) and render it
-//! into the registry only when the run is observed; unobserved runs touch
-//! no registry. The untraced entry points delegate with a
-//! statically-free `NullSink`.
+//! observability subsystem: each layer has one run function
+//! ([`perf::PerfSim::run`], [`func::Machine::run_lowered`] on the
+//! compiled tier) that takes a `Tracer` (cycle-stamped spans/instants on
+//! named tracks, exportable to Chrome/Perfetto JSON or per-cycle CSV) and
+//! an optional `MetricsRegistry`. Both models return a typed run record
+//! ([`RunStats`], [`PerfResult`]) and render it into the registry only
+//! when the run is observed; unobserved runs pass a statically-free
+//! `NullSink` tracer and touch no registry.
 //!
 //! [`RunStats`]: func::RunStats
 //! [`PerfResult`]: perf::PerfResult

@@ -33,11 +33,10 @@ mod stage;
 
 pub use metrics::{FaultStats, LinkUtilization, PerfResult, StageStat, TierBytes};
 pub use node::{run_node, NodeModel, NodeOutcome};
-pub use pipeline::run_pipeline_traced;
 pub use stage::{RunKind, StageCost};
 
 use crate::fault::FaultPlan;
-use scaledeep_arch::{NodeConfig, PowerModel, Precision};
+use scaledeep_arch::{NodeConfig, PowerModel};
 use scaledeep_compiler::Mapping;
 use scaledeep_trace::{MetricsRegistry, TraceSink, Tracer};
 
@@ -98,12 +97,20 @@ impl Default for PerfOptions {
 /// use scaledeep_arch::presets;
 /// use scaledeep_compiler::Compiler;
 /// use scaledeep_dnn::zoo;
+/// use scaledeep_sim::fault::FaultPlan;
 /// use scaledeep_sim::perf::{PerfSim, RunKind};
+/// use scaledeep_trace::Tracer;
 ///
 /// # fn main() -> Result<(), scaledeep_sim::Error> {
 /// let node = presets::single_precision();
 /// let mapping = Compiler::new(&node).map(&zoo::alexnet())?;
-/// let result = PerfSim::new(&node).run_mapped(&mapping, RunKind::Training);
+/// let result = PerfSim::new(&node).run(
+///     &mapping,
+///     RunKind::Training,
+///     &FaultPlan::none(),
+///     &mut Tracer::disabled(),
+///     None,
+/// );
 /// assert!(result.images_per_sec > 1_000.0);
 /// # Ok(())
 /// # }
@@ -119,13 +126,9 @@ impl PerfSim {
     /// Creates a simulator for `node` with default options and the power
     /// model matching the node's precision.
     pub fn new(node: &NodeConfig) -> Self {
-        let power = match node.precision {
-            Precision::Single => PowerModel::paper_sp(),
-            Precision::Half => PowerModel::paper_hp(),
-        };
         Self {
             node: *node,
-            power,
+            power: node.power_model(),
             opts: PerfOptions::default(),
         }
     }
@@ -146,51 +149,25 @@ impl PerfSim {
         &self.opts
     }
 
-    /// Simulates an already-mapped network.
-    pub fn run_mapped(&self, mapping: &Mapping, kind: RunKind) -> PerfResult {
-        self.run_mapped_observed(
-            mapping,
-            kind,
-            &FaultPlan::none(),
-            &mut Tracer::disabled(),
-            None,
-        )
-    }
-
-    /// Simulates an already-mapped network under a [`FaultPlan`] and with
-    /// observability, rendering the result into `reg`: this is
-    /// [`PerfSim::run_mapped_observed`] with `Some(reg)`. Every scalar
-    /// of the returned [`PerfResult`] (the typed run record), plus the
-    /// pipeline's counters, lands in `reg` under its `perf.*` name.
-    pub fn run_mapped_traced<S: TraceSink>(
-        &self,
-        mapping: &Mapping,
-        kind: RunKind,
-        plan: &FaultPlan,
-        tracer: &mut Tracer<S>,
-        reg: &mut MetricsRegistry,
-    ) -> PerfResult {
-        self.run_mapped_observed(mapping, kind, plan, tracer, Some(reg))
-    }
-
     /// The one performance run: simulates an already-mapped network under
     /// a [`FaultPlan`], observed by `tracer`, and returns the typed run
     /// record. The plan's [`LinkFaults`](crate::fault::LinkFaults) model
     /// charges retry/back-off latency on stage hand-offs and minibatch
     /// syncs, and the result's [`PerfResult::faults`] reports the toll;
-    /// the empty plan is bit-identical to [`PerfSim::run_mapped`]. The
-    /// pipeline emits stage-occupancy spans, sync spans, and retry
-    /// instants into `tracer`. With `reg: Some`, the record is then
-    /// rendered into the registry (same names, values and registration
-    /// order for any tracer; counters add to any already there); with
-    /// `None` the run touches no registry at all.
+    /// the empty plan takes the same code path with zero added latency.
+    /// The pipeline emits stage-occupancy spans, sync spans, and retry
+    /// instants into `tracer`. With `reg: Some`, the record is then rendered into the
+    /// registry: every scalar of the [`PerfResult`] plus the pipeline's
+    /// counters, under their `perf.*` names (same names, values and
+    /// registration order for any tracer; counters add to any already
+    /// there). With `None` the run touches no registry at all.
     ///
     /// The run is [`PerfSim::node_model`] with one replica (replica 0's
     /// salts), faulted runs included; the node-wide replica count scales
     /// the throughput. Without faults every replica is identical. Under
     /// link faults the whole node ([`run_node`]) has a window and retry
     /// count at least this run's (DESIGN.md §5b).
-    pub fn run_mapped_observed<S: TraceSink>(
+    pub fn run<S: TraceSink>(
         &self,
         mapping: &Mapping,
         kind: RunKind,
@@ -225,7 +202,7 @@ impl PerfSim {
     /// description of a performance run: the stage costs, image stream,
     /// minibatch structure and sync latency, replicated over every
     /// concurrent pipeline the mapping runs node-wide, with the plan's
-    /// seed and link-fault model. [`PerfSim::run_mapped_observed`] simulates
+    /// seed and link-fault model. [`PerfSim::run`] simulates
     /// it with one replica, which draws on replica 0's salts;
     /// [`run_node`] on the whole model max-reduces every replica at each
     /// sync (`Session::node_outcome`).
@@ -259,7 +236,13 @@ pub(crate) fn map_and_run(
     let mapping = scaledeep_compiler::Compiler::new(&sim.node)
         .map(net)
         .expect("network maps");
-    sim.run_mapped(&mapping, kind)
+    sim.run(
+        &mapping,
+        kind,
+        &FaultPlan::none(),
+        &mut Tracer::disabled(),
+        None,
+    )
 }
 
 #[cfg(test)]

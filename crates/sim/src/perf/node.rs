@@ -386,11 +386,12 @@ pub(super) fn run_node_event_ordered<S: TraceSink>(
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
-    use crate::perf::{PerfSim, RunKind};
+    use crate::perf::{pipeline, PerfSim, RunKind};
     use proptest::prelude::*;
     use scaledeep_arch::presets;
     use scaledeep_compiler::Compiler;
     use scaledeep_dnn::{zoo, LayerId};
+    use scaledeep_trace::{Category, CategoryMask, FilterSink, MetricsRegistry, VecSink};
 
     /// The event-ordered drive with nothing recorded: the epoch drive's
     /// oracle.
@@ -566,6 +567,181 @@ mod tests {
         fn random_models_match_the_heap_oracle(seed in any::<u64>()) {
             let m = random_model(seed);
             prop_assert_eq!(run_node(&m), event_ordered(&m));
+        }
+    }
+
+    // The drive a traced run takes: `pipeline::drive` simulates a model
+    // epoch by epoch (`run_node`: each fault-free epoch in closed form,
+    // each link-faulted epoch walked image-major) whenever the tracer
+    // records none of the pipeline's categories, and with the
+    // event-ordered heap otherwise. Both return a `NodeOutcome`, and the
+    // registry is written in bulk from it, so nothing a caller can read
+    // may tell the two apart: the outcome and the metrics registry must
+    // be `==`. The generators cover long pipelines, one to three
+    // replicas, equal service times (heap ties), partial tail
+    // minibatches, barrier on and off, and seeded transient link faults;
+    // a second, fault-free generator sizes minibatches like real runs (up
+    // to 64 images). A metrics-only tracer (active, every category
+    // filtered out) takes the epoch drive too, and must still intern the
+    // same tracks and record no event, while a tracer that records any
+    // single pipeline category keeps the event-ordered drive.
+
+    /// One to forty stages. A small palette makes equal service times
+    /// (and so equal completion cycles across stages) common rather than
+    /// a one-in-10^4 accident.
+    fn palette_stages(rng: &mut Rng) -> Vec<StageCost> {
+        let palette = [rng.range(1, 10_000), rng.range(1, 10_000), rng.range(1, 16)];
+        (0..rng.range(1, 40))
+            .map(|s| StageCost {
+                id: LayerId::from_index(s as usize),
+                name: format!("s{s}"),
+                service_cycles: if rng.chance(2) {
+                    palette[rng.range(0, 2) as usize]
+                } else {
+                    rng.range(1, 10_000)
+                },
+                useful_lane_cycles: 0.0,
+                useful_sfu_cycles: 0.0,
+                traffic: [0.0; 7],
+                links: [0.0; 7],
+            })
+            .collect()
+    }
+
+    /// One random run, its link-retry draws keyed on `fault_seed`.
+    fn palette_model(seed: u64, fault_seed: u64) -> NodeModel {
+        let mut rng = Rng(seed.rotate_left(11) | 1);
+        let stages = palette_stages(&mut rng);
+        let minibatch = rng.range(1, 8) as usize;
+        // Whole minibatches plus a (possibly empty) partial tail.
+        let images =
+            minibatch * rng.range(1, 5) as usize + rng.range(0, minibatch as u64 - 1) as usize;
+        NodeModel {
+            stages,
+            replicas: rng.range(1, 3) as usize,
+            images,
+            minibatch,
+            sync: rng.range(0, 2_000),
+            barrier: !rng.chance(3),
+            seed: fault_seed,
+            link: (!rng.chance(2)).then(|| LinkFaults {
+                prob: [0.05, 0.3, 1.0][rng.range(0, 2) as usize],
+                base_backoff: rng.range(1, 64),
+                max_retries: rng.range(1, 5) as u32,
+            }),
+        }
+    }
+
+    /// One random fault-free run sized like a real one: minibatches of
+    /// up to 64 images, so an epoch's last image sits far down the
+    /// stages' lattice (the `i·M_k` term of the closed-form epoch).
+    fn real_scale_model(seed: u64) -> NodeModel {
+        let mut rng = Rng(seed.rotate_left(23) | 1);
+        let stages = palette_stages(&mut rng);
+        let minibatch = rng.range(1, 64) as usize;
+        // Whole minibatches plus a (possibly empty) partial tail.
+        let images =
+            minibatch * rng.range(1, 5) as usize + rng.range(0, minibatch as u64 - 1) as usize;
+        NodeModel {
+            stages,
+            replicas: rng.range(1, 3) as usize,
+            images,
+            minibatch,
+            sync: rng.range(0, 2_000),
+            barrier: rng.chance(2),
+            seed,
+            link: None,
+        }
+    }
+
+    /// Drives `m` under `tracer` and writes the pipeline's counters from
+    /// the outcome, as a traced `PerfSim::run` does.
+    fn drive_observed<S: TraceSink>(
+        m: &NodeModel,
+        tracer: &mut Tracer<S>,
+    ) -> (NodeOutcome, MetricsRegistry) {
+        let out = pipeline::drive(m, tracer);
+        let mut reg = MetricsRegistry::new();
+        pipeline::write_counters(
+            &mut reg,
+            [
+                out.faults.link_retries,
+                out.faults.retry_cycles,
+                out.images_done,
+                out.syncs,
+                out.sync_cycles,
+            ],
+            out.stage_busy.iter().copied(),
+            &pipeline::occupancy(&m.stages, &out.stage_admissions),
+        );
+        (out, reg)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The epoch and event-ordered drives return equal outcomes and
+        /// equal registries on random models.
+        #[test]
+        fn image_major_drive_matches_the_event_ordered_drive(seed in any::<u64>(), fault_seed in any::<u64>()) {
+            let m = palette_model(seed, fault_seed);
+            let (fast, fast_reg) = drive_observed(&m, &mut Tracer::disabled());
+            let mut recorded = Tracer::new(VecSink::new());
+            let (slow, slow_reg) = drive_observed(&m, &mut recorded);
+            prop_assert!(
+                recorded.sink().events().len() >= m.replicas * m.images * m.stages.len(),
+                "the recording tracer must take the event-ordered drive"
+            );
+            prop_assert_eq!(&fast, &slow);
+            prop_assert_eq!(&fast_reg, &slow_reg);
+
+            let mut metrics_only =
+                Tracer::new(FilterSink::new(VecSink::new(), CategoryMask::none(), 1));
+            let (quiet, quiet_reg) = drive_observed(&m, &mut metrics_only);
+            prop_assert_eq!(&quiet, &slow);
+            prop_assert_eq!(&quiet_reg, &slow_reg);
+            prop_assert!(metrics_only.sink().inner().events().is_empty());
+            prop_assert_eq!(metrics_only.tracks(), recorded.tracks());
+
+            // Recording any one pipeline category keeps the event-ordered
+            // drive: the filtered run records exactly that category's
+            // events.
+            for cat in [Category::Stage, Category::Session, Category::Link] {
+                let mut one =
+                    Tracer::new(FilterSink::new(VecSink::new(), CategoryMask::just(cat), 1));
+                let (out, one_reg) = drive_observed(&m, &mut one);
+                prop_assert_eq!(&out, &slow);
+                prop_assert_eq!(&one_reg, &slow_reg);
+                let want: Vec<_> = recorded
+                    .sink()
+                    .events()
+                    .iter()
+                    .filter(|e| e.payload.category() == cat)
+                    .copied()
+                    .collect();
+                prop_assert_eq!(one.sink().inner().events(), &want[..], "{:?}", cat);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Fault-free models at real scale: the closed-form epochs behind
+        /// an untraced run return the outcome and registry of the
+        /// recorded event-ordered run.
+        #[test]
+        fn real_scale_fault_free_runs_match_the_recorded_drive(seed in any::<u64>()) {
+            let m = real_scale_model(seed);
+            let (fast, fast_reg) = drive_observed(&m, &mut Tracer::disabled());
+            let mut recorded = Tracer::new(VecSink::new());
+            let (slow, slow_reg) = drive_observed(&m, &mut recorded);
+            prop_assert!(
+                recorded.sink().events().len() >= m.replicas * m.images * m.stages.len(),
+                "the recording tracer must take the event-ordered drive"
+            );
+            prop_assert_eq!(&fast, &slow);
+            prop_assert_eq!(&fast_reg, &slow_reg);
         }
     }
 }

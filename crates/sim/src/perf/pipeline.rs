@@ -21,8 +21,8 @@ pub(super) fn sync_cycles(mapping: &Mapping, node: &NodeConfig) -> Cycle {
     (arc + ring).ceil() as Cycle
 }
 
-/// Simulates `model` under observability and writes the run's counters
-/// into `reg`.
+/// Simulates `model` with the drive `tracer` calls for, interning the
+/// pipeline's tracks either way; writes no registry.
 ///
 /// Every stage hand-off (the grid/spoke transfer admitting an image into a
 /// stage) and every minibatch sync (wheel arcs + ring) independently
@@ -38,40 +38,14 @@ pub(super) fn sync_cycles(mapping: &Mapping, node: &NodeConfig) -> Cycle {
 /// ([`Category::Stage`], [`Category::Session`], [`Category::Link`]), the
 /// run takes the event-ordered drive, which emits every stage-occupancy
 /// span, sync span and retry instant in emission order. Otherwise it
-/// takes the epoch drive [`run_node`](super::run_node). The tracks
-/// are interned either way. After either drive the counters (per-stage
-/// busy cycles, sync cycles, retry counts and cycles, completions, and
-/// the per-visit stage-occupancy histogram) are written in bulk from the
-/// [`NodeOutcome`] into a per-run registry that is merged into `reg`.
+/// takes the epoch drive [`run_node`](super::run_node). Both return the
+/// same [`NodeOutcome`], from which the caller writes the counters
+/// ([`write_counters`]).
 ///
 /// # Panics
 ///
 /// Panics when `model.stages` is empty, `model.images == 0`, or
 /// `model.replicas == 0`.
-pub fn run_pipeline_traced<S: TraceSink>(
-    model: &NodeModel,
-    tracer: &mut Tracer<S>,
-    reg: &mut MetricsRegistry,
-) -> NodeOutcome {
-    let out = drive(model, tracer);
-    write_counters(
-        reg,
-        [
-            out.faults.link_retries,
-            out.faults.retry_cycles,
-            out.images_done,
-            out.syncs,
-            out.sync_cycles,
-        ],
-        out.stage_busy.iter().copied(),
-        &occupancy(&model.stages, &out.stage_admissions),
-    );
-    out
-}
-
-/// Simulates `model` with the drive `tracer` calls for (see
-/// [`run_pipeline_traced`]), interning the pipeline's tracks; writes no
-/// registry.
 pub(super) fn drive<S: TraceSink>(model: &NodeModel, tracer: &mut Tracer<S>) -> NodeOutcome {
     let tracks = PipelineTracks::intern(&model.stages, tracer);
     let records = [Category::Stage, Category::Session, Category::Link]
@@ -170,7 +144,7 @@ mod tests {
 
     /// An untraced run.
     fn run(m: &NodeModel) -> NodeOutcome {
-        run_pipeline_traced(m, &mut Tracer::disabled(), &mut MetricsRegistry::new())
+        drive(m, &mut Tracer::disabled())
     }
 
     /// Images completed inside the steady-state window (all but the

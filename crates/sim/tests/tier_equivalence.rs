@@ -17,7 +17,9 @@
 
 use proptest::prelude::*;
 use scaledeep_isa::{micro, ActKind, Addr, Inst, MemRef, PoolMode, Program, Reg, TileRef};
-use scaledeep_sim::func::Machine;
+use scaledeep_sim::fault::FaultPlan;
+use scaledeep_sim::func::{CycleCosts, Machine};
+use scaledeep_trace::Tracer;
 
 const TILES: u16 = 2;
 const CAPACITY: u32 = 1024;
@@ -414,7 +416,16 @@ proptest! {
 
         let lowered: Vec<_> = programs.iter().map(micro::lower).collect();
         let mut compiled = init_machine(seed);
-        let b = compiled.run_lowered(&lowered, &[]).expect("compiled tier runs");
+        let b = compiled
+            .run_lowered(
+                &lowered,
+                &[],
+                &CycleCosts::default(),
+                &FaultPlan::none(),
+                &mut Tracer::disabled(),
+                None,
+            )
+            .expect("compiled tier runs");
 
         prop_assert_eq!(a, b, "RunStats diverged across tiers");
         for t in 0..TILES {

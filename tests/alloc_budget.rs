@@ -12,7 +12,9 @@ use scaledeep_arch::DesignPoint;
 use scaledeep_compiler::CompileOptions;
 use scaledeep_compiler::{artifact_io, pipeline};
 use scaledeep_dnn::zoo;
+use scaledeep_sim::fault::FaultPlan;
 use scaledeep_sim::perf::{PerfSim, RunKind};
+use scaledeep_trace::Tracer;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -77,7 +79,16 @@ fn candidate_path_allocation_budget() {
         );
         if name == "googlenet" {
             let sim = PerfSim::new(&node);
-            let (_, run) = counted(|| sim.run_mapped(artifact.mapping(), RunKind::Training));
+            let plan = FaultPlan::none();
+            let (_, run) = counted(|| {
+                sim.run(
+                    artifact.mapping(),
+                    RunKind::Training,
+                    &plan,
+                    &mut Tracer::disabled(),
+                    None,
+                )
+            });
             assert!(
                 run < 147,
                 "googlenet: a training run made {run} allocations, not fewer than 147"

@@ -1,7 +1,8 @@
 //! The measured-attribution benchmark layer, end to end: the committed
 //! `BENCH_<network>.json` baselines stay reproducible from this tree, the
 //! per-layer cycle attribution sums to the trace's measured busy cycles,
-//! the interpreter oracle reproduces the committed functional drill, and
+//! the interpreter oracle and the compiled tier agree over whole
+//! training iterations and reproduce the committed functional drill, and
 //! the byte gate fails perturbed baselines, naming the leaf each moved.
 //! Property tests
 //! pin the `Hist::percentile` estimator and `MetricsRegistry::merge`
@@ -11,8 +12,12 @@ use proptest::prelude::*;
 use scaledeep::report::bench_inputs;
 use scaledeep::{Session, TraceConfig};
 use scaledeep_arch::{presets, DesignPoint, Precision};
-use scaledeep_dnn::zoo;
+use scaledeep_compiler::codegen::BufferLoc;
+use scaledeep_compiler::CompiledArtifact;
+use scaledeep_dnn::{zoo, Layer, Network};
+use scaledeep_sim::func::{ExecBackend, FuncSim, RunStats};
 use scaledeep_sim::perf::{PerfOptions, RunKind};
+use scaledeep_tensor::Executor;
 use scaledeep_trace::json::{self, check_document, Json};
 use scaledeep_trace::MetricsRegistry;
 
@@ -50,37 +55,113 @@ fn committed_baselines_reproduce_exactly() {
     }
 }
 
+/// Training iterations per tier in the whole-network oracle: one
+/// warm-up, then the five the `repro --sweep` drill times.
+const ORACLE_ITERATIONS: usize = 6;
+
+/// Runs [`ORACLE_ITERATIONS`] training iterations of `net` from
+/// `artifact` on `tier`, seeded like the session's functional drill
+/// (reference parameters from seed `0xC0FFEE`, a constant 0.5 image and a
+/// zero golden vector), and returns every iteration's statistics with the
+/// simulator, for its final state.
+fn tier_iterations(
+    net: &Network,
+    artifact: &CompiledArtifact,
+    tier: ExecBackend,
+) -> (Vec<RunStats>, FuncSim) {
+    let compiled = artifact.functional().expect("a functional compile");
+    let input = compiled.buffers[net.input().id().index()]
+        .output
+        .expect("input buffer");
+    let golden = net
+        .layers()
+        .find(|n| matches!(n.layer(), Layer::Loss))
+        .and_then(|n| compiled.buffers[n.id().index()].golden)
+        .expect("golden buffer");
+    let (image, golden) = (
+        vec![0.5; input.len as usize],
+        vec![0.0; golden.len as usize],
+    );
+    let mut fsim = FuncSim::from_artifact(net, artifact)
+        .expect("the simulator builds")
+        .with_backend(tier);
+    fsim.import_params(&Executor::new(net, 0xC0FFEE).expect("reference"))
+        .expect("parameters import");
+    let stats = (0..ORACLE_ITERATIONS)
+        .map(|_| fsim.run_iteration(&image, &golden).expect("iteration runs"))
+        .collect();
+    (stats, fsim)
+}
+
 #[test]
 fn alexnet_func_tiers_match_the_committed_drill() {
-    // The interpreter oracle over a whole network, on the unmodified
-    // preset node: the same seeded training iteration on both tiers must
-    // give equal statistics and bit-equal learning state, activations
-    // and errors, and those statistics are the committed drill's.
-    let x = Session::single_precision()
-        .cross_check(&zoo::alexnet_func())
-        .expect("alexnet-func cross-checks");
-    assert_eq!(
-        x.functional, x.compiled_tier,
-        "RunStats differ across tiers"
-    );
-    assert!(x.tiers_identical, "tier state diverged");
-    let doc = json::parse(&committed_text("alexnet-func")).expect("the baseline parses");
-    let drill = doc
-        .field("functional")
-        .expect("the baseline has a drill key");
-    let count = |key| {
-        drill
-            .count_field::<u64>(key)
-            .unwrap_or_else(|e| panic!("$.functional: {e}"))
-    };
-    assert_eq!(
-        (
-            x.functional.cycles,
-            x.functional.instructions,
-            x.functional.stalls
-        ),
-        (count("cycles"), count("instructions"), count("stalls"))
-    );
+    // The interpreter oracle over a whole network, on the preset node and
+    // on the node with the wheel spoke lifted to arc bandwidth: the same
+    // seeded training iterations on both tiers must give equal
+    // statistics, iteration by iteration, and bit-equal final state
+    // (learning state, activations, errors: every layer buffer). On the
+    // preset node the first iteration's statistics are the committed
+    // drill's.
+    let net = zoo::alexnet_func();
+    let mut lifted = presets::single_precision();
+    lifted.cluster.spoke_bw = lifted.cluster.arc_bw;
+    for (label, node) in [("preset", presets::single_precision()), ("lifted", lifted)] {
+        let artifact = Session::with_node(node)
+            .compile(&net)
+            .expect("alexnet-func compiles");
+        let (interp, isim) = tier_iterations(&net, &artifact, ExecBackend::Interpreter);
+        let (compiled, csim) = tier_iterations(&net, &artifact, ExecBackend::Compiled);
+        assert_eq!(interp, compiled, "{label}: RunStats differ across tiers");
+        assert!(compiled[0].cycles > 0, "{label}");
+        assert!(
+            isim.checkpoint() == csim.checkpoint(),
+            "{label}: checkpoints differ"
+        );
+        let bits = |sim: &FuncSim, loc: Option<BufferLoc>| {
+            loc.map(|loc| {
+                sim.read_buffer(loc)
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect::<Vec<_>>()
+            })
+        };
+        let layout = artifact.functional().expect("a functional compile");
+        for (i, b) in layout.buffers.iter().enumerate() {
+            for (what, loc) in [
+                ("output", b.output),
+                ("pre", b.pre),
+                ("err", b.err),
+                ("dz", b.dz),
+                ("weights", b.weights),
+                ("weights_t", b.weights_t),
+                ("wgrad", b.wgrad),
+            ] {
+                assert!(
+                    bits(&isim, loc) == bits(&csim, loc),
+                    "{label}: layer {i} {what} differs across tiers"
+                );
+            }
+        }
+        if label == "preset" {
+            let doc = json::parse(&committed_text("alexnet-func")).expect("the baseline parses");
+            let drill = doc
+                .field("functional")
+                .expect("the baseline has a drill key");
+            let count = |key| {
+                drill
+                    .count_field::<u64>(key)
+                    .unwrap_or_else(|e| panic!("$.functional: {e}"))
+            };
+            assert_eq!(
+                (
+                    compiled[0].cycles,
+                    compiled[0].instructions,
+                    compiled[0].stalls
+                ),
+                (count("cycles"), count("instructions"), count("stalls"))
+            );
+        }
+    }
 }
 
 #[test]

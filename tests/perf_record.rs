@@ -1,7 +1,7 @@
 //! The performance model's typed run record and its registry rendering
 //! agree.
 //!
-//! `PerfSim::run_mapped` (and `Observer::Off`) return the typed record,
+//! `PerfSim::run` with no registry (and `Observer::Off`) return the typed record,
 //! `PerfResult`, and write no metrics registry; a traced run renders the
 //! same record into its registry under the `perf.*` names. Over every
 //! benchmark network, both run kinds, and a fault-free and a seeded
@@ -113,14 +113,10 @@ fn record_matches_the_registry() {
         for kind in [RunKind::Training, RunKind::Evaluation] {
             for plan in [FaultPlan::none(), faulted.clone()] {
                 let what = format!("{name} {kind:?} {plan:?}");
-                let record = if plan == FaultPlan::none() {
-                    sim.run_mapped(mapping, kind)
-                } else {
-                    sim.run_mapped_observed(mapping, kind, &plan, &mut Tracer::disabled(), None)
-                };
+                let record = sim.run(mapping, kind, &plan, &mut Tracer::disabled(), None);
                 let mut reg = MetricsRegistry::new();
                 let mut tracer = Tracer::new(VecSink::new());
-                let traced = sim.run_mapped_traced(mapping, kind, &plan, &mut tracer, &mut reg);
+                let traced = sim.run(mapping, kind, &plan, &mut tracer, Some(&mut reg));
                 assert!(!tracer.sink().events().is_empty(), "{what}");
                 assert_eq!(record, traced, "{what}");
                 assert_rendered(&traced, &reg, &what);
@@ -168,16 +164,17 @@ fn layer_sequential_record_matches_the_registry() {
     let artifact = session.compile(&zoo::alexnet()).expect("alexnet maps");
     for kind in [RunKind::Training, RunKind::Evaluation] {
         let what = format!("A4 {kind:?}");
-        let record = sim.run_mapped(artifact.mapping(), kind);
-        let mut reg = MetricsRegistry::new();
-        let mut tracer = Tracer::new(VecSink::new());
-        let traced = sim.run_mapped_traced(
+        let plan = FaultPlan::none();
+        let record = sim.run(
             artifact.mapping(),
             kind,
-            &FaultPlan::none(),
-            &mut tracer,
-            &mut reg,
+            &plan,
+            &mut Tracer::disabled(),
+            None,
         );
+        let mut reg = MetricsRegistry::new();
+        let mut tracer = Tracer::new(VecSink::new());
+        let traced = sim.run(artifact.mapping(), kind, &plan, &mut tracer, Some(&mut reg));
         assert_eq!(record, traced, "{what}");
         assert_rendered(&traced, &reg, &what);
         let busy: u64 = record.stages.iter().map(|s| s.busy_cycles).sum();
