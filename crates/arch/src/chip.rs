@@ -15,12 +15,20 @@ pub enum ChipKind {
     FcLayer,
 }
 
-impl fmt::Display for ChipKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl ChipKind {
+    /// The chip kind's name (`"ConvLayer"` / `"FcLayer"`), as it is
+    /// displayed and serialized.
+    pub const fn name(self) -> &'static str {
+        match self {
             ChipKind::ConvLayer => "ConvLayer",
             ChipKind::FcLayer => "FcLayer",
-        })
+        }
+    }
+}
+
+impl fmt::Display for ChipKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -27,9 +27,9 @@ use crate::error::{Error, Result};
 use crate::node::{NodeConfig, Precision};
 use crate::power::PowerModel;
 use crate::tile::{CompHeavyConfig, MemHeavyConfig};
-use scaledeep_trace::json::{exact_u64, obj, Json};
+use scaledeep_trace::json::{self, exact_u64, Json, ObjectWriter};
 use scaledeep_trace::Fnv1aWriter;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 const KB: usize = 1024;
 const GB: f64 = 1e9;
@@ -123,28 +123,43 @@ impl DesignPoint {
         self.peak_flops() / self.peak_power_watts() / 1e9
     }
 
-    /// Canonical JSON form: the knobs only, in a fixed field order, so
-    /// that equal configurations render byte-identically. Derived
-    /// quantities are deliberately excluded — they would otherwise split
-    /// cache keys whenever a derivation rule is refined.
-    pub fn to_json(&self) -> Json {
+    /// Streams the canonical JSON text into `out`: the knobs only, in a
+    /// fixed field order, so that equal configurations write
+    /// byte-identical text. Derived quantities are deliberately excluded —
+    /// they would otherwise split cache keys whenever a derivation rule is
+    /// refined. This is the point's one list of its fields:
+    /// [`DesignPoint::to_json`] parses this text and
+    /// [`DesignPoint::fingerprint`] hashes it.
+    ///
+    /// # Errors
+    ///
+    /// Only what the sink returns.
+    pub fn write_canonical<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         let n = &self.node;
-        obj([
-            ("precision", Json::Str(n.precision.to_string())),
-            ("clusters", Json::count(n.clusters)),
-            ("frequency_mhz", Json::Num(n.frequency_mhz)),
-            ("ring_bw", Json::Num(n.ring_bw)),
-            (
-                "cluster",
-                obj([
-                    ("conv_chips", Json::count(n.cluster.conv_chips)),
-                    ("spoke_bw", Json::Num(n.cluster.spoke_bw)),
-                    ("arc_bw", Json::Num(n.cluster.arc_bw)),
-                    ("conv_chip", chip_to_json(&n.cluster.conv_chip)),
-                    ("fc_chip", chip_to_json(&n.cluster.fc_chip)),
-                ]),
-            ),
-        ])
+        let mut o = ObjectWriter::open(out)?;
+        o.str("precision", n.precision.name())?;
+        o.count("clusters", n.clusters)?;
+        o.num("frequency_mhz", n.frequency_mhz)?;
+        o.num("ring_bw", n.ring_bw)?;
+        o.object("cluster", |o| {
+            o.count("conv_chips", n.cluster.conv_chips)?;
+            o.num("spoke_bw", n.cluster.spoke_bw)?;
+            o.num("arc_bw", n.cluster.arc_bw)?;
+            o.object("conv_chip", |o| write_chip(o, &n.cluster.conv_chip))?;
+            o.object("fc_chip", |o| write_chip(o, &n.cluster.fc_chip))
+        })?;
+        o.close()
+    }
+
+    /// The canonical JSON form as a tree: the parse of
+    /// [`DesignPoint::write_canonical`]'s text, for documents that embed
+    /// the point (the DSE `base`, the BENCH `design.point`, the artifact
+    /// header).
+    pub fn to_json(&self) -> Json {
+        let mut text = String::new();
+        self.write_canonical(&mut text)
+            .expect("writing to a String cannot fail");
+        json::parse(&text).expect("the canonical encoder writes valid JSON")
     }
 
     /// Parses the canonical JSON form and validates the result.
@@ -160,52 +175,41 @@ impl DesignPoint {
         Ok(Self { node })
     }
 
-    /// Structural fingerprint: FNV-1a over the canonical JSON rendering,
-    /// hashed as it is rendered (no text is built). Two configurations
-    /// fingerprint equal iff their knobs are equal — independent of how
-    /// the Rust structs happen to `Debug`-format.
+    /// Structural fingerprint: FNV-1a over the canonical JSON text,
+    /// hashed as it is written (no text and no tree is built). Two
+    /// configurations fingerprint equal iff their knobs are equal —
+    /// independent of how the Rust structs happen to `Debug`-format.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1aWriter::new();
-        self.to_json()
-            .render_into(&mut h)
-            .expect("hashing never fails");
+        self.write_canonical(&mut h).expect("hashing never fails");
         h.finish()
     }
 }
 
-fn chip_to_json(c: &ChipConfig) -> Json {
-    obj([
-        ("kind", Json::Str(c.kind.to_string())),
-        ("rows", Json::count(c.rows)),
-        ("cols", Json::count(c.cols)),
-        (
-            "comp_heavy",
-            obj([
-                ("array_rows", Json::count(c.comp_heavy.array_rows)),
-                ("array_cols", Json::count(c.comp_heavy.array_cols)),
-                ("lanes", Json::count(c.comp_heavy.lanes)),
-                ("acc_units", Json::count(c.comp_heavy.acc_units)),
-                ("left_mem_bytes", Json::count(c.comp_heavy.left_mem_bytes)),
-                ("top_mem_bytes", Json::count(c.comp_heavy.top_mem_bytes)),
-                (
-                    "bottom_mem_bytes",
-                    Json::count(c.comp_heavy.bottom_mem_bytes),
-                ),
-                ("scratch_bytes", Json::count(c.comp_heavy.scratch_bytes)),
-            ]),
-        ),
-        (
-            "mem_heavy",
-            obj([
-                ("capacity_bytes", Json::count(c.mem_heavy.capacity_bytes)),
-                ("num_sfu", Json::count(c.mem_heavy.num_sfu)),
-                ("num_trackers", Json::count(c.mem_heavy.num_trackers)),
-            ]),
-        ),
-        ("ext_mem_bw", Json::Num(c.ext_mem_bw)),
-        ("comp_mem_bw", Json::Num(c.comp_mem_bw)),
-        ("mem_mem_bw", Json::Num(c.mem_mem_bw)),
-    ])
+fn write_chip<W: fmt::Write>(o: &mut ObjectWriter<'_, W>, c: &ChipConfig) -> fmt::Result {
+    o.str("kind", c.kind.name())?;
+    o.count("rows", c.rows)?;
+    o.count("cols", c.cols)?;
+    o.object("comp_heavy", |o| {
+        let comp = &c.comp_heavy;
+        o.count("array_rows", comp.array_rows)?;
+        o.count("array_cols", comp.array_cols)?;
+        o.count("lanes", comp.lanes)?;
+        o.count("acc_units", comp.acc_units)?;
+        o.count("left_mem_bytes", comp.left_mem_bytes)?;
+        o.count("top_mem_bytes", comp.top_mem_bytes)?;
+        o.count("bottom_mem_bytes", comp.bottom_mem_bytes)?;
+        o.count("scratch_bytes", comp.scratch_bytes)
+    })?;
+    o.object("mem_heavy", |o| {
+        let mem = &c.mem_heavy;
+        o.count("capacity_bytes", mem.capacity_bytes)?;
+        o.count("num_sfu", mem.num_sfu)?;
+        o.count("num_trackers", mem.num_trackers)
+    })?;
+    o.num("ext_mem_bw", c.ext_mem_bw)?;
+    o.num("comp_mem_bw", c.comp_mem_bw)?;
+    o.num("mem_mem_bw", c.mem_mem_bw)
 }
 
 fn node_from_json(v: &Json) -> std::result::Result<NodeConfig, String> {
@@ -653,19 +657,13 @@ impl KnobValue {
 impl fmt::Display for KnobValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            KnobValue::Num(n) => f.write_str(&fmt_num(*n)),
-            KnobValue::Prec(p) => write!(f, "{p}"),
+            // Finite numbers the way JSON writes them: integral values
+            // without a trailing `.0`, everything else via the shortest
+            // round-trip rendering.
+            KnobValue::Num(n) if n.is_finite() => json::write_num(f, *n),
+            KnobValue::Num(n) => write!(f, "{n:?}"),
+            KnobValue::Prec(p) => f.write_str(p.name()),
         }
-    }
-}
-
-/// Formats a number the way labels and JSON do: integral values without a
-/// trailing `.0`, everything else via the shortest round-trip rendering.
-fn fmt_num(n: f64) -> String {
-    if n.is_finite() {
-        Json::Num(n).render()
-    } else {
-        format!("{n:?}")
     }
 }
 
@@ -736,18 +734,18 @@ impl ParamSpace {
     /// limit).
     pub fn grid(&self) -> Vec<Candidate> {
         let len = self.grid_len().expect("grid size overflows usize");
-        let mut out = Vec::with_capacity(len);
-        for flat in 0..len {
-            // Decompose the flat index with the last axis fastest.
-            let mut idx = vec![0usize; self.axes.len()];
-            let mut rem = flat;
-            for (slot, (_, values)) in idx.iter_mut().zip(&self.axes).rev() {
-                *slot = rem % values.len();
-                rem /= values.len();
-            }
-            out.push(self.candidate(&idx));
-        }
-        out
+        let mut idx = vec![0usize; self.axes.len()];
+        (0..len)
+            .map(|flat| {
+                // Decompose the flat index with the last axis fastest.
+                let mut rem = flat;
+                for (slot, (_, values)) in idx.iter_mut().zip(&self.axes).rev() {
+                    *slot = rem % values.len();
+                    rem /= values.len();
+                }
+                self.candidate(&idx)
+            })
+            .collect()
     }
 
     /// Draws `n` candidates with an xorshift64* generator seeded by
@@ -771,34 +769,38 @@ impl ParamSpace {
             state ^= state >> 27;
             state.wrapping_mul(0x2545_F491_4F6C_DD1D)
         };
+        let mut idx = vec![0usize; self.axes.len()];
         (0..n)
             .map(|_| {
-                let idx: Vec<usize> = self
-                    .axes
-                    .iter()
-                    .map(|(_, values)| (next() % values.len() as u64) as usize)
-                    .collect();
+                for (slot, (_, values)) in idx.iter_mut().zip(&self.axes) {
+                    *slot = (next() % values.len() as u64) as usize;
+                }
                 self.candidate(&idx)
             })
             .collect()
     }
 
+    /// The candidate at one index per axis. Its label is written into one
+    /// `String`, each value by [`KnobValue`]'s `Display`.
     fn candidate(&self, idx: &[usize]) -> Candidate {
-        let mut label_parts = Vec::with_capacity(self.axes.len());
+        let mut label = String::with_capacity(24 * self.axes.len().max(1));
         let mut builder = DesignPointBuilder::from_point(self.base);
         let mut point = Ok(());
         for ((knob, values), &i) in self.axes.iter().zip(idx) {
             let value = values[i];
-            label_parts.push(format!("{knob}={value}"));
+            if !label.is_empty() {
+                label.push(',');
+            }
+            label.push_str(knob.name());
+            label.push('=');
+            write!(label, "{value}").expect("writing to a String cannot fail");
             if point.is_ok() {
                 point = knob.apply(&mut builder.node, value);
             }
         }
-        let label = if label_parts.is_empty() {
-            "base".to_string()
-        } else {
-            label_parts.join(",")
-        };
+        if label.is_empty() {
+            label.push_str("base");
+        }
         Candidate {
             label,
             point: point.and_then(|()| builder.build()),
@@ -854,6 +856,190 @@ mod tests {
             .build()
             .expect("2 clusters is valid");
         assert_ne!(sp.fingerprint(), tweaked.fingerprint());
+    }
+
+    /// The canonical form as it was built before the streamed encoder:
+    /// a `Json` tree, field by field. The oracle the encoder's bytes are
+    /// held to.
+    fn tree_form(point: &DesignPoint) -> Json {
+        use scaledeep_trace::json::obj;
+        let chip = |c: &ChipConfig| {
+            obj([
+                ("kind", Json::Str(c.kind.to_string())),
+                ("rows", Json::count(c.rows)),
+                ("cols", Json::count(c.cols)),
+                (
+                    "comp_heavy",
+                    obj([
+                        ("array_rows", Json::count(c.comp_heavy.array_rows)),
+                        ("array_cols", Json::count(c.comp_heavy.array_cols)),
+                        ("lanes", Json::count(c.comp_heavy.lanes)),
+                        ("acc_units", Json::count(c.comp_heavy.acc_units)),
+                        ("left_mem_bytes", Json::count(c.comp_heavy.left_mem_bytes)),
+                        ("top_mem_bytes", Json::count(c.comp_heavy.top_mem_bytes)),
+                        (
+                            "bottom_mem_bytes",
+                            Json::count(c.comp_heavy.bottom_mem_bytes),
+                        ),
+                        ("scratch_bytes", Json::count(c.comp_heavy.scratch_bytes)),
+                    ]),
+                ),
+                (
+                    "mem_heavy",
+                    obj([
+                        ("capacity_bytes", Json::count(c.mem_heavy.capacity_bytes)),
+                        ("num_sfu", Json::count(c.mem_heavy.num_sfu)),
+                        ("num_trackers", Json::count(c.mem_heavy.num_trackers)),
+                    ]),
+                ),
+                ("ext_mem_bw", Json::Num(c.ext_mem_bw)),
+                ("comp_mem_bw", Json::Num(c.comp_mem_bw)),
+                ("mem_mem_bw", Json::Num(c.mem_mem_bw)),
+            ])
+        };
+        let n = point.node();
+        obj([
+            ("precision", Json::Str(n.precision.to_string())),
+            ("clusters", Json::count(n.clusters)),
+            ("frequency_mhz", Json::Num(n.frequency_mhz)),
+            ("ring_bw", Json::Num(n.ring_bw)),
+            (
+                "cluster",
+                obj([
+                    ("conv_chips", Json::count(n.cluster.conv_chips)),
+                    ("spoke_bw", Json::Num(n.cluster.spoke_bw)),
+                    ("arc_bw", Json::Num(n.cluster.arc_bw)),
+                    ("conv_chip", chip(&n.cluster.conv_chip)),
+                    ("fc_chip", chip(&n.cluster.fc_chip)),
+                ]),
+            ),
+        ])
+    }
+
+    /// A number of one of the shapes the encoder must render exactly as
+    /// the tree did, picked by `r`: fractional, huge (around 1e20), tiny
+    /// (around 1e-300), integral, negative, or non-finite.
+    fn number_of(r: u64) -> f64 {
+        let unit = (r >> 11) as f64 / (1u64 << 53) as f64;
+        match r % 7 {
+            0 => unit * 1e12,
+            1 => 1e20 * (1.0 + unit),
+            2 => 1e20,
+            3 => 1e-300 * (1.0 + unit * 1e5),
+            4 => ((r >> 11) % (1 << 52)) as f64,
+            5 => -unit * 1e9,
+            _ => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(r >> 8) as usize % 3],
+        }
+    }
+
+    /// A count the knobs accept (below 2^53), small or large by `r`.
+    fn count_of(r: u64) -> usize {
+        if r.is_multiple_of(2) {
+            ((r >> 1) % 1000) as usize
+        } else {
+            ((r >> 1) % (1 << 53)) as usize
+        }
+    }
+
+    /// A point with every one of the 19 knobs set from `draws` (beyond
+    /// validation: `describe` is total), plus the non-knob counts set to
+    /// values past 2^53, which render through the non-integral branch.
+    fn point_from(draws: &[u64], half: bool) -> DesignPoint {
+        let mut node = presets::single_precision();
+        for (knob, &r) in ALL_KNOBS.iter().zip(draws) {
+            let value = match knob {
+                Knob::Precision => KnobValue::Prec(if half {
+                    Precision::Half
+                } else {
+                    Precision::Single
+                }),
+                Knob::FrequencyMhz
+                | Knob::RingBw
+                | Knob::SpokeBw
+                | Knob::ArcBw
+                | Knob::ConvExtMemBw
+                | Knob::FcExtMemBw => KnobValue::Num(number_of(r)),
+                _ => KnobValue::Num(count_of(r) as f64),
+            };
+            knob.apply(&mut node, value)
+                .expect("the value fits its knob");
+        }
+        let big = draws[draws.len() - 1];
+        node.cluster.fc_chip.comp_heavy.acc_units = (1usize << 53) + (big as usize >> 12);
+        node.cluster.conv_chip.mem_heavy.num_trackers = big as usize;
+        node.cluster.conv_chip.comp_mem_bw = number_of(big.rotate_left(17));
+        node.cluster.fc_chip.mem_mem_bw = number_of(big.rotate_left(31));
+        DesignPoint::describe(&node)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn streamed_encoder_writes_the_tree_rendering(
+            draws in proptest::collection::vec(proptest::prelude::any::<u64>(), 20..21),
+            half in proptest::prelude::any::<bool>(),
+        ) {
+            use scaledeep_trace::{fnv1a, FNV1A_OFFSET};
+            let point = point_from(&draws, half);
+            let mut text = String::new();
+            point.write_canonical(&mut text).unwrap();
+            let tree = tree_form(&point).render();
+            proptest::prop_assert_eq!(&text, &tree);
+            proptest::prop_assert_eq!(point.fingerprint(), fnv1a(FNV1A_OFFSET, tree.bytes()));
+            proptest::prop_assert_eq!(point.to_json().render(), tree);
+        }
+
+        #[test]
+        fn labels_are_the_joined_knob_value_pairs(
+            axes in proptest::collection::vec(
+                (0usize..19, proptest::collection::vec(proptest::prelude::any::<u64>(), 1..4)),
+                0..5,
+            ),
+        ) {
+            // The label form before labels were written into one
+            // `String`: a `format!` per knob, numbers through a rendered
+            // `Json::Num` (finite) or `{:?}`, joined with `,`.
+            let old_value = |v: KnobValue| match v {
+                KnobValue::Num(n) if n.is_finite() => Json::Num(n).render(),
+                KnobValue::Num(n) => format!("{n:?}"),
+                KnobValue::Prec(p) => format!("{p}"),
+            };
+            let mut space = ParamSpace::new(DesignPoint::figure14_sp());
+            for (k, draws) in &axes {
+                let knob = ALL_KNOBS[*k];
+                let values = draws
+                    .iter()
+                    .map(|&r| match r % 3 {
+                        0 => KnobValue::Prec(if r & 8 == 0 {
+                            Precision::Single
+                        } else {
+                            Precision::Half
+                        }),
+                        1 => KnobValue::Num(count_of(r >> 2) as f64),
+                        _ => KnobValue::Num(number_of(r >> 2)),
+                    })
+                    .collect();
+                space = space.axis(knob, values);
+            }
+            let grid = space.grid();
+            proptest::prop_assert_eq!(Some(grid.len()), space.grid_len());
+            for (flat, candidate) in grid.iter().enumerate() {
+                let mut rem = flat;
+                let mut parts = Vec::new();
+                for (knob, values) in space.axes().iter().rev() {
+                    parts.push(format!("{knob}={}", old_value(values[rem % values.len()])));
+                    rem /= values.len();
+                }
+                parts.reverse();
+                let old = if parts.is_empty() {
+                    "base".to_string()
+                } else {
+                    parts.join(",")
+                };
+                proptest::prop_assert_eq!(&candidate.label, &old);
+            }
+        }
     }
 
     #[test]

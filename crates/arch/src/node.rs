@@ -23,14 +23,20 @@ impl Precision {
             Precision::Half => 2,
         }
     }
+
+    /// The precision's name (`"single"` / `"half"`), as it is displayed
+    /// and serialized.
+    pub const fn name(self) -> &'static str {
+        match self {
+            Precision::Single => "single",
+            Precision::Half => "half",
+        }
+    }
 }
 
 impl fmt::Display for Precision {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Precision::Single => "single",
-            Precision::Half => "half",
-        })
+        f.write_str(self.name())
     }
 }
 

@@ -246,8 +246,13 @@ fn provenance(r: &mut Reader) -> Decoded<Provenance> {
     let design =
         DesignPoint::from_json(&stored_design).map_err(|e| format!("provenance design: {e}"))?;
     // The one sub-document read as a tree is held to the same contract as
-    // the rest: exactly the fields `to_json` writes, in its order.
-    if design.to_json() != stored_design {
+    // the rest: exactly the fields the canonical encoder writes, in its
+    // order.
+    let mut canonical = String::new();
+    design
+        .write_canonical(&mut canonical)
+        .expect("writing to a String cannot fail");
+    if stored_design.render() != canonical {
         return Err("provenance design is not in its canonical form".into());
     }
     // The fingerprint is derivable from the design document; a stored

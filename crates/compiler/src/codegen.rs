@@ -32,7 +32,7 @@ pub use layout::{BufferLoc, LayerBuffers, TrackerSpec};
 use scaledeep_isa::Program;
 
 /// Options for the functional compilation target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FuncTargetOptions {
     /// Number of MemHeavy tiles on the (reduced) functional chip.
     pub mem_tiles: usize,

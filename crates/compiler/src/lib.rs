@@ -45,5 +45,5 @@ pub use error::{Error, Result};
 pub use mapping::{
     ArrayPlan, Compiler, FailedTiles, LayerPlan, Mapping, Placement, Side, StateBudget, TileCoord,
 };
-pub use pipeline::{CompileOptions, CompiledArtifact, Provenance};
+pub use pipeline::{CompileOptions, CompiledArtifact, FunctionalMemo, Provenance};
 pub use report::{MappingReport, UtilizationWaterfall};

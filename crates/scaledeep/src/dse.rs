@@ -774,6 +774,54 @@ mod tests {
     }
 
     #[test]
+    fn design_points_share_one_functional_half() {
+        // Codegen and lower never read the node: every point of a sweep
+        // on alexnet-func shares one codegen verdict and one set of
+        // lowered programs (one allocation), equal to what a standalone
+        // compile of that point generates.
+        let net = scaledeep_dnn::zoo::alexnet_func();
+        let clusters = [1.0, 2.0, 4.0, 8.0].map(KnobValue::Num).to_vec();
+        let space = ParamSpace::new(DesignPoint::figure14_sp()).axis(Knob::Clusters, clusters);
+        let hub = Session::single_precision();
+        let report = run(&hub, &net, &space, &smoke_cfg(3));
+        assert_eq!(report.points.len(), 4);
+        assert_eq!(hub.cache_stats().misses, 4);
+        // The sweep's own artifacts, served from the shared cache.
+        let artifacts: Vec<_> = space
+            .grid()
+            .iter()
+            .map(|c| {
+                let node = c.point.as_ref().expect("valid point").node_config();
+                (node, hub.retarget(node).compile(&net).expect("cached"))
+            })
+            .collect();
+        assert_eq!(hub.cache_stats().hits, 4);
+        let first = artifacts[0]
+            .1
+            .functional()
+            .expect("alexnet-func is functional");
+        let first_lowered = artifacts[0].1.lowered().expect("lowered");
+        for (node, artifact) in &artifacts {
+            let functional = artifact.functional().expect("functional");
+            assert!(std::ptr::eq(functional, first));
+            assert!(std::ptr::eq(
+                artifact.lowered().expect("lowered"),
+                first_lowered
+            ));
+            let fresh = scaledeep_compiler::pipeline::compile(
+                node,
+                &net,
+                &scaledeep_compiler::CompileOptions::default(),
+            )
+            .expect("compiles");
+            // Programs, buffers and trackers alike.
+            assert_eq!(functional, fresh.functional().expect("functional"));
+            assert_eq!(artifact.lowered(), fresh.lowered());
+            assert_eq!(artifact.mapping(), fresh.mapping());
+        }
+    }
+
+    #[test]
     fn infeasible_corners_are_reported_not_fatal() {
         // clusters=64 validates but AlexNet's FC stage cannot span it;
         // a zero frequency fails validation outright. Both are data.

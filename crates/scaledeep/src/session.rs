@@ -11,7 +11,7 @@ use scaledeep_arch::{presets, NodeConfig};
 use scaledeep_compiler::artifact_io;
 use scaledeep_compiler::codegen::CompiledNetwork;
 use scaledeep_compiler::pipeline::{self, Provenance};
-use scaledeep_compiler::{CompileOptions, CompiledArtifact, FailedTiles};
+use scaledeep_compiler::{CompileOptions, CompiledArtifact, FailedTiles, FunctionalMemo};
 use scaledeep_dnn::{Layer, Network};
 use scaledeep_sim::fault::FaultPlan;
 use scaledeep_sim::func::{ExecBackend, FuncSim, RunStats};
@@ -311,12 +311,14 @@ struct CacheStatsCells {
 /// Every run path compiles through [`Session::compile_with`], the one
 /// entry point into the phase pipeline, so an experiment sweep that runs
 /// the same network under several run kinds compiles it exactly once.
-/// Clones share the cache (and its statistics).
+/// Clones share the cache (and its statistics), and the functional half
+/// of every compile ([`FunctionalMemo`]).
 #[derive(Debug, Clone)]
 pub struct Session {
     node: NodeConfig,
     sim: PerfSim,
     cache: Arc<Mutex<HashMap<u64, Arc<CompiledArtifact>>>>,
+    functional: Arc<FunctionalMemo>,
     stats: Arc<CacheStatsCells>,
     artifact_dir: Option<PathBuf>,
 }
@@ -338,24 +340,28 @@ impl Session {
             node,
             sim: PerfSim::new(&node),
             cache: Arc::new(Mutex::new(HashMap::new())),
+            functional: Arc::default(),
             stats: Arc::new(CacheStatsCells::default()),
             artifact_dir: None,
         }
     }
 
     /// Re-targets this session onto a different node configuration while
-    /// keeping every cache affinity: the in-memory artifact cache, its
-    /// statistics cells, the artifact directory and the simulator options
-    /// all carry over. Because cache keys include the node's structural
-    /// fingerprint, one shared cache serves sessions on *different*
-    /// design points correctly — the DSE driver uses this to give every
-    /// point its own session while points sharing a compile (same knobs,
-    /// same network) reuse one artifact.
+    /// keeping every cache affinity: the in-memory artifact cache, the
+    /// functional halves, its statistics cells, the artifact directory
+    /// and the simulator options all carry over. Because cache keys
+    /// include the node's structural fingerprint, one shared cache serves
+    /// sessions on *different* design points correctly — the DSE driver
+    /// uses this to give every point its own session while points sharing
+    /// a compile (same knobs, same network) reuse one artifact, and every
+    /// point compiling one network shares one codegen verdict and one set
+    /// of lowered programs (the node does not enter them).
     pub fn retarget(&self, node: NodeConfig) -> Self {
         Self {
             node,
             sim: PerfSim::new(&node).with_options(*self.sim.options()),
             cache: Arc::clone(&self.cache),
+            functional: Arc::clone(&self.functional),
             stats: Arc::clone(&self.stats),
             artifact_dir: self.artifact_dir.clone(),
         }
@@ -443,11 +449,19 @@ impl Session {
     /// options carry a non-empty [`FailedTiles`]
     /// ([`CompileOptions::degraded`]).
     ///
+    /// A miss runs phases 1–4 on this session's node; codegen and lower
+    /// run only when no compile through this session or a clone or
+    /// [`Session::retarget`] of it produced them for the same network,
+    /// functional geometry, minibatch and dead functional tiles
+    /// ([`pipeline::compile_stamped`]).
+    ///
     /// `obs` sees the pipeline phases of a cache miss: under
     /// [`Observer::Progress`] each phase entered becomes a
     /// [`scaledeep_trace::ProgressKind::Phase`] update, under
-    /// [`Observer::Trace`] a phase span. Cache hits (memory or disk)
-    /// record nothing — observation reflects work actually done.
+    /// [`Observer::Trace`] a phase span. A miss reports all six phases,
+    /// shared functional half or not, so a stream does not depend on
+    /// which compiles ran before it. Cache hits (memory or disk) record
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -484,7 +498,7 @@ impl Session {
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
-        let compiled = pipeline::compile_stamped(net, provenance, tracer);
+        let compiled = pipeline::compile_stamped(net, provenance, &self.functional, tracer);
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.stats.compile_nanos.fetch_add(nanos, Ordering::Relaxed);
         let artifact = Arc::new(compiled?);
@@ -1303,6 +1317,56 @@ mod tests {
         };
         assert!(traced(&s).events.is_empty());
         assert!(!traced(&Session::single_precision()).events.is_empty());
+    }
+
+    #[test]
+    fn a_shared_functional_half_still_reports_every_phase() {
+        // The second design point's compile reuses the first one's
+        // codegen and lower output, yet its trace is the one a fresh
+        // session's compile of that point records: six phase spans.
+        let net = zoo::alexnet_func();
+        let opts = CompileOptions::default();
+        let hub = Session::single_precision();
+        let hp = hub.retarget(presets::half_precision());
+        let traced = |s: &Session| {
+            let obs = Observer::Trace(TraceConfig::default());
+            let trace = s.compile_with(&net, &opts, obs).unwrap().trace.unwrap();
+            trace.chrome_trace()
+        };
+        traced(&hub);
+        let reused = traced(&hp);
+        assert_eq!(reused, traced(&Session::half_precision()));
+        assert_eq!(hub.cache_stats().misses, 2);
+        let (tx, rx) = scaledeep_trace::progress_channel(64);
+        let two = hub.retarget(NodeConfig {
+            clusters: 2,
+            ..presets::single_precision()
+        });
+        two.compile_with(&net, &opts, Observer::Progress(&tx))
+            .unwrap();
+        let phases: Vec<&str> = rx.drain().iter().filter_map(|u| u.kind.label()).collect();
+        assert_eq!(phases, pipeline::PHASES);
+    }
+
+    #[test]
+    fn dead_functional_tiles_key_their_own_functional_half() {
+        // Dead functional tiles are a codegen input: a degraded compile
+        // does not borrow the healthy programs, and equals its own
+        // standalone compile.
+        let s = Session::single_precision();
+        let net = tiny_training_net();
+        let healthy = s.compile(&net).unwrap();
+        let opts = CompileOptions::degraded(FailedTiles::from_func_tiles([0]));
+        let degraded = s.compile_with(&net, &opts, Observer::Off).unwrap().value;
+        let (h, d) = (
+            healthy.functional().unwrap(),
+            degraded.functional().unwrap(),
+        );
+        assert!(!std::ptr::eq(h, d));
+        let fresh = pipeline::compile(&presets::single_precision(), &net, &opts).unwrap();
+        assert_eq!(d, fresh.functional().unwrap());
+        assert_eq!(degraded.lowered(), fresh.lowered());
+        assert_ne!(h.buffers, d.buffers);
     }
 
     #[test]

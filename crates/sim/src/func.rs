@@ -315,32 +315,28 @@ impl FuncSim {
     /// from multiple consumers) and shortcut outputs (whose padding
     /// features must read as zero).
     fn clear_image_state(&mut self) {
-        let net = self.net.clone();
+        let Self {
+            net,
+            compiled,
+            machine,
+            ..
+        } = self;
         for node in net.layers() {
-            let b = self.compiled.buffers[node.id().index()];
-            for loc in [b.err, b.dz].into_iter().flatten() {
-                self.machine.mem_mut(loc.tile)
-                    [loc.offset as usize..(loc.offset + loc.len) as usize]
-                    .fill(0.0);
-            }
-            if matches!(node.layer(), Layer::Shortcut { .. }) {
-                if let Some(loc) = b.output {
-                    self.machine.mem_mut(loc.tile)
-                        [loc.offset as usize..(loc.offset + loc.len) as usize]
-                        .fill(0.0);
-                }
+            let b = &compiled.buffers[node.id().index()];
+            let shortcut_out = match node.layer() {
+                Layer::Shortcut { .. } => b.output,
+                _ => None,
+            };
+            for loc in [b.err, b.dz, shortcut_out].into_iter().flatten() {
+                zero(machine, loc);
             }
         }
     }
 
     /// Zeroes all weight-gradient accumulators (start of a minibatch).
     pub fn clear_gradients(&mut self) {
-        for b in self.compiled.buffers.clone() {
-            if let Some(loc) = b.wgrad {
-                self.machine.mem_mut(loc.tile)
-                    [loc.offset as usize..(loc.offset + loc.len) as usize]
-                    .fill(0.0);
-            }
+        for loc in self.compiled.buffers.iter().filter_map(|b| b.wgrad) {
+            zero(&mut self.machine, loc);
         }
     }
 
@@ -651,6 +647,11 @@ impl FuncSim {
         self.clear_gradients();
         Ok(())
     }
+}
+
+/// Zeroes one buffer in machine memory.
+fn zero(machine: &mut Machine, loc: BufferLoc) {
+    machine.mem_mut(loc.tile)[loc.offset as usize..(loc.offset + loc.len) as usize].fill(0.0);
 }
 
 /// `programs`, or with `fp_only` just its forward (`.FP`) programs.

@@ -1,8 +1,9 @@
 //! The workspace's zero-dependency JSON layer: one value type ([`Json`]),
-//! a deterministic renderer ([`Json::render`], [`Json::render_pretty`],
-//! and [`Json::render_into`] for any `fmt::Write` sink),
-//! a pull [`Reader`] over JSON text (the one lexer and grammar), and
-//! [`parse`], which builds a tree with it.
+//! a deterministic renderer ([`Json::render`], [`Json::render_pretty`]),
+//! an [`ObjectWriter`] that streams the same bytes for an object of fixed
+//! shape into any `fmt::Write` sink without building the tree, a pull
+//! [`Reader`] over JSON text (the one lexer and grammar), and [`parse`],
+//! which builds a tree with it.
 //!
 //! Every document the system writes or reads passes through it: exported
 //! Chrome traces, the on-disk artifact store, the serve wire protocol (one
@@ -231,18 +232,6 @@ impl Json {
         out
     }
 
-    /// [`Json::render`] into any [`fmt::Write`] sink: the same bytes,
-    /// without building the `String` (an
-    /// [`Fnv1aWriter`](crate::Fnv1aWriter) hashes the rendering as it is
-    /// written).
-    ///
-    /// # Errors
-    ///
-    /// Only what the sink returns.
-    pub fn render_into<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
-        self.write(out, None, 0)
-    }
-
     /// Renders indented JSON text (two spaces per level); same value
     /// conventions as [`Json::render`].
     pub fn render_pretty(&self) -> String {
@@ -413,16 +402,142 @@ fn newline<W: fmt::Write>(out: &mut W, indent: Option<usize>, depth: usize) -> f
 /// Writes a number the way [`Json::render`] does: integral `f64`s in
 /// the exactly-representable range print without a fractional part,
 /// everything else via shortest-round-trip `{:?}`; non-finite → `null`.
-fn write_num<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
+/// The one number rule: the renderer, streamed encoders
+/// ([`ObjectWriter`]) and design-space labels all write through it.
+///
+/// # Errors
+///
+/// Only what the sink returns.
+pub fn write_num<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
     if !n.is_finite() {
         return out.write_str("null");
     }
     // Below 2^53 every integer is exactly representable, so printing
     // without a fraction loses nothing.
     if n.fract() == 0.0 && n.abs() < EXACT_INT_LIMIT {
-        write!(out, "{}", n as i64)
+        write_int(out, n as i64)
     } else {
         write!(out, "{n:?}")
+    }
+}
+
+/// Writes `n` in decimal without the formatting machinery: the digits
+/// fill a stack buffer from its end, then go out as one slice.
+fn write_int<W: fmt::Write>(out: &mut W, n: i64) -> fmt::Result {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.write_str(std::str::from_utf8(&buf[at..]).map_err(|_| fmt::Error)?)
+}
+
+/// Streams one compact JSON object into a sink: the bytes
+/// [`Json::render`] writes for an object with the same members, without
+/// building the tree. A document with a fixed shape (a design point's
+/// canonical form) writes itself through this and hashes or stores the
+/// text; a caller that needs the tree parses that text.
+///
+/// ```
+/// use scaledeep_trace::json::{obj, Json, ObjectWriter};
+/// let mut text = String::new();
+/// let mut o = ObjectWriter::open(&mut text).unwrap();
+/// o.str("kind", "conv").unwrap();
+/// o.object("at", |o| o.num("col", 3.0)).unwrap();
+/// o.close().unwrap();
+/// let tree = obj([
+///     ("kind", Json::Str("conv".into())),
+///     ("at", obj([("col", Json::Num(3.0))])),
+/// ]);
+/// assert_eq!(text, tree.render());
+/// ```
+#[derive(Debug)]
+pub struct ObjectWriter<'w, W: fmt::Write> {
+    out: &'w mut W,
+    empty: bool,
+}
+
+impl<'w, W: fmt::Write> ObjectWriter<'w, W> {
+    /// Opens an object on `out`.
+    ///
+    /// # Errors
+    ///
+    /// Only what the sink returns.
+    pub fn open(out: &'w mut W) -> Result<Self, fmt::Error> {
+        out.write_char('{')?;
+        Ok(Self { out, empty: true })
+    }
+
+    fn key(&mut self, key: &str) -> fmt::Result {
+        if !std::mem::take(&mut self.empty) {
+            self.out.write_char(',')?;
+        }
+        write_escaped(self.out, key)?;
+        self.out.write_char(':')
+    }
+
+    /// A number member, written by [`write_num`].
+    ///
+    /// # Errors
+    ///
+    /// Only what the sink returns.
+    pub fn num(&mut self, key: &str, n: f64) -> fmt::Result {
+        self.key(key)?;
+        write_num(self.out, n)
+    }
+
+    /// A count member: the bytes of [`Json::count`].
+    ///
+    /// # Errors
+    ///
+    /// Only what the sink returns.
+    pub fn count(&mut self, key: &str, n: usize) -> fmt::Result {
+        self.num(key, n as f64)
+    }
+
+    /// A string member.
+    ///
+    /// # Errors
+    ///
+    /// Only what the sink returns.
+    pub fn str(&mut self, key: &str, s: &str) -> fmt::Result {
+        self.key(key)?;
+        write_escaped(self.out, s)
+    }
+
+    /// A nested object member, whose members `body` writes.
+    ///
+    /// # Errors
+    ///
+    /// Only what the sink (or `body`) returns.
+    pub fn object(
+        &mut self,
+        key: &str,
+        body: impl FnOnce(&mut ObjectWriter<'_, W>) -> fmt::Result,
+    ) -> fmt::Result {
+        self.key(key)?;
+        let mut inner = ObjectWriter::open(self.out)?;
+        body(&mut inner)?;
+        inner.close()
+    }
+
+    /// Closes the object.
+    ///
+    /// # Errors
+    ///
+    /// Only what the sink returns.
+    pub fn close(self) -> fmt::Result {
+        self.out.write_char('}')
     }
 }
 
@@ -1227,6 +1342,61 @@ mod tests {
         assert_eq!(Json::Num(0.5).render(), "0.5");
         assert_eq!(Json::Num(f64::NAN).render(), "null");
         assert_eq!(Json::Num(f64::INFINITY).render(), "null");
+    }
+
+    #[test]
+    fn integer_fast_path_matches_the_formatter() {
+        let limit = EXACT_INT_LIMIT as i64 - 1;
+        let mut cases = vec![0, 1, -1, 9, 10, -10, 99, 100, limit, -limit];
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for _ in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let magnitude = (x >> (x % 64)) as i64 % (limit + 1);
+            cases.push(if x & 1 == 0 { magnitude } else { -magnitude });
+        }
+        for n in cases {
+            let mut out = String::new();
+            write_num(&mut out, n as f64).unwrap();
+            assert_eq!(out, format!("{n}"), "{n}");
+        }
+        assert_eq!(Json::Num(-0.0).render(), "0");
+        assert_eq!(Json::Num(EXACT_INT_LIMIT).render(), "9007199254740992.0");
+    }
+
+    #[test]
+    fn object_writer_streams_the_rendered_bytes() {
+        let mut text = String::new();
+        let mut o = ObjectWriter::open(&mut text).unwrap();
+        o.str("s", "a\"\\\n\tb").unwrap();
+        o.count("i", 42).unwrap();
+        o.num("f", 0.1).unwrap();
+        o.num("big", 1e20).unwrap();
+        o.num("nan", f64::NAN).unwrap();
+        o.object("empty", |_| Ok(())).unwrap();
+        o.object("nested", |o| {
+            o.num("tiny", 1e-300)?;
+            o.object("deeper", |o| o.str("k", "v"))
+        })
+        .unwrap();
+        o.close().unwrap();
+        let tree = obj([
+            ("s", Json::Str("a\"\\\n\tb".into())),
+            ("i", Json::count(42)),
+            ("f", Json::Num(0.1)),
+            ("big", Json::Num(1e20)),
+            ("nan", Json::Num(f64::NAN)),
+            ("empty", Json::Obj(vec![])),
+            (
+                "nested",
+                obj([
+                    ("tiny", Json::Num(1e-300)),
+                    ("deeper", obj([("k", Json::Str("v".into()))])),
+                ]),
+            ),
+        ]);
+        assert_eq!(text, tree.render());
     }
 
     #[test]

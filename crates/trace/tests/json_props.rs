@@ -2,16 +2,16 @@
 //! render → parse unchanged, and the renderer's bytes match a reference
 //! renderer that escapes character by character and formats through
 //! temporary strings — the straightforward form the optimized writer
-//! must stay byte-identical to. Rendering into any sink is rendering:
-//! a `String` sink gets the same text, an FNV-1a sink the text's hash.
-//! The field decoder never panics on any
+//! must stay byte-identical to. Streaming an object through
+//! `ObjectWriter` is rendering its tree: a `String` sink gets the same
+//! text, an FNV-1a sink the text's hash. The field decoder never panics on any
 //! value or key, and its count rule is exactly `as_u64` plus `try_from`.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use scaledeep_trace::json::{parse, Json};
+use scaledeep_trace::json::{parse, Json, ObjectWriter};
 use scaledeep_trace::{fnv1a, Fnv1aWriter, FNV1A_OFFSET};
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 /// Strings mixing every escaped character, other control characters,
 /// multi-byte UTF-8 (up to four bytes, including U+FFFD and U+10FFFF)
@@ -99,6 +99,98 @@ impl Strategy for AnyJson {
             ),
         }
     }
+}
+
+/// One member `ObjectWriter` can stream: a string, a number, a count or
+/// a nested object.
+#[derive(Debug, Clone)]
+enum Member {
+    Str(String),
+    Num(f64),
+    Count(usize),
+    Nested(Vec<(String, Member)>),
+}
+
+/// Objects of random keys and members, nesting up to `depth` levels.
+#[derive(Debug, Clone, Copy)]
+struct AnyObject {
+    depth: usize,
+}
+
+impl AnyObject {
+    fn member(self, rng: &mut TestRng) -> Member {
+        let kinds = if self.depth == 0 { 3 } else { 4 };
+        match rng.below(kinds) {
+            0 => Member::Str(AnyStr.generate(rng)),
+            1 => Member::Num(match rng.below(4) {
+                0 => f64::NAN,
+                1 => 1e20,
+                2 => 1e-300,
+                _ => any_num(rng),
+            }),
+            2 => Member::Count(if rng.bool() {
+                rng.below(100_000)
+            } else {
+                rng.next_u64() as usize
+            }),
+            _ => Member::Nested(
+                AnyObject {
+                    depth: self.depth - 1,
+                }
+                .generate(rng),
+            ),
+        }
+    }
+}
+
+impl Strategy for AnyObject {
+    type Value = Vec<(String, Member)>;
+
+    fn generate(&self, rng: &mut TestRng) -> Vec<(String, Member)> {
+        (0..rng.below(6))
+            .map(|_| (AnyStr.generate(rng), self.member(rng)))
+            .collect()
+    }
+}
+
+/// The tree of an object's members.
+fn object_tree(members: &[(String, Member)]) -> Json {
+    Json::Obj(
+        members
+            .iter()
+            .map(|(k, m)| {
+                let v = match m {
+                    Member::Str(s) => Json::Str(s.clone()),
+                    Member::Num(n) => Json::Num(*n),
+                    Member::Count(n) => Json::count(*n),
+                    Member::Nested(inner) => object_tree(inner),
+                };
+                (k.clone(), v)
+            })
+            .collect(),
+    )
+}
+
+/// Streams an object's members through `o`.
+fn stream_members<W: fmt::Write>(
+    o: &mut ObjectWriter<'_, W>,
+    members: &[(String, Member)],
+) -> fmt::Result {
+    for (k, m) in members {
+        match m {
+            Member::Str(s) => o.str(k, s)?,
+            Member::Num(n) => o.num(k, *n)?,
+            Member::Count(n) => o.count(k, *n)?,
+            Member::Nested(inner) => o.object(k, |o| stream_members(o, inner))?,
+        }
+    }
+    Ok(())
+}
+
+fn stream_object<W: fmt::Write>(out: &mut W, members: &[(String, Member)]) -> fmt::Result {
+    let mut o = ObjectWriter::open(out)?;
+    stream_members(&mut o, members)?;
+    o.close()
 }
 
 fn reference_escaped(s: &str) -> String {
@@ -231,16 +323,16 @@ proptest! {
         prop_assert_eq!(parse(&pretty).unwrap(), v);
     }
 
-    /// `render_into` writes exactly `render()`'s bytes: into a `String`
-    /// the same text, into an `Fnv1aWriter` the hash of that text.
+    /// `ObjectWriter` writes exactly the tree's `render()` bytes: into a
+    /// `String` the same text, into an `Fnv1aWriter` the hash of that text.
     #[test]
-    fn render_into_a_sink_is_render(v in AnyJson { depth: 4 }) {
-        let text = v.render();
-        let mut into = String::new();
-        v.render_into(&mut into).unwrap();
-        prop_assert_eq!(&into, &text);
+    fn object_writer_into_a_sink_is_render(members in AnyObject { depth: 3 }) {
+        let text = object_tree(&members).render();
+        let mut streamed = String::new();
+        stream_object(&mut streamed, &members).unwrap();
+        prop_assert_eq!(&streamed, &text);
         let mut h = Fnv1aWriter::new();
-        v.render_into(&mut h).unwrap();
+        stream_object(&mut h, &members).unwrap();
         prop_assert_eq!(h.finish(), fnv1a(FNV1A_OFFSET, text.bytes()));
     }
 
