@@ -8,9 +8,10 @@
 //!   form and a structural fingerprint, so a point can flow into compiler
 //!   provenance and disk artifact caches as *data* rather than as the
 //!   `Debug` rendering of a Rust struct;
-//! * [`DesignPointBuilder`] — named, range-validated knob setters that
-//!   derive the dependent quantities (tile counts, peak FLOPs, power
-//!   envelope) the presets used to duplicate by hand;
+//! * [`DesignPointBuilder`] — a base configuration edited one [`Knob`] at
+//!   a time and validated once at [`DesignPointBuilder::build`]; the
+//!   dependent quantities (tile counts, peak FLOPs, power envelope) derive
+//!   from the sealed point;
 //! * [`Knob`] / [`KnobValue`] — the named parameter axes of the space;
 //! * [`ParamSpace`] — a base point plus axes, expanded into a full
 //!   cartesian grid or a seeded random sample of labeled [`Candidate`]s
@@ -272,9 +273,9 @@ fn bad(detail: String) -> Error {
     }
 }
 
-/// Builder for [`DesignPoint`]s: named knob setters over a base
-/// configuration, with validation deferred to [`DesignPointBuilder::build`]
-/// so intermediate states may be degenerate.
+/// Builder for [`DesignPoint`]s: [`Knob`] edits over a base configuration,
+/// with validation deferred to [`DesignPointBuilder::build`] so
+/// intermediate states may be degenerate.
 #[derive(Debug, Clone, Copy)]
 pub struct DesignPointBuilder {
     node: NodeConfig,
@@ -353,48 +354,6 @@ impl DesignPointBuilder {
                 precision: Precision::Single,
             },
         }
-    }
-
-    /// Sets the cluster count on the ring.
-    pub fn clusters(mut self, n: usize) -> Self {
-        self.node.clusters = n;
-        self
-    }
-
-    /// Sets the ConvLayer chip count per cluster (the wheel's rim size).
-    pub fn conv_chips(mut self, n: usize) -> Self {
-        self.node.cluster.conv_chips = n;
-        self
-    }
-
-    /// Sets the operating frequency in MHz.
-    pub fn frequency_mhz(mut self, mhz: f64) -> Self {
-        self.node.frequency_mhz = mhz;
-        self
-    }
-
-    /// Sets the datapath precision.
-    pub fn precision(mut self, p: Precision) -> Self {
-        self.node.precision = p;
-        self
-    }
-
-    /// Sets the ring bandwidth, bytes/second.
-    pub fn ring_bw(mut self, bw: f64) -> Self {
-        self.node.ring_bw = bw;
-        self
-    }
-
-    /// Sets the spoke (rim → hub) bandwidth, bytes/second.
-    pub fn spoke_bw(mut self, bw: f64) -> Self {
-        self.node.cluster.spoke_bw = bw;
-        self
-    }
-
-    /// Sets the arc (rim → rim) bandwidth, bytes/second.
-    pub fn arc_bw(mut self, bw: f64) -> Self {
-        self.node.cluster.arc_bw = bw;
-        self
     }
 
     /// Applies one named knob.
@@ -852,8 +811,8 @@ mod tests {
         assert_ne!(sp.fingerprint(), hp.fingerprint());
         // One knob change moves the fingerprint.
         let tweaked = DesignPointBuilder::from_point(sp)
-            .clusters(2)
-            .build()
+            .set(Knob::Clusters, KnobValue::Num(2.0))
+            .and_then(DesignPointBuilder::build)
             .expect("2 clusters is valid");
         assert_ne!(sp.fingerprint(), tweaked.fingerprint());
     }
@@ -1066,14 +1025,12 @@ mod tests {
 
     #[test]
     fn builder_rejects_degenerate_points() {
-        assert!(DesignPointBuilder::figure14_sp()
-            .clusters(0)
-            .build()
-            .is_err());
-        assert!(DesignPointBuilder::figure14_sp()
-            .frequency_mhz(-600.0)
-            .build()
-            .is_err());
+        for (knob, value) in [(Knob::Clusters, 0.0), (Knob::FrequencyMhz, -600.0)] {
+            let builder = DesignPointBuilder::figure14_sp()
+                .set(knob, KnobValue::Num(value))
+                .expect("the value fits the knob");
+            assert!(builder.build().is_err(), "{knob} = {value}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! [`PerfResult`] (per-stage busy cycles and tier bytes, the window, the
 //! sync cycles, the stage-occupancy histogram), which a traced run's [`MetricsRegistry`](scaledeep_trace::MetricsRegistry)
 //! renders under the `perf.*` names; the *analytic* quantities (per-pass FLOP weights,
-//! Bytes/FLOP) come from the mapping's [`LayerPlan`]s and the
+//! Bytes/FLOP) come from the mapping's [`LayerPlan`](scaledeep_compiler::LayerPlan)s and the
 //! [`scaledeep_dnn`] analysis. Cycles are split by apportioning each
 //! stage's measured busy total across analytic weights with a
 //! largest-remainder rule, so every split sums back to the measured

@@ -19,17 +19,15 @@ use scaledeep_sim::perf::{self, NodeOutcome, PerfOptions, PerfResult, PerfSim, R
 use scaledeep_tensor::Executor;
 use scaledeep_trace::{
     chrome_trace, cycle_csv, utilization_heatmap, CategoryMask, Event, FilterSink, MetricsRegistry,
-    NullSink, Payload, ProgressSender, ProgressSink, RingSink, TraceSink, Tracer, TrackTable,
+    Payload, ProgressSender, ProgressSink, RingSink, TraceSink, Tracer, TrackTable,
 };
 
-/// How a traced run records events: which categories pass, how densely
-/// they are sampled, and how many events are retained.
+/// How a traced run records events: which categories pass and how many
+/// events are retained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Per-category enable mask (default: all categories).
     pub filter: CategoryMask,
-    /// Keep one event in every `sample` per category (`<= 1` keeps all).
-    pub sample: u32,
     /// Retain at most this many events, evicting the oldest (flight
     /// recorder). `0` means unbounded.
     pub capacity: usize,
@@ -39,7 +37,6 @@ impl Default for TraceConfig {
     fn default() -> Self {
         Self {
             filter: CategoryMask::all(),
-            sample: 1,
             capacity: 0,
         }
     }
@@ -151,7 +148,7 @@ macro_rules! observe {
                 ($body, None)
             }
             Observer::Progress(tx) => {
-                let $tracer = &mut Tracer::new(ProgressSink::new(NullSink, tx.clone()));
+                let $tracer = &mut Tracer::new(ProgressSink::new(tx.clone()));
                 let $reg: Option<&mut MetricsRegistry> = None;
                 ($body, None)
             }
@@ -171,7 +168,7 @@ macro_rules! observe {
 }
 
 /// Builds the sink every traced session entry point uses: a
-/// category/sampling filter over a ring (unbounded when `capacity` is 0 —
+/// category filter over a ring (unbounded when `capacity` is 0 —
 /// a `usize::MAX` ring never evicts).
 fn session_sink(cfg: &TraceConfig) -> FilterSink<RingSink> {
     let capacity = if cfg.capacity == 0 {
@@ -179,7 +176,7 @@ fn session_sink(cfg: &TraceConfig) -> FilterSink<RingSink> {
     } else {
         cfg.capacity
     };
-    FilterSink::new(RingSink::new(capacity), cfg.filter, cfg.sample)
+    FilterSink::new(RingSink::new(capacity), cfg.filter)
 }
 
 /// Unwraps the tracer built by [`session_sink`] into a [`Trace`].
@@ -535,24 +532,6 @@ impl Session {
             corrupt: self.stats.corrupt.load(Ordering::Relaxed),
             compile_nanos: self.stats.compile_nanos.load(Ordering::Relaxed),
         }
-    }
-
-    /// Materializes the cache statistics into `reg` as the
-    /// `compile.cache.hit` / `compile.cache.miss` counter pair (plus
-    /// `compile.nanos` for the wall-clock spent compiling). Counters are
-    /// *added*, so a registry fed from several sessions aggregates.
-    pub fn record_cache_metrics(&self, reg: &mut MetricsRegistry) {
-        let s = self.cache_stats();
-        let hit = reg.counter("compile.cache.hit");
-        let disk = reg.counter("compile.cache.disk_hit");
-        let miss = reg.counter("compile.cache.miss");
-        let corrupt = reg.counter("compile.cache.corrupt");
-        let nanos = reg.counter("compile.nanos");
-        reg.add(hit, s.hits);
-        reg.add(disk, s.disk_hits);
-        reg.add(miss, s.misses);
-        reg.add(corrupt, s.corrupt);
-        reg.add(nanos, s.compile_nanos);
     }
 
     /// Simulates training. A plain form of [`Session::run_mapped_with`],
@@ -916,10 +895,6 @@ mod tests {
         let stats = s.cache_stats();
         assert_eq!(stats.misses, 1, "one network, one pipeline run");
         assert!(stats.hits >= 2, "repeat runs must hit, got {}", stats.hits);
-        let mut reg = MetricsRegistry::new();
-        s.record_cache_metrics(&mut reg);
-        assert_eq!(reg.counter_value("compile.cache.miss"), Some(1));
-        assert!(reg.counter_value("compile.cache.hit").unwrap() >= 2);
     }
 
     #[test]
@@ -1419,11 +1394,8 @@ mod tests {
 
         // Third compile in the second session hits memory, not disk.
         second.compile(&net).unwrap();
-        assert_eq!(second.cache_stats().hits, 1);
-
-        let mut reg = MetricsRegistry::new();
-        second.record_cache_metrics(&mut reg);
-        assert_eq!(reg.counter_value("compile.cache.disk_hit"), Some(1));
+        let s = second.cache_stats();
+        assert_eq!((s.hits, s.disk_hits), (1, 1));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1539,9 +1511,7 @@ mod tests {
             let s = third.cache_stats();
             assert_eq!((s.misses, s.disk_hits, s.corrupt), (0, 1, 0), "{label}");
 
-            let mut reg = MetricsRegistry::new();
-            second.record_cache_metrics(&mut reg);
-            assert_eq!(reg.counter_value("compile.cache.corrupt"), Some(1));
+            assert_eq!(second.cache_stats().corrupt, 1, "{label}");
             std::fs::remove_dir_all(&dir).ok();
         }
     }

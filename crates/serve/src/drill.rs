@@ -600,7 +600,6 @@ pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
         default_deadline_ms: 60_000,
         seed: cfg.seed,
         supervisor_poll_ms: 2,
-        progress_capacity: 1024,
     };
     let server = Server::start(Session::single_precision(), server_cfg);
     let tenants = ["alpha", "beta", "gamma"];

@@ -66,6 +66,11 @@ pub fn install_chaos_panic_hook() {
     });
 }
 
+/// Bound on undrained progress updates per job; the channel evicts (and
+/// counts) the oldest past this, so a slow client loses history but never
+/// stalls a worker.
+const PROGRESS_CAPACITY: usize = 1024;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
@@ -82,10 +87,6 @@ pub struct ServerConfig {
     /// Supervisor poll cadence, in milliseconds (worker liveness,
     /// deadline sweeps).
     pub supervisor_poll_ms: u64,
-    /// Bound on undrained progress updates per job; the channel evicts
-    /// (and counts) the oldest past this, so a slow client loses history
-    /// but never stalls a worker.
-    pub progress_capacity: usize,
 }
 
 impl Default for ServerConfig {
@@ -97,7 +98,6 @@ impl Default for ServerConfig {
             default_deadline_ms: 30_000,
             seed: 0,
             supervisor_poll_ms: 2,
-            progress_capacity: 1024,
         }
     }
 }
@@ -544,7 +544,7 @@ fn submit_shared(shared: &Arc<Shared>, request: JobRequest) -> JobHandle {
     let deadline = now + Duration::from_millis(deadline_ms);
     let ticket = Ticket::new();
     let (progress_tx, progress_rx) = if request.progress {
-        let (tx, rx) = progress_channel(shared.cfg.progress_capacity);
+        let (tx, rx) = progress_channel(PROGRESS_CAPACITY);
         (Some(tx), Some(rx))
     } else {
         (None, None)

@@ -25,7 +25,6 @@ pub use tracker::{Tracker, TrackerTable};
 use crate::error::{Error, Result};
 use crate::fault::FaultPlan;
 use scaledeep_trace::{MetricsRegistry, TraceSink, Tracer};
-use std::borrow::Cow;
 
 use scaledeep_compiler::codegen::{
     conv_grads_to_output_major, conv_weights_to_input_major, fc_weights_transpose, BufferLoc,
@@ -401,16 +400,17 @@ impl FuncSim {
     ) -> Result<RunStats> {
         let costs = CycleCosts::default();
         let specs = &self.compiled.trackers;
+        let selected = |name: &str| !fp_only || name.ends_with(".FP");
         match self.backend {
             ExecBackend::Interpreter => {
-                let programs = select(&self.compiled.programs, fp_only, |p| p.name());
+                let programs = self.compiled.programs.iter().filter(|p| selected(p.name()));
                 self.machine
-                    .run_traced(&programs, specs, &costs, plan, tracer, reg)
+                    .run_traced(programs, specs, &costs, plan, tracer, reg)
             }
             ExecBackend::Compiled => {
-                let programs = select(&self.lowered, fp_only, |p| p.name());
+                let programs = self.lowered.iter().filter(|p| selected(p.name()));
                 self.machine
-                    .run_lowered(&programs, specs, &costs, plan, tracer, reg)
+                    .run_lowered(programs, specs, &costs, plan, tracer, reg)
             }
         }
     }
@@ -652,21 +652,4 @@ impl FuncSim {
 /// Zeroes one buffer in machine memory.
 fn zero(machine: &mut Machine, loc: BufferLoc) {
     machine.mem_mut(loc.tile)[loc.offset as usize..(loc.offset + loc.len) as usize].fill(0.0);
-}
-
-/// `programs`, or with `fp_only` just its forward (`.FP`) programs.
-fn select<'a, P: Clone>(
-    programs: &'a [P],
-    fp_only: bool,
-    name: impl Fn(&P) -> &str,
-) -> Cow<'a, [P]> {
-    if fp_only {
-        programs
-            .iter()
-            .filter(|p| name(p).ends_with(".FP"))
-            .cloned()
-            .collect()
-    } else {
-        Cow::Borrowed(programs)
-    }
 }

@@ -105,15 +105,15 @@ impl RunStats {
     }
 }
 
-struct Thread<C> {
-    code: C,
+struct Thread<'a, C> {
+    code: &'a C,
     pc: usize,
     regs: [i64; NUM_REGS],
     halted: bool,
 }
 
-impl<C: Code> Thread<C> {
-    fn new(code: C) -> Self {
+impl<'a, C: Code> Thread<'a, C> {
+    fn new(code: &'a C) -> Self {
         let halted = code.is_empty();
         Self {
             code,
@@ -132,7 +132,7 @@ impl<C: Code> Thread<C> {
 /// but bit-identical — convolution kernel). Both drive the same
 /// event-driven run loop, so they differ only in per-step decode work
 /// and kernel loop structure, never in results.
-trait Code: Clone {
+trait Code: Sized {
     /// The program's name (used in diagnostics and errors).
     fn name(&self) -> &str;
     /// True when the program has no instructions (the thread starts
@@ -142,7 +142,7 @@ trait Code: Clone {
     /// state.
     #[allow(clippy::too_many_arguments)]
     fn step(
-        t: &mut Thread<Self>,
+        t: &mut Thread<'_, Self>,
         mems: &mut [Vec<f32>],
         ext: &mut Vec<f32>,
         trackers: &mut TrackerTable,
@@ -287,9 +287,9 @@ impl Machine {
     ///
     /// See [`Machine::run`], plus [`Error::TileFailed`] and
     /// [`Error::Watchdog`] as above.
-    pub fn run_traced<S: TraceSink>(
+    pub fn run_traced<'p, S: TraceSink>(
         &mut self,
-        programs: &[Program],
+        programs: impl IntoIterator<Item = &'p Program>,
         specs: &[TrackerSpec],
         costs: &CycleCosts,
         plan: &FaultPlan,
@@ -311,9 +311,9 @@ impl Machine {
     /// # Errors
     ///
     /// See [`Machine::run_traced`].
-    pub fn run_lowered<S: TraceSink>(
+    pub fn run_lowered<'p, S: TraceSink>(
         &mut self,
-        programs: &[LoweredProgram],
+        programs: impl IntoIterator<Item = &'p LoweredProgram>,
         specs: &[TrackerSpec],
         costs: &CycleCosts,
         plan: &FaultPlan,
@@ -324,9 +324,9 @@ impl Machine {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn run_generic<C: Code, S: TraceSink>(
+    fn run_generic<'p, C: Code + 'p, S: TraceSink>(
         &mut self,
-        programs: &[C],
+        programs: impl IntoIterator<Item = &'p C>,
         specs: &[TrackerSpec],
         costs: &CycleCosts,
         plan: &FaultPlan,
@@ -334,7 +334,7 @@ impl Machine {
         reg: Option<&mut MetricsRegistry>,
     ) -> Result<RunStats> {
         self.arm_from_specs(specs)?;
-        let mut threads: Vec<Thread<C>> = programs.iter().cloned().map(Thread::new).collect();
+        let mut threads: Vec<Thread<C>> = programs.into_iter().map(Thread::new).collect();
         let mut stats = RunStats {
             per_tile: vec![TileStats::default(); self.mems.len()],
             ..RunStats::default()
@@ -513,7 +513,7 @@ impl Machine {
     /// and the nearest tracker's satisfaction watermark, e.g.
     /// `"L0.BP awaiting M2[0..512) (updates 3/4, reads 0/1)"`.
     fn stuck_diagnostics<C: Code>(
-        threads: &[Thread<C>],
+        threads: &[Thread<'_, C>],
         waits: &WaitMap,
         trackers: &TrackerTable,
     ) -> Vec<String> {
@@ -559,7 +559,7 @@ impl Machine {
         self.arm_from_specs(specs)?;
         let costs = CycleCosts::default();
         let mut scratch = Scratch::default();
-        let mut threads: Vec<Thread<Program>> = programs.iter().cloned().map(Thread::new).collect();
+        let mut threads: Vec<Thread<Program>> = programs.iter().map(Thread::new).collect();
         let mut stats = RunStats::default();
         loop {
             if threads.iter().all(|t| t.halted) {
@@ -622,7 +622,7 @@ impl Code for Program {
     /// The interpreter tier: re-fetches the [`Inst`], re-derives its
     /// operand ranges and re-prices its cost on every dispatch.
     fn step(
-        t: &mut Thread<Self>,
+        t: &mut Thread<'_, Self>,
         mems: &mut [Vec<f32>],
         ext: &mut Vec<f32>,
         trackers: &mut TrackerTable,
@@ -784,7 +784,7 @@ impl Code for LoweredProgram {
     /// the run loop's [`Scratch`] buffers, and the blocked/touched lists
     /// only materialize when trackers are actually involved).
     fn step(
-        t: &mut Thread<Self>,
+        t: &mut Thread<'_, Self>,
         mems: &mut [Vec<f32>],
         ext: &mut Vec<f32>,
         trackers: &mut TrackerTable,

@@ -696,7 +696,7 @@ mod tests {
             prop_assert_eq!(&fast_reg, &slow_reg);
 
             let mut metrics_only =
-                Tracer::new(FilterSink::new(VecSink::new(), CategoryMask::none(), 1));
+                Tracer::new(FilterSink::new(VecSink::new(), CategoryMask::none()));
             let (quiet, quiet_reg) = drive_observed(&m, &mut metrics_only);
             prop_assert_eq!(&quiet, &slow);
             prop_assert_eq!(&quiet_reg, &slow_reg);
@@ -708,7 +708,7 @@ mod tests {
             // events.
             for cat in [Category::Stage, Category::Session, Category::Link] {
                 let mut one =
-                    Tracer::new(FilterSink::new(VecSink::new(), CategoryMask::just(cat), 1));
+                    Tracer::new(FilterSink::new(VecSink::new(), CategoryMask::just(cat)));
                 let (out, one_reg) = drive_observed(&m, &mut one);
                 prop_assert_eq!(&out, &slow);
                 prop_assert_eq!(&one_reg, &slow_reg);

@@ -20,9 +20,6 @@ fn detail_of(p: &Payload, out: &mut String) {
         Payload::Wake { thread, tile } => {
             let _ = write!(out, "thread={thread};tile={tile}");
         }
-        Payload::Transfer { class, bytes } => {
-            let _ = write!(out, "class={class};bytes={bytes}");
-        }
         Payload::Retry { retries, cost } => {
             let _ = write!(out, "retries={retries};cost={cost}");
         }

@@ -18,7 +18,7 @@ pub enum Category {
     Instruction = 0,
     /// Tracker synchronization: park/wake decisions of the engine.
     Tracker = 1,
-    /// Link transfers and their retries.
+    /// Link-transfer retries.
     Link = 2,
     /// Pipeline stage occupancy (one span per image per stage).
     Stage = 3,
@@ -31,7 +31,7 @@ pub enum Category {
     Compile = 6,
 }
 
-/// Number of categories (array sizing for per-category state).
+/// Number of categories.
 pub const N_CATEGORIES: usize = 7;
 
 impl Category {
@@ -164,14 +164,6 @@ pub enum Payload {
         /// Tile whose tracker update triggered the wake.
         tile: u16,
     },
-    /// Bytes moved over a link class.
-    Transfer {
-        /// Link class index (the architecture crate's `LinkClass::ALL`
-        /// order).
-        class: u8,
-        /// Bytes moved.
-        bytes: u64,
-    },
     /// A link transfer suffered transient-fault retries.
     Retry {
         /// Number of retries charged.
@@ -220,7 +212,7 @@ impl Payload {
         match self {
             Payload::Retire { .. } => Category::Instruction,
             Payload::Park { .. } | Payload::Wake { .. } => Category::Tracker,
-            Payload::Transfer { .. } | Payload::Retry { .. } => Category::Link,
+            Payload::Retry { .. } => Category::Link,
             Payload::Stage { .. } => Category::Stage,
             Payload::Fault { .. } => Category::Fault,
             Payload::Sync { .. } | Payload::Checkpoint | Payload::Remap { .. } => Category::Session,
@@ -234,7 +226,6 @@ impl Payload {
             Payload::Retire { .. } => "retire",
             Payload::Park { .. } => "park",
             Payload::Wake { .. } => "wake",
-            Payload::Transfer { .. } => "transfer",
             Payload::Retry { .. } => "retry",
             Payload::Stage { .. } => "stage",
             Payload::Sync { .. } => "sync",

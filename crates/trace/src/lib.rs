@@ -11,15 +11,15 @@
 //! - **Sinks** ([`TraceSink`]): [`NullSink`] is statically free (disabled
 //!   tracing compiles to a constant-false branch), [`VecSink`] records
 //!   everything, [`RingSink`] keeps a bounded flight-recorder tail with a
-//!   drop count, [`FilterSink`] layers a per-category mask and 1-in-N
-//!   sampling over any sink. Instrumented code talks to a [`Tracer`],
-//!   which owns the sink and the track table.
-//! - **Progress** ([`ProgressSink`], [`progress_channel`]): a tee that
-//!   forwards every event to the wrapped sink unchanged while subsampling
-//!   the stream into bounded, drop-counted [`ProgressUpdate`]s (phase
-//!   entered, sync windows completed, cycles retired, fault/retry counts)
-//!   for live consumers; the sender never blocks, so a slow consumer can
-//!   lose history but never stall the producer.
+//!   drop count, [`FilterSink`] layers a per-category mask over any sink.
+//!   Instrumented code talks to a [`Tracer`], which owns the sink and the
+//!   track table.
+//! - **Progress** ([`ProgressSink`], [`progress_channel`]): a leaf sink
+//!   that records no events but folds the stream into bounded,
+//!   drop-counted [`ProgressUpdate`]s (phase entered, sync windows
+//!   completed, cycles retired, fault/retry counts) for live consumers;
+//!   the sender never blocks, so a slow consumer can lose history but
+//!   never stall the producer.
 //! - **Exporters**: [`chrome_trace`] renders Chrome/Perfetto trace JSON
 //!   (tracks as threads, spans as duration events);
 //!   [`validate_chrome_trace`] re-parses it with the bundled JSON parser

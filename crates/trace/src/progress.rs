@@ -1,17 +1,13 @@
-//! The live-progress plane: a bounded, non-blocking channel of subsampled
-//! [`ProgressUpdate`]s harvested from the event stream by a [`ProgressSink`]
-//! tee.
+//! The live-progress plane: a bounded, non-blocking channel of
+//! [`ProgressUpdate`]s harvested from the event stream by a [`ProgressSink`].
 //!
-//! The sink wraps any [`TraceSink`] and forwards **every** event to it
-//! unchanged, so wrapping an existing sink never perturbs what that sink
-//! records (a [`crate::FilterSink`] drops out-of-mask events inside `emit`,
-//! before touching its sampling counters, so even the extra categories a
-//! progress wrapper admits leave the inner stream byte-identical). On the
-//! side, the sink folds the stream into rare, rate-limited updates — phase
-//! entered, sync window completed, cycles retired, fault/retry counts — and
-//! pushes them through a [`ProgressSender`] that **never blocks**: when the
-//! bounded queue is full the oldest update is dropped and counted, so a slow
-//! consumer can only lose history, never stall the producer.
+//! The sink is a leaf: it records no events, only folds the progress
+//! categories into rare updates — phase entered, sync window completed,
+//! cycles retired (one update per 4096 retire events), fault/retry
+//! counts — and pushes them through a [`ProgressSender`] that **never
+//! blocks**: when the bounded queue is full the oldest update is dropped
+//! and counted, so a slow consumer can only lose history, never stall the
+//! producer.
 
 use crate::event::{Category, Cycle, Event, Payload};
 use crate::sink::TraceSink;
@@ -37,12 +33,12 @@ pub enum ProgressKind {
         /// Stable phase name (`"analyze"`, `"codegen"`, ...).
         phase: &'static str,
     },
-    /// A minibatch sync window completed (subsampled 1-in-N).
+    /// A minibatch sync window completed.
     Sync {
         /// Barrier index within the run.
         index: u32,
     },
-    /// Instructions retired so far (subsampled 1-in-N retire events).
+    /// Instructions retired so far (one update per 4096 retire events).
     Cycles {
         /// Cumulative retired-instruction count at this point.
         retired: u64,
@@ -54,7 +50,7 @@ pub enum ProgressKind {
         /// Tiles excluded from the degraded layout.
         dead_tiles: u16,
     },
-    /// An injected fault struck (never subsampled; faults are rare).
+    /// An injected fault struck.
     Fault {
         /// Stable fault-kind name.
         kind: &'static str,
@@ -110,8 +106,7 @@ pub struct ProgressUpdate {
     pub cycle: Cycle,
     /// What happened.
     pub kind: ProgressKind,
-    /// Sync windows completed so far (counts every window, not just the
-    /// subsampled ones that became updates).
+    /// Sync windows completed so far.
     pub syncs: u64,
     /// Faults observed so far.
     pub faults: u64,
@@ -193,7 +188,7 @@ impl ProgressSender {
         q.push_back(update);
     }
 
-    /// Counts a completed sync window (independent of subsampling).
+    /// Counts a completed sync window.
     pub fn count_sync(&self) {
         self.shared.syncs.fetch_add(1, Ordering::Relaxed);
     }
@@ -240,70 +235,28 @@ impl ProgressReceiver {
     }
 }
 
-/// Default: one sync update per window (drill workloads run few windows).
-pub const DEFAULT_SYNC_SAMPLE: u32 = 1;
-/// Default: one cycles update per 4096 retire events.
-pub const DEFAULT_RETIRE_SAMPLE: u32 = 4096;
+/// One cycles update per this many retire events.
+const RETIRE_SAMPLE: u64 = 4096;
 
-/// A tee sink: forwards every event to the wrapped sink unchanged while
-/// subsampling the stream into [`ProgressUpdate`]s on the side.
-///
-/// `wants` is the union of the inner sink's interests and the progress
-/// categories, so progress can be harvested even over a [`crate::NullSink`]
-/// (untraced runs) — and when wrapping a [`crate::FilterSink`], the extra
-/// admitted categories are dropped by the filter's own in-`emit` mask check
-/// before its sampling counters advance, keeping the inner record
-/// byte-identical to an unwrapped run.
+/// The progress sink: folds the event stream into [`ProgressUpdate`]s and
+/// records nothing else. It wants only the progress categories, so every
+/// other event is skipped at its call site.
 #[derive(Debug)]
-pub struct ProgressSink<S> {
-    inner: S,
+pub struct ProgressSink {
     sender: ProgressSender,
-    sync_sample: u32,
-    retire_sample: u32,
-    syncs_seen: u32,
-    retires_seen: u32,
-    retired_total: u64,
+    retired: u64,
 }
 
-impl<S: TraceSink> ProgressSink<S> {
-    /// Wraps `inner`, reporting through `sender` at the default sampling
-    /// rates.
-    pub fn new(inner: S, sender: ProgressSender) -> Self {
-        Self::with_sampling(inner, sender, DEFAULT_SYNC_SAMPLE, DEFAULT_RETIRE_SAMPLE)
+impl ProgressSink {
+    /// A sink reporting through `sender`.
+    pub fn new(sender: ProgressSender) -> Self {
+        Self { sender, retired: 0 }
     }
+}
 
-    /// Wraps `inner` with explicit subsampling: one update per
-    /// `sync_sample` sync windows and one per `retire_sample` retire
-    /// events (values `<= 1` keep all).
-    pub fn with_sampling(
-        inner: S,
-        sender: ProgressSender,
-        sync_sample: u32,
-        retire_sample: u32,
-    ) -> Self {
-        Self {
-            inner,
-            sender,
-            sync_sample: sync_sample.max(1),
-            retire_sample: retire_sample.max(1),
-            syncs_seen: 0,
-            retires_seen: 0,
-            retired_total: 0,
-        }
-    }
-
-    /// The wrapped sink.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Consumes the tee, returning the wrapped sink.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
-    /// True when `cat` feeds the progress plane.
-    fn progress_wants(cat: Category) -> bool {
+impl TraceSink for ProgressSink {
+    #[inline]
+    fn wants(&self, cat: Category) -> bool {
         matches!(
             cat,
             Category::Session
@@ -313,48 +266,22 @@ impl<S: TraceSink> ProgressSink<S> {
                 | Category::Instruction
         )
     }
-}
-
-impl<S: TraceSink> TraceSink for ProgressSink<S> {
-    #[inline]
-    fn is_active(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn wants(&self, cat: Category) -> bool {
-        self.inner.wants(cat) || Self::progress_wants(cat)
-    }
 
     fn emit(&mut self, ev: Event) {
-        // Forward first, unchanged: the inner sink's record must be
-        // independent of the progress plane's existence.
-        self.inner.emit(ev);
         match ev.payload {
             Payload::Sync { index } => {
                 self.sender.count_sync();
-                let keep = self.syncs_seen == 0;
-                self.syncs_seen += 1;
-                if self.syncs_seen == self.sync_sample {
-                    self.syncs_seen = 0;
-                }
-                if keep {
-                    self.sender
-                        .push(ev.at + ev.dur, ProgressKind::Sync { index });
-                }
+                self.sender
+                    .push(ev.at + ev.dur, ProgressKind::Sync { index });
             }
             Payload::Retire { .. } => {
-                self.retired_total += 1;
-                let keep = self.retires_seen == 0;
-                self.retires_seen += 1;
-                if self.retires_seen == self.retire_sample {
-                    self.retires_seen = 0;
-                }
-                if keep {
+                self.retired += 1;
+                // The 1st, the (N+1)th, the (2N+1)th, ... retire event.
+                if self.retired % RETIRE_SAMPLE == 1 {
                     self.sender.push(
                         ev.at + ev.dur,
                         ProgressKind::Cycles {
-                            retired: self.retired_total,
+                            retired: self.retired,
                         },
                     );
                 }
@@ -383,8 +310,6 @@ impl<S: TraceSink> TraceSink for ProgressSink<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::CategoryMask;
-    use crate::sink::{FilterSink, NullSink, VecSink};
 
     fn sync(i: u32, at: Cycle) -> Event {
         Event::span(at, 10, 0, Payload::Sync { index: i })
@@ -430,16 +355,16 @@ mod tests {
     }
 
     #[test]
-    fn sink_subsamples_syncs_but_counts_all() {
+    fn sink_reports_every_sync_and_counts_all() {
         let (tx, rx) = progress_channel(64);
-        let mut s = ProgressSink::with_sampling(NullSink, tx, 3, 1);
+        let mut s = ProgressSink::new(tx);
         for i in 0..7u32 {
             s.emit(sync(i, u64::from(i) * 100));
         }
         let got = rx.drain();
         let indices: Vec<u64> = got.iter().filter_map(|u| u.kind.value()).collect();
-        assert_eq!(indices, vec![0, 3, 6]);
-        // the final update still reports every completed window.
+        assert_eq!(indices, (0..7).collect::<Vec<u64>>());
+        // the final update reports every completed window.
         assert_eq!(got.last().map(|u| u.syncs), Some(7));
         // sync cycle stamps the window END (at + dur).
         assert_eq!(got[0].cycle, 10);
@@ -448,18 +373,18 @@ mod tests {
     #[test]
     fn sink_subsamples_retires_with_cumulative_totals() {
         let (tx, rx) = progress_channel(64);
-        let mut s = ProgressSink::with_sampling(NullSink, tx, 1, 4);
-        for i in 0..10u64 {
+        let mut s = ProgressSink::new(tx);
+        for i in 0..8193u64 {
             s.emit(Event::span(i, 1, 0, Payload::Retire { thread: 0, cost: 1 }));
         }
         let retired: Vec<u64> = rx.drain().iter().filter_map(|u| u.kind.value()).collect();
-        assert_eq!(retired, vec![1, 5, 9]);
+        assert_eq!(retired, vec![1, 4097, 8193]);
     }
 
     #[test]
     fn faults_and_retries_feed_counters() {
         let (tx, rx) = progress_channel(64);
-        let mut s = ProgressSink::new(NullSink, tx);
+        let mut s = ProgressSink::new(tx);
         s.emit(Event::instant(
             7,
             0,
@@ -482,54 +407,6 @@ mod tests {
         assert_eq!(got[0].kind.label(), Some("bit_flip"));
         assert_eq!(got[0].retries, 2);
         assert_eq!(got[0].faults, 1);
-    }
-
-    #[test]
-    fn tee_leaves_inner_filter_sink_byte_identical() {
-        // The same guarded event stream through a bare FilterSink and
-        // through ProgressSink<FilterSink> must leave identical inner
-        // records, even though the tee widens `wants` to extra categories.
-        let mask = CategoryMask::just(Category::Session);
-        let events = [
-            Event::span(0, 10, 0, Payload::Sync { index: 0 }),
-            Event::instant(3, 0, Payload::Retire { thread: 1, cost: 2 }),
-            Event::span(10, 10, 0, Payload::Sync { index: 1 }),
-            Event::instant(
-                12,
-                0,
-                Payload::Fault {
-                    kind: "link_error",
-                    tile: 0,
-                },
-            ),
-            Event::span(20, 10, 0, Payload::Sync { index: 2 }),
-        ];
-
-        // Bare: call sites guard on wants(), so only Session events land.
-        let mut bare = FilterSink::new(VecSink::new(), mask, 2);
-        for ev in events {
-            if bare.wants(ev.payload.category()) {
-                bare.emit(ev);
-            }
-        }
-
-        // Teed: wants() admits more categories; everything is forwarded.
-        let (tx, rx) = progress_channel(64);
-        let mut teed = ProgressSink::new(FilterSink::new(VecSink::new(), mask, 2), tx);
-        for ev in events {
-            if teed.wants(ev.payload.category()) {
-                teed.emit(ev);
-            }
-        }
-
-        assert_eq!(
-            bare.into_inner().into_events(),
-            teed.into_inner().into_inner().into_events()
-        );
-        // ... while the progress plane still saw the whole stream.
-        let got = rx.drain();
-        assert_eq!(got.last().map(|u| u.syncs), Some(3));
-        assert_eq!(got.last().map(|u| u.faults), Some(1));
     }
 
     #[test]

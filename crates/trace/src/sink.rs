@@ -1,11 +1,9 @@
 //! Sinks consume [`Event`]s: the no-op [`NullSink`], an unbounded
-//! [`VecSink`], a bounded [`RingSink`], and the [`FilterSink`]
-//! sampling/filtering layer. The [`Tracer`] front-end owns a sink plus the
+//! [`VecSink`], a bounded [`RingSink`], and the [`FilterSink`] category
+//! mask. The [`Tracer`] front-end owns a sink plus the
 //! track table and is what instrumented code talks to.
 
-use crate::event::{
-    Category, CategoryMask, Cycle, Event, Payload, TrackId, TrackTable, N_CATEGORIES,
-};
+use crate::event::{Category, CategoryMask, Cycle, Event, Payload, TrackId, TrackTable};
 use std::collections::VecDeque;
 
 /// A consumer of trace events.
@@ -142,27 +140,18 @@ impl TraceSink for RingSink {
     }
 }
 
-/// Filtering/sampling layer wrapping another sink: a per-category enable
-/// mask plus deterministic 1-in-N sampling (the first of every N events of
-/// a category passes).
+/// A per-category enable mask over another sink: events of a category
+/// outside the mask never reach the wrapped sink; every other event does.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FilterSink<S> {
     inner: S,
     mask: CategoryMask,
-    sample: u32,
-    seen: [u32; N_CATEGORIES],
 }
 
 impl<S: TraceSink> FilterSink<S> {
-    /// Wraps `inner`, passing only categories in `mask` and, of those, one
-    /// event in every `sample` per category (`sample <= 1` keeps all).
-    pub fn new(inner: S, mask: CategoryMask, sample: u32) -> Self {
-        Self {
-            inner,
-            mask,
-            sample: sample.max(1),
-            seen: [0; N_CATEGORIES],
-        }
+    /// Wraps `inner`, passing only categories in `mask`.
+    pub fn new(inner: S, mask: CategoryMask) -> Self {
+        Self { inner, mask }
     }
 
     /// The wrapped sink.
@@ -189,17 +178,7 @@ impl<S: TraceSink> TraceSink for FilterSink<S> {
 
     #[inline]
     fn emit(&mut self, ev: Event) {
-        let cat = ev.payload.category();
-        if !self.mask.contains(cat) {
-            return;
-        }
-        let slot = &mut self.seen[cat as usize];
-        let keep = *slot == 0;
-        *slot += 1;
-        if *slot == self.sample {
-            *slot = 0;
-        }
-        if keep {
+        if self.mask.contains(ev.payload.category()) {
             self.inner.emit(ev);
         }
     }
@@ -336,41 +315,15 @@ mod tests {
     #[test]
     fn filter_masks_categories() {
         let mask = CategoryMask::just(Category::Link);
-        let mut f = FilterSink::new(VecSink::new(), mask, 1);
+        let mut f = FilterSink::new(VecSink::new(), mask);
         assert!(f.wants(Category::Link));
         assert!(!f.wants(Category::Instruction));
-        f.emit(ev(Payload::Transfer { class: 0, bytes: 8 }));
+        f.emit(ev(Payload::Retry {
+            retries: 1,
+            cost: 8,
+        }));
         f.emit(ev(Payload::Retire { thread: 0, cost: 1 }));
         assert_eq!(f.into_inner().events().len(), 1);
-    }
-
-    #[test]
-    fn filter_samples_one_in_n() {
-        let mut f = FilterSink::new(VecSink::new(), CategoryMask::all(), 3);
-        for i in 0..9u32 {
-            f.emit(ev(Payload::Sync { index: i }));
-        }
-        // keeps the first of every 3: indices 0, 3, 6.
-        let kept: Vec<_> = f
-            .into_inner()
-            .into_events()
-            .into_iter()
-            .map(|e| match e.payload {
-                Payload::Sync { index } => index,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(kept, vec![0, 3, 6]);
-    }
-
-    #[test]
-    fn filter_sampling_is_per_category() {
-        let mut f = FilterSink::new(VecSink::new(), CategoryMask::all(), 2);
-        f.emit(ev(Payload::Sync { index: 0 })); // session #1 -> kept
-        f.emit(ev(Payload::Transfer { class: 0, bytes: 1 })); // link #1 -> kept
-        f.emit(ev(Payload::Sync { index: 1 })); // session #2 -> dropped
-        f.emit(ev(Payload::Transfer { class: 0, bytes: 2 })); // link #2 -> dropped
-        assert_eq!(f.into_inner().events().len(), 2);
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Allocation budgets for one design-space candidate, one warm artifact
-//! load and one warm functional training iteration. A counting global
-//! allocator counts the heap allocations (and reallocations) the calling
-//! thread makes while it compiles googlenet and resnet34 at the Figure-14
-//! point, after a warm-up compile of the same network, while it runs one
-//! googlenet training pass of the performance model, while it
-//! fingerprints a design point and draws a 32-candidate sample, while a
-//! second design point of one session compiles alexnet-func, while it
-//! loads googlenet's stored artifact, and while it runs one alexnet-func
-//! training iteration. The counts are deterministic, so a per-layer
-//! scratch `Vec` put back into a compile phase, an analysis recomputed per
-//! compile, a fingerprint or label built through a JSON tree or per-part
-//! strings, codegen re-run for a design point it does not depend on, a
-//! load that decodes through a JSON tree, or a network cloned per
-//! iteration fails its budget.
+//! load and one warm functional training iteration and evaluation. A
+//! counting global allocator counts the heap allocations (and
+//! reallocations) the calling thread makes while it compiles googlenet
+//! and resnet34 at the Figure-14 point, after a warm-up compile of the
+//! same network, while it runs one googlenet training pass of the
+//! performance model, while it fingerprints a design point and draws a
+//! 32-candidate sample, while a second design point of one session
+//! compiles alexnet-func, while it loads googlenet's stored artifact, and
+//! while it runs one alexnet-func training iteration and one evaluation.
+//! The counts are deterministic, so a per-layer scratch `Vec` put back
+//! into a compile phase, an analysis recomputed per compile, a
+//! fingerprint or label built through a JSON tree or per-part strings,
+//! codegen re-run for a design point it does not depend on, a load that
+//! decodes through a JSON tree, or a network or program set copied per
+//! run fails its budget.
 
 use scaledeep::Session;
 use scaledeep_arch::{DesignPoint, Knob, KnobValue, ParamSpace, Precision};
@@ -219,6 +220,54 @@ fn warm_functional_iteration_allocation_budget() {
     assert!(
         harness <= 8,
         "alexnet-func: a warm training iteration made {iteration} allocations, \
+         {machine_allocs} of them the machine's dispatch: the harness's {harness} are over its budget of 8"
+    );
+}
+
+#[test]
+fn warm_evaluation_allocation_budget() {
+    let node = DesignPoint::figure14_sp().node_config();
+    let net = zoo::alexnet_func();
+    let artifact = pipeline::compile(&node, &net, &CompileOptions::default()).expect("compiles");
+    let mut sim = FuncSim::from_artifact(&net, &artifact).expect("functional artifact");
+    sim.import_params(&Executor::new(&net, 1).expect("reference executor"))
+        .expect("imports");
+    let image = vec![0.5f32; net.input().output_shape().elems()];
+    sim.run_evaluation(&image).expect("warm-up evaluation");
+    let (stats, evaluation) = counted(|| sim.run_evaluation(&image));
+    stats.expect("runs");
+
+    // The same forward programs dispatched on a bare machine of the same
+    // shape: what the machine itself allocates.
+    let compiled = artifact.functional().expect("functional artifact");
+    let forward: Vec<_> = artifact
+        .lowered()
+        .expect("lowered programs")
+        .iter()
+        .filter(|p| p.name().ends_with(".FP"))
+        .cloned()
+        .collect();
+    let mut machine = Machine::new(compiled.mem_tiles, sim.capacity());
+    let mut dispatch = || {
+        machine.run_lowered(
+            &forward,
+            &compiled.trackers,
+            &CycleCosts::default(),
+            &FaultPlan::none(),
+            &mut Tracer::disabled(),
+            None,
+        )
+    };
+    dispatch().expect("warm-up dispatch");
+    let (stats, machine_allocs) = counted(&mut dispatch);
+    stats.expect("dispatches");
+
+    // The harness picks the forward programs by reference (it makes 2
+    // allocations); copying them per evaluation made 1,056.
+    let harness = evaluation.saturating_sub(machine_allocs);
+    assert!(
+        harness <= 8,
+        "alexnet-func: a warm evaluation made {evaluation} allocations, \
          {machine_allocs} of them the machine's dispatch: the harness's {harness} are over its budget of 8"
     );
 }
