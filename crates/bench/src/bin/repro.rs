@@ -15,7 +15,7 @@ use scaledeep_dnn::{zoo, Layer, Network};
 use scaledeep_serve::DrillReport;
 use scaledeep_sim::fault::{FaultPlan, LinkFaults};
 use scaledeep_sim::func::FuncSim;
-use scaledeep_sim::perf::RunKind;
+use scaledeep_sim::perf::{stage_name, RunKind};
 use scaledeep_trace::{json, validate_chrome_trace, CategoryMask};
 use std::io::{self, Write};
 use std::process::ExitCode;
@@ -437,7 +437,7 @@ fn drill_into(name: &str, out: &mut dyn Write) -> Outcome {
         writeln!(
             out,
             "  {:24} {:>10} cycles/image{}",
-            s.name,
+            stage_name(mapping, s.members.clone()),
             s.service_cycles,
             if s.bottleneck { "  <- bottleneck" } else { "" }
         )?;

@@ -365,10 +365,10 @@ fn u64_triple(r: &mut Reader, key: &str) -> Decoded<[u64; 3]> {
     }
 }
 
-fn plan_to_json(p: &LayerPlan) -> Json {
+fn plan_to_json(p: &LayerPlan, name: &str) -> Json {
     obj([
         ("id", Json::count(p.id.index())),
-        ("name", Json::Str(p.name.clone())),
+        ("name", Json::Str(name.to_string())),
         ("placement", placement_to_json(p.placement)),
         (
             "comp_flops",
@@ -392,10 +392,12 @@ fn plan_to_json(p: &LayerPlan) -> Json {
     ])
 }
 
-fn plan(r: &mut Reader) -> Decoded<LayerPlan> {
+/// Reads one plan, pushing its layer name onto `names`.
+fn plan(r: &mut Reader, names: &mut Vec<String>) -> Decoded<LayerPlan> {
+    let id = LayerId::from_index(r.field("id")?.count()?);
+    names.push(r.field("name")?.str()?.into_owned());
     Ok(LayerPlan {
-        id: LayerId::from_index(r.field("id")?.count()?),
-        name: r.field("name")?.str()?.into_owned(),
+        id,
         placement: r.field("placement")?.object(placement)?,
         comp_flops: u64_triple(r, "comp_flops")?,
         mem_flops: u64_triple(r, "mem_flops")?,
@@ -418,7 +420,13 @@ fn mapping_to_json(m: &Mapping) -> Json {
         ("net_name", Json::Str(m.net_name.clone())),
         (
             "plans",
-            Json::Arr(m.plans.iter().map(plan_to_json).collect()),
+            Json::Arr(
+                m.plans
+                    .iter()
+                    .zip(m.layer_names.iter())
+                    .map(|(p, name)| plan_to_json(p, name))
+                    .collect(),
+            ),
         ),
         ("conv_cols_used", Json::count(m.conv_cols_used)),
         ("fc_cols_used", Json::count(m.fc_cols_used)),
@@ -439,9 +447,15 @@ fn mapping_to_json(m: &Mapping) -> Json {
 }
 
 fn mapping(r: &mut Reader) -> Decoded<Mapping> {
+    let net_name = r.field("net_name")?.str()?.into_owned();
+    let mut names = Vec::new();
+    let plans = r
+        .field("plans")?
+        .array(|r| r.object(|r| plan(r, &mut names)))?;
     Ok(Mapping {
-        net_name: r.field("net_name")?.str()?.into_owned(),
-        plans: r.field("plans")?.array(|r| r.object(plan))?,
+        net_name,
+        layer_names: names.into(),
+        plans,
         conv_cols_used: r.field("conv_cols_used")?.count()?,
         fc_cols_used: r.field("fc_cols_used")?.count()?,
         chips_spanned: r.field("chips_spanned")?.count()?,

@@ -10,6 +10,7 @@ pub use state::StateBudget;
 use crate::error::Result;
 use scaledeep_arch::NodeConfig;
 use scaledeep_dnn::{Layer, LayerId, Network};
+use std::sync::Arc;
 
 /// Which chip family a layer executes on (STEP 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -162,13 +163,12 @@ impl FailedTiles {
     }
 }
 
-/// The complete plan for one layer.
+/// The complete plan for one layer. Its name is the mapping's
+/// ([`Mapping::layer_name`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerPlan {
     /// The planned layer.
     pub id: LayerId,
-    /// Its name in the network.
-    pub name: String,
     /// Chip side and columns (STEP 1 + 3).
     pub placement: Placement,
     /// FLOPs per image on CompHeavy arrays, per step [FP, BP, WG].
@@ -257,6 +257,9 @@ impl LayerPlan {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mapping {
     pub(crate) net_name: String,
+    /// The network's layer-name table ([`Network::layer_names`]), shared
+    /// by every mapping of the network.
+    pub(crate) layer_names: Arc<[String]>,
     pub(crate) plans: Vec<LayerPlan>,
     pub(crate) conv_cols_used: usize,
     pub(crate) fc_cols_used: usize,
@@ -287,6 +290,15 @@ impl Mapping {
     /// Panics if `id` does not belong to the mapped network.
     pub fn plan(&self, id: LayerId) -> &LayerPlan {
         &self.plans[id.index()]
+    }
+
+    /// The name of one layer in the mapped network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to the mapped network.
+    pub fn layer_name(&self, id: LayerId) -> &str {
+        &self.layer_names[id.index()]
     }
 
     /// Columns used on the ConvLayer chip sequence.
@@ -368,7 +380,7 @@ impl Mapping {
         !self.failed_cols.is_empty()
     }
 
-    /// Sum of a closure over conv-side plans.
+    /// Iterator over conv-side plans.
     pub fn conv_plans(&self) -> impl Iterator<Item = &LayerPlan> + '_ {
         self.plans
             .iter()
@@ -395,20 +407,17 @@ impl Mapping {
         let mut expected = 0usize;
         let mut last_range = None;
         for p in self.conv_plans() {
+            let name = self.layer_name(p.id);
             let Placement::Conv { first_col, cols } = p.placement else {
-                return Err(fail(format!(
-                    "conv-side `{}` lacks a conv placement",
-                    p.name
-                )));
+                return Err(fail(format!("conv-side `{name}` lacks a conv placement")));
             };
             if cols == 0 {
-                return Err(fail(format!("`{}` allocated zero columns", p.name)));
+                return Err(fail(format!("`{name}` allocated zero columns")));
             }
             if last_range != Some((first_col, cols)) {
                 if first_col != expected {
                     return Err(fail(format!(
-                        "`{}` starts at column {first_col}, expected {expected}",
-                        p.name
+                        "`{name}` starts at column {first_col}, expected {expected}"
                     )));
                 }
                 expected = first_col + cols;
@@ -416,8 +425,8 @@ impl Mapping {
             }
             if p.tiles_used > p.tiles_total {
                 return Err(fail(format!(
-                    "`{}` uses {} of {} tiles",
-                    p.name, p.tiles_used, p.tiles_total
+                    "`{name}` uses {} of {} tiles",
+                    p.tiles_used, p.tiles_total
                 )));
             }
         }
@@ -574,10 +583,12 @@ mod tests {
             .unwrap();
         for node in net.layers() {
             let plan = m.plan(node.id());
+            let name = m.layer_name(node.id());
+            assert_eq!(name, node.name());
             match node.layer().type_tag() {
-                "CONV" | "SAMP" => assert_eq!(plan.placement.side(), Side::Conv, "{}", plan.name),
-                "FC" => assert_eq!(plan.placement.side(), Side::Fc, "{}", plan.name),
-                _ => assert_eq!(plan.placement.side(), Side::None, "{}", plan.name),
+                "CONV" | "SAMP" => assert_eq!(plan.placement.side(), Side::Conv, "{name}"),
+                "FC" => assert_eq!(plan.placement.side(), Side::Fc, "{name}"),
+                _ => assert_eq!(plan.placement.side(), Side::None, "{name}"),
             }
         }
     }
@@ -647,8 +658,9 @@ mod tests {
         let cols_per_chip = node.cluster.conv_chip.cols;
         let rows = node.cluster.conv_chip.rows;
         for p in m.conv_plans() {
+            let name = m.layer_name(p.id);
             let tiles = p.home_tiles(cols_per_chip, rows);
-            assert_eq!(tiles.len(), p.tiles_used, "{}", p.name);
+            assert_eq!(tiles.len(), p.tiles_used, "{name}");
             let Placement::Conv { first_col, cols } = p.placement else {
                 unreachable!()
             };
@@ -656,8 +668,7 @@ mod tests {
                 let global_col = t.chip * cols_per_chip + t.col;
                 assert!(
                     (first_col..first_col + cols).contains(&global_col),
-                    "{}: tile outside its columns",
-                    p.name
+                    "{name}: tile outside its columns"
                 );
                 assert!(t.row < rows);
                 assert!(t.chip < m.chips_spanned());
@@ -666,7 +677,7 @@ mod tests {
             let mut sorted = tiles.clone();
             sorted.sort_unstable_by_key(|t| (t.chip, t.col, t.row));
             sorted.dedup();
-            assert_eq!(sorted.len(), tiles.len(), "{}", p.name);
+            assert_eq!(sorted.len(), tiles.len(), "{name}");
         }
     }
 

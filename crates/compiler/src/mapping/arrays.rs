@@ -87,17 +87,21 @@ pub(crate) fn configure(
             let in_width = net.node(node.inputs()[0]).output_shape().width;
             let mut best = ArrayPlan::unit();
             let mut best_u = -1.0f64;
+            // The row residue depends only on the split and the kernel
+            // residue only on the column count, so each is computed once.
+            let splits = [false, true].map(|split| {
+                let rows_eff = if split {
+                    (base.array_rows / 2).max(1)
+                } else {
+                    base.array_rows
+                };
+                (split, rows_eff, residue(out.height, rows_eff))
+            });
             for (acols, lanes) in base.column_lane_configs() {
-                for split in [false, true] {
-                    let rows_eff = if split {
-                        (base.array_rows / 2).max(1)
-                    } else {
-                        base.array_rows
-                    };
+                let util_kernel = residue(c.kernel, acols);
+                for (split, rows_eff, util_rows) in splits {
                     let parallel = if split { 2 } else { 1 };
                     let lane_cap = lanes * parallel;
-                    let util_rows = residue(out.height, rows_eff);
-                    let util_kernel = residue(c.kernel, acols);
                     let util_lanes = residue(feats_per_col, lane_cap);
                     let u = util_rows * util_kernel * util_lanes;
                     if u > best_u {

@@ -5,6 +5,7 @@ use super::{FailedTiles, Placement};
 use crate::error::{Error, Result};
 use scaledeep_arch::ChipConfig;
 use scaledeep_dnn::{Analysis, LayerId};
+use std::ops::Range;
 
 /// The outcome of column allocation.
 #[derive(Debug, Clone)]
@@ -102,28 +103,32 @@ pub(crate) fn allocate(
     // grouping small consecutive layers recovers that granularity — and is
     // the "layer occupies part of the column" optimization §6.1 sketches).
     let col_cap = conv_chip.col_mem_capacity() as u64;
-    let mut groups: Vec<Vec<LayerId>> = Vec::new();
-    let mut current: Vec<LayerId> = Vec::new();
+    // Each group is a run of `conv_ids`; at most one per conv layer.
+    let mut groups: Vec<Range<usize>> = Vec::with_capacity(conv_ids.len());
+    let mut start = 0;
     let mut current_state: u64 = 0;
-    for &id in conv_ids {
+    for (i, &id) in conv_ids.iter().enumerate() {
         let s = budgets[id.index()].state_bytes.max(1);
-        if !current.is_empty() && current_state + s > col_cap {
-            groups.push(std::mem::take(&mut current));
+        if i > start && current_state + s > col_cap {
+            groups.push(start..i);
+            start = i;
             current_state = 0;
         }
-        current.push(id);
         current_state += s;
     }
-    if !current.is_empty() {
-        groups.push(current);
+    if start < conv_ids.len() {
+        groups.push(start..conv_ids.len());
     }
+    let members = |g: &Range<usize>| &conv_ids[g.clone()];
 
-    let group_state =
-        |g: &[LayerId]| -> u64 { g.iter().map(|id| budgets[id.index()].state_bytes).sum() };
     let mut group_cols: Vec<usize> = groups
         .iter()
         .map(|g| {
-            usize::try_from(group_state(g).div_ceil(col_cap))
+            let state: u64 = members(g)
+                .iter()
+                .map(|id| budgets[id.index()].state_bytes)
+                .sum();
+            usize::try_from(state.div_ceil(col_cap))
                 .unwrap_or(usize::MAX)
                 .max(1)
         })
@@ -183,13 +188,13 @@ pub(crate) fn allocate(
     let budget = live_within(chips_spanned);
     let group_flops: Vec<u64> = groups
         .iter()
-        .map(|g| g.iter().map(|id| load_flops(analysis, *id)).sum())
+        .map(|g| members(g).iter().map(|&id| load_flops(analysis, id)).sum())
         .collect();
     balance(&mut group_cols, &group_flops, budget);
 
     let mut cursor = 0;
     for (g, group) in groups.iter().enumerate() {
-        for &id in group {
+        for &id in members(group) {
             placements[id.index()] = Placement::Conv {
                 first_col: cursor,
                 cols: group_cols[g],
@@ -202,7 +207,7 @@ pub(crate) fn allocate(
     // ---- FC side (the hub chip's columns) ----
     let mut fc_cols_used = 0;
     if !fc_ids.is_empty() {
-        let mut fc_cols: Vec<usize> = fc_ids.iter().map(|_| 1).collect();
+        let mut fc_cols = vec![1; fc_ids.len()];
         let fc_flops: Vec<u64> = fc_ids.iter().map(|id| load_flops(analysis, *id)).collect();
         let fc_budget = fc_chip.cols.max(fc_ids.len());
         balance(&mut fc_cols, &fc_flops, fc_budget);
@@ -218,8 +223,13 @@ pub(crate) fn allocate(
     }
 
     let span_cols = chips_spanned * conv_chip.cols;
-    let col_map: Vec<usize> = (0..span_cols).filter(|&c| !failed.contains(c)).collect();
-    let failed_cols: Vec<usize> = (0..span_cols).filter(|&c| failed.contains(c)).collect();
+    let mut col_map = Vec::with_capacity(span_cols);
+    col_map.extend((0..span_cols).filter(|&c| !failed.contains(c)));
+    let failed_cols: Vec<usize> = if failed.is_empty() {
+        Vec::new()
+    } else {
+        (0..span_cols).filter(|&c| failed.contains(c)).collect()
+    };
 
     Ok(Allocation {
         placements,

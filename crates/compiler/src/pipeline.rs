@@ -358,22 +358,27 @@ pub fn analyze<'n>(node: &NodeConfig, net: &'n Network) -> Result<AnalyzedNetwor
     node.validate()?;
     let elem_bytes = node.precision.elem_bytes();
     let analysis = net.analyze_with_elem_bytes(elem_bytes);
-    let sides: Vec<Side> = net.layers().map(|n| classify(n.layer())).collect();
     let conv_chip = &node.cluster.conv_chip;
-    let budgets: Vec<StateBudget> = net
-        .layers()
-        .map(|n| state::state_budget(net, analysis, n.id(), conv_chip, elem_bytes))
-        .collect();
-    let conv_ids: Vec<LayerId> = net
-        .layers()
-        .filter(|n| sides[n.id().index()] == Side::Conv)
-        .map(|n| n.id())
-        .collect();
-    let fc_ids: Vec<LayerId> = net
-        .layers()
-        .filter(|n| sides[n.id().index()] == Side::Fc)
-        .map(|n| n.id())
-        .collect();
+    let mut sides = Vec::with_capacity(net.len());
+    let mut budgets = Vec::with_capacity(net.len());
+    let mut conv_ids = Vec::with_capacity(net.len());
+    let mut fc_ids = Vec::with_capacity(net.len());
+    for n in net.layers() {
+        let side = classify(n.layer());
+        match side {
+            Side::Conv => conv_ids.push(n.id()),
+            Side::Fc => fc_ids.push(n.id()),
+            Side::None => {}
+        }
+        sides.push(side);
+        budgets.push(state::state_budget(
+            net,
+            analysis,
+            n.id(),
+            conv_chip,
+            elem_bytes,
+        ));
+    }
     Ok(AnalyzedNetwork {
         net,
         node: *node,
@@ -482,7 +487,6 @@ pub fn assign_compute(
         let st = &partition.layers[id.index()];
         plans.push(LayerPlan {
             id,
-            name: node_ref.name().to_string(),
             placement,
             comp_flops,
             mem_flops,
@@ -501,6 +505,7 @@ pub fn assign_compute(
     }
     let mapping = Mapping {
         net_name: net.name().to_string(),
+        layer_names: Arc::clone(net.layer_names()),
         plans,
         conv_cols_used: cols.alloc.conv_cols_used,
         fc_cols_used: cols.alloc.fc_cols_used,

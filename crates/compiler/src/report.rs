@@ -170,7 +170,7 @@ impl<'a> MappingReport<'a> {
                 g_feat += flops as f64 / (pes * u_feat.max(1e-9));
                 g_array += flops as f64 / (pes * (u_feat * u_array).max(1e-9));
                 rows.push(LayerUtilRow {
-                    name: p.name.clone(),
+                    name: self.mapping.layer_name(p.id).to_string(),
                     flops,
                     cols: p.placement.cols(),
                     pes: pes as usize,

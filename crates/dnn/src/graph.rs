@@ -6,7 +6,7 @@ use crate::layer::Layer;
 use crate::shape::FeatureShape;
 use scaledeep_trace::Fnv1aWriter;
 use std::fmt::{self, Write as _};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a layer inside a [`Network`].
 ///
@@ -98,9 +98,10 @@ impl LayerNode {
 /// # }
 /// ```
 ///
-/// A network is immutable once built, so its [`Network::fingerprint`]
-/// and its analyses ([`Network::analyze_with_elem_bytes`]) are computed on
-/// first use and memoized. The memos are invisible: `Debug` renders, and
+/// A network is immutable once built, so its [`Network::fingerprint`],
+/// its analyses ([`Network::analyze_with_elem_bytes`]) and its layer-name
+/// table ([`Network::layer_names`]) are computed on first use and
+/// memoized. The memos are invisible: `Debug` renders, and
 /// `==` compares, the name and the nodes only.
 #[derive(Clone)]
 pub struct Network {
@@ -117,6 +118,7 @@ pub struct Network {
 struct Memo {
     fingerprint: OnceLock<u64>,
     analyses: AnalysisMemo,
+    layer_names: OnceLock<Arc<[String]>>,
 }
 
 impl fmt::Debug for Network {
@@ -162,6 +164,15 @@ impl Network {
 
     fn memo(&self) -> &Memo {
         self.memo.get_or_init(Box::default)
+    }
+
+    /// Every layer's name, indexed by [`LayerId`]: one shared table, built
+    /// on the first call, so each mapping of the network holds it without
+    /// copying a name.
+    pub fn layer_names(&self) -> &Arc<[String]> {
+        self.memo()
+            .layer_names
+            .get_or_init(|| self.nodes.iter().map(|n| n.name.clone()).collect())
     }
 
     /// The memoized analyses ([`Network::analyze_with_elem_bytes`]).

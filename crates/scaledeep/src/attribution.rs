@@ -19,10 +19,10 @@
 use crate::session::TracedRun;
 use crate::{Error, Result};
 use scaledeep_arch::{EnergyBreakdown, NodeConfig, UtilizationProfile};
-use scaledeep_compiler::{CompiledArtifact, Placement, Side};
+use scaledeep_compiler::CompiledArtifact;
 use scaledeep_dnn::{Network, Step};
 pub use scaledeep_sim::perf::TierBytes;
-use scaledeep_sim::perf::{PerfResult, RunKind};
+use scaledeep_sim::perf::{stage_name, stage_plans, PerfResult, RunKind};
 
 /// Which side of the roofline a layer lands on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,11 +148,13 @@ impl Attribution {
     /// [`crate::Trace`] gives the same tree), its compiled artifact, and
     /// the network it simulated.
     ///
+    /// Each stage's member layers are the ones its record names
+    /// ([`StageStat::members`](scaledeep_sim::perf::StageStat::members)).
+    ///
     /// # Errors
     ///
-    /// [`Error::Setup`] when the run's stage count does not match the
-    /// mapping's — a drift between the stage builder and this module's
-    /// grouping.
+    /// [`Error::Setup`] when a stage names plans the artifact's mapping
+    /// does not have (a run of another artifact).
     pub fn build(
         traced: &TracedRun,
         artifact: &CompiledArtifact,
@@ -162,16 +164,6 @@ impl Attribution {
         let mapping = artifact.mapping();
         let perf = &traced.perf;
         let kind = perf.kind;
-        let groups = stage_groups(mapping);
-        if groups.len() != perf.stages.len() {
-            return Err(Error::Setup {
-                detail: format!(
-                    "attribution grouping found {} stages, run reported {}",
-                    groups.len(),
-                    perf.stages.len()
-                ),
-            });
-        }
         let analysis = net.analyze_with_elem_bytes(mapping.elem_bytes());
 
         // The ridge point: node peak FLOP/s over the aggregate operand-
@@ -199,17 +191,26 @@ impl Attribution {
             RunKind::Evaluation => &[Step::Fp],
         };
 
-        let mut layers = Vec::with_capacity(groups.len());
-        for (i, (group, stage)) in groups.iter().zip(&perf.stages).enumerate() {
+        let mut layers = Vec::with_capacity(perf.stages.len());
+        for (i, stage) in perf.stages.iter().enumerate() {
             let busy = stage.busy_cycles;
+            if mapping.plans().get(stage.members.clone()).is_none() {
+                return Err(Error::Setup {
+                    detail: format!(
+                        "stage {i} names plans {:?}, the mapping has {}",
+                        stage.members,
+                        mapping.plans().len()
+                    ),
+                });
+            }
+            let members = stage_plans(mapping, stage.members.clone());
 
             // Pass weights: analytic FLOPs (array + SFU) per pass, summed
             // over the group's member layers.
             let mut pass_w = [0.0f64; 3];
             let mut comp_w = 0.0f64;
             let mut mem_w = 0.0f64;
-            for &id in &group.members {
-                let plan = mapping.plan(id);
+            for plan in members.clone() {
                 for (p, w) in pass_w.iter_mut().enumerate() {
                     let active = match kind {
                         RunKind::Training => true,
@@ -246,8 +247,8 @@ impl Attribution {
             // run kind's steps.
             let mut flops = 0u64;
             let mut bytes = 0u64;
-            for &id in &group.members {
-                let cost = analysis.layer(id);
+            for plan in members {
+                let cost = analysis.layer(plan.id);
                 for &s in steps {
                     flops += cost.step(s).total_flops();
                     bytes += cost.step(s).total_bytes();
@@ -277,7 +278,7 @@ impl Attribution {
 
             layers.push(LayerAttribution {
                 stage: i,
-                name: group.name.clone(),
+                name: stage_name(mapping, stage.members.clone()),
                 busy_cycles: busy,
                 service_cycles: stage.service_cycles,
                 passes,
@@ -337,52 +338,6 @@ pub fn measured_energy_per_image(perf: &PerfResult, node: &NodeConfig) -> Energy
     let seconds_per_image = 1.0 / perf.images_per_sec.max(1e-9);
     node.power_model()
         .node_energy(measured_profile(perf), seconds_per_image)
-}
-
-/// One pipeline stage's layer group.
-struct StageGroup {
-    name: String,
-    members: Vec<scaledeep_dnn::LayerId>,
-}
-
-/// Replicates the stage builder's layer→stage grouping: consecutive
-/// conv-side layers sharing one column range fold into a single stage
-/// (they time-multiplex the same role tiles); FC layers each get their
-/// own stage and reset the fold; inline layers are skipped.
-fn stage_groups(mapping: &scaledeep_compiler::Mapping) -> Vec<StageGroup> {
-    let mut groups: Vec<StageGroup> = Vec::new();
-    let mut last_conv_range: Option<(usize, usize)> = None;
-    for plan in mapping.plans() {
-        match plan.placement.side() {
-            Side::Conv => {
-                let range = match plan.placement {
-                    Placement::Conv { first_col, cols } => (first_col, cols),
-                    _ => continue,
-                };
-                if last_conv_range == Some(range) {
-                    let prev = groups.last_mut().expect("previous conv group exists");
-                    prev.name.push('+');
-                    prev.name.push_str(&plan.name);
-                    prev.members.push(plan.id);
-                } else {
-                    groups.push(StageGroup {
-                        name: plan.name.clone(),
-                        members: vec![plan.id],
-                    });
-                    last_conv_range = Some(range);
-                }
-            }
-            Side::Fc => {
-                last_conv_range = None;
-                groups.push(StageGroup {
-                    name: plan.name.clone(),
-                    members: vec![plan.id],
-                });
-            }
-            Side::None => {}
-        }
-    }
-    groups
 }
 
 /// Splits `total` across `weights` proportionally, using the

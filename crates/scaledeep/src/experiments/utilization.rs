@@ -112,7 +112,8 @@ pub fn fig19() -> (Fig19, Vec<Table>) {
         "mem util",
         "tiles used/total",
     ]);
-    for plan in artifact.mapping().conv_plans() {
+    let mapping = artifact.mapping();
+    for plan in mapping.conv_plans() {
         if plan.placement.cols() == 0 {
             continue;
         }
@@ -124,7 +125,7 @@ pub fn fig19() -> (Fig19, Vec<Table>) {
                 0.0
             };
         t3.row([
-            plan.name.clone(),
+            mapping.layer_name(plan.id).to_string(),
             format!("{:.2}", state / 1e6),
             format!("{:.2}", capacity / 1e6),
             format!("{:.2}", state / capacity),

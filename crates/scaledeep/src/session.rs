@@ -784,9 +784,7 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates mapping failures, and [`Error::Setup`] when the run's
-    /// stages do not match the mapping's (a simulator/attribution version
-    /// skew).
+    /// Propagates mapping failures.
     pub fn bench_report(&self, net: &Network, kind: RunKind) -> Result<crate::report::BenchReport> {
         let artifact = self.compile(net)?;
         // The run compiles through the cache a second time, like

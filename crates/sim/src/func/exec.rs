@@ -247,15 +247,20 @@ impl MemView<'_> {
     }
 }
 
-/// Reusable read-operand buffers for the compiled tier: data micro-ops
-/// have at most two reads, and reads are always copied out before the
-/// write slice is formed (preserving the interpreter's overlap
-/// semantics), so two buffers per run loop suffice. `acc` is the staged
-/// convolution's per-lane accumulator (see [`kernels::conv_staged`]).
+/// The run loop's reusable buffers. `bufs` hold the compiled tier's read
+/// operands: data micro-ops have at most two reads, and reads are always
+/// copied out before the write slice is formed (preserving the
+/// interpreter's overlap semantics), so two buffers per run loop suffice.
+/// `acc` is the staged convolution's per-lane accumulator (see
+/// [`kernels::conv_staged`]). `tracked` holds the `(tile, addr, len)`
+/// tracker ranges of the last step of either tier: the extents its
+/// tracker records touched when it executed, or its operand ranges when
+/// it blocked.
 #[derive(Debug, Default)]
 pub(super) struct Scratch {
     bufs: [Vec<f32>; 2],
     acc: Vec<f32>,
+    pub(super) tracked: Vec<(u16, u32, u32)>,
 }
 
 /// The arithmetic kernels. Most are shared verbatim by the interpreter
@@ -994,7 +999,9 @@ pub(super) fn execute_data(
     scratch: &mut Scratch,
     program: &str,
 ) -> Result<()> {
-    let Scratch { bufs: [a, b], acc } = scratch;
+    let Scratch {
+        bufs: [a, b], acc, ..
+    } = scratch;
     debug_assert_eq!(op.reads.len(), read_addrs.len());
     for ((spec, &addr), buf) in op.reads.iter().zip(read_addrs).zip([&mut *a, &mut *b]) {
         mem.copy_into(spec.loc, addr, spec.len, buf, program)?;

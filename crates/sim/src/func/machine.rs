@@ -413,6 +413,7 @@ impl Machine {
             }
             stats.rounds += 1;
             let t = &mut threads[tid];
+            scratch.tracked.clear();
             match C::step(
                 t,
                 &mut self.mems,
@@ -423,11 +424,7 @@ impl Machine {
                 now,
                 &mut scratch,
             )? {
-                StepOutcome::Executed {
-                    cost,
-                    busy_tile,
-                    touched,
-                } => {
+                StepOutcome::Executed { cost, busy_tile } => {
                     stats.instructions += 1;
                     if stats.instructions > self.fuel {
                         return Err(Error::ControlFault {
@@ -452,7 +449,7 @@ impl Machine {
                     // The instruction's tracker records may have made
                     // ranges readable/overwritable: re-dispatch every
                     // waiter parked on a touched range (in id order).
-                    for (tile, addr, len) in touched {
+                    for &(tile, addr, len) in &scratch.tracked {
                         if let Some(pos) = pending_drops.iter().position(|&d| d == tile) {
                             // The injected fault eats this broadcast:
                             // waiters stay parked as if the signal never
@@ -473,9 +470,9 @@ impl Machine {
                         }
                     }
                 }
-                StepOutcome::Blocked { awaited } => {
+                StepOutcome::Blocked => {
                     stats.stalls += 1;
-                    if let Some(&(tile, addr, len)) = awaited.first() {
+                    if let Some(&(tile, addr, len)) = scratch.tracked.first() {
                         if let Some(t) = stats.per_tile.get_mut(tile as usize) {
                             t.stalls += 1;
                         }
@@ -490,7 +487,7 @@ impl Machine {
                             },
                         );
                     }
-                    waits.park(tid, awaited);
+                    waits.park(tid, scratch.tracked.iter().copied());
                 }
                 StepOutcome::Halted => {}
             }
@@ -571,6 +568,7 @@ impl Machine {
                 if t.halted {
                     continue;
                 }
+                scratch.tracked.clear();
                 match Program::step(
                     t,
                     &mut self.mems,
@@ -591,7 +589,7 @@ impl Machine {
                             });
                         }
                     }
-                    StepOutcome::Blocked { .. } => stats.stalls += 1,
+                    StepOutcome::Blocked => stats.stalls += 1,
                     StepOutcome::Halted => {
                         progressed = true;
                     }
@@ -629,7 +627,7 @@ impl Code for Program {
         costs: &CycleCosts,
         dead: &[bool],
         now: Cycle,
-        _scratch: &mut Scratch,
+        scratch: &mut Scratch,
     ) -> Result<StepOutcome> {
         let name = t.code.name().to_string();
         let Some(&inst) = t.code.insts().get(t.pc) else {
@@ -652,7 +650,6 @@ impl Code for Program {
                         Ok(StepOutcome::Executed {
                             cost: costs.cost(&inst),
                             busy_tile: None,
-                            touched: Vec::new(),
                         })
                     }
                     ScalarOutcome::Halt => {
@@ -691,7 +688,6 @@ impl Code for Program {
                 Ok(StepOutcome::Executed {
                     cost: costs.cost(&inst),
                     busy_tile: None,
-                    touched: Vec::new(),
                 })
             }
             _ => {
@@ -725,13 +721,14 @@ impl Code for Program {
                 if !ready {
                     // Park on every tracked operand range: whichever
                     // tracker record arrives first re-checks the lot.
-                    let awaited: Vec<(u16, u32, u32)> = access
-                        .reads
-                        .iter()
-                        .chain(access.writes.iter())
-                        .filter_map(tracked)
-                        .collect();
-                    return Ok(StepOutcome::Blocked { awaited });
+                    scratch.tracked.extend(
+                        access
+                            .reads
+                            .iter()
+                            .chain(access.writes.iter())
+                            .filter_map(tracked),
+                    );
+                    return Ok(StepOutcome::Blocked);
                 }
                 {
                     let mut view = MemView { tiles: mems, ext };
@@ -740,20 +737,15 @@ impl Code for Program {
                 // Wake on the full extents of the trackers each record
                 // touched: a tracker can span more than the accessed
                 // range, and its readiness flips as a whole.
-                let mut touched: Vec<(u16, u32, u32)> = Vec::new();
                 for &(loc, addr, len) in &access.reads {
                     if let Loc::Tile(tile) = loc {
-                        for (t_addr, t_len) in trackers.record_read(tile, addr, len) {
-                            touched.push((tile, t_addr, t_len));
-                        }
+                        trackers.record_read(tile, addr, len, &mut scratch.tracked);
                     }
                 }
                 let mut busy_tile = None;
                 for &(loc, addr, len) in &access.writes {
                     if let Loc::Tile(tile) = loc {
-                        for (t_addr, t_len) in trackers.record_write(tile, addr, len) {
-                            touched.push((tile, t_addr, t_len));
-                        }
+                        trackers.record_write(tile, addr, len, &mut scratch.tracked);
                         busy_tile.get_or_insert(tile);
                     }
                 }
@@ -761,7 +753,6 @@ impl Code for Program {
                 Ok(StepOutcome::Executed {
                     cost: costs.cost(&inst),
                     busy_tile,
-                    touched,
                 })
             }
         }
@@ -780,9 +771,9 @@ impl Code for LoweredProgram {
     /// The compiled tier: dispatches pre-decoded micro-ops. Operand
     /// locations, lengths, geometry and cost class were fixed at
     /// lowering; only register-indirect addresses are resolved here, and
-    /// the hot path performs no heap allocation (read operands go through
-    /// the run loop's [`Scratch`] buffers, and the blocked/touched lists
-    /// only materialize when trackers are actually involved).
+    /// the hot path performs no heap allocation (read operands, and the
+    /// tracker ranges a step touches or awaits, go through the run loop's
+    /// [`Scratch`] buffers).
     fn step(
         t: &mut Thread<'_, Self>,
         mems: &mut [Vec<f32>],
@@ -818,7 +809,6 @@ impl Code for LoweredProgram {
                     Ok(StepOutcome::Executed {
                         cost: costs.class_cost(CostClass::Scalar),
                         busy_tile: None,
-                        touched: Vec::new(),
                     })
                 }
                 ScalarOutcome::Halt => {
@@ -845,7 +835,6 @@ impl Code for LoweredProgram {
                 Ok(StepOutcome::Executed {
                     cost: costs.class_cost(CostClass::Track),
                     busy_tile: None,
-                    touched: Vec::new(),
                 })
             }
             MicroOp::Data(op) => {
@@ -881,19 +870,19 @@ impl Code for LoweredProgram {
                         Loc::External => true,
                     };
                 if !ready {
-                    let awaited: Vec<(u16, u32, u32)> = op
-                        .reads
-                        .iter()
-                        .zip(read_addrs)
-                        .filter_map(|(r, addr)| r.loc.tile().map(|tile| (tile, addr, r.len)))
-                        .chain(
-                            op.write
-                                .loc
-                                .tile()
-                                .map(|tile| (tile, write_addr, op.write.len)),
-                        )
-                        .collect();
-                    return Ok(StepOutcome::Blocked { awaited });
+                    scratch.tracked.extend(
+                        op.reads
+                            .iter()
+                            .zip(read_addrs)
+                            .filter_map(|(r, addr)| r.loc.tile().map(|tile| (tile, addr, r.len)))
+                            .chain(
+                                op.write
+                                    .loc
+                                    .tile()
+                                    .map(|tile| (tile, write_addr, op.write.len)),
+                            ),
+                    );
+                    return Ok(StepOutcome::Blocked);
                 }
                 {
                     let mut view = MemView { tiles: mems, ext };
@@ -906,26 +895,20 @@ impl Code for LoweredProgram {
                         code.name(),
                     )?;
                 }
-                let mut touched: Vec<(u16, u32, u32)> = Vec::new();
                 for (r, addr) in op.reads.iter().zip(read_addrs) {
                     if let Loc::Tile(tile) = r.loc {
-                        for (t_addr, t_len) in trackers.record_read(tile, addr, r.len) {
-                            touched.push((tile, t_addr, t_len));
-                        }
+                        trackers.record_read(tile, addr, r.len, &mut scratch.tracked);
                     }
                 }
                 let mut busy_tile = None;
                 if let Loc::Tile(tile) = op.write.loc {
-                    for (t_addr, t_len) in trackers.record_write(tile, write_addr, op.write.len) {
-                        touched.push((tile, t_addr, t_len));
-                    }
+                    trackers.record_write(tile, write_addr, op.write.len, &mut scratch.tracked);
                     busy_tile = Some(tile);
                 }
                 *pc += 1;
                 Ok(StepOutcome::Executed {
                     cost: costs.class_cost(op.cost),
                     busy_tile,
-                    touched,
                 })
             }
         }
@@ -950,18 +933,14 @@ fn fault_kind_tile(kind: &FaultKind) -> u16 {
     }
 }
 
-/// Result of one thread step. Touched/awaited ranges are always
-/// tracker-relevant, so they carry the bare tile index (external-memory
-/// operands never appear here).
+/// Result of one thread step. An executed step leaves the tracker
+/// extents it touched, and a blocked one the ranges it awaits, in the
+/// run loop's [`Scratch::tracked`]: tracker-relevant ranges only, so they
+/// carry the bare tile index (external-memory operands never appear
+/// there).
 enum StepOutcome {
-    Executed {
-        cost: Cycle,
-        busy_tile: Option<u16>,
-        touched: Vec<(u16, u32, u32)>,
-    },
-    Blocked {
-        awaited: Vec<(u16, u32, u32)>,
-    },
+    Executed { cost: Cycle, busy_tile: Option<u16> },
+    Blocked,
     Halted,
 }
 

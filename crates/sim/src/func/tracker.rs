@@ -96,8 +96,10 @@ impl Tracker {
 /// let mut t = TrackerTable::new(1);
 /// t.arm(0, 0, 64, 2, 1)?; // 2 updates make [0,64) readable
 /// assert!(!t.read_ready(0, 0, 64));
-/// t.record_write(0, 0, 32);
-/// t.record_write(0, 32, 32);
+/// let mut touched = Vec::new();
+/// t.record_write(0, 0, 32, &mut touched);
+/// t.record_write(0, 32, 32, &mut touched);
+/// assert_eq!(touched, [(0, 0, 64), (0, 0, 64)]); // the whole tracker, twice
 /// assert!(t.read_ready(0, 0, 64));
 /// # Ok(())
 /// # }
@@ -170,20 +172,24 @@ impl TrackerTable {
         self.overlapping(tile, addr, len).all(Tracker::write_ready)
     }
 
-    /// Records a completed read on every overlapping tracker, returning
-    /// the `(addr, len)` extent of each tracker touched. A tracker's
-    /// extent can exceed the access range, and readiness is a property of
-    /// the whole tracker — wakeups must cover the full extents, not just
-    /// the accessed range.
-    pub fn record_read(&mut self, tile: u16, addr: u32, len: u32) -> Vec<(u32, u32)> {
-        let mut touched = Vec::new();
+    /// Records a completed read on every overlapping tracker, pushing the
+    /// `(tile, addr, len)` extent of each tracker touched onto `touched`.
+    /// A tracker's extent can exceed the access range, and readiness is a
+    /// property of the whole tracker — wakeups must cover the full
+    /// extents, not just the accessed range.
+    pub fn record_read(
+        &mut self,
+        tile: u16,
+        addr: u32,
+        len: u32,
+        touched: &mut Vec<(u16, u32, u32)>,
+    ) {
         if let Some(slot) = self.per_tile.get_mut(tile as usize) {
             for t in slot.iter_mut().filter(|t| t.overlaps(addr, len)) {
                 t.record_read();
-                touched.push((t.addr, t.len));
+                touched.push((tile, t.addr, t.len));
             }
         }
-        touched
     }
 
     /// The satisfaction watermark of the tracker nearest to
@@ -206,18 +212,22 @@ impl TrackerTable {
         ))
     }
 
-    /// Records a completed write on every overlapping tracker, returning
-    /// the `(addr, len)` extent of each tracker touched (see
+    /// Records a completed write on every overlapping tracker, pushing
+    /// the extent of each tracker touched onto `touched` (see
     /// [`TrackerTable::record_read`]).
-    pub fn record_write(&mut self, tile: u16, addr: u32, len: u32) -> Vec<(u32, u32)> {
-        let mut touched = Vec::new();
+    pub fn record_write(
+        &mut self,
+        tile: u16,
+        addr: u32,
+        len: u32,
+        touched: &mut Vec<(u16, u32, u32)>,
+    ) {
         if let Some(slot) = self.per_tile.get_mut(tile as usize) {
             for t in slot.iter_mut().filter(|t| t.overlaps(addr, len)) {
                 t.record_write();
-                touched.push((t.addr, t.len));
+                touched.push((tile, t.addr, t.len));
             }
         }
-        touched
     }
 }
 
@@ -230,9 +240,9 @@ mod tests {
         let mut tab = TrackerTable::new(1);
         tab.arm(0, 0, 16, 2, 1).unwrap();
         assert!(!tab.read_ready(0, 0, 8));
-        tab.record_write(0, 0, 8);
+        tab.record_write(0, 0, 8, &mut Vec::new());
         assert!(!tab.read_ready(0, 4, 4));
-        tab.record_write(0, 8, 8);
+        tab.record_write(0, 8, 8, &mut Vec::new());
         assert!(tab.read_ready(0, 0, 16));
     }
 
@@ -248,11 +258,11 @@ mod tests {
         let mut tab = TrackerTable::new(1);
         tab.arm(0, 0, 4, 1, 2).unwrap();
         assert!(tab.write_ready(0, 0, 4)); // still filling
-        tab.record_write(0, 0, 4);
+        tab.record_write(0, 0, 4, &mut Vec::new());
         assert!(!tab.write_ready(0, 0, 4)); // complete, unread
-        tab.record_read(0, 0, 4);
+        tab.record_read(0, 0, 4, &mut Vec::new());
         assert!(!tab.write_ready(0, 0, 4)); // 1 of 2 reads
-        tab.record_read(0, 0, 4);
+        tab.record_read(0, 0, 4, &mut Vec::new());
         assert!(tab.write_ready(0, 0, 4)); // next generation may start
     }
 
@@ -260,9 +270,9 @@ mod tests {
     fn generation_wrap_resets_counters() {
         let mut tab = TrackerTable::new(1);
         tab.arm(0, 0, 4, 1, 1).unwrap();
-        tab.record_write(0, 0, 4);
-        tab.record_read(0, 0, 4);
-        tab.record_write(0, 0, 4); // generation 2 starts
+        tab.record_write(0, 0, 4, &mut Vec::new());
+        tab.record_read(0, 0, 4, &mut Vec::new());
+        tab.record_write(0, 0, 4, &mut Vec::new()); // generation 2 starts
         assert!(tab.read_ready(0, 0, 4)); // 1 update needed, 1 seen
         assert!(!tab.write_ready(0, 0, 4)); // complete, unread again
     }
@@ -285,11 +295,11 @@ mod tests {
     fn identical_rearm_after_traffic_is_idempotent() {
         let mut tab = TrackerTable::new(1);
         tab.arm(0, 0, 4, 2, 1).unwrap();
-        tab.record_write(0, 0, 4);
+        tab.record_write(0, 0, 4, &mut Vec::new());
         // The MEMTRACK preamble may execute after other threads started
         // filling the range; an identical spec never resets the counters.
         tab.arm(0, 0, 4, 2, 1).unwrap();
-        tab.record_write(0, 0, 4);
+        tab.record_write(0, 0, 4, &mut Vec::new());
         assert!(tab.read_ready(0, 0, 4));
         // A *different* spec is still a conflict.
         assert!(tab.arm(0, 0, 4, 3, 1).is_err());
@@ -308,15 +318,15 @@ mod tests {
         // generation and must wait for its updates.
         let mut tab = TrackerTable::new(1);
         tab.arm(0, 0, 4, 1, 2).unwrap();
-        tab.record_write(0, 0, 4);
+        tab.record_write(0, 0, 4, &mut Vec::new());
         assert!(tab.read_ready(0, 0, 4));
-        tab.record_read(0, 0, 4);
-        tab.record_read(0, 0, 4);
+        tab.record_read(0, 0, 4, &mut Vec::new());
+        tab.record_read(0, 0, 4, &mut Vec::new());
         assert!(
             !tab.read_ready(0, 0, 4),
             "drained generation must block reads"
         );
-        tab.record_write(0, 0, 4); // next generation
+        tab.record_write(0, 0, 4, &mut Vec::new()); // next generation
         assert!(tab.read_ready(0, 0, 4));
     }
 
@@ -324,8 +334,8 @@ mod tests {
     fn nearest_watermark_reports_progress() {
         let mut tab = TrackerTable::new(2);
         tab.arm(0, 0, 16, 4, 1).unwrap();
-        tab.record_write(0, 0, 8);
-        tab.record_write(0, 8, 8);
+        tab.record_write(0, 0, 8, &mut Vec::new());
+        tab.record_write(0, 8, 8, &mut Vec::new());
         // Overlapping query sees the live counters.
         assert_eq!(
             tab.nearest_watermark(0, 4, 4).as_deref(),
@@ -345,10 +355,10 @@ mod tests {
     fn zero_read_quota_means_unrestricted_host_reads() {
         let mut tab = TrackerTable::new(1);
         tab.arm(0, 0, 4, 1, 0).unwrap();
-        tab.record_write(0, 0, 4);
+        tab.record_write(0, 0, 4, &mut Vec::new());
         for _ in 0..5 {
             assert!(tab.read_ready(0, 0, 4));
-            tab.record_read(0, 0, 4);
+            tab.record_read(0, 0, 4, &mut Vec::new());
         }
     }
 }

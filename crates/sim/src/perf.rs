@@ -37,8 +37,9 @@ pub use stage::{RunKind, StageCost};
 
 use crate::fault::FaultPlan;
 use scaledeep_arch::{NodeConfig, PowerModel};
-use scaledeep_compiler::Mapping;
+use scaledeep_compiler::{LayerPlan, Mapping, Side};
 use scaledeep_trace::{MetricsRegistry, TraceSink, Tracer};
+use std::ops::Range;
 
 /// Tunable simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -180,7 +181,8 @@ impl PerfSim {
         let (out, done) = if self.opts.layer_sequential {
             (node::run_layer_sequential(&model), model.images)
         } else {
-            (pipeline::drive(&model, tracer), model.images - 1)
+            let name = |st: &StageCost| stage_name(mapping, st.members.clone());
+            (pipeline::drive(&model, name, tracer), model.images - 1)
         };
         let result = metrics::assemble(
             mapping,
@@ -224,6 +226,41 @@ impl PerfSim {
             link: plan.link_faults().copied(),
         }
     }
+}
+
+/// The member plans of the pipeline stage made of `members`, a range of
+/// `mapping`'s plans ([`StageCost::members`], [`StageStat::members`]):
+/// the conv and FC plans in the range, in plan order. Inline plans
+/// inside the range are not members.
+///
+/// # Panics
+///
+/// Panics if `members` reaches past `mapping`'s plans.
+pub fn stage_plans(
+    mapping: &Mapping,
+    members: Range<usize>,
+) -> impl Iterator<Item = &LayerPlan> + Clone {
+    mapping.plans()[members]
+        .iter()
+        .filter(|plan| plan.placement.side() != Side::None)
+}
+
+/// The name of the pipeline stage made of `members`: its member layers'
+/// names ([`stage_plans`]) joined with `+`. Rendered only where a name
+/// is read (trace tracks, drill-downs, attribution), never per run.
+///
+/// # Panics
+///
+/// Panics if `members` reaches past `mapping`'s plans.
+pub fn stage_name(mapping: &Mapping, members: Range<usize>) -> String {
+    let mut name = String::new();
+    for plan in stage_plans(mapping, members) {
+        if !name.is_empty() {
+            name.push('+');
+        }
+        name.push_str(mapping.layer_name(plan.id));
+    }
+    name
 }
 
 /// Maps `net` onto `sim`'s node and simulates one run of `kind`.

@@ -9,6 +9,7 @@ use crate::engine::Cycle;
 use scaledeep_arch::{LinkClass, NodeConfig, PowerBreakdown, PowerModel, UtilizationProfile};
 use scaledeep_compiler::Mapping;
 use scaledeep_trace::{Hist, MetricsRegistry};
+use std::ops::Range;
 
 /// Transient link-fault accounting for one run (all zeros on the
 /// fault-free path, keeping [`PerfResult`] equality exact under an empty
@@ -47,8 +48,10 @@ pub struct TierBytes {
 /// Per-stage statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageStat {
-    /// Layer name.
-    pub name: String,
+    /// The stage's plans, as indices into the mapping's plans
+    /// ([`StageCost::members`]); [`stage_name`](super::stage_name) renders
+    /// its name.
+    pub members: Range<usize>,
     /// Per-image service cycles.
     pub service_cycles: u64,
     /// Whether this stage is the pipeline bottleneck.
@@ -266,7 +269,7 @@ pub(super) fn assemble(
                 ring: tier(&s, &[LinkClass::Ring]),
             };
             StageStat {
-                name: s.name,
+                members: s.members,
                 service_cycles: s.service_cycles,
                 bottleneck: s.service_cycles == bottleneck,
                 busy_cycles,

@@ -251,9 +251,14 @@ pub(super) struct PipelineTracks {
 }
 
 impl PipelineTracks {
-    /// Interns the run's tracks in `tracer` (all track 0 when it is
-    /// inactive).
-    pub(super) fn intern<S: TraceSink>(stages: &[StageCost], tracer: &mut Tracer<S>) -> Self {
+    /// Interns the run's tracks in `tracer`, naming each stage's track
+    /// by `stage_name` (all track 0, and no name rendered, when the
+    /// tracer is inactive).
+    pub(super) fn intern<S: TraceSink>(
+        stages: &[StageCost],
+        stage_name: impl Fn(&StageCost) -> String,
+        tracer: &mut Tracer<S>,
+    ) -> Self {
         if !tracer.active() {
             return Self {
                 stages: vec![0; stages.len()],
@@ -265,7 +270,7 @@ impl PipelineTracks {
             stages: stages
                 .iter()
                 .enumerate()
-                .map(|(s, st)| tracer.track(&format!("stage {s:02} {}", st.name)))
+                .map(|(s, st)| tracer.track(&format!("stage {s:02} {}", stage_name(st))))
                 .collect(),
             sync: tracer.track("sync"),
             retries: tracer.track("link retries"),
@@ -390,21 +395,25 @@ mod tests {
     use proptest::prelude::*;
     use scaledeep_arch::presets;
     use scaledeep_compiler::Compiler;
-    use scaledeep_dnn::{zoo, LayerId};
+    use scaledeep_dnn::zoo;
     use scaledeep_trace::{Category, CategoryMask, FilterSink, MetricsRegistry, VecSink};
 
     /// The event-ordered drive with nothing recorded: the epoch drive's
     /// oracle.
     fn event_ordered(model: &NodeModel) -> NodeOutcome {
         let mut tracer = Tracer::disabled();
-        let tracks = PipelineTracks::intern(&model.stages, &mut tracer);
+        let tracks = PipelineTracks::intern(&model.stages, test_stage_name, &mut tracer);
         run_node_event_ordered(model, &tracks, &mut tracer)
+    }
+
+    /// A model stage's track name: its first plan index.
+    fn test_stage_name(st: &StageCost) -> String {
+        format!("s{}", st.members.start)
     }
 
     fn stage(cycles: u64) -> StageCost {
         StageCost {
-            id: LayerId::from_index(0),
-            name: "s".into(),
+            members: 0..1,
             service_cycles: cycles,
             useful_lane_cycles: 0.0,
             useful_sfu_cycles: 0.0,
@@ -536,8 +545,7 @@ mod tests {
         let mut rng = Rng(seed.rotate_left(7) | 1);
         let stages = (0..rng.range(1, 5))
             .map(|s| StageCost {
-                id: LayerId::from_index(s as usize),
-                name: format!("s{s}"),
+                members: s as usize..s as usize + 1,
                 service_cycles: rng.range(1, 60),
                 useful_lane_cycles: 0.0,
                 useful_sfu_cycles: 0.0,
@@ -593,8 +601,7 @@ mod tests {
         let palette = [rng.range(1, 10_000), rng.range(1, 10_000), rng.range(1, 16)];
         (0..rng.range(1, 40))
             .map(|s| StageCost {
-                id: LayerId::from_index(s as usize),
-                name: format!("s{s}"),
+                members: s as usize..s as usize + 1,
                 service_cycles: if rng.chance(2) {
                     palette[rng.range(0, 2) as usize]
                 } else {
@@ -660,7 +667,7 @@ mod tests {
         m: &NodeModel,
         tracer: &mut Tracer<S>,
     ) -> (NodeOutcome, MetricsRegistry) {
-        let out = pipeline::drive(m, tracer);
+        let out = pipeline::drive(m, test_stage_name, tracer);
         let mut reg = MetricsRegistry::new();
         pipeline::write_counters(
             &mut reg,

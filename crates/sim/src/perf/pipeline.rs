@@ -22,7 +22,8 @@ pub(super) fn sync_cycles(mapping: &Mapping, node: &NodeConfig) -> Cycle {
 }
 
 /// Simulates `model` with the drive `tracer` calls for, interning the
-/// pipeline's tracks either way; writes no registry.
+/// pipeline's tracks either way (a recording tracer names each stage's
+/// track by `stage_name`); writes no registry.
 ///
 /// Every stage hand-off (the grid/spoke transfer admitting an image into a
 /// stage) and every minibatch sync (wheel arcs + ring) independently
@@ -46,8 +47,12 @@ pub(super) fn sync_cycles(mapping: &Mapping, node: &NodeConfig) -> Cycle {
 ///
 /// Panics when `model.stages` is empty, `model.images == 0`, or
 /// `model.replicas == 0`.
-pub(super) fn drive<S: TraceSink>(model: &NodeModel, tracer: &mut Tracer<S>) -> NodeOutcome {
-    let tracks = PipelineTracks::intern(&model.stages, tracer);
+pub(super) fn drive<S: TraceSink>(
+    model: &NodeModel,
+    stage_name: impl Fn(&StageCost) -> String,
+    tracer: &mut Tracer<S>,
+) -> NodeOutcome {
+    let tracks = PipelineTracks::intern(&model.stages, stage_name, tracer);
     let records = [Category::Stage, Category::Session, Category::Link]
         .into_iter()
         .any(|cat| tracer.wants(cat));
@@ -114,12 +119,10 @@ mod tests {
     use super::*;
     use crate::fault::LinkFaults;
     use crate::perf::{FaultStats, StageCost};
-    use scaledeep_dnn::LayerId;
 
     fn stage(cycles: u64) -> StageCost {
         StageCost {
-            id: LayerId::from_index(0),
-            name: "s".into(),
+            members: 0..1,
             service_cycles: cycles,
             useful_lane_cycles: 0.0,
             useful_sfu_cycles: 0.0,
@@ -144,7 +147,7 @@ mod tests {
 
     /// An untraced run.
     fn run(m: &NodeModel) -> NodeOutcome {
-        drive(m, &mut Tracer::disabled())
+        drive(m, |_| String::new(), &mut Tracer::disabled())
     }
 
     /// Images completed inside the steady-state window (all but the

@@ -3,7 +3,7 @@
 use super::PerfOptions;
 use scaledeep_arch::{ChipConfig, LinkClass, NodeConfig};
 use scaledeep_compiler::{LayerPlan, Mapping, Placement, Side};
-use scaledeep_dnn::LayerId;
+use std::ops::Range;
 
 /// Whether a run trains (FP+BP+WG, minibatch barriers, feature spill) or
 /// evaluates (FP only on all three role tiles).
@@ -25,13 +25,15 @@ pub(super) fn link_idx(class: LinkClass) -> usize {
         .expect("class listed in ALL")
 }
 
-/// The cost model of one pipeline stage (one mapped layer).
+/// The cost model of one pipeline stage: one FC layer, or the conv-side
+/// layers that share one column group.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageCost {
-    /// The layer this stage realizes.
-    pub id: LayerId,
-    /// Layer name.
-    pub name: String,
+    /// The plans this stage realizes, as indices into
+    /// [`Mapping::plans`]: the stage's conv/FC plans in the range are its
+    /// members, inline plans are not. [`stage_name`](super::stage_name)
+    /// renders its name.
+    pub members: Range<usize>,
     /// Per-image service time in cycles (max over role-tile bounds).
     pub service_cycles: u64,
     /// Useful 2D-PE lane-cycles per image (FLOPs / 2), for utilization.
@@ -65,10 +67,10 @@ pub(super) fn build_stages(
     let mut last_conv_range: Option<(usize, usize)> = None;
     // First FC layer id (its inputs cross the wheel spokes).
     let first_fc = mapping.fc_plans().map(|p| p.id).min();
-    for plan in mapping.plans() {
+    for (i, plan) in mapping.plans().iter().enumerate() {
         match plan.placement.side() {
             Side::Conv => {
-                let stage = conv_stage(plan, conv_chip, node, opts, kind, mapping);
+                let stage = conv_stage(i, plan, conv_chip, node, opts, kind, mapping);
                 let range = match plan.placement {
                     Placement::Conv { first_col, cols } => (first_col, cols),
                     _ => unreachable!("conv side has conv placement"),
@@ -84,8 +86,7 @@ pub(super) fn build_stages(
                     for (l, s) in prev.links.iter_mut().zip(stage.links) {
                         *l = l.max(s); // same column group: links shared
                     }
-                    prev.name.push('+');
-                    prev.name.push_str(&stage.name);
+                    prev.members.end = i + 1;
                 } else {
                     stages.push(stage);
                     last_conv_range = Some(range);
@@ -94,6 +95,7 @@ pub(super) fn build_stages(
             Side::Fc => {
                 last_conv_range = None;
                 stages.push(fc_stage(
+                    i,
                     plan,
                     fc_chip,
                     node,
@@ -132,6 +134,7 @@ fn compute_cycles(
 
 #[allow(clippy::too_many_arguments)]
 fn conv_stage(
+    index: usize,
     plan: &LayerPlan,
     chip: &ChipConfig,
     node: &NodeConfig,
@@ -294,8 +297,7 @@ fn conv_stage(
         RunKind::Evaluation => plan.mem_flops[0],
     };
     StageCost {
-        id: plan.id,
-        name: plan.name.clone(),
+        members: index..index + 1,
         service_cycles: service.ceil() as u64,
         useful_lane_cycles: useful_flops as f64 / 2.0,
         useful_sfu_cycles: useful_mem as f64,
@@ -306,6 +308,7 @@ fn conv_stage(
 
 #[allow(clippy::too_many_arguments)]
 fn fc_stage(
+    index: usize,
     plan: &LayerPlan,
     chip: &ChipConfig,
     node: &NodeConfig,
@@ -409,8 +412,7 @@ fn fc_stage(
         RunKind::Evaluation => plan.mem_flops[0],
     };
     StageCost {
-        id: plan.id,
-        name: plan.name.clone(),
+        members: index..index + 1,
         service_cycles: service.ceil() as u64,
         useful_lane_cycles: useful_flops as f64 / 2.0,
         useful_sfu_cycles: useful_mem as f64,
@@ -422,15 +424,26 @@ fn fc_stage(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perf::{stage_name, stage_plans};
     use scaledeep_arch::presets;
     use scaledeep_compiler::Compiler;
     use scaledeep_dnn::zoo;
 
-    fn stages(name: &str, kind: RunKind) -> Vec<StageCost> {
+    fn mapping(name: &str) -> Mapping {
         let net = zoo::by_name(name).unwrap();
+        Compiler::new(&presets::single_precision())
+            .map(&net)
+            .unwrap()
+    }
+
+    /// Each stage with its rendered name.
+    fn stages(name: &str, kind: RunKind) -> Vec<(String, StageCost)> {
+        let mapping = mapping(name);
         let node = presets::single_precision();
-        let mapping = Compiler::new(&node).map(&net).unwrap();
         build_stages(&mapping, &node, &PerfOptions::default(), kind)
+            .into_iter()
+            .map(|st| (stage_name(&mapping, st.members.clone()), st))
+            .collect()
     }
 
     #[test]
@@ -442,7 +455,7 @@ mod tests {
         assert!(s.len() <= 11 && s.len() >= 4, "got {}", s.len());
         let joined: String = s
             .iter()
-            .map(|st| st.name.clone())
+            .map(|(name, _)| name.clone())
             .collect::<Vec<_>>()
             .join("|");
         for layer in ["c1", "c2", "c3", "c4", "c5", "s1", "s3", "f6", "f7", "f8"] {
@@ -451,14 +464,62 @@ mod tests {
     }
 
     #[test]
+    fn googlenet_stage_names_join_their_members() {
+        let names: Vec<String> = stages("googlenet", RunKind::Training)
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        for want in [
+            "i3a_1x1+i3a_3x3r",
+            "i3a_3x3+i3a_5x5r+i3a_5x5",
+            "i3a_pool+i3a_poolp",
+        ] {
+            assert!(
+                names.iter().any(|n| n == want),
+                "no stage `{want}` in {names:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_compute_layer_is_in_exactly_one_stage() {
+        let node = presets::single_precision();
+        for name in zoo::BENCHMARK_NAMES {
+            let m = mapping(name);
+            let mut owners = vec![0usize; m.plans().len()];
+            let mut end = 0;
+            for st in build_stages(&m, &node, &PerfOptions::default(), RunKind::Training) {
+                assert!(st.members.start >= end, "{name}: stages overlap or go back");
+                end = st.members.end;
+                let first = &m.plans()[st.members.start];
+                let last = &m.plans()[st.members.end - 1];
+                assert_ne!(first.placement.side(), Side::None, "{name}: starts inline");
+                assert_ne!(last.placement.side(), Side::None, "{name}: ends inline");
+                for plan in stage_plans(&m, st.members) {
+                    owners[plan.id.index()] += 1;
+                }
+            }
+            for plan in m.plans() {
+                let want = usize::from(plan.placement.side() != Side::None);
+                assert_eq!(
+                    owners[plan.id.index()],
+                    want,
+                    "{name}/{}",
+                    m.layer_name(plan.id)
+                );
+            }
+        }
+    }
+
+    #[test]
     fn evaluation_stages_are_faster() {
         let t = stages("alexnet", RunKind::Training);
         let e = stages("alexnet", RunKind::Evaluation);
-        for (ts, es) in t.iter().zip(&e) {
+        for ((name, ts), (_, es)) in t.iter().zip(&e) {
             assert!(
                 es.service_cycles <= ts.service_cycles,
                 "{}: eval {} vs train {}",
-                ts.name,
+                name,
                 es.service_cycles,
                 ts.service_cycles
             );
@@ -470,14 +531,14 @@ mod tests {
         let s = stages("vgg-a", RunKind::Training);
         let max_conv = s
             .iter()
-            .filter(|st| st.name.starts_with('c'))
-            .map(|st| st.service_cycles)
+            .filter(|(name, _)| name.starts_with('c'))
+            .map(|(_, st)| st.service_cycles)
             .max()
             .unwrap();
         let max_pool = s
             .iter()
-            .filter(|st| st.name.starts_with('s'))
-            .map(|st| st.service_cycles)
+            .filter(|(name, _)| name.starts_with('s'))
+            .map(|(_, st)| st.service_cycles)
             .max()
             .unwrap();
         assert!(max_conv > max_pool);
@@ -486,9 +547,9 @@ mod tests {
     #[test]
     fn fc_stages_carry_spoke_traffic() {
         let s = stages("alexnet", RunKind::Training);
-        let f6 = s.iter().find(|st| st.name == "f6").unwrap();
+        let (_, f6) = s.iter().find(|(name, _)| name == "f6").unwrap();
         assert!(f6.traffic[link_idx(LinkClass::Spoke)] > 0.0);
-        let f7 = s.iter().find(|st| st.name == "f7").unwrap();
+        let (_, f7) = s.iter().find(|(name, _)| name == "f7").unwrap();
         assert_eq!(f7.traffic[link_idx(LinkClass::Spoke)], 0.0);
     }
 
@@ -497,13 +558,13 @@ mod tests {
         let s = stages("vgg-d", RunKind::Training);
         let arc_total: f64 = s
             .iter()
-            .map(|st| st.traffic[link_idx(LinkClass::Arc)])
+            .map(|(_, st)| st.traffic[link_idx(LinkClass::Arc)])
             .sum();
         assert!(arc_total > 0.0, "VGG-D spans chips and must use arcs");
         let s1 = stages("alexnet", RunKind::Training);
         let arc1: f64 = s1
             .iter()
-            .map(|st| st.traffic[link_idx(LinkClass::Arc)])
+            .map(|(_, st)| st.traffic[link_idx(LinkClass::Arc)])
             .sum();
         assert_eq!(arc1, 0.0, "AlexNet fits one chip");
     }

@@ -9,6 +9,7 @@
 use scaledeep::Session;
 use scaledeep_arch::LinkClass;
 use scaledeep_dnn::zoo;
+use scaledeep_sim::perf::stage_name;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let net = zoo::vgg_d();
@@ -47,7 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let bottleneck = r.stages.iter().find(|s| s.bottleneck).expect("has stages");
         println!(
             "pipeline bottleneck: {} ({} cycles/image)",
-            bottleneck.name, bottleneck.service_cycles
+            stage_name(artifact.mapping(), bottleneck.members.clone()),
+            bottleneck.service_cycles
         );
     }
     Ok(())

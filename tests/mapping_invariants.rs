@@ -25,14 +25,15 @@ fn conv_placements_tile_the_columns() {
             let Placement::Conv { first_col, cols } = p.placement else {
                 panic!("conv-side plan without conv placement");
             };
-            assert!(cols > 0, "{name}/{}: zero columns", p.name);
+            assert!(cols > 0, "{name}/{}: zero columns", m.layer_name(p.id));
             if last_range == Some((first_col, cols)) {
                 continue; // shared column group
             }
             assert_eq!(
-                first_col, expected_start,
+                first_col,
+                expected_start,
                 "{name}/{}: gap or overlap in column allocation",
-                p.name
+                m.layer_name(p.id)
             );
             expected_start = first_col + cols;
             last_range = Some((first_col, cols));
@@ -64,7 +65,7 @@ fn memory_floor_is_respected() {
             assert!(
                 group_state <= cols as u64 * col_cap,
                 "{name}/{}: group state {group_state} exceeds {} columns",
-                p.name,
+                m.layer_name(p.id),
                 cols
             );
         }
@@ -104,14 +105,37 @@ fn sides_and_array_plans_are_sane() {
         for node_ref in net.layers() {
             let plan = m.plan(node_ref.id());
             let u = plan.array.utilization();
-            assert!(u > 0.0 && u <= 1.0, "{name}/{}: array util {u}", plan.name);
-            assert!(plan.array.batches_per_image >= 1, "{name}/{}", plan.name);
+            assert!(
+                u > 0.0 && u <= 1.0,
+                "{name}/{}: array util {u}",
+                m.layer_name(plan.id)
+            );
+            assert!(
+                plan.array.batches_per_image >= 1,
+                "{name}/{}",
+                m.layer_name(plan.id)
+            );
             match node_ref.layer().type_tag() {
-                "FC" => assert_eq!(plan.placement.side(), Side::Fc, "{name}/{}", plan.name),
+                "FC" => assert_eq!(
+                    plan.placement.side(),
+                    Side::Fc,
+                    "{name}/{}",
+                    m.layer_name(plan.id)
+                ),
                 "CONV" | "SAMP" | "ELTWISE" | "SHORTCUT" => {
-                    assert_eq!(plan.placement.side(), Side::Conv, "{name}/{}", plan.name)
+                    assert_eq!(
+                        plan.placement.side(),
+                        Side::Conv,
+                        "{name}/{}",
+                        m.layer_name(plan.id)
+                    )
                 }
-                _ => assert_eq!(plan.placement.side(), Side::None, "{name}/{}", plan.name),
+                _ => assert_eq!(
+                    plan.placement.side(),
+                    Side::None,
+                    "{name}/{}",
+                    m.layer_name(plan.id)
+                ),
             }
         }
     }
@@ -128,12 +152,12 @@ fn feature_distribution_is_bounded() {
             assert!(
                 p.tiles_used <= p.tiles_total,
                 "{name}/{}: {} used of {}",
-                p.name,
+                m.layer_name(p.id),
                 p.tiles_used,
                 p.tiles_total
             );
             if p.out_features > 0 && p.tiles_total > 0 {
-                assert!(p.tiles_used > 0, "{name}/{}", p.name);
+                assert!(p.tiles_used > 0, "{name}/{}", m.layer_name(p.id));
             }
         }
     }

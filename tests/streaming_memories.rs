@@ -18,7 +18,7 @@ fn every_benchmark_layer_fits_the_streaming_memories() {
             assert!(
                 plan.array.streaming_fits,
                 "{name}/{}: working set exceeds the streaming memories",
-                plan.name
+                mapping.layer_name(plan.id)
             );
         }
     }
