@@ -387,13 +387,14 @@ impl<'a> Command<'a> {
 /// a failed write to stdout.
 type Outcome = Result<(), Box<dyn std::error::Error>>;
 
-/// Runs every experiment in `ids` across the scoped worker pool
-/// ([`pool::map_ordered`]). Each experiment's tables are rendered into a
-/// private buffer and written in the original order once all workers
-/// join, so the output is byte-identical to a sequential run. Fails
-/// naming every unknown id.
+/// Runs every experiment in `ids` across the persistent worker pool
+/// ([`pool::map_ordered`]), the calling thread included. Each
+/// experiment's tables are rendered into a private buffer and written in
+/// the original order once every experiment has finished, so the output
+/// is byte-identical to a sequential run. Fails naming every unknown id.
 fn run_experiments(ids: &[&str], out: &mut dyn Write) -> Outcome {
-    let outputs = pool::map_ordered(ids, 0, |id| {
+    let owned: Vec<String> = ids.iter().map(|id| id.to_string()).collect();
+    let outputs = pool::map_ordered(owned, 0, |id| {
         use std::fmt::Write;
         run_by_id(id).map(|tables| {
             let mut buf = String::new();

@@ -392,6 +392,33 @@ impl Mapping {
         self.plans.iter().filter(|p| p.placement.side() == Side::Fc)
     }
 
+    /// The conv column groups, in plan order, as ranges of plan indices
+    /// from a group's first conv plan to one past its last. A group is a
+    /// run of conv plans that share one column range: its layers
+    /// time-multiplex the same tiles, so they form one pipeline stage.
+    /// Inline plans inside a run do not split it (nor are they members);
+    /// an FC plan, or a conv plan on other columns, ends it.
+    pub fn conv_groups(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        let mut from = 0;
+        std::iter::from_fn(move || {
+            let start = from
+                + self.plans[from..]
+                    .iter()
+                    .position(|p| p.placement.side() == Side::Conv)?;
+            let columns = self.plans[start].placement;
+            let mut end = start + 1;
+            for (i, plan) in self.plans.iter().enumerate().skip(end) {
+                match plan.placement {
+                    Placement::Inline => {}
+                    placement if placement == columns => end = i + 1,
+                    _ => break,
+                }
+            }
+            from = end;
+            Some(start..end)
+        })
+    }
+
     /// Checks the mapping's structural invariants: conv-side placements
     /// tile `[0, conv_cols_used)` contiguously (column groups repeat their
     /// range), tile usage stays within each allocation, and the span is

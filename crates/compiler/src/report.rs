@@ -2,6 +2,7 @@
 
 use crate::mapping::{Mapping, Placement};
 use scaledeep_arch::ChipConfig;
+use std::ops::Range;
 
 /// Per-layer row of the Figure 19 analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,34 +119,21 @@ impl<'a> MappingReport<'a> {
     /// applied to each layer's effective PE count.
     pub fn waterfall(&self) -> UtilizationWaterfall {
         let pes_per_col = self.pes_per_col() as f64;
-        let plans: Vec<_> = self
+        let plans = self.mapping.plans();
+        // Layers sharing a column group time-multiplex the same tiles:
+        // PEs are counted once per group and group members' times add.
+        let group_plans = |g: Range<usize>| {
+            plans[g]
+                .iter()
+                .filter(|p| matches!(p.placement, Placement::Conv { .. }))
+        };
+        let total_flops: u64 = self
             .mapping
             .conv_plans()
-            .filter(|p| matches!(p.placement, Placement::Conv { .. }))
-            .collect();
-        let total_flops: u64 = plans.iter().map(|p| p.comp_flops_training()).sum();
-
-        // Layers sharing a column group time-multiplex the same tiles:
-        // group by column range so PEs are counted once and group members'
-        // times add.
-        let mut groups: Vec<Vec<&crate::mapping::LayerPlan>> = Vec::new();
-        let mut last_range = None;
-        for p in &plans {
-            let range = (match p.placement {
-                Placement::Conv { first_col, cols } => (first_col, cols),
-                _ => unreachable!("filtered to conv placements"),
-            },);
-            if last_range == Some(range) {
-                groups.last_mut().expect("group exists").push(p);
-            } else {
-                groups.push(vec![p]);
-                last_range = Some(range);
-            }
-        }
-        let total_pes: f64 = groups
-            .iter()
-            .map(|g| g[0].placement.cols() as f64 * pes_per_col)
+            .map(|p| p.comp_flops_training())
             .sum();
+        let group_pes = |g: Range<usize>| plans[g.start].placement.cols() as f64 * pes_per_col;
+        let total_pes: f64 = self.mapping.conv_groups().map(group_pes).sum();
 
         let mut rows = Vec::new();
         // Stage-wise bottleneck times: group time = sum over members of
@@ -153,12 +141,12 @@ impl<'a> MappingReport<'a> {
         let mut t_cols: f64 = 0.0;
         let mut t_feat: f64 = 0.0;
         let mut t_array: f64 = 0.0;
-        for g in &groups {
-            let pes = g[0].placement.cols() as f64 * pes_per_col;
+        for g in self.mapping.conv_groups() {
+            let pes = group_pes(g.clone());
             let mut g_cols = 0.0;
             let mut g_feat = 0.0;
             let mut g_array = 0.0;
-            for p in g {
+            for p in group_plans(g) {
                 let flops = p.comp_flops_training();
                 if flops == 0 {
                     continue;

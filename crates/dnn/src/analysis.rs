@@ -335,10 +335,10 @@ impl Network {
 /// precision. A lookup walks the chain (one or two links in practice); a
 /// miss fills the first empty cell, and a caller that loses the race for
 /// that cell to another size moves on to the next.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct AnalysisMemo(OnceLock<Box<MemoLink>>);
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct MemoLink {
     analysis: Analysis,
     next: AnalysisMemo,

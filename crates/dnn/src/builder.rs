@@ -31,6 +31,9 @@ pub struct NetworkBuilder {
     name: String,
     nodes: Vec<LayerNode>,
     tail: LayerId,
+    /// The pushed node's input shapes: one buffer for every push, so a
+    /// build allocates nothing per node for them.
+    in_shapes: Vec<FeatureShape>,
 }
 
 impl NetworkBuilder {
@@ -38,12 +41,20 @@ impl NetworkBuilder {
     /// is created immediately and becomes the initial tail.
     pub fn new(name: impl Into<String>, input: FeatureShape) -> Self {
         let mut nodes = Vec::new();
-        let tail = Network::push_node(&mut nodes, "input".into(), Layer::Input(input), Vec::new())
-            .expect("input node construction cannot fail");
+        let mut in_shapes = Vec::new();
+        let tail = Network::push_node(
+            &mut nodes,
+            "input".into(),
+            Layer::Input(input),
+            Vec::new(),
+            &mut in_shapes,
+        )
+        .expect("input node construction cannot fail");
         Self {
             name: name.into(),
             nodes,
             tail,
+            in_shapes,
         }
     }
 
@@ -67,7 +78,13 @@ impl NetworkBuilder {
         layer: Layer,
         inputs: Vec<LayerId>,
     ) -> Result<LayerId> {
-        let id = Network::push_node(&mut self.nodes, name.into(), layer, inputs)?;
+        let id = Network::push_node(
+            &mut self.nodes,
+            name.into(),
+            layer,
+            inputs,
+            &mut self.in_shapes,
+        )?;
         self.tail = id;
         Ok(id)
     }

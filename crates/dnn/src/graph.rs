@@ -102,20 +102,19 @@ impl LayerNode {
 /// its analyses ([`Network::analyze_with_elem_bytes`]) and its layer-name
 /// table ([`Network::layer_names`]) are computed on first use and
 /// memoized. The memos are invisible: `Debug` renders, and
-/// `==` compares, the name and the nodes only.
+/// `==` compares, the name and the nodes only. A network is a handle to
+/// one shared immutable body: a clone is a reference-count increment
+/// that shares the nodes and every memo.
 #[derive(Clone)]
 pub struct Network {
-    name: String,
-    nodes: Vec<LayerNode>,
-    memo: OnceLock<Box<Memo>>,
+    body: Arc<Body>,
 }
 
-/// What a network derives from its structure, each part on first use.
-/// Boxed, and the box itself made on first use, so a network that is
-/// never fingerprinted or analyzed is no larger than its name, its nodes
-/// and one empty cell.
-#[derive(Debug, Clone, Default)]
-struct Memo {
+/// The shared body of a [`Network`] and its clones: the structure, and
+/// what the network derives from it, each part on first use.
+struct Body {
+    name: String,
+    nodes: Vec<LayerNode>,
     fingerprint: OnceLock<u64>,
     analyses: AnalysisMemo,
     layer_names: OnceLock<Arc<[String]>>,
@@ -124,15 +123,16 @@ struct Memo {
 impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Network")
-            .field("name", &self.name)
-            .field("nodes", &self.nodes)
+            .field("name", &self.body.name)
+            .field("nodes", &self.body.nodes)
             .finish()
     }
 }
 
 impl PartialEq for Network {
     fn eq(&self, other: &Self) -> bool {
-        self.name == other.name && self.nodes == other.nodes
+        Arc::ptr_eq(&self.body, &other.body)
+            || (self.body.name == other.body.name && self.body.nodes == other.body.nodes)
     }
 }
 
@@ -144,9 +144,13 @@ impl Network {
             return Err(Error::Empty);
         }
         Ok(Self {
-            name,
-            nodes,
-            memo: OnceLock::new(),
+            body: Arc::new(Body {
+                name,
+                nodes,
+                fingerprint: OnceLock::new(),
+                analyses: AnalysisMemo::default(),
+                layer_names: OnceLock::new(),
+            }),
         })
     }
 
@@ -155,29 +159,25 @@ impl Network {
     /// file name. Hashed on the first call (streamed: no string is built)
     /// and memoized; equal networks have equal fingerprints.
     pub fn fingerprint(&self) -> u64 {
-        *self.memo().fingerprint.get_or_init(|| {
+        *self.body.fingerprint.get_or_init(|| {
             let mut h = Fnv1aWriter::new();
             write!(h, "{self:?}").expect("hashing never fails");
             h.finish()
         })
     }
 
-    fn memo(&self) -> &Memo {
-        self.memo.get_or_init(Box::default)
-    }
-
     /// Every layer's name, indexed by [`LayerId`]: one shared table, built
     /// on the first call, so each mapping of the network holds it without
     /// copying a name.
     pub fn layer_names(&self) -> &Arc<[String]> {
-        self.memo()
+        self.body
             .layer_names
-            .get_or_init(|| self.nodes.iter().map(|n| n.name.clone()).collect())
+            .get_or_init(|| self.body.nodes.iter().map(|n| n.name.clone()).collect())
     }
 
     /// The memoized analyses ([`Network::analyze_with_elem_bytes`]).
     pub(crate) fn analyses(&self) -> &AnalysisMemo {
-        &self.memo().analyses
+        &self.body.analyses
     }
 
     pub(crate) fn push_node(
@@ -185,13 +185,14 @@ impl Network {
         name: String,
         layer: Layer,
         inputs: Vec<LayerId>,
+        in_shapes: &mut Vec<FeatureShape>,
     ) -> Result<LayerId> {
-        let mut in_shapes = Vec::with_capacity(inputs.len());
+        in_shapes.clear();
         for &i in &inputs {
             let node = nodes.get(i.0).ok_or(Error::UnknownLayer { id: i.0 })?;
             in_shapes.push(node.output);
         }
-        let output = layer.infer_shape(&name, &in_shapes)?;
+        let output = layer.infer_shape(&name, in_shapes)?;
         let id = LayerId(nodes.len());
         for &i in &inputs {
             nodes[i.0].consumers.push(id);
@@ -209,18 +210,18 @@ impl Network {
 
     /// The network name (e.g. `"alexnet"`).
     pub fn name(&self) -> &str {
-        &self.name
+        &self.body.name
     }
 
     /// Number of nodes, including input and loss nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.body.nodes.len()
     }
 
     /// True when the graph holds no layers (never the case for a constructed
     /// network, but part of the collection-like API).
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.body.nodes.is_empty()
     }
 
     /// The node with the given id.
@@ -229,22 +230,22 @@ impl Network {
     ///
     /// Panics if `id` does not belong to this network.
     pub fn node(&self, id: LayerId) -> &LayerNode {
-        &self.nodes[id.0]
+        &self.body.nodes[id.0]
     }
 
     /// Looks a node up by name.
     pub fn node_by_name(&self, name: &str) -> Option<&LayerNode> {
-        self.nodes.iter().find(|n| n.name == name)
+        self.body.nodes.iter().find(|n| n.name == name)
     }
 
     /// Iterates over all nodes in topological (= id) order.
     pub fn layers(&self) -> impl ExactSizeIterator<Item = &LayerNode> + '_ {
-        self.nodes.iter()
+        self.body.nodes.iter()
     }
 
     /// The input node (first node; builders always create it first).
     pub fn input(&self) -> &LayerNode {
-        &self.nodes[0]
+        &self.body.nodes[0]
     }
 
     /// The shapes flowing into the given node.
@@ -271,7 +272,7 @@ impl Network {
         let mut conv = 0;
         let mut fc = 0;
         let mut samp = 0;
-        for n in &self.nodes {
+        for n in &self.body.nodes {
             match n.layer() {
                 Layer::Conv(_) => conv += 1,
                 Layer::Fc(_) => fc += 1,
@@ -285,9 +286,9 @@ impl Network {
     /// The deepest chain length counting only CONV/FC/SAMP layers; the
     /// paper's "number of layers" for pipeline-depth purposes.
     pub fn depth(&self) -> usize {
-        let mut depth = vec![0usize; self.nodes.len()];
+        let mut depth = vec![0usize; self.body.nodes.len()];
         let mut max = 0;
-        for n in &self.nodes {
+        for n in &self.body.nodes {
             let base = n.inputs().iter().map(|&i| depth[i.0]).max().unwrap_or(0);
             let own = usize::from(matches!(
                 n.layer(),
@@ -303,8 +304,13 @@ impl Network {
 impl fmt::Display for Network {
     /// Renders a layer-by-layer summary: id, type, name, output shape.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "network `{}` ({} nodes)", self.name, self.nodes.len())?;
-        for n in &self.nodes {
+        writeln!(
+            f,
+            "network `{}` ({} nodes)",
+            self.body.name,
+            self.body.nodes.len()
+        )?;
+        for n in &self.body.nodes {
             writeln!(
                 f,
                 "  {:>4} {:8} {:20} -> {}",

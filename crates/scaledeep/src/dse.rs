@@ -90,8 +90,9 @@ pub struct DseConfig {
     /// Grid or seeded sample.
     pub expansion: Expansion,
     /// Worker threads, the calling thread included (0 = available
-    /// cores): `workers - 1` threads are spawned, so 1 runs the sweep on
-    /// the caller alone. Never affects results — only wall-clock.
+    /// cores): up to `workers - 1` persistent pool helpers join the
+    /// caller, so 1 runs the sweep on the caller alone. Never affects
+    /// results — only wall-clock.
     pub workers: usize,
     /// Ignored: the node model runs single-threaded and nothing reads
     /// this field. It stays only so existing struct literals keep
@@ -238,7 +239,7 @@ enum Outcome {
 /// Evaluates one candidate: retargets the hub session onto the point,
 /// compiles once through the shared cache, runs the performance model on
 /// that artifact unobserved, and reads the point off the run record.
-fn evaluate(hub: &Session, net: &Network, cfg: &DseConfig, candidate: &Candidate) -> Outcome {
+fn evaluate(hub: &Session, net: &Network, kind: RunKind, candidate: &Candidate) -> Outcome {
     let point = match &candidate.point {
         Ok(p) => *p,
         Err(e) => {
@@ -252,7 +253,7 @@ fn evaluate(hub: &Session, net: &Network, cfg: &DseConfig, candidate: &Candidate
     let session = hub.retarget(node);
     let run = || -> crate::Result<DsePoint> {
         let artifact = session.compile(net)?;
-        let perf = session.run_mapped(&artifact, cfg.kind);
+        let perf = session.run_mapped(&artifact, kind);
         let energy = measured_energy_per_image(&perf, &node);
         Ok(DsePoint {
             label: candidate.label.clone(),
@@ -289,8 +290,8 @@ fn evaluate(hub: &Session, net: &Network, cfg: &DseConfig, candidate: &Candidate
 }
 
 /// Runs the sweep: expands `space` per `cfg.expansion`, evaluates every
-/// candidate across the scoped worker pool ([`pool::map_ordered`]; the
-/// calling thread is one of its workers), each on an independent session
+/// candidate across the persistent worker pool ([`pool::map_ordered`];
+/// the calling thread is one of its workers), each on an independent session
 /// retargeted from `hub`, all sharing the hub's compile cache, and
 /// assembles the deterministic report. Worker and shard counts never
 /// change the result — candidates write into per-index slots collected
@@ -300,8 +301,11 @@ pub fn run(hub: &Session, net: &Network, space: &ParamSpace, cfg: &DseConfig) ->
         Expansion::Grid => space.grid(),
         Expansion::Sample { n, seed } => space.sample(n as usize, seed),
     };
-    let outcomes = pool::map_ordered(&candidates, cfg.workers, |candidate| {
-        evaluate(hub, net, cfg, candidate)
+    // Each job owns its inputs: the session and network clones share
+    // their bodies, so they cost a few reference counts.
+    let (hub, owned_net, kind) = (hub.clone(), net.clone(), cfg.kind);
+    let outcomes = pool::map_ordered(candidates, cfg.workers, move |candidate| {
+        evaluate(&hub, &owned_net, kind, candidate)
     });
     let mut points = Vec::new();
     let mut infeasible = Vec::new();

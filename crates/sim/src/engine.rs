@@ -174,17 +174,25 @@ impl WaitMap {
         );
     }
 
-    /// Removes and returns (in ascending id order) every waiter with at
-    /// least one entry overlapping `[addr, addr + len)` in `domain`.
-    /// All entries of a woken waiter are removed, not just the matching
-    /// one.
-    pub fn wake_overlapping(&mut self, domain: u16, addr: u32, len: u32) -> Vec<WaiterId> {
-        let mut woken: Vec<WaiterId> = self
-            .entries
-            .iter()
-            .filter(|&&((d, start, l), _)| d == domain && overlaps(start, l, addr, len))
-            .map(|&(_, waiter)| waiter)
-            .collect();
+    /// Removes every waiter with at least one entry overlapping
+    /// `[addr, addr + len)` in `domain` and returns them in ascending id
+    /// order, in `woken`: the buffer is cleared first, so a run loop
+    /// reuses one allocation for every wake. All entries of a woken
+    /// waiter are removed, not just the matching one.
+    pub fn wake_overlapping<'w>(
+        &mut self,
+        domain: u16,
+        addr: u32,
+        len: u32,
+        woken: &'w mut Vec<WaiterId>,
+    ) -> &'w [WaiterId] {
+        woken.clear();
+        woken.extend(
+            self.entries
+                .iter()
+                .filter(|&&((d, start, l), _)| d == domain && overlaps(start, l, addr, len))
+                .map(|&(_, waiter)| waiter),
+        );
         woken.sort_unstable();
         woken.dedup();
         if !woken.is_empty() {
@@ -414,8 +422,8 @@ mod tests {
         w.park(0, [(0, 105, 1), (1, 0, 4)]);
         w.park(1, [(0, 200, 8)]);
         // Touch [104, 108) on tile 0: hits waiters 2 and 0, not 1.
-        let woken = w.wake_overlapping(0, 104, 4);
-        assert_eq!(woken, vec![0, 2]);
+        let mut woken = Vec::new();
+        assert_eq!(w.wake_overlapping(0, 104, 4, &mut woken), [0, 2]);
         // Waiter 0's tile-1 entry went with it.
         assert!(!w.is_parked(0));
         assert!(w.is_parked(1));
@@ -426,13 +434,20 @@ mod tests {
     fn wait_map_respects_domain_and_bounds() {
         let mut w = WaitMap::new();
         w.park(7, [(3, 50, 10)]);
-        assert!(w.wake_overlapping(2, 50, 10).is_empty(), "wrong domain");
+        let mut woken = Vec::new();
         assert!(
-            w.wake_overlapping(3, 60, 5).is_empty(),
+            w.wake_overlapping(2, 50, 10, &mut woken).is_empty(),
+            "wrong domain"
+        );
+        assert!(
+            w.wake_overlapping(3, 60, 5, &mut woken).is_empty(),
             "adjacent, no overlap"
         );
-        assert!(w.wake_overlapping(3, 40, 10).is_empty(), "ends at start");
-        assert_eq!(w.wake_overlapping(3, 59, 1), vec![7]);
+        assert!(
+            w.wake_overlapping(3, 40, 10, &mut woken).is_empty(),
+            "ends at start"
+        );
+        assert_eq!(w.wake_overlapping(3, 59, 1, &mut woken), [7]);
         assert!(w.is_empty());
     }
 
@@ -440,7 +455,7 @@ mod tests {
     fn wait_map_zero_length_touch_wakes_nothing() {
         let mut w = WaitMap::new();
         w.park(1, [(0, 10, 4)]);
-        assert!(w.wake_overlapping(0, 10, 0).is_empty());
+        assert!(w.wake_overlapping(0, 10, 0, &mut Vec::new()).is_empty());
         assert!(w.is_parked(1));
     }
 

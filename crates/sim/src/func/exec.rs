@@ -255,12 +255,16 @@ impl MemView<'_> {
 /// [`kernels::conv_staged`]). `tracked` holds the `(tile, addr, len)`
 /// tracker ranges of the last step of either tier: the extents its
 /// tracker records touched when it executed, or its operand ranges when
-/// it blocked.
+/// it blocked. `woken` holds the waiters one of those extents woke
+/// ([`WaitMap::wake_overlapping`]).
+///
+/// [`WaitMap::wake_overlapping`]: crate::engine::WaitMap::wake_overlapping
 #[derive(Debug, Default)]
 pub(super) struct Scratch {
     bufs: [Vec<f32>; 2],
     acc: Vec<f32>,
     pub(super) tracked: Vec<(u16, u32, u32)>,
+    pub(super) woken: Vec<usize>,
 }
 
 /// The arithmetic kernels. Most are shared verbatim by the interpreter

@@ -457,7 +457,7 @@ impl Machine {
                             pending_drops.swap_remove(pos);
                             continue;
                         }
-                        for waiter in waits.wake_overlapping(tile, addr, len) {
+                        for &waiter in waits.wake_overlapping(tile, addr, len, &mut scratch.woken) {
                             tracer.instant(
                                 now,
                                 thread_tracks[waiter],

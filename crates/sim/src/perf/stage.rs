@@ -63,37 +63,38 @@ pub(super) fn build_stages(
     let mut stages: Vec<StageCost> = Vec::new();
     // Layers sharing a column group time-multiplex the same role tiles:
     // they fold into one pipeline stage whose service time is the sum of
-    // the members' (tracked via the group's column range).
-    let mut last_conv_range: Option<(usize, usize)> = None;
+    // the members'.
+    let mut groups = mapping.conv_groups().peekable();
     // First FC layer id (its inputs cross the wheel spokes).
     let first_fc = mapping.fc_plans().map(|p| p.id).min();
-    for (i, plan) in mapping.plans().iter().enumerate() {
+    let plans = mapping.plans();
+    for (i, plan) in plans.iter().enumerate() {
         match plan.placement.side() {
             Side::Conv => {
-                let stage = conv_stage(i, plan, conv_chip, node, opts, kind, mapping);
-                let range = match plan.placement {
-                    Placement::Conv { first_col, cols } => (first_col, cols),
-                    _ => unreachable!("conv side has conv placement"),
+                // A later member was folded into its group's stage.
+                let Some(group) = groups.next_if(|g| g.start == i) else {
+                    continue;
                 };
-                if last_conv_range == Some(range) {
-                    let prev = stages.last_mut().expect("previous conv stage exists");
-                    prev.service_cycles += stage.service_cycles;
-                    prev.useful_lane_cycles += stage.useful_lane_cycles;
-                    prev.useful_sfu_cycles += stage.useful_sfu_cycles;
-                    for (t, s) in prev.traffic.iter_mut().zip(stage.traffic) {
+                let mut stage = conv_stage(i, plan, conv_chip, node, opts, kind, mapping);
+                for j in group.clone().skip(1) {
+                    if plans[j].placement.side() != Side::Conv {
+                        continue;
+                    }
+                    let member = conv_stage(j, &plans[j], conv_chip, node, opts, kind, mapping);
+                    stage.service_cycles += member.service_cycles;
+                    stage.useful_lane_cycles += member.useful_lane_cycles;
+                    stage.useful_sfu_cycles += member.useful_sfu_cycles;
+                    for (t, s) in stage.traffic.iter_mut().zip(member.traffic) {
                         *t += s;
                     }
-                    for (l, s) in prev.links.iter_mut().zip(stage.links) {
+                    for (l, s) in stage.links.iter_mut().zip(member.links) {
                         *l = l.max(s); // same column group: links shared
                     }
-                    prev.members.end = i + 1;
-                } else {
-                    stages.push(stage);
-                    last_conv_range = Some(range);
                 }
+                stage.members = group;
+                stages.push(stage);
             }
             Side::Fc => {
-                last_conv_range = None;
                 stages.push(fc_stage(
                     i,
                     plan,

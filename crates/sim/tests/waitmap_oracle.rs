@@ -52,8 +52,9 @@ proptest! {
             map.park(waiter, ranges.iter().copied());
             model.push((waiter, ranges.clone()));
         }
+        let mut buf = Vec::new();
         for &(domain, addr, len) in &wakes {
-            let woken = map.wake_overlapping(domain, addr, len);
+            let woken = map.wake_overlapping(domain, addr, len, &mut buf).to_vec();
             let expected = oracle_wake(&mut model, domain, addr, len);
             prop_assert_eq!(&woken, &expected, "wake({}, {}, {})", domain, addr, len);
             // A woken waiter loses all entries; the rest stay parked.
@@ -74,12 +75,13 @@ fn adjacent_ranges_do_not_overlap() {
     let mut map = WaitMap::new();
     map.park(0, [(0u16, 0u32, 4u32)]); // [0, 4)
     map.park(1, [(0u16, 4u32, 4u32)]); // [4, 8)
-                                       // Touching [4, 8) must not wake the [0, 4) waiter.
-    assert_eq!(map.wake_overlapping(0, 4, 4), vec![1]);
+    let mut woken = Vec::new();
+    // Touching [4, 8) must not wake the [0, 4) waiter.
+    assert_eq!(map.wake_overlapping(0, 4, 4, &mut woken), [1]);
     assert!(map.is_parked(0));
     // The shared boundary address wakes only the range it belongs to.
     map.park(1, [(0u16, 4u32, 4u32)]);
-    assert_eq!(map.wake_overlapping(0, 3, 1), vec![0]);
+    assert_eq!(map.wake_overlapping(0, 3, 1, &mut woken), [0]);
     assert!(map.is_parked(1));
 }
 
@@ -87,13 +89,14 @@ fn adjacent_ranges_do_not_overlap() {
 fn zero_length_accesses_overlap_nothing() {
     let mut map = WaitMap::new();
     map.park(0, [(0u16, 0u32, 8u32)]);
+    let mut woken = Vec::new();
     // A zero-length wake touches no bytes, even inside a parked range.
-    assert!(map.wake_overlapping(0, 4, 0).is_empty());
+    assert!(map.wake_overlapping(0, 4, 0, &mut woken).is_empty());
     assert!(map.is_parked(0));
     // A zero-length parked entry covers no bytes, so nothing wakes it:
     // a wake sweeping the whole space picks up only the real range.
     map.park(1, [(0u16, 4u32, 0u32)]);
-    assert_eq!(map.wake_overlapping(0, 0, 16), vec![0]);
+    assert_eq!(map.wake_overlapping(0, 0, 16, &mut woken), [0]);
     assert!(map.is_parked(1), "zero-length entry must stay parked");
 }
 
@@ -102,8 +105,9 @@ fn domains_are_isolated() {
     let mut map = WaitMap::new();
     map.park(0, [(0u16, 0u32, 8u32)]);
     map.park(1, [(1u16, 0u32, 8u32)]);
-    assert!(map.wake_overlapping(2, 0, 8).is_empty());
-    assert_eq!(map.wake_overlapping(1, 0, 8), vec![1]);
+    let mut woken = Vec::new();
+    assert!(map.wake_overlapping(2, 0, 8, &mut woken).is_empty());
+    assert_eq!(map.wake_overlapping(1, 0, 8, &mut woken), [1]);
     assert!(map.is_parked(0));
-    assert_eq!(map.wake_overlapping(0, 0, 8), vec![0]);
+    assert_eq!(map.wake_overlapping(0, 0, 8, &mut woken), [0]);
 }

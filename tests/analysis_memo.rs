@@ -3,7 +3,8 @@
 //! every benchmark network plus `alexnet-func`, at 4 and 2 bytes per
 //! element, the memoized analysis equals a fresh computation, and
 //! `Debug`, `==` and the fingerprint are what they are on a network whose
-//! memo never filled, clones included.
+//! memo never filled, clones included. A clone shares the original's
+//! memo: it returns the very same analyses and layer-name table.
 
 use scaledeep_dnn::{zoo, Network};
 use std::sync::Barrier;
@@ -78,5 +79,38 @@ fn concurrent_first_calls_each_get_their_own_size() {
                 "{name} at {e} B"
             );
         }
+    }
+}
+
+#[test]
+fn a_clone_shares_its_memo() {
+    for name in nets() {
+        let net = build(name);
+        let debug = format!("{net:?}");
+        let analysis = net.analyze_with_elem_bytes(ELEM_BYTES[0]);
+        let names = net.layer_names();
+        let clone = net.clone();
+        assert!(
+            std::ptr::eq(analysis, clone.analyze_with_elem_bytes(ELEM_BYTES[0])),
+            "{name}: a clone must return the original's analysis"
+        );
+        assert!(
+            std::sync::Arc::ptr_eq(names, clone.layer_names()),
+            "{name}: a clone must share the layer-name table"
+        );
+        // A memo filled through the clone is the original's too.
+        assert!(
+            std::ptr::eq(
+                clone.analyze_with_elem_bytes(ELEM_BYTES[1]),
+                net.analyze_with_elem_bytes(ELEM_BYTES[1])
+            ),
+            "{name}"
+        );
+        let fresh = build(name);
+        assert_eq!(clone, net, "{name}");
+        assert_eq!(clone, fresh, "{name}");
+        assert_eq!(format!("{clone:?}"), debug, "{name}");
+        assert_eq!(clone.fingerprint(), fresh.fingerprint(), "{name}");
+        assert_eq!(net.fingerprint(), fresh.fingerprint(), "{name}");
     }
 }
