@@ -952,7 +952,7 @@ fn dse_sweep(
 /// Renders a DSE report as the summary table plus the frontier line.
 fn write_dse(report: &DseReport, out: &mut dyn Write) -> io::Result<()> {
     let mut t = Table::new(format!(
-        "dse {} ({}, {}): {} point(s), {} unique compile(s)",
+        "dse {} ({}, {}): {} point(s), {} distinct design point(s)",
         report.suite,
         report.network,
         report.kind,

@@ -554,7 +554,8 @@ impl Compiler {
     /// the memory floor and [`crate::Error::NoRoute`] when an entire rim
     /// chip inside the required span is dead.
     pub fn map_degraded(&self, net: &Network, failed: &FailedTiles) -> Result<Mapping> {
-        crate::pipeline::map_phases(&self.node, net, failed)
+        let untraced = &mut scaledeep_trace::Tracer::disabled();
+        crate::pipeline::map_phases(&self.node, net, failed, untraced, 0)
     }
 }
 

@@ -31,14 +31,6 @@
 //! session-level caches key on. Degraded recompiles are not a parallel
 //! path: a [`FailedTiles`] set is a phase input like any other.
 //!
-//! The functional half of a compile (codegen and lower) reads the
-//! network, the functional-target geometry, the minibatch and the dead
-//! functional tiles, never the node. A [`FunctionalMemo`] shares that half
-//! across compiles of different design points: [`compile_stamped`] with a
-//! session's memo runs phases 1–4 per node and codegen + lower once per
-//! functional key. [`compile`] and [`compile_traced`] use a fresh memo
-//! each, so they run all six phases every time.
-//!
 //! Each phase can be traced: [`compile_traced`] emits one
 //! [`Payload::Phase`] span per phase on a `"compile"` track, stamped with
 //! the phase *ordinal* (compilation happens on the host, outside simulated
@@ -53,9 +45,8 @@ use scaledeep_arch::{ChipConfig, DesignPoint, NodeConfig, Precision};
 use scaledeep_dnn::{Analysis, Layer, LayerId, Network, Step};
 use scaledeep_isa::LoweredProgram;
 use scaledeep_trace::{Fnv1aWriter, Payload, TraceSink, Tracer, TrackId};
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// The pipeline's phase names, in execution order (the `phase` field of
 /// the [`Payload::Phase`] spans [`compile_traced`] emits).
@@ -176,51 +167,12 @@ fn fingerprint<T: std::fmt::Debug>(v: &T) -> u64 {
 }
 
 /// The pipeline's terminal artifact: one compile, every view of it.
-/// Artifacts compiled through one [`FunctionalMemo`] share their
-/// functional half (one allocation).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CompiledArtifact {
     mapping: Mapping,
-    functional: Arc<FunctionalHalf>,
-    provenance: Provenance,
-}
-
-/// The output of phases 5–6: the codegen verdict and, exactly when
-/// codegen succeeded, the lowered programs.
-#[derive(Debug)]
-struct FunctionalHalf {
     functional: std::result::Result<CompiledNetwork, Error>,
     lowered: Option<Vec<LoweredProgram>>,
-}
-
-/// What the functional half depends on: the network's fingerprint, the
-/// functional-target geometry, the minibatch and the dead functional
-/// tiles (ascending).
-type FunctionalKey = (u64, FuncTargetOptions, usize, Vec<u16>);
-
-/// Functional halves shared across compiles ([`compile_stamped`]): the
-/// codegen verdict and lowered programs, keyed on everything they depend
-/// on and nothing else. The node is not in the key, so a design-space
-/// sweep that compiles one network on many design points generates its
-/// programs once. Entries are never evicted; a session holds one memo per
-/// cache, beside the artifacts that already hold the halves.
-#[derive(Debug, Default)]
-pub struct FunctionalMemo {
-    halves: Mutex<HashMap<FunctionalKey, Arc<FunctionalHalf>>>,
-}
-
-impl FunctionalMemo {
-    fn get(&self, key: &FunctionalKey) -> Option<Arc<FunctionalHalf>> {
-        let halves = self.halves.lock().unwrap_or_else(PoisonError::into_inner);
-        halves.get(key).cloned()
-    }
-
-    /// Stores `half` unless a concurrent compile stored one first, and
-    /// returns the stored one, so every artifact shares one allocation.
-    fn insert(&self, key: FunctionalKey, half: FunctionalHalf) -> Arc<FunctionalHalf> {
-        let mut halves = self.halves.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(halves.entry(key).or_insert_with(|| Arc::new(half)))
-    }
+    provenance: Provenance,
 }
 
 impl CompiledArtifact {
@@ -240,14 +192,14 @@ impl CompiledArtifact {
     /// mapping-only consumers are unaffected while functional consumers
     /// get the original typed error.
     pub fn functional(&self) -> Result<&CompiledNetwork> {
-        self.functional.functional.as_ref().map_err(Clone::clone)
+        self.functional.as_ref().map_err(Clone::clone)
     }
 
     /// The lower phase's micro-op streams — the compiled execution tier's
     /// pre-decoded form of [`CompiledNetwork::programs`], in the same
     /// order. `None` exactly when the artifact has no functional network.
     pub fn lowered(&self) -> Option<&[LoweredProgram]> {
-        self.functional.lowered.as_deref()
+        self.lowered.as_deref()
     }
 
     /// What went into this compile.
@@ -273,10 +225,8 @@ impl CompiledArtifact {
     ) -> Self {
         Self {
             mapping,
-            functional: Arc::new(FunctionalHalf {
-                functional,
-                lowered,
-            }),
+            functional,
+            lowered,
             provenance,
         }
     }
@@ -521,19 +471,6 @@ pub fn assign_compute(
     Ok(mapping)
 }
 
-/// The mapping prefix of the pipeline (phases 1–4), untraced — what the
-/// [`crate::Compiler`] facade runs.
-pub(crate) fn map_phases(
-    node: &NodeConfig,
-    net: &Network,
-    failed: &FailedTiles,
-) -> Result<Mapping> {
-    let analyzed = analyze(node, net)?;
-    let cols = allocate_columns(&analyzed, failed)?;
-    let partition = partition_state(&analyzed, &cols);
-    assign_compute(&analyzed, &cols, &partition)
-}
-
 /// Runs the full pipeline: analyze → allocate-columns → partition-state →
 /// assign-compute → codegen → lower. This is the single compile entry
 /// point; every
@@ -568,39 +505,22 @@ pub fn compile_traced<S: TraceSink>(
     opts: &CompileOptions,
     tracer: &mut Tracer<S>,
 ) -> Result<CompiledArtifact> {
-    // A memo of its own: a standalone compile runs all six phases.
-    let (mapping, functional) = run_phases(
-        node,
-        net,
-        &opts.failed,
-        &opts.func,
-        opts.minibatch,
-        &FunctionalMemo::default(),
-        tracer,
-    )?;
+    let (mapping, (functional, lowered)) =
+        run_phases(node, net, &opts.failed, &opts.func, opts.minibatch, tracer)?;
     // Derived after the last phase span, so a phase clock charges none
     // of it to a phase.
     let provenance = Provenance::new(node, net, opts);
-    Ok(CompiledArtifact {
-        mapping,
-        functional,
-        provenance,
-    })
+    Ok(CompiledArtifact::from_parts(
+        mapping, functional, lowered, provenance,
+    ))
 }
 
 /// [`compile_traced`] for a caller that already derived the compile's
-/// provenance (to key a cache) and shares functional halves across
-/// compiles: the inputs are read off `provenance` (its design point is
-/// the node; its failed tiles, functional geometry and minibatch are the
-/// options), and that same value is stamped into the artifact, so it is
-/// derived once per compile. `provenance` must be
+/// provenance (to key a cache): the inputs are read off `provenance` (its
+/// design point is the node; its failed tiles, functional geometry and
+/// minibatch are the options), and that same value is stamped into the
+/// artifact, so it is derived once per compile. `provenance` must be
 /// `Provenance::new(node, net, opts)` for this `net`.
-///
-/// Codegen and lower run only when `memo` holds no half for this
-/// network, functional geometry, minibatch and dead-tile set; otherwise
-/// the artifact shares the stored half. Either way the tracer sees all
-/// six phase spans: the spans are stamped with phase ordinals, not host
-/// time, so a trace does not depend on which compiles ran before.
 ///
 /// # Errors
 ///
@@ -608,25 +528,21 @@ pub fn compile_traced<S: TraceSink>(
 pub fn compile_stamped<S: TraceSink>(
     net: &Network,
     provenance: Provenance,
-    memo: &FunctionalMemo,
     tracer: &mut Tracer<S>,
 ) -> Result<CompiledArtifact> {
     debug_assert_eq!(provenance.network, net.name());
     debug_assert_eq!(provenance.net_fingerprint, net.fingerprint());
-    let (mapping, functional) = run_phases(
+    let (mapping, (functional, lowered)) = run_phases(
         provenance.design.node(),
         net,
         &provenance.failed,
         &provenance.func,
         provenance.minibatch,
-        memo,
         tracer,
     )?;
-    Ok(CompiledArtifact {
-        mapping,
-        functional,
-        provenance,
-    })
+    Ok(CompiledArtifact::from_parts(
+        mapping, functional, lowered, provenance,
+    ))
 }
 
 /// Closes phase `ordinal`'s span on the compile track.
@@ -641,23 +557,51 @@ fn phase_done<S: TraceSink>(tracer: &mut Tracer<S>, track: TrackId, ordinal: u64
     );
 }
 
+/// What phases 5–6 produce: the codegen verdict and, exactly when codegen
+/// succeeded, the lowered programs.
+type FunctionalOutput = (
+    std::result::Result<CompiledNetwork, Error>,
+    Option<Vec<LoweredProgram>>,
+);
+
 /// The pipeline's one phase body, shared by [`compile_traced`] and
-/// [`compile_stamped`]: phases 1–4 always, phases 5–6 unless `memo`
-/// already holds their output.
+/// [`compile_stamped`]: the mapping phases, then codegen for the
+/// functional target and lowering of each generated program.
 fn run_phases<S: TraceSink>(
     node: &NodeConfig,
     net: &Network,
     failed: &FailedTiles,
     func: &FuncTargetOptions,
     minibatch: usize,
-    memo: &FunctionalMemo,
     tracer: &mut Tracer<S>,
-) -> Result<(Mapping, Arc<FunctionalHalf>)> {
+) -> Result<(Mapping, FunctionalOutput)> {
     let track = if tracer.active() {
         tracer.track("compile")
     } else {
         0
     };
+    let mapping = map_phases(node, net, failed, tracer, track)?;
+    let dead_tiles: Vec<u16> = failed.func_tiles().collect();
+    let functional = codegen::compile_functional_degraded(net, func, minibatch, &dead_tiles);
+    phase_done(tracer, track, 4);
+    let lowered = functional
+        .as_ref()
+        .ok()
+        .map(|c| c.programs.iter().map(scaledeep_isa::micro::lower).collect());
+    phase_done(tracer, track, 5);
+    Ok((mapping, (functional, lowered)))
+}
+
+/// The mapping prefix of the pipeline (phases 1–4), each phase closing
+/// its span on `track`: [`run_phases`]'s first half, and what the
+/// [`crate::Compiler`] facade runs untraced.
+pub(crate) fn map_phases<S: TraceSink>(
+    node: &NodeConfig,
+    net: &Network,
+    failed: &FailedTiles,
+    tracer: &mut Tracer<S>,
+    track: TrackId,
+) -> Result<Mapping> {
     let analyzed = analyze(node, net)?;
     phase_done(tracer, track, 0);
     let cols = allocate_columns(&analyzed, failed)?;
@@ -666,47 +610,7 @@ fn run_phases<S: TraceSink>(
     phase_done(tracer, track, 2);
     let mapping = assign_compute(&analyzed, &cols, &partition)?;
     phase_done(tracer, track, 3);
-    let key = (
-        net.fingerprint(),
-        *func,
-        minibatch,
-        failed.func_tiles().collect(),
-    );
-    let half = match memo.get(&key) {
-        Some(half) => {
-            phase_done(tracer, track, 4);
-            phase_done(tracer, track, 5);
-            half
-        }
-        None => {
-            let half = functional_phases(net, func, minibatch, &key.3, tracer, track);
-            memo.insert(key, half)
-        }
-    };
-    Ok((mapping, half))
-}
-
-/// Phases 5–6: codegen for the functional target, then lowering of each
-/// generated program.
-fn functional_phases<S: TraceSink>(
-    net: &Network,
-    func: &FuncTargetOptions,
-    minibatch: usize,
-    dead_tiles: &[u16],
-    tracer: &mut Tracer<S>,
-    track: TrackId,
-) -> FunctionalHalf {
-    let functional = codegen::compile_functional_degraded(net, func, minibatch, dead_tiles);
-    phase_done(tracer, track, 4);
-    let lowered = functional
-        .as_ref()
-        .ok()
-        .map(|c| c.programs.iter().map(scaledeep_isa::micro::lower).collect());
-    phase_done(tracer, track, 5);
-    FunctionalHalf {
-        functional,
-        lowered,
-    }
+    Ok(mapping)
 }
 
 #[cfg(test)]

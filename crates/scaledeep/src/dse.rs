@@ -22,18 +22,24 @@
 //! committed `BENCH_dse-<suite>.json` can be re-run and byte-compared by
 //! `repro dse --check` with no side channel.
 //!
-//! Candidate sessions are retargeted clones of one hub session
-//! ([`Session::retarget`]), so every point shares the hub's
-//! provenance-keyed compile cache: two candidates that collapse onto the
-//! same design point compile once.
+//! Each candidate maps and prices its own point and nothing more, as the
+//! paper's compiler maps each design point once (§4, Figure 13): the
+//! mapping phases of the pipeline ([`Compiler::map`]), then one
+//! unobserved performance run under the hub session's options. No
+//! candidate touches the hub's compile cache, generates functional
+//! programs or keeps an artifact; two draws of the same point simply map
+//! twice.
 
 use crate::attribution::measured_energy_per_image;
 use crate::pool;
 use crate::session::Session;
 use scaledeep_arch::{Candidate, DesignPoint, Knob, KnobValue, ParamSpace, Precision};
+use scaledeep_compiler::Compiler;
 use scaledeep_dnn::Network;
-use scaledeep_sim::perf::RunKind;
+use scaledeep_sim::fault::FaultPlan;
+use scaledeep_sim::perf::{PerfOptions, PerfSim, RunKind};
 use scaledeep_trace::json::{self, Json};
+use scaledeep_trace::Tracer;
 
 /// Version stamped into every DSE JSON document. Bump on any field
 /// change; [`DseReport::from_json`] rejects versions it does not know.
@@ -118,8 +124,8 @@ impl Default for DseConfig {
 pub struct DsePoint {
     /// Candidate label (`knob=value` pairs, or `base`).
     pub label: String,
-    /// Structural design fingerprint, 16 hex digits — the compile-cache
-    /// node identity, so equal fingerprints shared one compile.
+    /// Structural design fingerprint ([`DesignPoint::fingerprint`]), 16
+    /// hex digits: equal fingerprints are the same design point.
     pub fingerprint: String,
     /// Datapath precision (`"single"` / `"half"`).
     pub precision: String,
@@ -188,9 +194,9 @@ pub struct DseReport {
     pub base: DesignPoint,
     /// The swept axes, declaration order.
     pub axes: Vec<(Knob, Vec<KnobValue>)>,
-    /// Distinct design fingerprints among the evaluated points — the
-    /// number of compiles the provenance-keyed cache actually ran
-    /// (duplicate sample draws collapse onto one compile).
+    /// Distinct design fingerprints among the evaluated points: the
+    /// number of distinct design points the sweep ran (duplicate sample
+    /// draws count once).
     pub unique_compiles: u64,
     /// Evaluated points, candidate order.
     pub points: Vec<DsePoint>,
@@ -230,89 +236,106 @@ pub fn pareto_frontier(points: &[DsePoint]) -> Vec<u64> {
         .collect()
 }
 
-/// The outcome of evaluating one candidate.
-enum Outcome {
-    Feasible(DsePoint),
-    Infeasible(DseInfeasible),
+/// Evaluates one candidate: maps the network onto the point
+/// ([`Compiler::map`], the pipeline's phases 1–4), prices the mapping
+/// with the performance model under `opts`, unobserved, and reads the
+/// point off the run record. A point whose busy or sync cycle count
+/// reaches 2^53 is infeasible: a DSE document stores counts exactly only
+/// below it.
+fn evaluate(
+    opts: &PerfOptions,
+    net: &Network,
+    kind: RunKind,
+    candidate: &Candidate,
+) -> Result<DsePoint, DseInfeasible> {
+    let infeasible = |error: String| DseInfeasible {
+        label: candidate.label.clone(),
+        error,
+    };
+    let point = *candidate
+        .point
+        .as_ref()
+        .map_err(|e| infeasible(e.to_string()))?;
+    let node = point.node_config();
+    // Errors read as `Session::compile` reports them.
+    let mapping = Compiler::new(&node)
+        .map(net)
+        .map_err(|e| infeasible(crate::Error::from(e).to_string()))?;
+    let perf = PerfSim::new(&node).with_options(*opts).run(
+        &mapping,
+        kind,
+        &FaultPlan::none(),
+        &mut Tracer::disabled(),
+        None,
+    );
+    let busy = perf
+        .stages
+        .iter()
+        .try_fold(0u64, |sum, s| sum.checked_add(s.busy_cycles));
+    let busy_cycles = storable_count("busy_cycles", busy).map_err(infeasible)?;
+    let sync_cycles = storable_count("sync_cycles", Some(perf.sync_cycles)).map_err(infeasible)?;
+    let energy = measured_energy_per_image(&perf, &node);
+    Ok(DsePoint {
+        label: candidate.label.clone(),
+        fingerprint: format!("{:016x}", point.fingerprint()),
+        precision: match node.precision {
+            Precision::Single => "single".to_string(),
+            Precision::Half => "half".to_string(),
+        },
+        total_tiles: point.total_tiles() as u64,
+        peak_flops: point.peak_flops(),
+        peak_power_watts: point.peak_power_watts(),
+        images_per_sec: perf.images_per_sec,
+        pe_utilization: perf.pe_utilization,
+        sfu_utilization: perf.sfu_utilization,
+        achieved_flops: perf.achieved_flops,
+        gflops_per_watt: perf.gflops_per_watt,
+        joules_per_image: perf.joules_per_image,
+        busy_cycles,
+        sync_cycles,
+        compute_joules: energy.compute_joules,
+        memory_joules: energy.memory_joules,
+        interconnect_joules: energy.interconnect_joules,
+    })
 }
 
-/// Evaluates one candidate: retargets the hub session onto the point,
-/// compiles once through the shared cache, runs the performance model on
-/// that artifact unobserved, and reads the point off the run record.
-fn evaluate(hub: &Session, net: &Network, kind: RunKind, candidate: &Candidate) -> Outcome {
-    let point = match &candidate.point {
-        Ok(p) => *p,
-        Err(e) => {
-            return Outcome::Infeasible(DseInfeasible {
-                label: candidate.label.clone(),
-                error: e.to_string(),
-            })
-        }
-    };
-    let node = point.node_config();
-    let session = hub.retarget(node);
-    let run = || -> crate::Result<DsePoint> {
-        let artifact = session.compile(net)?;
-        let perf = session.run_mapped(&artifact, kind);
-        let energy = measured_energy_per_image(&perf, &node);
-        Ok(DsePoint {
-            label: candidate.label.clone(),
-            // The compile keyed on this very design point, so its stamp
-            // is `point.fingerprint()` without a second render.
-            fingerprint: format!("{:016x}", artifact.provenance().node_fingerprint),
-            precision: match node.precision {
-                Precision::Single => "single".to_string(),
-                Precision::Half => "half".to_string(),
-            },
-            total_tiles: point.total_tiles() as u64,
-            peak_flops: point.peak_flops(),
-            peak_power_watts: point.peak_power_watts(),
-            images_per_sec: perf.images_per_sec,
-            pe_utilization: perf.pe_utilization,
-            sfu_utilization: perf.sfu_utilization,
-            achieved_flops: perf.achieved_flops,
-            gflops_per_watt: perf.gflops_per_watt,
-            joules_per_image: perf.joules_per_image,
-            busy_cycles: perf.stages.iter().map(|s| s.busy_cycles).sum(),
-            sync_cycles: perf.sync_cycles,
-            compute_joules: energy.compute_joules,
-            memory_joules: energy.memory_joules,
-            interconnect_joules: energy.interconnect_joules,
-        })
-    };
-    match run() {
-        Ok(p) => Outcome::Feasible(p),
-        Err(e) => Outcome::Infeasible(DseInfeasible {
-            label: candidate.label.clone(),
-            error: e.to_string(),
-        }),
+/// A point's cycle count as a DSE document stores it: exactly, so below
+/// 2^53 ([`json::exact_u64`]). `None` is a sum that overflowed `u64`.
+fn storable_count(field: &str, count: Option<u64>) -> Result<u64, String> {
+    match count {
+        Some(n) if json::exact_u64(n as f64).is_some() => Ok(n),
+        Some(n) => Err(format!(
+            "`{field}` = {n} reaches 2^53: a DSE document cannot store it exactly"
+        )),
+        None => Err(format!("`{field}` overflows a 64-bit count")),
     }
 }
 
 /// Runs the sweep: expands `space` per `cfg.expansion`, evaluates every
 /// candidate across the persistent worker pool ([`pool::map_ordered`];
-/// the calling thread is one of its workers), each on an independent session
-/// retargeted from `hub`, all sharing the hub's compile cache, and
-/// assembles the deterministic report. Worker and shard counts never
-/// change the result — candidates write into per-index slots collected
-/// in candidate order.
+/// the calling thread is one of its workers), each mapped and priced on
+/// its own under `hub`'s performance options, and assembles the
+/// deterministic report. The sweep reads nothing else of `hub` and leaves
+/// its compile cache untouched. Worker and shard counts never change the
+/// result — candidates write into per-index slots collected in candidate
+/// order.
 pub fn run(hub: &Session, net: &Network, space: &ParamSpace, cfg: &DseConfig) -> DseReport {
     let candidates = match cfg.expansion {
         Expansion::Grid => space.grid(),
         Expansion::Sample { n, seed } => space.sample(n as usize, seed),
     };
-    // Each job owns its inputs: the session and network clones share
-    // their bodies, so they cost a few reference counts.
-    let (hub, owned_net, kind) = (hub.clone(), net.clone(), cfg.kind);
+    // Each job owns its inputs: the network clone shares its body, so it
+    // costs a reference count.
+    let (opts, owned_net, kind) = (*hub.perf_options(), net.clone(), cfg.kind);
     let outcomes = pool::map_ordered(candidates, cfg.workers, move |candidate| {
-        evaluate(&hub, &owned_net, kind, candidate)
+        evaluate(&opts, &owned_net, kind, candidate)
     });
     let mut points = Vec::new();
     let mut infeasible = Vec::new();
     for outcome in outcomes {
         match outcome {
-            Outcome::Feasible(p) => points.push(p),
-            Outcome::Infeasible(i) => infeasible.push(i),
+            Ok(p) => points.push(p),
+            Err(i) => infeasible.push(i),
         }
     }
     let frontier = pareto_frontier(&points);
@@ -725,7 +748,7 @@ mod tests {
             let many = run(&hub, &net, &space, &smoke_cfg(workers)).to_json();
             assert_eq!(one, many, "worker count {workers} changed the document");
         }
-        // A fresh hub (cold cache) reproduces the same bytes too.
+        // A fresh hub reproduces the same bytes too.
         let cold = run(&Session::single_precision(), &net, &space, &smoke_cfg(3));
         assert_eq!(one, cold.to_json());
     }
@@ -761,10 +784,10 @@ mod tests {
 
     #[test]
     fn point_fingerprints_are_their_candidates_design_fingerprints() {
-        // `evaluate` reads the fingerprint off the compiled artifact's
-        // provenance stamp; it must be the candidate's own design
-        // fingerprint, computed fresh here. The space is the committed
-        // `BENCH_dse-smoke.json` sweep's.
+        // A point's fingerprint is its candidate's design fingerprint,
+        // which is also the node identity a session compile of that point
+        // stamps into its artifact's provenance. The space is the
+        // committed `BENCH_dse-smoke.json` sweep's.
         let net = zoo::alexnet();
         let space = committed_smoke_space();
         let report = run(&Session::single_precision(), &net, &space, &smoke_cfg(0));
@@ -774,55 +797,91 @@ mod tests {
             assert_eq!(p.label, c.label);
             let point = c.point.as_ref().expect("smoke points are valid");
             assert_eq!(p.fingerprint, format!("{:016x}", point.fingerprint()));
+            let artifact = Session::with_node(point.node_config())
+                .compile(&net)
+                .expect("the point compiles");
+            let stamp = artifact.provenance().node_fingerprint;
+            assert_eq!(p.fingerprint, format!("{stamp:016x}"));
         }
     }
 
     #[test]
-    fn design_points_share_one_functional_half() {
-        // Codegen and lower never read the node: every point of a sweep
-        // on alexnet-func shares one codegen verdict and one set of
-        // lowered programs (one allocation), equal to what a standalone
-        // compile of that point generates.
-        let net = scaledeep_dnn::zoo::alexnet_func();
-        let clusters = [1.0, 2.0, 4.0, 8.0].map(KnobValue::Num).to_vec();
-        let space = ParamSpace::new(DesignPoint::figure14_sp()).axis(Knob::Clusters, clusters);
+    fn a_sweep_leaves_the_hub_untouched() {
+        // Candidates map and price their points on their own: the hub's
+        // compile cache sees no hit, no miss and no compile time.
         let hub = Session::single_precision();
-        let report = run(&hub, &net, &space, &smoke_cfg(3));
-        assert_eq!(report.points.len(), 4);
-        assert_eq!(hub.cache_stats().misses, 4);
-        // The sweep's own artifacts, served from the shared cache.
-        let artifacts: Vec<_> = space
-            .grid()
-            .iter()
-            .map(|c| {
-                let node = c.point.as_ref().expect("valid point").node_config();
-                (node, hub.retarget(node).compile(&net).expect("cached"))
-            })
-            .collect();
-        assert_eq!(hub.cache_stats().hits, 4);
-        let first = artifacts[0]
-            .1
-            .functional()
-            .expect("alexnet-func is functional");
-        let first_lowered = artifacts[0].1.lowered().expect("lowered");
-        for (node, artifact) in &artifacts {
-            let functional = artifact.functional().expect("functional");
-            assert!(std::ptr::eq(functional, first));
-            assert!(std::ptr::eq(
-                artifact.lowered().expect("lowered"),
-                first_lowered
-            ));
-            let fresh = scaledeep_compiler::pipeline::compile(
-                node,
-                &net,
-                &scaledeep_compiler::CompileOptions::default(),
-            )
-            .expect("compiles");
-            // Programs, buffers and trackers alike.
-            assert_eq!(functional, fresh.functional().expect("functional"));
-            assert_eq!(artifact.lowered(), fresh.lowered());
-            assert_eq!(artifact.mapping(), fresh.mapping());
+        let report = run(
+            &hub,
+            &zoo::alexnet(),
+            &committed_smoke_space(),
+            &smoke_cfg(3),
+        );
+        assert_eq!(report.points.len(), 8);
+        assert_eq!(hub.cache_stats(), crate::session::CacheStats::default());
+    }
+
+    #[test]
+    fn a_sweep_prices_under_the_hubs_options() {
+        // A Winograd hub sweeps Winograd: every point equals a session
+        // run of its node under the same options, not the defaults.
+        let opts = scaledeep_sim::perf::PerfOptions {
+            winograd: true,
+            ..Default::default()
+        };
+        let net = zoo::alexnet();
+        let space = smoke_space();
+        let hub = Session::single_precision().with_options(opts);
+        let report = run(&hub, &net, &space, &smoke_cfg(0));
+        let default = run(&Session::single_precision(), &net, &space, &smoke_cfg(0));
+        assert_ne!(report.points, default.points, "Winograd changes nothing");
+        for (p, c) in report.points.iter().zip(space.grid()) {
+            let node = c.point.expect("smoke points are valid").node_config();
+            let session = Session::with_node(node).with_options(opts);
+            let perf =
+                session.run_mapped(&session.compile(&net).expect("compiles"), RunKind::Training);
+            assert_eq!(p.images_per_sec, perf.images_per_sec, "{}", p.label);
+            assert_eq!(p.joules_per_image, perf.joules_per_image, "{}", p.label);
         }
+    }
+
+    #[test]
+    fn points_past_two_to_the_53_are_infeasible_rows() {
+        // `repro dse --net vgg-d --axis spoke-bw=1`: a 1 B/s spoke makes
+        // the busy-cycle sum reach 2^53, which a DSE document cannot store
+        // exactly. The point is an infeasible row naming the field, and
+        // the document still round-trips.
+        let space = ParamSpace::new(DesignPoint::figure14_sp())
+            .axis(Knob::SpokeBw, vec![KnobValue::Num(1.0)]);
+        let report = run(
+            &Session::single_precision(),
+            &zoo::vgg_d(),
+            &space,
+            &smoke_cfg(1),
+        );
+        assert!(report.points.is_empty(), "{:?}", report.points);
+        assert_eq!(report.infeasible.len(), 1);
+        let row = &report.infeasible[0];
+        assert_eq!(row.label, "spoke-bw=1");
+        assert!(
+            row.error.starts_with("`busy_cycles` = ") && row.error.contains("2^53"),
+            "{}",
+            row.error
+        );
+        let back = DseReport::from_json(&report.to_json()).expect("the document parses");
+        assert_eq!(back, report);
+    }
+
+    #[test]
+    fn storable_counts_stop_below_two_to_the_53() {
+        let limit = 1u64 << 53;
+        assert_eq!(
+            storable_count("busy_cycles", Some(limit - 1)),
+            Ok(limit - 1)
+        );
+        let err = storable_count("sync_cycles", Some(limit)).unwrap_err();
+        assert!(err.starts_with("`sync_cycles` = 9007199254740992"), "{err}");
+        let err = storable_count("busy_cycles", None).unwrap_err();
+        assert!(err.contains("`busy_cycles` overflows"), "{err}");
     }
 
     #[test]

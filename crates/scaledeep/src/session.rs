@@ -11,7 +11,7 @@ use scaledeep_arch::{presets, NodeConfig};
 use scaledeep_compiler::artifact_io;
 use scaledeep_compiler::codegen::CompiledNetwork;
 use scaledeep_compiler::pipeline::{self, Provenance};
-use scaledeep_compiler::{CompileOptions, CompiledArtifact, FailedTiles, FunctionalMemo};
+use scaledeep_compiler::{CompileOptions, CompiledArtifact, FailedTiles};
 use scaledeep_dnn::{Layer, Network};
 use scaledeep_sim::fault::FaultPlan;
 use scaledeep_sim::func::{ExecBackend, FuncSim, RunStats};
@@ -308,14 +308,12 @@ struct CacheStatsCells {
 /// Every run path compiles through [`Session::compile_with`], the one
 /// entry point into the phase pipeline, so an experiment sweep that runs
 /// the same network under several run kinds compiles it exactly once.
-/// Clones share the cache (and its statistics), and the functional half
-/// of every compile ([`FunctionalMemo`]).
+/// Clones share the cache and its statistics.
 #[derive(Debug, Clone)]
 pub struct Session {
     node: NodeConfig,
     sim: PerfSim,
     cache: Arc<Mutex<HashMap<u64, Arc<CompiledArtifact>>>>,
-    functional: Arc<FunctionalMemo>,
     stats: Arc<CacheStatsCells>,
     artifact_dir: Option<PathBuf>,
 }
@@ -337,28 +335,24 @@ impl Session {
             node,
             sim: PerfSim::new(&node),
             cache: Arc::new(Mutex::new(HashMap::new())),
-            functional: Arc::default(),
             stats: Arc::new(CacheStatsCells::default()),
             artifact_dir: None,
         }
     }
 
     /// Re-targets this session onto a different node configuration while
-    /// keeping every cache affinity: the in-memory artifact cache, the
-    /// functional halves, its statistics cells, the artifact directory
-    /// and the simulator options all carry over. Because cache keys
-    /// include the node's structural fingerprint, one shared cache serves
-    /// sessions on *different* design points correctly — the DSE driver
-    /// uses this to give every point its own session while points sharing
-    /// a compile (same knobs, same network) reuse one artifact, and every
-    /// point compiling one network shares one codegen verdict and one set
-    /// of lowered programs (the node does not enter them).
+    /// keeping every cache affinity: the in-memory artifact cache, its
+    /// statistics cells, the artifact directory and the simulator options
+    /// all carry over. Because cache keys include the node's structural
+    /// fingerprint, one shared cache serves sessions on *different* design
+    /// points correctly. Kept for perfbench, which re-checks DSE points on
+    /// retargeted sessions; the DSE driver itself maps each point without
+    /// a session.
     pub fn retarget(&self, node: NodeConfig) -> Self {
         Self {
             node,
             sim: PerfSim::new(&node).with_options(*self.sim.options()),
             cache: Arc::clone(&self.cache),
-            functional: Arc::clone(&self.functional),
             stats: Arc::clone(&self.stats),
             artifact_dir: self.artifact_dir.clone(),
         }
@@ -394,6 +388,12 @@ impl Session {
     /// The session's node configuration.
     pub fn node(&self) -> &NodeConfig {
         &self.node
+    }
+
+    /// The simulator options every performance run of this session uses
+    /// (the DSE driver prices its candidates under them).
+    pub(crate) fn perf_options(&self) -> &PerfOptions {
+        self.sim.options()
     }
 
     fn lock_cache(&self) -> MutexGuard<'_, HashMap<u64, Arc<CompiledArtifact>>> {
@@ -444,21 +444,14 @@ impl Session {
     /// processes — a repeat *session* loads the stored artifact and runs
     /// zero pipeline phases. A degraded compile is just a compile whose
     /// options carry a non-empty [`FailedTiles`]
-    /// ([`CompileOptions::degraded`]).
-    ///
-    /// A miss runs phases 1–4 on this session's node; codegen and lower
-    /// run only when no compile through this session or a clone or
-    /// [`Session::retarget`] of it produced them for the same network,
-    /// functional geometry, minibatch and dead functional tiles
+    /// ([`CompileOptions::degraded`]). A miss runs all six phases
     /// ([`pipeline::compile_stamped`]).
     ///
     /// `obs` sees the pipeline phases of a cache miss: under
     /// [`Observer::Progress`] each phase entered becomes a
     /// [`scaledeep_trace::ProgressKind::Phase`] update, under
-    /// [`Observer::Trace`] a phase span. A miss reports all six phases,
-    /// shared functional half or not, so a stream does not depend on
-    /// which compiles ran before it. Cache hits (memory or disk) record
-    /// nothing.
+    /// [`Observer::Trace`] a phase span. Cache hits (memory or disk)
+    /// record nothing.
     ///
     /// # Errors
     ///
@@ -495,7 +488,7 @@ impl Session {
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
-        let compiled = pipeline::compile_stamped(net, provenance, &self.functional, tracer);
+        let compiled = pipeline::compile_stamped(net, provenance, tracer);
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.stats.compile_nanos.fetch_add(nanos, Ordering::Relaxed);
         let artifact = Arc::new(compiled?);
@@ -1104,8 +1097,8 @@ mod tests {
 
     #[test]
     fn retarget_keeps_the_simulator_options() {
-        // The DSE driver retargets its hub onto every point: a Winograd
-        // hub must sweep Winograd, not the default options.
+        // A retargeted Winograd session must run Winograd, not the
+        // default options.
         let opts = PerfOptions {
             winograd: true,
             ..PerfOptions::default()
@@ -1293,10 +1286,10 @@ mod tests {
     }
 
     #[test]
-    fn a_shared_functional_half_still_reports_every_phase() {
-        // The second design point's compile reuses the first one's
-        // codegen and lower output, yet its trace is the one a fresh
-        // session's compile of that point records: six phase spans.
+    fn a_retargeted_sessions_miss_reports_all_six_phases() {
+        // A retargeted session's compile of a network its hub already
+        // compiled on another point is a miss, and its trace is the one a
+        // fresh session's compile of that point records: six phase spans.
         let net = zoo::alexnet_func();
         let opts = CompileOptions::default();
         let hub = Session::single_precision();
@@ -1322,7 +1315,7 @@ mod tests {
     }
 
     #[test]
-    fn dead_functional_tiles_key_their_own_functional_half() {
+    fn a_degraded_session_compile_equals_its_standalone_compile() {
         // Dead functional tiles are a codegen input: a degraded compile
         // does not borrow the healthy programs, and equals its own
         // standalone compile.

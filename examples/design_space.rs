@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("infeasible: {} — {}", inf.label, inf.error);
     }
     println!(
-        "\n{} points, {} unique compiles (shared provenance-keyed cache), frontier of {}",
+        "\n{} points, {} distinct design points, frontier of {}",
         report.points.len(),
         report.unique_compiles,
         report.frontier.len()

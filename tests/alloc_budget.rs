@@ -4,24 +4,21 @@
 //! reallocations) the calling thread makes while it compiles googlenet
 //! and resnet34 at the Figure-14 point, after a warm-up compile of the
 //! same network, while it runs one googlenet training pass of the
-//! performance model, while it runs one candidate (a compile through a
-//! warm functional memo, then a training pass) on every zoo network,
-//! while it fingerprints a design point and draws a 32-candidate sample,
-//! while a second design point of one session compiles alexnet-func,
-//! while it loads googlenet's stored artifact, and while it runs one
-//! alexnet-func training iteration (and the same dispatch on a bare
-//! machine) and one evaluation. The counts are deterministic, so a
-//! per-layer scratch `Vec` or name `String` put back into a compile phase
-//! or a run, an analysis recomputed per compile, a fingerprint or label
-//! built through a JSON tree or per-part strings, codegen re-run for a
-//! design point it does not depend on, a load that decodes through a
-//! JSON tree, a network or program set copied per run, or a `Vec` per
-//! dispatched instruction fails its budget.
+//! performance model, while it runs one design-space candidate (the
+//! mapping phases, then a training pass) on every zoo network, while it
+//! fingerprints a design point and draws a 32-candidate sample, while it
+//! loads googlenet's stored artifact, and while it runs one alexnet-func
+//! training iteration (and the same dispatch on a bare machine) and one
+//! evaluation. The counts are deterministic, so a per-layer scratch `Vec`
+//! or name `String` put back into a compile phase or a run, an analysis
+//! recomputed per compile, a fingerprint or label built through a JSON
+//! tree or per-part strings, a load that decodes through a JSON tree, a
+//! network or program set copied per run, or a `Vec` per dispatched
+//! instruction fails its budget.
 
-use scaledeep::Session;
 use scaledeep_arch::{DesignPoint, Knob, KnobValue, ParamSpace, Precision};
 use scaledeep_compiler::{artifact_io, pipeline};
-use scaledeep_compiler::{CompileOptions, FunctionalMemo, Provenance};
+use scaledeep_compiler::{CompileOptions, Compiler};
 use scaledeep_dnn::zoo;
 use scaledeep_sim::fault::FaultPlan;
 use scaledeep_sim::func::{CycleCosts, FuncSim, Machine};
@@ -133,7 +130,7 @@ fn candidate_path_allocation_budget() {
 }
 
 /// One design-space candidate on every zoo network, as a sweep runs it:
-/// a compile whose functional half a warm memo already holds, then one
+/// the mapping phases of the pipeline ([`Compiler::map`]), then one
 /// training run of the performance model. Neither budget scales with
 /// the network: plans and stages name their layers by index into the
 /// network's shared name table, so googlenet's 83 layers cost what
@@ -141,28 +138,23 @@ fn candidate_path_allocation_budget() {
 #[test]
 fn zoo_candidate_allocation_budget() {
     let node = DesignPoint::figure14_sp().node_config();
-    let opts = CompileOptions::default();
+    let compiler = Compiler::new(&node);
     let sim = PerfSim::new(&node);
     let plan = FaultPlan::none();
     for name in zoo::BENCHMARK_NAMES.into_iter().chain(["alexnet-func"]) {
         let net = zoo::by_name(name).expect("zoo network");
-        let memo = FunctionalMemo::default();
-        let stamp = || Provenance::new(&node, &net, &opts);
-        pipeline::compile_stamped(&net, stamp(), &memo, &mut Tracer::disabled())
-            .expect("warm-up compile");
-        let provenance = stamp();
-        let (artifact, compile) =
-            counted(|| pipeline::compile_stamped(&net, provenance, &memo, &mut Tracer::disabled()));
-        let artifact = artifact.expect("compiles");
+        compiler.map(&net).expect("warm-up mapping");
+        let (mapping, map) = counted(|| compiler.map(&net));
+        let mapping = mapping.expect("maps");
         // 15 on every network; a name cloned per plan and column groups
         // collected per group made 33 (alexnet-func) to 140 (googlenet).
         assert!(
-            compile <= 16,
-            "{name}: a candidate compile made {compile} allocations, over its budget of 16"
+            map <= 15,
+            "{name}: a candidate mapping made {map} allocations, over its budget of 15"
         );
         let (_, run) = counted(|| {
             sim.run(
-                artifact.mapping(),
+                &mapping,
                 RunKind::Training,
                 &plan,
                 &mut Tracer::disabled(),
@@ -172,8 +164,8 @@ fn zoo_candidate_allocation_budget() {
         // 11 to 14: the stage list grows by doubling. A name per stage
         // made 25 (alexnet) to 123 (googlenet).
         assert!(
-            run <= 16,
-            "{name}: a candidate training run made {run} allocations, over its budget of 16"
+            run <= 14,
+            "{name}: a candidate training run made {run} allocations, over its budget of 14"
         );
     }
 }
@@ -199,30 +191,6 @@ fn perfbench_space() -> ParamSpace {
             nums(&[131_072.0, 262_144.0, 524_288.0]),
         )
         .axis(Knob::RingBw, nums(&[6e9, 12e9, 24e9]))
-}
-
-#[test]
-fn shared_functional_half_allocation_budget() {
-    // A design point's compile of a network another point of the same
-    // session already compiled reuses its codegen verdict and lowered
-    // programs: it pays for the mapping phases only.
-    let net = zoo::alexnet_func();
-    let hub = Session::single_precision();
-    hub.compile(&net).expect("first point compiles");
-    let hp = hub.retarget(
-        DesignPoint::figure14_sp()
-            .derive_half_precision()
-            .node_config(),
-    );
-    let (artifact, allocs) = counted(|| hp.compile(&net));
-    artifact.expect("second point compiles");
-    // 51 allocations; the same compile in a fresh session, which runs
-    // codegen and lower, makes 9,389.
-    assert!(
-        allocs <= 100,
-        "alexnet-func: a compile sharing its functional half made {allocs} allocations, \
-         over its budget of 100"
-    );
 }
 
 #[test]
