@@ -60,12 +60,18 @@ impl CompHeavyConfig {
 
     /// The runtime array reconfigurations of §3.1.1: the legal
     /// (columns, lanes) redistributions with `cols * lanes` constant, in
-    /// increasing column order.
+    /// increasing column order. The divisor scan stops at the square
+    /// root: the small divisors ascending, then their cofactors ascending.
     pub fn column_lane_configs(&self) -> impl Iterator<Item = (usize, usize)> {
         let product = self.array_cols * self.lanes;
-        (1..=product)
-            .filter(move |c| product.is_multiple_of(*c))
-            .map(move |c| (c, product / c))
+        let root = product.isqrt();
+        let small = (1..=root).filter(move |d| product.is_multiple_of(*d));
+        let large = small
+            .clone()
+            .rev()
+            .filter(move |d| d * d != product)
+            .map(move |d| product / d);
+        small.chain(large).map(move |c| (c, product / c))
     }
 }
 
@@ -141,6 +147,19 @@ mod tests {
         }
         // 3 cols x 4 lanes = 12: divisors 1,2,3,4,6,12.
         assert_eq!(t.column_lane_configs().count(), 6);
+    }
+
+    #[test]
+    fn column_lane_configs_equal_the_naive_divisor_scan() {
+        let mut t = presets::single_precision().cluster.conv_chip.comp_heavy;
+        t.lanes = 1;
+        for product in 1..=4096 {
+            t.array_cols = product;
+            let naive = (1..=product)
+                .filter(|c| product.is_multiple_of(*c))
+                .map(|c| (c, product / c));
+            assert!(t.column_lane_configs().eq(naive), "product {product}");
+        }
     }
 
     #[test]

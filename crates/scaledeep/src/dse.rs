@@ -872,6 +872,22 @@ mod tests {
     }
 
     #[test]
+    fn a_ten_million_column_array_point_completes() {
+        // `repro dse --net alexnet --axis conv-array-cols=10000000`: every
+        // conv layer scans the array's column/lane splits, which must
+        // not walk all ten million candidate column counts.
+        let space = ParamSpace::new(DesignPoint::figure14_sp())
+            .axis(Knob::ConvArrayCols, vec![KnobValue::Num(1e7)]);
+        let report = run(
+            &Session::single_precision(),
+            &zoo::alexnet(),
+            &space,
+            &smoke_cfg(1),
+        );
+        assert_eq!(report.points.len() + report.infeasible.len(), 1);
+    }
+
+    #[test]
     fn storable_counts_stop_below_two_to_the_53() {
         let limit = 1u64 << 53;
         assert_eq!(

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use crate::{Error, Result};
@@ -302,6 +302,12 @@ struct CacheStatsCells {
     compile_nanos: AtomicU64,
 }
 
+/// One provenance key's cache entry: empty until a compile of the key
+/// succeeds. The caller that fills it holds its lock for the whole
+/// compile, so concurrent callers with the same key wait on the slot and
+/// wake to the artifact instead of running the pipeline again.
+type Slot = Arc<Mutex<Option<Arc<CompiledArtifact>>>>;
+
 /// A ScaleDeep session: one node configuration plus the performance
 /// simulator bound to it and a compile cache keyed on [`Provenance`].
 ///
@@ -313,7 +319,7 @@ struct CacheStatsCells {
 pub struct Session {
     node: NodeConfig,
     sim: PerfSim,
-    cache: Arc<Mutex<HashMap<u64, Arc<CompiledArtifact>>>>,
+    cache: Arc<Mutex<HashMap<u64, Slot>>>,
     stats: Arc<CacheStatsCells>,
     artifact_dir: Option<PathBuf>,
 }
@@ -396,10 +402,6 @@ impl Session {
         self.sim.options()
     }
 
-    fn lock_cache(&self) -> MutexGuard<'_, HashMap<u64, Arc<CompiledArtifact>>> {
-        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// The file a provenance key's artifact is stored under, when the
     /// session has an artifact directory.
     fn artifact_path(&self, key: u64) -> Option<PathBuf> {
@@ -445,7 +447,9 @@ impl Session {
     /// zero pipeline phases. A degraded compile is just a compile whose
     /// options carry a non-empty [`FailedTiles`]
     /// ([`CompileOptions::degraded`]). A miss runs all six phases
-    /// ([`pipeline::compile_stamped`]).
+    /// ([`pipeline::compile_stamped`]). Concurrent callers with the same
+    /// key run the pipeline once: the first compiles while the rest wait,
+    /// then take its artifact as hits.
     ///
     /// `obs` sees the pipeline phases of a cache miss: under
     /// [`Observer::Progress`] each phase entered becomes a
@@ -476,14 +480,25 @@ impl Session {
     ) -> Result<Arc<CompiledArtifact>> {
         let provenance = Provenance::new(&self.node, net, opts);
         let key = provenance.cache_key();
-        if let Some(hit) = self.lock_cache().get(&key).cloned() {
+        // The map lock is held only to find the key's slot, so distinct
+        // keys never wait on each other. A leader that panics poisons the
+        // slot empty; the next waiter takes it over.
+        let slot = Arc::clone(
+            self.cache
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry(key)
+                .or_default(),
+        );
+        let mut filled = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = filled.as_ref() {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
+            return Ok(Arc::clone(hit));
         }
         if let Some(stored) = self.load_from_disk(key) {
             self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
             let artifact = Arc::new(stored);
-            self.lock_cache().insert(key, Arc::clone(&artifact));
+            *filled = Some(Arc::clone(&artifact));
             return Ok(artifact);
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -500,7 +515,7 @@ impl Session {
             }
             artifact_io::save(&artifact, &path)?;
         }
-        self.lock_cache().insert(key, Arc::clone(&artifact));
+        *filled = Some(Arc::clone(&artifact));
         Ok(artifact)
     }
 
@@ -898,6 +913,73 @@ mod tests {
         assert_eq!((stats.misses, stats.hits), (1, 1));
         assert_eq!(s.cache_stats(), clone.cache_stats());
         assert!(stats.compile_nanos > 0);
+    }
+
+    /// Runs `call` on four clones of `s` released together by a barrier.
+    fn race<T: Send>(s: &Session, call: impl Fn(&Session) -> T + Sync) -> Vec<T> {
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| {
+                    let (s, barrier, call) = (s.clone(), &barrier, &call);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        call(&s)
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn concurrent_identical_compiles_run_the_pipeline_once() {
+        let s = Session::single_precision();
+        let net = zoo::alexnet_func();
+        let artifacts = race(&s, |s| s.compile(&net).unwrap());
+        let stats = s.cache_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 3));
+        assert!(artifacts.iter().all(|a| Arc::ptr_eq(a, &artifacts[0])));
+    }
+
+    #[test]
+    fn concurrent_resilient_runs_compile_once() {
+        let s = Session::single_precision();
+        let net = zoo::alexnet_func();
+        race(&s, |s| s.run_resilient(&net, &FaultPlan::none()).unwrap());
+        assert_eq!(s.cache_stats().misses, 1);
+    }
+
+    #[test]
+    fn only_the_compiling_caller_streams_phases() {
+        use scaledeep_trace::progress_channel;
+        let s = Session::single_precision();
+        let net = zoo::alexnet_func();
+        let streams = race(&s, |s| {
+            let (tx, rx) = progress_channel(64);
+            s.compile_with(&net, &CompileOptions::default(), Observer::Progress(&tx))
+                .unwrap();
+            rx.drain()
+                .iter()
+                .filter_map(|u| u.kind.label())
+                .collect::<Vec<_>>()
+        });
+        let leaders: Vec<_> = streams.iter().filter(|p| !p.is_empty()).collect();
+        assert_eq!(leaders, [&pipeline::PHASES.to_vec()]);
+    }
+
+    #[test]
+    fn a_failed_compile_is_not_cached() {
+        let mut node = presets::single_precision();
+        node.clusters = 1;
+        node.cluster.conv_chips = 1;
+        node.cluster.conv_chip.cols = 2;
+        node.cluster.conv_chip.mem_heavy.capacity_bytes = 64 * 1024;
+        let s = Session::with_node(node);
+        let net = zoo::vgg_e();
+        assert!(s.compile(&net).is_err());
+        assert!(s.compile(&net).is_err());
+        assert_eq!(s.cache_stats().misses, 2);
     }
 
     #[test]

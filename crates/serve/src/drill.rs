@@ -13,11 +13,9 @@
 //!
 //! Determinism holds because nothing in the verdict depends on thread
 //! interleaving: chaos travels *inside* jobs (panic/fail/stall
-//! directives), singleflight + the session cache pin the miss count for
-//! any interleaving of identical compiles, the server is paused (and
-//! allowed to settle) before queue-shape phases so sheds are exact, and
-//! the first degraded-recompile job runs alone to warm the cache before
-//! its siblings arrive.
+//! directives), the session cache pins the miss count for any
+//! interleaving of identical compiles, and the server is paused (and
+//! allowed to settle) before queue-shape phases so sheds are exact.
 
 use crate::protocol::{
     ChaosDirective, JobKind, JobReply, JobRequest, JobResult, ServeError, StatsSnapshot,
@@ -171,13 +169,9 @@ pub struct DrillReport {
     /// `(phase name, outcome tally)`, in execution order.
     pub phases: Vec<(&'static str, PhaseCounts)>,
     /// The shared session's compile-cache ledger after the storm
-    /// (misses and corrupt are deterministic; hits depend on
-    /// flight-vs-cache timing).
+    /// (misses and corrupt are deterministic, and the miss count is the
+    /// dedup evidence; hits are informational).
     pub cache: CacheStats,
-    /// `(leads, waits)` of the compile singleflight (informational: the
-    /// lead/wait split depends on interleaving; the miss count above is
-    /// the deterministic dedup evidence).
-    pub singleflight: (u64, u64),
     /// Workers the supervisor restarted (== kill-phase jobs).
     pub worker_restarts: u64,
     /// Total retry attempts charged (transient faults + lost workers).
@@ -329,8 +323,8 @@ impl DrillReport {
             format!("dedup: expected all completed, got {dedup:?}"),
         );
         // cnn-s + alexnet + alexnet-func + one degraded recompile: the
-        // singleflight/caching proof that N concurrent identical
-        // compiles cost one pipeline run each.
+        // session cache's proof that N concurrent identical compiles
+        // cost one pipeline run each.
         check(
             self.cache.misses == 4,
             format!(
@@ -517,11 +511,9 @@ impl DrillReport {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.table());
         out.push_str(&self.deterministic_summary());
-        let (leads, waits) = self.singleflight;
         let _ = writeln!(
             out,
-            "singleflight (informational): leads={leads} waits={waits}; \
-             cache hits={} disk_hits={}",
+            "cache (informational): hits={} disk_hits={}",
             self.cache.hits, self.cache.disk_hits
         );
         let pct = |name: &str, p: f64| {
@@ -624,8 +616,8 @@ pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
 
     // Phase 2 — dedup: pile identical compiles of a fresh network onto
     // a paused pool, then release all workers at once. However the race
-    // lands (flight waiters vs. later cache hits), the pipeline runs
-    // exactly once — the ledger's miss count is the proof.
+    // lands (waiters on the first compile vs. later cache hits), the
+    // pipeline runs exactly once — the ledger's miss count is the proof.
     let mut counts = PhaseCounts::default();
     pause_and_settle(&server);
     let handles: Vec<JobHandle> = (0..8)
@@ -637,9 +629,11 @@ pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
 
     // Phase 3 — faults: transient injected failures retry in-worker
     // under the seeded backoff ladder; tile-failure jobs degrade,
-    // recompile, and retry inside the engine. The first resilient job
-    // runs alone to warm the healthy + degraded cache entries, pinning
-    // the drill-wide miss count at 4 for any later interleaving.
+    // recompile, and retry inside the engine. The session cache pins the
+    // drill-wide miss count at 4 for any interleaving of the resilient
+    // jobs. The first one still runs alone before its two siblings, so
+    // the phase keeps the job ids and schedules the committed drill
+    // document records.
     let mut counts = PhaseCounts::default();
     let faulty: Vec<JobHandle> = (0..4)
         .map(|i| {
@@ -796,7 +790,6 @@ pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
         },
         phases,
         cache: server.session().cache_stats(),
-        singleflight: server.singleflight_stats(),
         worker_restarts: server.worker_restarts(),
         retries: metrics.counter_value("serve.jobs.retries").unwrap_or(0),
         resilient_retried,
@@ -867,7 +860,6 @@ mod tests {
                 c
             })],
             cache: CacheStats::default(),
-            singleflight: (1, 7),
             worker_restarts: 0,
             retries: 0,
             resilient_retried: 0,

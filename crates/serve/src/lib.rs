@@ -14,11 +14,10 @@
 //!   load shedding.
 //! * [`retry`] — seeded exponential backoff with deterministic jitter
 //!   (a pure function of seed, job id, and attempt).
-//! * [`singleflight`] — concurrent identical compiles collapse to one
-//!   pipeline run; a dead leader hands its flight to a waiter.
 //! * [`server`] — the worker pool, per-job deadlines, the supervisor
 //!   (dead-worker recovery, stuck-worker abandonment, deadline sweeps),
-//!   and the TCP front-end.
+//!   and the TCP front-end. Concurrent identical compiles run one
+//!   pipeline inside the shared session's cache.
 //! * [`drill`] — the scripted chaos drill with a seed-deterministic
 //!   verdict and CI-gateable invariants.
 //!
@@ -37,7 +36,6 @@ pub mod protocol;
 pub mod queue;
 pub mod retry;
 pub mod server;
-pub mod singleflight;
 
 pub use drill::{
     run_drill, DrillConfig, DrillReport, PhaseCounts, ProgressProbe, DRILL_SCHEMA_VERSION,

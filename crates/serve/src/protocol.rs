@@ -16,7 +16,7 @@ use scaledeep_trace::json::{self, obj, Json};
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobKind {
     /// Compile `network` through the session's provenance-keyed cache
-    /// (concurrent identical compiles collapse via singleflight).
+    /// (concurrent identical compiles run the pipeline once).
     Compile {
         /// Zoo benchmark name.
         network: String,
@@ -134,7 +134,7 @@ impl JobRequest {
 /// A successful job's payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobReply {
-    /// A compile completed (possibly served from cache / singleflight).
+    /// A compile completed (possibly served from the cache).
     Compiled {
         /// The artifact's provenance cache key.
         provenance: u64,

@@ -22,16 +22,15 @@
 //!   The supervisor polls worker liveness; a dead (panicked) worker is
 //!   joined, its orphaned job recovered from the slot, and a fresh
 //!   worker spawned into the same slot — queued jobs are never lost.
-//! * **Dedup**: concurrent compiles of the same provenance collapse to
-//!   one pipeline run via [`Singleflight`].
+//! * **Dedup**: the shared [`Session`]'s cache runs one pipeline per
+//!   provenance, however many jobs compile it at once.
 
 use crate::protocol::{
     JobKind, JobReply, JobRequest, JobResult, ProgressEvent, Request, ServeError, StatsSnapshot,
 };
 use crate::queue::FairQueue;
 use crate::retry::RetryPolicy;
-use crate::singleflight::{Flight, Singleflight};
-use scaledeep::{CompileOptions, CompiledArtifact, Observer, Provenance, Session};
+use scaledeep::{CompileOptions, CompiledArtifact, Observer, Session};
 use scaledeep_dnn::zoo;
 use scaledeep_sim::fault::{FaultKind, FaultPlan};
 use scaledeep_trace::{
@@ -205,7 +204,6 @@ struct Shared {
     session: Session,
     cfg: ServerConfig,
     queue: FairQueue<Job>,
-    flights: Singleflight<Result<Arc<CompiledArtifact>, ServeError>>,
     metrics: Mutex<MetricsRegistry>,
     slots: Vec<WorkerSlot>,
     next_id: AtomicU64,
@@ -266,9 +264,9 @@ impl Shared {
     }
 
     /// Snapshots the registry under a short-lived lock (just the clone),
-    /// then augments the copy outside it: atomically-tracked counters
-    /// (worker restarts, singleflight), the jobs-in-flight gauge read
-    /// from the worker slots, and server uptime.
+    /// then augments the copy outside it: the atomically-tracked worker
+    /// restart counter, the jobs-in-flight gauge read from the worker
+    /// slots, and server uptime.
     fn metrics_snapshot(&self) -> MetricsRegistry {
         let mut m = {
             self.metrics
@@ -278,11 +276,6 @@ impl Shared {
         };
         let restarts = m.counter("serve.worker.restarts");
         m.add(restarts, self.restarts.load(Ordering::Relaxed));
-        let (leads, waits) = self.flights.stats();
-        let lead_id = m.counter("serve.singleflight.leads");
-        m.add(lead_id, leads);
-        let wait_id = m.counter("serve.singleflight.waits");
-        m.add(wait_id, waits);
         let in_flight = self
             .slots
             .iter()
@@ -389,7 +382,6 @@ impl Server {
             session,
             cfg,
             queue: FairQueue::new(cfg.queue_capacity),
-            flights: Singleflight::new(),
             metrics: Mutex::new(MetricsRegistry::new()),
             slots: (0..cfg.workers.max(1))
                 .map(|_| WorkerSlot {
@@ -439,11 +431,6 @@ impl Server {
     /// lock is held only for the clone; augmentation happens outside it.
     pub fn metrics(&self) -> MetricsRegistry {
         self.shared.metrics_snapshot()
-    }
-
-    /// `(leads, waits)` of the compile singleflight table.
-    pub fn singleflight_stats(&self) -> (u64, u64) {
-        self.shared.flights.stats()
     }
 
     /// Workers restarted by the supervisor after dying mid-job.
@@ -728,9 +715,9 @@ fn run_attempts(shared: &Arc<Shared>, job: &mut Job) -> Option<JobResult> {
     }
 }
 
-/// The engine call behind a job, with singleflight-deduped compiles,
-/// latency decomposition (`serve.lat.compile_ns` / `serve.lat.run_ns`),
-/// and — when the request subscribed — progress-teed engine runs.
+/// The engine call behind a job, with latency decomposition
+/// (`serve.lat.compile_ns` / `serve.lat.run_ns`), and — when the request
+/// subscribed — progress-teed engine runs.
 fn execute(shared: &Arc<Shared>, job: &Job) -> JobResult {
     let obs = job
         .progress
@@ -739,7 +726,7 @@ fn execute(shared: &Arc<Shared>, job: &Job) -> JobResult {
     match &job.request.kind {
         JobKind::Compile { network } => {
             let t0 = Instant::now();
-            let artifact = compile_deduped(shared, network, job, obs)?;
+            let artifact = compile(shared, network, obs)?;
             shared.observe("serve.lat.compile_ns", t0.elapsed().as_nanos() as f64);
             Ok(JobReply::Compiled {
                 provenance: artifact.provenance().cache_key(),
@@ -749,7 +736,7 @@ fn execute(shared: &Arc<Shared>, job: &Job) -> JobResult {
         }
         JobKind::Simulate { network, kind } => {
             let t0 = Instant::now();
-            let artifact = compile_deduped(shared, network, job, obs)?;
+            let artifact = compile(shared, network, obs)?;
             shared.observe("serve.lat.compile_ns", t0.elapsed().as_nanos() as f64);
             let t1 = Instant::now();
             let r = shared
@@ -798,36 +785,23 @@ fn lookup(network: &str) -> Result<scaledeep_dnn::Network, ServeError> {
     })
 }
 
-/// Compiles through the session cache with concurrent identical misses
-/// collapsed: the flight leader runs the pipeline, waiters share its
-/// artifact (bounded by `job`'s own deadline, and a waiter that times out
-/// reports `job`'s own wait). A subscribed flight leader streams
-/// per-phase progress; waiters and cache hits stream nothing — progress
-/// reports work actually done, not work shared.
-fn compile_deduped(
-    shared: &Arc<Shared>,
+/// Compiles through the shared session's cache. A subscribed job streams
+/// per-phase progress only when its compile runs the pipeline; a job that
+/// waits on another's compile, or hits the cache, streams nothing, since
+/// progress reports work done, not work shared.
+fn compile(
+    shared: &Shared,
     network: &str,
-    job: &Job,
     obs: Observer<'_>,
 ) -> Result<Arc<CompiledArtifact>, ServeError> {
     let net = lookup(network)?;
-    let opts = CompileOptions::default();
-    let key = Provenance::new(shared.session.node(), &net, &opts).cache_key();
-    match shared.flights.join(key, job.deadline) {
-        Flight::Lead(guard) => {
-            let result = shared
-                .session
-                .compile_with(&net, &opts, obs)
-                .map(|o| o.value)
-                .map_err(|e| ServeError::Failed {
-                    detail: e.to_string(),
-                });
-            guard.publish(result.clone());
-            result
-        }
-        Flight::Shared(result) => result,
-        Flight::TimedOut => Err(job.deadline_error()),
-    }
+    shared
+        .session
+        .compile_with(&net, &CompileOptions::default(), obs)
+        .map(|o| o.value)
+        .map_err(|e| ServeError::Failed {
+            detail: e.to_string(),
+        })
 }
 
 fn supervisor_loop(shared: &Arc<Shared>) {
@@ -1140,51 +1114,17 @@ mod tests {
         );
         let started = Instant::now();
         let r = h.wait();
-        assert!(
-            matches!(r, Err(ServeError::DeadlineExceeded { .. })),
-            "{r:?}"
-        );
+        let Err(ServeError::DeadlineExceeded { waited_ms }) = r else {
+            panic!("a job past its deadline must resolve DeadlineExceeded: {r:?}");
+        };
         assert!(
             started.elapsed() < Duration::from_secs(5),
             "wait must be bounded"
         );
-        server.shutdown();
-    }
-
-    #[test]
-    fn a_flight_waiter_past_its_deadline_reports_its_own_wait() {
-        // The supervisor polls slowly, so the worker's own singleflight
-        // timeout resolves the job, not the supervisor's deadline sweep.
-        let server = quick_server(ServerConfig {
-            workers: 1,
-            supervisor_poll_ms: 500,
-            ..small_cfg()
-        });
-        let net = zoo::by_name("cnn-s").expect("zoo network");
-        let key =
-            Provenance::new(server.session().node(), &net, &CompileOptions::default()).cache_key();
-        let far = Instant::now() + Duration::from_secs(60);
-        let Flight::Lead(lead) = server.shared.flights.join(key, far) else {
-            panic!("the first join leads");
-        };
-        let r = server
-            .submit(
-                JobRequest::new(
-                    "a",
-                    JobKind::Compile {
-                        network: "cnn-s".into(),
-                    },
-                )
-                .with_deadline_ms(50),
-            )
-            .wait();
-        drop(lead);
-        let Err(ServeError::DeadlineExceeded { waited_ms }) = r else {
-            panic!("a waiter past its deadline must resolve DeadlineExceeded: {r:?}");
-        };
+        // The job's own wait, not the server's default deadline.
         assert!(
             waited_ms < 5_000,
-            "a 50 ms job reported {waited_ms} ms (default deadline {} ms)",
+            "a 40 ms job reported {waited_ms} ms (default deadline {} ms)",
             small_cfg().default_deadline_ms
         );
         server.shutdown();

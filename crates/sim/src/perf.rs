@@ -48,15 +48,6 @@ pub struct PerfOptions {
     pub minibatch: usize,
     /// Minibatches to simulate after the warm-up batch.
     pub minibatches: usize,
-    /// Inter-feature pipeline overlap efficiency: the fraction of compute
-    /// time not lost to weight-load / accumulate / control bubbles between
-    /// output-feature batches. The paper's measured suite-wide drop from
-    /// 0.42 (post-array) to 0.35 (achieved) utilization corresponds to
-    /// ~0.85 (§6.1 "overhead added due to other program instructions").
-    pub overlap_efficiency: f64,
-    /// Scalar-PE cycles charged per output-feature batch (loop control,
-    /// pointer arithmetic, DMA issue).
-    pub scalar_cycles_per_batch: u64,
     /// Ablation A1: force the FC wheel batch to a fixed value (e.g. 1 to
     /// disable the hub's input batching — FC weights are then re-streamed
     /// per image).
@@ -81,8 +72,6 @@ impl Default for PerfOptions {
         Self {
             minibatch: 64,
             minibatches: 3,
-            overlap_efficiency: 0.85,
-            scalar_cycles_per_batch: 24,
             force_fc_batch: None,
             disable_fc_model_parallelism: false,
             layer_sequential: false,
