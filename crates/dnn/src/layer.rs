@@ -505,11 +505,6 @@ impl Layer {
             Layer::Loss => "LOSS",
         }
     }
-
-    /// True for layers that hold learned weights (CONV and FC).
-    pub const fn has_weights(&self) -> bool {
-        matches!(self, Layer::Conv(_) | Layer::Fc(_))
-    }
 }
 
 #[cfg(test)]

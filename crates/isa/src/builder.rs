@@ -11,8 +11,6 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 enum Fixup {
     Bnez { at: usize, rs: Reg, label: String },
-    Beqz { at: usize, rs: Reg, label: String },
-    Bgtz { at: usize, rs: Reg, label: String },
     Branch { at: usize, label: String },
 }
 
@@ -82,11 +80,6 @@ impl ProgramBuilder {
         self.emit(Inst::Ldri { rd, value })
     }
 
-    /// Emits `ADDRI rd, rs, imm`.
-    pub fn addri(&mut self, rd: Reg, rs: Reg, imm: i64) -> &mut Self {
-        self.emit(Inst::Addri { rd, rs, imm })
-    }
-
     /// Emits `SUBRI rd, rs, imm`.
     pub fn subri(&mut self, rd: Reg, rs: Reg, imm: i64) -> &mut Self {
         self.emit(Inst::Subri { rd, rs, imm })
@@ -101,26 +94,6 @@ impl ProgramBuilder {
             label: label.into(),
         });
         self.emit(Inst::Bnez { rs, offset: 0 })
-    }
-
-    /// Emits a branch-if-zero to `label`.
-    pub fn beqz(&mut self, rs: Reg, label: impl Into<String>) -> &mut Self {
-        self.fixups.push(Fixup::Beqz {
-            at: self.insts.len(),
-            rs,
-            label: label.into(),
-        });
-        self.emit(Inst::Beqz { rs, offset: 0 })
-    }
-
-    /// Emits a branch-if-positive to `label`.
-    pub fn bgtz(&mut self, rs: Reg, label: impl Into<String>) -> &mut Self {
-        self.fixups.push(Fixup::Bgtz {
-            at: self.insts.len(),
-            rs,
-            label: label.into(),
-        });
-        self.emit(Inst::Bgtz { rs, offset: 0 })
     }
 
     /// Emits an unconditional branch to `label`.
@@ -146,10 +119,7 @@ impl ProgramBuilder {
     pub fn finish(mut self) -> Result<Program> {
         for fixup in &self.fixups {
             let (at, label) = match fixup {
-                Fixup::Bnez { at, label, .. }
-                | Fixup::Beqz { at, label, .. }
-                | Fixup::Bgtz { at, label, .. }
-                | Fixup::Branch { at, label } => (*at, label),
+                Fixup::Bnez { at, label, .. } | Fixup::Branch { at, label } => (*at, label),
             };
             let &target = self
                 .labels
@@ -164,8 +134,6 @@ impl ProgramBuilder {
             })?;
             self.insts[at] = match fixup {
                 Fixup::Bnez { rs, .. } => Inst::Bnez { rs: *rs, offset },
-                Fixup::Beqz { rs, .. } => Inst::Beqz { rs: *rs, offset },
-                Fixup::Bgtz { rs, .. } => Inst::Bgtz { rs: *rs, offset },
                 Fixup::Branch { .. } => Inst::Branch { offset },
             };
         }

@@ -2,10 +2,10 @@
 //! deterministic verdict.
 //!
 //! The drill walks seven phases — nominal load, duplicate-compile
-//! dedup, transient faults, worker kills, stuck workers, cancellation,
-//! and 4× overload — and tallies how every job resolved. The
-//! *deterministic* half of the report (per-phase outcome counts, retry
-//! totals, worker restarts, compile-cache misses, backoff schedules) is
+//! dedup, transient faults, panicking attempts, stuck workers,
+//! cancellation, and 4× overload — and tallies how every job resolved.
+//! The *deterministic* half of the report (per-phase outcome counts, retry
+//! totals, recovered panics, compile-cache misses, backoff schedules) is
 //! a pure function of the seed and the drill shape, so the same seed
 //! replays to the same verdict and CI can gate on it. Wall-clock
 //! latencies (queue/service p50/p99 from the log2 histograms) are
@@ -14,8 +14,8 @@
 //! Determinism holds because nothing in the verdict depends on thread
 //! interleaving: chaos travels *inside* jobs (panic/fail/stall
 //! directives), the session cache pins the miss count for any
-//! interleaving of identical compiles, and the server is paused (and
-//! allowed to settle) before queue-shape phases so sheds are exact.
+//! interleaving of identical compiles, and the server's queue is paused
+//! before queue-shape phases so sheds are exact.
 
 use crate::protocol::{
     ChaosDirective, JobKind, JobReply, JobRequest, JobResult, ServeError, StatsSnapshot,
@@ -172,7 +172,8 @@ pub struct DrillReport {
     /// (misses and corrupt are deterministic, and the miss count is the
     /// dedup evidence; hits are informational).
     pub cache: CacheStats,
-    /// Workers the supervisor restarted (== kill-phase jobs).
+    /// Panicked attempts the workers recovered in place (== kill-phase
+    /// jobs).
     pub worker_restarts: u64,
     /// Total retry attempts charged (transient faults + lost workers).
     pub retries: u64,
@@ -357,7 +358,7 @@ impl DrillReport {
             ),
         );
         // Serve-level retry charges: the 4 transient-fault jobs (one
-        // in-worker retry each) plus one per killed worker. Resilient
+        // in-worker retry each) plus one per panicked attempt. Resilient
         // jobs retry *inside* the engine and are counted separately.
         check(
             self.retries == 4 + kill.submitted,
@@ -562,14 +563,6 @@ fn compile(net: &str) -> JobKind {
     }
 }
 
-/// Pauses dispatch and waits out the workers' pop tick, so no job can
-/// leave the queue until [`Server::resume`] — queue-shape phases
-/// (overload sheds, cancels) become exact.
-fn pause_and_settle(server: &Server) {
-    server.pause();
-    std::thread::sleep(Duration::from_millis(30));
-}
-
 fn wait_all(handles: &[JobHandle], counts: &mut PhaseCounts) -> Vec<JobResult> {
     handles
         .iter()
@@ -591,7 +584,6 @@ pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
         retry: RetryPolicy::default(),
         default_deadline_ms: 60_000,
         seed: cfg.seed,
-        supervisor_poll_ms: 2,
     };
     let server = Server::start(Session::single_precision(), server_cfg);
     let tenants = ["alpha", "beta", "gamma"];
@@ -619,7 +611,7 @@ pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
     // lands (waiters on the first compile vs. later cache hits), the
     // pipeline runs exactly once — the ledger's miss count is the proof.
     let mut counts = PhaseCounts::default();
-    pause_and_settle(&server);
+    server.pause();
     let handles: Vec<JobHandle> = (0..8)
         .map(|_| server.submit(JobRequest::new("dedup", compile(DEDUP_NET))))
         .collect();
@@ -678,9 +670,9 @@ pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
         }
     }
 
-    // Phase 4 — kill: each job panics its first worker dead. The
-    // supervisor joins the corpse, re-admits the job at the front of
-    // its lane, and respawns the slot; every job completes on retry.
+    // Phase 4 — kill: each job's first attempt panics. The worker that
+    // ran it catches the panic, charges the attempt, and re-admits the
+    // job at the front of its lane; every job completes on retry.
     let mut counts = PhaseCounts::default();
     let handles: Vec<JobHandle> = (0..3)
         .map(|i| {
@@ -698,8 +690,8 @@ pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
     phases.push(("kill", counts));
 
     // Phase 5 — stuck: workers wedge on a stalled dependency far past
-    // the job deadline; the supervisor abandons the jobs (typed
-    // deadline errors at the client) and the stragglers' late results
+    // the job deadline; each client's wait resolves its job at the
+    // deadline (a typed deadline error) and the stragglers' late results
     // are discarded.
     let mut counts = PhaseCounts::default();
     let handles: Vec<JobHandle> = (0..2)
@@ -724,7 +716,7 @@ pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
     // Phase 6 — cancel: queued jobs cancelled before dispatch resolve
     // typed `Cancelled`, never executing.
     let mut counts = PhaseCounts::default();
-    pause_and_settle(&server);
+    server.pause();
     let handles: Vec<JobHandle> = (0..2)
         .map(|_| server.submit(JobRequest::new("cancel", compile(PERF_NET))))
         .collect();
@@ -740,7 +732,7 @@ pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
     // typed `Overloaded` at submit time. On resume the admitted jobs
     // all complete — graceful degradation, not collapse.
     let mut counts = PhaseCounts::default();
-    pause_and_settle(&server);
+    server.pause();
     let handles: Vec<JobHandle> = (0..server_cfg.queue_capacity * cfg.overload_factor.max(2))
         .map(|i| {
             server.submit(JobRequest::new(

@@ -14,9 +14,9 @@
 //!   load shedding.
 //! * [`retry`] — seeded exponential backoff with deterministic jitter
 //!   (a pure function of seed, job id, and attempt).
-//! * [`server`] — the worker pool, per-job deadlines, the supervisor
-//!   (dead-worker recovery, stuck-worker abandonment, deadline sweeps),
-//!   and the TCP front-end. Concurrent identical compiles run one
+//! * [`server`] — the worker pool (each worker recovers its own
+//!   panicked attempts), per-job deadlines resolved by the waiting
+//!   client, and the TCP front-end. Concurrent identical compiles run one
 //!   pipeline inside the shared session's cache.
 //! * [`drill`] — the scripted chaos drill with a seed-deterministic
 //!   verdict and CI-gateable invariants.

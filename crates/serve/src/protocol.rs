@@ -60,14 +60,14 @@ impl JobKind {
 /// mid-job, a transient backend fault, a hung dependency).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChaosDirective {
-    /// The first `panic_attempts` executions panic the worker thread
-    /// (the supervisor must restart it and recover the job).
+    /// The first `panic_attempts` executions panic mid-job (the worker
+    /// must catch the panic and recover the job).
     pub panic_attempts: u32,
     /// The first `fail_attempts` executions die to an injected transient
     /// fault (the worker retries with seeded exponential backoff).
     pub fail_attempts: u32,
     /// Every execution stalls this long before doing work (a stall past
-    /// the deadline exercises the watchdog abandonment path).
+    /// the deadline exercises the client-side deadline path).
     pub stall_ms: u64,
 }
 
@@ -173,7 +173,7 @@ pub enum ServeError {
         capacity: usize,
     },
     /// The job's deadline passed before it finished (in queue, in
-    /// backoff, or abandoned in flight by the supervisor watchdog).
+    /// backoff, or in flight on a wedged worker).
     DeadlineExceeded {
         /// Milliseconds from admission to resolution.
         waited_ms: u64,

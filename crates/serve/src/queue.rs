@@ -5,11 +5,11 @@
 //! growing without bound or blocking the client. Dispatch is fair:
 //! [`FairQueue::pop`] round-robins across tenants, so one tenant
 //! flooding its lane cannot starve the others — each pop serves the next
-//! tenant (in first-seen order) that has work.
+//! tenant (in first-seen order) that has work. A paused queue hands out
+//! nothing until it is resumed.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Duration;
 
 struct Inner<T> {
     /// One FIFO lane per tenant, in first-seen order.
@@ -20,6 +20,8 @@ struct Inner<T> {
     len: usize,
     /// Closed queues refuse pushes and wake all poppers.
     closed: bool,
+    /// Paused queues admit but do not dispatch.
+    paused: bool,
 }
 
 /// The bounded multi-tenant queue (see module docs).
@@ -38,6 +40,7 @@ impl<T> FairQueue<T> {
                 cursor: 0,
                 len: 0,
                 closed: false,
+                paused: false,
             }),
             cv: Condvar::new(),
             capacity,
@@ -114,38 +117,41 @@ impl<T> FairQueue<T> {
         None
     }
 
-    /// Takes the next item, serving tenants round-robin. Blocks up to
-    /// `timeout`; `None` means timeout or closed-and-drained (callers
-    /// re-check their shutdown flag and loop).
-    pub fn pop(&self, timeout: Duration) -> Option<T> {
+    /// Takes the next item, serving tenants round-robin. Blocks while the
+    /// queue is empty or paused; `None` once the queue is closed.
+    pub fn pop(&self) -> Option<T> {
         let mut g = self.lock();
         loop {
-            if let Some(item) = Self::take_round_robin(&mut g) {
-                return Some(item);
-            }
             if g.closed {
                 return None;
             }
-            let (guard, res) = self
-                .cv
-                .wait_timeout(g, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
-            g = guard;
-            if res.timed_out() {
-                return Self::take_round_robin(&mut g);
+            if !g.paused {
+                if let Some(item) = Self::take_round_robin(&mut g) {
+                    return Some(item);
+                }
             }
+            g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// Closes the queue: future pushes are refused, blocked poppers wake.
-    /// Queued items remain drainable via [`FairQueue::drain`] / `pop`.
+    /// Pauses or resumes dispatch. While paused, pushes still admit but
+    /// [`FairQueue::pop`] hands out nothing; the pause is exact from the
+    /// moment this returns.
+    pub fn set_paused(&self, paused: bool) {
+        self.lock().paused = paused;
+        self.cv.notify_all();
+    }
+
+    /// Closes the queue: future pushes are refused, blocked poppers wake
+    /// and get `None`. Queued items remain for [`FairQueue::drain`].
     pub fn close(&self) {
         self.lock().closed = true;
         self.cv.notify_all();
     }
 
-    /// Removes and returns everything still queued (shutdown path: the
-    /// server resolves these with a typed `Cancelled`).
+    /// Removes and returns everything still queued, paused or not
+    /// (shutdown path: the server resolves these with a typed
+    /// `Cancelled`).
     pub fn drain(&self) -> Vec<T> {
         let mut g = self.lock();
         let mut out = Vec::with_capacity(g.len);
@@ -156,8 +162,8 @@ impl<T> FairQueue<T> {
     }
 
     /// Removes every queued item failing `keep`, returning the rejects —
-    /// the supervisor's deadline sweep (expired jobs resolve typed,
-    /// in-queue, without waiting for a worker).
+    /// admission's sweep of a full queue (resolved and expired jobs give
+    /// their capacity back before a new job is shed).
     pub fn evict<F: FnMut(&T) -> bool>(&self, mut keep: F) -> Vec<T> {
         let mut g = self.lock();
         let mut evicted = Vec::new();
@@ -180,8 +186,8 @@ impl<T> FairQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const TICK: Duration = Duration::from_millis(5);
+    use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn bounded_push_sheds_past_capacity() {
@@ -201,7 +207,7 @@ mod tests {
         }
         q.push("b", ("b", 0)).unwrap();
         q.push("c", ("c", 0)).unwrap();
-        let order: Vec<&str> = (0..6).map(|_| q.pop(TICK).unwrap().0).collect();
+        let order: Vec<&str> = (0..6).map(|_| q.pop().unwrap().0).collect();
         // Each round serves every tenant with work once: a b c a a a.
         assert_eq!(order, vec!["a", "b", "c", "a", "a", "a"]);
     }
@@ -212,15 +218,15 @@ mod tests {
         q.push("a", 1).unwrap();
         q.push_front("a", 99);
         assert_eq!(q.len(), 2, "recovered items are never shed");
-        assert_eq!(q.pop(TICK), Some(99));
-        assert_eq!(q.pop(TICK), Some(1));
+        assert_eq!(q.pop(), Some(99));
+        assert_eq!(q.pop(), Some(1));
     }
 
     #[test]
     fn close_wakes_poppers_and_refuses_pushes() {
-        let q = std::sync::Arc::new(FairQueue::<u32>::new(4));
+        let q = Arc::new(FairQueue::<u32>::new(4));
         let q2 = q.clone();
-        let h = std::thread::spawn(move || q2.pop(Duration::from_secs(5)));
+        let h = std::thread::spawn(move || q2.pop());
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert_eq!(h.join().unwrap(), None, "close must wake the popper");
@@ -240,7 +246,7 @@ mod tests {
         let evicted = q.evict(|v| v % 3 != 0);
         assert_eq!(evicted.len(), 2); // 0 and 3
         assert_eq!(q.len(), 4);
-        let mut rest: Vec<i32> = std::iter::from_fn(|| q.pop(TICK)).collect();
+        let mut rest = q.drain();
         rest.sort_unstable();
         assert_eq!(rest, vec![1, 2, 4, 5]);
     }
@@ -254,5 +260,24 @@ mod tests {
         d.sort_unstable();
         assert_eq!(d, vec![1, 2]);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn paused_pop_hands_out_nothing_until_resumed() {
+        let q = Arc::new(FairQueue::new(4));
+        q.set_paused(true);
+        q.push("a", 1).unwrap();
+        q.push("b", 2).unwrap();
+        let q2 = q.clone();
+        let popper = std::thread::spawn(move || q2.pop());
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!popper.is_finished(), "a paused pop must block");
+        // Drain ignores the pause; the blocked popper took nothing.
+        let mut d = q.drain();
+        d.sort_unstable();
+        assert_eq!(d, vec![1, 2]);
+        q.push("a", 3).unwrap();
+        q.set_paused(false);
+        assert_eq!(popper.join().unwrap(), Some(3), "resume wakes the popper");
     }
 }

@@ -64,11 +64,6 @@ impl VecSink {
     pub fn events(&self) -> &[Event] {
         &self.events
     }
-
-    /// Consumes the sink, returning the recorded events.
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
-    }
 }
 
 impl TraceSink for VecSink {
