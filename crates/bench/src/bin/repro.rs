@@ -7,14 +7,12 @@ use scaledeep::dse::{self, DseConfig, DseReport, Expansion};
 use scaledeep::experiments::{run_by_id, EXPERIMENT_IDS};
 use scaledeep::pool;
 use scaledeep::report::{bench_inputs, Table};
-use scaledeep::{Observer, Session, TraceConfig, BENCH_SCHEMA_VERSION};
+use scaledeep::{seeded_iteration, Observer, Session, TraceConfig, BENCH_SCHEMA_VERSION};
 use scaledeep_arch::{DesignPoint, Knob, KnobValue, ParamSpace, Precision, ALL_KNOBS};
-use scaledeep_compiler::codegen::CompiledNetwork;
 use scaledeep_compiler::{CompileOptions, FailedTiles};
-use scaledeep_dnn::{zoo, Layer, Network};
+use scaledeep_dnn::{zoo, Network};
 use scaledeep_serve::DrillReport;
 use scaledeep_sim::fault::{FaultPlan, LinkFaults};
-use scaledeep_sim::func::FuncSim;
 use scaledeep_sim::perf::{stage_name, RunKind};
 use scaledeep_trace::{json, validate_chrome_trace, CategoryMask};
 use std::io::{self, Write};
@@ -582,16 +580,13 @@ fn sweep(name: &str, out: &mut dyn Write) -> Outcome {
 const DRILL_ITERATIONS: u64 = 5;
 
 /// Runs one warm-up plus [`DRILL_ITERATIONS`] timed training iterations
-/// of `net` on the compiled tier and reports the warm-up's statistics
-/// with the timed loop's wall-clock.
+/// of `net` on the compiled tier, set up by the session's
+/// [`seeded_iteration`], and reports the warm-up's statistics with the
+/// timed loop's wall-clock.
 fn functional_drill(net: &Network, out: &mut dyn Write) -> Outcome {
     use std::time::Instant;
-    let session = Session::single_precision();
-    let artifact = session.compile(net)?;
-    let (image, golden) = drill_io(net, artifact.functional()?)?;
-    let reference = scaledeep_tensor::Executor::new(net, 0xC0FFEE).map_err(|e| format!("{e:?}"))?;
-    let mut fsim = FuncSim::from_artifact(net, &artifact)?;
-    fsim.import_params(&reference)?;
+    let artifact = Session::single_precision().compile(net)?;
+    let (mut fsim, image, golden) = seeded_iteration(net, &artifact)?;
     let stats = fsim.run_iteration(&image, &golden)?;
     let started = Instant::now();
     for _ in 0..DRILL_ITERATIONS {
@@ -606,24 +601,6 @@ fn functional_drill(net: &Network, out: &mut dyn Write) -> Outcome {
         stats.cycles,
         stats.stalls,
     )?)
-}
-
-/// The constant iteration inputs the drill feeds the simulator: sized
-/// from the compiled layout's input and golden buffers (mirrors the
-/// session's internal convention; values are arbitrary — cycle counts are
-/// data-independent).
-fn drill_io(net: &Network, compiled: &CompiledNetwork) -> Result<(Vec<f32>, Vec<f32>), String> {
-    let input_len = compiled.buffers[net.input().id().index()]
-        .output
-        .map(|loc| loc.len as usize)
-        .ok_or("input layer has no output buffer")?;
-    let golden_len = net
-        .layers()
-        .find(|n| matches!(n.layer(), Layer::Loss))
-        .and_then(|n| compiled.buffers[n.id().index()].golden)
-        .map(|loc| loc.len as usize)
-        .ok_or("network has no loss head; a training iteration needs one")?;
-    Ok((vec![0.5; input_len], vec![0.0; golden_len]))
 }
 
 /// Traces a training run of `name` through the performance pipeline,

@@ -103,14 +103,10 @@ fn artifact(r: &mut Reader) -> Decoded<CompiledArtifact> {
         Some("err") => Ok(Err(r.object(error)?)),
         _ => Err("`functional` has neither `ok` nor `err`".to_string()),
     })?;
-    let lowered = functional.as_ref().ok().map(|net: &CompiledNetwork| {
-        net.programs
-            .iter()
-            .map(scaledeep_isa::micro::lower)
-            .collect()
-    });
     Ok(CompiledArtifact::from_parts(
-        mapping, functional, lowered, provenance,
+        mapping,
+        functional.map(crate::pipeline::lower),
+        provenance,
     ))
 }
 

@@ -170,9 +170,25 @@ fn fingerprint<T: std::fmt::Debug>(v: &T) -> u64 {
 #[derive(Debug)]
 pub struct CompiledArtifact {
     mapping: Mapping,
-    functional: std::result::Result<CompiledNetwork, Error>,
-    lowered: Option<Vec<LoweredProgram>>,
+    functional: Functional,
     provenance: Provenance,
+}
+
+/// The codegen phase's verdict and, exactly when it succeeded, the lower
+/// phase's streams: one value, so an artifact has lowered streams if and
+/// only if it has a functional network.
+pub(crate) type Functional = std::result::Result<(CompiledNetwork, Vec<LoweredProgram>), Error>;
+
+/// The lower phase: pre-decodes each of a functional network's programs
+/// (also how [`crate::artifact_io`] re-derives the streams it does not
+/// store).
+pub(crate) fn lower(compiled: CompiledNetwork) -> (CompiledNetwork, Vec<LoweredProgram>) {
+    let lowered = compiled
+        .programs
+        .iter()
+        .map(scaledeep_isa::micro::lower)
+        .collect();
+    (compiled, lowered)
 }
 
 impl CompiledArtifact {
@@ -192,14 +208,28 @@ impl CompiledArtifact {
     /// mapping-only consumers are unaffected while functional consumers
     /// get the original typed error.
     pub fn functional(&self) -> Result<&CompiledNetwork> {
-        self.functional.as_ref().map_err(Clone::clone)
+        self.executable().map(|(compiled, _)| compiled)
     }
 
     /// The lower phase's micro-op streams — the compiled execution tier's
     /// pre-decoded form of [`CompiledNetwork::programs`], in the same
     /// order. `None` exactly when the artifact has no functional network.
     pub fn lowered(&self) -> Option<&[LoweredProgram]> {
-        self.lowered.as_deref()
+        self.executable().ok().map(|(_, lowered)| lowered)
+    }
+
+    /// [`CompiledArtifact::functional`] together with
+    /// [`CompiledArtifact::lowered`]: everything a functional simulator
+    /// is built from.
+    ///
+    /// # Errors
+    ///
+    /// See [`CompiledArtifact::functional`].
+    pub fn executable(&self) -> Result<(&CompiledNetwork, &[LoweredProgram])> {
+        match &self.functional {
+            Ok((compiled, lowered)) => Ok((compiled, lowered)),
+            Err(e) => Err(e.clone()),
+        }
     }
 
     /// What went into this compile.
@@ -215,18 +245,15 @@ impl CompiledArtifact {
 
     /// Assembles an artifact from its parts: the phase outputs plus
     /// their provenance stamp, or serialized parts
-    /// ([`crate::artifact_io`]). The caller derives `lowered` from the
-    /// functional programs so the `Some`-iff-functional invariant holds.
+    /// ([`crate::artifact_io`]).
     pub(crate) fn from_parts(
         mapping: Mapping,
-        functional: std::result::Result<CompiledNetwork, Error>,
-        lowered: Option<Vec<LoweredProgram>>,
+        functional: Functional,
         provenance: Provenance,
     ) -> Self {
         Self {
             mapping,
             functional,
-            lowered,
             provenance,
         }
     }
@@ -505,13 +532,13 @@ pub fn compile_traced<S: TraceSink>(
     opts: &CompileOptions,
     tracer: &mut Tracer<S>,
 ) -> Result<CompiledArtifact> {
-    let (mapping, (functional, lowered)) =
+    let (mapping, functional) =
         run_phases(node, net, &opts.failed, &opts.func, opts.minibatch, tracer)?;
     // Derived after the last phase span, so a phase clock charges none
     // of it to a phase.
     let provenance = Provenance::new(node, net, opts);
     Ok(CompiledArtifact::from_parts(
-        mapping, functional, lowered, provenance,
+        mapping, functional, provenance,
     ))
 }
 
@@ -532,7 +559,7 @@ pub fn compile_stamped<S: TraceSink>(
 ) -> Result<CompiledArtifact> {
     debug_assert_eq!(provenance.network, net.name());
     debug_assert_eq!(provenance.net_fingerprint, net.fingerprint());
-    let (mapping, (functional, lowered)) = run_phases(
+    let (mapping, functional) = run_phases(
         provenance.design.node(),
         net,
         &provenance.failed,
@@ -541,7 +568,7 @@ pub fn compile_stamped<S: TraceSink>(
         tracer,
     )?;
     Ok(CompiledArtifact::from_parts(
-        mapping, functional, lowered, provenance,
+        mapping, functional, provenance,
     ))
 }
 
@@ -557,13 +584,6 @@ fn phase_done<S: TraceSink>(tracer: &mut Tracer<S>, track: TrackId, ordinal: u64
     );
 }
 
-/// What phases 5–6 produce: the codegen verdict and, exactly when codegen
-/// succeeded, the lowered programs.
-type FunctionalOutput = (
-    std::result::Result<CompiledNetwork, Error>,
-    Option<Vec<LoweredProgram>>,
-);
-
 /// The pipeline's one phase body, shared by [`compile_traced`] and
 /// [`compile_stamped`]: the mapping phases, then codegen for the
 /// functional target and lowering of each generated program.
@@ -574,7 +594,7 @@ fn run_phases<S: TraceSink>(
     func: &FuncTargetOptions,
     minibatch: usize,
     tracer: &mut Tracer<S>,
-) -> Result<(Mapping, FunctionalOutput)> {
+) -> Result<(Mapping, Functional)> {
     let track = if tracer.active() {
         tracer.track("compile")
     } else {
@@ -584,12 +604,9 @@ fn run_phases<S: TraceSink>(
     let dead_tiles: Vec<u16> = failed.func_tiles().collect();
     let functional = codegen::compile_functional_degraded(net, func, minibatch, &dead_tiles);
     phase_done(tracer, track, 4);
-    let lowered = functional
-        .as_ref()
-        .ok()
-        .map(|c| c.programs.iter().map(scaledeep_isa::micro::lower).collect());
+    let functional = functional.map(lower);
     phase_done(tracer, track, 5);
-    Ok((mapping, (functional, lowered)))
+    Ok((mapping, functional))
 }
 
 /// The mapping prefix of the pipeline (phases 1–4), each phase closing

@@ -9,10 +9,9 @@ use std::time::Instant;
 use crate::{Error, Result};
 use scaledeep_arch::{presets, NodeConfig};
 use scaledeep_compiler::artifact_io;
-use scaledeep_compiler::codegen::CompiledNetwork;
 use scaledeep_compiler::pipeline::{self, Provenance};
 use scaledeep_compiler::{CompileOptions, CompiledArtifact, FailedTiles};
-use scaledeep_dnn::{Layer, Network};
+use scaledeep_dnn::Network;
 use scaledeep_sim::fault::FaultPlan;
 use scaledeep_sim::func::{ExecBackend, FuncSim, RunStats};
 use scaledeep_sim::perf::{self, NodeOutcome, PerfOptions, PerfResult, PerfSim, RunKind};
@@ -839,39 +838,28 @@ impl Session {
 /// Flight-recorder depth for [`Session::cross_check`]'s mismatch tail.
 const CROSS_CHECK_TAIL_EVENTS: usize = 256;
 
-/// A functional simulator set up for one session-driven training
-/// iteration: the artifact's layout, parameters from the deterministic
-/// reference seed, and [`iteration_io`]'s inputs.
-fn seeded_iteration(
+/// A functional simulator set up for one seeded training iteration: the
+/// artifact's layout, parameters from the deterministic reference seed,
+/// and the constant input image (0.5) and golden vector (0.0), sized from
+/// [`FuncSim::iteration_buffers`]. Cycle counts and fault behaviour are
+/// data-independent; functional correctness is checked against the
+/// reference executor on the same constants. Every session-driven
+/// functional run and `repro --sweep`'s drill start here.
+///
+/// # Errors
+///
+/// Propagates [`FuncSim::from_artifact`]'s errors (the artifact's codegen
+/// verdict among them), and [`Error::Setup`] when the network has no loss
+/// head.
+pub fn seeded_iteration(
     net: &Network,
     artifact: &CompiledArtifact,
 ) -> Result<(FuncSim, Vec<f32>, Vec<f32>)> {
     let mut fsim = FuncSim::from_artifact(net, artifact)?;
+    let (input, golden) = fsim.iteration_buffers()?;
     fsim.import_params(&Executor::new(net, 0xC0FFEE)?)?;
-    let (image, golden) = iteration_io(net, artifact.functional()?)?;
-    Ok((fsim, image, golden))
-}
-
-/// The constant input image and golden vector session-driven iterations
-/// use (cycle counts and fault behaviour are data-independent; functional
-/// correctness is checked against the reference executor on the same
-/// constants).
-fn iteration_io(net: &Network, compiled: &CompiledNetwork) -> Result<(Vec<f32>, Vec<f32>)> {
-    let input_len = compiled.buffers[net.input().id().index()]
-        .output
-        .map(|loc| loc.len as usize)
-        .ok_or_else(|| Error::Setup {
-            detail: "input layer has no output buffer".into(),
-        })?;
-    let golden_len = net
-        .layers()
-        .find(|n| matches!(n.layer(), Layer::Loss))
-        .and_then(|n| compiled.buffers[n.id().index()].golden)
-        .map(|loc| loc.len as usize)
-        .ok_or_else(|| Error::Setup {
-            detail: "network has no loss head; a training iteration needs one".into(),
-        })?;
-    Ok((vec![0.5; input_len], vec![0.0; golden_len]))
+    let image = vec![0.5; input.len as usize];
+    Ok((fsim, image, vec![0.0; golden.len as usize]))
 }
 
 #[cfg(test)]

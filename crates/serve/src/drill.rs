@@ -27,7 +27,7 @@ use scaledeep_sim::perf::RunKind;
 use scaledeep_trace::json::{obj, Json};
 use scaledeep_trace::{fnv1a, MetricsRegistry, ProgressUpdate, FNV1A_OFFSET};
 use std::fmt::Write as _;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The throughput-suite network the bulk phases exercise (cheap,
 /// perf-model only).
@@ -186,6 +186,10 @@ pub struct DrillReport {
     pub schedules: Vec<(u64, Vec<u64>)>,
     /// Per-watched-job stream summaries from the progress phase.
     pub progress: Vec<ProgressProbe>,
+    /// Whether the stuck phase's stalled workers went idle within the
+    /// drill's settle bound (5 s). Checked by
+    /// [`DrillReport::invariants`]; not part of the summary or document.
+    pub stuck_settled: bool,
     /// Final server metrics snapshot (latency histograms live here).
     pub metrics: MetricsRegistry,
 }
@@ -372,6 +376,10 @@ impl DrillReport {
         check(
             stuck.deadline == stuck.submitted,
             format!("stuck: expected typed deadline errors for all, got {stuck:?}"),
+        );
+        check(
+            self.stuck_settled,
+            "stuck: stalled workers still busy at the settle bound".to_string(),
         );
         let cancel = by_name("cancel");
         check(
@@ -708,10 +716,9 @@ pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
         .collect();
     wait_all(&handles, &mut counts);
     phases.push(("stuck", counts));
-    // Let the stalled stragglers unwedge before the next phase so the
-    // full pool is live again (the stall outlives the deadline by
-    // design).
-    std::thread::sleep(Duration::from_millis(450));
+    // The stall outlives the deadline by design: the phase ends when the
+    // stragglers unwedge, so the full pool is live again for the next.
+    let stuck_settled = settle(&server);
 
     // Phase 6 — cancel: queued jobs cancelled before dispatch resolve
     // typed `Cancelled`, never executing.
@@ -788,10 +795,32 @@ pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
         resilient_dead_tiles,
         schedules,
         progress,
+        stuck_settled,
         metrics,
     };
     server.shutdown();
     report
+}
+
+/// How long [`settle`] waits for the stalled stuck-phase workers (each
+/// stall is 400 ms from its dequeue) before the drill records a violated
+/// invariant rather than hang.
+const SETTLE_BOUND: Duration = Duration::from_secs(5);
+
+/// Polls until no job is queued and the `serve.jobs.in_flight` gauge
+/// reads 0; `false` if that takes longer than [`SETTLE_BOUND`].
+fn settle(server: &Server) -> bool {
+    let started = Instant::now();
+    loop {
+        let in_flight = server.metrics().gauge_value("serve.jobs.in_flight");
+        if server.queue_len() == 0 && in_flight == Some(0.0) {
+            return true;
+        }
+        if started.elapsed() >= SETTLE_BOUND {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(3));
+    }
 }
 
 #[cfg(test)]
@@ -858,11 +887,19 @@ mod tests {
             resilient_dead_tiles: 0,
             schedules: vec![(17, vec![3, 5])],
             progress: vec![ProgressProbe::from_stream(0, &[], 0)],
+            stuck_settled: false,
             metrics: MetricsRegistry::new(),
         };
         let text = report.render();
         assert!(text.contains("phase nominal"), "{text}");
         assert!(text.contains("verdict: FAIL"), "{text}");
+        assert!(
+            report
+                .invariants()
+                .iter()
+                .any(|v| v.contains("settle bound")),
+            "an unsettled stuck phase is a violation"
+        );
         let json = report.to_bench_json();
         let parsed = scaledeep_trace::json::parse(&json).expect("valid JSON");
         assert_eq!(

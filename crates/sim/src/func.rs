@@ -131,29 +131,20 @@ pub struct FuncSim {
 }
 
 impl FuncSim {
-    /// Builds the simulator for a compiled network, lowering every
-    /// program for the compiled tier and sizing scratchpads to fit the
-    /// compiled layout.
+    /// Builds the simulator from a pipeline [`CompiledArtifact`] — its
+    /// one construction path: sessions compile once and every consumer
+    /// (perf, functional, traced) reads the same artifact. The artifact's
+    /// own lower-phase micro-op streams are executed; nothing is lowered
+    /// again. Scratchpads are sized to fit the compiled layout.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Setup`] when the compiled layout is inconsistent
-    /// with the network.
-    pub fn new(net: &Network, compiled: &CompiledNetwork) -> Result<Self> {
-        let lowered = compiled
-            .programs
-            .iter()
-            .map(scaledeep_isa::micro::lower)
-            .collect();
-        Self::with_lowered(net, compiled, lowered)
-    }
-
-    /// [`FuncSim::new`] over already-lowered streams, one per program.
-    fn with_lowered(
-        net: &Network,
-        compiled: &CompiledNetwork,
-        lowered: Vec<LoweredProgram>,
-    ) -> Result<Self> {
+    /// Propagates the artifact's codegen-phase verdict when the network
+    /// has no functional compilation (as [`Error::Compiler`]); returns
+    /// [`Error::Setup`] when the compiled layout is inconsistent with the
+    /// network.
+    pub fn from_artifact(net: &Network, artifact: &CompiledArtifact) -> Result<Self> {
+        let (compiled, lowered) = artifact.executable().map_err(Error::Compiler)?;
         if compiled.buffers.len() != net.len() {
             return Err(Error::Setup {
                 detail: format!(
@@ -190,32 +181,13 @@ impl FuncSim {
         let mut sim = Self {
             net: net.clone(),
             compiled: compiled.clone(),
-            lowered,
+            lowered: lowered.to_vec(),
             backend: ExecBackend::default(),
             machine,
             capacity,
         };
         sim.write_buffer(compiled.const_neg_one, &[-1.0])?;
         Ok(sim)
-    }
-
-    /// Builds the simulator from a pipeline [`CompiledArtifact`] — the
-    /// preferred construction path: sessions compile once and every
-    /// consumer (perf, functional, traced) reads the same artifact. The
-    /// artifact's own lower-phase micro-op streams are executed; nothing
-    /// is lowered again.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the artifact's codegen-phase verdict when the network
-    /// has no functional compilation (as [`Error::Compiler`]), plus
-    /// [`FuncSim::new`]'s setup errors.
-    pub fn from_artifact(net: &Network, artifact: &CompiledArtifact) -> Result<Self> {
-        let compiled = artifact.functional().map_err(Error::Compiler)?;
-        let lowered = artifact.lowered().ok_or_else(|| Error::Setup {
-            detail: "artifact has a functional network but no lowered streams".into(),
-        })?;
-        Self::with_lowered(net, compiled, lowered.to_vec())
     }
 
     /// Selects the execution tier for subsequent runs. Every simulator
@@ -227,8 +199,8 @@ impl FuncSim {
         self.backend = backend;
     }
 
-    /// Builder-style [`FuncSim::set_backend`]: how the whole-network tier
-    /// test drives both tiers. Kept for perfbench, which calls it by name.
+    /// Builder-style [`FuncSim::set_backend`]. Kept for perfbench, which
+    /// calls it by name.
     #[must_use]
     pub fn with_backend(mut self, backend: ExecBackend) -> Self {
         self.backend = backend;
@@ -360,6 +332,41 @@ impl FuncSim {
         )
     }
 
+    /// Where a training iteration's data goes in the compiled layout: the
+    /// input layer's output buffer (which receives the image, or the
+    /// whole looped minibatch) and the loss head's golden buffer, in that
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Setup`] when the input layer has no output buffer
+    /// or the network has no loss head (see [`FuncSim::run_evaluation`]).
+    pub fn iteration_buffers(&self) -> Result<(BufferLoc, BufferLoc)> {
+        let (input, golden) = self.io_buffers()?;
+        let golden = golden.ok_or_else(|| Error::Setup {
+            detail: "network has no loss head; a training iteration needs one".into(),
+        })?;
+        Ok((input, golden))
+    }
+
+    /// The one lookup behind [`FuncSim::iteration_buffers`]: the input
+    /// buffer, and the loss head's golden buffer if there is one (an
+    /// evaluation needs only the input).
+    fn io_buffers(&self) -> Result<(BufferLoc, Option<BufferLoc>)> {
+        let buffers = &self.compiled.buffers;
+        let input = buffers[self.net.input().id().index()]
+            .output
+            .ok_or_else(|| Error::Setup {
+                detail: "input layer has no output buffer".into(),
+            })?;
+        let golden = self
+            .net
+            .layers()
+            .find(|n| matches!(n.layer(), Layer::Loss))
+            .and_then(|n| buffers[n.id().index()].golden);
+        Ok((input, golden))
+    }
+
     /// Shared per-iteration setup: clears per-image state and loads the
     /// image and golden output into their compiled buffers.
     fn prepare_iteration(&mut self, image: &[f32], golden: &[f32]) -> Result<()> {
@@ -368,23 +375,9 @@ impl FuncSim {
                 detail: "network compiled for a looped minibatch; use run_minibatch".into(),
             });
         }
+        let (input_loc, golden_loc) = self.iteration_buffers()?;
         self.clear_image_state();
-        let input_loc = self.compiled.buffers[self.net.input().id().index()]
-            .output
-            .ok_or_else(|| Error::Setup {
-                detail: "input layer has no output buffer".into(),
-            })?;
         self.write_buffer(input_loc, image)?;
-        let loss_node = self
-            .net
-            .layers()
-            .find(|n| matches!(n.layer(), Layer::Loss))
-            .ok_or_else(|| Error::Setup {
-                detail: "network has no loss head; use run_evaluation".into(),
-            })?;
-        let golden_loc = self.compiled.buffers[loss_node.id().index()]
-            .golden
-            .expect("loss has golden buffer");
         self.write_buffer(golden_loc, golden)
     }
 
@@ -519,11 +512,7 @@ impl FuncSim {
                 detail: "network compiled for single images; use run_iteration".into(),
             });
         }
-        let input_loc = self.compiled.buffers[self.net.input().id().index()]
-            .output
-            .ok_or_else(|| Error::Setup {
-                detail: "input layer has no output buffer".into(),
-            })?;
+        let (input_loc, golden_loc) = self.iteration_buffers()?;
         if images.len() != input_loc.len as usize {
             return Err(Error::Setup {
                 detail: format!(
@@ -534,17 +523,6 @@ impl FuncSim {
                 ),
             });
         }
-        self.write_buffer(input_loc, images)?;
-        let loss_node = self
-            .net
-            .layers()
-            .find(|n| matches!(n.layer(), Layer::Loss))
-            .ok_or_else(|| Error::Setup {
-                detail: "network has no loss head".into(),
-            })?;
-        let golden_loc = self.compiled.buffers[loss_node.id().index()]
-            .golden
-            .expect("loss has golden buffer");
         if goldens.len() != golden_loc.len as usize {
             return Err(Error::Setup {
                 detail: format!(
@@ -555,6 +533,7 @@ impl FuncSim {
                 ),
             });
         }
+        self.write_buffer(input_loc, images)?;
         self.write_buffer(golden_loc, goldens)?;
         self.dispatch_all(false, &FaultPlan::none(), &mut Tracer::disabled(), None)
     }
@@ -566,12 +545,8 @@ impl FuncSim {
     ///
     /// Propagates machine faults.
     pub fn run_evaluation(&mut self, image: &[f32]) -> Result<RunStats> {
+        let (input_loc, _) = self.io_buffers()?;
         self.clear_image_state();
-        let input_loc = self.compiled.buffers[self.net.input().id().index()]
-            .output
-            .ok_or_else(|| Error::Setup {
-                detail: "input layer has no output buffer".into(),
-            })?;
         self.write_buffer(input_loc, image)?;
         // The full-training tracker specs also serve FP-only runs: reads
         // become ready once all updates land, and within a single image no

@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // functional simulator then runs 20 SGD steps through the compiled
     // programs.
     let reference = Executor::new(&net, 42)?;
-    let mut sim = FuncSim::new(&net, compiled)?;
+    let mut sim = FuncSim::from_artifact(&net, &artifact)?;
     sim.import_params(&reference)?;
     sim.clear_gradients();
 

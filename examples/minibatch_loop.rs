@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{fp}");
 
     let reference = Executor::new(&net, 17)?;
-    let mut sim = FuncSim::new(&net, compiled)?;
+    let mut sim = FuncSim::from_artifact(&net, &artifact)?;
     sim.import_params(&reference)?;
     sim.clear_gradients();
 

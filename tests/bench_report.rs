@@ -10,14 +10,13 @@
 
 use proptest::prelude::*;
 use scaledeep::report::bench_inputs;
-use scaledeep::{Session, TraceConfig};
+use scaledeep::{seeded_iteration, Session, TraceConfig};
 use scaledeep_arch::{presets, DesignPoint, Precision};
 use scaledeep_compiler::codegen::BufferLoc;
 use scaledeep_compiler::CompiledArtifact;
-use scaledeep_dnn::{zoo, Layer, Network};
+use scaledeep_dnn::{zoo, Network};
 use scaledeep_sim::func::{ExecBackend, FuncSim, RunStats};
 use scaledeep_sim::perf::{PerfOptions, RunKind};
-use scaledeep_tensor::Executor;
 use scaledeep_trace::json::{self, check_document, Json};
 use scaledeep_trace::MetricsRegistry;
 
@@ -61,32 +60,15 @@ const ORACLE_ITERATIONS: usize = 6;
 
 /// Runs [`ORACLE_ITERATIONS`] training iterations of `net` from
 /// `artifact` on `tier`, seeded like the session's functional drill
-/// (reference parameters from seed `0xC0FFEE`, a constant 0.5 image and a
-/// zero golden vector), and returns every iteration's statistics with the
-/// simulator, for its final state.
+/// ([`seeded_iteration`]), and returns every iteration's statistics with
+/// the simulator, for its final state.
 fn tier_iterations(
     net: &Network,
     artifact: &CompiledArtifact,
     tier: ExecBackend,
 ) -> (Vec<RunStats>, FuncSim) {
-    let compiled = artifact.functional().expect("a functional compile");
-    let input = compiled.buffers[net.input().id().index()]
-        .output
-        .expect("input buffer");
-    let golden = net
-        .layers()
-        .find(|n| matches!(n.layer(), Layer::Loss))
-        .and_then(|n| compiled.buffers[n.id().index()].golden)
-        .expect("golden buffer");
-    let (image, golden) = (
-        vec![0.5; input.len as usize],
-        vec![0.0; golden.len as usize],
-    );
-    let mut fsim = FuncSim::from_artifact(net, artifact)
-        .expect("the simulator builds")
-        .with_backend(tier);
-    fsim.import_params(&Executor::new(net, 0xC0FFEE).expect("reference"))
-        .expect("parameters import");
+    let (mut fsim, image, golden) = seeded_iteration(net, artifact).expect("seeded setup");
+    fsim.set_backend(tier);
     let stats = (0..ORACLE_ITERATIONS)
         .map(|_| fsim.run_iteration(&image, &golden).expect("iteration runs"))
         .collect();

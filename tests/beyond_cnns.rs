@@ -4,18 +4,19 @@
 //! the CNN suite.
 
 use scaledeep::Session;
-use scaledeep_compiler::codegen::{CompiledNetwork, FuncTargetOptions};
-use scaledeep_compiler::{pipeline, CompileOptions};
+use scaledeep_compiler::codegen::FuncTargetOptions;
+use scaledeep_compiler::{pipeline, CompileOptions, CompiledArtifact};
 use scaledeep_dnn::zoo;
 use scaledeep_sim::func::FuncSim;
 use scaledeep_sim::perf::PerfOptions;
 use scaledeep_tensor::{Executor, Tensor};
 
-/// Functional compile through the phase pipeline.
+/// Functional compile through the phase pipeline: the artifact, or the
+/// codegen verdict when the functional target cannot express `net`.
 fn compile_functional(
     net: &scaledeep_dnn::Network,
     opts: &FuncTargetOptions,
-) -> Result<CompiledNetwork, scaledeep_compiler::Error> {
+) -> Result<CompiledArtifact, scaledeep_compiler::Error> {
     let artifact = pipeline::compile(
         &scaledeep_arch::presets::single_precision(),
         net,
@@ -24,7 +25,8 @@ fn compile_functional(
             ..CompileOptions::default()
         },
     )?;
-    artifact.functional().cloned()
+    artifact.functional()?;
+    Ok(artifact)
 }
 
 #[test]
@@ -53,9 +55,9 @@ fn autoencoder_trains_functionally() {
     // Unsupervised training on the functional simulator: the golden output
     // is the input itself; reconstruction loss must fall.
     let net = zoo::autoencoder(&[36, 12]);
-    let compiled = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
+    let artifact = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
     let reference = Executor::new(&net, 5).unwrap();
-    let mut sim = FuncSim::new(&net, &compiled).unwrap();
+    let mut sim = FuncSim::from_artifact(&net, &artifact).unwrap();
     sim.import_params(&reference).unwrap();
     sim.clear_gradients();
 
@@ -87,9 +89,9 @@ fn autoencoder_trains_functionally() {
 #[test]
 fn rnn_functional_equivalence() {
     let net = zoo::unrolled_rnn(4, 16, 24, 8);
-    let compiled = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
+    let artifact = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
     let mut reference = Executor::new(&net, 11).unwrap();
-    let mut sim = FuncSim::new(&net, &compiled).unwrap();
+    let mut sim = FuncSim::from_artifact(&net, &artifact).unwrap();
     sim.import_params(&reference).unwrap();
     sim.clear_gradients();
 
@@ -128,9 +130,9 @@ fn lstm_functional_equivalence() {
     // the cell-state tanh — through compiled ISA programs, against the
     // reference executor.
     let net = zoo::unrolled_lstm(3, 10, 12, 5);
-    let compiled = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
+    let artifact = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
     let mut reference = Executor::new(&net, 13).unwrap();
-    let mut sim = FuncSim::new(&net, &compiled).unwrap();
+    let mut sim = FuncSim::from_artifact(&net, &artifact).unwrap();
     sim.import_params(&reference).unwrap();
     sim.clear_gradients();
 

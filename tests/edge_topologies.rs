@@ -3,17 +3,18 @@
 //! 1×1-convolution-only bottleneck stacks.
 
 use scaledeep::Session;
-use scaledeep_compiler::codegen::{CompiledNetwork, FuncTargetOptions};
-use scaledeep_compiler::{pipeline, CompileOptions};
+use scaledeep_compiler::codegen::FuncTargetOptions;
+use scaledeep_compiler::{pipeline, CompileOptions, CompiledArtifact};
 use scaledeep_dnn::{Activation, Conv, Fc, FeatureShape, NetworkBuilder, Pool, PoolKind};
 use scaledeep_sim::func::FuncSim;
 use scaledeep_tensor::{Executor, Tensor};
 
-/// Functional compile through the phase pipeline.
+/// Functional compile through the phase pipeline: the artifact, or the
+/// codegen verdict when the functional target cannot express `net`.
 fn compile_functional(
     net: &scaledeep_dnn::Network,
     opts: &FuncTargetOptions,
-) -> Result<CompiledNetwork, scaledeep_compiler::Error> {
+) -> Result<CompiledArtifact, scaledeep_compiler::Error> {
     let artifact = pipeline::compile(
         &scaledeep_arch::presets::single_precision(),
         net,
@@ -22,7 +23,8 @@ fn compile_functional(
             ..CompileOptions::default()
         },
     )?;
-    artifact.functional().cloned()
+    artifact.functional()?;
+    Ok(artifact)
 }
 
 fn conv(out: usize, k: usize, pad: usize) -> Conv {
@@ -91,9 +93,9 @@ fn padded_pooling_matches_reference() {
         .unwrap();
     let net = b.finish_with_loss(f).unwrap();
 
-    let compiled = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
+    let artifact = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
     let mut reference = Executor::new(&net, 21).unwrap();
-    let mut sim = FuncSim::new(&net, &compiled).unwrap();
+    let mut sim = FuncSim::from_artifact(&net, &artifact).unwrap();
     sim.import_params(&reference).unwrap();
     sim.clear_gradients();
 
@@ -135,9 +137,9 @@ fn bottleneck_1x1_stack_matches_reference() {
         .unwrap();
     let net = b.finish_with_loss(f).unwrap();
 
-    let compiled = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
+    let artifact = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
     let mut reference = Executor::new(&net, 33).unwrap();
-    let mut sim = FuncSim::new(&net, &compiled).unwrap();
+    let mut sim = FuncSim::from_artifact(&net, &artifact).unwrap();
     sim.import_params(&reference).unwrap();
     sim.clear_gradients();
 
@@ -180,9 +182,9 @@ fn single_layer_network_works_everywhere() {
     let session = Session::single_precision();
     assert!(session.train(&net).unwrap().images_per_sec > 0.0);
 
-    let compiled = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
+    let artifact = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
     let mut reference = Executor::new(&net, 2).unwrap();
-    let mut sim = FuncSim::new(&net, &compiled).unwrap();
+    let mut sim = FuncSim::from_artifact(&net, &artifact).unwrap();
     sim.import_params(&reference).unwrap();
     sim.clear_gradients();
     let x = vec![0.5; 8];

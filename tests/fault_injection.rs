@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 use scaledeep::{Observer, Session};
 use scaledeep_arch::presets;
-use scaledeep_compiler::codegen::{CompiledNetwork, FuncTargetOptions, LayerBuffers};
-use scaledeep_compiler::{pipeline, CompileOptions, FailedTiles};
+use scaledeep_compiler::codegen::{FuncTargetOptions, LayerBuffers};
+use scaledeep_compiler::{pipeline, CompileOptions, CompiledArtifact, FailedTiles};
 use scaledeep_dnn::{Activation, Conv, Fc, FeatureShape, Network, NetworkBuilder};
 use scaledeep_sim::fault::{FaultKind, FaultPlan, LinkFaults};
 use scaledeep_sim::func::{FuncSim, RunStats};
@@ -26,7 +26,7 @@ use scaledeep_trace::Tracer;
 fn compile_functional(
     net: &Network,
     opts: &FuncTargetOptions,
-) -> Result<CompiledNetwork, scaledeep_compiler::Error> {
+) -> Result<CompiledArtifact, scaledeep_compiler::Error> {
     compile_functional_degraded(net, opts, 1, &[])
 }
 
@@ -37,7 +37,7 @@ fn compile_functional_degraded(
     opts: &FuncTargetOptions,
     minibatch: usize,
     dead_tiles: &[u16],
-) -> Result<CompiledNetwork, scaledeep_compiler::Error> {
+) -> Result<CompiledArtifact, scaledeep_compiler::Error> {
     let artifact = pipeline::compile(
         &presets::single_precision(),
         net,
@@ -47,7 +47,8 @@ fn compile_functional_degraded(
             failed: FailedTiles::from_func_tiles(dead_tiles.iter().copied()),
         },
     )?;
-    artifact.functional().cloned()
+    artifact.functional()?;
+    Ok(artifact)
 }
 
 fn tiny_net(out_features: usize, neurons: usize) -> Network {
@@ -148,15 +149,16 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let net = tiny_net(out_features, neurons);
-        let compiled = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
+        let artifact = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
+        let compiled = artifact.functional().unwrap();
         let reference = Executor::new(&net, seed).unwrap();
         let (image, golden) = io_for(&net, seed);
 
-        let mut clean = FuncSim::new(&net, &compiled).unwrap();
+        let mut clean = FuncSim::from_artifact(&net, &artifact).unwrap();
         clean.import_params(&reference).unwrap();
         let clean_stats = clean.run_iteration(&image, &golden).unwrap();
 
-        let mut faulted = FuncSim::new(&net, &compiled).unwrap();
+        let mut faulted = FuncSim::from_artifact(&net, &artifact).unwrap();
         faulted.import_params(&reference).unwrap();
         let faulted_stats = iterate(&mut faulted, &image, &golden, &FaultPlan::none()).unwrap();
 
@@ -194,11 +196,11 @@ proptest! {
 #[test]
 fn watchdog_bounds_an_induced_hang() {
     let net = tiny_net(2, 4);
-    let compiled = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
+    let artifact = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
     let reference = Executor::new(&net, 3).unwrap();
     let (image, golden) = io_for(&net, 3);
 
-    let mut clean = FuncSim::new(&net, &compiled).unwrap();
+    let mut clean = FuncSim::from_artifact(&net, &artifact).unwrap();
     clean.import_params(&reference).unwrap();
     let clean_cycles = clean.run_iteration(&image, &golden).unwrap().cycles;
 
@@ -206,7 +208,7 @@ fn watchdog_bounds_an_induced_hang() {
     // truncated) run into a typed error at the first event past budget.
     let budget = clean_cycles / 10;
     let plan = FaultPlan::seeded(1).with_watchdog(budget);
-    let mut sim = FuncSim::new(&net, &compiled).unwrap();
+    let mut sim = FuncSim::from_artifact(&net, &artifact).unwrap();
     sim.import_params(&reference).unwrap();
     let err = iterate(&mut sim, &image, &golden, &plan).unwrap_err();
     match err {
@@ -225,11 +227,12 @@ fn watchdog_bounds_an_induced_hang() {
 #[test]
 fn dropped_wakeup_hang_is_caught_by_the_watchdog() {
     let net = tiny_net(2, 4);
-    let compiled = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
+    let artifact = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
+    let compiled = artifact.functional().unwrap();
     let reference = Executor::new(&net, 5).unwrap();
     let (image, golden) = io_for(&net, 5);
 
-    let mut clean = FuncSim::new(&net, &compiled).unwrap();
+    let mut clean = FuncSim::from_artifact(&net, &artifact).unwrap();
     clean.import_params(&reference).unwrap();
     let clean_cycles = clean.run_iteration(&image, &golden).unwrap().cycles;
 
@@ -240,7 +243,7 @@ fn dropped_wakeup_hang_is_caught_by_the_watchdog() {
     for tile in 0..compiled.mem_tiles as u16 {
         plan = plan.with_fault(1, FaultKind::DroppedWakeup { tile });
     }
-    let mut sim = FuncSim::new(&net, &compiled).unwrap();
+    let mut sim = FuncSim::from_artifact(&net, &artifact).unwrap();
     sim.import_params(&reference).unwrap();
     match iterate(&mut sim, &image, &golden, &plan) {
         Err(Error::Watchdog { at, .. }) => assert!(at <= clean_cycles * 2 + 1),
@@ -292,7 +295,8 @@ fn degraded_remap_matches_reference_executor() {
     let net = tiny_net(3, 5);
     let dead: &[u16] = &[2];
     let opts = FuncTargetOptions::default();
-    let compiled = compile_functional_degraded(&net, &opts, 1, dead).unwrap();
+    let artifact = compile_functional_degraded(&net, &opts, 1, dead).unwrap();
+    let compiled = artifact.functional().unwrap();
     for layer in &compiled.buffers {
         for loc in buffer_locs(layer) {
             assert!(loc.tile != 2, "buffer placed on the dead tile");
@@ -300,7 +304,7 @@ fn degraded_remap_matches_reference_executor() {
     }
 
     let mut reference = Executor::new(&net, 77).unwrap();
-    let mut sim = FuncSim::new(&net, &compiled).unwrap();
+    let mut sim = FuncSim::from_artifact(&net, &artifact).unwrap();
     sim.import_params(&reference).unwrap();
     let (image, golden) = io_for(&net, 77);
 

@@ -4,17 +4,18 @@
 //! outputs, backpropagated errors, and weight gradients bit-for-bit (up to
 //! f32 reassociation noise).
 
-use scaledeep_compiler::codegen::{CompiledNetwork, FuncTargetOptions};
-use scaledeep_compiler::{pipeline, CompileOptions};
+use scaledeep_compiler::codegen::FuncTargetOptions;
+use scaledeep_compiler::{pipeline, CompileOptions, CompiledArtifact};
 use scaledeep_dnn::{Activation, Conv, Fc, FeatureShape, Network, NetworkBuilder, Pool};
 use scaledeep_sim::func::FuncSim;
 use scaledeep_tensor::{Executor, Tensor};
 
-/// Functional compile through the phase pipeline.
+/// Functional compile through the phase pipeline: the artifact, or the
+/// codegen verdict when the functional target cannot express `net`.
 fn compile_functional(
     net: &Network,
     opts: &FuncTargetOptions,
-) -> Result<CompiledNetwork, scaledeep_compiler::Error> {
+) -> Result<CompiledArtifact, scaledeep_compiler::Error> {
     let artifact = pipeline::compile(
         &scaledeep_arch::presets::single_precision(),
         net,
@@ -23,7 +24,8 @@ fn compile_functional(
             ..CompileOptions::default()
         },
     )?;
-    artifact.functional().cloned()
+    artifact.functional()?;
+    Ok(artifact)
 }
 
 fn conv(out: usize, k: usize, pad: usize, act: Activation) -> Conv {
@@ -62,10 +64,10 @@ fn rand_vec(n: usize, seed: u64) -> Vec<f32> {
 /// Runs one training iteration on both implementations and compares
 /// outputs, errors and gradients.
 fn check_equivalence(net: &Network, seed: u64, tol: f32) {
-    let compiled = compile_functional(net, &FuncTargetOptions::default())
+    let artifact = compile_functional(net, &FuncTargetOptions::default())
         .expect("functional compilation succeeds");
     let mut reference = Executor::new(net, seed).expect("reference executor builds");
-    let mut sim = FuncSim::new(net, &compiled).expect("simulator builds");
+    let mut sim = FuncSim::from_artifact(net, &artifact).expect("simulator builds");
     sim.import_params(&reference).expect("parameters import");
 
     let in_shape = net.input().output_shape();
@@ -240,9 +242,9 @@ fn multi_iteration_training_tracks_reference() {
     let out = b.fc("f1", fc(4, Activation::None)).unwrap();
     let net = b.finish_with_loss(out).unwrap();
 
-    let compiled = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
+    let artifact = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
     let mut reference = Executor::new(&net, 77).unwrap();
-    let mut sim = FuncSim::new(&net, &compiled).unwrap();
+    let mut sim = FuncSim::from_artifact(&net, &artifact).unwrap();
     sim.import_params(&reference).unwrap();
     sim.clear_gradients();
 
@@ -284,9 +286,9 @@ fn minibatch_gradients_accumulate_like_reference() {
     let out = b.fc_from("f1", c1, fc(3, Activation::None)).unwrap();
     let net = b.finish_with_loss(out).unwrap();
 
-    let compiled = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
+    let artifact = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
     let mut reference = Executor::new(&net, 88).unwrap();
-    let mut sim = FuncSim::new(&net, &compiled).unwrap();
+    let mut sim = FuncSim::from_artifact(&net, &artifact).unwrap();
     sim.import_params(&reference).unwrap();
     sim.clear_gradients();
 

@@ -5,9 +5,10 @@
 //! The accumulated gradients must match the reference executor running
 //! the same minibatch.
 
+use scaledeep::{seeded_iteration, Session};
 use scaledeep_arch::presets;
-use scaledeep_compiler::codegen::{CompiledNetwork, FuncTargetOptions};
-use scaledeep_compiler::{pipeline, CompileOptions};
+use scaledeep_compiler::codegen::FuncTargetOptions;
+use scaledeep_compiler::{pipeline, CompileOptions, CompiledArtifact};
 use scaledeep_dnn::{Activation, Conv, Fc, FeatureShape, Network, NetworkBuilder, Pool};
 use scaledeep_isa::{Inst, InstGroup};
 use scaledeep_sim::func::FuncSim;
@@ -17,16 +18,17 @@ use scaledeep_tensor::{Executor, Tensor};
 fn compile_functional(
     net: &Network,
     opts: &FuncTargetOptions,
-) -> Result<CompiledNetwork, scaledeep_compiler::Error> {
+) -> Result<CompiledArtifact, scaledeep_compiler::Error> {
     compile_functional_minibatch(net, opts, 1)
 }
 
-/// Minibatch-looped functional compile through the phase pipeline.
+/// Minibatch-looped functional compile through the phase pipeline: the
+/// artifact, or the codegen verdict when the target cannot loop `net`.
 fn compile_functional_minibatch(
     net: &Network,
     opts: &FuncTargetOptions,
     minibatch: usize,
-) -> Result<CompiledNetwork, scaledeep_compiler::Error> {
+) -> Result<CompiledArtifact, scaledeep_compiler::Error> {
     let artifact = pipeline::compile(
         &presets::single_precision(),
         net,
@@ -36,10 +38,17 @@ fn compile_functional_minibatch(
             ..CompileOptions::default()
         },
     )?;
-    artifact.functional().cloned()
+    artifact.functional()?;
+    Ok(artifact)
 }
 
 fn chain_net() -> Network {
+    chain(true)
+}
+
+/// The conv/pool/conv/fc chain, finished with a loss head (a training
+/// graph) or by plain `finish()` (an evaluation graph: no golden buffer).
+fn chain(loss: bool) -> Network {
     let mut b = NetworkBuilder::new("chain", FeatureShape::new(1, 10, 10));
     b.conv(
         "c1",
@@ -78,7 +87,12 @@ fn chain_net() -> Network {
             },
         )
         .unwrap();
-    b.finish_with_loss(f).unwrap()
+    if loss {
+        b.finish_with_loss(f)
+    } else {
+        b.finish()
+    }
+    .unwrap()
 }
 
 fn rand_vec(n: usize, seed: u64) -> Vec<f32> {
@@ -96,7 +110,8 @@ fn rand_vec(n: usize, seed: u64) -> Vec<f32> {
 #[test]
 fn looped_programs_contain_scalar_loops() {
     let net = chain_net();
-    let compiled = compile_functional_minibatch(&net, &FuncTargetOptions::default(), 4).unwrap();
+    let artifact = compile_functional_minibatch(&net, &FuncTargetOptions::default(), 4).unwrap();
+    let compiled = artifact.functional().unwrap();
     assert_eq!(compiled.minibatch, 4);
     assert!(compiled.zeros.is_some());
     for p in &compiled.programs {
@@ -125,10 +140,10 @@ fn looped_programs_contain_scalar_loops() {
 fn minibatch_gradients_match_reference() {
     let net = chain_net();
     let batch = 3;
-    let compiled =
+    let artifact =
         compile_functional_minibatch(&net, &FuncTargetOptions::default(), batch).unwrap();
     let mut reference = Executor::new(&net, 7).unwrap();
-    let mut sim = FuncSim::new(&net, &compiled).unwrap();
+    let mut sim = FuncSim::from_artifact(&net, &artifact).unwrap();
     sim.import_params(&reference).unwrap();
     sim.clear_gradients();
 
@@ -183,8 +198,8 @@ fn looped_and_unrolled_agree() {
     let unrolled = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
     let reference = Executor::new(&net, 9).unwrap();
 
-    let mut sim_l = FuncSim::new(&net, &looped).unwrap();
-    let mut sim_u = FuncSim::new(&net, &unrolled).unwrap();
+    let mut sim_l = FuncSim::from_artifact(&net, &looped).unwrap();
+    let mut sim_u = FuncSim::from_artifact(&net, &unrolled).unwrap();
     sim_l.import_params(&reference).unwrap();
     sim_u.import_params(&reference).unwrap();
     sim_l.clear_gradients();
@@ -250,9 +265,9 @@ fn fan_out_networks_are_rejected_for_looping() {
 #[test]
 fn mismatched_batch_payloads_are_rejected() {
     let net = chain_net();
-    let compiled = compile_functional_minibatch(&net, &FuncTargetOptions::default(), 2).unwrap();
+    let artifact = compile_functional_minibatch(&net, &FuncTargetOptions::default(), 2).unwrap();
     let reference = Executor::new(&net, 1).unwrap();
-    let mut sim = FuncSim::new(&net, &compiled).unwrap();
+    let mut sim = FuncSim::from_artifact(&net, &artifact).unwrap();
     sim.import_params(&reference).unwrap();
     // One image's worth of data for a 2-image batch: Setup error.
     let err = sim.run_minibatch(&vec![0.0; 100], &[0.0; 5]).unwrap_err();
@@ -260,4 +275,40 @@ fn mismatched_batch_payloads_are_rejected() {
     // run_iteration on a looped net: Setup error.
     let err = sim.run_iteration(&vec![0.0; 100], &[0.0; 5]).unwrap_err();
     assert!(matches!(err, scaledeep_sim::Error::Setup { .. }));
+}
+
+#[test]
+fn a_network_without_a_loss_head_evaluates_but_does_not_train() {
+    // Built by `finish()`: the compiled layout has no golden buffer, so
+    // every training entry point fails with a typed setup error.
+    let net = chain(false);
+    let setup = |r: Result<(), scaledeep_sim::Error>| match r {
+        Err(scaledeep_sim::Error::Setup { detail }) => assert!(detail.contains("loss head")),
+        other => panic!("expected a setup error, got {other:?}"),
+    };
+    let looped = compile_functional_minibatch(&net, &FuncTargetOptions::default(), 2).unwrap();
+    let mut sim = FuncSim::from_artifact(&net, &looped).unwrap();
+    setup(sim.run_minibatch(&vec![0.0; 200], &[0.0; 10]).map(drop));
+
+    let artifact = compile_functional(&net, &FuncTargetOptions::default()).unwrap();
+    let mut reference = Executor::new(&net, 1).unwrap();
+    let mut sim = FuncSim::from_artifact(&net, &artifact).unwrap();
+    sim.import_params(&reference).unwrap();
+    let image = rand_vec(100, 5);
+    setup(sim.iteration_buffers().map(drop));
+    setup(sim.run_iteration(&image, &[0.0; 5]).map(drop));
+    setup(seeded_iteration(&net, &artifact).map(drop));
+    setup(Session::single_precision().cross_check(&net).map(drop));
+
+    // An evaluation needs only the input buffer, and still matches the
+    // reference executor.
+    sim.run_evaluation(&image).unwrap();
+    let x = Tensor::from_vec(FeatureShape::new(1, 10, 10), image).unwrap();
+    let ref_out = reference.forward(&x).unwrap();
+    let f1 = net.node_by_name("f1").unwrap().id();
+    let out = sim.layer_output(f1).unwrap();
+    assert_eq!(out.len(), ref_out.as_slice().len());
+    for (a, b) in out.iter().zip(ref_out.as_slice()) {
+        assert!((a - b).abs() < 2e-4, "evaluation output diverges");
+    }
 }

@@ -5,19 +5,20 @@
 //! generated networks.
 
 use proptest::prelude::*;
-use scaledeep_compiler::codegen::{CompiledNetwork, FuncTargetOptions};
-use scaledeep_compiler::{pipeline, CompileOptions};
+use scaledeep_compiler::codegen::FuncTargetOptions;
+use scaledeep_compiler::{pipeline, CompileOptions, CompiledArtifact};
 use scaledeep_dnn::{Activation, Conv, Fc, FeatureShape, NetworkBuilder, Pool, PoolKind};
 use scaledeep_isa::{Inst, MemRef, Program, Reg, TileRef};
 use scaledeep_sim::func::FuncSim;
 use scaledeep_tensor::ops::{pool_forward, PoolOutput};
 use scaledeep_tensor::{Executor, Tensor};
 
-/// Functional compile through the phase pipeline.
+/// Functional compile through the phase pipeline: the artifact, or the
+/// codegen verdict when the functional target cannot express `net`.
 fn compile_functional(
     net: &scaledeep_dnn::Network,
     opts: &FuncTargetOptions,
-) -> Result<CompiledNetwork, scaledeep_compiler::Error> {
+) -> Result<CompiledArtifact, scaledeep_compiler::Error> {
     let artifact = pipeline::compile(
         &scaledeep_arch::presets::single_precision(),
         net,
@@ -26,7 +27,8 @@ fn compile_functional(
             ..CompileOptions::default()
         },
     )?;
-    artifact.functional().cloned()
+    artifact.functional()?;
+    Ok(artifact)
 }
 
 // ---------- strategies ----------
@@ -352,10 +354,10 @@ proptest! {
     #[test]
     fn random_networks_match_reference_executor(spec in random_net_strategy(), seed in 0u64..10_000) {
         let net = build_random_net(&spec);
-        let compiled = compile_functional(&net, &FuncTargetOptions::default())
+        let artifact = compile_functional(&net, &FuncTargetOptions::default())
             .expect("random nets respect the functional-target contract");
         let mut reference = Executor::new(&net, seed).expect("executor builds");
-        let mut sim = FuncSim::new(&net, &compiled).expect("sim builds");
+        let mut sim = FuncSim::from_artifact(&net, &artifact).expect("sim builds");
         sim.import_params(&reference).expect("params import");
         sim.clear_gradients();
 
