@@ -44,10 +44,11 @@ Benchmark reports and gates (CI):
   repro --check BENCH_alexnet.json
                              gate: re-run the baseline's network, kind and
                              precision and require a byte-identical document
-  repro serve-drill --seed 42 [--write-bench BENCH_serve-drill.json] [--summary]
+  repro serve-drill --seed 42 [--write-bench BENCH_serve-drill.json]
                     [--stats-json stats.json]
                              seeded chaos drill (gate: exits nonzero on violation);
-                             --stats-json writes the final server stats snapshot
+                             --write-bench writes its deterministic document,
+                             --stats-json the final server stats snapshot
 
 Design-space exploration:
   repro dse [--net alexnet] [--kind training] [--suite dse]
@@ -134,12 +135,11 @@ const MODES: &[Mode] = &[
     row(
         "serve-drill",
         "",
-        "--seed --write-bench --stats-json --summary",
+        "--seed --write-bench --stats-json",
         0,
         |a| {
-            let (seed, summary) = (a.number("--seed", 0)?, a.value("--summary").is_some());
             let (bench, stats) = (a.value("--write-bench"), a.value("--stats-json"));
-            Ok(Command::ServeDrill(seed, bench, stats, summary))
+            Ok(Command::ServeDrill(a.number("--seed", 0)?, bench, stats))
         },
     ),
     row(
@@ -191,7 +191,7 @@ const MODES: &[Mode] = &[
 ];
 
 /// The flags that take no value; every other flag takes exactly one.
-const SWITCHES: [&str; 3] = ["--list", "--knobs", "--summary"];
+const SWITCHES: [&str; 2] = ["--list", "--knobs"];
 
 impl Mode {
     fn reads(&self, flag: &str) -> bool {
@@ -331,8 +331,8 @@ enum Command<'a> {
     /// `--bench-json`: the benchmark, the run kind and the output path.
     BenchJson(&'a str, RunKind, &'a str),
     Check(&'a str),
-    /// `serve-drill`: the seed, `--write-bench`, `--stats-json`, `--summary`.
-    ServeDrill(u64, Option<&'a str>, Option<&'a str>, bool),
+    /// `serve-drill`: the seed, `--write-bench` and `--stats-json`.
+    ServeDrill(u64, Option<&'a str>, Option<&'a str>),
     /// `dse`: the benchmark, the design space, the sweep and the output
     /// path.
     Dse(&'a str, Box<ParamSpace>, DseConfig, Option<&'a str>),
@@ -368,9 +368,7 @@ impl<'a> Command<'a> {
             Command::Sweep(net) => sweep(net, out),
             Command::BenchJson(net, kind, path) => bench_json(net, kind, path, out),
             Command::Check(path) => bench_check(path, out),
-            Command::ServeDrill(seed, bench, stats, summary) => {
-                serve_drill(seed, bench, stats, summary, out)
-            }
+            Command::ServeDrill(seed, bench, stats) => serve_drill(seed, bench, stats, out),
             Command::Dse(net, space, cfg, path) => dse_sweep(net, &space, &cfg, path, out),
             Command::DseCheck(path, workers) => dse_check(path, workers, out),
             Command::Knobs => Ok(ALL_KNOBS.iter().try_for_each(|k| writeln!(out, "{k}"))?),
@@ -608,10 +606,7 @@ fn functional_drill(net: &Network, out: &mut dyn Write) -> Outcome {
 /// to it, then self-validates the JSON and prints the metrics report.
 fn trace_run(name: &str, path: &str, filter: CategoryMask, out: &mut dyn Write) -> Outcome {
     let net = zoo::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
-    let cfg = TraceConfig {
-        filter,
-        ..TraceConfig::default()
-    };
+    let cfg = TraceConfig { filter };
     let session = Session::single_precision();
     let traced = session.run_traced(&net, RunKind::Training, &cfg)?;
 
@@ -849,14 +844,13 @@ fn write_watch_summary(rows: &[WatchRow], out: &mut dyn Write) -> io::Result<()>
 }
 
 /// `repro serve-drill`: runs the seeded chaos drill, prints the
-/// degradation table and deterministic verdict, optionally writes the
-/// BENCH JSON and/or the final server stats snapshot (the CI artifact),
-/// and exits nonzero when any drill invariant is violated.
+/// degradation table and verdict, optionally writes the drill document
+/// and/or the final server stats snapshot (the CI artifact), and exits
+/// nonzero when any drill invariant is violated.
 fn serve_drill(
     seed: u64,
     write_bench: Option<&str>,
     stats_json: Option<&str>,
-    summary_only: bool,
     out: &mut dyn Write,
 ) -> Outcome {
     let cfg = scaledeep_serve::DrillConfig {
@@ -864,12 +858,7 @@ fn serve_drill(
         ..scaledeep_serve::DrillConfig::default()
     };
     let report = scaledeep_serve::run_drill(&cfg);
-    let text = if summary_only {
-        report.deterministic_summary()
-    } else {
-        report.render()
-    };
-    write!(out, "{text}")?;
+    write!(out, "{}", report.render())?;
     let documents = [
         (write_bench, DrillReport::to_bench_json as fn(&_) -> _),
         (stats_json, DrillReport::stats_json),
@@ -1250,9 +1239,10 @@ mod tests {
                 "`--trace-net`",
             ),
             (
-                &["serve-drill", "--seed", "1", "--workers", "9", "--summary"],
+                &["serve-drill", "--seed", "1", "--workers", "9"],
                 "`--workers`",
             ),
+            (&["serve-drill", "--summary"], "unknown flag `--summary`"),
             (&["dse", "--workers"], "`--workers`"),
             (&["dse", "--workers", "--sample", "1"], "`--workers`"),
             (&["dse", "--seed", "5"], "`--seed`"),
@@ -1409,19 +1399,22 @@ mod tests {
                     "--stats-json",
                     "serve_stats.json",
                 ],
-                ServeDrill(42, None, Some("serve_stats.json"), false),
+                ServeDrill(42, None, Some("serve_stats.json")),
             ),
             (
-                &["serve-drill", "--seed", "7", "--summary"],
-                ServeDrill(7, None, None, true),
+                &[
+                    "serve-drill",
+                    "--seed",
+                    "7",
+                    "--write-bench",
+                    "drill7a.json",
+                ],
+                ServeDrill(7, Some("drill7a.json"), None),
             ),
-            (
-                &["serve-drill", "--seed", "42"],
-                ServeDrill(42, None, None, false),
-            ),
+            (&["serve-drill", "--seed", "42"], ServeDrill(42, None, None)),
             (
                 &["serve-drill", "--write-bench", "BENCH_serve-drill.json"],
-                ServeDrill(0, Some("BENCH_serve-drill.json"), None, false),
+                ServeDrill(0, Some("BENCH_serve-drill.json"), None),
             ),
             (
                 &[
@@ -1430,11 +1423,10 @@ mod tests {
                     "42",
                     "--write-bench",
                     "BENCH_serve-drill.json",
-                    "--summary",
                     "--stats-json",
                     "stats.json",
                 ],
-                ServeDrill(42, Some("BENCH_serve-drill.json"), Some("stats.json"), true),
+                ServeDrill(42, Some("BENCH_serve-drill.json"), Some("stats.json")),
             ),
             (
                 &[

@@ -1,11 +1,11 @@
-//! Error type for program encoding/decoding and building.
+//! Error type for program encoding and decoding.
 
 use std::fmt;
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Errors from decoding or assembling programs.
+/// Errors from decoding programs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Error {
@@ -29,21 +29,6 @@ pub enum Error {
         /// Byte offset of the instruction.
         offset: usize,
     },
-    /// A label was referenced but never defined (program builder).
-    UndefinedLabel {
-        /// The label name.
-        label: String,
-    },
-    /// A label was defined twice (program builder).
-    DuplicateLabel {
-        /// The label name.
-        label: String,
-    },
-    /// A branch target is out of the i32 offset range.
-    OffsetOverflow {
-        /// The label whose distance overflowed.
-        label: String,
-    },
 }
 
 impl fmt::Display for Error {
@@ -57,11 +42,6 @@ impl fmt::Display for Error {
             }
             Error::BadOperand { what, offset } => {
                 write!(f, "invalid {what} operand at byte {offset}")
-            }
-            Error::UndefinedLabel { label } => write!(f, "undefined label `{label}`"),
-            Error::DuplicateLabel { label } => write!(f, "duplicate label `{label}`"),
-            Error::OffsetOverflow { label } => {
-                write!(f, "branch to `{label}` exceeds offset range")
             }
         }
     }

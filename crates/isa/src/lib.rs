@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod builder;
 mod disasm;
 mod encode;
 mod error;
@@ -52,7 +51,6 @@ pub mod micro;
 mod program;
 mod reg;
 
-pub use builder::ProgramBuilder;
 pub use error::{Error, Result};
 pub use inst::{ActKind, Addr, DmaDir, Inst, InstGroup, MemRef, PoolMode, TileRef, EXT_MEM_TILE};
 pub use micro::{samp_out, Loc, LoweredProgram, MicroOp};

@@ -21,33 +21,18 @@ use scaledeep_trace::{
     Payload, ProgressSender, ProgressSink, RingSink, TraceSink, Tracer, TrackTable,
 };
 
-/// How a traced run records events: which categories pass and how many
-/// events are retained.
+/// How a traced run records events: which categories pass. A traced
+/// run keeps every event that passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Per-category enable mask (default: all categories).
     pub filter: CategoryMask,
-    /// Retain at most this many events, evicting the oldest (flight
-    /// recorder). `0` means unbounded.
-    pub capacity: usize,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
         Self {
             filter: CategoryMask::all(),
-            capacity: 0,
-        }
-    }
-}
-
-impl TraceConfig {
-    /// A bounded flight-recorder configuration keeping the most recent
-    /// `capacity` events of every category.
-    pub fn flight_recorder(capacity: usize) -> Self {
-        Self {
-            capacity,
-            ..Self::default()
         }
     }
 }
@@ -63,7 +48,8 @@ pub struct Trace {
     pub events: Vec<Event>,
     /// Track names for the events' `track` ids.
     pub tracks: TrackTable,
-    /// Events evicted by the flight-recorder bound (0 when unbounded).
+    /// Events evicted by a bounded trace: only [`Session::cross_check`]'s
+    /// tail is bounded, so every other trace reports 0.
     pub dropped: u64,
 }
 
@@ -167,15 +153,10 @@ macro_rules! observe {
 }
 
 /// Builds the sink every traced session entry point uses: a
-/// category filter over a ring (unbounded when `capacity` is 0 —
-/// a `usize::MAX` ring never evicts).
+/// category filter over an unbounded ring (a `usize::MAX` ring never
+/// evicts).
 fn session_sink(cfg: &TraceConfig) -> FilterSink<RingSink> {
-    let capacity = if cfg.capacity == 0 {
-        usize::MAX
-    } else {
-        cfg.capacity
-    };
-    FilterSink::new(RingSink::new(capacity), cfg.filter)
+    FilterSink::new(RingSink::new(usize::MAX), cfg.filter)
 }
 
 /// Unwraps the tracer built by [`session_sink`] into a [`Trace`].
@@ -753,9 +734,10 @@ impl Session {
         let (mut fsim, image, golden) = seeded_iteration(net, &artifact)?;
         // A bounded flight recorder rides along so a divergence can be
         // diagnosed from the run's final events without re-running.
-        let mut tracer = Tracer::new(session_sink(&TraceConfig::flight_recorder(
-            CROSS_CHECK_TAIL_EVENTS,
-        )));
+        let mut tracer = Tracer::new(FilterSink::new(
+            RingSink::new(CROSS_CHECK_TAIL_EVENTS),
+            CategoryMask::all(),
+        ));
         let mut reg = MetricsRegistry::new();
         let plan = FaultPlan::none();
         let functional =
@@ -1146,7 +1128,6 @@ mod tests {
                 assert_eq!(node.faults.retry_cycles, 0, "{name} {kind:?}");
                 let metrics_only = TraceConfig {
                     filter: CategoryMask::none(),
-                    ..Default::default()
                 };
                 let one = s.run_traced(&net, kind, &metrics_only).unwrap();
                 for (i, &busy) in node.stage_busy.iter().enumerate() {
@@ -1271,7 +1252,6 @@ mod tests {
                     let full = run(Observer::Trace(TraceConfig::default()));
                     let quiet = run(Observer::Trace(TraceConfig {
                         filter: CategoryMask::none(),
-                        ..Default::default()
                     }));
                     assert_eq!(off.value, full.value, "{what}");
                     assert_eq!(quiet.value, full.value, "{what}");
@@ -1655,6 +1635,11 @@ mod tests {
             .cross_check(&tiny_training_net())
             .unwrap();
         assert!(!x.trace.events.is_empty());
+        // The tail keeps at most its bound and ends at the run's last
+        // emission.
+        assert!(x.trace.events.len() <= CROSS_CHECK_TAIL_EVENTS);
+        let last_at = x.trace.events.iter().map(|e| e.at).max();
+        assert_eq!(x.trace.events.last().map(|e| e.at), last_at);
         assert!(x.trace.metrics.counter_value("func.cycles").is_some());
         // Every tile of the functional run did work.
         assert!(!x.functional.per_tile.is_empty());

@@ -4,12 +4,13 @@
 //! The drill walks seven phases — nominal load, duplicate-compile
 //! dedup, transient faults, panicking attempts, stuck workers,
 //! cancellation, and 4× overload — and tallies how every job resolved.
-//! The *deterministic* half of the report (per-phase outcome counts, retry
-//! totals, recovered panics, compile-cache misses, backoff schedules) is
-//! a pure function of the seed and the drill shape, so the same seed
-//! replays to the same verdict and CI can gate on it. Wall-clock
-//! latencies (queue/service p50/p99 from the log2 histograms) are
-//! *informational*: reported, never gated.
+//! The report's document ([`DrillReport::to_bench_json`]: per-phase
+//! outcome counts, retry totals, recovered panics, compile-cache misses,
+//! backoff schedules, progress-stream probes) is a pure function of the
+//! seed and the drill shape, so the same seed replays to the same bytes
+//! and CI can gate on it. Wall-clock latencies (queue/service p50/p99
+//! from the log2 histograms) are *informational*: printed by
+//! [`DrillReport::render`], never written to the document or gated.
 //!
 //! Determinism holds because nothing in the verdict depends on thread
 //! interleaving: chaos travels *inside* jobs (panic/fail/stall
@@ -40,9 +41,10 @@ const DEDUP_NET: &str = "alexnet";
 const FUNC_NET: &str = "alexnet-func";
 
 /// Version stamped into the drill's BENCH JSON. The drill document has
-/// its own schema: it keeps its informational `wall` group, so it does
-/// not follow the per-network BENCH report's version.
-pub const DRILL_SCHEMA_VERSION: u64 = 4;
+/// its own schema (per-phase counts, recovery counters, backoff ladders,
+/// progress probes), so it does not follow the per-network BENCH
+/// report's version; like those reports it carries no host time.
+pub const DRILL_SCHEMA_VERSION: u64 = 5;
 
 /// Shape of the drill (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,6 +106,20 @@ impl PhaseCounts {
         }
     }
 
+    /// The eight counts by document field name, `submitted` first.
+    fn fields(&self) -> [(&'static str, u64); 8] {
+        [
+            ("submitted", self.submitted),
+            ("completed", self.completed),
+            ("shed", self.shed),
+            ("deadline", self.deadline),
+            ("cancelled", self.cancelled),
+            ("worker_lost", self.worker_lost),
+            ("rejected", self.rejected),
+            ("failed", self.failed),
+        ]
+    }
+
     /// Sum of all typed outcomes — equals `submitted` exactly when every
     /// job resolved (the no-hangs invariant).
     pub fn resolved(&self) -> u64 {
@@ -119,7 +135,7 @@ impl PhaseCounts {
 
 /// One watched job's progress-stream summary from the progress phase.
 /// Everything here is a pure function of the seed and drill shape, so it
-/// belongs to the deterministic half of the verdict.
+/// is part of the drill document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProgressProbe {
     /// 0-based submission order within the phase.
@@ -188,7 +204,7 @@ pub struct DrillReport {
     pub progress: Vec<ProgressProbe>,
     /// Whether the stuck phase's stalled workers went idle within the
     /// drill's settle bound (5 s). Checked by
-    /// [`DrillReport::invariants`]; not part of the summary or document.
+    /// [`DrillReport::invariants`]; not part of the document.
     pub stuck_settled: bool,
     /// Final server metrics snapshot (latency histograms live here).
     pub metrics: MetricsRegistry,
@@ -236,52 +252,6 @@ impl DrillReport {
             ]);
         }
         t
-    }
-
-    /// The seed-stable portion of the verdict, one fact per line —
-    /// byte-identical across same-seed runs (compared by the chaos
-    /// test and printable with `--summary`).
-    pub fn deterministic_summary(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "seed {}", self.seed);
-        for (name, c) in &self.phases {
-            let _ = writeln!(
-                out,
-                "phase {name}: submitted={} completed={} shed={} deadline={} \
-                 cancelled={} worker_lost={} rejected={} failed={}",
-                c.submitted,
-                c.completed,
-                c.shed,
-                c.deadline,
-                c.cancelled,
-                c.worker_lost,
-                c.rejected,
-                c.failed
-            );
-        }
-        let _ = writeln!(
-            out,
-            "cache: misses={} corrupt={}",
-            self.cache.misses, self.cache.corrupt
-        );
-        let _ = writeln!(
-            out,
-            "recovery: retries={} worker_restarts={} resilient_retried={} \
-             resilient_dead_tiles={}",
-            self.retries, self.worker_restarts, self.resilient_retried, self.resilient_dead_tiles
-        );
-        for (id, ladder) in &self.schedules {
-            let ms: Vec<String> = ladder.iter().map(u64::to_string).collect();
-            let _ = writeln!(out, "backoff job {id}: [{}]", ms.join(", "));
-        }
-        for p in &self.progress {
-            let _ = writeln!(
-                out,
-                "progress job {}: updates={} dropped={} monotonic={} digest={:016x}",
-                p.ordinal, p.updates, p.dropped, p.monotonic, p.digest
-            );
-        }
-        out
     }
 
     /// The final server metrics as a protocol `stats` line — what a live
@@ -433,93 +403,68 @@ impl DrillReport {
         bad
     }
 
-    /// Versioned BENCH JSON: the deterministic `jobs` group CI and
-    /// same-seed replays can compare, and an informational `wall` group
-    /// (latency percentiles in µs) that varies run to run by design.
+    /// The versioned drill document: every deterministic fact of the
+    /// report (totals with recovery and cache counters, per-phase counts
+    /// in phase order, backoff ladders, progress probes) and no host
+    /// time, so same-seed runs render byte-identical documents.
     pub fn to_bench_json(&self) -> String {
         let n = |v: u64| Json::Num(v as f64);
-        let t = self.totals();
-        let pct = |name: &str, p: f64| {
-            self.metrics
-                .histogram_value(name)
-                .map_or(0.0, |h| h.percentile(p))
-        };
-        let schedules = Json::Obj(
-            self.schedules
-                .iter()
-                .map(|(id, ladder)| {
-                    (
-                        id.to_string(),
-                        Json::Arr(ladder.iter().map(|&ms| n(ms)).collect()),
-                    )
-                })
-                .collect(),
-        );
+        let counts = |c: &PhaseCounts| c.fields().map(|(k, v)| (k, n(v)));
+        let jobs = counts(&self.totals()).into_iter().chain([
+            ("retries", n(self.retries)),
+            ("worker_restarts", n(self.worker_restarts)),
+            ("resilient_retried", n(self.resilient_retried)),
+            ("resilient_dead_tiles", n(self.resilient_dead_tiles)),
+            ("cache_misses", n(self.cache.misses)),
+            ("cache_corrupt", n(self.cache.corrupt)),
+        ]);
+        let phases = self
+            .phases
+            .iter()
+            .map(|(name, c)| (name.to_string(), obj(counts(c))))
+            .collect();
+        let schedules = self
+            .schedules
+            .iter()
+            .map(|(id, ladder)| {
+                (
+                    id.to_string(),
+                    Json::Arr(ladder.iter().map(|&ms| n(ms)).collect()),
+                )
+            })
+            .collect();
+        let probes = self
+            .progress
+            .iter()
+            .map(|p| {
+                obj([
+                    ("ordinal", n(p.ordinal)),
+                    ("updates", n(p.updates)),
+                    ("dropped", n(p.dropped)),
+                    ("monotonic", Json::Bool(p.monotonic)),
+                    ("digest", Json::Str(format!("{:016x}", p.digest))),
+                ])
+            })
+            .collect();
         obj([
             ("schema_version", n(DRILL_SCHEMA_VERSION)),
             ("suite", Json::Str("serve-drill".into())),
             ("seed", n(self.seed)),
-            (
-                "jobs",
-                obj([
-                    ("submitted", n(t.submitted)),
-                    ("completed", n(t.completed)),
-                    ("shed", n(t.shed)),
-                    ("deadline", n(t.deadline)),
-                    ("cancelled", n(t.cancelled)),
-                    ("worker_lost", n(t.worker_lost)),
-                    ("rejected", n(t.rejected)),
-                    ("failed", n(t.failed)),
-                    ("retries", n(self.retries)),
-                    ("worker_restarts", n(self.worker_restarts)),
-                    ("resilient_retried", n(self.resilient_retried)),
-                    ("resilient_dead_tiles", n(self.resilient_dead_tiles)),
-                    ("cache_misses", n(self.cache.misses)),
-                    ("cache_corrupt", n(self.cache.corrupt)),
-                ]),
-            ),
-            ("backoff_ms", schedules),
-            (
-                "progress",
-                obj([
-                    ("jobs", n(self.progress.len() as u64)),
-                    (
-                        "updates",
-                        n(self.progress.iter().map(|p| p.updates).sum::<u64>()),
-                    ),
-                    (
-                        "dropped",
-                        n(self.progress.iter().map(|p| p.dropped).sum::<u64>()),
-                    ),
-                    (
-                        "digest",
-                        Json::Str(
-                            self.progress
-                                .first()
-                                .map_or_else(|| "-".into(), |p| format!("{:016x}", p.digest)),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "wall",
-                obj([
-                    ("queue_us_p50", Json::Num(pct("serve.queue_us", 50.0))),
-                    ("queue_us_p99", Json::Num(pct("serve.queue_us", 99.0))),
-                    ("service_us_p50", Json::Num(pct("serve.service_us", 50.0))),
-                    ("service_us_p99", Json::Num(pct("serve.service_us", 99.0))),
-                ]),
-            ),
+            ("jobs", obj(jobs)),
+            ("phases", Json::Obj(phases)),
+            ("backoff_ms", Json::Obj(schedules)),
+            ("progress", Json::Arr(probes)),
         ])
         .render_pretty()
     }
 
-    /// The full human-readable drill report: degradation table, the
-    /// deterministic summary, and the informational latency lines.
+    /// The human-readable drill report: the degradation table, the
+    /// informational cache and latency lines, and the verdict. The
+    /// deterministic facts beyond the table live in
+    /// [`DrillReport::to_bench_json`].
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.table());
-        out.push_str(&self.deterministic_summary());
         let _ = writeln!(
             out,
             "cache (informational): hits={} disk_hits={}",
@@ -757,8 +702,8 @@ pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
     // drill-wide miss count stays pinned). Each stream must be strictly
     // monotonic and drop-free, and — same request against the same
     // engine state — all three must digest identically; the digests
-    // land in the deterministic summary, so same-seed replays are held
-    // to byte-identical progress.
+    // land in the drill document, so same-seed replays are held to
+    // byte-identical progress.
     let mut counts = PhaseCounts::default();
     let mut progress = Vec::new();
     for ordinal in 0..3u64 {
@@ -891,7 +836,7 @@ mod tests {
             metrics: MetricsRegistry::new(),
         };
         let text = report.render();
-        assert!(text.contains("phase nominal"), "{text}");
+        assert!(text.contains("nominal"), "{text}");
         assert!(text.contains("verdict: FAIL"), "{text}");
         assert!(
             report
@@ -907,13 +852,20 @@ mod tests {
             Some(DRILL_SCHEMA_VERSION as f64)
         );
         assert!(parsed.get("jobs").is_some());
-        assert!(parsed.get("wall").is_some());
+        let nominal = parsed.get("phases").and_then(|p| p.get("nominal"));
         assert_eq!(
-            parsed
-                .get("progress")
-                .and_then(|p| p.get("jobs"))
+            nominal
+                .and_then(|c| c.get("cancelled"))
                 .and_then(Json::as_num),
             Some(1.0)
+        );
+        let probes = parsed.get("progress").and_then(Json::as_arr);
+        assert_eq!(probes.map(<[Json]>::len), Some(1));
+        let probe = &probes.unwrap()[0];
+        assert_eq!(probe.get("monotonic"), Some(&Json::Bool(true)));
+        assert_eq!(
+            probe.get("digest").and_then(Json::as_str),
+            Some(format!("{FNV1A_OFFSET:016x}").as_str())
         );
         let stats = report.stats_json();
         assert!(

@@ -290,14 +290,35 @@ pub fn request_to_json(req: &JobRequest) -> String {
     obj(fields).render()
 }
 
-/// Parses one request line.
+/// One line a client may send: a job submission or a server-wide stats
+/// snapshot request (`{"op": "stats"}` — answered inline on the
+/// connection, never queued).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Request {
+    /// Submit a job through the fair queue.
+    Job(JobRequest),
+    /// Snapshot the server's metrics registry.
+    Stats,
+}
+
+/// The stats request as one JSON line (no trailing newline).
+pub fn stats_request_json() -> String {
+    obj([("op", Json::Str("stats".into()))]).render()
+}
+
+/// Parses any client line from its one parsed tree: `stats` requests
+/// are recognized before job decoding (they carry no
+/// `tenant`/`network`).
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the malformed field; the
 /// server answers such lines with [`ServeError::Rejected`].
-pub fn request_from_json(line: &str) -> Result<JobRequest, String> {
+pub fn parse_request(line: &str) -> Result<Request, String> {
     let doc = json::parse(line)?;
+    if doc.get("op").and_then(Json::as_str) == Some("stats") {
+        return Ok(Request::Stats);
+    }
     let tenant = doc.str_field("tenant")?.to_string();
     let network = doc.str_field("network")?.to_string();
     let kind = match doc.str_field("op")? {
@@ -327,43 +348,13 @@ pub fn request_from_json(line: &str) -> Result<JobRequest, String> {
         }),
     };
     let progress = doc.optional("progress", Json::bool_field)?.unwrap_or(false);
-    Ok(JobRequest {
+    Ok(Request::Job(JobRequest {
         tenant,
         kind,
         deadline_ms,
         chaos,
         progress,
-    })
-}
-
-/// One line a client may send: a job submission or a server-wide stats
-/// snapshot request (`{"op": "stats"}` — answered inline on the
-/// connection, never queued).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Submit a job through the fair queue.
-    Job(JobRequest),
-    /// Snapshot the server's metrics registry.
-    Stats,
-}
-
-/// The stats request as one JSON line (no trailing newline).
-pub fn stats_request_json() -> String {
-    obj([("op", Json::Str("stats".into()))]).render()
-}
-
-/// Parses any client line: `stats` requests are recognized before job
-/// parsing (they carry no `tenant`/`network`).
-///
-/// # Errors
-///
-/// See [`request_from_json`].
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    let doc = json::parse(line)?;
-    if doc.get("op").and_then(Json::as_str) == Some("stats") {
-        return Ok(Request::Stats);
-    }
-    request_from_json(line).map(Request::Job)
+    }))
 }
 
 /// Renders a result as one JSON line (no trailing newline).
@@ -797,10 +788,18 @@ pub fn server_line_from_json(line: &str) -> Result<ServerLine, String> {
 mod tests {
     use super::*;
 
+    /// Parses a job line; a stats request fails the test.
+    fn parse_job(line: &str) -> Result<JobRequest, String> {
+        match parse_request(line)? {
+            Request::Job(job) => Ok(job),
+            Request::Stats => panic!("`{line}` parsed as a stats request"),
+        }
+    }
+
     fn round_trip_request(req: JobRequest) {
         let line = request_to_json(&req);
         assert!(!line.contains('\n'), "one request per line: {line}");
-        assert_eq!(request_from_json(&line).expect(&line), req);
+        assert_eq!(parse_job(&line).expect(&line), req);
     }
 
     fn round_trip_result(res: JobResult) {
@@ -877,10 +876,10 @@ mod tests {
 
     #[test]
     fn malformed_lines_are_described_not_panicked() {
-        assert!(request_from_json("not json").is_err());
-        assert!(request_from_json("{}").is_err());
+        assert!(parse_job("not json").is_err());
+        assert!(parse_job("{}").is_err());
         assert!(
-            request_from_json("{\"tenant\": \"a\", \"op\": \"fry\", \"network\": \"x\"}")
+            parse_job("{\"tenant\": \"a\", \"op\": \"fry\", \"network\": \"x\"}")
                 .unwrap_err()
                 .contains("unknown op")
         );
@@ -920,7 +919,7 @@ mod tests {
     #[test]
     fn out_of_range_wire_counts_are_rejected_not_wrapped() {
         let chaos = |panics: &str| {
-            request_from_json(&format!(
+            parse_job(&format!(
                 "{{\"tenant\": \"a\", \"op\": \"compile\", \"network\": \"cnn-s\", \
                  \"chaos\": {{\"panic_attempts\": {panics}, \"fail_attempts\": 0, \
                  \"stall_ms\": \"0\"}}}}"
@@ -940,7 +939,7 @@ mod tests {
             assert!(err.contains("`panic_attempts`"), "{bad}: {err}");
         }
         let kill = |tile: &str| {
-            request_from_json(&format!(
+            parse_job(&format!(
                 "{{\"tenant\": \"a\", \"op\": \"resilient\", \"network\": \"cnn-s\", \
                  \"plan_seed\": \"1\", \"kill_tile\": {tile}}}"
             ))
@@ -981,7 +980,7 @@ mod tests {
         );
         assert!(!request_to_json(&plain).contains("progress"));
         round_trip_request(plain);
-        assert!(request_from_json(
+        assert!(parse_job(
             "{\"tenant\": \"a\", \"op\": \"compile\", \"network\": \"x\", \"progress\": 7}"
         )
         .unwrap_err()

@@ -1,8 +1,8 @@
 //! Chaos-drill integration: the scripted storm (worker kills mid-job,
 //! transient faults, stalls, cancellation, 4× overload) must degrade
 //! gracefully — every job resolves success-or-typed-error within its
-//! deadline — and the deterministic half of the verdict must replay
-//! byte-identically under the same seed.
+//! deadline — and the drill document must replay byte-identically under
+//! the same seed.
 
 use scaledeep_serve::{run_drill, DrillConfig};
 use std::time::{Duration, Instant};
@@ -48,14 +48,23 @@ fn chaos_drill_degrades_gracefully_and_replays_per_seed() {
         "drill must not hang"
     );
 
-    // Same seed, same deterministic verdict — including the per-job
-    // retry/backoff schedules.
+    // Same seed, same document — including the per-job retry/backoff
+    // schedules.
     let second = run_drill(&cfg);
-    assert_eq!(
-        first.deterministic_summary(),
-        second.deterministic_summary()
-    );
+    assert_eq!(first.to_bench_json(), second.to_bench_json());
     assert_eq!(first.schedules, second.schedules);
+}
+
+#[test]
+fn same_seed_drill_documents_are_byte_equal_and_carry_no_host_time() {
+    let cfg = DrillConfig {
+        seed: 7,
+        ..DrillConfig::default()
+    };
+    let first = run_drill(&cfg).to_bench_json();
+    let second = run_drill(&cfg).to_bench_json();
+    assert_eq!(first, second, "same seed, same document bytes");
+    assert!(!first.contains("\"wall\""), "host time leaked: {first}");
 }
 
 #[test]
@@ -83,5 +92,18 @@ fn drill_bench_json_is_versioned_and_seed_stable() {
         Some(3.0)
     );
     assert_eq!(jobs.get("cache_misses").and_then(|v| v.as_num()), Some(4.0));
-    assert!(parsed.get("wall").is_some(), "informational wall group");
+    let phases = parsed.get("phases").expect("per-phase counts");
+    assert_eq!(
+        phases
+            .get("overload")
+            .and_then(|c| c.get("shed"))
+            .and_then(|v| v.as_num()),
+        Some(24.0)
+    );
+    let probes = parsed.get("progress").and_then(|p| p.as_arr());
+    assert_eq!(
+        probes.map(|p| p.len()),
+        Some(3),
+        "one probe per watched job"
+    );
 }

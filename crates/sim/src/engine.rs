@@ -1,6 +1,6 @@
 //! Discrete-event simulation core shared by both simulators:
 //! a monotonic event queue, a park/wake table for threads blocked on
-//! address-range conditions, and busy-time resource accounting.
+//! address-range conditions, and a cycle-budget watchdog.
 //!
 //! The performance model ([`crate::perf`]) uses [`EventQueue`] only for
 //! recorded runs, whose trace events must come out in emission order;
@@ -282,56 +282,6 @@ impl Watchdog {
     }
 }
 
-/// Busy-time accounting for one resource (a PE array, an SFU pool, a link
-/// class): accumulates busy cycles and reports utilization over a window.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BusyTracker {
-    busy: f64,
-    window_start: Cycle,
-}
-
-impl BusyTracker {
-    /// A fresh tracker with its window starting at `start`.
-    pub fn new(start: Cycle) -> Self {
-        Self {
-            busy: 0.0,
-            window_start: start,
-        }
-    }
-
-    /// Records `cycles` of busy time (fractional cycles allowed — a
-    /// resource serving at partial width accumulates partial busy time).
-    pub fn add(&mut self, cycles: f64) {
-        debug_assert!(cycles >= 0.0, "negative busy time");
-        self.busy += cycles;
-    }
-
-    /// Accumulated busy cycles.
-    pub fn busy(&self) -> f64 {
-        self.busy
-    }
-
-    /// Utilization over `[window_start, now]`, clamped to `[0, 1]`.
-    /// Returns `0.0` (never NaN or inf) for an empty or inverted window
-    /// (`now <= window_start`); accumulation error or double-charging
-    /// that pushes busy time past the elapsed window reports `1.0`.
-    pub fn utilization(&self, now: Cycle) -> f64 {
-        let elapsed = now.saturating_sub(self.window_start);
-        if elapsed == 0 {
-            0.0
-        } else {
-            (self.busy / elapsed as f64).clamp(0.0, 1.0)
-        }
-    }
-
-    /// Restarts the measurement window at `now`, discarding history
-    /// (used to skip pipeline warm-up).
-    pub fn reset(&mut self, now: Cycle) {
-        self.busy = 0.0;
-        self.window_start = now;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,49 +431,6 @@ mod tests {
         assert!(!w.expired(100), "dispatch at the budget cycle is allowed");
         assert!(w.expired(101));
         assert_eq!(w.budget(), Some(100));
-    }
-
-    #[test]
-    fn busy_tracker_measures_utilization() {
-        let mut b = BusyTracker::new(100);
-        b.add(25.0);
-        b.add(25.0);
-        assert!((b.utilization(200) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn busy_tracker_reset_discards_history() {
-        let mut b = BusyTracker::new(0);
-        b.add(1000.0);
-        b.reset(1000);
-        assert_eq!(b.busy(), 0.0);
-        b.add(10.0);
-        assert!((b.utilization(1100) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_window_is_zero_utilization() {
-        let b = BusyTracker::new(50);
-        assert_eq!(b.utilization(50), 0.0);
-    }
-
-    #[test]
-    fn utilization_is_finite_when_now_precedes_window() {
-        let mut b = BusyTracker::new(100);
-        b.add(40.0);
-        // `now` before the window start: elapsed saturates to 0, and the
-        // accumulated busy time must not turn that into inf or NaN.
-        assert_eq!(b.utilization(50), 0.0);
-        assert_eq!(b.utilization(100), 0.0);
-    }
-
-    #[test]
-    fn utilization_clamps_busy_exceeding_elapsed() {
-        let mut b = BusyTracker::new(0);
-        // Double-charged busy time (e.g. two resources folded into one
-        // tracker) must cap at 100%, not report >1.
-        b.add(300.0);
-        assert_eq!(b.utilization(100), 1.0);
     }
 
     #[test]

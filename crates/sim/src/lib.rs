@@ -4,8 +4,9 @@
 //! [`EventQueue`] (time-ordered dispatch with free-list slot recycling
 //! and FIFO tie-breaking), a [`WaitMap`] (threads park on tracker
 //! address-range conditions and are woken only by the update that
-//! satisfies them — never re-polled), and a [`BusyTracker`] (shared
-//! resource accounting).
+//! satisfies them — never re-polled). Busy time is each model's own
+//! record: a perf stage's is `NodeOutcome::stage_busy`, a functional
+//! tile's is its [`TileStats`].
 //!
 //! * [`perf`] — the **performance simulator**: an event-driven model of the
 //!   nested pipeline (paper §3.2.3) over a compiled [`Mapping`]. It models
@@ -40,7 +41,7 @@
 //! [`Mapping`]: scaledeep_compiler::Mapping
 //! [`EventQueue`]: engine::EventQueue
 //! [`WaitMap`]: engine::WaitMap
-//! [`BusyTracker`]: engine::BusyTracker
+//! [`TileStats`]: func::TileStats
 //! [`CycleCosts`]: func::CycleCosts
 
 #![forbid(unsafe_code)]
