@@ -118,12 +118,6 @@ impl DesignPoint {
         self.power_model().node.peak_watts
     }
 
-    /// Derived quantity: peak processing efficiency in GFLOPS/W
-    /// (Figure 14's 485.7 for the SP point).
-    pub fn peak_gflops_per_watt(&self) -> f64 {
-        self.peak_flops() / self.peak_power_watts() / 1e9
-    }
-
     /// Streams the canonical JSON text into `out`: the knobs only, in a
     /// fixed field order, so that equal configurations write
     /// byte-identical text. Derived quantities are deliberately excluded —
@@ -226,11 +220,7 @@ fn node_from_json(v: &Json) -> std::result::Result<NodeConfig, String> {
         },
         ring_bw: v.num_field("ring_bw")?,
         frequency_mhz: v.num_field("frequency_mhz")?,
-        precision: match v.str_field("precision")? {
-            "single" => Precision::Single,
-            "half" => Precision::Half,
-            other => return Err(format!("unknown precision {other:?}")),
-        },
+        precision: Precision::parse(v.str_field("precision")?)?,
     })
 }
 
@@ -600,16 +590,14 @@ impl KnobValue {
     /// Returns [`Error::InvalidConfig`] for non-numeric, non-precision
     /// input.
     pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "single" => Ok(KnobValue::Prec(Precision::Single)),
-            "half" => Ok(KnobValue::Prec(Precision::Half)),
-            other => other
-                .parse::<f64>()
-                .ok()
-                .filter(|n| n.is_finite())
-                .map(KnobValue::Num)
-                .ok_or_else(|| bad(format!("knob value {other:?} is not a finite number"))),
+        if let Ok(p) = Precision::parse(s) {
+            return Ok(KnobValue::Prec(p));
         }
+        s.parse::<f64>()
+            .ok()
+            .filter(|n| n.is_finite())
+            .map(KnobValue::Num)
+            .ok_or_else(|| bad(format!("knob value {s:?} is not a finite number")))
     }
 }
 
@@ -1017,7 +1005,8 @@ mod tests {
         assert_eq!(sp.total_tiles(), 7032);
         assert!((sp.peak_flops() / 1e12 - 680.0).abs() < 5.0);
         assert_eq!(sp.peak_power_watts(), 1400.0);
-        assert!((sp.peak_gflops_per_watt() - 485.7).abs() < 5.0);
+        // Figure 14's 485.7 GFLOPS/W peak efficiency.
+        assert!((sp.peak_flops() / sp.peak_power_watts() / 1e9 - 485.7).abs() < 5.0);
         let hp = sp.derive_half_precision();
         assert!((hp.peak_flops() / 1e15 - 1.35).abs() < 0.01);
         assert_eq!(hp.peak_power_watts(), 1400.0);

@@ -32,6 +32,18 @@ impl Precision {
             Precision::Half => "half",
         }
     }
+
+    /// The precision [`Precision::name`] spells `name`.
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown precision.
+    pub fn parse(name: &str) -> std::result::Result<Precision, String> {
+        [Precision::Single, Precision::Half]
+            .into_iter()
+            .find(|p| p.name() == name)
+            .ok_or_else(|| format!("unknown precision `{name}`"))
+    }
 }
 
 impl fmt::Display for Precision {

@@ -79,6 +79,17 @@ impl PowerBreakdown {
     pub fn total(&self) -> f64 {
         self.compute_watts + self.memory_watts + self.interconnect_watts
     }
+
+    /// Energy over a `seconds`-long interval at this average power, split
+    /// by subsystem; a negative interval counts as zero.
+    pub fn energy_over(&self, seconds: f64) -> EnergyBreakdown {
+        let seconds = seconds.max(0.0);
+        EnergyBreakdown {
+            compute_joules: self.compute_watts * seconds,
+            memory_joules: self.memory_watts * seconds,
+            interconnect_joules: self.interconnect_watts * seconds,
+        }
+    }
 }
 
 impl fmt::Display for PowerBreakdown {
@@ -201,21 +212,6 @@ impl PowerModel {
     pub fn node_efficiency(&self, achieved_flops_per_s: f64, util: UtilizationProfile) -> f64 {
         achieved_flops_per_s / self.average_node_power(util).total()
     }
-
-    /// Node energy over a `seconds`-long interval at a *measured*
-    /// utilization profile: average power integrated over time, split by
-    /// subsystem. This is the measured counterpart to the assumed-profile
-    /// power figures — the attribution layer feeds it the utilizations the
-    /// simulator actually observed.
-    pub fn node_energy(&self, util: UtilizationProfile, seconds: f64) -> EnergyBreakdown {
-        let seconds = seconds.max(0.0);
-        let p = self.average_node_power(util);
-        EnergyBreakdown {
-            compute_joules: p.compute_watts * seconds,
-            memory_joules: p.memory_watts * seconds,
-            interconnect_joules: p.interconnect_watts * seconds,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -292,7 +288,7 @@ mod tests {
             interconnect: 0.5,
         };
         let p = pm.average_node_power(util);
-        let e = pm.node_energy(util, 2.0);
+        let e = pm.average_node_power(util).energy_over(2.0);
         assert!((e.compute_joules - 2.0 * p.compute_watts).abs() < 1e-9);
         assert!((e.memory_joules - 2.0 * p.memory_watts).abs() < 1e-9);
         assert!((e.interconnect_joules - 2.0 * p.interconnect_watts).abs() < 1e-9);
@@ -306,13 +302,13 @@ mod tests {
             compute: 0.0,
             interconnect: 0.0,
         };
-        let e = pm.node_energy(idle, 1.0);
+        let e = pm.average_node_power(idle).energy_over(1.0);
         assert_eq!(e.compute_joules, 0.0);
         assert_eq!(e.interconnect_joules, 0.0);
         assert!(e.memory_joules > 0.0);
         // Negative durations clamp to zero rather than producing
         // negative joules.
-        assert_eq!(pm.node_energy(idle, -1.0).total(), 0.0);
+        assert_eq!(pm.average_node_power(idle).energy_over(-1.0).total(), 0.0);
     }
 
     #[test]
@@ -326,7 +322,7 @@ mod tests {
 
         // At zero utilization only memory leakage accrues; at peak the
         // energy equals peak power × time exactly.
-        let e0 = pm.node_energy(idle, 3.0);
+        let e0 = pm.average_node_power(idle).energy_over(3.0);
         assert_eq!(e0.compute_joules, 0.0);
         assert_eq!(e0.interconnect_joules, 0.0);
         assert_eq!(
@@ -334,18 +330,18 @@ mod tests {
             pm.node.peak_watts * pm.node.frac_mem * 3.0
         );
 
-        let e1 = pm.node_energy(peak, 3.0);
+        let e1 = pm.average_node_power(peak).energy_over(3.0);
         assert!((e1.total() - pm.node.peak_watts * 3.0).abs() < 1e-9);
 
         // Zero-length intervals cost nothing at any utilization.
-        assert_eq!(pm.node_energy(peak, 0.0).total(), 0.0);
+        assert_eq!(pm.average_node_power(peak).energy_over(0.0).total(), 0.0);
 
         // Out-of-range profiles clamp to [0, 1] rather than extrapolating.
         let over = UtilizationProfile {
             compute: 2.0,
             interconnect: -1.0,
         };
-        let eo = pm.node_energy(over, 3.0);
+        let eo = pm.average_node_power(over).energy_over(3.0);
         assert_eq!(eo.compute_joules, e1.compute_joules);
         assert_eq!(eo.interconnect_joules, 0.0);
     }
@@ -378,9 +374,9 @@ mod tests {
 
     #[test]
     fn node_energy_tracks_the_measured_profile_path() {
-        // The attribution layer feeds node_energy the profile the
-        // simulator measured; energy must scale linearly in each axis of
-        // that profile independently.
+        // The run record prices energy at the profile the simulator
+        // measured; energy must scale linearly in each axis of that
+        // profile independently.
         let pm = PowerModel::paper_sp();
         let lo = UtilizationProfile {
             compute: 0.2,
@@ -390,8 +386,8 @@ mod tests {
             compute: 0.4,
             interconnect: 0.8,
         };
-        let e_lo = pm.node_energy(lo, 1.0);
-        let e_hi = pm.node_energy(hi, 1.0);
+        let e_lo = pm.average_node_power(lo).energy_over(1.0);
+        let e_hi = pm.average_node_power(hi).energy_over(1.0);
         assert!((e_hi.compute_joules - 2.0 * e_lo.compute_joules).abs() < 1e-9);
         assert!((e_hi.interconnect_joules - 2.0 * e_lo.interconnect_joules).abs() < 1e-9);
         assert_eq!(e_hi.memory_joules, e_lo.memory_joules);

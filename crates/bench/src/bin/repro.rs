@@ -302,17 +302,10 @@ impl<'a> Args<'a> {
     }
 
     fn kind(&self, flag: &str) -> Result<RunKind, String> {
-        let name = self.get(flag, "training");
-        let kind = RUN_KINDS.iter().find(|&&(n, _)| n == name).map(|k| k.1);
-        kind.ok_or_else(|| format!("unknown run kind `{name}` (expected training|evaluation)"))
+        RunKind::parse(self.get(flag, "training"))
+            .map_err(|e| format!("{e} (expected training|evaluation)"))
     }
 }
-
-/// The run kinds `--kind` and `--bench-kind` name.
-const RUN_KINDS: [(&str, RunKind); 2] = [
-    ("training", RunKind::Training),
-    ("evaluation", RunKind::Evaluation),
-];
 
 /// One invocation: its mode and that mode's typed inputs, in the order
 /// its handler takes them.
@@ -921,7 +914,7 @@ fn write_dse(report: &DseReport, out: &mut dyn Write) -> io::Result<()> {
         "dse {} ({}, {}): {} point(s), {} distinct design point(s)",
         report.suite,
         report.network,
-        report.kind,
+        report.kind.name(),
         report.points.len(),
         report.unique_compiles
     ))
@@ -962,7 +955,7 @@ fn dse_check(path: &str, workers: usize, out: &mut dyn Write) -> Outcome {
         .ok_or_else(|| format!("{path}: unknown benchmark `{}`", baseline.network))?;
     let cfg = DseConfig {
         suite: baseline.suite.clone(),
-        kind: baseline.run_kind()?,
+        kind: baseline.kind,
         expansion: baseline.expansion,
         workers,
         ..DseConfig::default()
@@ -988,14 +981,11 @@ fn bench_json(name: &str, kind: RunKind, path: &str, out: &mut dyn Write) -> Out
     std::fs::write(path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
 
     let attr = &report.attribution;
-    let kind_name = RUN_KINDS
-        .iter()
-        .find(|&&(_, k)| k == kind)
-        .map_or("", |k| k.0);
     writeln!(
         out,
-        "{name} ({kind_name}): {} busy cycles over {} stages, {:.0} images/s, {:.3} J/image",
-        attr.total_busy_cycles,
+        "{name} ({}): {} busy cycles over {} stages, {:.0} images/s, {:.3} J/image",
+        kind.name(),
+        report.perf.busy_cycles(),
         attr.layers.len(),
         report.perf.images_per_sec,
         report.perf.joules_per_image

@@ -202,16 +202,7 @@ fn provenance_to_json(p: &Provenance) -> Json {
         ("net_fingerprint", Json::decimal(p.net_fingerprint)),
         ("node_fingerprint", Json::decimal(p.node_fingerprint)),
         ("design", p.design.to_json()),
-        (
-            "precision",
-            Json::Str(
-                match p.precision {
-                    Precision::Single => "single",
-                    Precision::Half => "half",
-                }
-                .into(),
-            ),
-        ),
+        ("precision", Json::Str(p.precision.name().into())),
         (
             "failed_cols",
             Json::Arr(p.failed.columns().map(Json::count).collect()),
@@ -261,11 +252,7 @@ fn provenance(r: &mut Reader) -> Decoded<Provenance> {
             design.fingerprint()
         ));
     }
-    let precision = match &*r.field("precision")?.str()? {
-        "single" => Precision::Single,
-        "half" => Precision::Half,
-        other => return Err(format!("unknown precision `{other}`")),
-    };
+    let precision = Precision::parse(&r.field("precision")?.str()?)?;
     let cols = r.field("failed_cols")?.array(Reader::count)?;
     let tiles = r.field("failed_func_tiles")?.array(Reader::count)?;
     Ok(Provenance {

@@ -206,38 +206,6 @@ impl LayerPlan {
         self.comp_flops.iter().sum()
     }
 
-    /// Total SFU FLOPs per image over a full training iteration.
-    pub fn mem_flops_training(&self) -> u64 {
-        self.mem_flops.iter().sum()
-    }
-
-    /// The concrete home tiles of this layer's features (STEP 4): the
-    /// first `tiles_used` MemHeavy tiles of its column range, walked
-    /// column-major. Layers sharing a column group return overlapping
-    /// coordinates — they time-multiplex the same tiles.
-    ///
-    /// Returns an empty vector for [`Placement::Inline`] and FC-side
-    /// layers (hub-chip tile coordinates use a separate numbering).
-    pub fn home_tiles(&self, cols_per_chip: usize, rows: usize) -> Vec<TileCoord> {
-        let Placement::Conv { first_col, cols } = self.placement else {
-            return Vec::new();
-        };
-        let mut tiles = Vec::with_capacity(self.tiles_used);
-        'outer: for c in first_col..first_col + cols {
-            for row in 0..rows {
-                if tiles.len() == self.tiles_used {
-                    break 'outer;
-                }
-                tiles.push(TileCoord {
-                    chip: c / cols_per_chip.max(1),
-                    col: c % cols_per_chip.max(1),
-                    row,
-                });
-            }
-        }
-        tiles
-    }
-
     /// Fraction of the layer's MemHeavy tiles holding features
     /// (Figure 19's second utilization factor).
     pub fn feature_distribution_util(&self) -> f64 {
@@ -676,46 +644,6 @@ mod tests {
             assert!(m.conv_cols_used() > 0, "{name}");
             assert!(m.fc_cols_used() > 0, "{name}");
         }
-    }
-
-    #[test]
-    fn home_tiles_stay_within_the_allocation() {
-        let node = presets::single_precision();
-        let net = zoo::alexnet();
-        let m = Compiler::new(&node).map(&net).unwrap();
-        let cols_per_chip = node.cluster.conv_chip.cols;
-        let rows = node.cluster.conv_chip.rows;
-        for p in m.conv_plans() {
-            let name = m.layer_name(p.id);
-            let tiles = p.home_tiles(cols_per_chip, rows);
-            assert_eq!(tiles.len(), p.tiles_used, "{name}");
-            let Placement::Conv { first_col, cols } = p.placement else {
-                unreachable!()
-            };
-            for t in &tiles {
-                let global_col = t.chip * cols_per_chip + t.col;
-                assert!(
-                    (first_col..first_col + cols).contains(&global_col),
-                    "{name}: tile outside its columns"
-                );
-                assert!(t.row < rows);
-                assert!(t.chip < m.chips_spanned());
-            }
-            // Coordinates are unique per layer.
-            let mut sorted = tiles.clone();
-            sorted.sort_unstable_by_key(|t| (t.chip, t.col, t.row));
-            sorted.dedup();
-            assert_eq!(sorted.len(), tiles.len(), "{name}");
-        }
-    }
-
-    #[test]
-    fn fc_layers_have_no_conv_home_tiles() {
-        let node = presets::single_precision();
-        let net = zoo::alexnet();
-        let m = Compiler::new(&node).map(&net).unwrap();
-        let f6 = m.plan(net.node_by_name("f6").unwrap().id());
-        assert!(f6.home_tiles(16, 6).is_empty());
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! measured instead of assumed).
 //!
 //! The *measured* quantities come from the run's typed record,
-//! [`PerfResult`] (per-stage busy cycles and tier bytes, the window, the
-//! sync cycles, the stage-occupancy histogram), which a traced run's [`MetricsRegistry`](scaledeep_trace::MetricsRegistry)
-//! renders under the `perf.*` names; the *analytic* quantities (per-pass FLOP weights,
+//! [`PerfResult`](scaledeep_sim::perf::PerfResult) (per-stage busy cycles
+//! and tier bytes, the node energy per image), which a traced run's
+//! [`MetricsRegistry`](scaledeep_trace::MetricsRegistry) renders under the
+//! `perf.*` names. The tree holds only what it derives; whole-run numbers
+//! (window, syncs, occupancy, energy) are read off the record itself.
+//! The *analytic* quantities (per-pass FLOP weights,
 //! Bytes/FLOP) come from the mapping's [`LayerPlan`](scaledeep_compiler::LayerPlan)s and the
 //! [`scaledeep_dnn`] analysis. Cycles are split by apportioning each
 //! stage's measured busy total across analytic weights with a
@@ -18,11 +21,11 @@
 
 use crate::session::TracedRun;
 use crate::{Error, Result};
-use scaledeep_arch::{EnergyBreakdown, NodeConfig, UtilizationProfile};
+use scaledeep_arch::NodeConfig;
 use scaledeep_compiler::CompiledArtifact;
-use scaledeep_dnn::{Network, Step};
+use scaledeep_dnn::Network;
 pub use scaledeep_sim::perf::TierBytes;
-use scaledeep_sim::perf::{stage_name, stage_plans, PerfResult, RunKind};
+use scaledeep_sim::perf::{stage_name, stage_plans};
 
 /// Which side of the roofline a layer lands on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,49 +100,22 @@ pub struct LayerAttribution {
     pub bytes_per_flop: f64,
     /// Roofline classification against the node's ridge point.
     pub bound: RooflineBound,
-    /// Energy share in joules per image (busy-cycle share of the
-    /// measured node energy).
+    /// Energy share in joules per image (busy-cycle share of the run
+    /// record's [`PerfResult::energy_per_image`](scaledeep_sim::perf::PerfResult::energy_per_image)).
     pub joules_per_image: f64,
 }
 
-/// Histogram percentiles of the per-visit stage occupancy.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct OccupancyPercentiles {
-    /// Median service cycles per stage visit.
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// 99th percentile.
-    pub p99: f64,
-}
-
-/// The full measured attribution of one traced performance run.
+/// The measured attribution of one performance run: what the tree
+/// derives from the run record, and nothing the record already holds.
+/// Per-layer busy cycles sum exactly to the record's stage busy total;
+/// sync cycles sit outside the tree (syncs serialize the whole pipeline).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Attribution {
-    /// The simulated network.
-    pub network: String,
-    /// Training or evaluation.
-    pub kind: RunKind,
-    /// Sum of every stage's measured busy cycles — per-layer cycles sum
-    /// to this exactly, by construction.
-    pub total_busy_cycles: u64,
-    /// Steady-state measurement window in cycles.
-    pub window_cycles: u64,
-    /// Images completed inside the window.
-    pub images_done: u64,
-    /// Cycles spent in minibatch gradient-sync barriers (outside the
-    /// per-layer tree: syncs serialize the whole pipeline).
-    pub sync_cycles: u64,
     /// Per-stage attribution, pipeline order.
     pub layers: Vec<LayerAttribution>,
-    /// Node energy per image at the *measured* utilization profile.
-    pub energy_per_image: EnergyBreakdown,
     /// The node's ridge operational intensity (FLOPs/byte) separating
     /// compute- from bandwidth-bound layers.
     pub ridge_intensity: f64,
-    /// Percentiles of the run's stage-occupancy histogram
-    /// (`perf.stage.occupancy`).
-    pub occupancy: OccupancyPercentiles,
 }
 
 impl Attribution {
@@ -163,7 +139,6 @@ impl Attribution {
     ) -> Result<Attribution> {
         let mapping = artifact.mapping();
         let perf = &traced.perf;
-        let kind = perf.kind;
         let analysis = net.analyze_with_elem_bytes(mapping.elem_bytes());
 
         // The ridge point: node peak FLOP/s over the aggregate operand-
@@ -182,14 +157,9 @@ impl Attribution {
                 + chip_stream_bw(&cluster.fc_chip));
         let ridge_intensity = node.peak_flops() / stream_bw.max(1e-9);
 
-        let energy_per_image = measured_energy_per_image(perf, node);
-
-        let total_busy: u64 = perf.stages.iter().map(|s| s.busy_cycles).sum();
-
-        let steps: &[Step] = match kind {
-            RunKind::Training => &Step::ALL,
-            RunKind::Evaluation => &[Step::Fp],
-        };
+        let joules_per_image = perf.energy_per_image().total();
+        let total_busy = perf.busy_cycles();
+        let steps = perf.kind.steps();
 
         let mut layers = Vec::with_capacity(perf.stages.len());
         for (i, stage) in perf.stages.iter().enumerate() {
@@ -211,25 +181,15 @@ impl Attribution {
             let mut comp_w = 0.0f64;
             let mut mem_w = 0.0f64;
             for plan in members.clone() {
-                for (p, w) in pass_w.iter_mut().enumerate() {
-                    let active = match kind {
-                        RunKind::Training => true,
-                        RunKind::Evaluation => p == 0,
-                    };
-                    if active {
-                        *w += (plan.comp_flops[p] + plan.mem_flops[p]) as f64;
-                    }
+                let (mut comp, mut mem) = (0u64, 0u64);
+                for &s in steps {
+                    let p = s as usize;
+                    pass_w[p] += (plan.comp_flops[p] + plan.mem_flops[p]) as f64;
+                    comp += plan.comp_flops[p];
+                    mem += plan.mem_flops[p];
                 }
-                match kind {
-                    RunKind::Training => {
-                        comp_w += plan.comp_flops_training() as f64;
-                        mem_w += plan.mem_flops_training() as f64;
-                    }
-                    RunKind::Evaluation => {
-                        comp_w += plan.comp_flops[0] as f64;
-                        mem_w += plan.mem_flops[0] as f64;
-                    }
-                }
+                comp_w += comp as f64;
+                mem_w += mem as f64;
             }
             let split = apportion(busy, &pass_w);
             let passes = PassSplit {
@@ -270,10 +230,10 @@ impl Attribution {
                 RooflineBound::Bandwidth
             };
 
-            let joules_per_image = if total_busy == 0 {
+            let layer_joules = if total_busy == 0 {
                 0.0
             } else {
-                energy_per_image.total() * busy as f64 / total_busy as f64
+                joules_per_image * busy as f64 / total_busy as f64
             };
 
             layers.push(LayerAttribution {
@@ -287,57 +247,15 @@ impl Attribution {
                 flops,
                 bytes_per_flop,
                 bound,
-                joules_per_image,
+                joules_per_image: layer_joules,
             });
         }
 
-        let occupancy = OccupancyPercentiles {
-            p50: perf.occupancy.percentile(50.0),
-            p95: perf.occupancy.percentile(95.0),
-            p99: perf.occupancy.percentile(99.0),
-        };
-
         Ok(Attribution {
-            network: perf.network.clone(),
-            kind,
-            total_busy_cycles: total_busy,
-            window_cycles: perf.window_cycles,
-            images_done: perf.images_done,
-            sync_cycles: perf.sync_cycles,
             layers,
-            energy_per_image,
             ridge_intensity,
-            occupancy,
         })
     }
-}
-
-/// The utilization profile the run actually measured, reconstructed the
-/// same way the simulator's power assembly blends it: 2D-PE and SFU
-/// activity weighted by their peak-FLOP shares, interconnect as the mean
-/// of the on-chip link classes.
-pub fn measured_profile(perf: &PerfResult) -> UtilizationProfile {
-    use scaledeep_arch::LinkClass;
-    let on_chip = [LinkClass::CompMem, LinkClass::MemMem, LinkClass::ConvExtMem];
-    let interconnect = on_chip
-        .iter()
-        .map(|&c| perf.link_utilization(c))
-        .sum::<f64>()
-        / on_chip.len() as f64;
-    UtilizationProfile {
-        compute: 0.9 * perf.pe_utilization + 0.1 * perf.sfu_utilization,
-        interconnect,
-    }
-}
-
-/// Node energy per image at the run's measured utilization profile
-/// ([`measured_profile`]), under the power model of the node's precision:
-/// the [`Attribution::energy_per_image`] of the run, and what a DSE point
-/// reports without building the tree.
-pub fn measured_energy_per_image(perf: &PerfResult, node: &NodeConfig) -> EnergyBreakdown {
-    let seconds_per_image = 1.0 / perf.images_per_sec.max(1e-9);
-    node.power_model()
-        .node_energy(measured_profile(perf), seconds_per_image)
 }
 
 /// Splits `total` across `weights` proportionally, using the
@@ -388,15 +306,19 @@ mod tests {
     use super::*;
     use crate::{Session, TraceConfig};
     use scaledeep_dnn::zoo;
+    use scaledeep_sim::perf::{PerfResult, RunKind};
 
-    fn alexnet_attribution(kind: RunKind) -> Attribution {
+    /// AlexNet's attribution tree and the run record it was built from.
+    fn alexnet_attribution(kind: RunKind) -> (Attribution, PerfResult) {
         let session = Session::single_precision();
         let net = zoo::alexnet();
         let artifact = session.compile(&net).expect("alexnet maps");
         let traced = session
             .run_traced(&net, kind, &TraceConfig::default())
             .expect("alexnet simulates");
-        Attribution::build(&traced, &artifact, &net, session.node()).expect("attribution builds")
+        let attr = Attribution::build(&traced, &artifact, &net, session.node())
+            .expect("attribution builds");
+        (attr, traced.perf)
     }
 
     #[test]
@@ -417,10 +339,10 @@ mod tests {
 
     #[test]
     fn layer_cycles_sum_to_total_busy() {
-        let a = alexnet_attribution(RunKind::Training);
+        let (a, perf) = alexnet_attribution(RunKind::Training);
         let sum: u64 = a.layers.iter().map(|l| l.busy_cycles).sum();
-        assert_eq!(sum, a.total_busy_cycles);
-        assert!(a.total_busy_cycles > 0);
+        assert_eq!(sum, perf.busy_cycles());
+        assert!(perf.busy_cycles() > 0);
         for l in &a.layers {
             assert_eq!(l.passes.total(), l.busy_cycles, "{}", l.name);
             assert_eq!(
@@ -434,7 +356,7 @@ mod tests {
 
     #[test]
     fn training_attribution_has_all_three_passes() {
-        let a = alexnet_attribution(RunKind::Training);
+        let (a, _) = alexnet_attribution(RunKind::Training);
         let c1 = a.layers.iter().find(|l| l.name.starts_with("c1")).unwrap();
         assert!(c1.passes.fp > 0 && c1.passes.bp > 0 && c1.passes.wg > 0);
         assert!(c1.tile_classes.comp_heavy > c1.tile_classes.mem_heavy);
@@ -443,40 +365,42 @@ mod tests {
 
     #[test]
     fn evaluation_attribution_is_fp_only() {
-        let a = alexnet_attribution(RunKind::Evaluation);
+        let (a, perf) = alexnet_attribution(RunKind::Evaluation);
         for l in &a.layers {
             assert_eq!(l.passes.bp, 0, "{}", l.name);
             assert_eq!(l.passes.wg, 0, "{}", l.name);
             assert_eq!(l.passes.fp, l.busy_cycles, "{}", l.name);
         }
-        assert_eq!(a.sync_cycles, 0, "evaluation has no gradient syncs");
+        assert_eq!(perf.sync_cycles, 0, "evaluation has no gradient syncs");
     }
 
     #[test]
     fn energy_shares_sum_to_node_energy() {
-        let a = alexnet_attribution(RunKind::Training);
+        let (a, perf) = alexnet_attribution(RunKind::Training);
         let sum: f64 = a.layers.iter().map(|l| l.joules_per_image).sum();
+        let energy = perf.energy_per_image();
         assert!(
-            (sum - a.energy_per_image.total()).abs() < 1e-6 * a.energy_per_image.total(),
+            (sum - energy.total()).abs() < 1e-6 * energy.total(),
             "shares {sum} vs total {}",
-            a.energy_per_image.total()
+            energy.total()
         );
-        assert!(a.energy_per_image.memory_joules > 0.0);
+        assert!(energy.memory_joules > 0.0);
     }
 
     #[test]
     fn occupancy_percentiles_are_ordered() {
-        let a = alexnet_attribution(RunKind::Training);
-        assert!(a.occupancy.p50 > 0.0);
-        assert!(a.occupancy.p50 <= a.occupancy.p95);
-        assert!(a.occupancy.p95 <= a.occupancy.p99);
+        let (_, perf) = alexnet_attribution(RunKind::Training);
+        let p = |q| perf.occupancy.percentile(q);
+        assert!(p(50.0) > 0.0);
+        assert!(p(50.0) <= p(95.0));
+        assert!(p(95.0) <= p(99.0));
     }
 
     #[test]
     fn fc_layers_are_bandwidth_bound() {
         // FC layers stream huge weight matrices for few FLOPs — the
         // canonical bandwidth-bound case the roofline must catch.
-        let a = alexnet_attribution(RunKind::Training);
+        let (a, _) = alexnet_attribution(RunKind::Training);
         let f6 = a.layers.iter().find(|l| l.name == "f6").unwrap();
         assert_eq!(f6.bound, RooflineBound::Bandwidth);
         assert!(f6.bytes_per_flop > 1.0 / a.ridge_intensity);
@@ -484,9 +408,9 @@ mod tests {
 
     #[test]
     fn window_and_sync_metrics_are_read_back() {
-        let a = alexnet_attribution(RunKind::Training);
-        assert!(a.window_cycles > 0);
-        assert!(a.images_done > 0);
-        assert!(a.sync_cycles > 0, "training syncs every minibatch");
+        let (_, perf) = alexnet_attribution(RunKind::Training);
+        assert!(perf.window_cycles > 0);
+        assert!(perf.images_done > 0);
+        assert!(perf.sync_cycles > 0, "training syncs every minibatch");
     }
 }

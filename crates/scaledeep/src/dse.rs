@@ -7,12 +7,12 @@
 //!
 //! A point reads only the run's typed record
 //! ([`PerfResult`](scaledeep_sim::perf::PerfResult)): its busy and sync
-//! cycles are the record's own totals, and its energy split comes from
-//! [`measured_energy_per_image`], the formula the per-layer
-//! [`Attribution`](crate::Attribution) tree uses too. The tree is not
-//! built per point; the tests check that every point's attribution
-//! fields equal [`Attribution::build`](crate::Attribution::build) on the
-//! same artifact and run.
+//! cycles are the record's own totals, and its energy split is the
+//! record's
+//! [`energy_per_image`](scaledeep_sim::perf::PerfResult::energy_per_image),
+//! which the per-layer [`Attribution`](crate::Attribution) tree
+//! apportions too. The tests check that every point equals the record of
+//! a session compile and run of the same design point.
 //!
 //! Determinism is the contract: every metric in a [`DseReport`] comes
 //! from the deterministic performance model, never from host wall-clock,
@@ -30,10 +30,9 @@
 //! programs or keeps an artifact; two draws of the same point simply map
 //! twice.
 
-use crate::attribution::measured_energy_per_image;
 use crate::pool;
 use crate::session::Session;
-use scaledeep_arch::{Candidate, DesignPoint, Knob, KnobValue, ParamSpace, Precision};
+use scaledeep_arch::{Candidate, DesignPoint, Knob, KnobValue, ParamSpace};
 use scaledeep_compiler::Compiler;
 use scaledeep_dnn::Network;
 use scaledeep_sim::fault::FaultPlan;
@@ -147,15 +146,13 @@ pub struct DsePoint {
     pub gflops_per_watt: f64,
     /// Measured energy per image (objective 3).
     pub joules_per_image: f64,
-    /// Sum of every stage's busy cycles in the run record (the
-    /// attribution tree's `total_busy_cycles`).
+    /// Sum of every stage's busy cycles in the run record (the BENCH
+    /// document's `totals.busy_cycles`).
     pub busy_cycles: u64,
-    /// The run record's minibatch gradient-sync cycles (the attribution
-    /// tree's `sync_cycles`).
+    /// The run record's minibatch gradient-sync cycles.
     pub sync_cycles: u64,
-    /// Compute-logic joules per image from
-    /// [`measured_energy_per_image`] (the attribution tree's
-    /// `energy_per_image`).
+    /// Compute-logic joules per image from the record's
+    /// [`energy_per_image`](scaledeep_sim::perf::PerfResult::energy_per_image).
     pub compute_joules: f64,
     /// Memory joules per image, as [`DsePoint::compute_joules`].
     pub memory_joules: f64,
@@ -186,8 +183,8 @@ pub struct DseReport {
     pub suite: String,
     /// Benchmark network name.
     pub network: String,
-    /// `"training"` or `"evaluation"`.
-    pub kind: String,
+    /// Training or evaluation.
+    pub kind: RunKind,
     /// How the space was expanded.
     pub expansion: Expansion,
     /// The base design point the axes perturb.
@@ -274,14 +271,11 @@ fn evaluate(
         .try_fold(0u64, |sum, s| sum.checked_add(s.busy_cycles));
     let busy_cycles = storable_count("busy_cycles", busy).map_err(infeasible)?;
     let sync_cycles = storable_count("sync_cycles", Some(perf.sync_cycles)).map_err(infeasible)?;
-    let energy = measured_energy_per_image(&perf, &node);
+    let energy = perf.energy_per_image();
     Ok(DsePoint {
         label: candidate.label.clone(),
         fingerprint: format!("{:016x}", point.fingerprint()),
-        precision: match node.precision {
-            Precision::Single => "single".to_string(),
-            Precision::Half => "half".to_string(),
-        },
+        precision: node.precision.name().to_string(),
         total_tiles: point.total_tiles() as u64,
         peak_flops: point.peak_flops(),
         peak_power_watts: point.peak_power_watts(),
@@ -344,10 +338,7 @@ pub fn run(hub: &Session, net: &Network, space: &ParamSpace, cfg: &DseConfig) ->
         schema_version: DSE_SCHEMA_VERSION,
         suite: cfg.suite.clone(),
         network: net.name().to_string(),
-        kind: match cfg.kind {
-            RunKind::Training => "training".to_string(),
-            RunKind::Evaluation => "evaluation".to_string(),
-        },
+        kind: cfg.kind,
         expansion: cfg.expansion,
         base: space.base(),
         axes: space.axes().to_vec(),
@@ -375,20 +366,6 @@ impl DseReport {
             space = space.axis(*knob, values.clone());
         }
         space
-    }
-
-    /// The report's run kind.
-    ///
-    /// # Errors
-    ///
-    /// Returns the unknown kind string (validated away by
-    /// [`DseReport::from_json`], so only hand-built reports can fail).
-    pub fn run_kind(&self) -> std::result::Result<RunKind, String> {
-        match self.kind.as_str() {
-            "training" => Ok(RunKind::Training),
-            "evaluation" => Ok(RunKind::Evaluation),
-            other => Err(format!("unknown run kind `{other}`")),
-        }
     }
 
     /// Renders the report as pretty-printed, deterministic JSON.
@@ -459,7 +436,7 @@ impl DseReport {
             ("schema_version", Json::Num(self.schema_version as f64)),
             ("suite", Json::Str(self.suite.clone())),
             ("network", Json::Str(self.network.clone())),
-            ("kind", Json::Str(self.kind.clone())),
+            ("kind", Json::Str(self.kind.name().to_string())),
             ("expansion", expansion),
             ("base", self.base.to_json()),
             ("axes", Json::Arr(axes)),
@@ -491,10 +468,7 @@ impl DseReport {
                 "unsupported schema_version {version} (reader supports {DSE_SCHEMA_VERSION})"
             ));
         }
-        let kind = v.str_field("kind")?.to_string();
-        if kind != "training" && kind != "evaluation" {
-            return Err(format!("unknown run kind `{kind}`"));
-        }
+        let kind = RunKind::parse(v.str_field("kind")?)?;
         let exp_v = v.field("expansion")?;
         let expansion = match exp_v.str_field("mode")? {
             "grid" => Expansion::Grid,
@@ -629,10 +603,9 @@ fn knob_value_from_json(v: &Json) -> std::result::Result<KnobValue, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attribution::Attribution;
     use crate::report::with_field;
-    use crate::session::{Trace, TracedRun};
     use proptest::prelude::*;
+    use scaledeep_arch::Precision;
     use scaledeep_dnn::zoo;
 
     fn smoke_space() -> ParamSpace {
@@ -666,11 +639,12 @@ mod tests {
         )
     }
 
-    /// Sweeps `space` per `cfg` and checks every point's attribution
-    /// fields against [`Attribution::build`] on the same artifact and run:
-    /// the tree stays the reference for what a point reads off the run
-    /// record. Returns the number of points checked.
-    fn points_match_the_attribution_tree(
+    /// Sweeps `space` per `cfg` and checks every point's cycle and
+    /// energy fields against the record of a session compile and run of
+    /// the same design point: [`evaluate`]'s map-and-price path must
+    /// agree with [`Session::compile`] plus [`Session::run_mapped`].
+    /// Returns the number of points checked.
+    fn points_match_the_session_record(
         net: &Network,
         space: &ParamSpace,
         cfg: &DseConfig,
@@ -689,15 +663,11 @@ mod tests {
             let node = candidate.point.as_ref().expect("a point ran").node_config();
             let session = hub.retarget(node);
             let artifact = session.compile(net).expect("the point compiled once");
-            let traced = TracedRun {
-                perf: session.run_mapped(&artifact, cfg.kind),
-                trace: Trace::default(),
-            };
-            let attr = Attribution::build(&traced, &artifact, net, &node).expect("tree builds");
+            let perf = session.run_mapped(&artifact, cfg.kind);
             let what = format!("{} {:?} {}", net.name(), cfg.kind, p.label);
-            assert_eq!(p.busy_cycles, attr.total_busy_cycles, "{what}");
-            assert_eq!(p.sync_cycles, attr.sync_cycles, "{what}");
-            let energy = &attr.energy_per_image;
+            assert_eq!(p.busy_cycles, perf.busy_cycles(), "{what}");
+            assert_eq!(p.sync_cycles, perf.sync_cycles, "{what}");
+            let energy = perf.energy_per_image();
             assert_eq!(p.compute_joules, energy.compute_joules, "{what}");
             assert_eq!(p.memory_joules, energy.memory_joules, "{what}");
             assert_eq!(p.interconnect_joules, energy.interconnect_joules, "{what}");
@@ -706,8 +676,8 @@ mod tests {
     }
 
     #[test]
-    fn points_equal_the_attribution_tree() {
-        let checked = points_match_the_attribution_tree(
+    fn points_equal_the_session_record() {
+        let checked = points_match_the_session_record(
             &zoo::alexnet(),
             &committed_smoke_space(),
             &smoke_cfg(0),
@@ -730,7 +700,7 @@ mod tests {
                 expansion: Expansion::Sample { n: 32, seed: 23 },
                 ..smoke_cfg(0)
             };
-            let checked = points_match_the_attribution_tree(&zoo::googlenet(), &space, &cfg);
+            let checked = points_match_the_session_record(&zoo::googlenet(), &space, &cfg);
             assert!(
                 checked >= 16,
                 "{kind:?}: only {checked} of 32 sampled points ran"
@@ -774,7 +744,7 @@ mod tests {
         assert_eq!(rebuilt.axes(), space.axes());
         let cfg = DseConfig {
             suite: back.suite.clone(),
-            kind: back.run_kind().expect("kind validated"),
+            kind: back.kind,
             expansion: back.expansion,
             ..smoke_cfg(0)
         };

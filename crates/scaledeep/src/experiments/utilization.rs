@@ -2,7 +2,6 @@
 //! the suite-wide 0.68 → 0.64 → 0.42 → 0.35 cascade — plus the
 //! trace-driven per-stage occupancy heatmap (`utilization` experiment).
 
-use crate::attribution::measured_profile;
 use crate::report::{geomean, Table};
 use crate::{Session, TraceConfig};
 use scaledeep_compiler::MappingReport;
@@ -161,8 +160,10 @@ pub struct UtilizationTrace {
     /// Cycles the traced window covers.
     pub window: u64,
     /// Achieved processing efficiency at the *measured* utilization
-    /// profile ([`scaledeep_arch::PowerModel::node_efficiency`] fed the
-    /// profile the trace observed, not the paper's assumed one).
+    /// profile: the run record's
+    /// [`gflops_per_watt`](scaledeep_sim::perf::PerfResult::gflops_per_watt),
+    /// priced at the profile the run observed, not the paper's assumed
+    /// one.
     pub gflops_per_watt: f64,
 }
 
@@ -195,11 +196,9 @@ pub fn utilization_trace() -> (UtilizationTrace, Vec<Table>) {
         rows.push((name.to_string(), cycles, frac));
     }
 
-    // Achieved efficiency at the profile the trace measured — the
+    // Achieved efficiency at the profile the run measured — the
     // honest counterpart to Figure 20's assumed-utilization GFLOPS/W.
-    let power = session.node().power_model();
-    let profile = measured_profile(&traced.perf);
-    let gflops_per_watt = power.node_efficiency(traced.perf.achieved_flops, profile) / 1e9;
+    let gflops_per_watt = traced.perf.gflops_per_watt;
     t1.row([
         "achieved GFLOPS/W (measured profile)".to_string(),
         String::new(),

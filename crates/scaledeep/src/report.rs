@@ -188,11 +188,11 @@ pub struct BenchReport {
 impl BenchReport {
     /// Renders the report as pretty-printed, deterministic JSON.
     pub fn to_json(&self) -> String {
-        let attr = &self.attribution;
         let perf = &self.perf;
         let node = self.design.node_config();
         let count = |n: u64| Json::Num(n as f64);
-        let layers = attr
+        let layers = self
+            .attribution
             .layers
             .iter()
             .map(|l| {
@@ -216,16 +216,12 @@ impl BenchReport {
                 ])
             })
             .collect();
-        let energy = &attr.energy_per_image;
-        let occupancy = &attr.occupancy;
-        let kind = match attr.kind {
-            RunKind::Training => "training",
-            RunKind::Evaluation => "evaluation",
-        };
+        let energy = perf.energy_per_image();
+        let occupancy = |q| Json::Num(perf.occupancy.percentile(q));
         let mut out = json::obj([
             ("schema_version", count(BENCH_SCHEMA_VERSION)),
-            ("network", Json::Str(attr.network.clone())),
-            ("kind", Json::Str(kind.to_string())),
+            ("network", Json::Str(perf.network.clone())),
+            ("kind", Json::Str(perf.kind.name().to_string())),
             ("seed", count(self.seed)),
             (
                 "provenance",
@@ -237,10 +233,10 @@ impl BenchReport {
             (
                 "totals",
                 json::obj([
-                    ("window_cycles", count(attr.window_cycles)),
-                    ("busy_cycles", count(attr.total_busy_cycles)),
-                    ("sync_cycles", count(attr.sync_cycles)),
-                    ("images_done", count(attr.images_done)),
+                    ("window_cycles", count(perf.window_cycles)),
+                    ("busy_cycles", count(perf.busy_cycles())),
+                    ("sync_cycles", count(perf.sync_cycles)),
+                    ("images_done", count(perf.images_done)),
                     ("images_per_sec", Json::Num(perf.images_per_sec)),
                     ("pe_utilization", Json::Num(perf.pe_utilization)),
                     ("sfu_utilization", Json::Num(perf.sfu_utilization)),
@@ -260,9 +256,9 @@ impl BenchReport {
             (
                 "occupancy",
                 json::obj([
-                    ("p50", Json::Num(occupancy.p50)),
-                    ("p95", Json::Num(occupancy.p95)),
-                    ("p99", Json::Num(occupancy.p99)),
+                    ("p50", occupancy(50.0)),
+                    ("p95", occupancy(95.0)),
+                    ("p99", occupancy(99.0)),
                 ]),
             ),
             (
@@ -331,16 +327,8 @@ pub fn bench_inputs(text: &str) -> Result<BenchInputs, String> {
             "unsupported schema_version {version} (reader supports {BENCH_SCHEMA_VERSION})"
         ));
     }
-    let kind = match v.str_field("kind")? {
-        "training" => RunKind::Training,
-        "evaluation" => RunKind::Evaluation,
-        other => return Err(format!("unknown run kind `{other}`")),
-    };
-    let precision = match v.str_field("precision")? {
-        "single" => Precision::Single,
-        "half" => Precision::Half,
-        other => return Err(format!("unknown precision `{other}`")),
-    };
+    let kind = RunKind::parse(v.str_field("kind")?)?;
+    let precision = Precision::parse(v.str_field("precision")?)?;
     Ok(BenchInputs {
         network: v.str_field("network")?.to_string(),
         kind,

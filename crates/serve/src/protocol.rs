@@ -237,13 +237,6 @@ pub type JobResult = Result<JobReply, ServeError>;
 
 // ------------------------------------------------------------- encoding
 
-fn run_kind_name(kind: RunKind) -> &'static str {
-    match kind {
-        RunKind::Training => "training",
-        RunKind::Evaluation => "evaluation",
-    }
-}
-
 /// Renders a request as one JSON line (no trailing newline).
 pub fn request_to_json(req: &JobRequest) -> String {
     let mut fields: Vec<(&'static str, Json)> = vec![("tenant", Json::Str(req.tenant.clone()))];
@@ -255,7 +248,7 @@ pub fn request_to_json(req: &JobRequest) -> String {
         JobKind::Simulate { network, kind } => {
             fields.push(("op", Json::Str("simulate".into())));
             fields.push(("network", Json::Str(network.clone())));
-            fields.push(("kind", Json::Str(run_kind_name(*kind).into())));
+            fields.push(("kind", Json::Str(kind.name().into())));
         }
         JobKind::Resilient {
             network,
@@ -325,11 +318,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "compile" => JobKind::Compile { network },
         "simulate" => JobKind::Simulate {
             network,
-            kind: match doc.str_field("kind")? {
-                "training" => RunKind::Training,
-                "evaluation" => RunKind::Evaluation,
-                other => return Err(format!("unknown run kind `{other}`")),
-            },
+            kind: RunKind::parse(doc.str_field("kind")?)?,
         },
         "resilient" => JobKind::Resilient {
             network,

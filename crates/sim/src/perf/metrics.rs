@@ -6,7 +6,9 @@ use super::node::NodeOutcome;
 use super::pipeline;
 use super::stage::{link_idx, RunKind, StageCost, N_LINK_CLASSES};
 use crate::engine::Cycle;
-use scaledeep_arch::{LinkClass, NodeConfig, PowerBreakdown, PowerModel, UtilizationProfile};
+use scaledeep_arch::{
+    EnergyBreakdown, LinkClass, NodeConfig, PowerBreakdown, PowerModel, UtilizationProfile,
+};
 use scaledeep_compiler::Mapping;
 use scaledeep_trace::{Hist, MetricsRegistry};
 use std::ops::Range;
@@ -126,6 +128,20 @@ impl PerfResult {
             .find(|l| l.class == class)
             .map(|l| l.utilization)
             .unwrap_or(0.0)
+    }
+
+    /// Sum of every stage's busy cycles over the run: the total the
+    /// per-layer attribution splits exactly.
+    pub fn busy_cycles(&self) -> u64 {
+        self.stages.iter().map(|s| s.busy_cycles).sum()
+    }
+
+    /// Node energy per image: [`PerfResult::avg_power`] over one image
+    /// period, split by subsystem. The record is the one energy source;
+    /// the attribution tree and every DSE point read it here.
+    pub fn energy_per_image(&self) -> EnergyBreakdown {
+        self.avg_power
+            .energy_over(1.0 / self.images_per_sec.max(1e-9))
     }
 }
 
@@ -389,6 +405,9 @@ mod tests {
         );
         let implied = r.avg_power.total() / r.images_per_sec;
         assert!((implied - r.joules_per_image).abs() < 1e-9);
+        let split = r.energy_per_image();
+        assert!((split.total() - r.joules_per_image).abs() < 1e-9);
+        assert!(split.memory_joules > 0.0);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use super::PerfOptions;
 use scaledeep_arch::{ChipConfig, LinkClass, NodeConfig};
 use scaledeep_compiler::{LayerPlan, Mapping, Placement, Side};
+use scaledeep_dnn::Step;
 use std::ops::Range;
 
 /// Whether a run trains (FP+BP+WG, minibatch barriers, feature spill) or
@@ -13,6 +14,40 @@ pub enum RunKind {
     Training,
     /// Forward-only evaluation.
     Evaluation,
+}
+
+impl RunKind {
+    /// Both run kinds, training first.
+    pub const ALL: [RunKind; 2] = [RunKind::Training, RunKind::Evaluation];
+
+    /// The kind's name (`"training"` / `"evaluation"`), as every document,
+    /// protocol line and command-line flag spells it.
+    pub const fn name(self) -> &'static str {
+        match self {
+            RunKind::Training => "training",
+            RunKind::Evaluation => "evaluation",
+        }
+    }
+
+    /// The kind [`RunKind::name`] spells `name`.
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown kind.
+    pub fn parse(name: &str) -> Result<RunKind, String> {
+        RunKind::ALL
+            .into_iter()
+            .find(|k| k.name() == name)
+            .ok_or_else(|| format!("unknown run kind `{name}`"))
+    }
+
+    /// The training steps the kind runs: all three, or FP alone.
+    pub const fn steps(self) -> &'static [Step] {
+        match self {
+            RunKind::Training => &Step::ALL,
+            RunKind::Evaluation => &[Step::Fp],
+        }
+    }
 }
 
 /// Number of link classes tracked (see [`LinkClass::ALL`]).
@@ -292,19 +327,12 @@ fn conv_stage(
         }
     }
 
-    let useful_flops: u64 = match kind {
-        RunKind::Training => plan.comp_flops.iter().sum(),
-        RunKind::Evaluation => plan.comp_flops[0],
-    };
-    let useful_mem: u64 = match kind {
-        RunKind::Training => plan.mem_flops.iter().sum(),
-        RunKind::Evaluation => plan.mem_flops[0],
-    };
+    let (useful_lane_cycles, useful_sfu_cycles) = useful_cycles(plan, kind);
     StageCost {
         members: index..index + 1,
         service_cycles: service.ceil() as u64,
-        useful_lane_cycles: useful_flops as f64 / 2.0,
-        useful_sfu_cycles: useful_mem as f64,
+        useful_lane_cycles,
+        useful_sfu_cycles,
         traffic,
         links,
     }
@@ -348,10 +376,7 @@ fn fc_stage(
     let spoke_bpc = bytes_per_cycle(node.cluster.spoke_bw, node);
     let ring_bpc = bytes_per_cycle(node.ring_bw, node);
 
-    let steps: f64 = match kind {
-        RunKind::Training => 3.0,
-        RunKind::Evaluation => 1.0,
-    };
+    let steps = kind.steps().len() as f64;
     // FC matmul operand stream: every active cycle each role tile pulls
     // array_rows fresh matrix elements from its MemHeavy neighbors.
     let tiles_per_role = (cols * chip.rows) as f64 * shards;
@@ -407,22 +432,26 @@ fn fc_stage(
     links[link_idx(LinkClass::CompMem)] = tiles_per_role * 3.0;
     links[link_idx(LinkClass::MemMem)] = tiles_per_role * 2.0;
 
-    let useful_flops: u64 = match kind {
-        RunKind::Training => plan.comp_flops.iter().sum(),
-        RunKind::Evaluation => plan.comp_flops[0],
-    };
-    let useful_mem: u64 = match kind {
-        RunKind::Training => plan.mem_flops.iter().sum(),
-        RunKind::Evaluation => plan.mem_flops[0],
-    };
+    let (useful_lane_cycles, useful_sfu_cycles) = useful_cycles(plan, kind);
     StageCost {
         members: index..index + 1,
         service_cycles: service.ceil() as u64,
-        useful_lane_cycles: useful_flops as f64 / 2.0,
-        useful_sfu_cycles: useful_mem as f64,
+        useful_lane_cycles,
+        useful_sfu_cycles,
         traffic,
         links,
     }
+}
+
+/// A plan's useful lane and SFU cycles per image under `kind`: its array
+/// FLOPs (two per lane-cycle) and its SFU FLOPs over the kind's steps.
+fn useful_cycles(plan: &LayerPlan, kind: RunKind) -> (f64, f64) {
+    let over_steps =
+        |flops: &[u64; 3]| -> u64 { kind.steps().iter().map(|&s| flops[s as usize]).sum() };
+    (
+        over_steps(&plan.comp_flops) as f64 / 2.0,
+        over_steps(&plan.mem_flops) as f64,
+    )
 }
 
 #[cfg(test)]
@@ -432,6 +461,28 @@ mod tests {
     use scaledeep_arch::presets;
     use scaledeep_compiler::Compiler;
     use scaledeep_dnn::zoo;
+
+    #[test]
+    fn run_kind_and_precision_names_round_trip() {
+        use scaledeep_arch::Precision;
+        for kind in RunKind::ALL {
+            assert_eq!(RunKind::parse(kind.name()), Ok(kind));
+        }
+        for precision in [Precision::Single, Precision::Half] {
+            assert_eq!(Precision::parse(precision.name()), Ok(precision));
+        }
+        assert_eq!(RunKind::ALL.map(RunKind::name), ["training", "evaluation"]);
+        assert_eq!(RunKind::Training.steps(), &Step::ALL);
+        assert_eq!(RunKind::Evaluation.steps(), &[Step::Fp]);
+        for bogus in ["Training", "inference", ""] {
+            let err = RunKind::parse(bogus).unwrap_err();
+            assert_eq!(err, format!("unknown run kind `{bogus}`"));
+        }
+        for bogus in ["Single", "double", ""] {
+            let err = Precision::parse(bogus).unwrap_err();
+            assert_eq!(err, format!("unknown precision `{bogus}`"));
+        }
+    }
 
     fn mapping(name: &str) -> Mapping {
         let net = zoo::by_name(name).unwrap();

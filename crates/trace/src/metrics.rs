@@ -247,15 +247,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Current value of a counter id (`0` for non-counters).
-    #[inline]
-    pub fn counter_get(&self, id: MetricId) -> u64 {
-        match self.values.get(id.0) {
-            Some(Value::Counter(c)) => *c,
-            _ => 0,
-        }
-    }
-
     /// Looks a counter up by name (`None` when absent or not a counter).
     pub fn counter_value(&self, name: &str) -> Option<u64> {
         match self.index.get(name).map(|&i| &self.values[i]) {
@@ -365,7 +356,6 @@ mod tests {
         let id = r.counter("a.b");
         r.add(id, 3);
         r.add(id, 4);
-        assert_eq!(r.counter_get(id), 7);
         assert_eq!(r.counter_value("a.b"), Some(7));
         assert_eq!(r.counter_value("missing"), None);
         // Re-registration returns the same id.
@@ -481,7 +471,7 @@ mod tests {
         let c = r.counter("c");
         r.set(c, 9.0);
         r.observe(c, 9.0);
-        assert_eq!(r.counter_get(c), 0);
+        assert_eq!(r.counter_value("c"), Some(0));
     }
 
     fn hist_of(samples: &[f64]) -> Hist {

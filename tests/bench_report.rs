@@ -156,10 +156,9 @@ fn attribution_sums_to_measured_stage_busy_cycles() {
     let traced = session
         .run_traced(&net, RunKind::Training, &TraceConfig::default())
         .expect("alexnet simulates");
-    let attr = session
+    let report = session
         .bench_report(&net, RunKind::Training)
-        .expect("alexnet benches")
-        .attribution;
+        .expect("alexnet benches");
 
     let mut measured = 0u64;
     for i in 0.. {
@@ -173,8 +172,13 @@ fn attribution_sums_to_measured_stage_busy_cycles() {
         }
     }
     assert!(measured > 0);
-    assert_eq!(attr.total_busy_cycles, measured);
-    let layer_sum: u64 = attr.layers.iter().map(|l| l.busy_cycles).sum();
+    assert_eq!(report.perf.busy_cycles(), measured);
+    let layer_sum: u64 = report
+        .attribution
+        .layers
+        .iter()
+        .map(|l| l.busy_cycles)
+        .sum();
     assert_eq!(layer_sum, measured);
 }
 
@@ -189,22 +193,22 @@ fn layer_sequential_bench_report_attributes_every_stage() {
         ..PerfOptions::default()
     });
     for kind in [RunKind::Training, RunKind::Evaluation] {
-        let attr = session
+        let report = session
             .bench_report(&zoo::alexnet(), kind)
-            .unwrap_or_else(|e| panic!("A4 {kind:?} bench report: {e}"))
-            .attribution;
+            .unwrap_or_else(|e| panic!("A4 {kind:?} bench report: {e}"));
+        let (attr, perf) = (&report.attribution, &report.perf);
         let layer_sum: u64 = attr.layers.iter().map(|l| l.busy_cycles).sum();
         assert!(layer_sum > 0, "{kind:?}");
-        assert_eq!(layer_sum, attr.total_busy_cycles, "{kind:?}");
+        assert_eq!(layer_sum, perf.busy_cycles(), "{kind:?}");
         assert_eq!(
-            attr.total_busy_cycles + attr.sync_cycles,
-            attr.window_cycles,
+            perf.busy_cycles() + perf.sync_cycles,
+            perf.window_cycles,
             "{kind:?}"
         );
         for l in &attr.layers {
             assert_eq!(
                 l.busy_cycles,
-                attr.images_done * l.service_cycles.max(1),
+                perf.images_done * l.service_cycles.max(1),
                 "{kind:?} {}",
                 l.name
             );
