@@ -206,12 +206,6 @@ impl PowerModel {
                 * util.interconnect.clamp(0.0, 1.0),
         }
     }
-
-    /// Processing efficiency in FLOPs/W for an achieved FLOP rate and
-    /// utilization profile, at node scope.
-    pub fn node_efficiency(&self, achieved_flops_per_s: f64, util: UtilizationProfile) -> f64 {
-        achieved_flops_per_s / self.average_node_power(util).total()
-    }
 }
 
 #[cfg(test)]
@@ -223,7 +217,7 @@ mod tests {
     fn peak_efficiency_matches_figure14() {
         let node = presets::single_precision();
         let pm = PowerModel::paper_sp();
-        let eff = pm.node_efficiency(node.peak_flops(), UtilizationProfile::PEAK) / 1e9;
+        let eff = node.peak_flops() / pm.average_node_power(UtilizationProfile::PEAK).total() / 1e9;
         // Figure 14: 485.7 GFLOPs/W peak.
         assert!((eff - 485.0).abs() < 5.0, "got {eff}");
     }
@@ -358,8 +352,9 @@ mod tests {
         // Peak profile reproduces Figure 14's published efficiency; an
         // idle profile divides by leakage only (so the same achieved rate
         // looks *more* efficient — power fell, FLOPs stayed).
-        let at_peak = pm.node_efficiency(node.peak_flops(), UtilizationProfile::PEAK);
-        let at_idle = pm.node_efficiency(node.peak_flops(), idle);
+        let efficiency = |flops: f64, util| flops / pm.average_node_power(util).total();
+        let at_peak = efficiency(node.peak_flops(), UtilizationProfile::PEAK);
+        let at_idle = efficiency(node.peak_flops(), idle);
         assert!(at_idle > at_peak);
         assert_eq!(
             at_idle,
@@ -368,8 +363,8 @@ mod tests {
 
         // Zero achieved FLOPs is zero efficiency, not NaN: memory leakage
         // keeps the denominator positive at every profile.
-        assert_eq!(pm.node_efficiency(0.0, idle), 0.0);
-        assert_eq!(pm.node_efficiency(0.0, UtilizationProfile::PEAK), 0.0);
+        assert_eq!(efficiency(0.0, idle), 0.0);
+        assert_eq!(efficiency(0.0, UtilizationProfile::PEAK), 0.0);
     }
 
     #[test]
@@ -394,7 +389,7 @@ mod tests {
         // And efficiency is consistent with energy: FLOPs/W at the
         // measured profile equals FLOPs·s / J over the same interval.
         let rate = 1e15;
-        let eff = pm.node_efficiency(rate, lo);
+        let eff = rate / pm.average_node_power(lo).total();
         assert!((eff - rate / e_lo.total()).abs() < 1e-3);
     }
 

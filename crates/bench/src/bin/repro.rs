@@ -14,7 +14,7 @@ use scaledeep_dnn::{zoo, Network};
 use scaledeep_serve::DrillReport;
 use scaledeep_sim::fault::{FaultPlan, LinkFaults};
 use scaledeep_sim::perf::{stage_name, RunKind};
-use scaledeep_trace::{json, validate_chrome_trace, CategoryMask};
+use scaledeep_trace::{json, validate_chrome_trace, CategoryMask, MetricsRegistry};
 use std::io::{self, Write};
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -596,7 +596,8 @@ fn functional_drill(net: &Network, out: &mut dyn Write) -> Outcome {
 
 /// Traces a training run of `name` through the performance pipeline,
 /// writing the Chrome/Perfetto JSON to `path` and the per-cycle CSV next
-/// to it, then self-validates the JSON and prints the metrics report.
+/// to it, then self-validates the JSON and prints the run record's
+/// metrics report.
 fn trace_run(name: &str, path: &str, filter: CategoryMask, out: &mut dyn Write) -> Outcome {
     let net = zoo::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
     let cfg = TraceConfig { filter };
@@ -621,7 +622,9 @@ fn trace_run(name: &str, path: &str, filter: CategoryMask, out: &mut dyn Write) 
         traced.trace.dropped
     )?;
     writeln!(out, "wrote {path} (chrome://tracing) and {csv_path}\n")?;
-    Ok(writeln!(out, "{}", traced.trace.metrics_report())?)
+    let mut metrics = MetricsRegistry::new();
+    traced.perf.write_metrics(&mut metrics);
+    Ok(writeln!(out, "{}", metrics.report())?)
 }
 
 /// The per-cycle CSV always rides next to a `--trace` JSON output:

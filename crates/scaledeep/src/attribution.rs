@@ -8,10 +8,11 @@
 //!
 //! The *measured* quantities come from the run's typed record,
 //! [`PerfResult`](scaledeep_sim::perf::PerfResult) (per-stage busy cycles
-//! and tier bytes, the node energy per image), which a traced run's
-//! [`MetricsRegistry`](scaledeep_trace::MetricsRegistry) renders under the
-//! `perf.*` names. The tree holds only what it derives; whole-run numbers
-//! (window, syncs, occupancy, energy) are read off the record itself.
+//! and tier bytes, the node energy per image), which
+//! [`PerfResult::write_metrics`](scaledeep_sim::perf::PerfResult::write_metrics)
+//! renders under the `perf.*` names. The tree holds only what it
+//! derives; whole-run numbers (window, syncs, occupancy, energy) are read
+//! off the record itself.
 //! The *analytic* quantities (per-pass FLOP weights,
 //! Bytes/FLOP) come from the mapping's [`LayerPlan`](scaledeep_compiler::LayerPlan)s and the
 //! [`scaledeep_dnn`] analysis. Cycles are split by apportioning each

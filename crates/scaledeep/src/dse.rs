@@ -263,7 +263,6 @@ fn evaluate(
         kind,
         &FaultPlan::none(),
         &mut Tracer::disabled(),
-        None,
     );
     let busy = perf
         .stages

@@ -37,13 +37,12 @@ impl Default for TraceConfig {
     }
 }
 
-/// The observability artifacts of one traced run: the recorded events,
-/// the track table naming their timelines, and the metrics registry the
-/// run rendered its counters and results into.
+/// The observability artifacts of one traced run: the recorded events
+/// and the track table naming their timelines. The run's numbers live in
+/// its record, which renders its own metrics
+/// ([`PerfResult::write_metrics`], [`RunStats::write_metrics`]).
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    /// All metrics the run recorded (counters, gauges, histograms).
-    pub metrics: MetricsRegistry,
     /// The retained events, in emission order.
     pub events: Vec<Event>,
     /// Track names for the events' `track` ids.
@@ -69,18 +68,13 @@ impl Trace {
     pub fn utilization_report(&self, bins: usize) -> String {
         utilization_heatmap(&self.events, &self.tracks, bins)
     }
-
-    /// The metrics registry rendered as an aligned text report.
-    pub fn metrics_report(&self) -> String {
-        self.metrics.report()
-    }
 }
 
 /// A performance-simulation run plus its trace ([`Session::run_traced`]).
 #[derive(Debug, Clone)]
 pub struct TracedRun {
-    /// The simulation result: the typed run record, which `trace.metrics`
-    /// renders under the `perf.*` names.
+    /// The simulation result: the typed run record, which
+    /// [`PerfResult::write_metrics`] renders under the `perf.*` names.
     pub perf: PerfResult,
     /// The run's observability artifacts.
     pub trace: Trace,
@@ -119,33 +113,27 @@ impl<T> Observed<Result<T>> {
 }
 
 /// Matches an [`Observer`] once into one of the concrete [`Tracer`] types
-/// and evaluates `$body` with `$tracer: &mut Tracer<_>` and
-/// `$reg: Option<&mut MetricsRegistry>` bound, yielding an [`Observed`].
-/// Only [`Observer::Trace`] keeps a registry (`$reg` is `Some` exactly
-/// there). Each arm is monomorphic, so no `dyn` sink ever enters an
-/// engine loop.
+/// and evaluates `$body` with `$tracer: &mut Tracer<_>` bound, yielding
+/// an [`Observed`]. Each arm is monomorphic, so no `dyn` sink ever enters
+/// an engine loop.
 macro_rules! observe {
-    ($obs:expr, |$tracer:ident, $reg:ident| $body:expr) => {{
+    ($obs:expr, |$tracer:ident| $body:expr) => {{
         let (value, trace) = match $obs {
             Observer::Off => {
                 let $tracer = &mut Tracer::disabled();
-                let $reg: Option<&mut MetricsRegistry> = None;
                 ($body, None)
             }
             Observer::Progress(tx) => {
                 let $tracer = &mut Tracer::new(ProgressSink::new(tx.clone()));
-                let $reg: Option<&mut MetricsRegistry> = None;
                 ($body, None)
             }
             Observer::Trace(cfg) => {
-                let mut registry = MetricsRegistry::new();
                 let mut tracer = Tracer::new(session_sink(&cfg));
                 let value = {
                     let $tracer = &mut tracer;
-                    let $reg = Some(&mut registry);
                     $body
                 };
-                (value, Some(into_trace(tracer, registry)))
+                (value, Some(into_trace(tracer)))
             }
         };
         Observed { value, trace }
@@ -160,11 +148,10 @@ fn session_sink(cfg: &TraceConfig) -> FilterSink<RingSink> {
 }
 
 /// Unwraps the tracer built by [`session_sink`] into a [`Trace`].
-fn into_trace(tracer: Tracer<FilterSink<RingSink>>, metrics: MetricsRegistry) -> Trace {
+fn into_trace(tracer: Tracer<FilterSink<RingSink>>) -> Trace {
     let (sink, tracks) = tracer.into_parts();
     let (events, dropped) = sink.into_inner().into_parts();
     Trace {
-        metrics,
         events,
         tracks,
         dropped,
@@ -187,10 +174,8 @@ pub struct CycleCrossCheck {
     /// pipeline stage's service time (the layer-sequential, single-image
     /// interpretation — the same quantity the A4 ablation uses).
     pub perf_per_image_cycles: u64,
-    /// The functional run's flight-recorder trace: its full metrics
-    /// registry (instruction, stall, per-tile busy counters,
-    /// instruction-cost histogram) and its most recent events, oldest
-    /// first.
+    /// The functional run's flight-recorder trace: its most recent
+    /// events, oldest first.
     pub trace: Trace,
 }
 
@@ -207,7 +192,8 @@ impl CycleCrossCheck {
     }
 
     /// A diagnostic report when the two models diverge more than 2x:
-    /// the cycle counts, the functional run's metrics, and the trace
+    /// the cycle counts, the functional run's metrics (its record
+    /// rendered through [`RunStats::write_metrics`]), and the trace
     /// tail — everything needed to see where the functional machine spent
     /// its final cycles. `None` while the models agree.
     pub fn mismatch_report(&self) -> Option<String> {
@@ -221,10 +207,9 @@ impl CycleCrossCheck {
             self.perf_per_image_cycles,
             self.ratio()
         ));
-        out.push_str(&format!(
-            "\nfunctional metrics:\n{}",
-            self.trace.metrics_report()
-        ));
+        let mut metrics = MetricsRegistry::new();
+        self.functional.write_metrics(&mut metrics);
+        out.push_str(&format!("\nfunctional metrics:\n{}", metrics.report()));
         out.push_str(&format!(
             "\ntrace tail ({} retained, {} dropped):\n{}",
             self.trace.events.len(),
@@ -449,7 +434,7 @@ impl Session {
         opts: &CompileOptions,
         obs: Observer<'_>,
     ) -> Result<Observed<Arc<CompiledArtifact>>> {
-        observe!(obs, |tracer, _reg| self.compile_observed(net, opts, tracer)).transpose()
+        observe!(obs, |tracer| self.compile_observed(net, opts, tracer)).transpose()
     }
 
     fn compile_observed<S: TraceSink>(
@@ -556,10 +541,8 @@ impl Session {
     /// reported in the result's fault statistics, and the empty plan is
     /// bit-identical to [`Session::run_mapped`]. [`Observer::Trace`]
     /// records the pipeline's stage-occupancy spans, sync spans, and retry
-    /// instants, and renders the result's every scalar into the trace's
-    /// [`MetricsRegistry`]; [`Observer::Progress`] streams sync-window
-    /// completions and link retries. [`Observer::Off`] and
-    /// [`Observer::Progress`] write no registry.
+    /// instants; [`Observer::Progress`] streams sync-window completions
+    /// and link retries.
     pub fn run_mapped_with(
         &self,
         artifact: &CompiledArtifact,
@@ -567,12 +550,11 @@ impl Session {
         plan: &FaultPlan,
         obs: Observer<'_>,
     ) -> Observed<PerfResult> {
-        observe!(obs, |tracer, reg| self.sim.run(
+        observe!(obs, |tracer| self.sim.run(
             artifact.mapping(),
             kind,
             plan,
-            tracer,
-            reg
+            tracer
         ))
     }
 
@@ -593,8 +575,7 @@ impl Session {
     /// pipeline's stage-occupancy spans, sync spans, and retry instants
     /// are recorded per `cfg`, and the returned [`TracedRun`] carries the
     /// trace (exportable to Chrome JSON / per-cycle CSV) alongside the
-    /// result — whose every scalar the trace's [`MetricsRegistry`]
-    /// renders.
+    /// result.
     ///
     /// The compile itself is served from the session cache and stays out
     /// of the run's trace (its spans would differ between a cache miss
@@ -639,10 +620,9 @@ impl Session {
     /// the *first* attempt — the one the faults hit — plus run-level
     /// instants on the `session` track: [`Payload::Checkpoint`] when the
     /// iteration state is snapshotted and [`Payload::Remap`] when a tile
-    /// failure forces the degraded recompile. The degraded retry
-    /// contributes its counters to the trace's metrics (they back the
-    /// returned stats) but not its events, so every track's timeline stays
-    /// monotone.
+    /// failure forces the degraded recompile. The degraded retry's events
+    /// stay out of the trace (its statistics are the returned ones), so
+    /// every track's timeline stays monotone.
     ///
     /// # Errors
     ///
@@ -653,9 +633,7 @@ impl Session {
         plan: &FaultPlan,
         obs: Observer<'_>,
     ) -> Result<Observed<ResilientRun>> {
-        observe!(obs, |tracer, reg| self
-            .run_resilient_impl(net, plan, tracer, reg))
-        .transpose()
+        observe!(obs, |tracer| self.run_resilient_impl(net, plan, tracer)).transpose()
     }
 
     fn run_resilient_impl<S: TraceSink>(
@@ -663,7 +641,6 @@ impl Session {
         net: &Network,
         plan: &FaultPlan,
         tracer: &mut Tracer<S>,
-        mut reg: Option<&mut MetricsRegistry>,
     ) -> Result<ResilientRun> {
         let artifact = self.compile(net)?;
         let (mut fsim, image, golden) = seeded_iteration(net, &artifact)?;
@@ -674,7 +651,7 @@ impl Session {
         };
         let ckpt = fsim.checkpoint();
         tracer.instant(0, session_track, Payload::Checkpoint);
-        match fsim.run_iteration_traced(&image, &golden, plan, tracer, reg.as_deref_mut()) {
+        match fsim.run_iteration_traced(&image, &golden, plan, tracer) {
             Ok(stats) => Ok(ResilientRun {
                 stats,
                 retried: false,
@@ -698,13 +675,12 @@ impl Session {
                 let retry_plan = plan.without_tile_failures();
                 // The retry restarts the machine clock at cycle 0; keep
                 // its events out of the trace (the tracks would travel
-                // back in time) but let its counters land in `reg`.
+                // back in time).
                 let stats = fsim.run_iteration_traced(
                     &image,
                     &golden,
                     &retry_plan,
                     &mut Tracer::disabled(),
-                    reg,
                 )?;
                 Ok(ResilientRun {
                     stats,
@@ -738,10 +714,8 @@ impl Session {
             RingSink::new(CROSS_CHECK_TAIL_EVENTS),
             CategoryMask::all(),
         ));
-        let mut reg = MetricsRegistry::new();
         let plan = FaultPlan::none();
-        let functional =
-            fsim.run_iteration_traced(&image, &golden, &plan, &mut tracer, Some(&mut reg))?;
+        let functional = fsim.run_iteration_traced(&image, &golden, &plan, &mut tracer)?;
 
         // Per-image service cycles at minibatch 1, so neither batching
         // efficiency nor the pipeline overlap distorts the comparison.
@@ -756,13 +730,12 @@ impl Session {
             RunKind::Training,
             &plan,
             &mut Tracer::disabled(),
-            None,
         );
         let perf_per_image_cycles = result.stages.iter().map(|s| s.service_cycles.max(1)).sum();
         Ok(CycleCrossCheck {
             functional,
             perf_per_image_cycles,
-            trace: into_trace(tracer, reg),
+            trace: into_trace(tracer),
         })
     }
 
@@ -1110,7 +1083,7 @@ mod tests {
         // Under the empty plan every replica of the node walk runs the same
         // dynamics, so the node outcome is the single-replica run scaled
         // by the replica count: equal per-replica makespans, per-stage busy
-        // cycles of `replicas ×` the metrics-only run's stage counters,
+        // cycles of `replicas ×` the single-replica record's stage busy cycles,
         // and no retries.
         let s = Session::single_precision();
         for name in ["alexnet", "cnn-s", "googlenet"] {
@@ -1126,16 +1099,13 @@ mod tests {
                 );
                 assert_eq!(node.faults.link_retries, 0, "{name} {kind:?}");
                 assert_eq!(node.faults.retry_cycles, 0, "{name} {kind:?}");
-                let metrics_only = TraceConfig {
-                    filter: CategoryMask::none(),
-                };
-                let one = s.run_traced(&net, kind, &metrics_only).unwrap();
+                let one = s.run_mapped(&artifact, kind);
                 for (i, &busy) in node.stage_busy.iter().enumerate() {
                     let single = one
-                        .trace
-                        .metrics
-                        .counter_value(&format!("perf.stage.{i:02}.busy"))
-                        .unwrap_or_else(|| panic!("{name}: no stage {i} counter"));
+                        .stages
+                        .get(i)
+                        .unwrap_or_else(|| panic!("{name}: no stage {i} record"))
+                        .busy_cycles;
                     assert_eq!(
                         busy,
                         node.replicas as u64 * single,
@@ -1214,15 +1184,13 @@ mod tests {
                     "{obs:?} perturbed {plan:?}"
                 );
                 assert_eq!(res.value.dead_tiles, resilient.dead_tiles);
-                // A trace is recorded exactly under `Observer::Trace`; it
-                // exports cleanly and its registry backs the result.
+                // A trace is recorded exactly under `Observer::Trace`, and
+                // it exports cleanly.
                 assert_eq!(run.trace.is_some(), matches!(obs, Observer::Trace(_)));
                 assert_eq!(res.trace.is_some(), run.trace.is_some());
                 if let Some(trace) = run.trace {
                     assert_eq!(trace.dropped, 0);
                     assert!(validate_chrome_trace(&trace.chrome_trace()).unwrap().spans > 0);
-                    let ips = trace.metrics.gauge_value("perf.images_per_sec");
-                    assert_eq!(ips, Some(perf.images_per_sec));
                 }
             }
             // The progress observer streamed under either plan.
@@ -1233,7 +1201,7 @@ mod tests {
     #[test]
     fn metrics_only_trace_matches_the_full_trace() {
         use scaledeep_sim::fault::LinkFaults;
-        // Off and metrics-only take the epoch pipeline drive, a
+        // Off and an empty-filter trace take the epoch pipeline drive, a
         // full trace the event-ordered one; nothing but the recorded
         // events may differ.
         let s = Session::single_precision();
@@ -1258,7 +1226,6 @@ mod tests {
                     let (full, quiet) = (full.trace.unwrap(), quiet.trace.unwrap());
                     assert!(!full.events.is_empty(), "{what}");
                     assert!(quiet.events.is_empty(), "{what}");
-                    assert_eq!(quiet.metrics, full.metrics, "{what}");
                     assert_eq!(quiet.tracks, full.tracks, "{what}");
                 }
             }
@@ -1282,11 +1249,6 @@ mod tests {
         assert!(has(|p| matches!(p, Payload::Fault { .. })));
         // Even with the retry's events excluded, the export stays valid.
         scaledeep_trace::validate_chrome_trace(&trace.chrome_trace()).unwrap();
-        // The metrics back the returned stats (successful attempt only).
-        assert_eq!(
-            trace.metrics.counter_value("func.instructions"),
-            Some(run.value.stats.instructions)
-        );
     }
 
     #[test]
@@ -1601,7 +1563,7 @@ mod tests {
         let oracle = |artifact: &CompiledArtifact, plan: &FaultPlan| {
             let (mut fsim, image, golden) = seeded_iteration(&net, artifact).unwrap();
             fsim.set_backend(ExecBackend::Interpreter);
-            fsim.run_iteration_traced(&image, &golden, plan, &mut Tracer::disabled(), None)
+            fsim.run_iteration_traced(&image, &golden, plan, &mut Tracer::disabled())
                 .unwrap()
         };
         let clean = session.run_resilient(&net, &FaultPlan::none()).unwrap();
@@ -1640,7 +1602,6 @@ mod tests {
         assert!(x.trace.events.len() <= CROSS_CHECK_TAIL_EVENTS);
         let last_at = x.trace.events.iter().map(|e| e.at).max();
         assert_eq!(x.trace.events.last().map(|e| e.at), last_at);
-        assert!(x.trace.metrics.counter_value("func.cycles").is_some());
         // Every tile of the functional run did work.
         assert!(!x.functional.per_tile.is_empty());
         for (tile, t) in x.functional.per_tile.iter().enumerate() {
@@ -1653,5 +1614,15 @@ mod tests {
             assert!(report.contains("cycle cross-check mismatch"));
             assert!(report.contains("func.instructions"));
         }
+        // A forced mismatch renders the functional record's metrics.
+        let forced = CycleCrossCheck {
+            perf_per_image_cycles: x.functional.cycles * 4,
+            ..x.clone()
+        };
+        let report = forced.mismatch_report().expect("a 4x gap disagrees");
+        let cycles = format!("counter  {}", x.functional.cycles);
+        assert!(report
+            .lines()
+            .any(|l| l.starts_with("func.cycles") && l.ends_with(&cycles)));
     }
 }

@@ -5,7 +5,7 @@
 //! dedup, transient faults, panicking attempts, stuck workers,
 //! cancellation, and 4× overload — and tallies how every job resolved.
 //! The report's document ([`DrillReport::to_bench_json`]: per-phase
-//! outcome counts, retry totals, recovered panics, compile-cache misses,
+//! outcome counts, retry counts, recovered panics, compile-cache misses,
 //! backoff schedules, progress-stream probes) is a pure function of the
 //! seed and the drill shape, so the same seed replays to the same bytes
 //! and CI can gate on it. Wall-clock latencies (queue/service p50/p99
@@ -44,7 +44,7 @@ const FUNC_NET: &str = "alexnet-func";
 /// its own schema (per-phase counts, recovery counters, backoff ladders,
 /// progress probes), so it does not follow the per-network BENCH
 /// report's version; like those reports it carries no host time.
-pub const DRILL_SCHEMA_VERSION: u64 = 5;
+pub const DRILL_SCHEMA_VERSION: u64 = 6;
 
 /// Shape of the drill (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -404,20 +404,21 @@ impl DrillReport {
     }
 
     /// The versioned drill document: every deterministic fact of the
-    /// report (totals with recovery and cache counters, per-phase counts
-    /// in phase order, backoff ladders, progress probes) and no host
-    /// time, so same-seed runs render byte-identical documents.
+    /// report (recovery and cache counters, per-phase counts in phase
+    /// order, backoff ladders, progress probes) and no host time, so
+    /// same-seed runs render byte-identical documents. The cross-phase
+    /// totals are not written: they are the sums of the phase counts.
     pub fn to_bench_json(&self) -> String {
         let n = |v: u64| Json::Num(v as f64);
         let counts = |c: &PhaseCounts| c.fields().map(|(k, v)| (k, n(v)));
-        let jobs = counts(&self.totals()).into_iter().chain([
+        let jobs = [
             ("retries", n(self.retries)),
             ("worker_restarts", n(self.worker_restarts)),
             ("resilient_retried", n(self.resilient_retried)),
             ("resilient_dead_tiles", n(self.resilient_dead_tiles)),
             ("cache_misses", n(self.cache.misses)),
             ("cache_corrupt", n(self.cache.corrupt)),
-        ]);
+        ];
         let phases = self
             .phases
             .iter()

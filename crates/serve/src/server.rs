@@ -413,8 +413,10 @@ impl Server {
     }
 
     /// Serves the line-delimited JSON protocol on `listener`: one thread
-    /// per connection, one response line per request line, in order.
-    /// Runs until the listener errors (or forever).
+    /// per connection, one response line per request line, in order. A
+    /// connection whose thread cannot be spawned is closed unserved and
+    /// the loop keeps accepting. Runs until the listener errors (or
+    /// forever).
     ///
     /// # Errors
     ///
@@ -423,10 +425,11 @@ impl Server {
         for conn in listener.incoming() {
             let stream = conn?;
             let shared = Arc::clone(&self.shared);
+            // A failed spawn drops the closure, and the stream with it.
             std::thread::Builder::new()
                 .name("serve-conn".into())
                 .spawn(move || handle_conn(&shared, stream))
-                .expect("spawning a connection thread");
+                .ok();
         }
         Ok(())
     }

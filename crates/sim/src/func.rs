@@ -24,7 +24,7 @@ pub use tracker::{Tracker, TrackerTable};
 
 use crate::error::{Error, Result};
 use crate::fault::FaultPlan;
-use scaledeep_trace::{MetricsRegistry, TraceSink, Tracer};
+use scaledeep_trace::{TraceSink, Tracer};
 
 use scaledeep_compiler::codegen::{
     conv_grads_to_output_major, conv_weights_to_input_major, fc_weights_transpose, BufferLoc,
@@ -323,13 +323,7 @@ impl FuncSim {
     /// Propagates machine faults ([`Error::Deadlock`],
     /// [`Error::OutOfBounds`], ...).
     pub fn run_iteration(&mut self, image: &[f32], golden: &[f32]) -> Result<RunStats> {
-        self.run_iteration_traced(
-            image,
-            golden,
-            &FaultPlan::none(),
-            &mut Tracer::disabled(),
-            None,
-        )
+        self.run_iteration_traced(image, golden, &FaultPlan::none(), &mut Tracer::disabled())
     }
 
     /// Where a training iteration's data goes in the compiled layout: the
@@ -389,7 +383,6 @@ impl FuncSim {
         fp_only: bool,
         plan: &FaultPlan,
         tracer: &mut Tracer<S>,
-        reg: Option<&mut MetricsRegistry>,
     ) -> Result<RunStats> {
         let costs = CycleCosts::default();
         let specs = &self.compiled.trackers;
@@ -398,12 +391,12 @@ impl FuncSim {
             ExecBackend::Interpreter => {
                 let programs = self.compiled.programs.iter().filter(|p| selected(p.name()));
                 self.machine
-                    .run_traced(programs, specs, &costs, plan, tracer, reg)
+                    .run_traced(programs, specs, &costs, plan, tracer)
             }
             ExecBackend::Compiled => {
                 let programs = self.lowered.iter().filter(|p| selected(p.name()));
                 self.machine
-                    .run_lowered(programs, specs, &costs, plan, tracer, reg)
+                    .run_lowered(programs, specs, &costs, plan, tracer)
             }
         }
     }
@@ -411,11 +404,9 @@ impl FuncSim {
     /// [`FuncSim::run_iteration`] under a [`FaultPlan`] and with
     /// observability: dispatches through [`Machine::run_lowered`] on the
     /// compiled tier (see [`Machine::run_traced`] for the fault
-    /// semantics, the track layout and the metric names),
-    /// emitting retire/park/wake/fault events into `tracer` and, when
-    /// `reg` is given, rendering the run's [`RunStats`] into it. With the
-    /// empty plan, a disabled tracer and no registry this is
-    /// `run_iteration`.
+    /// semantics and the track layout), emitting retire/park/wake/fault
+    /// events into `tracer`. With the empty plan and a disabled tracer
+    /// this is `run_iteration`.
     ///
     /// # Errors
     ///
@@ -427,10 +418,9 @@ impl FuncSim {
         golden: &[f32],
         plan: &FaultPlan,
         tracer: &mut Tracer<S>,
-        reg: Option<&mut MetricsRegistry>,
     ) -> Result<RunStats> {
         self.prepare_iteration(image, golden)?;
-        self.dispatch_all(false, plan, tracer, reg)
+        self.dispatch_all(false, plan, tracer)
     }
 
     /// Snapshots the learning state (weights, FC transposes, gradient
@@ -535,7 +525,7 @@ impl FuncSim {
         }
         self.write_buffer(input_loc, images)?;
         self.write_buffer(golden_loc, goldens)?;
-        self.dispatch_all(false, &FaultPlan::none(), &mut Tracer::disabled(), None)
+        self.dispatch_all(false, &FaultPlan::none(), &mut Tracer::disabled())
     }
 
     /// Runs forward propagation only (network evaluation): executes the FP
@@ -552,7 +542,7 @@ impl FuncSim {
         // become ready once all updates land, and within a single image no
         // buffer needs the (never-arriving) BP/WG reads before being
         // rewritten.
-        self.dispatch_all(true, &FaultPlan::none(), &mut Tracer::disabled(), None)
+        self.dispatch_all(true, &FaultPlan::none(), &mut Tracer::disabled())
     }
 
     /// The post-activation output of a layer after a run.

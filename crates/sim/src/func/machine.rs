@@ -37,7 +37,7 @@ pub struct TileStats {
 
 /// Statistics from one machine run: the typed run record, accumulated
 /// directly by the run loop. [`RunStats::write_metrics`] renders it into
-/// a [`MetricsRegistry`] when the caller observes the run.
+/// a [`MetricsRegistry`] where a reader wants one.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunStats {
     /// Instructions executed (completed, not counting blocked attempts).
@@ -66,9 +66,9 @@ pub struct RunStats {
 impl RunStats {
     /// Renders the record into `reg` as the `func.*` counters, the
     /// `func.instruction_cost` histogram and one `func.tile.NNNN.busy` /
-    /// `.stalls` counter pair per tile. Counters add and the histogram
-    /// merges, so a retried run's record folds into the first attempt's
-    /// registry.
+    /// `.stalls` counter pair per tile, merged through one per-run
+    /// registry: counters add and the histogram merges into any already
+    /// in `reg`.
     pub fn write_metrics(&self, reg: &mut MetricsRegistry) {
         let mut run = MetricsRegistry::new();
         for (name, v) in [
@@ -229,7 +229,6 @@ impl Machine {
             &CycleCosts::default(),
             &FaultPlan::none(),
             &mut Tracer::disabled(),
-            None,
         )
     }
 
@@ -242,12 +241,8 @@ impl Machine {
     /// tracker-ready parks once and is re-dispatched only by the tracker
     /// update that touches an awaited range.
     ///
-    /// Every dispatch accumulates into the returned [`RunStats`] record.
-    /// When `reg` is given, a successful run renders that record into it
-    /// ([`RunStats::write_metrics`]; a failed attempt renders nothing, so
-    /// retries never double-count), and `tracer` receives cycle-stamped
-    /// events:
-    /// instruction-retire spans on per-tile tracks (their durations sum
+    /// Every dispatch accumulates into the returned [`RunStats`] record,
+    /// and `tracer` receives cycle-stamped events: instruction-retire spans on per-tile tracks (their durations sum
     /// exactly to the per-tile busy cycles), park/wake instants on
     /// per-thread tracks, and fault instants on a `faults` track. With a
     /// disabled tracer the event calls compile down to constant-false
@@ -282,9 +277,8 @@ impl Machine {
         costs: &CycleCosts,
         plan: &FaultPlan,
         tracer: &mut Tracer<S>,
-        reg: Option<&mut MetricsRegistry>,
     ) -> Result<RunStats> {
-        self.run_generic(programs, specs, costs, plan, tracer, reg)
+        self.run_generic(programs, specs, costs, plan, tracer)
     }
 
     /// The compiled tier's one run: [`Machine::run_traced`] over
@@ -306,9 +300,8 @@ impl Machine {
         costs: &CycleCosts,
         plan: &FaultPlan,
         tracer: &mut Tracer<S>,
-        reg: Option<&mut MetricsRegistry>,
     ) -> Result<RunStats> {
-        self.run_generic(programs, specs, costs, plan, tracer, reg)
+        self.run_generic(programs, specs, costs, plan, tracer)
     }
 
     #[allow(clippy::too_many_lines)]
@@ -319,7 +312,6 @@ impl Machine {
         costs: &CycleCosts,
         plan: &FaultPlan,
         tracer: &mut Tracer<S>,
-        reg: Option<&mut MetricsRegistry>,
     ) -> Result<RunStats> {
         self.arm_from_specs(specs)?;
         let mut threads: Vec<Thread<C>> = programs.into_iter().map(Thread::new).collect();
@@ -482,9 +474,6 @@ impl Machine {
         }
         stats.cycles = queue.now();
         if threads.iter().all(|t| t.halted) {
-            if let Some(reg) = reg {
-                stats.write_metrics(reg);
-            }
             Ok(stats)
         } else {
             Err(Error::Deadlock {
@@ -1272,7 +1261,6 @@ mod tests {
                 &CycleCosts::default(),
                 &FaultPlan::none(),
                 &mut Tracer::disabled(),
-                None,
             )
             .unwrap();
 
@@ -1314,7 +1302,7 @@ mod tests {
         plan: &FaultPlan,
     ) -> Result<RunStats> {
         let costs = CycleCosts::default();
-        m.run_traced(programs, specs, &costs, plan, &mut Tracer::disabled(), None)
+        m.run_traced(programs, specs, &costs, plan, &mut Tracer::disabled())
     }
 
     #[test]

@@ -31,12 +31,15 @@
 //! ([`perf::PerfSim::run`], [`func::Machine::run_lowered`] on the
 //! compiled tier) that takes a `Tracer` (cycle-stamped spans/instants on
 //! named tracks, exportable to Chrome/Perfetto JSON or per-cycle CSV) and
-//! an optional `MetricsRegistry`. Both models return a typed run record
-//! ([`RunStats`], [`PerfResult`]) and render it into the registry only
-//! when the run is observed; unobserved runs pass a statically-free
-//! `NullSink` tracer and touch no registry.
+//! returns a typed run record ([`RunStats`], [`PerfResult`]), the same
+//! for any tracer. No engine takes a `MetricsRegistry`: a reader that
+//! wants one renders the record where it reads it
+//! ([`RunStats::write_metrics`], [`PerfResult::write_metrics`]).
+//! Unobserved runs pass a statically-free `NullSink` tracer.
 //!
 //! [`RunStats`]: func::RunStats
+//! [`RunStats::write_metrics`]: func::RunStats::write_metrics
+//! [`PerfResult::write_metrics`]: perf::PerfResult::write_metrics
 //! [`PerfResult`]: perf::PerfResult
 //! [`Mapping`]: scaledeep_compiler::Mapping
 //! [`EventQueue`]: engine::EventQueue

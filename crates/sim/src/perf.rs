@@ -38,7 +38,7 @@ pub use stage::{RunKind, StageCost};
 use crate::fault::FaultPlan;
 use scaledeep_arch::{NodeConfig, PowerModel};
 use scaledeep_compiler::{LayerPlan, Mapping, Side};
-use scaledeep_trace::{MetricsRegistry, TraceSink, Tracer};
+use scaledeep_trace::{TraceSink, Tracer};
 use std::ops::Range;
 
 /// Tunable simulation parameters.
@@ -99,7 +99,6 @@ impl Default for PerfOptions {
 ///     RunKind::Training,
 ///     &FaultPlan::none(),
 ///     &mut Tracer::disabled(),
-///     None,
 /// );
 /// assert!(result.images_per_sec > 1_000.0);
 /// # Ok(())
@@ -146,11 +145,9 @@ impl PerfSim {
     /// syncs, and the result's [`PerfResult::faults`] reports the toll;
     /// the empty plan takes the same code path with zero added latency.
     /// The pipeline emits stage-occupancy spans, sync spans, and retry
-    /// instants into `tracer`. With `reg: Some`, the record is then rendered into the
-    /// registry: every scalar of the [`PerfResult`] plus the pipeline's
-    /// counters, under their `perf.*` names (same names, values and
-    /// registration order for any tracer; counters add to any already
-    /// there). With `None` the run touches no registry at all.
+    /// instants into `tracer`. The record is the same for any tracer;
+    /// [`PerfResult::write_metrics`] renders it under the `perf.*` names
+    /// where a reader wants a registry.
     ///
     /// The run is [`PerfSim::node_model`] with one replica (replica 0's
     /// salts), faulted runs included; the node-wide replica count scales
@@ -163,7 +160,6 @@ impl PerfSim {
         kind: RunKind,
         plan: &FaultPlan,
         tracer: &mut Tracer<S>,
-        reg: Option<&mut MetricsRegistry>,
     ) -> PerfResult {
         let mut model = self.node_model(mapping, kind, plan);
         let pipelines = std::mem::replace(&mut model.replicas, 1);
@@ -173,7 +169,7 @@ impl PerfSim {
             let name = |st: &StageCost| stage_name(mapping, st.members.clone());
             (pipeline::drive(&model, name, tracer), model.images - 1)
         };
-        let result = metrics::assemble(
+        metrics::assemble(
             mapping,
             &self.node,
             &self.power,
@@ -182,11 +178,7 @@ impl PerfSim {
             &out,
             done,
             pipelines,
-        );
-        if let Some(reg) = reg {
-            metrics::write_metrics(&result, reg);
-        }
-        result
+        )
     }
 
     /// Builds the [`NodeModel`] of an already-mapped network, the one
@@ -262,13 +254,7 @@ pub(crate) fn map_and_run(
     let mapping = scaledeep_compiler::Compiler::new(&sim.node)
         .map(net)
         .expect("network maps");
-    sim.run(
-        &mapping,
-        kind,
-        &FaultPlan::none(),
-        &mut Tracer::disabled(),
-        None,
-    )
+    sim.run(&mapping, kind, &FaultPlan::none(), &mut Tracer::disabled())
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Metric assembly: throughput, utilizations, link utilizations, power —
 //! the typed run record [`PerfResult`] — and its rendering into a
-//! [`MetricsRegistry`] for observed runs.
+//! [`MetricsRegistry`] ([`PerfResult::write_metrics`]).
 
 use super::node::NodeOutcome;
 use super::pipeline;
@@ -67,9 +67,10 @@ pub struct StageStat {
 }
 
 /// The result of one performance-simulation run: the typed run record.
-/// Every quantity an observed run renders into its [`MetricsRegistry`]
-/// is a field here (the metric each one renders as is named in its
-/// doc), so readers such as per-layer attribution need no registry.
+/// Every quantity [`PerfResult::write_metrics`] renders into a
+/// [`MetricsRegistry`] is a field here (the metric each one renders as
+/// is named in its doc), so readers such as per-layer attribution need
+/// no registry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfResult {
     /// The simulated network.
@@ -142,6 +143,61 @@ impl PerfResult {
     pub fn energy_per_image(&self) -> EnergyBreakdown {
         self.avg_power
             .energy_over(1.0 / self.images_per_sec.max(1e-9))
+    }
+
+    /// Renders the record into `reg` under the `perf.*` names: the
+    /// pipeline's counters and occupancy histogram (merged through one
+    /// per-run registry, so they add to any already there), then every
+    /// assembled scalar as a gauge, in this fixed registration order.
+    pub fn write_metrics(&self, reg: &mut MetricsRegistry) {
+        let mut run = MetricsRegistry::new();
+        for (name, value) in [
+            ("perf.link.retries", self.faults.link_retries),
+            ("perf.link.retry_cycles", self.faults.retry_cycles),
+            ("perf.images.completed", self.images_completed),
+            ("perf.syncs", self.syncs),
+            ("perf.sync.cycles", self.sync_cycles),
+        ] {
+            let id = run.counter(name);
+            run.add(id, value);
+        }
+        let hist = run.histogram("perf.stage.occupancy");
+        run.observe_hist(hist, &self.occupancy);
+        for (i, s) in self.stages.iter().enumerate() {
+            let id = run.counter(&format!("perf.stage.{i:02}.busy"));
+            run.add(id, s.busy_cycles);
+        }
+        reg.merge(&run);
+        let mut gauge = |name: &str, value: f64| {
+            let id = reg.gauge(name);
+            reg.set(id, value);
+        };
+        gauge("perf.window_cycles", self.window_cycles as f64);
+        gauge("perf.images_done", self.images_done as f64);
+        gauge("perf.images_per_sec", self.images_per_sec);
+        gauge("perf.pe_utilization", self.pe_utilization);
+        gauge("perf.sfu_utilization", self.sfu_utilization);
+        for l in &self.links {
+            let class = l.class;
+            gauge(&format!("perf.link.{class:?}.utilization"), l.utilization);
+            gauge(
+                &format!("perf.link.{class:?}.bytes_per_image"),
+                l.bytes_per_image,
+            );
+        }
+        gauge("perf.achieved_flops", self.achieved_flops);
+        gauge("perf.gflops_per_watt", self.gflops_per_watt);
+        gauge("perf.joules_per_image", self.joules_per_image);
+        for (i, s) in self.stages.iter().enumerate() {
+            gauge(
+                &format!("perf.stage.{i:02}.service_cycles"),
+                s.service_cycles as f64,
+            );
+            let t = &s.tier_bytes;
+            for (tier, bytes) in [("grid", t.grid), ("wheel", t.wheel), ("ring", t.ring)] {
+                gauge(&format!("perf.stage.{i:02}.bytes.{tier}"), bytes);
+            }
+        }
     }
 }
 
@@ -315,54 +371,6 @@ pub(super) fn assemble(
         syncs: out.syncs,
         sync_cycles: out.sync_cycles,
         occupancy,
-    }
-}
-
-/// Renders `r` into `reg`: the pipeline's counters (merged, so they add
-/// to any already there), then every assembled scalar as a gauge, in
-/// this fixed registration order.
-pub(super) fn write_metrics(r: &PerfResult, reg: &mut MetricsRegistry) {
-    pipeline::write_counters(
-        reg,
-        [
-            r.faults.link_retries,
-            r.faults.retry_cycles,
-            r.images_completed,
-            r.syncs,
-            r.sync_cycles,
-        ],
-        r.stages.iter().map(|s| s.busy_cycles),
-        &r.occupancy,
-    );
-    let mut gauge = |name: &str, value: f64| {
-        let id = reg.gauge(name);
-        reg.set(id, value);
-    };
-    gauge("perf.window_cycles", r.window_cycles as f64);
-    gauge("perf.images_done", r.images_done as f64);
-    gauge("perf.images_per_sec", r.images_per_sec);
-    gauge("perf.pe_utilization", r.pe_utilization);
-    gauge("perf.sfu_utilization", r.sfu_utilization);
-    for l in &r.links {
-        let class = l.class;
-        gauge(&format!("perf.link.{class:?}.utilization"), l.utilization);
-        gauge(
-            &format!("perf.link.{class:?}.bytes_per_image"),
-            l.bytes_per_image,
-        );
-    }
-    gauge("perf.achieved_flops", r.achieved_flops);
-    gauge("perf.gflops_per_watt", r.gflops_per_watt);
-    gauge("perf.joules_per_image", r.joules_per_image);
-    for (i, s) in r.stages.iter().enumerate() {
-        gauge(
-            &format!("perf.stage.{i:02}.service_cycles"),
-            s.service_cycles as f64,
-        );
-        let t = &s.tier_bytes;
-        for (tier, bytes) in [("grid", t.grid), ("wheel", t.wheel), ("ring", t.ring)] {
-            gauge(&format!("perf.stage.{i:02}.bytes.{tier}"), bytes);
-        }
     }
 }
 

@@ -396,7 +396,7 @@ mod tests {
     use scaledeep_arch::presets;
     use scaledeep_compiler::Compiler;
     use scaledeep_dnn::zoo;
-    use scaledeep_trace::{Category, CategoryMask, FilterSink, MetricsRegistry, VecSink};
+    use scaledeep_trace::{Category, CategoryMask, FilterSink, VecSink};
 
     /// The event-ordered drive with nothing recorded: the epoch drive's
     /// oracle.
@@ -583,13 +583,12 @@ mod tests {
     // each link-faulted epoch walked image-major) whenever the tracer
     // records none of the pipeline's categories, and with the
     // event-ordered heap otherwise. Both return a `NodeOutcome`, and the
-    // registry is written in bulk from it, so nothing a caller can read
-    // may tell the two apart: the outcome and the metrics registry must
-    // be `==`. The generators cover long pipelines, one to three
+    // run record is assembled from it, so nothing a caller can read may
+    // tell the two apart: the outcomes must be `==`. The generators cover long pipelines, one to three
     // replicas, equal service times (heap ties), partial tail
     // minibatches, barrier on and off, and seeded transient link faults;
     // a second, fault-free generator sizes minibatches like real runs (up
-    // to 64 images). A metrics-only tracer (active, every category
+    // to 64 images). An empty-filter tracer (active, every category
     // filtered out) takes the epoch drive too, and must still intern the
     // same tracks and record no event, while a tracer that records any
     // single pipeline category keeps the event-ordered drive.
@@ -661,54 +660,34 @@ mod tests {
         }
     }
 
-    /// Drives `m` under `tracer` and writes the pipeline's counters from
-    /// the outcome, as a traced `PerfSim::run` does.
-    fn drive_observed<S: TraceSink>(
-        m: &NodeModel,
-        tracer: &mut Tracer<S>,
-    ) -> (NodeOutcome, MetricsRegistry) {
-        let out = pipeline::drive(m, test_stage_name, tracer);
-        let mut reg = MetricsRegistry::new();
-        pipeline::write_counters(
-            &mut reg,
-            [
-                out.faults.link_retries,
-                out.faults.retry_cycles,
-                out.images_done,
-                out.syncs,
-                out.sync_cycles,
-            ],
-            out.stage_busy.iter().copied(),
-            &pipeline::occupancy(&m.stages, &out.stage_admissions),
-        );
-        (out, reg)
+    /// Drives `m` under `tracer`, as `PerfSim::run` does.
+    fn drive<S: TraceSink>(m: &NodeModel, tracer: &mut Tracer<S>) -> NodeOutcome {
+        pipeline::drive(m, test_stage_name, tracer)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The epoch and event-ordered drives return equal outcomes and
-        /// equal registries on random models.
+        /// The epoch and event-ordered drives return equal outcomes on
+        /// random models.
         #[test]
         fn image_major_drive_matches_the_event_ordered_drive(seed in any::<u64>(), fault_seed in any::<u64>()) {
             let m = palette_model(seed, fault_seed);
-            let (fast, fast_reg) = drive_observed(&m, &mut Tracer::disabled());
+            let fast = drive(&m, &mut Tracer::disabled());
             let mut recorded = Tracer::new(VecSink::new());
-            let (slow, slow_reg) = drive_observed(&m, &mut recorded);
+            let slow = drive(&m, &mut recorded);
             prop_assert!(
                 recorded.sink().events().len() >= m.replicas * m.images * m.stages.len(),
                 "the recording tracer must take the event-ordered drive"
             );
             prop_assert_eq!(&fast, &slow);
-            prop_assert_eq!(&fast_reg, &slow_reg);
 
-            let mut metrics_only =
+            let mut empty_filter =
                 Tracer::new(FilterSink::new(VecSink::new(), CategoryMask::none()));
-            let (quiet, quiet_reg) = drive_observed(&m, &mut metrics_only);
+            let quiet = drive(&m, &mut empty_filter);
             prop_assert_eq!(&quiet, &slow);
-            prop_assert_eq!(&quiet_reg, &slow_reg);
-            prop_assert!(metrics_only.sink().inner().events().is_empty());
-            prop_assert_eq!(metrics_only.tracks(), recorded.tracks());
+            prop_assert!(empty_filter.sink().inner().events().is_empty());
+            prop_assert_eq!(empty_filter.tracks(), recorded.tracks());
 
             // Recording any one pipeline category keeps the event-ordered
             // drive: the filtered run records exactly that category's
@@ -716,9 +695,8 @@ mod tests {
             for cat in [Category::Stage, Category::Session, Category::Link] {
                 let mut one =
                     Tracer::new(FilterSink::new(VecSink::new(), CategoryMask::just(cat)));
-                let (out, one_reg) = drive_observed(&m, &mut one);
+                let out = drive(&m, &mut one);
                 prop_assert_eq!(&out, &slow);
-                prop_assert_eq!(&one_reg, &slow_reg);
                 let want: Vec<_> = recorded
                     .sink()
                     .events()
@@ -735,20 +713,19 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Fault-free models at real scale: the closed-form epochs behind
-        /// an untraced run return the outcome and registry of the
-        /// recorded event-ordered run.
+        /// an untraced run return the outcome of the recorded
+        /// event-ordered run.
         #[test]
         fn real_scale_fault_free_runs_match_the_recorded_drive(seed in any::<u64>()) {
             let m = real_scale_model(seed);
-            let (fast, fast_reg) = drive_observed(&m, &mut Tracer::disabled());
+            let fast = drive(&m, &mut Tracer::disabled());
             let mut recorded = Tracer::new(VecSink::new());
-            let (slow, slow_reg) = drive_observed(&m, &mut recorded);
+            let slow = drive(&m, &mut recorded);
             prop_assert!(
                 recorded.sink().events().len() >= m.replicas * m.images * m.stages.len(),
                 "the recording tracer must take the event-ordered drive"
             );
             prop_assert_eq!(&fast, &slow);
-            prop_assert_eq!(&fast_reg, &slow_reg);
         }
     }
 }

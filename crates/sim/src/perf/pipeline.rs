@@ -6,7 +6,7 @@ use super::StageCost;
 use crate::engine::Cycle;
 use scaledeep_arch::NodeConfig;
 use scaledeep_compiler::Mapping;
-use scaledeep_trace::{Category, Hist, MetricsRegistry, TraceSink, Tracer};
+use scaledeep_trace::{Category, Hist, TraceSink, Tracer};
 
 /// Cycles spent aggregating weight gradients and distributing updated
 /// weights at a minibatch boundary: a reduce + broadcast of the CONV
@@ -23,7 +23,7 @@ pub(super) fn sync_cycles(mapping: &Mapping, node: &NodeConfig) -> Cycle {
 
 /// Simulates `model` with the drive `tracer` calls for, interning the
 /// pipeline's tracks either way (a recording tracer names each stage's
-/// track by `stage_name`); writes no registry.
+/// track by `stage_name`).
 ///
 /// Every stage hand-off (the grid/spoke transfer admitting an image into a
 /// stage) and every minibatch sync (wheel arcs + ring) independently
@@ -40,8 +40,7 @@ pub(super) fn sync_cycles(mapping: &Mapping, node: &NodeConfig) -> Cycle {
 /// run takes the event-ordered drive, which emits every stage-occupancy
 /// span, sync span and retry instant in emission order. Otherwise it
 /// takes the epoch drive [`run_node`](super::run_node). Both return the
-/// same [`NodeOutcome`], from which the caller writes the counters
-/// ([`write_counters`]).
+/// same [`NodeOutcome`], from which the caller assembles the run record.
 ///
 /// # Panics
 ///
@@ -72,37 +71,6 @@ pub(super) fn occupancy(stages: &[StageCost], admissions: &[u64]) -> Hist {
         hist.observe_n(st.service_cycles.max(1) as f64, n);
     }
     hist
-}
-
-/// Writes the pipeline's counters into `reg` through one merge of a
-/// per-run registry: `totals` are the link retries, retry cycles, images
-/// completed, syncs and sync cycles, `busy` each stage's busy cycles in
-/// pipeline order.
-pub(super) fn write_counters(
-    reg: &mut MetricsRegistry,
-    totals: [u64; 5],
-    busy: impl Iterator<Item = u64>,
-    occupancy: &Hist,
-) {
-    const TOTALS: [&str; 5] = [
-        "perf.link.retries",
-        "perf.link.retry_cycles",
-        "perf.images.completed",
-        "perf.syncs",
-        "perf.sync.cycles",
-    ];
-    let mut run = MetricsRegistry::new();
-    for (name, value) in TOTALS.into_iter().zip(totals) {
-        let id = run.counter(name);
-        run.add(id, value);
-    }
-    let hist = run.histogram("perf.stage.occupancy");
-    run.observe_hist(hist, occupancy);
-    for (s, busy) in busy.enumerate() {
-        let id = run.counter(&format!("perf.stage.{s:02}.busy"));
-        run.add(id, busy);
-    }
-    reg.merge(&run);
 }
 
 /// Concurrent pipeline replicas across the node: rim chips not consumed by

@@ -423,7 +423,6 @@ proptest! {
                 &CycleCosts::default(),
                 &FaultPlan::none(),
                 &mut Tracer::disabled(),
-                None,
             )
             .expect("compiled tier runs");
 

@@ -28,9 +28,9 @@
 //!   ASCII per-track occupancy heatmap. All output is deterministic for a
 //!   fixed event stream.
 //! - **Metrics** ([`MetricsRegistry`]): named counters, gauges, and log2
-//!   histograms with a sorted text report; simulators register metrics
-//!   once, update via [`MetricId`] handles in hot loops, and merge
-//!   registries upward.
+//!   histograms with a sorted text report; a run record renders into one
+//!   where it is read, and the job server updates its live counters via
+//!   [`MetricId`] handles.
 //! - **Hashing** ([`fnv1a`], [`Fnv1aWriter`], [`splitmix64`]): the
 //!   FNV-1a-64 content hash behind every provenance key, design
 //!   fingerprint and stream digest, and the SplitMix64 counter hash behind

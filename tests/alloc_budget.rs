@@ -97,7 +97,6 @@ fn candidate_path_allocation_budget() {
                     RunKind::Training,
                     &plan,
                     &mut Tracer::disabled(),
-                    None,
                 )
             });
             // 13; a stage name cloned per layer and joined per shared
@@ -152,15 +151,8 @@ fn zoo_candidate_allocation_budget() {
             map <= 15,
             "{name}: a candidate mapping made {map} allocations, over its budget of 15"
         );
-        let (_, run) = counted(|| {
-            sim.run(
-                &mapping,
-                RunKind::Training,
-                &plan,
-                &mut Tracer::disabled(),
-                None,
-            )
-        });
+        let (_, run) =
+            counted(|| sim.run(&mapping, RunKind::Training, &plan, &mut Tracer::disabled()));
         // 11 to 14: the stage list grows by doubling. A name per stage
         // made 25 (alexnet) to 123 (googlenet).
         assert!(
@@ -226,7 +218,6 @@ fn warm_functional_iteration_allocation_budget() {
             &CycleCosts::default(),
             &FaultPlan::none(),
             &mut Tracer::disabled(),
-            None,
         )
     };
     dispatch().expect("warm-up dispatch");
@@ -284,7 +275,6 @@ fn warm_evaluation_allocation_budget() {
             &CycleCosts::default(),
             &FaultPlan::none(),
             &mut Tracer::disabled(),
-            None,
         )
     };
     dispatch().expect("warm-up dispatch");

@@ -149,8 +149,8 @@ fn alexnet_func_tiers_match_the_committed_drill() {
 #[test]
 fn attribution_sums_to_measured_stage_busy_cycles() {
     // Acceptance: the report's per-layer cycles must sum (exactly — the
-    // apportionment is largest-remainder) to the busy cycles the trace's
-    // stage counters measured.
+    // apportionment is largest-remainder) to the busy cycles a traced
+    // run's record measured.
     let session = Session::single_precision();
     let net = zoo::alexnet();
     let traced = session
@@ -160,17 +160,7 @@ fn attribution_sums_to_measured_stage_busy_cycles() {
         .bench_report(&net, RunKind::Training)
         .expect("alexnet benches");
 
-    let mut measured = 0u64;
-    for i in 0.. {
-        match traced
-            .trace
-            .metrics
-            .counter_value(&format!("perf.stage.{i:02}.busy"))
-        {
-            Some(c) => measured += c,
-            None => break,
-        }
-    }
+    let measured = traced.perf.busy_cycles();
     assert!(measured > 0);
     assert_eq!(report.perf.busy_cycles(), measured);
     let layer_sum: u64 = report

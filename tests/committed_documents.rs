@@ -1,6 +1,7 @@
 //! Committed documents re-derive byte for byte from this tree: the
-//! `repro` experiment output (`docs/repro_output.txt`) and the DSE smoke
-//! sweep (`BENCH_dse-smoke.json`). A model change that moves either must
+//! `repro` experiment output (`docs/repro_output.txt`), the DSE smoke
+//! sweep (`BENCH_dse-smoke.json`) and the seed-42 chaos drill
+//! (`BENCH_serve-drill.json`). A change that moves any of them must
 //! refresh the file on purpose. The BENCH run reports are re-derived in
 //! `bench_report.rs`.
 
@@ -8,7 +9,8 @@ use scaledeep::dse::{self, DseConfig, DseReport};
 use scaledeep::experiments::{run_by_id, EXPERIMENT_IDS};
 use scaledeep::Session;
 use scaledeep_dnn::zoo;
-use scaledeep_trace::json;
+use scaledeep_serve::{run_drill, DrillConfig};
+use scaledeep_trace::json::{self, Json};
 
 const REPRO_OUTPUT: &str = include_str!(concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -16,6 +18,11 @@ const REPRO_OUTPUT: &str = include_str!(concat!(
 ));
 
 const DSE_SMOKE: &str = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_dse-smoke.json"));
+
+const SERVE_DRILL: &str = include_str!(concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/BENCH_serve-drill.json"
+));
 
 /// The first line where `fresh` departs from `committed`, with its line
 /// number and the title of the table it sits in; `None` when equal.
@@ -76,6 +83,25 @@ fn dse_smoke_sweep_reproduces_exactly() {
     let fresh = dse::run(&Session::single_precision(), &net, &baseline.space(), &cfg);
     if let Err(diff) = json::check_document(DSE_SMOKE, &fresh.to_json()) {
         panic!("BENCH_dse-smoke.json no longer matches its sweep: {diff}");
+    }
+}
+
+#[test]
+fn serve_drill_document_reproduces_exactly() {
+    // `repro serve-drill --seed 42 --write-bench`: the document names
+    // its seed, and the drill's shape is the default one.
+    let committed = json::parse(SERVE_DRILL).expect("the committed drill parses");
+    let seed = committed
+        .get("seed")
+        .and_then(Json::as_num)
+        .expect("the drill document names its seed");
+    let cfg = DrillConfig {
+        seed: seed as u64,
+        ..DrillConfig::default()
+    };
+    let fresh = run_drill(&cfg).to_bench_json();
+    if let Err(diff) = json::check_document(SERVE_DRILL, &fresh) {
+        panic!("BENCH_serve-drill.json no longer matches its drill: {diff}");
     }
 }
 

@@ -131,7 +131,7 @@ fn iterate(
     golden: &[f32],
     plan: &FaultPlan,
 ) -> Result<RunStats, Error> {
-    sim.run_iteration_traced(image, golden, plan, &mut Tracer::disabled(), None)
+    sim.run_iteration_traced(image, golden, plan, &mut Tracer::disabled())
 }
 
 // ---------- empty-plan bit-identity ----------

@@ -16,7 +16,8 @@ fn headline_node_numbers() {
     let sp = presets::single_precision();
     assert_eq!(sp.total_tiles(), 7032);
     assert!((sp.peak_flops() / 1e12 - 680.0).abs() < 5.0);
-    let eff = PowerModel::paper_sp().node_efficiency(sp.peak_flops(), UtilizationProfile::PEAK);
+    let peak_power = PowerModel::paper_sp().average_node_power(UtilizationProfile::PEAK);
+    let eff = sp.peak_flops() / peak_power.total();
     assert!((eff / 1e9 - 485.7).abs() < 5.0);
 
     let hp = presets::half_precision();

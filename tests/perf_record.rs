@@ -1,14 +1,13 @@
 //! The performance model's typed run record and its registry rendering
 //! agree.
 //!
-//! `PerfSim::run` with no registry (and `Observer::Off`) return the typed record,
-//! `PerfResult`, and write no metrics registry; a traced run renders the
-//! same record into its registry under the `perf.*` names. Over every
-//! benchmark network, both run kinds, and a fault-free and a seeded
-//! link-fault plan: the unobserved record equals the fully traced one,
-//! each typed field equals its registry entry, and per-layer attribution
-//! built from an unobserved run with an empty trace equals the one built
-//! from the full trace.
+//! `PerfSim::run` returns the typed record, `PerfResult`, the same under
+//! any tracer; `PerfResult::write_metrics` renders it under the `perf.*`
+//! names. Over every benchmark network, both run kinds, and a fault-free
+//! and a seeded link-fault plan: the unobserved record equals the fully
+//! traced one and the session's traced run, each typed field equals its
+//! registry entry, and per-layer attribution built from an unobserved run
+//! with an empty trace equals the one built from the full trace.
 
 use scaledeep::{Attribution, Observer, Session, Trace, TraceConfig, TracedRun};
 use scaledeep_dnn::zoo;
@@ -113,12 +112,13 @@ fn record_matches_the_registry() {
         for kind in [RunKind::Training, RunKind::Evaluation] {
             for plan in [FaultPlan::none(), faulted.clone()] {
                 let what = format!("{name} {kind:?} {plan:?}");
-                let record = sim.run(mapping, kind, &plan, &mut Tracer::disabled(), None);
-                let mut reg = MetricsRegistry::new();
+                let record = sim.run(mapping, kind, &plan, &mut Tracer::disabled());
                 let mut tracer = Tracer::new(VecSink::new());
-                let traced = sim.run(mapping, kind, &plan, &mut tracer, Some(&mut reg));
+                let traced = sim.run(mapping, kind, &plan, &mut tracer);
                 assert!(!tracer.sink().events().is_empty(), "{what}");
                 assert_eq!(record, traced, "{what}");
+                let mut reg = MetricsRegistry::new();
+                traced.write_metrics(&mut reg);
                 assert_rendered(&traced, &reg, &what);
 
                 // Attribution reads the record, never the trace.
@@ -134,7 +134,7 @@ fn record_matches_the_registry() {
                     perf: full.value,
                     trace: full.trace.expect("traced"),
                 };
-                assert_eq!(full.trace.metrics, reg, "{what}");
+                assert_eq!(full.perf, record, "{what}");
                 let bare = TracedRun {
                     perf: off.value,
                     trace: Trace::default(),
@@ -165,17 +165,12 @@ fn layer_sequential_record_matches_the_registry() {
     for kind in [RunKind::Training, RunKind::Evaluation] {
         let what = format!("A4 {kind:?}");
         let plan = FaultPlan::none();
-        let record = sim.run(
-            artifact.mapping(),
-            kind,
-            &plan,
-            &mut Tracer::disabled(),
-            None,
-        );
-        let mut reg = MetricsRegistry::new();
+        let record = sim.run(artifact.mapping(), kind, &plan, &mut Tracer::disabled());
         let mut tracer = Tracer::new(VecSink::new());
-        let traced = sim.run(artifact.mapping(), kind, &plan, &mut tracer, Some(&mut reg));
+        let traced = sim.run(artifact.mapping(), kind, &plan, &mut tracer);
         assert_eq!(record, traced, "{what}");
+        let mut reg = MetricsRegistry::new();
+        traced.write_metrics(&mut reg);
         assert_rendered(&traced, &reg, &what);
         let busy: u64 = record.stages.iter().map(|s| s.busy_cycles).sum();
         assert_eq!(busy + record.sync_cycles, record.window_cycles, "{what}");

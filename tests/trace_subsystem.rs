@@ -72,7 +72,7 @@ fn same_seed_runs_export_byte_identical_traces() {
     let b = s.run_traced(&net, RunKind::Training, &cfg).unwrap();
     assert_eq!(a.trace.chrome_trace(), b.trace.chrome_trace());
     assert_eq!(a.trace.cycle_csv(), b.trace.cycle_csv());
-    assert_eq!(a.trace.metrics_report(), b.trace.metrics_report());
+    assert_eq!(a.perf, b.perf);
 }
 
 #[test]
@@ -88,12 +88,13 @@ fn perf_trace_validates_and_spans_every_stage() {
     assert!(traced.trace.tracks.iter().any(|(_, n)| n == "sync"));
     let csv = traced.trace.cycle_csv();
     assert!(csv.starts_with("cycle,track,category,event,dur,detail"));
-    // Stage busy counters in the registry equal the span sums per track.
+    // Each stage's busy cycles in the record equal its track's span sum.
     for (id, name) in traced.trace.tracks.iter() {
         let Some(rest) = name.strip_prefix("stage ") else {
             continue;
         };
         let stage: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
+        let stage: usize = stage.parse().unwrap();
         let spans: u64 = traced
             .trace
             .events
@@ -101,12 +102,13 @@ fn perf_trace_validates_and_spans_every_stage() {
             .filter(|e| e.track == id && e.is_span())
             .map(|e| e.dur)
             .sum();
-        let counter = traced
-            .trace
-            .metrics
-            .counter_value(&format!("perf.stage.{stage}.busy"))
-            .unwrap_or_else(|| panic!("no busy counter for {name}"));
-        assert_eq!(spans, counter, "span sum vs registry for {name}");
+        let busy = traced
+            .perf
+            .stages
+            .get(stage)
+            .unwrap_or_else(|| panic!("no stage record for {name}"))
+            .busy_cycles;
+        assert_eq!(spans, busy, "span sum vs record for {name}");
     }
 }
 
@@ -123,8 +125,8 @@ fn functional_busy_spans_sum_to_per_tile_stats() {
     validate_chrome_trace(&trace.chrome_trace()).unwrap();
 
     // Every retire span on a tile track carries exactly the cycles the
-    // machine charged that tile, so the sums must match the stats (and
-    // the registry counters the stats were read from) exactly.
+    // machine charged that tile, so the sums must match the stats
+    // exactly.
     let mut checked = 0;
     for (id, name) in trace.tracks.iter() {
         let Some(idx) = name.strip_prefix("tile ") else {
@@ -144,19 +146,6 @@ fn functional_busy_spans_sum_to_per_tile_stats() {
         }
     }
     assert!(checked > 0, "no busy tile tracks recorded");
-    // Aggregate counters agree with the stats too.
-    assert_eq!(
-        trace.metrics.counter_value("func.instructions"),
-        Some(run.stats.instructions)
-    );
-    assert_eq!(
-        trace.metrics.counter_value("func.stalls"),
-        Some(run.stats.stalls)
-    );
-    assert_eq!(
-        trace.metrics.counter_value("func.cycles"),
-        Some(run.stats.cycles)
-    );
 }
 
 #[test]
@@ -221,12 +210,13 @@ fn hash(text: &str) -> u64 {
 }
 
 /// The exported bytes of recorded performance runs, pinned: the Chrome
-/// JSON, the per-cycle CSV and the metrics report of an alexnet training
-/// run, fault-free and under seeded link faults (retry instants, sync
-/// spans with back-off), plus the progress stream of the faulted run. Any
-/// change to the event-ordered drive's emission order, timestamps,
-/// payloads or counters changes a hash. The fault-free JSON and CSV are
-/// the bytes `repro --trace a.json` writes.
+/// JSON, the per-cycle CSV and the run record's metrics report of an
+/// alexnet training run, fault-free and under seeded link faults (retry
+/// instants, sync spans with back-off), plus the progress stream of the
+/// faulted run. Any change to the event-ordered drive's emission order,
+/// timestamps, payloads or counters changes a hash. The fault-free JSON,
+/// CSV and metrics report are the bytes `repro --trace a.json` writes
+/// and prints.
 #[test]
 fn recorded_trace_bytes_are_pinned() {
     use scaledeep_sim::fault::LinkFaults;
@@ -262,10 +252,12 @@ fn recorded_trace_bytes_are_pinned() {
         let run = s.run_mapped_with(&artifact, RunKind::Training, &plan, obs);
         let trace = run.trace.unwrap();
         assert_eq!(trace.dropped, 0);
+        let mut reg = MetricsRegistry::new();
+        run.value.write_metrics(&mut reg);
         let got = [
             hash(&trace.chrome_trace()),
             hash(&trace.cycle_csv()),
-            hash(&trace.metrics_report()),
+            hash(&reg.report()),
         ];
         assert_eq!(got, [json, csv, metrics], "{plan:?}: {got:#x?}");
     }
@@ -358,7 +350,7 @@ fn null_sink_tracing_is_free() {
     };
     let mut tracer = off();
     let stats = sim
-        .run_iteration_traced(&image, &golden, &FaultPlan::none(), &mut tracer, None)
+        .run_iteration_traced(&image, &golden, &FaultPlan::none(), &mut tracer)
         .unwrap();
     assert!(
         tracer.tracks().is_empty(),
@@ -376,7 +368,7 @@ fn null_sink_tracing_is_free() {
     // One iteration takes about 10 µs; a sample of 200 takes about 2 ms.
     let (baseline, disabled) = alternating_min_of_n(20, 200, |traced| {
         let stats = if traced {
-            sim.run_iteration_traced(&image, &golden, &FaultPlan::none(), &mut off(), None)
+            sim.run_iteration_traced(&image, &golden, &FaultPlan::none(), &mut off())
         } else {
             sim.run_iteration(&image, &golden)
         };
@@ -390,22 +382,20 @@ fn null_sink_tracing_is_free() {
     );
 }
 
-/// An observed functional run's registry is the rendering of its typed
-/// record: the `func.*` counters and the `func.instruction_cost`
-/// histogram, registered in name order, carry exactly the record's
-/// values — on a clean run, and on a degraded retry, whose failed first
-/// attempt renders nothing.
+/// A functional run's registry is the rendering of its typed record:
+/// the `func.*` counters and the `func.instruction_cost` histogram,
+/// registered in name order, carry exactly the record's values — on a
+/// clean run, and on a degraded retry, whose record is the retry's.
 #[test]
 fn functional_registry_renders_the_run_record() {
     let s = Session::single_precision();
     let net = tiny_training_net();
     let kill = FaultPlan::seeded(7).with_fault(1, FaultKind::TileFailure { tile: 0 });
     for (plan, retried) in [(FaultPlan::none(), false), (kill, true)] {
-        let (run, trace) = resilient_traced(&s, &net, &plan, &TraceConfig::default());
+        let (run, _) = resilient_traced(&s, &net, &plan, &TraceConfig::default());
         assert_eq!(run.retried, retried);
         let mut rendered = MetricsRegistry::new();
         run.stats.write_metrics(&mut rendered);
-        assert_eq!(trace.metrics, rendered);
 
         let stats = &run.stats;
         let mut expected = MetricsRegistry::new();
@@ -429,7 +419,7 @@ fn functional_registry_renders_the_run_record() {
             let stalls = expected.counter(&format!("func.tile.{i:04}.stalls"));
             expected.add(stalls, t.stalls);
         }
-        assert_eq!(trace.metrics, expected, "names, values or order moved");
+        assert_eq!(rendered, expected, "names, values or order moved");
         assert_eq!(stats.instruction_cost.count, stats.instructions);
         assert!(stats.instructions > 0 && !stats.per_tile.is_empty());
     }
