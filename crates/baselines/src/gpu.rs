@@ -1,10 +1,8 @@
-//! GPU baselines: published throughput tables and a roofline model.
+//! GPU baselines: published throughput tables.
 
 mod published;
-mod roofline;
 
 pub use published::{published_training_throughput, PublishedEntry, PUBLISHED};
-pub use roofline::{GpuDevice, GpuRoofline};
 
 use std::fmt;
 
@@ -32,27 +30,6 @@ impl GpuFramework {
         GpuFramework::CudnnWinograd,
         GpuFramework::NervanaWinograd,
     ];
-
-    /// Fraction of GPU peak FLOPs this stack sustains on CNN training
-    /// (roofline calibration constants; see `published.rs` provenance).
-    pub const fn compute_efficiency(self) -> f64 {
-        match self {
-            GpuFramework::CudnnR2 => 0.25,
-            GpuFramework::NervanaNeon => 0.52,
-            GpuFramework::TensorFlow => 0.42,
-            GpuFramework::CudnnWinograd => 0.55,
-            GpuFramework::NervanaWinograd => 0.62,
-        }
-    }
-
-    /// FLOP-reduction factor Winograd F(2x2, 3x3) achieves on 3×3
-    /// convolutions (2.25× fewer multiplies), 1.0 for direct algorithms.
-    pub const fn winograd_reduction(self) -> f64 {
-        match self {
-            GpuFramework::CudnnWinograd | GpuFramework::NervanaWinograd => 2.25,
-            _ => 1.0,
-        }
-    }
 }
 
 impl fmt::Display for GpuFramework {

@@ -10,10 +10,6 @@
 //! * [`gpu::PUBLISHED`] — the embedded published-throughput dataset for the
 //!   four networks the paper charts (AlexNet, GoogLeNet, OverFeat, VGG-A)
 //!   across five GPU software stacks;
-//! * [`gpu::GpuRoofline`] — a roofline model of Maxwell/Pascal-class GPUs
-//!   with per-framework efficiency factors, used for networks the public
-//!   tables do not cover and for the Pascal extrapolation the paper
-//!   performs (§6.1);
 //! * [`dadiannao`] — a homogeneous accelerator-node model in the spirit of
 //!   DaDianNao for the §7 iso-power FLOPs comparison (the paper's "5× as
 //!   many FLOPs at iso-power").
@@ -25,4 +21,4 @@ pub mod dadiannao;
 pub mod gpu;
 
 pub use dadiannao::DaDianNaoModel;
-pub use gpu::{GpuFramework, GpuRoofline, PublishedEntry};
+pub use gpu::{GpuFramework, PublishedEntry};

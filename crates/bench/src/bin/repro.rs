@@ -614,12 +614,11 @@ fn trace_run(name: &str, path: &str, filter: CategoryMask, out: &mut dyn Write) 
 
     writeln!(
         out,
-        "{name}: {} events on {} tracks ({} spans, {} instants, {} dropped)",
+        "{name}: {} events on {} tracks ({} spans, {} instants)",
         traced.trace.events.len(),
         summary.tracks,
         summary.spans,
         summary.instants,
-        traced.trace.dropped
     )?;
     writeln!(out, "wrote {path} (chrome://tracing) and {csv_path}\n")?;
     let mut metrics = MetricsRegistry::new();
@@ -849,11 +848,7 @@ fn serve_drill(
     stats_json: Option<&str>,
     out: &mut dyn Write,
 ) -> Outcome {
-    let cfg = scaledeep_serve::DrillConfig {
-        seed,
-        ..scaledeep_serve::DrillConfig::default()
-    };
-    let report = scaledeep_serve::run_drill(&cfg);
+    let report = scaledeep_serve::run_drill(seed);
     write!(out, "{}", report.render())?;
     let documents = [
         (write_bench, DrillReport::to_bench_json as fn(&_) -> _),

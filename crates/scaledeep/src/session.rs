@@ -17,8 +17,8 @@ use scaledeep_sim::func::{ExecBackend, FuncSim, RunStats};
 use scaledeep_sim::perf::{self, NodeOutcome, PerfOptions, PerfResult, PerfSim, RunKind};
 use scaledeep_tensor::Executor;
 use scaledeep_trace::{
-    chrome_trace, cycle_csv, utilization_heatmap, CategoryMask, Event, FilterSink, MetricsRegistry,
-    Payload, ProgressSender, ProgressSink, RingSink, TraceSink, Tracer, TrackTable,
+    chrome_trace, cycle_csv, utilization_heatmap, CategoryMask, Event, MetricsRegistry, Payload,
+    ProgressSender, ProgressSink, TraceSink, Tracer, TrackTable, VecSink,
 };
 
 /// How a traced run records events: which categories pass. A traced
@@ -43,13 +43,10 @@ impl Default for TraceConfig {
 /// ([`PerfResult::write_metrics`], [`RunStats::write_metrics`]).
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    /// The retained events, in emission order.
+    /// The recorded events, in emission order.
     pub events: Vec<Event>,
     /// Track names for the events' `track` ids.
     pub tracks: TrackTable,
-    /// Events evicted by a bounded trace: only [`Session::cross_check`]'s
-    /// tail is bounded, so every other trace reports 0.
-    pub dropped: u64,
 }
 
 impl Trace {
@@ -128,7 +125,7 @@ macro_rules! observe {
                 ($body, None)
             }
             Observer::Trace(cfg) => {
-                let mut tracer = Tracer::new(session_sink(&cfg));
+                let mut tracer = Tracer::new(VecSink::masked(cfg.filter));
                 let value = {
                     let $tracer = &mut tracer;
                     $body
@@ -140,21 +137,12 @@ macro_rules! observe {
     }};
 }
 
-/// Builds the sink every traced session entry point uses: a
-/// category filter over an unbounded ring (a `usize::MAX` ring never
-/// evicts).
-fn session_sink(cfg: &TraceConfig) -> FilterSink<RingSink> {
-    FilterSink::new(RingSink::new(usize::MAX), cfg.filter)
-}
-
-/// Unwraps the tracer built by [`session_sink`] into a [`Trace`].
-fn into_trace(tracer: Tracer<FilterSink<RingSink>>) -> Trace {
+/// Unwraps a recording tracer into a [`Trace`].
+fn into_trace(tracer: Tracer<VecSink>) -> Trace {
     let (sink, tracks) = tracer.into_parts();
-    let (events, dropped) = sink.into_inner().into_parts();
     Trace {
-        events,
+        events: sink.into_events(),
         tracks,
-        dropped,
     }
 }
 
@@ -174,8 +162,8 @@ pub struct CycleCrossCheck {
     /// pipeline stage's service time (the layer-sequential, single-image
     /// interpretation — the same quantity the A4 ablation uses).
     pub perf_per_image_cycles: u64,
-    /// The functional run's flight-recorder trace: its most recent
-    /// events, oldest first.
+    /// The functional run's whole trace; [`CycleCrossCheck::mismatch_report`]
+    /// renders its last `CROSS_CHECK_TAIL_EVENTS` events.
     pub trace: Trace,
 }
 
@@ -193,9 +181,10 @@ impl CycleCrossCheck {
 
     /// A diagnostic report when the two models diverge more than 2x:
     /// the cycle counts, the functional run's metrics (its record
-    /// rendered through [`RunStats::write_metrics`]), and the trace
-    /// tail — everything needed to see where the functional machine spent
-    /// its final cycles. `None` while the models agree.
+    /// rendered through [`RunStats::write_metrics`]), and the trace's
+    /// last `CROSS_CHECK_TAIL_EVENTS` events — everything needed to see
+    /// where the functional machine spent its final cycles. `None` while
+    /// the models agree.
     pub fn mismatch_report(&self) -> Option<String> {
         if self.agrees() {
             return None;
@@ -210,11 +199,13 @@ impl CycleCrossCheck {
         let mut metrics = MetricsRegistry::new();
         self.functional.write_metrics(&mut metrics);
         out.push_str(&format!("\nfunctional metrics:\n{}", metrics.report()));
+        let events = &self.trace.events;
+        let tail = &events[events.len().saturating_sub(CROSS_CHECK_TAIL_EVENTS)..];
         out.push_str(&format!(
             "\ntrace tail ({} retained, {} dropped):\n{}",
-            self.trace.events.len(),
-            self.trace.dropped,
-            self.trace.cycle_csv()
+            tail.len(),
+            events.len() - tail.len(),
+            cycle_csv(tail, &self.trace.tracks)
         ));
         Some(out)
     }
@@ -708,12 +699,9 @@ impl Session {
     pub fn cross_check(&self, net: &Network) -> Result<CycleCrossCheck> {
         let artifact = self.compile(net)?;
         let (mut fsim, image, golden) = seeded_iteration(net, &artifact)?;
-        // A bounded flight recorder rides along so a divergence can be
-        // diagnosed from the run's final events without re-running.
-        let mut tracer = Tracer::new(FilterSink::new(
-            RingSink::new(CROSS_CHECK_TAIL_EVENTS),
-            CategoryMask::all(),
-        ));
+        // A trace rides along so a divergence can be diagnosed from the
+        // run's final events without re-running.
+        let mut tracer = Tracer::new(VecSink::new());
         let plan = FaultPlan::none();
         let functional = fsim.run_iteration_traced(&image, &golden, &plan, &mut tracer)?;
 
@@ -790,7 +778,8 @@ impl Session {
     }
 }
 
-/// Flight-recorder depth for [`Session::cross_check`]'s mismatch tail.
+/// Trace events [`CycleCrossCheck::mismatch_report`] renders: the last
+/// this many of the functional run.
 const CROSS_CHECK_TAIL_EVENTS: usize = 256;
 
 /// A functional simulator set up for one seeded training iteration: the
@@ -1189,7 +1178,6 @@ mod tests {
                 assert_eq!(run.trace.is_some(), matches!(obs, Observer::Trace(_)));
                 assert_eq!(res.trace.is_some(), run.trace.is_some());
                 if let Some(trace) = run.trace {
-                    assert_eq!(trace.dropped, 0);
                     assert!(validate_chrome_trace(&trace.chrome_trace()).unwrap().spans > 0);
                 }
             }
@@ -1597,11 +1585,6 @@ mod tests {
             .cross_check(&tiny_training_net())
             .unwrap();
         assert!(!x.trace.events.is_empty());
-        // The tail keeps at most its bound and ends at the run's last
-        // emission.
-        assert!(x.trace.events.len() <= CROSS_CHECK_TAIL_EVENTS);
-        let last_at = x.trace.events.iter().map(|e| e.at).max();
-        assert_eq!(x.trace.events.last().map(|e| e.at), last_at);
         // Every tile of the functional run did work.
         assert!(!x.functional.per_tile.is_empty());
         for (tile, t) in x.functional.per_tile.iter().enumerate() {
@@ -1624,5 +1607,26 @@ mod tests {
         assert!(report
             .lines()
             .any(|l| l.starts_with("func.cycles") && l.ends_with(&cycles)));
+        // The report's tail holds at most its bound, ends at the run's
+        // last emission, and accounts for every recorded event: on this
+        // run, and on one whose trace runs past the bound.
+        let mut long = forced.clone();
+        let events = x.trace.events.iter().cycle();
+        long.trace.events = events.take(CROSS_CHECK_TAIL_EVENTS + 50).copied().collect();
+        for check in [&forced, &long] {
+            let report = check.mismatch_report().expect("a 4x gap disagrees");
+            let recorded = check.trace.events.len();
+            let retained = recorded.min(CROSS_CHECK_TAIL_EVENTS);
+            assert!(report.contains(&format!(
+                "trace tail ({retained} retained, {} dropped):",
+                recorded - retained
+            )));
+            let tail = &check.trace.events[recorded - retained..];
+            assert!(report.ends_with(&cycle_csv(tail, &check.trace.tracks)));
+            let rows = report
+                .rsplit("cycle,track,category,event,dur,detail\n")
+                .next();
+            assert_eq!(rows.map(|r| r.lines().count()), Some(retained));
+        }
     }
 }

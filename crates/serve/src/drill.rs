@@ -7,10 +7,12 @@
 //! The report's document ([`DrillReport::to_bench_json`]: per-phase
 //! outcome counts, retry counts, recovered panics, compile-cache misses,
 //! backoff schedules, progress-stream probes) is a pure function of the
-//! seed and the drill shape, so the same seed replays to the same bytes
-//! and CI can gate on it. Wall-clock latencies (queue/service p50/p99
-//! from the log2 histograms) are *informational*: printed by
-//! [`DrillReport::render`], never written to the document or gated.
+//! seed (the drill's shape is fixed: `WORKERS` workers, a
+//! `QUEUE_CAPACITY`-deep queue, `OVERLOAD_FACTOR`× overload), so the
+//! same seed replays to the same bytes and CI can gate on it. Wall-clock
+//! latencies (queue/service p50/p99 from the log2 histograms) are
+//! *informational*: printed by [`DrillReport::render`], never written to
+//! the document or gated.
 //!
 //! Determinism holds because nothing in the verdict depends on thread
 //! interleaving: chaos travels *inside* jobs (panic/fail/stall
@@ -21,7 +23,7 @@
 use crate::protocol::{
     ChaosDirective, JobKind, JobReply, JobRequest, JobResult, ServeError, StatsSnapshot,
 };
-use crate::retry::RetryPolicy;
+use crate::retry;
 use crate::server::{install_chaos_panic_hook, JobHandle, Server, ServerConfig};
 use scaledeep::{report::Table, CacheStats, Session};
 use scaledeep_sim::perf::RunKind;
@@ -46,30 +48,13 @@ const FUNC_NET: &str = "alexnet-func";
 /// report's version; like those reports it carries no host time.
 pub const DRILL_SCHEMA_VERSION: u64 = 6;
 
-/// Shape of the drill (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DrillConfig {
-    /// Seed for the server's deterministic backoff jitter.
-    pub seed: u64,
-    /// Worker threads.
-    pub workers: usize,
-    /// Bounded queue capacity.
-    pub queue_capacity: usize,
-    /// Overload multiple: the overload phase submits
-    /// `queue_capacity * overload_factor` jobs against a paused pool.
-    pub overload_factor: usize,
-}
-
-impl Default for DrillConfig {
-    fn default() -> Self {
-        Self {
-            seed: 0,
-            workers: 4,
-            queue_capacity: 8,
-            overload_factor: 4,
-        }
-    }
-}
+/// Worker threads of the drill's server.
+const WORKERS: usize = 4;
+/// The drill server's bounded queue capacity.
+const QUEUE_CAPACITY: usize = 8;
+/// Overload multiple: the overload phase submits
+/// `QUEUE_CAPACITY * OVERLOAD_FACTOR` jobs against a paused pool.
+const OVERLOAD_FACTOR: usize = 4;
 
 /// How one phase's jobs resolved, by typed outcome.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -180,8 +165,6 @@ impl ProgressProbe {
 pub struct DrillReport {
     /// The seed the drill (and its backoff jitter) ran under.
     pub seed: u64,
-    /// The drill shape.
-    pub config: DrillConfig,
     /// `(phase name, outcome tally)`, in execution order.
     pub phases: Vec<(&'static str, PhaseCounts)>,
     /// The shared session's compile-cache ledger after the storm
@@ -357,8 +340,8 @@ impl DrillReport {
             format!("cancel: expected typed cancels for all, got {cancel:?}"),
         );
         let overload = by_name("overload");
-        let cap = self.config.queue_capacity as u64;
-        let expect_shed = cap * (self.config.overload_factor as u64 - 1);
+        let cap = QUEUE_CAPACITY as u64;
+        let expect_shed = cap * (OVERLOAD_FACTOR as u64 - 1);
         check(
             overload.shed == expect_shed && overload.completed == cap,
             format!(
@@ -528,16 +511,15 @@ fn wait_all(handles: &[JobHandle], counts: &mut PhaseCounts) -> Vec<JobResult> {
         .collect()
 }
 
-/// Runs the seeded chaos drill against a fresh in-memory server and
-/// returns the verdict. Same seed, same deterministic report.
-pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
+/// Runs the chaos drill under `seed` against a fresh in-memory server
+/// and returns the verdict. Same seed, same deterministic report.
+pub fn run_drill(seed: u64) -> DrillReport {
     install_chaos_panic_hook();
     let server_cfg = ServerConfig {
-        workers: cfg.workers.max(2),
-        queue_capacity: cfg.queue_capacity.max(2),
-        retry: RetryPolicy::default(),
+        workers: WORKERS,
+        queue_capacity: QUEUE_CAPACITY,
         default_deadline_ms: 60_000,
-        seed: cfg.seed,
+        seed,
     };
     let server = Server::start(Session::single_precision(), server_cfg);
     let tenants = ["alpha", "beta", "gamma"];
@@ -547,7 +529,7 @@ pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
     // Phase 1 — nominal: a queue-capacity batch across tenants, workers
     // live. Expect zero shed and full completion.
     let mut counts = PhaseCounts::default();
-    let handles: Vec<JobHandle> = (0..server_cfg.queue_capacity)
+    let handles: Vec<JobHandle> = (0..QUEUE_CAPACITY)
         .map(|i| {
             let kind = if i % 2 == 0 {
                 compile(PERF_NET)
@@ -594,11 +576,11 @@ pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
         })
         .collect();
     for h in &faulty {
-        schedules.push((h.id(), server_cfg.retry.schedule_ms(cfg.seed, h.id())));
+        schedules.push((h.id(), retry::schedule_ms(seed, h.id())));
     }
     let resilient_kind = || JobKind::Resilient {
         network: FUNC_NET.into(),
-        plan_seed: cfg.seed,
+        plan_seed: seed,
         kill_tile: Some(0),
     };
     let warm = server.submit(JobRequest::new("resilient", resilient_kind()));
@@ -680,13 +662,13 @@ pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
     wait_all(&handles, &mut counts);
     phases.push(("cancel", counts));
 
-    // Phase 7 — overload: overload_factor × capacity against a paused
+    // Phase 7 — overload: OVERLOAD_FACTOR × capacity against a paused
     // pool. Exactly `capacity` jobs are admitted; the rest shed with
     // typed `Overloaded` at submit time. On resume the admitted jobs
     // all complete — graceful degradation, not collapse.
     let mut counts = PhaseCounts::default();
     server.pause();
-    let handles: Vec<JobHandle> = (0..server_cfg.queue_capacity * cfg.overload_factor.max(2))
+    let handles: Vec<JobHandle> = (0..QUEUE_CAPACITY * OVERLOAD_FACTOR)
         .map(|i| {
             server.submit(JobRequest::new(
                 tenants[i % tenants.len()],
@@ -727,12 +709,7 @@ pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
 
     let metrics = server.metrics();
     let report = DrillReport {
-        seed: cfg.seed,
-        config: DrillConfig {
-            workers: server_cfg.workers,
-            queue_capacity: server_cfg.queue_capacity,
-            ..*cfg
-        },
+        seed,
         phases,
         cache: server.session().cache_stats(),
         worker_restarts: server.worker_restarts(),
@@ -820,7 +797,6 @@ mod tests {
     fn report_renders_and_serializes() {
         let report = DrillReport {
             seed: 3,
-            config: DrillConfig::default(),
             phases: vec![("nominal", {
                 let mut c = PhaseCounts::default();
                 c.absorb(&Err(ServeError::Cancelled));

@@ -37,12 +37,9 @@ pub mod queue;
 pub mod retry;
 pub mod server;
 
-pub use drill::{
-    run_drill, DrillConfig, DrillReport, PhaseCounts, ProgressProbe, DRILL_SCHEMA_VERSION,
-};
+pub use drill::{run_drill, DrillReport, PhaseCounts, ProgressProbe, DRILL_SCHEMA_VERSION};
 pub use protocol::{
     ChaosDirective, JobKind, JobReply, JobRequest, JobResult, ProgressEvent, Request, ServeError,
     ServerLine, StatValue, StatsSnapshot,
 };
-pub use retry::RetryPolicy;
 pub use server::{install_chaos_panic_hook, JobHandle, Server, ServerConfig};

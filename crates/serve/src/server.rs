@@ -16,9 +16,9 @@
 //!   worker, whose late result is then discarded. A client can never
 //!   hang on the server.
 //! * **Retry**: attempts that die to transient faults retry in-worker
-//!   under the seeded [`RetryPolicy`] backoff ladder; attempts that panic
-//!   are re-admitted at the front of their lane. Both paths share one
-//!   attempt budget.
+//!   under the seeded [`retry`] backoff ladder; attempts that panic are
+//!   re-admitted at the front of their lane. Both paths share one
+//!   attempt budget, [`retry::MAX_ATTEMPTS`].
 //! * **Recovery**: a worker runs each job under `catch_unwind`, so a
 //!   panicking attempt unwinds to the worker that ran it, which recovers
 //!   the job itself and keeps serving — no thread dies, and queued jobs
@@ -30,7 +30,7 @@ use crate::protocol::{
     JobKind, JobReply, JobRequest, JobResult, ProgressEvent, Request, ServeError, StatsSnapshot,
 };
 use crate::queue::FairQueue;
-use crate::retry::RetryPolicy;
+use crate::retry;
 use scaledeep::{CompileOptions, CompiledArtifact, Observer, Session};
 use scaledeep_dnn::zoo;
 use scaledeep_sim::fault::{FaultKind, FaultPlan};
@@ -79,8 +79,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded queue capacity; admissions past it shed `Overloaded`.
     pub queue_capacity: usize,
-    /// Retry/backoff policy for transient faults and lost workers.
-    pub retry: RetryPolicy,
     /// Deadline for requests that do not set one, in milliseconds.
     pub default_deadline_ms: u64,
     /// Seed for the deterministic backoff jitter.
@@ -92,7 +90,6 @@ impl Default for ServerConfig {
         Self {
             workers: 4,
             queue_capacity: 16,
-            retry: RetryPolicy::default(),
             default_deadline_ms: 30_000,
             seed: 0,
         }
@@ -580,7 +577,7 @@ fn recover(shared: &Shared, mut job: Job) {
     }
     job.attempts += 1;
     shared.count("serve.jobs.retries", 1);
-    if job.attempts >= shared.cfg.retry.max_attempts || Instant::now() >= job.deadline {
+    if job.attempts >= retry::MAX_ATTEMPTS || Instant::now() >= job.deadline {
         let err = ServeError::WorkerLost {
             attempts: job.attempts,
         };
@@ -603,10 +600,7 @@ fn run_attempts(shared: &Shared, job: &mut Job) -> Option<JobResult> {
             return None;
         }
         if job.attempts > 0 {
-            let backoff = shared
-                .cfg
-                .retry
-                .backoff_ms(shared.cfg.seed, job.id, job.attempts);
+            let backoff = retry::backoff_ms(shared.cfg.seed, job.id, job.attempts);
             let pause = Duration::from_millis(backoff);
             if Instant::now() + pause >= job.deadline {
                 return Some(Err(job.deadline_error()));
@@ -632,7 +626,7 @@ fn run_attempts(shared: &Shared, job: &mut Job) -> Option<JobResult> {
         if job.attempts < chaos.fail_attempts {
             job.attempts += 1;
             shared.count("serve.jobs.retries", 1);
-            if job.attempts >= shared.cfg.retry.max_attempts {
+            if job.attempts >= retry::MAX_ATTEMPTS {
                 return Some(Err(ServeError::Failed {
                     detail: format!("transient faults exhausted {} attempt(s)", job.attempts),
                 }));

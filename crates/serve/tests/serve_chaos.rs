@@ -4,17 +4,13 @@
 //! deadline — and the drill document must replay byte-identically under
 //! the same seed.
 
-use scaledeep_serve::{run_drill, DrillConfig};
+use scaledeep_serve::run_drill;
 use std::time::{Duration, Instant};
 
 #[test]
 fn chaos_drill_degrades_gracefully_and_replays_per_seed() {
-    let cfg = DrillConfig {
-        seed: 42,
-        ..DrillConfig::default()
-    };
     let started = Instant::now();
-    let first = run_drill(&cfg);
+    let first = run_drill(42);
 
     // Graceful degradation: all drill invariants hold (zero shed at
     // nominal, exact typed sheds at overload, kills recovered, stalls
@@ -50,30 +46,22 @@ fn chaos_drill_degrades_gracefully_and_replays_per_seed() {
 
     // Same seed, same document — including the per-job retry/backoff
     // schedules.
-    let second = run_drill(&cfg);
+    let second = run_drill(42);
     assert_eq!(first.to_bench_json(), second.to_bench_json());
     assert_eq!(first.schedules, second.schedules);
 }
 
 #[test]
 fn same_seed_drill_documents_are_byte_equal_and_carry_no_host_time() {
-    let cfg = DrillConfig {
-        seed: 7,
-        ..DrillConfig::default()
-    };
-    let first = run_drill(&cfg).to_bench_json();
-    let second = run_drill(&cfg).to_bench_json();
+    let first = run_drill(7).to_bench_json();
+    let second = run_drill(7).to_bench_json();
     assert_eq!(first, second, "same seed, same document bytes");
     assert!(!first.contains("\"wall\""), "host time leaked: {first}");
 }
 
 #[test]
 fn drill_bench_json_is_versioned_and_seed_stable() {
-    let cfg = DrillConfig {
-        seed: 7,
-        ..DrillConfig::default()
-    };
-    let report = run_drill(&cfg);
+    let report = run_drill(7);
     assert_eq!(
         report.invariants(),
         Vec::<String>::new(),

@@ -396,7 +396,7 @@ mod tests {
     use scaledeep_arch::presets;
     use scaledeep_compiler::Compiler;
     use scaledeep_dnn::zoo;
-    use scaledeep_trace::{Category, CategoryMask, FilterSink, VecSink};
+    use scaledeep_trace::{Category, CategoryMask, VecSink};
 
     /// The event-ordered drive with nothing recorded: the epoch drive's
     /// oracle.
@@ -682,19 +682,17 @@ mod tests {
             );
             prop_assert_eq!(&fast, &slow);
 
-            let mut empty_filter =
-                Tracer::new(FilterSink::new(VecSink::new(), CategoryMask::none()));
+            let mut empty_filter = Tracer::new(VecSink::masked(CategoryMask::none()));
             let quiet = drive(&m, &mut empty_filter);
             prop_assert_eq!(&quiet, &slow);
-            prop_assert!(empty_filter.sink().inner().events().is_empty());
+            prop_assert!(empty_filter.sink().events().is_empty());
             prop_assert_eq!(empty_filter.tracks(), recorded.tracks());
 
             // Recording any one pipeline category keeps the event-ordered
             // drive: the filtered run records exactly that category's
             // events.
             for cat in [Category::Stage, Category::Session, Category::Link] {
-                let mut one =
-                    Tracer::new(FilterSink::new(VecSink::new(), CategoryMask::just(cat)));
+                let mut one = Tracer::new(VecSink::masked(CategoryMask::just(cat)));
                 let out = drive(&m, &mut one);
                 prop_assert_eq!(&out, &slow);
                 let want: Vec<_> = recorded
@@ -704,7 +702,7 @@ mod tests {
                     .filter(|e| e.payload.category() == cat)
                     .copied()
                     .collect();
-                prop_assert_eq!(one.sink().inner().events(), &want[..], "{:?}", cat);
+                prop_assert_eq!(one.sink().events(), &want[..], "{:?}", cat);
             }
         }
     }

@@ -9,9 +9,8 @@
 //!   and instants with typed, allocation-free payloads, organized on named
 //!   tracks ([`TrackTable`]).
 //! - **Sinks** ([`TraceSink`]): [`NullSink`] is statically free (disabled
-//!   tracing compiles to a constant-false branch), [`VecSink`] records
-//!   everything, [`RingSink`] keeps a bounded flight-recorder tail with a
-//!   drop count, [`FilterSink`] layers a per-category mask over any sink.
+//!   tracing compiles to a constant-false branch), and [`VecSink`] records
+//!   every event of the categories in its mask (all of them by default).
 //!   Instrumented code talks to a [`Tracer`], which owns the sink and the
 //!   track table.
 //! - **Progress** ([`ProgressSink`], [`progress_channel`]): a leaf sink
@@ -56,4 +55,4 @@ pub use perfetto::{chrome_trace, validate_chrome_trace, TraceSummary};
 pub use progress::{
     progress_channel, ProgressKind, ProgressReceiver, ProgressSender, ProgressSink, ProgressUpdate,
 };
-pub use sink::{FilterSink, NullSink, RingSink, TraceSink, Tracer, VecSink};
+pub use sink::{NullSink, TraceSink, Tracer, VecSink};

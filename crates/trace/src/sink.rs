@@ -1,10 +1,8 @@
-//! Sinks consume [`Event`]s: the no-op [`NullSink`], an unbounded
-//! [`VecSink`], a bounded [`RingSink`], and the [`FilterSink`] category
-//! mask. The [`Tracer`] front-end owns a sink plus the
-//! track table and is what instrumented code talks to.
+//! Sinks consume [`Event`]s: the no-op [`NullSink`] and the recording
+//! [`VecSink`] with its category mask. The [`Tracer`] front-end owns a
+//! sink plus the track table and is what instrumented code talks to.
 
 use crate::event::{Category, CategoryMask, Cycle, Event, Payload, TrackId, TrackTable};
-use std::collections::VecDeque;
 
 /// A consumer of trace events.
 ///
@@ -48,133 +46,57 @@ impl TraceSink for NullSink {
     fn emit(&mut self, _ev: Event) {}
 }
 
-/// An unbounded in-memory sink; the default when exporting full traces.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The recording sink: an unbounded in-memory event list behind a
+/// per-category mask. Events of a category outside the mask are never
+/// built or kept; every other event is. The sink counts as active for
+/// any mask, so a tracer interns its tracks whatever the mask.
+#[derive(Debug, Clone, PartialEq)]
 pub struct VecSink {
     events: Vec<Event>,
+    mask: CategoryMask,
+}
+
+impl Default for VecSink {
+    fn default() -> Self {
+        Self::masked(CategoryMask::all())
+    }
 }
 
 impl VecSink {
-    /// An empty sink.
+    /// An empty sink recording every category.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty sink recording only the categories in `mask`.
+    pub fn masked(mask: CategoryMask) -> Self {
+        Self {
+            events: Vec::new(),
+            mask,
+        }
     }
 
     /// The recorded events in emission order.
     pub fn events(&self) -> &[Event] {
         &self.events
     }
+
+    /// Consumes the sink, returning its events in emission order.
+    pub fn into_events(self) -> Vec<Event> {
+        self.events
+    }
 }
 
 impl TraceSink for VecSink {
     #[inline]
-    fn wants(&self, _cat: Category) -> bool {
-        true
-    }
-
-    #[inline]
-    fn emit(&mut self, ev: Event) {
-        self.events.push(ev);
-    }
-}
-
-/// A bounded sink keeping the most recent `capacity` events and counting
-/// what it dropped. Useful for "flight recorder" tails in mismatch reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RingSink {
-    events: VecDeque<Event>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// A ring holding at most `capacity` events (a zero capacity drops
-    /// everything).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            events: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// The retained (most recent) events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.events.iter()
-    }
-
-    /// Number of events evicted (or refused, for zero capacity).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Consumes the ring, returning `(retained events oldest-first, dropped
-    /// count)`.
-    pub fn into_parts(self) -> (Vec<Event>, u64) {
-        (self.events.into_iter().collect(), self.dropped)
-    }
-}
-
-impl TraceSink for RingSink {
-    #[inline]
-    fn wants(&self, _cat: Category) -> bool {
-        true
-    }
-
-    #[inline]
-    fn emit(&mut self, ev: Event) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(ev);
-    }
-}
-
-/// A per-category enable mask over another sink: events of a category
-/// outside the mask never reach the wrapped sink; every other event does.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FilterSink<S> {
-    inner: S,
-    mask: CategoryMask,
-}
-
-impl<S: TraceSink> FilterSink<S> {
-    /// Wraps `inner`, passing only categories in `mask`.
-    pub fn new(inner: S, mask: CategoryMask) -> Self {
-        Self { inner, mask }
-    }
-
-    /// The wrapped sink.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Consumes the filter, returning the wrapped sink.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: TraceSink> TraceSink for FilterSink<S> {
-    #[inline]
-    fn is_active(&self) -> bool {
-        self.inner.is_active()
-    }
-
-    #[inline]
     fn wants(&self, cat: Category) -> bool {
-        self.mask.contains(cat) && self.inner.wants(cat)
+        self.mask.contains(cat)
     }
 
     #[inline]
     fn emit(&mut self, ev: Event) {
         if self.mask.contains(ev.payload.category()) {
-            self.inner.emit(ev);
+            self.events.push(ev);
         }
     }
 }
@@ -289,28 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_drops_oldest() {
-        let mut r = RingSink::new(2);
-        for i in 0..5u32 {
-            r.emit(Event::instant(u64::from(i), 0, Payload::Sync { index: i }));
-        }
-        assert_eq!(r.dropped(), 3);
-        let kept: Vec<_> = r.events().map(|e| e.at).collect();
-        assert_eq!(kept, vec![3, 4]);
-    }
-
-    #[test]
-    fn ring_sink_zero_capacity_counts_refusals() {
-        let mut r = RingSink::new(0);
-        r.emit(ev(Payload::Checkpoint));
-        assert_eq!(r.dropped(), 1);
-        assert_eq!(r.events().count(), 0);
-    }
-
-    #[test]
     fn filter_masks_categories() {
         let mask = CategoryMask::just(Category::Link);
-        let mut f = FilterSink::new(VecSink::new(), mask);
+        let mut f = VecSink::masked(mask);
+        assert!(f.is_active());
         assert!(f.wants(Category::Link));
         assert!(!f.wants(Category::Instruction));
         f.emit(ev(Payload::Retry {
@@ -318,7 +222,9 @@ mod tests {
             cost: 8,
         }));
         f.emit(ev(Payload::Retire { thread: 0, cost: 1 }));
-        assert_eq!(f.into_inner().events().len(), 1);
+        assert_eq!(f.into_events().len(), 1);
+        // An empty mask records nothing but still counts as active.
+        assert!(VecSink::masked(CategoryMask::none()).is_active());
     }
 
     #[test]

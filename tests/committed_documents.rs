@@ -9,7 +9,7 @@ use scaledeep::dse::{self, DseConfig, DseReport};
 use scaledeep::experiments::{run_by_id, EXPERIMENT_IDS};
 use scaledeep::Session;
 use scaledeep_dnn::zoo;
-use scaledeep_serve::{run_drill, DrillConfig};
+use scaledeep_serve::run_drill;
 use scaledeep_trace::json::{self, Json};
 
 const REPRO_OUTPUT: &str = include_str!(concat!(
@@ -89,17 +89,13 @@ fn dse_smoke_sweep_reproduces_exactly() {
 #[test]
 fn serve_drill_document_reproduces_exactly() {
     // `repro serve-drill --seed 42 --write-bench`: the document names
-    // its seed, and the drill's shape is the default one.
+    // its seed, the drill's only input.
     let committed = json::parse(SERVE_DRILL).expect("the committed drill parses");
     let seed = committed
         .get("seed")
         .and_then(Json::as_num)
         .expect("the drill document names its seed");
-    let cfg = DrillConfig {
-        seed: seed as u64,
-        ..DrillConfig::default()
-    };
-    let fresh = run_drill(&cfg).to_bench_json();
+    let fresh = run_drill(seed as u64).to_bench_json();
     if let Err(diff) = json::check_document(SERVE_DRILL, &fresh) {
         panic!("BENCH_serve-drill.json no longer matches its drill: {diff}");
     }

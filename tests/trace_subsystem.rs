@@ -1,9 +1,9 @@
 //! End-to-end checks of the `scaledeep-trace` observability subsystem:
 //! deterministic exports, trace/stats agreement (per-tile busy spans sum
 //! to exactly the stats' busy cycles), validator-clean Chrome traces,
-//! category filtering, flight-recorder bounding, the
-//! functional registry as a rendering of its run record, and the zero
-//! cost of a disabled tracer (timed in release builds only).
+//! category filtering, the functional registry as a rendering of its run
+//! record, and the zero cost of a disabled tracer (timed in release
+//! builds only).
 
 use scaledeep::{Observer, ResilientRun, Session, Trace, TraceConfig};
 use scaledeep_arch::presets;
@@ -251,7 +251,6 @@ fn recorded_trace_bytes_are_pinned() {
         let obs = Observer::Trace(TraceConfig::default());
         let run = s.run_mapped_with(&artifact, RunKind::Training, &plan, obs);
         let trace = run.trace.unwrap();
-        assert_eq!(trace.dropped, 0);
         let mut reg = MetricsRegistry::new();
         run.value.write_metrics(&mut reg);
         let got = [
